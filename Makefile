@@ -59,9 +59,10 @@ store-chaos:
 mech-smoke:
 	$(GO) test -run '^TestRegistryMechanismSmoke$$' -v ./internal/experiments
 
-# Machine-readable summary (guest MIPS, ns/guest-inst, allocs) → BENCH_2.json.
+# Machine-readable summary (guest MIPS, ns/guest-inst, allocs) → BENCH_4.json.
+# BENCH_2.json and BENCH_3.json are earlier checked-in baselines.
 bench-json:
-	$(GO) run ./cmd/mdaeval -benchjson BENCH_2.json
+	$(GO) run ./cmd/mdaeval -benchjson BENCH_4.json
 
 # Dispatch-tax measurement: the generic dispatch loop vs the direct-chaining
 # trace tier, back to back in one process (the only fair comparison on a

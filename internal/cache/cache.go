@@ -6,6 +6,12 @@
 // and charges additional latency cycles on misses. It tracks no data, only
 // tags; it is used by the machine simulator to account for the code-locality
 // effects the paper's code-rearrangement experiment (Fig. 11) depends on.
+//
+// Stats().Accesses counts probes, not the simulated program's accesses:
+// both of the machine simulator's execution tiers skip the L1D probe for
+// an access to the line of the previous access, a guaranteed hit that
+// cannot change any later replacement decision. Misses, and so every
+// charged cycle, are exact; Accesses and MissRate undercount hits.
 package cache
 
 import "fmt"

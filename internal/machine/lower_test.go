@@ -1,0 +1,562 @@
+package machine
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+	"unsafe"
+
+	"mdabt/internal/cache"
+	"mdabt/internal/host"
+	"mdabt/internal/mem"
+)
+
+// The generic loop runs lowered I-line slots (see lower) and skips the
+// data-cache probe for an access to the previous access's L1D line. These
+// tests pin both to refMachine, a reference written from the architectural
+// definitions — host.Decode, host.EvalOp, host.BranchTaken, the MemSize/
+// Aligns/IsStore predicates — that decodes every instruction afresh and
+// probes its own cache.Hierarchy on every line crossing and every access.
+
+// refMachine is a single-stepping reference for runLoop's semantics and
+// cost model. Misaligned accesses take the default fixup (no handler) or
+// call onMisalign, which stands in for a registered handler.
+type refMachine struct {
+	p          Params
+	mem        *mem.Memory
+	caches     *cache.Hierarchy
+	regs       [host.NumRegs]uint64
+	pc         uint64
+	c          Counters
+	slotOpen   bool
+	lineID     uint64
+	haveLine   bool
+	onMisalign func(r *refMachine, inst host.Inst, ea uint64)
+}
+
+func newRef(p Params, m *mem.Memory) *refMachine {
+	r := &refMachine{p: p, mem: m}
+	if p.UseCaches {
+		r.caches = cache.NewES40()
+	}
+	return r
+}
+
+func (r *refMachine) reg(x host.Reg) uint64 {
+	if x == host.Zero {
+		return 0
+	}
+	return r.regs[x]
+}
+
+func (r *refMachine) set(x host.Reg, v uint64) {
+	if x != host.Zero {
+		r.regs[x] = v
+	}
+}
+
+// pair applies the dual-issue rule to an ALU-class instruction.
+func (r *refMachine) pair() {
+	switch {
+	case !r.p.DualIssueALU:
+	case r.slotOpen:
+		r.c.Cycles--
+		r.slotOpen = false
+	default:
+		r.slotOpen = true
+	}
+}
+
+// emulate performs inst's access at ea ignoring alignment, as the default
+// fixup does (no load/store count, no cache probe).
+func (r *refMachine) emulate(inst host.Inst, ea uint64) {
+	size := inst.Op.MemSize()
+	if inst.Op.IsStore() {
+		r.mem.Write(ea, r.reg(inst.Ra), size)
+		return
+	}
+	v := r.mem.Read(ea, size)
+	if inst.Op == host.LDL {
+		v = uint64(int64(int32(v)))
+	}
+	r.set(inst.Ra, v)
+}
+
+// step executes one instruction; done reports a BRKBT.
+func (r *refMachine) step() (stop StopReason, payload uint32, done bool, err error) {
+	pc := r.pc
+	if line := pc >> ilineShift; !r.haveLine || line != r.lineID {
+		r.lineID, r.haveLine = line, true
+		if r.caches != nil {
+			r.c.Cycles += uint64(r.caches.Fetch(pc))
+		}
+	}
+	inst, err := host.Decode(r.mem.Read32(pc))
+	if err != nil {
+		return StopLimit, 0, true, err
+	}
+	r.c.Insts++
+	r.c.Cycles++
+	next := pc + host.InstBytes
+	r.pc = next
+	switch host.FormatOf(inst.Op) {
+	case host.FormatPAL:
+		r.c.Brks++
+		r.c.Cycles += r.p.BrkCycles
+		r.slotOpen = false
+		if inst.Payload == HaltService {
+			return StopHalt, inst.Payload, true, nil
+		}
+		return StopBrk, inst.Payload, true, nil
+	case host.FormatMem:
+		ea := r.reg(inst.Rb) + uint64(int64(inst.Disp))
+		switch inst.Op {
+		case host.LDA:
+			r.set(inst.Ra, ea)
+			r.pair()
+		case host.LDAH:
+			r.set(inst.Ra, r.reg(inst.Rb)+uint64(int64(inst.Disp))<<16)
+			r.pair()
+		default:
+			r.slotOpen = true
+			size := inst.Op.MemSize()
+			if inst.Op.Aligns() && ea%uint64(size) != 0 {
+				r.c.MisalignTraps++
+				r.c.Cycles += r.p.MisalignTrapCycles
+				r.c.TrapCycles += r.p.MisalignTrapCycles
+				if r.onMisalign != nil {
+					r.onMisalign(r, inst, ea)
+				} else {
+					r.emulate(inst, ea)
+				}
+				return
+			}
+			access := ea
+			if inst.Op == host.LDQU || inst.Op == host.STQU {
+				access = ea &^ 7
+			}
+			if inst.Op.IsStore() {
+				r.c.Stores++
+				r.mem.Write(access, r.reg(inst.Ra), size)
+			} else {
+				r.c.Loads++
+				r.c.Cycles += r.p.LoadExtraCycles
+				v := r.mem.Read(access, size)
+				if inst.Op == host.LDL {
+					v = uint64(int64(int32(v)))
+				}
+				r.set(inst.Ra, v)
+			}
+			if r.caches != nil {
+				r.c.Cycles += uint64(r.caches.Data(access))
+			}
+		}
+	case host.FormatOpr:
+		bv := r.reg(inst.Rb)
+		if inst.IsLit {
+			bv = uint64(inst.Lit)
+		}
+		r.set(inst.Rc, host.EvalOp(inst.Op, r.reg(inst.Ra), bv))
+		if inst.Op == host.MULL || inst.Op == host.MULQ {
+			r.c.Cycles += r.p.MulExtraCycles
+			r.slotOpen = false
+		} else {
+			r.pair()
+		}
+	case host.FormatBra:
+		uncond := inst.Op == host.BR && inst.Ra == host.Zero
+		if uncond && r.p.DualIssueALU {
+			r.pair()
+		} else {
+			r.slotOpen = false
+		}
+		if host.BranchTaken(inst.Op, r.reg(inst.Ra)) {
+			if inst.Op == host.BR || inst.Op == host.BSR {
+				r.set(inst.Ra, next)
+			}
+			r.pc = inst.BranchTarget(pc)
+			if !uncond {
+				r.c.Cycles += r.p.TakenBranchCycles
+			}
+		}
+	case host.FormatJmp:
+		r.slotOpen = false
+		target := r.reg(inst.Rb) &^ 3
+		r.set(inst.Ra, next)
+		r.pc = target
+		r.c.Cycles += r.p.TakenBranchCycles
+	}
+	return StopLimit, 0, false, nil
+}
+
+// run steps until a BRKBT, an error, or budget instructions.
+func (r *refMachine) run(budget uint64) (StopReason, uint32, error) {
+	for n := uint64(0); n < budget; n++ {
+		if stop, payload, done, err := r.step(); done {
+			return stop, payload, err
+		}
+	}
+	return StopLimit, 0, nil
+}
+
+// lowerSnap is the state compared between the machine and the reference.
+type lowerSnap struct {
+	Stop    StopReason
+	Payload uint32
+	Err     bool
+	PC      uint64
+	Regs    [host.NumRegs]uint64
+	C       Counters
+}
+
+func machineSnap(m *Machine, stop StopReason, payload uint32, err error) lowerSnap {
+	s := lowerSnap{Stop: stop, Payload: payload, Err: err != nil, PC: m.PC(), C: m.Counters()}
+	for r := range s.Regs {
+		s.Regs[r] = m.Reg(host.Reg(r))
+	}
+	return s
+}
+
+func refSnap(r *refMachine, stop StopReason, payload uint32, err error) lowerSnap {
+	return lowerSnap{Stop: stop, Payload: payload, Err: err != nil, PC: r.pc, Regs: r.regs, C: r.c}
+}
+
+// lowerDataBase is where single-step memory cases point Rb.
+const lowerDataBase = 0x100000
+
+// lowerSeed fills the bytes single-step memory cases can touch — around the
+// data base, at the bottom of memory (Rb = R31), and at the top (negative
+// displacements off R31) — with bytes that have the sign bit set often, so
+// LDL's sign extension shows.
+func lowerSeed(m *mem.Memory) {
+	for _, base := range []uint64{lowerDataBase - 16, 0, ^uint64(0) - 15} {
+		for i := uint64(0); i < 160; i++ {
+			m.Write8(base+i, byte(0x80|i*37))
+		}
+	}
+}
+
+// lowerSame reports whether two memories agree on every seeded byte.
+func lowerSame(a, b *mem.Memory) error {
+	for _, base := range []uint64{lowerDataBase - 16, 0, ^uint64(0) - 15} {
+		for i := uint64(0); i < 160; i++ {
+			if x, y := a.Read8(base+i), b.Read8(base+i); x != y {
+				return fmt.Errorf("byte %#x: machine %#x, reference %#x", base+i, x, y)
+			}
+		}
+	}
+	return nil
+}
+
+// lowerCases returns single-instruction cases for op: every format's R31
+// source/destination forms, literal and register operands, aligned and
+// misaligned EAs, linking into R31, and JMP with Ra == Rb.
+func lowerCases(op host.Op) []host.Inst {
+	var out []host.Inst
+	regA := []host.Reg{host.R1, host.R31}
+	switch host.FormatOf(op) {
+	case host.FormatPAL:
+		for _, p := range []uint32{HaltService, 1, 1<<26 - 1} {
+			out = append(out, host.Inst{Op: op, Payload: p})
+		}
+	case host.FormatMem:
+		for _, ra := range append(regA, host.R2) {
+			for _, rb := range []host.Reg{host.R2, host.R31} {
+				for _, d := range []int32{0, 1, 2, 3, 4, 6, 7, 8, 100, -3, -8, 0x7fff, -0x8000} {
+					if rb == host.R31 && d > 0x100 {
+						continue // keep R31-based stores off the code
+					}
+					out = append(out, host.Inst{Op: op, Ra: ra, Rb: rb, Disp: d})
+				}
+			}
+		}
+	case host.FormatOpr:
+		for _, ra := range regA {
+			for _, rc := range []host.Reg{host.R3, host.R31, host.R1} {
+				for _, rb := range []host.Reg{host.R2, host.R31, host.R1} {
+					out = append(out, host.Inst{Op: op, Ra: ra, Rb: rb, Rc: rc})
+				}
+				for _, lit := range []uint8{0, 5, 63, 255} {
+					out = append(out, host.Inst{Op: op, Ra: ra, Rc: rc, IsLit: true, Lit: lit})
+				}
+			}
+		}
+	case host.FormatBra:
+		for _, ra := range regA {
+			for _, d := range []int32{-4, 0, 3} {
+				out = append(out, host.Inst{Op: op, Ra: ra, Disp: d})
+			}
+		}
+	case host.FormatJmp:
+		for _, ra := range []host.Reg{host.R1, host.R3, host.R31} {
+			for _, rb := range []host.Reg{host.R3, host.R31} {
+				out = append(out, host.Inst{Op: op, Ra: ra, Rb: rb})
+			}
+		}
+	}
+	return out
+}
+
+// allOps lists every host opcode (Encode knows exactly the defined ones).
+func allOps() []host.Op {
+	var ops []host.Op
+	for op := host.Op(0); ; op++ {
+		if _, err := host.Encode(host.Inst{Op: op}); err != nil {
+			return ops
+		}
+		ops = append(ops, op)
+	}
+}
+
+// TestLoweringSingleStepParity runs every host opcode in every operand form
+// for one instruction, from several register files, with and without the
+// cache hierarchy, and requires registers, PC, stop, counters, cycles and
+// memory to match the reference — and R31 to read zero afterwards.
+func TestLoweringSingleStepParity(t *testing.T) {
+	const base = 0x1000
+	files := [][4]uint64{
+		// R1 (data / A operand / condition), R2 (base / B operand), R3 (jump target), R4
+		{0x8899AABBCCDDEEFF, lowerDataBase, 0x2007, 0},
+		{0, lowerDataBase + 1, 0x1000, 1},
+		{^uint64(0), 0x1B, 0x3, 2},
+		{1, 0xFFFFFFFFFFFFFFC0, 0x10000002, 3},
+		{0x0000000080000001, 63, 0x2000, 4},
+	}
+	ops := allOps()
+	if len(ops) < 60 {
+		t.Fatalf("allOps found %d opcodes", len(ops))
+	}
+	cases := 0
+	for _, op := range ops {
+		for _, inst := range lowerCases(op) {
+			word, err := host.Encode(inst)
+			if err != nil {
+				t.Fatalf("encode %+v: %v", inst, err)
+			}
+			for fi, f := range files {
+				for _, caches := range []bool{false, true} {
+					if caches && fi > 0 {
+						continue // one register file covers the cache charges
+					}
+					p := DefaultParams()
+					p.UseCaches = caches
+					m := New(mem.New(), p)
+					ref := newRef(p, mem.New())
+					for _, mm := range []*mem.Memory{m.Mem, ref.mem} {
+						lowerSeed(mm)
+					}
+					for i, v := range f {
+						m.SetReg(host.Reg(i+1), v)
+						ref.regs[i+1] = v
+					}
+					m.WriteCode(base, []uint32{word})
+					ref.mem.Write32(base, word)
+					m.SetPC(base)
+					ref.pc = base
+
+					stop, payload, err := m.Run(1)
+					got := machineSnap(m, stop, payload, err)
+					rstop, rpayload, rerr := ref.run(1)
+					want := refSnap(ref, rstop, rpayload, rerr)
+					name := host.Disasm(base, inst)
+					if got != want {
+						t.Fatalf("%s (regs %#x, caches %v):\n got %+v\nwant %+v", name, f, caches, got, want)
+					}
+					if err := lowerSame(m.Mem, ref.mem); err != nil {
+						t.Fatalf("%s (regs %#x, caches %v): %v", name, f, caches, err)
+					}
+					if m.Reg(host.R31) != 0 || m.regs[host.Zero] != 0 {
+						t.Fatalf("%s: R31 reads %#x after the step", name, m.Reg(host.R31))
+					}
+					cases++
+				}
+			}
+		}
+	}
+	t.Logf("%d single-step cases over %d opcodes", cases, len(ops))
+}
+
+// TestLoweringReraisesTrapInst: the trap handlers receive the instruction
+// re-raised from the lowered slot, which must equal the decoded word —
+// including a load into R31, whose destination the slot holds as the sink.
+func TestLoweringReraisesTrapInst(t *testing.T) {
+	for _, op := range allOps() {
+		if host.FormatOf(op) != host.FormatMem || op == host.LDA || op == host.LDAH {
+			continue
+		}
+		for _, inst := range lowerCases(op) {
+			s := lower(0x1000, inst)
+			if got := s.inst(); got != inst {
+				t.Fatalf("%v: re-raised %+v, want %+v", op, got, inst)
+			}
+		}
+	}
+}
+
+// lowerRandomProgram builds a looping program dense in data accesses:
+// same-line runs, line crossings, aligned and misaligned (trapping) loads
+// and stores, LDQU/STQU, operate ops on the accessed values, and R31 used
+// as source and destination throughout.
+func lowerRandomProgram(t *testing.T, rng *rand.Rand, base uint64) []uint32 {
+	aluOps := []host.Op{
+		host.ADDL, host.ADDQ, host.SUBL, host.SUBQ, host.MULL, host.CMPLT,
+		host.CMPULT, host.AND, host.BIS, host.XOR, host.SLL, host.SRA,
+		host.EXTQL, host.EXTQH, host.EXTLL, host.INSWL, host.MSKQH,
+	}
+	memOps := []host.Op{
+		host.LDBU, host.LDWU, host.LDL, host.LDQ, host.LDQU,
+		host.STB, host.STW, host.STL, host.STQ, host.STQU,
+	}
+	regW := []host.Reg{host.R1, host.R2, host.R3, host.R4, host.R5, host.R31}
+	regR := []host.Reg{host.R1, host.R2, host.R3, host.R4, host.R5, host.R31}
+	n := 30 + rng.Intn(60)
+	return trProgram(t, base, func(a *host.Asm) {
+		a.MovImm(host.R9, lowerDataBase)
+		a.MovImm(host.R10, 40) // loop counter
+		a.Label("top")
+		for i := 0; i < n; i++ {
+			switch rng.Intn(8) {
+			case 0, 1:
+				op := aluOps[rng.Intn(len(aluOps))]
+				if rng.Intn(2) == 0 {
+					a.OprLit(op, regR[rng.Intn(len(regR))], uint8(rng.Intn(256)), regW[rng.Intn(len(regW))])
+				} else {
+					a.Opr(op, regR[rng.Intn(len(regR))], regR[rng.Intn(len(regR))], regW[rng.Intn(len(regW))])
+				}
+			case 2:
+				// Walk the base across lines (and, rarely, pages).
+				a.Mem(host.LDA, host.R9, int32(rng.Intn(256)-96), host.R9)
+			default:
+				// Mostly small displacements: runs on one L1D line.
+				d := int32(rng.Intn(24))
+				if rng.Intn(4) == 0 {
+					d = int32(rng.Intn(600) - 200)
+				}
+				a.Mem(memOps[rng.Intn(len(memOps))], regW[rng.Intn(len(regW))], d, host.R9)
+			}
+		}
+		a.OprLit(host.SUBQ, host.R10, 1, host.R10)
+		a.Br(host.BNE, host.R10, "top")
+		a.Brk(HaltService)
+	})
+}
+
+// TestDataMemoCycleParity runs random data-heavy programs on the cache
+// hierarchy and requires every counter and cycle to match the reference,
+// which probes its own fresh hierarchy on every access. One variant
+// installs a misalignment handler that evicts lines from the data cache,
+// so a memo that survived a trap would show.
+func TestDataMemoCycleParity(t *testing.T) {
+	const base = 0x1000
+	for seed := int64(0); seed < 24; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		words := lowerRandomProgram(t, rng, base)
+		probeInHandler := seed%2 == 1
+		// The handler touches two other lines of the faulting access's L1D
+		// set (the L1D is 2-way with 32 KiB between lines of one set), which
+		// evicts that line — usually the line the memo holds.
+		evict := func(ea uint64) [2]uint64 {
+			return [2]uint64{ea&^63 + 32<<10, ea&^63 + 64<<10}
+		}
+		for _, budget := range []uint64{7, 500, 1 << 20} {
+			p := DefaultParams()
+			m := New(mem.New(), p)
+			ref := newRef(p, mem.New())
+			for i := uint64(0); i < 4096; i++ {
+				v := (i * 2654435761) >> 3
+				m.Mem.Write8(lowerDataBase+i, byte(v))
+				ref.mem.Write8(lowerDataBase+i, byte(v))
+			}
+			if probeInHandler {
+				m.SetMisalignHandler(func(m *Machine, pc uint64, inst host.Inst, ea uint64) uint64 {
+					for _, a := range evict(ea) {
+						m.AddTrapCycles(uint64(m.Caches().Data(a)))
+					}
+					m.EmulateAccess(inst, ea)
+					return pc + host.InstBytes
+				})
+				ref.onMisalign = func(r *refMachine, inst host.Inst, ea uint64) {
+					for _, a := range evict(ea) {
+						n := uint64(r.caches.Data(a))
+						r.c.Cycles += n
+						r.c.TrapCycles += n
+					}
+					r.emulate(inst, ea)
+				}
+			}
+			m.WriteCode(base, words)
+			for i, w := range words {
+				ref.mem.Write32(base+uint64(i)*host.InstBytes, w)
+			}
+			m.SetPC(base)
+			ref.pc = base
+			stop, payload, err := m.Run(budget)
+			got := machineSnap(m, stop, payload, err)
+			rstop, rpayload, rerr := ref.run(budget)
+			want := refSnap(ref, rstop, rpayload, rerr)
+			if got != want {
+				t.Fatalf("seed %d budget %d handler-probes %v:\n got %+v\nwant %+v", seed, budget, probeInHandler, got, want)
+			}
+			if budget == 1<<20 && (got.C.MisalignTraps == 0 || got.Stop != StopHalt) {
+				t.Fatalf("seed %d: program did not exercise traps to a halt (%+v)", seed, got)
+			}
+		}
+	}
+}
+
+// TestRelowerAfterCodeChange: Patch, WriteCode and IMB each replace a slot
+// that was already lowered, and the next execution runs the new word.
+func TestRelowerAfterCodeChange(t *testing.T) {
+	const base = 0x1000
+	word := func(i host.Inst) uint32 { return host.MustEncode(i) }
+	step := func(m *Machine) {
+		t.Helper()
+		m.SetPC(base)
+		if _, _, err := m.Run(1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := newMachine(true)
+	m.WriteCode(base, []uint32{word(host.Inst{Op: host.ADDQ, Ra: host.R1, Rc: host.R1, IsLit: true, Lit: 1})})
+	step(m)
+	if m.Reg(host.R1) != 1 {
+		t.Fatalf("addq: r1 = %d, want 1", m.Reg(host.R1))
+	}
+
+	m.Patch(base, word(host.Inst{Op: host.SUBQ, Ra: host.R1, Rc: host.R1, IsLit: true, Lit: 5}))
+	step(m)
+	if want := ^uint64(3); m.Reg(host.R1) != want { // 1 - 5
+		t.Fatalf("after Patch: r1 = %#x, want %#x", m.Reg(host.R1), want)
+	}
+
+	// A different kind in the same slot: an operate slot becomes a load.
+	m.Mem.Write64(lowerDataBase, 0xABCD)
+	m.SetReg(host.R2, lowerDataBase)
+	m.WriteCode(base, []uint32{word(host.Inst{Op: host.LDQ, Ra: host.R1, Rb: host.R2})})
+	step(m)
+	if m.Reg(host.R1) != 0xABCD {
+		t.Fatalf("after WriteCode: r1 = %#x, want 0xabcd", m.Reg(host.R1))
+	}
+
+	// A raw memory write leaves the lowered slot in place until IMB.
+	m.Mem.Write32(base, word(host.Inst{Op: host.LDA, Ra: host.R1, Rb: host.R31, Disp: 77}))
+	m.SetReg(host.R1, 0)
+	step(m)
+	if m.Reg(host.R1) != 0xABCD {
+		t.Fatalf("before IMB: r1 = %#x, want the stale load's 0xabcd", m.Reg(host.R1))
+	}
+	m.IMB()
+	step(m)
+	if m.Reg(host.R1) != 77 {
+		t.Fatalf("after IMB: r1 = %d, want 77", m.Reg(host.R1))
+	}
+}
+
+// TestIlineSize: lowering must not grow the decode cache. An i-line of
+// decoded host.Inst values plus valid flags took 272 bytes; sixteen
+// lowered slots take 256.
+func TestIlineSize(t *testing.T) {
+	if n := unsafe.Sizeof(iline{}); n > 256 {
+		t.Fatalf("iline is %d bytes, want at most 256", n)
+	}
+}

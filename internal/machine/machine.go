@@ -130,7 +130,10 @@ type Machine struct {
 	Mem    *mem.Memory
 	Params Params
 
-	regs [host.NumRegs]uint64
+	// regs is the register file plus one sink slot (sinkReg). Lowered
+	// I-line slots and trace steps send writes to R31 into the sink, so
+	// regs[host.Zero] is never written and always reads zero.
+	regs [host.NumRegs + 1]uint64
 	pc   uint64
 
 	caches        *cache.Hierarchy
@@ -174,8 +177,6 @@ type Machine struct {
 	traceSeq  uint64
 	traceVer  uint64 // bumped on build/flush; versions negative link caches
 	tstats    TraceStats
-	traceZero uint64 // pinned source for R31 reads in trace steps
-	traceSink uint64 // discard target for R31 writes in trace steps
 	// traceStall is set when the trace executor stops at a super-step
 	// head because the remaining budget cannot fit its atomic retire;
 	// runTraced consumes it and burns the tail generically, instruction
@@ -190,9 +191,135 @@ const (
 	maxDenseLines = (64 << 20) >> ilineShift
 )
 
-type iline struct {
-	valid [ilineInsts]bool
-	inst  [ilineInsts]host.Inst
+// sinkReg is the register-file index that stands in for R31 as a
+// destination; nothing reads it.
+const sinkReg = host.NumRegs
+
+// dstReg maps a destination register to its register-file index.
+func dstReg(r host.Reg) uint8 {
+	if r == host.Zero {
+		return sinkReg
+	}
+	return uint8(r)
+}
+
+// iline is one 64-byte I-line of lowered instructions.
+type iline [ilineInsts]slot
+
+// slot is one instruction lowered for runLoop when fetch first decodes it:
+// the dispatch kind, register-file indexes (destinations of R31 remapped to
+// sinkReg), and the immediate already resolved, so the loop does no format
+// dispatch, operand decoding or R31 test per instruction.
+type slot struct {
+	// imm is the sign-extended memory displacement (LDAH: pre-shifted by
+	// 16), the operate literal (0 in register forms, so the B operand is
+	// regs[b] + imm either way), the absolute branch target, or the BRKBT
+	// payload.
+	imm  uint64
+	kind slotKind
+	op   host.Op // operate opcode for EvalOp; the opcode for inst()
+	a    uint8   // Ra: source, or destination for LDA/loads/links
+	b    uint8   // Rb: source; R31 in literal operate forms
+	c    uint8   // Rc: operate destination
+	size uint8   // memory access size in bytes
+}
+
+// slotKind is a lowered slot's dispatch kind; the zero value marks a slot
+// not yet decoded.
+type slotKind uint8
+
+const (
+	slotEmpty slotKind = iota
+	slotPAL            // BRKBT
+	slotLda            // LDA, LDAH: regs[a] = regs[b] + imm
+	slotLd             // LDWU, LDQ: traps when misaligned
+	slotLdl            // LDL: traps when misaligned, sign-extends
+	slotSt             // STW, STL, STQ: traps when misaligned
+	slotLdu            // LDBU, LDQ_U: never trap on alignment; access ea&^(size-1)
+	slotStu            // STB, STQ_U: likewise
+	slotOpr            // operate: regs[c] = op(regs[a], regs[b] + imm)
+	slotAddl           // the operate ops Figure 16 retires most, specialized
+	slotAddq
+	slotBis
+	slotXor
+	slotCmplt
+	slotExtql
+	slotExtqh
+	slotMul    // MULL, MULQ
+	slotBr     // BR with Ra == R31: a foldable fetch redirect
+	slotBrLink // BR, BSR: regs[a] = return address
+	slotBeq    // conditional branches on regs[a]
+	slotBne
+	slotBlt
+	slotBle
+	slotBgt
+	slotBge
+	slotBlbc
+	slotBlbs
+	slotJmp // JMP, JSR, RET: regs[a] = return address, target regs[b]&^3
+)
+
+// opSlot maps each opcode to its slot kind. Operate opcodes left out
+// lower to slotOpr; BR with Ra == R31 lowers to slotBr.
+var opSlot = [256]slotKind{
+	host.BRKBT: slotPAL,
+	host.LDA:   slotLda, host.LDAH: slotLda,
+	host.LDWU: slotLd, host.LDQ: slotLd, host.LDL: slotLdl, host.LDBU: slotLdu, host.LDQU: slotLdu,
+	host.STW: slotSt, host.STL: slotSt, host.STQ: slotSt, host.STB: slotStu, host.STQU: slotStu,
+	host.ADDL: slotAddl, host.ADDQ: slotAddq, host.BIS: slotBis, host.XOR: slotXor,
+	host.CMPLT: slotCmplt, host.EXTQL: slotExtql, host.EXTQH: slotExtqh,
+	host.MULL: slotMul, host.MULQ: slotMul,
+	host.BR: slotBrLink, host.BSR: slotBrLink,
+	host.BEQ: slotBeq, host.BNE: slotBne, host.BLT: slotBlt, host.BLE: slotBle,
+	host.BGT: slotBgt, host.BGE: slotBge, host.BLBC: slotBlbc, host.BLBS: slotBlbs,
+	host.JMP: slotJmp, host.JSR: slotJmp, host.RET: slotJmp,
+}
+
+// lower builds the slot for inst located at pc.
+func lower(pc uint64, inst host.Inst) slot {
+	s := slot{kind: opSlot[inst.Op], op: inst.Op, a: uint8(inst.Ra), b: uint8(inst.Rb)}
+	switch host.FormatOf(inst.Op) {
+	case host.FormatPAL:
+		s.imm = uint64(inst.Payload)
+	case host.FormatMem:
+		s.imm = uint64(int64(inst.Disp))
+		s.size = uint8(inst.Op.MemSize())
+		if inst.Op == host.LDAH {
+			s.imm <<= 16
+		}
+		if !inst.Op.IsStore() {
+			s.a = dstReg(inst.Ra)
+		}
+	case host.FormatOpr:
+		if s.kind == slotEmpty {
+			s.kind = slotOpr
+		}
+		s.c = dstReg(inst.Rc)
+		if inst.IsLit {
+			s.b, s.imm = uint8(host.Zero), uint64(inst.Lit)
+		}
+	case host.FormatBra:
+		s.imm = inst.BranchTarget(pc)
+		if inst.Op == host.BR && inst.Ra == host.Zero {
+			s.kind = slotBr
+		} else if s.kind == slotBrLink {
+			s.a = dstReg(inst.Ra)
+		}
+	case host.FormatJmp:
+		s.a = dstReg(inst.Ra)
+	}
+	return s
+}
+
+// inst re-raises a memory-format slot (other than LDA/LDAH) to the decoded
+// instruction the trap handlers take; it equals host.Decode's result for
+// the word the slot was lowered from.
+func (s *slot) inst() host.Inst {
+	ra := host.Reg(s.a)
+	if s.a == sinkReg {
+		ra = host.Zero
+	}
+	return host.Inst{Op: s.op, Ra: ra, Rb: host.Reg(s.b), Disp: int32(int64(s.imm))}
 }
 
 // New creates a machine over m with cost model p.
@@ -217,7 +344,7 @@ func (m *Machine) Caches() *cache.Hierarchy { return m.caches }
 // handler is preserved; the fault plan is cleared (its owner re-installs
 // one per run). A reset machine behaves bit-identically to a fresh one.
 func (m *Machine) Reset() {
-	m.regs = [host.NumRegs]uint64{}
+	m.regs = [host.NumRegs + 1]uint64{}
 	m.pc = 0
 	m.counters = Counters{}
 	m.faults = nil
@@ -258,12 +385,7 @@ func (m *Machine) SetPC(pc uint64) {
 }
 
 // Reg reads register r (R31 reads as zero).
-func (m *Machine) Reg(r host.Reg) uint64 {
-	if r == host.Zero {
-		return 0
-	}
-	return m.regs[r]
-}
+func (m *Machine) Reg(r host.Reg) uint64 { return m.regs[r] }
 
 // SetReg writes register r (writes to R31 are discarded).
 func (m *Machine) SetReg(r host.Reg, v uint64) {
@@ -368,11 +490,12 @@ func (m *Machine) line(lineID uint64) *iline {
 	return l
 }
 
-// fetch returns the decoded instruction at pc, charging I-cache latency on
-// line crossings. The returned pointer aliases the decode cache; it stays
-// valid across invalidation (lines are dropped, never reused) but callers
-// must not hold it across a fetch of different code.
-func (m *Machine) fetch(pc uint64) (*host.Inst, error) {
+// fetch returns the lowered instruction at pc, decoding and lowering it on
+// first use and charging I-cache latency on line crossings. The returned
+// pointer aliases the decode cache; it stays valid across invalidation
+// (lines are dropped, never reused) but callers must not hold it across a
+// fetch of different code.
+func (m *Machine) fetch(pc uint64) (*slot, error) {
 	lineID := pc >> ilineShift
 	line := m.curLine
 	if line == nil || lineID != m.curLineID {
@@ -382,16 +505,15 @@ func (m *Machine) fetch(pc uint64) (*host.Inst, error) {
 			m.counters.Cycles += uint64(m.caches.Fetch(pc))
 		}
 	}
-	slot := pc >> 2 & (ilineInsts - 1)
-	if !line.valid[slot] {
+	s := &line[pc>>2&(ilineInsts-1)]
+	if s.kind == slotEmpty {
 		inst, err := host.Decode(m.Mem.Read32(pc))
 		if err != nil {
 			return nil, fmt.Errorf("machine: fetch at %#x: %w", pc, err)
 		}
-		line.inst[slot] = inst
-		line.valid[slot] = true
+		*s = lower(pc, inst)
 	}
-	return &line.inst[slot], nil
+	return s, nil
 }
 
 // EmulateAccess performs inst's memory access at ea in software, ignoring
@@ -437,31 +559,52 @@ func (m *Machine) Run(maxInsts uint64) (StopReason, uint32, error) {
 // at the next control transfer (or never — harmlessly).
 func (m *Machine) runLoop(maxInsts uint64, exitOnTrace bool) (_ StopReason, _ uint32, _ error, redirected bool) {
 	p := &m.Params
+	dual := p.DualIssueALU
+	regs := &m.regs
+	caches := m.caches
+	faults := m.faults
 	tlo, tspan := m.traceLo, m.traceHi-m.traceLo
 	// The hottest loop in the simulator: the PC, current decoded I-line,
 	// issue-slot state, and the two per-instruction counters live in locals
 	// so each iteration runs out of registers instead of reloading Machine
 	// fields. They are written back (and re-read) at every point where other
-	// code can observe or change them: fetch misses, misalignment traps (the
-	// handler may patch code and charge cycles), and every return.
+	// code can observe or change them: fetch misses, traps (the handler may
+	// patch code and charge cycles), and every return.
 	pc := m.pc
 	curLine, curLineID := m.curLine, m.curLineID
 	insts, cycles := m.counters.Insts, m.counters.Cycles
 	slotOpen := m.slotOpen
+	// Same-L1D-line memo: a data access to the line of the previous access
+	// skips the hierarchy probe (DESIGN.md §8 shows why that is exact).
+	// Only instruction fetches, which touch L1I and L2 but never L1D, run
+	// between two accesses here; trap handlers may probe L1D, so the memo
+	// is dropped after each one.
+	dataLine := noLineID
+	var dshift uint
+	if caches != nil {
+		dshift = caches.L1D.LineShift()
+	}
 	for n := uint64(0); n < maxInsts; n++ {
-		// Fetch, with the straight-line case — same decoded I-line, slot
-		// already decoded — inlined so the per-instruction path does not pay
-		// a call. Line crossings and decode misses go through fetch.
-		var inst *host.Inst
-		if curLine != nil && pc>>ilineShift == curLineID {
-			if slot := pc >> 2 & (ilineInsts - 1); curLine.valid[slot] {
-				inst = &curLine.inst[slot]
+		// Fetch, with the common cases inlined so the per-instruction path
+		// does not pay a call: the same I-line, or a crossing onto a line
+		// of the dense window that is already decoded (charged exactly as
+		// fetch charges it). First executions and far lines go through
+		// fetch.
+		var s *slot
+		if lineID := pc >> ilineShift; lineID == curLineID && curLine != nil {
+			s = &curLine[pc>>2&(ilineInsts-1)]
+		} else if off := lineID - m.denseBase; m.anchored && off < uint64(len(m.dense)) && m.dense[off] != nil {
+			curLine, curLineID = m.dense[off], lineID
+			m.curLine, m.curLineID = curLine, curLineID
+			if caches != nil {
+				cycles += uint64(caches.Fetch(pc))
 			}
+			s = &curLine[pc>>2&(ilineInsts-1)]
 		}
-		if inst == nil {
+		if s == nil || s.kind == slotEmpty {
 			m.counters.Cycles = cycles // fetch charges I-cache latency
 			var err error
-			inst, err = m.fetch(pc)
+			s, err = m.fetch(pc)
 			cycles = m.counters.Cycles
 			curLine, curLineID = m.curLine, m.curLineID
 			if err != nil {
@@ -474,118 +617,132 @@ func (m *Machine) runLoop(maxInsts uint64, exitOnTrace bool) (_ StopReason, _ ui
 		insts++
 		cycles++
 		nextPC := pc + host.InstBytes
+		var ea uint64
 
-		format := host.FormatOf(inst.Op)
-		switch format {
-		case host.FormatPAL:
+		// Memory kinds fall out of the switch into the shared data-cache
+		// tail below; every other kind continues or jumps to its tail. In
+		// the aligning kinds the short-circuit keeps the injection stream
+		// untouched by genuinely misaligned accesses: only aligned ones can
+		// draw a spurious trap. The access-protection check (the dense
+		// trap-bit table filters protected, watched, and guard pages) runs
+		// before the injection draw for the same reason.
+		switch s.kind {
+		case slotPAL:
 			m.counters.Brks++
 			m.pc = nextPC
 			m.curLine, m.curLineID = curLine, curLineID
 			m.counters.Insts, m.counters.Cycles = insts, cycles+p.BrkCycles
 			m.slotOpen = false
-			if inst.Payload == HaltService {
-				return StopHalt, inst.Payload, nil, false
+			if s.imm == HaltService {
+				return StopHalt, uint32(s.imm), nil, false
 			}
-			return StopBrk, inst.Payload, nil, false
+			return StopBrk, uint32(s.imm), nil, false
 
-		case host.FormatMem:
-			ea := m.Reg(inst.Rb) + uint64(int64(inst.Disp))
-			switch inst.Op {
-			case host.LDA, host.LDAH:
-				if inst.Op == host.LDA {
-					m.SetReg(inst.Ra, ea)
-				} else {
-					m.SetReg(inst.Ra, m.Reg(inst.Rb)+uint64(int64(inst.Disp))<<16)
-				}
-				if p.DualIssueALU {
-					if slotOpen {
-						cycles--
-						slotOpen = false
-					} else {
-						slotOpen = true
-					}
-				}
-			default:
-				slotOpen = true // a memory op leaves an ALU slot open
-				size := inst.Op.MemSize()
-				// The short-circuit keeps the injection stream untouched by
-				// genuinely misaligned accesses: only aligned ones can draw a
-				// spurious trap.
-				if inst.Op.Aligns() && (ea&uint64(size-1) != 0 ||
-					(m.faults != nil && m.faults.Should(faultinject.SpuriousTrap))) {
-					m.pc = pc
-					m.counters.Insts, m.counters.Cycles = insts, cycles
-					m.slotOpen = slotOpen
-					m.misalignTrap(*inst, ea)
-					// The handler may have patched code and charged cycles.
-					pc = m.pc
-					insts, cycles = m.counters.Insts, m.counters.Cycles
-					curLine, curLineID = m.curLine, m.curLineID
-					continue // handler set the resume PC
-				}
-				access := ea
-				if inst.Op == host.LDQU || inst.Op == host.STQU {
-					access = ea &^ 7
-				}
-				isStore := inst.Op.IsStore()
-				// Access-protection trap: the dense trap-bit table filters
-				// protected, watched, and guard pages; the real check runs
-				// first so genuinely trapping accesses never consult the
-				// injection stream.
-				if m.Mem.AccessTrap(access, size, isStore) ||
-					(m.faults != nil && m.faults.Should(faultinject.SpuriousAccessFault)) {
-					m.pc = pc
-					m.counters.Insts, m.counters.Cycles = insts, cycles
-					m.slotOpen = slotOpen
-					m.accessTrap(*inst, ea)
-					// The handler may have redirected the PC and charged cycles.
-					pc = m.pc
-					insts, cycles = m.counters.Insts, m.counters.Cycles
-					curLine, curLineID = m.curLine, m.curLineID
-					continue
-				}
-				if isStore {
-					m.counters.Stores++
-					m.Mem.Write(access, m.Reg(inst.Ra), size)
-				} else {
-					m.counters.Loads++
-					cycles += p.LoadExtraCycles
-					v := m.Mem.Read(access, size)
-					if inst.Op == host.LDL {
-						v = uint64(int64(int32(v)))
-					}
-					m.SetReg(inst.Ra, v)
-				}
-				if m.caches != nil {
-					cycles += uint64(m.caches.Data(access))
-				}
-			}
-			pc = nextPC
-
-		case host.FormatOpr:
-			bv := m.Reg(inst.Rb)
-			if inst.IsLit {
-				bv = uint64(inst.Lit)
-			}
-			m.SetReg(inst.Rc, host.EvalOp(inst.Op, m.Reg(inst.Ra), bv))
-			if inst.Op == host.MULL || inst.Op == host.MULQ {
-				cycles += p.MulExtraCycles
-				slotOpen = false
-			} else if p.DualIssueALU {
+		case slotLda:
+			regs[s.a] = regs[s.b] + s.imm
+			if dual {
 				if slotOpen {
-					cycles-- // issued alongside the previous instruction
+					cycles--
 					slotOpen = false
 				} else {
 					slotOpen = true
 				}
 			}
 			pc = nextPC
+			continue
 
-		case host.FormatBra:
-			// An unconditional BR with no link register is a pure fetch
-			// redirect; the EV6 front end folds it (it can also dual-issue).
-			uncond := inst.Op == host.BR && inst.Ra == host.Zero
-			if uncond && p.DualIssueALU {
+		case slotLd, slotLdl:
+			slotOpen = true // a memory op leaves an ALU slot open
+			ea = regs[s.b] + s.imm
+			if ea&uint64(s.size-1) != 0 || (faults != nil && faults.Should(faultinject.SpuriousTrap)) {
+				goto misalign
+			}
+			if m.Mem.AccessTrap(ea, int(s.size), false) || (faults != nil && faults.Should(faultinject.SpuriousAccessFault)) {
+				goto accessFault
+			}
+			m.counters.Loads++
+			cycles += p.LoadExtraCycles
+			if v := m.Mem.Read(ea, int(s.size)); s.kind == slotLdl {
+				regs[s.a] = uint64(int64(int32(v)))
+			} else {
+				regs[s.a] = v
+			}
+
+		case slotSt:
+			slotOpen = true
+			ea = regs[s.b] + s.imm
+			if ea&uint64(s.size-1) != 0 || (faults != nil && faults.Should(faultinject.SpuriousTrap)) {
+				goto misalign
+			}
+			if m.Mem.AccessTrap(ea, int(s.size), true) || (faults != nil && faults.Should(faultinject.SpuriousAccessFault)) {
+				goto accessFault
+			}
+			m.counters.Stores++
+			m.Mem.Write(ea, regs[s.a], int(s.size))
+
+		case slotLdu:
+			slotOpen = true
+			ea = regs[s.b] + s.imm
+			acc := ea &^ uint64(s.size-1) // LDQ_U reads, and the cache sees, the quadword at ea&^7
+			if m.Mem.AccessTrap(acc, int(s.size), false) || (faults != nil && faults.Should(faultinject.SpuriousAccessFault)) {
+				goto accessFault
+			}
+			m.counters.Loads++
+			cycles += p.LoadExtraCycles
+			regs[s.a] = m.Mem.Read(acc, int(s.size))
+			ea = acc
+
+		case slotStu:
+			slotOpen = true
+			ea = regs[s.b] + s.imm
+			acc := ea &^ uint64(s.size-1)
+			if m.Mem.AccessTrap(acc, int(s.size), true) || (faults != nil && faults.Should(faultinject.SpuriousAccessFault)) {
+				goto accessFault
+			}
+			m.counters.Stores++
+			m.Mem.Write(acc, regs[s.a], int(s.size))
+			ea = acc
+
+		case slotOpr:
+			regs[s.c] = host.EvalOp(s.op, regs[s.a], regs[s.b]+s.imm)
+			goto alu
+		case slotAddl:
+			regs[s.c] = uint64(int64(int32(regs[s.a] + regs[s.b] + s.imm)))
+			goto alu
+		case slotAddq:
+			regs[s.c] = regs[s.a] + regs[s.b] + s.imm
+			goto alu
+		case slotBis:
+			regs[s.c] = regs[s.a] | (regs[s.b] + s.imm)
+			goto alu
+		case slotXor:
+			regs[s.c] = regs[s.a] ^ (regs[s.b] + s.imm)
+			goto alu
+		case slotCmplt:
+			v := uint64(0)
+			if int64(regs[s.a]) < int64(regs[s.b]+s.imm) {
+				v = 1
+			}
+			regs[s.c] = v
+			goto alu
+		case slotExtql:
+			regs[s.c] = host.ExtLow(regs[s.a], regs[s.b]+s.imm, 8)
+			goto alu
+		case slotExtqh:
+			regs[s.c] = host.ExtHigh(regs[s.a], regs[s.b]+s.imm, 8)
+			goto alu
+
+		case slotMul:
+			regs[s.c] = host.EvalOp(s.op, regs[s.a], regs[s.b]+s.imm)
+			cycles += p.MulExtraCycles
+			slotOpen = false
+			pc = nextPC
+			continue
+
+		case slotBr:
+			// A BR with no link register is a pure fetch redirect; the EV6
+			// front end folds it (it can also dual-issue).
+			if dual {
 				if slotOpen {
 					cycles--
 					slotOpen = false
@@ -595,43 +752,135 @@ func (m *Machine) runLoop(maxInsts uint64, exitOnTrace bool) (_ StopReason, _ ui
 			} else {
 				slotOpen = false
 			}
-			if host.BranchTaken(inst.Op, m.Reg(inst.Ra)) {
-				if inst.Op == host.BR || inst.Op == host.BSR {
-					m.SetReg(inst.Ra, nextPC)
-				}
-				pc = inst.BranchTarget(pc)
-				if !uncond {
-					cycles += p.TakenBranchCycles
-				}
-				if exitOnTrace && pc-tlo < tspan {
-					if _, ok := m.traces[pc]; ok {
-						m.pc = pc
-						m.curLine, m.curLineID = curLine, curLineID
-						m.counters.Insts, m.counters.Cycles = insts, cycles
-						m.slotOpen = slotOpen
-						return StopLimit, 0, nil, true
-					}
-				}
-			} else {
-				pc = nextPC
-			}
+			pc = s.imm
+			goto redirect
 
-		case host.FormatJmp:
+		case slotBrLink:
 			slotOpen = false
-			target := m.Reg(inst.Rb) &^ 3
-			m.SetReg(inst.Ra, nextPC)
-			pc = target
+			regs[s.a] = nextPC
+			goto taken
+
+		case slotBeq:
+			slotOpen = false
+			if regs[s.a] == 0 {
+				goto taken
+			}
+			pc = nextPC
+			continue
+		case slotBne:
+			slotOpen = false
+			if regs[s.a] != 0 {
+				goto taken
+			}
+			pc = nextPC
+			continue
+		case slotBlt:
+			slotOpen = false
+			if int64(regs[s.a]) < 0 {
+				goto taken
+			}
+			pc = nextPC
+			continue
+		case slotBle:
+			slotOpen = false
+			if int64(regs[s.a]) <= 0 {
+				goto taken
+			}
+			pc = nextPC
+			continue
+		case slotBgt:
+			slotOpen = false
+			if int64(regs[s.a]) > 0 {
+				goto taken
+			}
+			pc = nextPC
+			continue
+		case slotBge:
+			slotOpen = false
+			if int64(regs[s.a]) >= 0 {
+				goto taken
+			}
+			pc = nextPC
+			continue
+		case slotBlbc:
+			slotOpen = false
+			if regs[s.a]&1 == 0 {
+				goto taken
+			}
+			pc = nextPC
+			continue
+		case slotBlbs:
+			slotOpen = false
+			if regs[s.a]&1 == 1 {
+				goto taken
+			}
+			pc = nextPC
+			continue
+
+		case slotJmp:
+			slotOpen = false
+			pc = regs[s.b] &^ 3 // read before the link write: Ra may equal Rb
+			regs[s.a] = nextPC
 			cycles += p.TakenBranchCycles
-			if exitOnTrace && pc-tlo < tspan {
-				if _, ok := m.traces[pc]; ok {
-					m.pc = pc
-					m.curLine, m.curLineID = curLine, curLineID
-					m.counters.Insts, m.counters.Cycles = insts, cycles
-					m.slotOpen = slotOpen
-					return StopLimit, 0, nil, true
-				}
+			goto redirect
+		}
+
+		// Memory kinds: the access is done at ea.
+		if caches != nil {
+			if l := ea >> dshift; l != dataLine {
+				dataLine = l
+				cycles += uint64(caches.Data(ea))
 			}
 		}
+		pc = nextPC
+		continue
+
+	alu:
+		if dual {
+			if slotOpen {
+				cycles-- // issued alongside the previous instruction
+				slotOpen = false
+			} else {
+				slotOpen = true
+			}
+		}
+		pc = nextPC
+		continue
+
+	taken:
+		pc = s.imm
+		cycles += p.TakenBranchCycles
+	redirect:
+		if exitOnTrace && pc-tlo < tspan {
+			if _, ok := m.traces[pc]; ok {
+				m.pc = pc
+				m.curLine, m.curLineID = curLine, curLineID
+				m.counters.Insts, m.counters.Cycles = insts, cycles
+				m.slotOpen = slotOpen
+				return StopLimit, 0, nil, true
+			}
+		}
+		continue
+
+	misalign:
+		m.pc = pc
+		m.counters.Insts, m.counters.Cycles = insts, cycles
+		m.slotOpen = slotOpen
+		m.misalignTrap(s.inst(), ea)
+		goto resume
+	accessFault:
+		m.pc = pc
+		m.counters.Insts, m.counters.Cycles = insts, cycles
+		m.slotOpen = slotOpen
+		m.accessTrap(s.inst(), ea)
+	resume:
+		// The handler set the resume PC; it may also have patched code,
+		// charged cycles, or probed the data cache.
+		pc = m.pc
+		insts, cycles = m.counters.Insts, m.counters.Cycles
+		curLine, curLineID = m.curLine, m.curLineID
+		faults = m.faults
+		dataLine = noLineID
 	}
 	m.pc = pc
 	m.curLine, m.curLineID = curLine, curLineID

@@ -408,7 +408,7 @@ func (m *Machine) fuseMegaLd(steps []traceStep, i, n int, isTarget []bool) int {
 	sext := false
 	if i+6 < n && !isTarget[i+6] {
 		if s6 := &steps[i+6]; s6.kind == stepAddl && !s6.litB &&
-			s6.aPtr == &m.traceZero && s6.bPtr == s5.wPtr && s6.wPtr == s5.wPtr {
+			s6.aPtr == &m.regs[host.Zero] && s6.bPtr == s5.wPtr && s6.wPtr == s5.wPtr {
 			sext = true
 			consumed = 7
 		}
@@ -518,7 +518,7 @@ func (m *Machine) fuseMegaSt(steps []traceStep, i, n int, isTarget []bool) int {
 	s0.b2Ptr = eaT
 	s0.w2Ptr = iA
 	s0.w3Ptr = iB
-	s0.wPtr = &m.traceSink // mega cases write their operands directly
+	s0.wPtr = &m.regs[sinkReg] // mega cases write their operands directly
 	s0.lit = sz
 	s0.n = 11
 	return 11
@@ -694,23 +694,13 @@ func (m *Machine) BuildTrace(start, end uint64) bool {
 	return true
 }
 
-// regRead returns a pointer to r's value as a source operand (R31 reads
-// the pinned zero word).
-func (m *Machine) regRead(r host.Reg) *uint64 {
-	if r == host.Zero {
-		return &m.traceZero
-	}
-	return &m.regs[r]
-}
+// regRead returns a pointer to r's value as a source operand (R31's slot
+// in the register file is never written, so it always reads zero).
+func (m *Machine) regRead(r host.Reg) *uint64 { return &m.regs[r] }
 
 // regWrite returns a pointer to r's value as a destination (writes to R31
-// land in the discard sink).
-func (m *Machine) regWrite(r host.Reg) *uint64 {
-	if r == host.Zero {
-		return &m.traceSink
-	}
-	return &m.regs[r]
-}
+// land in the sink slot).
+func (m *Machine) regWrite(r host.Reg) *uint64 { return &m.regs[dstReg(r)] }
 
 // aluKind specializes an operate-format op; ops without their own kind
 // fall back to stepAluX (host.EvalOp).
@@ -859,7 +849,7 @@ func (m *Machine) buildStep(st *traceStep, pc uint64, inst host.Inst, start, end
 	st.op = inst.Op
 	st.takenIdx = -1
 	// Never-nil defaults: the executor loads *aPtr/*bPtr unconditionally.
-	st.aPtr, st.bPtr, st.wPtr = &m.traceZero, &m.traceZero, &m.traceSink
+	st.aPtr, st.bPtr, st.wPtr = &m.regs[host.Zero], &m.regs[host.Zero], &m.regs[sinkReg]
 	switch host.FormatOf(inst.Op) {
 	case host.FormatPAL:
 		st.kind = stepBrk
@@ -2761,7 +2751,6 @@ func (m *Machine) clearTraceState() {
 	m.traceLo, m.traceHi = ^uint64(0), 0
 	m.traceSeq, m.traceVer = 0, 0
 	m.tstats = TraceStats{}
-	m.traceZero, m.traceSink = 0, 0
 }
 
 // TraceLink is one resolved chain link, for diagnostics and lint.

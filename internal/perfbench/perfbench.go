@@ -3,8 +3,9 @@
 // translated-code dispatch loop, and an end-to-end DBT run reported in guest
 // MIPS. The same per-op closures back both the standard `go test -bench`
 // entry points (perfbench_test.go) and Collect, which runs the whole suite
-// programmatically and emits a JSON summary (BENCH_2.json at the repo root)
-// so the engine's performance trajectory is tracked across PRs.
+// programmatically and emits a JSON summary (`make bench-json` writes
+// BENCH_4.json at the repo root) so the engine's performance trajectory is
+// tracked over time.
 //
 // The suite is a measurement harness, not a correctness harness: the
 // chaos/co-simulation tests prove the fast paths change cost, never results.
@@ -34,7 +35,8 @@ type Bench struct {
 	Make       func() (op func(), err error)
 }
 
-// Result is one benchmark's measurement, JSON-shaped for BENCH_2.json.
+// Result is one benchmark's measurement, JSON-shaped for the BENCH_N.json
+// summaries.
 type Result struct {
 	Name        string  `json:"name"`
 	NsPerOp     float64 `json:"ns_per_op"`

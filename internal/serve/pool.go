@@ -223,25 +223,26 @@ func (p *Pool) submit(ctx context.Context, key string, task Task, wait bool) err
 		p.mu.RUnlock()
 		return ErrDraining
 	}
+	// Reserve the job before the send: a worker may finish it and call
+	// jobWG.Done before this goroutine runs again, so the Add must come
+	// first. A job that is never sent gives its reservation back.
+	p.jobWG.Add(1)
+	p.inFlight.Add(1)
 	if wait {
 		// Blocking admission must not hold the lock across the channel
-		// send; reserve the job first so Drain still waits for it.
-		p.jobWG.Add(1)
-		p.inFlight.Add(1)
+		// send; the reservation keeps Drain waiting for the job.
 		p.mu.RUnlock()
 		select {
 		case p.jobs <- j:
 		case <-ctx.Done():
-			p.jobWG.Done()
-			p.inFlight.Add(-1)
+			p.unreserve()
 			return core.WithClass(core.Permanent, ctx.Err())
 		}
 	} else {
 		select {
 		case p.jobs <- j:
-			p.jobWG.Add(1)
-			p.inFlight.Add(1)
 		default:
+			p.unreserve()
 			p.mu.RUnlock()
 			p.shed.Add(1)
 			return ErrOverloaded
@@ -260,6 +261,12 @@ func (p *Pool) submit(ctx context.Context, key string, task Task, wait bool) err
 		p.completed.Add(1)
 	}
 	return err
+}
+
+// unreserve gives back the reservation of a job that never reached a worker.
+func (p *Pool) unreserve() {
+	p.inFlight.Add(-1)
+	p.jobWG.Done()
 }
 
 // Each runs fn for indices 0..n-1 on the pool and returns the first error

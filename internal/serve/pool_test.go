@@ -342,3 +342,50 @@ func TestDoRespectsContext(t *testing.T) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
 }
+
+// TestPoolInstantTasksKeepWaitGroupBalanced: a worker that finishes a job
+// before its submitter runs again must not drive the pool's job count
+// negative (which panics with "sync: negative WaitGroup counter"). Instant
+// tasks on a one-worker pool make that interleaving common; shed
+// submissions must give their reservation back, so the pool ends idle and
+// drains.
+func TestPoolInstantTasksKeepWaitGroupBalanced(t *testing.T) {
+	p := NewPool(Options{Workers: 1, Queue: 1, Retries: -1})
+	const submitters, rounds = 3, 2000
+	var ran, shed atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < submitters; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				err := p.Do(context.Background(), "", func(ctx context.Context, w *Worker) error {
+					ran.Add(1)
+					return nil
+				})
+				switch {
+				case errors.Is(err, ErrOverloaded):
+					shed.Add(1)
+				case err != nil:
+					t.Errorf("Do: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := ran.Load() + shed.Load(); got != submitters*rounds {
+		t.Fatalf("ran %d + shed %d = %d submissions, want %d", ran.Load(), shed.Load(), got, submitters*rounds)
+	}
+	if h := p.Health(); h.InFlight != 0 {
+		t.Fatalf("InFlight = %d after every Do returned, want 0", h.InFlight)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := p.Drain(ctx); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+}
