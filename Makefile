@@ -24,9 +24,11 @@ bench:
 # One iteration per benchmark across the repo — the CI smoke job. The
 # perfbench suite includes the traced dispatch-loop config
 # (BenchmarkDispatchLoopTraced), so the trace tier is exercised here too.
+# The allocation guards follow: zero steady-state allocations in the
+# dispatch loop, and a bounded allocation per recycled engine request.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
-	$(GO) test -run '^TestSteadyStateAllocs$$|^TestSuiteRuns$$' ./internal/perfbench/
+	$(GO) test -run '^TestSteadyStateAllocs$$|^TestSuiteRuns$$|^TestRecycledRequestAllocs$$' ./internal/perfbench/ ./internal/core/
 
 # Pool chaos suite under the race detector: ≥8 concurrent sessions with
 # faults firing at every injection point, results checked bit-identical
@@ -38,10 +40,12 @@ serve-chaos:
 # Guest-fault suite under the race detector: the three fault workload
 # kinds (page-straddling MDA, self-modifying, multi-context) across every
 # registry mechanism, with and without fixed-seed fault injection; fault
-# delivery must be precise and interpreter-identical (DESIGN.md §12).
+# delivery must be precise and interpreter-identical (DESIGN.md §12). The
+# trap-bit table is checked against a brute-force reference model.
 fault-chaos:
 	$(GO) test -race -run 'TestFaultCosimAllMechanisms|TestChaosGuestFaults|TestSelfModifyingInvalidates|TestMultiContextReset' -v ./internal/core
 	$(GO) test -race -run 'TestServeGuestFaults' ./internal/serve
+	$(GO) test -race -run 'TestTrapTableReferenceModel' -v ./internal/mem
 
 # Persistent-store crash/corruption suite under the race detector: the
 # full internal/store suite (atomic-write protocol, SIGKILL-mid-write

@@ -224,16 +224,15 @@ func (e *Engine) configure(opt Options) {
 // just-constructed state under opt, so one System can execute program after
 // program with fresh statistics and a cold simulated machine. It is the
 // cheap-reuse primitive of the serving layer (internal/serve): the memory's
-// page arena, the machine's decode-cache window, the guest decode cache,
-// and the code-cache address range are all retained, only their contents
-// cleared. A reset engine produces bit-identical results and statistics to
-// a freshly built one.
+// page arena and trap table, the machine's decode window, I-lines and
+// trace-step arena, the guest decode cache, the event log buffer, and the
+// code-cache address range are all retained, only their contents cleared.
+// A reset engine produces bit-identical results and statistics to a
+// freshly built one.
 func (e *Engine) Reset(opt Options) {
 	e.Mem.Reset()
 	e.Mach.Reset()
-	if e.events != nil {
-		e.events = &eventLog{buf: make([]Event, 0, eventLogCap)}
-	}
+	e.events.reset()
 	e.configure(opt)
 }
 

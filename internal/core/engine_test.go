@@ -702,6 +702,20 @@ func TestEventLogRingBound(t *testing.T) {
 	if events[len(events)-1].GuestPC != uint32(eventLogCap+99) {
 		t.Fatalf("newest event wrong: %d", events[len(events)-1].GuestPC)
 	}
+	// Reset empties the wrapped log in place: no events, nothing dropped,
+	// recording restarts at the front of the same buffer.
+	buf := &e.events.buf[0]
+	e.Reset(e.Opt)
+	if events, dropped := e.Events(); len(events) != 0 || dropped != 0 {
+		t.Fatalf("after Reset: %d events, %d dropped; want 0, 0", len(events), dropped)
+	}
+	e.event(EvLink, 7, 0, "")
+	if events, _ := e.Events(); len(events) != 1 || events[0].GuestPC != 7 {
+		t.Fatalf("after Reset: events %v, want the one recorded", events)
+	}
+	if &e.events.buf[0] != buf {
+		t.Fatal("Reset replaced the event buffer")
+	}
 }
 
 // multiBlockLoopImg builds a loop whose body spans several basic blocks

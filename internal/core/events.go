@@ -96,6 +96,17 @@ func (e *Engine) EnableEventLog() {
 	}
 }
 
+// reset empties the log, keeping its buffer (no-op when disabled). The
+// recorded events are zeroed so their Detail strings can be collected.
+func (l *eventLog) reset() {
+	if l == nil {
+		return
+	}
+	clear(l.buf)
+	l.buf = l.buf[:0]
+	l.next, l.wrapped, l.dropped = 0, false, 0
+}
+
 // Events returns the recorded events, oldest first, and the count of events
 // dropped by the ring bound.
 func (e *Engine) Events() ([]Event, uint64) {

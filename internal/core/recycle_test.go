@@ -1,0 +1,70 @@
+package core
+
+import (
+	"runtime"
+	"testing"
+
+	"mdabt/internal/machine"
+	"mdabt/internal/mem"
+	"mdabt/internal/workload"
+)
+
+// recycledRequest returns a closure that serves one request the way
+// serve.Server does on a warm worker: Reset the engine, load a fault
+// program (which arms page protections, and whose run arms the code
+// watch), and run it with the trace tier on.
+func recycledRequest(tb testing.TB) func() {
+	tb.Helper()
+	p, err := workload.GenerateStraddle(workload.StraddleOK)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	opt := DefaultOptions(DPEH)
+	opt.Traces = true
+	m := mem.New()
+	e := NewEngine(m, machine.New(m, machine.DefaultParams()), opt)
+	return func() {
+		e.Reset(opt)
+		p.Load(m)
+		if err := e.Run(p.Entry(), 50_000_000); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// recycledRequestBudget bounds the bytes one recycled request may
+// allocate. The engine's own per-run tables (block maps, translation
+// records, profiles) are rebuilt each run; the trap table, I-lines and
+// trace steps must not be. Allocating a trap table for the whole
+// protectable range costs 512 KiB alone.
+const recycledRequestBudget = 32 << 10
+
+// TestRecycledRequestAllocs guards Engine.Reset's reuse of what the engine
+// owns: after one warm-up request, every further request on the same
+// engine must stay under recycledRequestBudget bytes allocated.
+func TestRecycledRequestAllocs(t *testing.T) {
+	serve := recycledRequest(t)
+	serve() // warm-up: sizes the trap table, lines and step arena
+	const n = 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		serve()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per > recycledRequestBudget {
+		t.Fatalf("recycled request allocated %d bytes, budget %d", per, recycledRequestBudget)
+	} else {
+		t.Logf("recycled request allocated %d bytes (budget %d)", per, recycledRequestBudget)
+	}
+}
+
+func BenchmarkRecycledRequest(b *testing.B) {
+	serve := recycledRequest(b)
+	serve()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve()
+	}
+}

@@ -158,10 +158,19 @@ type Machine struct {
 	// lookup on the fetch path is an array index, not a map probe. Lines
 	// below the anchor or beyond the dense window (code placed far from the
 	// anchor by tests or exotic layouts) fall back to a map.
+	//
+	// Reset recycles lines rather than dropping them: filled lists every
+	// dense offset that received a line since the last Reset or IMB (an
+	// offset refilled after invalidation appears more than once), so
+	// Reset and IMB walk the lines actually filled instead of the whole
+	// window, and Reset moves the lines it finds to spare, zeroed, for
+	// line to hand out again.
 	anchored  bool
 	denseBase uint64   // line ID of dense[0]; valid once anchored
 	dense     []*iline // grown on demand up to maxDenseLines
+	filled    []uint32 // dense offsets given a line since Reset/IMB
 	farLines  map[uint64]*iline
+	spare     []*iline // zeroed lines recycled by Reset
 	curLine   *iline
 	curLineID uint64
 	slotOpen  bool // an issue slot is open for an ALU-class instruction
@@ -176,6 +185,7 @@ type Machine struct {
 	traceHi   uint64
 	traceSeq  uint64
 	traceVer  uint64 // bumped on build/flush; versions negative link caches
+	steps     stepArena
 	tstats    TraceStats
 	// traceStall is set when the trace executor stops at a super-step
 	// head because the remaining budget cannot fit its atomic retire;
@@ -339,10 +349,13 @@ func (m *Machine) Caches() *cache.Hierarchy { return m.caches }
 
 // Reset restores the machine to its just-built state — registers, PC,
 // counters, issue-slot state, the decoded-instruction cache (window
-// re-anchors on the next fetch), and the cache hierarchy — while keeping
-// the allocated decode-cache arena for reuse. The registered misalignment
-// handler is preserved; the fault plan is cleared (its owner re-installs
-// one per run). A reset machine behaves bit-identically to a fresh one.
+// re-anchors on the next fetch), the trace tier, and the cache hierarchy
+// — while keeping what it allocated for reuse: the decode window, its
+// lines (zeroed onto a spare list), and the trace-step arena. Its cost
+// follows the lines and steps the last run filled, not the window size.
+// The registered misalignment handler is preserved; the fault plan is
+// cleared (its owner re-installs one per run). A reset machine behaves
+// bit-identically to a fresh one.
 func (m *Machine) Reset() {
 	m.regs = [host.NumRegs + 1]uint64{}
 	m.pc = 0
@@ -350,9 +363,7 @@ func (m *Machine) Reset() {
 	m.faults = nil
 	m.anchored = false
 	m.denseBase = 0
-	clear(m.dense)
-	clear(m.farLines)
-	m.curLine, m.curLineID = nil, 0
+	m.dropLines(true)
 	m.slotOpen = false
 	m.clearTraceState()
 	if m.caches != nil {
@@ -430,10 +441,44 @@ func (m *Machine) Patch(addr uint64, word uint32) {
 // barrier). WriteCode/Patch already invalidate precisely; IMB exists for
 // bulk invalidation such as a code cache flush.
 func (m *Machine) IMB() {
-	clear(m.dense) // keep the window and its capacity; drop every line
+	m.dropLines(false)
+	m.dropAllTraces()
+}
+
+// dropLines empties the decode cache, keeping the dense window and its
+// capacity. With recycle set (Reset only: no fetched slot pointer can
+// outlive it) the lines go to the spare list, zeroed; otherwise they are
+// left to the garbage collector, because a caller may still hold a slot
+// of one.
+func (m *Machine) dropLines(recycle bool) {
+	for _, off := range m.filled {
+		if l := m.dense[off]; l != nil {
+			m.dense[off] = nil
+			if recycle {
+				*l = iline{}
+				m.spare = append(m.spare, l)
+			}
+		}
+	}
+	m.filled = m.filled[:0]
+	if recycle {
+		for _, l := range m.farLines {
+			*l = iline{}
+			m.spare = append(m.spare, l)
+		}
+	}
 	clear(m.farLines)
 	m.curLine, m.curLineID = nil, 0
-	m.dropAllTraces()
+}
+
+// newLine returns a zeroed line, recycled when Reset left one spare.
+func (m *Machine) newLine() *iline {
+	if n := len(m.spare); n > 0 {
+		l := m.spare[n-1]
+		m.spare = m.spare[:n-1]
+		return l
+	}
+	return new(iline)
 }
 
 func (m *Machine) invalidate(addr, size uint64) {
@@ -474,8 +519,9 @@ func (m *Machine) line(lineID uint64) *iline {
 		}
 		l := m.dense[off]
 		if l == nil {
-			l = new(iline)
+			l = m.newLine()
 			m.dense[off] = l
+			m.filled = append(m.filled, uint32(off))
 		}
 		return l
 	}
@@ -484,7 +530,7 @@ func (m *Machine) line(lineID uint64) *iline {
 	}
 	l := m.farLines[lineID]
 	if l == nil {
-		l = new(iline)
+		l = m.newLine()
 		m.farLines[lineID] = l
 	}
 	return l
@@ -492,9 +538,9 @@ func (m *Machine) line(lineID uint64) *iline {
 
 // fetch returns the lowered instruction at pc, decoding and lowering it on
 // first use and charging I-cache latency on line crossings. The returned
-// pointer aliases the decode cache; it stays valid across invalidation
-// (lines are dropped, never reused) but callers must not hold it across a
-// fetch of different code.
+// pointer aliases the decode cache; it stays valid across invalidation and
+// IMB (those drop lines; only Reset reuses them) but callers must not hold
+// it across a fetch of different code or a Reset.
 func (m *Machine) fetch(pc uint64) (*slot, error) {
 	lineID := pc >> ilineShift
 	line := m.curLine

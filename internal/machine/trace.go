@@ -237,6 +237,7 @@ type trace struct {
 	id         uint64
 	start, end uint64
 	steps      []traceStep
+	gen        uint64 // stepArena generation steps was carved in
 	// incoming lists steps of other traces whose chain link targets this
 	// trace, so invalidation can sever them. A severed entry may belong to
 	// an already-dropped trace; nil-ing its link is then harmless.
@@ -255,6 +256,87 @@ type traceEntry struct {
 // smaller).
 const maxTraceSteps = 4096
 
+// stepArena carves the step slices of traces out of chunks the machine
+// keeps, so a recycled machine rebuilds its traces without allocating.
+// Memory the arena has not committed is always zero, as buildStep needs.
+//
+// Steps are reused only at Reset, the one point where no step pointer can
+// survive: the trace tables are dropped, and no executor is running.
+// Invalidation and IMB leave dropped steps in place, because chain-link
+// back-lists and a running executor may still point into them. So that a
+// long run that keeps invalidating and rebuilding traces does not grow
+// the arena without bound, the arena abandons its chunks to the garbage
+// collector (starting a new generation) when it needs a new chunk and
+// more than half of the steps committed in the current generation belong
+// to dropped traces. The steps it holds then stay within twice the live
+// steps, plus the unused tails of full chunks and the chunk being filled.
+type stepArena struct {
+	chunks [][]traceStep
+	cur    int    // chunk being carved
+	off    int    // chunks[cur][:off] is committed
+	gen    uint64 // bumped when the chunks are recycled or abandoned
+	used   int    // steps committed in this generation
+	dead   int    // of those, steps of dropped traces
+}
+
+// Chunk sizes double from minStepChunk up to maxStepChunk; a trace larger
+// than that gets a chunk of its own size.
+const (
+	minStepChunk = 64
+	maxStepChunk = 4096
+)
+
+// carve returns n zeroed steps at the arena cursor. They stay the
+// arena's until commit; a caller that gives up must zero them again.
+func (a *stepArena) carve(n int) []traceStep {
+	for ; a.cur < len(a.chunks); a.cur, a.off = a.cur+1, 0 {
+		if c := a.chunks[a.cur]; a.off+n <= len(c) {
+			return c[a.off : a.off+n : a.off+n]
+		}
+	}
+	if 2*a.dead > a.used {
+		a.chunks, a.used, a.dead = nil, 0, 0
+		a.gen++
+	}
+	size := minStepChunk
+	if k := len(a.chunks); k > 0 {
+		size = min(2*len(a.chunks[k-1]), maxStepChunk)
+	}
+	a.chunks = append(a.chunks, make([]traceStep, max(size, n)))
+	a.cur, a.off = len(a.chunks)-1, 0
+	return a.chunks[a.cur][:n:n]
+}
+
+// commit hands the first n steps of the last carve to a trace.
+func (a *stepArena) commit(n int) {
+	a.off += n
+	a.used += n
+}
+
+// release accounts for a dropped trace's steps.
+func (a *stepArena) release(t *trace) {
+	if t.gen == a.gen {
+		a.dead += len(t.steps)
+	}
+}
+
+// releaseAll accounts for dropping every live trace.
+func (a *stepArena) releaseAll() { a.dead = a.used }
+
+// recycle zeroes every committed step and rewinds the cursor. Only Reset
+// may call it (see stepArena).
+func (a *stepArena) recycle() {
+	for i, c := range a.chunks {
+		if i == a.cur {
+			clear(c[:a.off])
+			break
+		}
+		clear(c)
+	}
+	a.cur, a.off, a.used, a.dead = 0, 0, 0, 0
+	a.gen++
+}
+
 // noLineID is the "no current decoded line" sentinel used by the
 // executor; real line IDs are PC>>6 and can never reach it.
 const noLineID = ^uint64(0)
@@ -266,6 +348,7 @@ func (m *Machine) EnableTraces(on bool) {
 	if !on {
 		m.traces, m.traceList = nil, nil
 		m.traceLo, m.traceHi = ^uint64(0), 0
+		m.steps.releaseAll()
 		return
 	}
 	if m.traces == nil {
@@ -610,25 +693,25 @@ func (m *Machine) BuildTrace(start, end uint64) bool {
 	if n > maxTraceSteps {
 		return false
 	}
-	steps := make([]traceStep, n+1)
+	steps := m.steps.carve(n + 1)
 	for i := 0; i < n; i++ {
 		pc := start + uint64(i)*host.InstBytes
-		if _, taken := m.traces[pc]; taken {
-			return false
-		}
+		_, taken := m.traces[pc]
 		inst, err := host.Decode(m.Mem.Read32(pc))
-		if err != nil {
-			return false
-		}
-		if !m.buildStep(&steps[i], pc, inst, start, end) {
+		if taken || err != nil || !m.buildStep(&steps[i], pc, inst, start, end) {
+			clear(steps[:i+1]) // hand the arena back zeroed
 			return false
 		}
 		steps[i].n = 1
 	}
 	// Fuse adjacent MDA-idiom ALU sequences into multi-instruction
-	// super-steps; n becomes the compacted step count.
+	// super-steps; n becomes the compacted step count. Compaction leaves
+	// stale copies past the new end; zero them before the arena reuses
+	// that space.
 	n = m.combineSteps(steps, n)
+	clear(steps[n+1:])
 	steps = steps[:n+1]
+	m.steps.commit(n + 1)
 	// Synthetic fallthrough exit: reached only if the final instruction
 	// does not transfer control (translated units always do; this keeps
 	// the executor total anyway). It retires no instruction.
@@ -678,7 +761,7 @@ func (m *Machine) BuildTrace(start, end uint64) bool {
 	}
 
 	m.traceSeq++
-	t := &trace{id: m.traceSeq, start: start, end: end, steps: steps}
+	t := &trace{id: m.traceSeq, start: start, end: end, steps: steps, gen: m.steps.gen}
 	for i := 0; i < n; i++ {
 		m.traces[steps[i].pc] = traceEntry{tr: t, idx: int32(i)}
 	}
@@ -2730,6 +2813,7 @@ func (m *Machine) dropTrace(t *trace) {
 	}
 	t.incoming = nil
 	delete(m.traceList, t.id)
+	m.steps.release(t)
 	m.tstats.Invalidations++
 }
 
@@ -2741,12 +2825,15 @@ func (m *Machine) dropAllTraces() {
 	m.tstats.Invalidations += uint64(len(m.traceList))
 	clear(m.traces)
 	clear(m.traceList)
+	m.steps.releaseAll()
 	m.traceLo, m.traceHi = ^uint64(0), 0
 	m.traceVer++
 }
 
-// clearTraceState restores the just-built (disabled) trace tier on Reset.
+// clearTraceState restores the just-built (disabled) trace tier on Reset
+// and recycles the step arena.
 func (m *Machine) clearTraceState() {
+	m.steps.recycle()
 	m.traces, m.traceList = nil, nil
 	m.traceLo, m.traceHi = ^uint64(0), 0
 	m.traceSeq, m.traceVer = 0, 0

@@ -334,9 +334,10 @@ func (m *Memory) WriteBytes(addr uint64, src []byte) {
 }
 
 // Reset zeroes every allocated page while keeping the backing arena —
-// pages, L2 tables, and the high map all stay allocated — so a pooled
-// engine can reuse the memory for its next program without reallocating.
-// After Reset all reads return zero, exactly as from a fresh Memory.
+// pages, L2 tables, the high map, and the protection maps and trap table
+// all stay allocated — so a pooled engine can reuse the memory for its
+// next program without reallocating. After Reset all reads return zero
+// and no page is protected or watched, exactly as in a fresh Memory.
 func (m *Memory) Reset() {
 	for _, l2 := range m.dense {
 		if l2 == nil {

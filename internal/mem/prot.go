@@ -106,10 +106,17 @@ const (
 
 // protState carries all protection machinery; embedded by value in Memory
 // so the zero Memory stays ready to use.
+//
+// The trap table covers pages [0, highest page ever armed + 2): it grows
+// on demand and is never shrunk, so its size follows what the guest
+// touches rather than the 4 GiB protectable range. Pages past its end
+// read as clear. Reset keeps it and zeroes only the entries the prots and
+// watch keys can have set.
 type protState struct {
 	prots map[uint64]pageProt // page index → protections; absent ⇒ rwx
 	watch map[uint64]bool     // page index → store watch (SMC hook)
-	trap  []uint8             // dense per-page trap bits; nil until armed
+	trap  []uint8             // dense per-page trap bits
+	armed bool                // any Protect/Unmap/Map/SetWatch since Reset
 }
 
 // Protect sets the protection of every page overlapping [addr, addr+size)
@@ -173,8 +180,9 @@ func (m *Memory) eachPage(op string, addr, size uint64, fn func(i uint64)) {
 	for i := first; i <= last; i++ {
 		fn(i)
 	}
-	if m.trap == nil {
-		m.trap = make([]uint8, uint64(l1Entries)<<l2Bits)
+	m.armed = true
+	if need := last + 2; need > uint64(len(m.trap)) {
+		m.trap = append(m.trap, make([]uint8, need-uint64(len(m.trap)))...)
 	}
 	for i := first; i <= last+1; i++ {
 		m.refreshTrap(i)
@@ -203,11 +211,9 @@ func (m *Memory) ownTrapBits(i uint64) uint8 {
 	return b
 }
 
-// refreshTrap recomputes the trap-table entry for page i.
+// refreshTrap recomputes the trap-table entry for page i, which the
+// table must cover.
 func (m *Memory) refreshTrap(i uint64) {
-	if i >= uint64(len(m.trap)) {
-		return
-	}
 	b := m.ownTrapBits(i)
 	if i > 0 && m.ownTrapBits(i-1)&tStore != 0 {
 		b |= tGuard
@@ -217,7 +223,7 @@ func (m *Memory) refreshTrap(i uint64) {
 
 // Armed reports whether any protection or watch has ever been set since
 // the last Reset — the machine's fast gate around AccessTrap.
-func (m *Memory) Armed() bool { return m.trap != nil }
+func (m *Memory) Armed() bool { return m.armed }
 
 // AccessTrap reports whether a host access of size bytes at addr must trap
 // to the BT's access-fault handler. It is a superset filter (guard bits
@@ -225,7 +231,7 @@ func (m *Memory) Armed() bool { return m.trap != nil }
 // Safe and false when no protections are armed.
 func (m *Memory) AccessTrap(addr uint64, size int, store bool) bool {
 	t := m.trap
-	if t == nil {
+	if len(t) == 0 {
 		return false
 	}
 	want := tLoad
@@ -251,9 +257,6 @@ func (m *Memory) AccessTrap(addr uint64, size int, store bool) bool {
 // any point a protection mutation can run.
 func (m *Memory) PageTrapped(addr uint64) (load, store bool) {
 	t := m.trap
-	if t == nil {
-		return false, false
-	}
 	i := addr >> PageShift
 	if i >= uint64(len(t)) {
 		return false, false
@@ -374,9 +377,18 @@ func (m *Memory) WriteChecked(addr uint64, v uint64, n int) *Fault {
 	return nil
 }
 
-// resetProt drops all protection, watch, and trap state (Reset hook).
+// resetProt drops all protection and watch state (Reset hook). The maps
+// and the trap table are kept: only the table entries a prots or watch key
+// can have set (the page and its guard successor) are zeroed, so the cost
+// follows the pages armed, not the table's size.
 func (m *Memory) resetProt() {
-	m.prots = nil
-	m.watch = nil
-	m.trap = nil
+	for i := range m.prots {
+		m.trap[i], m.trap[i+1] = 0, 0
+	}
+	for i := range m.watch {
+		m.trap[i], m.trap[i+1] = 0, 0
+	}
+	clear(m.prots)
+	clear(m.watch)
+	m.armed = false
 }
