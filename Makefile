@@ -41,11 +41,14 @@ serve-chaos:
 # kinds (page-straddling MDA, self-modifying, multi-context) across every
 # registry mechanism, with and without fixed-seed fault injection; fault
 # delivery must be precise and interpreter-identical (DESIGN.md §12). The
-# trap-bit table is checked against a brute-force reference model.
+# trap-bit table is checked against a brute-force reference model, and
+# traps taken mid-run in the generic dispatch loop (with and without
+# injection) against the single-stepping reference machine.
 fault-chaos:
 	$(GO) test -race -run 'TestFaultCosimAllMechanisms|TestChaosGuestFaults|TestSelfModifyingInvalidates|TestMultiContextReset' -v ./internal/core
 	$(GO) test -race -run 'TestServeGuestFaults' ./internal/serve
 	$(GO) test -race -run 'TestTrapTableReferenceModel' -v ./internal/mem
+	$(GO) test -race -run 'TestTrapMidRun' -v ./internal/machine
 
 # Persistent-store crash/corruption suite under the race detector: the
 # full internal/store suite (atomic-write protocol, SIGKILL-mid-write

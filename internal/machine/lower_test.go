@@ -7,6 +7,7 @@ import (
 	"unsafe"
 
 	"mdabt/internal/cache"
+	"mdabt/internal/faultinject"
 	"mdabt/internal/host"
 	"mdabt/internal/mem"
 )
@@ -20,18 +21,23 @@ import (
 
 // refMachine is a single-stepping reference for runLoop's semantics and
 // cost model. Misaligned accesses take the default fixup (no handler) or
-// call onMisalign, which stands in for a registered handler.
+// call onMisalign, and accesses the trap-bit table flags take the default
+// raw access or call onAccessFault; the hooks stand in for registered
+// handlers and resume at the next instruction. With faults set it draws
+// the machine's injection points in the order runLoop defines.
 type refMachine struct {
-	p          Params
-	mem        *mem.Memory
-	caches     *cache.Hierarchy
-	regs       [host.NumRegs]uint64
-	pc         uint64
-	c          Counters
-	slotOpen   bool
-	lineID     uint64
-	haveLine   bool
-	onMisalign func(r *refMachine, inst host.Inst, ea uint64)
+	p             Params
+	mem           *mem.Memory
+	caches        *cache.Hierarchy
+	regs          [host.NumRegs]uint64
+	pc            uint64
+	c             Counters
+	slotOpen      bool
+	lineID        uint64
+	haveLine      bool
+	faults        *faultinject.Plan
+	onMisalign    func(r *refMachine, inst host.Inst, ea uint64)
+	onAccessFault func(r *refMachine, inst host.Inst, ea uint64)
 }
 
 func newRef(p Params, m *mem.Memory) *refMachine {
@@ -82,6 +88,29 @@ func (r *refMachine) emulate(inst host.Inst, ea uint64) {
 	r.set(inst.Ra, v)
 }
 
+// perform does inst's access at ea as Machine.PerformAccess does (LDQ_U/
+// STQ_U masking, load/store count, no cycles).
+func (r *refMachine) perform(inst host.Inst, ea uint64) {
+	if inst.Op == host.LDQU || inst.Op == host.STQU {
+		ea &^= 7
+	}
+	if inst.Op.IsStore() {
+		r.c.Stores++
+	} else {
+		r.c.Loads++
+	}
+	r.emulate(inst, ea)
+}
+
+// patch writes one code word, as Machine.Patch does: a patch of the line
+// being executed makes the next fetch charge the I-cache again.
+func (r *refMachine) patch(addr uint64, word uint32) {
+	r.mem.Write32(addr, word)
+	if addr>>ilineShift == r.lineID {
+		r.haveLine = false
+	}
+}
+
 // step executes one instruction; done reports a BRKBT.
 func (r *refMachine) step() (stop StopReason, payload uint32, done bool, err error) {
 	pc := r.pc
@@ -120,20 +149,35 @@ func (r *refMachine) step() (stop StopReason, payload uint32, done bool, err err
 		default:
 			r.slotOpen = true
 			size := inst.Op.MemSize()
-			if inst.Op.Aligns() && ea%uint64(size) != 0 {
-				r.c.MisalignTraps++
-				r.c.Cycles += r.p.MisalignTrapCycles
-				r.c.TrapCycles += r.p.MisalignTrapCycles
-				if r.onMisalign != nil {
-					r.onMisalign(r, inst, ea)
-				} else {
-					r.emulate(inst, ea)
+			if inst.Op.Aligns() && (ea%uint64(size) != 0 || r.faults.Should(faultinject.SpuriousTrap)) {
+				for {
+					r.c.MisalignTraps++
+					r.c.Cycles += r.p.MisalignTrapCycles
+					r.c.TrapCycles += r.p.MisalignTrapCycles
+					if r.onMisalign != nil {
+						r.onMisalign(r, inst, ea)
+					} else {
+						r.emulate(inst, ea)
+					}
+					if !r.faults.Should(faultinject.DuplicateTrap) {
+						return
+					}
 				}
-				return
 			}
 			access := ea
 			if inst.Op == host.LDQU || inst.Op == host.STQU {
 				access = ea &^ 7
+			}
+			if r.mem.AccessTrap(access, size, inst.Op.IsStore()) || r.faults.Should(faultinject.SpuriousAccessFault) {
+				r.c.AccessFaults++
+				r.c.Cycles += r.p.AccessFaultCycles
+				r.c.TrapCycles += r.p.AccessFaultCycles
+				if r.onAccessFault != nil {
+					r.onAccessFault(r, inst, ea)
+				} else {
+					r.perform(inst, ea)
+				}
+				return
 			}
 			if inst.Op.IsStore() {
 				r.c.Stores++
@@ -201,16 +245,17 @@ func (r *refMachine) run(budget uint64) (StopReason, uint32, error) {
 
 // lowerSnap is the state compared between the machine and the reference.
 type lowerSnap struct {
-	Stop    StopReason
-	Payload uint32
-	Err     bool
-	PC      uint64
-	Regs    [host.NumRegs]uint64
-	C       Counters
+	Stop     StopReason
+	Payload  uint32
+	Err      bool
+	PC       uint64
+	Regs     [host.NumRegs]uint64
+	C        Counters
+	SlotOpen bool
 }
 
 func machineSnap(m *Machine, stop StopReason, payload uint32, err error) lowerSnap {
-	s := lowerSnap{Stop: stop, Payload: payload, Err: err != nil, PC: m.PC(), C: m.Counters()}
+	s := lowerSnap{Stop: stop, Payload: payload, Err: err != nil, PC: m.PC(), C: m.Counters(), SlotOpen: m.slotOpen}
 	for r := range s.Regs {
 		s.Regs[r] = m.Reg(host.Reg(r))
 	}
@@ -218,7 +263,7 @@ func machineSnap(m *Machine, stop StopReason, payload uint32, err error) lowerSn
 }
 
 func refSnap(r *refMachine, stop StopReason, payload uint32, err error) lowerSnap {
-	return lowerSnap{Stop: stop, Payload: payload, Err: err != nil, PC: r.pc, Regs: r.regs, C: r.c}
+	return lowerSnap{Stop: stop, Payload: payload, Err: err != nil, PC: r.pc, Regs: r.regs, C: r.c, SlotOpen: r.slotOpen}
 }
 
 // lowerDataBase is where single-step memory cases point Rb.
@@ -459,14 +504,7 @@ func TestDataMemoCycleParity(t *testing.T) {
 			return [2]uint64{ea&^63 + 32<<10, ea&^63 + 64<<10}
 		}
 		for _, budget := range []uint64{7, 500, 1 << 20} {
-			p := DefaultParams()
-			m := New(mem.New(), p)
-			ref := newRef(p, mem.New())
-			for i := uint64(0); i < 4096; i++ {
-				v := (i * 2654435761) >> 3
-				m.Mem.Write8(lowerDataBase+i, byte(v))
-				ref.mem.Write8(lowerDataBase+i, byte(v))
-			}
+			m, ref := lowerPair(base, words)
 			if probeInHandler {
 				m.SetMisalignHandler(func(m *Machine, pc uint64, inst host.Inst, ea uint64) uint64 {
 					for _, a := range evict(ea) {
@@ -484,12 +522,6 @@ func TestDataMemoCycleParity(t *testing.T) {
 					r.emulate(inst, ea)
 				}
 			}
-			m.WriteCode(base, words)
-			for i, w := range words {
-				ref.mem.Write32(base+uint64(i)*host.InstBytes, w)
-			}
-			m.SetPC(base)
-			ref.pc = base
 			stop, payload, err := m.Run(budget)
 			got := machineSnap(m, stop, payload, err)
 			rstop, rpayload, rerr := ref.run(budget)
@@ -504,8 +536,283 @@ func TestDataMemoCycleParity(t *testing.T) {
 	}
 }
 
+// lowerDataSame reports whether two memories agree on [lo, hi).
+func lowerDataSame(a, b *mem.Memory, lo, hi uint64) error {
+	for x := lo; x < hi; x++ {
+		if v, w := a.Read8(x), b.Read8(x); v != w {
+			return fmt.Errorf("byte %#x: machine %#x, reference %#x", x, v, w)
+		}
+	}
+	return nil
+}
+
+// lowerPair returns a machine and a reference with words loaded at base,
+// the same data seeded at lowerDataBase, and both PCs at base.
+func lowerPair(base uint64, words []uint32) (*Machine, *refMachine) {
+	p := DefaultParams()
+	m := New(mem.New(), p)
+	ref := newRef(p, mem.New())
+	for i := uint64(0); i < 4096; i++ {
+		v := byte((i * 2654435761) >> 3)
+		m.Mem.Write8(lowerDataBase+i, v)
+		ref.mem.Write8(lowerDataBase+i, v)
+	}
+	m.WriteCode(base, words)
+	for i, w := range words {
+		ref.mem.Write32(base+uint64(i)*host.InstBytes, w)
+	}
+	m.SetPC(base)
+	ref.pc = base
+	return m, ref
+}
+
+// lineRuns returns the run lengths of the lowered line holding addr, or
+// false when that line is not in the decode cache.
+func lineRuns(m *Machine, addr uint64) ([ilineInsts]uint8, bool) {
+	var runs [ilineInsts]uint8
+	off := addr>>ilineShift - m.denseBase
+	if !m.anchored || off >= uint64(len(m.dense)) || m.dense[off] == nil {
+		return runs, false
+	}
+	for i, s := range m.dense[off] {
+		runs[i] = s.run
+	}
+	return runs, true
+}
+
+// TestRunParityEveryBudget: runLoop retires a straight-line run per fetch,
+// charging it up front. Random straight-line-heavy programs run in Run
+// calls of every budget from 1 to the program length, so across the loop's
+// iterations (whose lines are fully lowered after the first) the calls stop
+// at every offset inside a run. After each call registers, PC, counters,
+// issue-slot state and the memory around the data pointer must match the
+// reference, and the whole data area must match at the halt.
+func TestRunParityEveryBudget(t *testing.T) {
+	const base = 0x1000
+	for seed := int64(0); seed < 4; seed++ {
+		rng := rand.New(rand.NewSource(100 + seed))
+		words := lowerRandomProgram(t, rng, base)
+		for budget := uint64(1); budget <= uint64(len(words)); budget++ {
+			m, ref := lowerPair(base, words)
+			for calls := 0; ; calls++ {
+				stop, payload, err := m.Run(budget)
+				got := machineSnap(m, stop, payload, err)
+				rstop, rpayload, rerr := ref.run(budget)
+				want := refSnap(ref, rstop, rpayload, rerr)
+				if got != want {
+					t.Fatalf("seed %d budget %d call %d:\n got %+v\nwant %+v", seed, budget, calls, got, want)
+				}
+				if r9 := m.Reg(host.R9); r9 >= 256 {
+					if err := lowerDataSame(m.Mem, ref.mem, r9-256, r9+512); err != nil {
+						t.Fatalf("seed %d budget %d call %d: %v", seed, budget, calls, err)
+					}
+				}
+				if stop != StopLimit || err != nil {
+					break
+				}
+			}
+			if ref.pc == base || ref.c.Insts < 40*uint64(len(words)-6) {
+				t.Fatalf("seed %d budget %d: program stopped after %d instructions", seed, budget, ref.c.Insts)
+			}
+			if err := lowerDataSame(m.Mem, ref.mem, lowerDataBase-1024, lowerDataBase+16384); err != nil {
+				t.Fatalf("seed %d budget %d: %v", seed, budget, err)
+			}
+		}
+	}
+}
+
+// trapRunProgram builds a loop around one I-line of sixteen straight-line
+// slots (one run once lowered), whose slot pos is the access at trap: a
+// misaligned load or store off R9, a load from the unmapped page at R7, or
+// a store to the read-only page at R8. The other slots are aligned loads
+// and stores off R9 and operate ops on what they load. The loop runs
+// iters times; hot is the line's address.
+func trapRunProgram(t *testing.T, base uint64, pos int, trap host.Inst, iters int64) (words []uint32, hot uint64) {
+	words = trProgram(t, base, func(a *host.Asm) {
+		a.MovImm(host.R9, lowerDataBase)
+		a.MovImm(host.R8, trapROPage)
+		a.MovImm(host.R7, trapUnmappedPage)
+		a.MovImm(host.R10, iters)
+		for a.PC()%(1<<ilineShift) != 0 {
+			a.OprLit(host.BIS, host.R31, 0, host.R31)
+		}
+		hot = a.PC()
+		a.Label("top")
+		for i := 0; i < ilineInsts; i++ {
+			d := int32(8 * i)
+			switch {
+			case i == pos:
+				a.Emit(trap)
+			case i%4 == 0:
+				a.Mem(host.LDQ, host.R2, d, host.R9)
+			case i%4 == 1:
+				a.Opr(host.ADDQ, host.R1, host.R2, host.R1)
+			case i%4 == 2:
+				a.Mem(host.STL, host.R1, d, host.R9)
+			default:
+				a.OprLit(host.XOR, host.R1, uint8(i), host.R3)
+			}
+		}
+		a.OprLit(host.SUBQ, host.R10, 1, host.R10)
+		a.Br(host.BNE, host.R10, "top")
+		a.Brk(HaltService)
+	})
+	return words, hot
+}
+
+// Pages TestTrapMidRun arms on both memories: stores to trapROPage and any
+// access to trapUnmappedPage raise access faults.
+const (
+	trapROPage       = 0x200000
+	trapUnmappedPage = 0x300000
+)
+
+// TestTrapMidRun: a misaligned or access-faulting access at each position
+// of a run traps mid-run, and the run's up-front charge must be taken back
+// to exactly the trapping slot. Two handler pairs service the traps: one
+// emulates (or performs) the access, the other also patches a later slot
+// of the same run into a branch to the next slot, once, so that on
+// re-execution the run ends at the patched slot. Everything runs against
+// the reference in Run calls of 5 and of the whole budget, with and
+// without a fault plan (spurious and duplicate misalignment traps and
+// spurious access faults on every access), whose injection stream must
+// equal the reference's.
+func TestTrapMidRun(t *testing.T) {
+	const base = 0x1000
+	br := host.MustEncode(host.Inst{Op: host.BR, Ra: host.R31}) // to the next slot
+	traps := []struct {
+		name string
+		inst host.Inst
+	}{
+		{"misaligned load", host.Inst{Op: host.LDQ, Ra: host.R4, Rb: host.R9, Disp: 3}},
+		{"misaligned store", host.Inst{Op: host.STL, Ra: host.R1, Rb: host.R9, Disp: 2}},
+		{"unmapped load", host.Inst{Op: host.LDL, Ra: host.R4, Rb: host.R7, Disp: 8}},
+		{"read-only store", host.Inst{Op: host.STQU, Ra: host.R1, Rb: host.R8, Disp: 5}},
+	}
+	for _, tc := range traps {
+		for pos := 0; pos < ilineInsts; pos++ {
+			for _, patching := range []bool{false, true} {
+				later := pos + 2
+				if later >= ilineInsts {
+					later = pos + 1
+				}
+				if patching && later >= ilineInsts {
+					continue
+				}
+				for _, planned := range []bool{false, true} {
+					for _, budget := range []uint64{5, 1 << 20} {
+						name := fmt.Sprintf("%s at %d patching %v plan %v budget %d", tc.name, pos, patching, planned, budget)
+						trapMidRunCase(t, name, base, pos, tc.inst, patching, later, planned, budget, br)
+					}
+				}
+			}
+		}
+	}
+}
+
+func trapMidRunCase(t *testing.T, name string, base uint64, pos int, trap host.Inst, patching bool, later int, planned bool, budget uint64, br uint32) {
+	t.Helper()
+	words, hot := trapRunProgram(t, base, pos, trap, 6)
+	m, ref := lowerPair(base, words)
+	for _, mm := range []*mem.Memory{m.Mem, ref.mem} {
+		mm.Protect(trapROPage, mem.PageSize, mem.ProtRead)
+		mm.Unmap(trapUnmappedPage, mem.PageSize)
+	}
+	target := hot + uint64(later)*host.InstBytes
+	if patching {
+		patch := func(m *Machine) {
+			if m.Mem.Read32(target) != br {
+				m.Patch(target, br)
+			}
+		}
+		m.SetMisalignHandler(func(m *Machine, pc uint64, inst host.Inst, ea uint64) uint64 {
+			m.EmulateAccess(inst, ea)
+			patch(m)
+			return pc + host.InstBytes
+		})
+		m.SetAccessFaultHandler(func(m *Machine, pc uint64, inst host.Inst, ea uint64) uint64 {
+			m.PerformAccess(inst, ea)
+			patch(m)
+			return pc + host.InstBytes
+		})
+		refPatch := func(r *refMachine) {
+			if r.mem.Read32(target) != br {
+				r.patch(target, br)
+			}
+		}
+		ref.onMisalign = func(r *refMachine, inst host.Inst, ea uint64) {
+			r.emulate(inst, ea)
+			refPatch(r)
+		}
+		ref.onAccessFault = func(r *refMachine, inst host.Inst, ea uint64) {
+			r.perform(inst, ea)
+			refPatch(r)
+		}
+	}
+	type fire struct {
+		pt faultinject.Point
+		n  uint64
+	}
+	var got, want []fire
+	var plan, refPlan *faultinject.Plan
+	if planned {
+		arm := func(log *[]fire) *faultinject.Plan {
+			p := faultinject.New(int64(pos)).Rate(faultinject.SpuriousTrap, 0.1).
+				Rate(faultinject.DuplicateTrap, 0.3).Rate(faultinject.SpuriousAccessFault, 0.1)
+			p.Observe(func(pt faultinject.Point) { *log = append(*log, fire{pt, p.Checks(pt)}) })
+			return p
+		}
+		plan, refPlan = arm(&got), arm(&want)
+		m.SetFaultPlan(plan)
+		ref.faults = refPlan
+	}
+	for {
+		stop, payload, err := m.Run(budget)
+		g := machineSnap(m, stop, payload, err)
+		rstop, rpayload, rerr := ref.run(budget)
+		if w := refSnap(ref, rstop, rpayload, rerr); g != w {
+			t.Fatalf("%s:\n got %+v\nwant %+v", name, g, w)
+		}
+		if stop != StopLimit || err != nil {
+			break
+		}
+	}
+	c := m.Counters()
+	if c.MisalignTraps+c.AccessFaults < 6 || m.PC() == base {
+		t.Fatalf("%s: %d traps, pc %#x: the program did not trap to a halt", name, c.MisalignTraps+c.AccessFaults, m.PC())
+	}
+	for _, lo := range []uint64{lowerDataBase, trapROPage, trapUnmappedPage} {
+		if err := lowerDataSame(m.Mem, ref.mem, lo, lo+256); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	if planned {
+		if plan.Total() == 0 {
+			t.Fatalf("%s: the plan injected nothing", name)
+		}
+		for _, pt := range []faultinject.Point{faultinject.SpuriousTrap, faultinject.DuplicateTrap, faultinject.SpuriousAccessFault} {
+			if plan.Checks(pt) != refPlan.Checks(pt) {
+				t.Fatalf("%s: %s checked %d times, reference %d", name, pt, plan.Checks(pt), refPlan.Checks(pt))
+			}
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: injection stream\n got %v\nwant %v", name, got, want)
+		}
+	}
+	if patching && !planned {
+		// The last iterations ran the patched line lowered: its first run
+		// ends at the patched branch, and the next one at the line's end.
+		runs, ok := lineRuns(m, hot)
+		if !ok || runs[0] != uint8(later+1) || later+1 < ilineInsts && runs[later+1] != uint8(ilineInsts-later-1) {
+			t.Fatalf("%s: line runs %v (lowered %v), want the first to end at slot %d", name, runs, ok, later)
+		}
+	}
+}
+
 // TestRelowerAfterCodeChange: Patch, WriteCode and IMB each replace a slot
-// that was already lowered, and the next execution runs the new word.
+// that was already lowered, and the next execution runs the new word. The
+// run lengths of a changed line are recomputed too, after Patch, WriteCode,
+// IMB and Reset alike.
 func TestRelowerAfterCodeChange(t *testing.T) {
 	const base = 0x1000
 	word := func(i host.Inst) uint32 { return host.MustEncode(i) }
@@ -550,13 +857,65 @@ func TestRelowerAfterCodeChange(t *testing.T) {
 	if m.Reg(host.R1) != 77 {
 		t.Fatalf("after IMB: r1 = %d, want 77", m.Reg(host.R1))
 	}
+
+	// A line of straight-line slots ending in BRKBT, whose slots the
+	// changes below turn into branches to the next slot and back.
+	const lb = 0x2000
+	addq := word(host.Inst{Op: host.ADDQ, Ra: host.R2, Rc: host.R2, IsLit: true, Lit: 1})
+	br := word(host.Inst{Op: host.BR, Ra: host.R31})
+	code := make([]uint32, ilineInsts)
+	for i := range code {
+		code[i] = addq
+	}
+	code[ilineInsts-1] = word(host.Inst{Op: host.BRKBT, Payload: 1})
+	// check runs the line once and requires each slot's run to reach the
+	// next of cuts, the slots that end a run.
+	check := func(what string, cuts ...int) {
+		t.Helper()
+		m.SetPC(lb)
+		if stop, _, err := m.Run(1 << 10); stop != StopBrk || err != nil {
+			t.Fatalf("%s: stop %v, err %v", what, stop, err)
+		}
+		var want [ilineInsts]uint8
+		end := ilineInsts - 1
+		for i := ilineInsts - 1; i >= 0; i-- {
+			for _, c := range cuts {
+				if c == i {
+					end = i
+				}
+			}
+			want[i] = uint8(end - i + 1)
+		}
+		if got, ok := lineRuns(m, lb); !ok || got != want {
+			t.Fatalf("%s: runs %v (lowered %v), want %v", what, got, ok, want)
+		}
+	}
+	m.WriteCode(lb, code)
+	check("fresh line")
+	m.Patch(lb+5*host.InstBytes, br)
+	check("after Patch", 5)
+	m.WriteCode(lb+9*host.InstBytes, []uint32{br, br})
+	check("after WriteCode", 5, 9, 10)
+	m.Mem.Write32(lb+5*host.InstBytes, addq)
+	check("before IMB", 5, 9, 10)
+	m.IMB()
+	check("after IMB", 9, 10)
+	m.Mem.Write32(lb+9*host.InstBytes, addq)
+	m.Reset()
+	if _, ok := lineRuns(m, lb); ok {
+		t.Fatal("a line survived Reset")
+	}
+	check("after Reset", 10)
 }
 
 // TestIlineSize: lowering must not grow the decode cache. An i-line of
 // decoded host.Inst values plus valid flags took 272 bytes; sixteen
-// lowered slots take 256.
+// lowered slots, run length included, take exactly 256.
 func TestIlineSize(t *testing.T) {
-	if n := unsafe.Sizeof(iline{}); n > 256 {
-		t.Fatalf("iline is %d bytes, want at most 256", n)
+	if n := unsafe.Sizeof(slot{}); n != 16 {
+		t.Fatalf("slot is %d bytes, want 16", n)
+	}
+	if n := unsafe.Sizeof(iline{}); n != 256 {
+		t.Fatalf("iline is %d bytes, want 256", n)
 	}
 }

@@ -219,7 +219,9 @@ type iline [ilineInsts]slot
 // slot is one instruction lowered for runLoop when fetch first decodes it:
 // the dispatch kind, register-file indexes (destinations of R31 remapped to
 // sinkReg), and the immediate already resolved, so the loop does no format
-// dispatch, operand decoding or R31 test per instruction.
+// dispatch, operand decoding or R31 test per instruction. It also records
+// the length of the straight-line run it starts, so the loop fetches, checks
+// the budget and settles its counters once per run.
 type slot struct {
 	// imm is the sign-extended memory displacement (LDAH: pre-shifted by
 	// 16), the operate literal (0 in register forms, so the B operand is
@@ -232,6 +234,11 @@ type slot struct {
 	b    uint8   // Rb: source; R31 in literal operate forms
 	c    uint8   // Rc: operate destination
 	size uint8   // memory access size in bytes
+	// run counts the slots from this one up to and including the first
+	// control transfer (branch, jump, BRKBT) of its I-line, stopping
+	// before a slot not yet lowered and at the end of the line; see
+	// linkRun.
+	run uint8
 }
 
 // slotKind is a lowered slot's dispatch kind; the zero value marks a slot
@@ -283,6 +290,26 @@ var opSlot = [256]slotKind{
 	host.BEQ: slotBeq, host.BNE: slotBne, host.BLT: slotBlt, host.BLE: slotBle,
 	host.BGT: slotBgt, host.BGE: slotBge, host.BLBC: slotBlbc, host.BLBS: slotBlbs,
 	host.JMP: slotJmp, host.JSR: slotJmp, host.RET: slotJmp,
+}
+
+// transfers reports whether a slot of kind k may leave straight-line
+// execution, which ends a run.
+func (k slotKind) transfers() bool { return k == slotPAL || k >= slotBr }
+
+// linkRun sets the run of the slot just lowered at index i and lengthens
+// the runs of the straight-line slots before it, so every lowered slot's
+// run stays exact while the line fills in lazily: a run never covers a
+// slot not yet lowered, crosses a control transfer or leaves its I-line.
+func (l *iline) linkRun(i int) {
+	run := uint8(1)
+	if !l[i].kind.transfers() && i+1 < ilineInsts && l[i+1].kind != slotEmpty {
+		run += l[i+1].run
+	}
+	l[i].run = run
+	for j := i - 1; j >= 0 && l[j].kind != slotEmpty && !l[j].kind.transfers(); j-- {
+		run++
+		l[j].run = run
+	}
 }
 
 // lower builds the slot for inst located at pc.
@@ -551,13 +578,15 @@ func (m *Machine) fetch(pc uint64) (*slot, error) {
 			m.counters.Cycles += uint64(m.caches.Fetch(pc))
 		}
 	}
-	s := &line[pc>>2&(ilineInsts-1)]
+	i := int(pc >> 2 & (ilineInsts - 1))
+	s := &line[i]
 	if s.kind == slotEmpty {
 		inst, err := host.Decode(m.Mem.Read32(pc))
 		if err != nil {
 			return nil, fmt.Errorf("machine: fetch at %#x: %w", pc, err)
 		}
 		*s = lower(pc, inst)
+		line.linkRun(i)
 	}
 	return s, nil
 }
@@ -611,11 +640,20 @@ func (m *Machine) runLoop(maxInsts uint64, exitOnTrace bool) (_ StopReason, _ ui
 	faults := m.faults
 	tlo, tspan := m.traceLo, m.traceHi-m.traceLo
 	// The hottest loop in the simulator: the PC, current decoded I-line,
-	// issue-slot state, and the two per-instruction counters live in locals
-	// so each iteration runs out of registers instead of reloading Machine
-	// fields. They are written back (and re-read) at every point where other
-	// code can observe or change them: fetch misses, traps (the handler may
-	// patch code and charge cycles), and every return.
+	// issue-slot state, and the instruction and cycle counters live in
+	// locals so each iteration runs out of registers instead of reloading
+	// Machine fields. They are written back (and re-read) at every point
+	// where other code can observe or change them: fetch misses, traps (the
+	// handler may patch code and charge cycles), and every return.
+	//
+	// Each outer iteration fetches one slot and retires the straight-line
+	// run it starts (slot.run) in the inner loop, so the line check, the
+	// budget test and the instruction count are paid per run. A run ends at
+	// its first control transfer and never leaves its I-line, so fetch
+	// charges, taken-branch costs and the trace-redirect probe fall exactly
+	// where instruction-at-a-time execution puts them; everything else —
+	// issue slots, extra latencies, the data-cache memo, injection draws —
+	// stays per instruction.
 	pc := m.pc
 	curLine, curLineID := m.curLine, m.curLineID
 	insts, cycles := m.counters.Insts, m.counters.Cycles
@@ -627,15 +665,15 @@ func (m *Machine) runLoop(maxInsts uint64, exitOnTrace bool) (_ StopReason, _ ui
 	// is dropped after each one.
 	dataLine := noLineID
 	var dshift uint
+	var misaligned bool // which trap the shared trap path delivers
 	if caches != nil {
 		dshift = caches.L1D.LineShift()
 	}
-	for n := uint64(0); n < maxInsts; n++ {
-		// Fetch, with the common cases inlined so the per-instruction path
-		// does not pay a call: the same I-line, or a crossing onto a line
-		// of the dense window that is already decoded (charged exactly as
-		// fetch charges it). First executions and far lines go through
-		// fetch.
+	for n := uint64(0); n < maxInsts; {
+		// Fetch, with the common cases inlined so the per-run path does
+		// not pay a call: the same I-line, or a crossing onto a line of the
+		// dense window that is already decoded (charged exactly as fetch
+		// charges it). First executions and far lines go through fetch.
 		var s *slot
 		if lineID := pc >> ilineShift; lineID == curLineID && curLine != nil {
 			s = &curLine[pc>>2&(ilineInsts-1)]
@@ -660,237 +698,229 @@ func (m *Machine) runLoop(maxInsts uint64, exitOnTrace bool) (_ StopReason, _ ui
 				return StopLimit, 0, err, false
 			}
 		}
-		insts++
-		cycles++
-		nextPC := pc + host.InstBytes
+		// Retire the run that starts at s (see slot.run), clipped to the
+		// budget. Its instruction count and base cycles are charged up
+		// front; a trap mid-run takes back the slots after the trapping one.
+		r := uint64(s.run)
+		if left := maxInsts - n; r > left {
+			r = left
+		}
+		n += r
+		insts += r
+		cycles += r
+		runEnd := pc + r*host.InstBytes
 		var ea uint64
+		for ; pc != runEnd; pc += host.InstBytes {
+			s = &curLine[pc>>2&(ilineInsts-1)]
 
-		// Memory kinds fall out of the switch into the shared data-cache
-		// tail below; every other kind continues or jumps to its tail. In
-		// the aligning kinds the short-circuit keeps the injection stream
-		// untouched by genuinely misaligned accesses: only aligned ones can
-		// draw a spurious trap. The access-protection check (the dense
-		// trap-bit table filters protected, watched, and guard pages) runs
-		// before the injection draw for the same reason.
-		switch s.kind {
-		case slotPAL:
-			m.counters.Brks++
-			m.pc = nextPC
-			m.curLine, m.curLineID = curLine, curLineID
-			m.counters.Insts, m.counters.Cycles = insts, cycles+p.BrkCycles
-			m.slotOpen = false
-			if s.imm == HaltService {
-				return StopHalt, uint32(s.imm), nil, false
-			}
-			return StopBrk, uint32(s.imm), nil, false
-
-		case slotLda:
-			regs[s.a] = regs[s.b] + s.imm
-			if dual {
-				if slotOpen {
-					cycles--
-					slotOpen = false
-				} else {
-					slotOpen = true
+			// Memory kinds fall out of the switch into the shared data-cache
+			// tail below; every other kind continues or jumps to its tail. In
+			// the aligning kinds the short-circuit keeps the injection stream
+			// untouched by genuinely misaligned accesses: only aligned ones
+			// can draw a spurious trap. The access-protection check (the
+			// dense trap-bit table filters protected, watched, and guard
+			// pages) runs before the injection draw for the same reason.
+			switch s.kind {
+			case slotPAL:
+				m.counters.Brks++
+				m.pc = pc + host.InstBytes
+				m.curLine, m.curLineID = curLine, curLineID
+				m.counters.Insts, m.counters.Cycles = insts, cycles+p.BrkCycles
+				m.slotOpen = false
+				if s.imm == HaltService {
+					return StopHalt, uint32(s.imm), nil, false
 				}
-			}
-			pc = nextPC
-			continue
+				return StopBrk, uint32(s.imm), nil, false
 
-		case slotLd, slotLdl:
-			slotOpen = true // a memory op leaves an ALU slot open
-			ea = regs[s.b] + s.imm
-			if ea&uint64(s.size-1) != 0 || (faults != nil && faults.Should(faultinject.SpuriousTrap)) {
-				goto misalign
-			}
-			if m.Mem.AccessTrap(ea, int(s.size), false) || (faults != nil && faults.Should(faultinject.SpuriousAccessFault)) {
-				goto accessFault
-			}
-			m.counters.Loads++
-			cycles += p.LoadExtraCycles
-			if v := m.Mem.Read(ea, int(s.size)); s.kind == slotLdl {
-				regs[s.a] = uint64(int64(int32(v)))
-			} else {
-				regs[s.a] = v
-			}
+			case slotLda:
+				regs[s.a] = regs[s.b] + s.imm
+				goto alu
 
-		case slotSt:
-			slotOpen = true
-			ea = regs[s.b] + s.imm
-			if ea&uint64(s.size-1) != 0 || (faults != nil && faults.Should(faultinject.SpuriousTrap)) {
-				goto misalign
-			}
-			if m.Mem.AccessTrap(ea, int(s.size), true) || (faults != nil && faults.Should(faultinject.SpuriousAccessFault)) {
-				goto accessFault
-			}
-			m.counters.Stores++
-			m.Mem.Write(ea, regs[s.a], int(s.size))
-
-		case slotLdu:
-			slotOpen = true
-			ea = regs[s.b] + s.imm
-			acc := ea &^ uint64(s.size-1) // LDQ_U reads, and the cache sees, the quadword at ea&^7
-			if m.Mem.AccessTrap(acc, int(s.size), false) || (faults != nil && faults.Should(faultinject.SpuriousAccessFault)) {
-				goto accessFault
-			}
-			m.counters.Loads++
-			cycles += p.LoadExtraCycles
-			regs[s.a] = m.Mem.Read(acc, int(s.size))
-			ea = acc
-
-		case slotStu:
-			slotOpen = true
-			ea = regs[s.b] + s.imm
-			acc := ea &^ uint64(s.size-1)
-			if m.Mem.AccessTrap(acc, int(s.size), true) || (faults != nil && faults.Should(faultinject.SpuriousAccessFault)) {
-				goto accessFault
-			}
-			m.counters.Stores++
-			m.Mem.Write(acc, regs[s.a], int(s.size))
-			ea = acc
-
-		case slotOpr:
-			regs[s.c] = host.EvalOp(s.op, regs[s.a], regs[s.b]+s.imm)
-			goto alu
-		case slotAddl:
-			regs[s.c] = uint64(int64(int32(regs[s.a] + regs[s.b] + s.imm)))
-			goto alu
-		case slotAddq:
-			regs[s.c] = regs[s.a] + regs[s.b] + s.imm
-			goto alu
-		case slotBis:
-			regs[s.c] = regs[s.a] | (regs[s.b] + s.imm)
-			goto alu
-		case slotXor:
-			regs[s.c] = regs[s.a] ^ (regs[s.b] + s.imm)
-			goto alu
-		case slotCmplt:
-			v := uint64(0)
-			if int64(regs[s.a]) < int64(regs[s.b]+s.imm) {
-				v = 1
-			}
-			regs[s.c] = v
-			goto alu
-		case slotExtql:
-			regs[s.c] = host.ExtLow(regs[s.a], regs[s.b]+s.imm, 8)
-			goto alu
-		case slotExtqh:
-			regs[s.c] = host.ExtHigh(regs[s.a], regs[s.b]+s.imm, 8)
-			goto alu
-
-		case slotMul:
-			regs[s.c] = host.EvalOp(s.op, regs[s.a], regs[s.b]+s.imm)
-			cycles += p.MulExtraCycles
-			slotOpen = false
-			pc = nextPC
-			continue
-
-		case slotBr:
-			// A BR with no link register is a pure fetch redirect; the EV6
-			// front end folds it (it can also dual-issue).
-			if dual {
-				if slotOpen {
-					cycles--
-					slotOpen = false
-				} else {
-					slotOpen = true
+			case slotLd, slotLdl:
+				slotOpen = true // a memory op leaves an ALU slot open
+				ea = regs[s.b] + s.imm
+				if ea&uint64(s.size-1) != 0 || (faults != nil && faults.Should(faultinject.SpuriousTrap)) {
+					goto misalign
 				}
-			} else {
-				slotOpen = false
-			}
-			pc = s.imm
-			goto redirect
+				if m.Mem.AccessTrap(ea, int(s.size), false) || (faults != nil && faults.Should(faultinject.SpuriousAccessFault)) {
+					goto accessFault
+				}
+				m.counters.Loads++
+				cycles += p.LoadExtraCycles
+				if v := m.Mem.Read(ea, int(s.size)); s.kind == slotLdl {
+					regs[s.a] = uint64(int64(int32(v)))
+				} else {
+					regs[s.a] = v
+				}
 
-		case slotBrLink:
-			slotOpen = false
-			regs[s.a] = nextPC
-			goto taken
-
-		case slotBeq:
-			slotOpen = false
-			if regs[s.a] == 0 {
-				goto taken
-			}
-			pc = nextPC
-			continue
-		case slotBne:
-			slotOpen = false
-			if regs[s.a] != 0 {
-				goto taken
-			}
-			pc = nextPC
-			continue
-		case slotBlt:
-			slotOpen = false
-			if int64(regs[s.a]) < 0 {
-				goto taken
-			}
-			pc = nextPC
-			continue
-		case slotBle:
-			slotOpen = false
-			if int64(regs[s.a]) <= 0 {
-				goto taken
-			}
-			pc = nextPC
-			continue
-		case slotBgt:
-			slotOpen = false
-			if int64(regs[s.a]) > 0 {
-				goto taken
-			}
-			pc = nextPC
-			continue
-		case slotBge:
-			slotOpen = false
-			if int64(regs[s.a]) >= 0 {
-				goto taken
-			}
-			pc = nextPC
-			continue
-		case slotBlbc:
-			slotOpen = false
-			if regs[s.a]&1 == 0 {
-				goto taken
-			}
-			pc = nextPC
-			continue
-		case slotBlbs:
-			slotOpen = false
-			if regs[s.a]&1 == 1 {
-				goto taken
-			}
-			pc = nextPC
-			continue
-
-		case slotJmp:
-			slotOpen = false
-			pc = regs[s.b] &^ 3 // read before the link write: Ra may equal Rb
-			regs[s.a] = nextPC
-			cycles += p.TakenBranchCycles
-			goto redirect
-		}
-
-		// Memory kinds: the access is done at ea.
-		if caches != nil {
-			if l := ea >> dshift; l != dataLine {
-				dataLine = l
-				cycles += uint64(caches.Data(ea))
-			}
-		}
-		pc = nextPC
-		continue
-
-	alu:
-		if dual {
-			if slotOpen {
-				cycles-- // issued alongside the previous instruction
-				slotOpen = false
-			} else {
+			case slotSt:
 				slotOpen = true
+				ea = regs[s.b] + s.imm
+				if ea&uint64(s.size-1) != 0 || (faults != nil && faults.Should(faultinject.SpuriousTrap)) {
+					goto misalign
+				}
+				if m.Mem.AccessTrap(ea, int(s.size), true) || (faults != nil && faults.Should(faultinject.SpuriousAccessFault)) {
+					goto accessFault
+				}
+				m.counters.Stores++
+				m.Mem.Write(ea, regs[s.a], int(s.size))
+
+			case slotLdu:
+				slotOpen = true
+				ea = regs[s.b] + s.imm
+				acc := ea &^ uint64(s.size-1) // LDQ_U reads, and the cache sees, the quadword at ea&^7
+				if m.Mem.AccessTrap(acc, int(s.size), false) || (faults != nil && faults.Should(faultinject.SpuriousAccessFault)) {
+					goto accessFault
+				}
+				m.counters.Loads++
+				cycles += p.LoadExtraCycles
+				regs[s.a] = m.Mem.Read(acc, int(s.size))
+				ea = acc
+
+			case slotStu:
+				slotOpen = true
+				ea = regs[s.b] + s.imm
+				acc := ea &^ uint64(s.size-1)
+				if m.Mem.AccessTrap(acc, int(s.size), true) || (faults != nil && faults.Should(faultinject.SpuriousAccessFault)) {
+					goto accessFault
+				}
+				m.counters.Stores++
+				m.Mem.Write(acc, regs[s.a], int(s.size))
+				ea = acc
+
+			case slotOpr:
+				regs[s.c] = host.EvalOp(s.op, regs[s.a], regs[s.b]+s.imm)
+				goto alu
+			case slotAddl:
+				regs[s.c] = uint64(int64(int32(regs[s.a] + regs[s.b] + s.imm)))
+				goto alu
+			case slotAddq:
+				regs[s.c] = regs[s.a] + regs[s.b] + s.imm
+				goto alu
+			case slotBis:
+				regs[s.c] = regs[s.a] | (regs[s.b] + s.imm)
+				goto alu
+			case slotXor:
+				regs[s.c] = regs[s.a] ^ (regs[s.b] + s.imm)
+				goto alu
+			case slotCmplt:
+				v := uint64(0)
+				if int64(regs[s.a]) < int64(regs[s.b]+s.imm) {
+					v = 1
+				}
+				regs[s.c] = v
+				goto alu
+			case slotExtql:
+				regs[s.c] = host.ExtLow(regs[s.a], regs[s.b]+s.imm, 8)
+				goto alu
+			case slotExtqh:
+				regs[s.c] = host.ExtHigh(regs[s.a], regs[s.b]+s.imm, 8)
+				goto alu
+
+			case slotMul:
+				regs[s.c] = host.EvalOp(s.op, regs[s.a], regs[s.b]+s.imm)
+				cycles += p.MulExtraCycles
+				slotOpen = false
+				continue
+
+			case slotBr:
+				// A BR with no link register is a pure fetch redirect; the
+				// EV6 front end folds it (it can also dual-issue).
+				if dual {
+					if slotOpen {
+						cycles--
+						slotOpen = false
+					} else {
+						slotOpen = true
+					}
+				} else {
+					slotOpen = false
+				}
+				pc = s.imm
+				goto redirect
+
+			case slotBrLink:
+				slotOpen = false
+				regs[s.a] = pc + host.InstBytes
+				goto taken
+
+			case slotBeq:
+				slotOpen = false
+				if regs[s.a] == 0 {
+					goto taken
+				}
+				continue
+			case slotBne:
+				slotOpen = false
+				if regs[s.a] != 0 {
+					goto taken
+				}
+				continue
+			case slotBlt:
+				slotOpen = false
+				if int64(regs[s.a]) < 0 {
+					goto taken
+				}
+				continue
+			case slotBle:
+				slotOpen = false
+				if int64(regs[s.a]) <= 0 {
+					goto taken
+				}
+				continue
+			case slotBgt:
+				slotOpen = false
+				if int64(regs[s.a]) > 0 {
+					goto taken
+				}
+				continue
+			case slotBge:
+				slotOpen = false
+				if int64(regs[s.a]) >= 0 {
+					goto taken
+				}
+				continue
+			case slotBlbc:
+				slotOpen = false
+				if regs[s.a]&1 == 0 {
+					goto taken
+				}
+				continue
+			case slotBlbs:
+				slotOpen = false
+				if regs[s.a]&1 == 1 {
+					goto taken
+				}
+				continue
+
+			case slotJmp:
+				slotOpen = false
+				target := regs[s.b] &^ 3 // read before the link write: Ra may equal Rb
+				regs[s.a] = pc + host.InstBytes
+				pc = target
+				cycles += p.TakenBranchCycles
+				goto redirect
+			}
+
+			// Memory kinds: the access is done at ea.
+			if caches != nil {
+				if l := ea >> dshift; l != dataLine {
+					dataLine = l
+					cycles += uint64(caches.Data(ea))
+				}
+			}
+			continue
+
+		alu:
+			if dual {
+				if slotOpen {
+					cycles-- // issued alongside the previous instruction
+					slotOpen = false
+				} else {
+					slotOpen = true
+				}
 			}
 		}
-		pc = nextPC
 		continue
 
 	taken:
@@ -909,17 +939,22 @@ func (m *Machine) runLoop(maxInsts uint64, exitOnTrace bool) (_ StopReason, _ ui
 		continue
 
 	misalign:
-		m.pc = pc
-		m.counters.Insts, m.counters.Cycles = insts, cycles
-		m.slotOpen = slotOpen
-		m.misalignTrap(s.inst(), ea)
-		goto resume
+		misaligned = true
+		goto trap
 	accessFault:
+		misaligned = false
+	trap:
+		// The slots after the trapping one did not retire.
+		back := (runEnd-pc)/host.InstBytes - 1
+		n -= back
 		m.pc = pc
-		m.counters.Insts, m.counters.Cycles = insts, cycles
+		m.counters.Insts, m.counters.Cycles = insts-back, cycles-back
 		m.slotOpen = slotOpen
-		m.accessTrap(s.inst(), ea)
-	resume:
+		if misaligned {
+			m.misalignTrap(s.inst(), ea)
+		} else {
+			m.accessTrap(s.inst(), ea)
+		}
 		// The handler set the resume PC; it may also have patched code,
 		// charged cycles, or probed the data cache.
 		pc = m.pc
