@@ -3,7 +3,7 @@
 GO ?= go
 BENCH_COUNT ?= 10
 
-.PHONY: all build test race bench bench-smoke bench-json trace-bench golden-matrix fmt vet lint mech-smoke serve-chaos fault-chaos store-chaos
+.PHONY: all build test race bench bench-smoke bench-json golden-matrix fmt vet lint mech-smoke serve-chaos fault-chaos store-chaos
 
 all: build test
 
@@ -43,12 +43,14 @@ serve-chaos:
 # delivery must be precise and interpreter-identical (DESIGN.md §12). The
 # trap-bit table is checked against a brute-force reference model, and
 # traps taken mid-run in the generic dispatch loop (with and without
-# injection) against the single-stepping reference machine.
+# injection) against the single-stepping reference machine. Traced runs of
+# random programs with MDA mega-steps, whose constituents fault mid-sequence
+# on protected pages, must match the generic loop at every budget.
 fault-chaos:
 	$(GO) test -race -run 'TestFaultCosimAllMechanisms|TestChaosGuestFaults|TestSelfModifyingInvalidates|TestMultiContextReset' -v ./internal/core
 	$(GO) test -race -run 'TestServeGuestFaults' ./internal/serve
 	$(GO) test -race -run 'TestTrapTableReferenceModel' -v ./internal/mem
-	$(GO) test -race -run 'TestTrapMidRun' -v ./internal/machine
+	$(GO) test -race -run 'TestTrapMidRun|TestTraceParityRandomPrograms|TestTraceMegaStepFaults' -v ./internal/machine
 
 # Persistent-store crash/corruption suite under the race detector: the
 # full internal/store suite (atomic-write protocol, SIGKILL-mid-write
@@ -67,15 +69,10 @@ mech-smoke:
 	$(GO) test -run '^TestRegistryMechanismSmoke$$' -v ./internal/experiments
 
 # Machine-readable summary (guest MIPS, ns/guest-inst, allocs) → BENCH_4.json.
-# BENCH_2.json and BENCH_3.json are earlier checked-in baselines.
+# Its dispatch-loop and dispatch-loop-traced rows give the trace tier's
+# speedup. BENCH_2.json and BENCH_3.json are earlier checked-in baselines.
 bench-json:
 	$(GO) run ./cmd/mdaeval -benchjson BENCH_4.json
-
-# Dispatch-tax measurement: the generic dispatch loop vs the direct-chaining
-# trace tier, back to back in one process (the only fair comparison on a
-# shared machine) → BENCH_3.json.
-trace-bench:
-	$(GO) run ./cmd/mdaeval -tracebench BENCH_3.json
 
 # The golden equivalence matrix under the race detector: the 144 pinned
 # fingerprints, the engine-reuse replay, and the trace-tier parity sweep

@@ -31,7 +31,6 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	benchJSON := flag.String("benchjson", "", "run the perfbench suite and write its JSON summary here, then exit")
-	traceBench := flag.String("tracebench", "", "measure the dispatch-loop speedup from the trace tier and write the JSON summary here, then exit")
 	sitehist := flag.Bool("sitehist", false, "shorthand for -exp sitehist (per-benchmark alignment verdict histogram)")
 	flag.Parse()
 	if *sitehist {
@@ -48,23 +47,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "mdaeval: %v\n", err)
 		}
 	}()
-
-	if *traceBench != "" {
-		sum, err := perfbench.CollectTraceComparison("")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mdaeval: %v\n", err)
-			os.Exit(1)
-		}
-		if err := sum.WriteFile(*traceBench); err != nil {
-			fmt.Fprintf(os.Stderr, "mdaeval: %v\n", err)
-			os.Exit(1)
-		}
-		for _, w := range sum.WallClocks {
-			fmt.Printf("%s: before=%.1fus after=%.1fus speedup=%.2fx\n",
-				w.Name, w.BeforeSec*1e6, w.AfterSec*1e6, w.Speedup)
-		}
-		return
-	}
 
 	if *benchJSON != "" {
 		sum, err := perfbench.Collect("")

@@ -587,6 +587,6 @@ func TracesStudy(s *Session) (*Result, error) {
 	})
 	r.Notes = append(r.Notes,
 		"traced% is the share of host instructions retired by the trace executor; Δcycles is asserted zero (bit-identical simulation)",
-		"wall-clock speedup is measured apples-to-apples by `make trace-bench` (BENCH_3.json)")
+		"wall-clock speedup: the dispatch-loop and dispatch-loop-traced rows of BENCH_4.json (`make bench-json`)")
 	return r, err
 }

@@ -919,3 +919,12 @@ func TestIlineSize(t *testing.T) {
 		t.Fatalf("iline is %d bytes, want 256", n)
 	}
 }
+
+// TestTraceStepSize pins the trace step: it embeds the 16-byte slot and
+// adds only threading, chain-link and mega-step operands, so it must not
+// regrow unnoticed (a step with operand pointers took 192 bytes).
+func TestTraceStepSize(t *testing.T) {
+	if n := unsafe.Sizeof(traceStep{}); n > 104 {
+		t.Fatalf("traceStep is %d bytes, want at most 104", n)
+	}
+}

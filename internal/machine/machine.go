@@ -187,7 +187,7 @@ type Machine struct {
 	traceVer  uint64 // bumped on build/flush; versions negative link caches
 	steps     stepArena
 	tstats    TraceStats
-	// traceStall is set when the trace executor stops at a super-step
+	// traceStall is set when the trace executor stops at a mega-step
 	// head because the remaining budget cannot fit its atomic retire;
 	// runTraced consumes it and burns the tail generically, instruction
 	// by instruction, exactly as an untraced run would.
@@ -221,7 +221,8 @@ type iline [ilineInsts]slot
 // sinkReg), and the immediate already resolved, so the loop does no format
 // dispatch, operand decoding or R31 test per instruction. It also records
 // the length of the straight-line run it starts, so the loop fetches, checks
-// the budget and settles its counters once per run.
+// the budget and settles its counters once per run. Trace steps embed the
+// same form (trace.go).
 type slot struct {
 	// imm is the sign-extended memory displacement (LDAH: pre-shifted by
 	// 16), the operate literal (0 in register forms, so the B operand is

@@ -8,7 +8,7 @@ import (
 )
 
 // resetProgA loops over a fused MDA load and store with literal operate
-// forms, so its trace steps carry aux records, literal backing, taken
+// forms, so its trace steps carry mega-step operands, literals, taken
 // pointers and (split in two traces) chain links.
 func resetProgA(a *host.Asm) {
 	a.MovImm(host.R9, trDataBase)

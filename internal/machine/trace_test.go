@@ -119,6 +119,46 @@ func trCompareArm(t *testing.T, base uint64, words []uint32, budgets []uint64, c
 	}
 }
 
+// trEveryBudget returns the budgets 1, 2, ... up to the instruction count
+// of a generic run of words from base (capped at limit), plus one budget
+// large enough to finish any program that halts.
+func trEveryBudget(t *testing.T, base uint64, words []uint32, caches bool, arm func(m *Machine), limit uint64) []uint64 {
+	t.Helper()
+	m := newMachine(caches)
+	trSeedData(m)
+	if arm != nil {
+		arm(m)
+	}
+	m.WriteCode(base, words)
+	m.SetPC(base)
+	const full = 200000
+	trRun(m, full)
+	budgets := []uint64{}
+	for b := uint64(1); b <= min(m.Counters().Insts, limit); b++ {
+		budgets = append(budgets, b)
+	}
+	return append(budgets, full)
+}
+
+// trMegaSteps counts the mega-steps of m's live traces.
+func trMegaSteps(m *Machine) (n int) {
+	for _, tr := range m.traceList {
+		for i := range tr.steps {
+			if k := tr.steps[i].kind; k == stepMisLd || k == stepMisSt {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// TestTraceParityRandomPrograms compares traced and generic runs of random
+// programs at every budget up to the generic run's length. The programs
+// mix random operate, memory and branch instructions with the MDA load
+// and store sequences the trace tier fuses into mega-steps (random size,
+// displacement and sign extension). On half the seeds one data page is
+// protected, so plain accesses and mega-step constituents fault, some in
+// the middle of a sequence that straddles the page boundary.
 func TestTraceParityRandomPrograms(t *testing.T) {
 	aluOps := []host.Op{
 		host.ADDL, host.ADDQ, host.SUBL, host.SUBQ, host.CMPEQ, host.CMPLT,
@@ -136,19 +176,36 @@ func TestTraceParityRandomPrograms(t *testing.T) {
 	}
 	regW := []host.Reg{host.R1, host.R2, host.R3, host.R4, host.R5, host.R6, host.R7, host.R8}
 	regR := append([]host.Reg{host.R31}, regW...)
+	sizes := []int{2, 4, 8}
 
 	const base = 0x1000
+	const pageB = trDataBase + mem.PageSize // the data page after trDataBase's
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 40 + rng.Intn(80)
+		// Data base: the seeded data, or just below a page boundary when a
+		// page is protected, so that sequences straddle it.
+		dataBase := int64(trDataBase)
+		var arm func(m *Machine)
+		if seed%4 >= 2 {
+			dataBase = pageB - 16
+			// Every pairing of page and protection (none, read-only,
+			// write-only) appears.
+			page, prot := uint64(pageB), []mem.Prot{0, mem.ProtRead, mem.ProtWrite}[seed%3]
+			if seed/4%2 == 0 {
+				page = trDataBase
+			}
+			arm = func(m *Machine) { m.Mem.Protect(page, mem.PageSize, prot) }
+		}
+		idioms := 0
 		words := trProgram(t, base, func(a *host.Asm) {
-			a.MovImm(host.R9, trDataBase)
+			a.MovImm(host.R9, dataBase)
 			for _, r := range regW {
 				a.MovImm(r, int64(rng.Uint64()>>16))
 			}
 			for i := 0; i < n; i++ {
 				a.Label(fmt.Sprintf("L%d", i))
-				switch rng.Intn(12) {
+				switch rng.Intn(14) {
 				case 0, 1, 2, 3:
 					op := aluOps[rng.Intn(len(aluOps))]
 					if rng.Intn(2) == 0 {
@@ -193,6 +250,20 @@ func TestTraceParityRandomPrograms(t *testing.T) {
 						label = "Lend"
 					}
 					a.Br(host.BR, host.R31, label)
+				case 12, 13:
+					// On protected seeds the sequences straddle the page
+					// boundary at dataBase+16.
+					sz := sizes[rng.Intn(len(sizes))]
+					disp := int32(rng.Intn(32))
+					if arm != nil {
+						disp = int32(15 - rng.Intn(sz-1))
+					}
+					if rng.Intn(2) == 0 {
+						trMegaLd(a, sz, disp, sz == 4 && rng.Intn(2) == 0)
+					} else {
+						trMegaSt(a, sz, disp)
+					}
+					idioms++
 				}
 			}
 			a.Label("Lend")
@@ -200,7 +271,19 @@ func TestTraceParityRandomPrograms(t *testing.T) {
 		})
 		caches := seed%2 == 0
 		chunk := 4 + rng.Intn(9)
-		trCompare(t, base, words, []uint64{13, 200000}, caches, chunk)
+
+		// Every spliced sequence must fuse in a whole-span trace; without
+		// this the runs below could silently test no mega-step.
+		m := newMachine(caches)
+		m.WriteCode(base, words)
+		m.EnableTraces(true)
+		if !m.BuildTrace(base, base+uint64(len(words))*host.InstBytes) {
+			t.Fatal("BuildTrace failed")
+		}
+		if got := trMegaSteps(m); got != idioms {
+			t.Fatalf("seed %d: %d mega-steps, want one per spliced sequence (%d)", seed, got, idioms)
+		}
+		trCompareArm(t, base, words, trEveryBudget(t, base, words, caches, arm, 300), caches, chunk, arm)
 	}
 }
 
@@ -259,10 +342,9 @@ func TestTraceParityKernels(t *testing.T) {
 	}
 }
 
-// TestTraceOperateParity pins the executor's inline operate and
-// branch-predicate switches to the generic loop (host.EvalOp /
-// host.BranchTaken) op by op, over register and literal forms, so the two
-// implementations can never drift silently.
+// TestTraceOperateParity pins the executor's operate and branch cases to
+// the generic loop's op by op, over register and literal forms, so the
+// two executors can never drift silently.
 func TestTraceOperateParity(t *testing.T) {
 	aluOps := []host.Op{
 		host.ADDL, host.SUBL, host.ADDQ, host.SUBQ, host.MULL, host.MULQ,
@@ -507,25 +589,73 @@ func TestTraceFaultPlanFallsBack(t *testing.T) {
 	}
 }
 
+// TestTraceCoherenceDetectsCorruption corrupts the trace tables, and
+// writes code under live traces behind the machine's back (raw memory
+// writes skip WriteCode's invalidation), and expects CheckTraceCoherence
+// to report each: a dropped LUT entry, a stale plain step, a stale
+// mega-step constituent, and a word rewritten so that its sequence fuses
+// differently or not at all.
 func TestTraceCoherenceDetectsCorruption(t *testing.T) {
 	const base = 0x1000
-	m := newMachine(false)
 	words := trProgram(t, base, func(a *host.Asm) {
-		a.OprLit(host.ADDQ, host.R1, 1, host.R1)
-		a.OprLit(host.ADDQ, host.R1, 1, host.R1)
+		a.MovImm(host.R9, trDataBase)
+		trMegaLd(a, 4, 3, true)
+		a.OprLit(host.ADDQ, host.R7, 1, host.R8)
+		trMegaSt(a, 8, 5)
 		a.Brk(HaltService)
 	})
-	m.WriteCode(base, words)
-	m.EnableTraces(true)
-	if !m.BuildTrace(base, base+uint64(len(words))*host.InstBytes) {
-		t.Fatal("BuildTrace failed")
+	build := func() *Machine {
+		m := newMachine(false)
+		m.WriteCode(base, words)
+		m.EnableTraces(true)
+		if !m.BuildTrace(base, base+uint64(len(words))*host.InstBytes) {
+			t.Fatal("BuildTrace failed")
+		}
+		if err := m.CheckTraceCoherence(); err != nil {
+			t.Fatal(err)
+		}
+		if trMegaSteps(m) != 2 {
+			t.Fatal("the sequences did not fuse")
+		}
+		return m
 	}
-	if err := m.CheckTraceCoherence(); err != nil {
-		t.Fatal(err)
-	}
+	m := build()
 	delete(m.traces, base+host.InstBytes)
 	if err := m.CheckTraceCoherence(); err == nil {
 		t.Fatal("coherence check missed a dropped LUT entry")
+	}
+
+	at := func(op host.Op, nth int) uint64 {
+		for i, w := range words {
+			if inst, _ := host.Decode(w); inst.Op == op {
+				if nth == 0 {
+					return base + uint64(i)*host.InstBytes
+				}
+				nth--
+			}
+		}
+		t.Fatalf("no %v #%d", op, nth)
+		return 0
+	}
+	enc := host.MustEncode
+	for _, c := range []struct {
+		name  string
+		pc    uint64
+		word  uint32
+		stale bool
+	}{
+		{"plain step", at(host.ADDQ, 0), enc(host.Inst{Op: host.ADDQ, Ra: host.R7, IsLit: true, Lit: 2, Rc: host.R8}), true},
+		{"mega-step constituent", at(host.EXTLH, 0), enc(host.Inst{Op: host.EXTLL, Ra: host.R3, Rb: host.R4, Rc: host.R6}), true},
+		{"fused sign extension dropped", at(host.ADDL, 0), enc(host.Inst{Op: host.ADDQ, Ra: host.R31, Rb: host.R7, Rc: host.R7}), true},
+		{"store displacement changed", at(host.STQU, 1), enc(host.Inst{Op: host.STQU, Ra: host.R2, Rb: host.R9, Disp: 6}), true},
+		{"undecodable word", at(host.EXTLL, 0), 0x04 << 26, true},
+		{"same word", at(host.ADDL, 0), enc(host.Inst{Op: host.ADDL, Ra: host.R31, Rb: host.R7, Rc: host.R7}), false},
+	} {
+		m := build()
+		m.Mem.Write32(c.pc, c.word)
+		if err := m.CheckTraceCoherence(); (err != nil) != c.stale {
+			t.Errorf("%s: raw write at %#x: coherence error %v, want stale=%v", c.name, c.pc, err, c.stale)
+		}
 	}
 }
 
@@ -627,7 +757,7 @@ func trMegaSt(a *host.Asm, sz int, disp int32) {
 
 // trMegaNops pads the program so the idiom head lands at a chosen offset
 // within its 64-byte I-line, moving the line crossing onto different
-// constituents (megaCrossK coverage).
+// constituents (the mega-step charges the crossing mid-sequence).
 func trMegaNops(a *host.Asm, n int) {
 	for i := 0; i < n; i++ {
 		a.Mem(host.LDA, host.R8, 0, host.R8)
@@ -637,7 +767,7 @@ func trMegaNops(a *host.Asm, n int) {
 // trAssertMega builds one whole-span trace over words and asserts the
 // idiom actually compacted into a single mega step of wantN constituents
 // — without this, the parity runs below could silently test nothing.
-func trAssertMega(t *testing.T, base uint64, words []uint32, kind stepKind, wantN int) {
+func trAssertMega(t *testing.T, base uint64, words []uint32, kind slotKind, wantN int) {
 	t.Helper()
 	m := newMachine(false)
 	trSeedData(m)
@@ -791,6 +921,25 @@ func TestTraceMegaStepFaults(t *testing.T) {
 	})
 	trAssertMega(t, base, storeProg, stepMisSt, 11)
 
+	// memoProg loops over a plain access that points the executor's page
+	// memo at pageB, then body within pageB: on a write-only or read-only
+	// page the memo then holds a page whose loads or stores must trap.
+	memoProg := func(prime host.Op, body func(a *host.Asm)) []uint32 {
+		return trProgram(t, base, func(a *host.Asm) {
+			a.MovImm(host.R9, int64(pageB))
+			a.MovImm(host.R7, 0x1234_5678)
+			a.MovImm(host.R1, 4)
+			a.Label("top")
+			a.Mem(prime, host.R8, 40, host.R9)
+			body(a)
+			a.OprLit(host.SUBQ, host.R1, 1, host.R1)
+			a.Br(host.BNE, host.R1, "top")
+			a.Brk(HaltService)
+		})
+	}
+	writeOnlyB := func(m *Machine) { m.Mem.Protect(pageB, mem.PageSize, mem.ProtWrite) }
+	readOnlyB := func(m *Machine) { m.Mem.Protect(pageB, mem.PageSize, mem.ProtRead) }
+
 	cases := []struct {
 		name  string
 		words []uint32
@@ -805,6 +954,11 @@ func TestTraceMegaStepFaults(t *testing.T) {
 		{"st-hi-unreadable", storeProg, func(m *Machine) { m.Mem.Protect(pageB, mem.PageSize, 0) }},
 		{"st-hi-write-faults", storeProg, func(m *Machine) { m.Mem.Protect(pageB, mem.PageSize, mem.ProtRead) }},
 		{"st-both-writes-fault", storeProg, func(m *Machine) { m.Mem.Protect(pageA, 2*mem.PageSize, mem.ProtRead) }},
+		// A load or store that hits the page memo must still trap.
+		{"ld-memo-write-only", memoProg(host.STQ, func(a *host.Asm) { a.Mem(host.LDQ, host.R6, 32, host.R9) }), writeOnlyB},
+		{"mega-ld-memo-write-only", memoProg(host.STQ, func(a *host.Asm) { trMegaLd(a, 8, 16, false) }), writeOnlyB},
+		{"mega-st-memo-write-only", memoProg(host.STQ, func(a *host.Asm) { trMegaSt(a, 8, 16) }), writeOnlyB},
+		{"mega-st-memo-read-only", memoProg(host.LDQ, func(a *host.Asm) { trMegaSt(a, 8, 16) }), readOnlyB},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -325,7 +325,7 @@ func DispatchLoop() Bench {
 // fetch/decode, no dispatcher round trips beyond the kernel's own BRKBT
 // exits. The simulated results are bit-identical to DispatchLoop; only the
 // wall clock changes, and the dispatch-tax speedup is their ratio
-// (recorded in BENCH_3.json by CollectTraceComparison).
+// (both rows are in BENCH_4.json, written by `make bench-json`).
 func DispatchLoopTraced() Bench {
 	const iters = 256
 	return Bench{
@@ -354,71 +354,6 @@ func DispatchLoopTraced() Bench {
 			return op, nil
 		},
 	}
-}
-
-// CollectTraceComparison measures the generic dispatch loop and its traced
-// counterpart back to back in one process — the only apples-to-apples way
-// on a shared machine — and records the speedup as a WallClock entry. This
-// is the `make trace-bench` payload (BENCH_3.json).
-func CollectTraceComparison(note string) (*Summary, error) {
-	s := &Summary{
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		When:      time.Now().UTC().Format(time.RFC3339),
-		Note:      note,
-	}
-	measure := func(bench Bench) (Result, error) {
-		op, err := bench.Make()
-		if err != nil {
-			return Result{}, fmt.Errorf("perfbench: %s: %w", bench.Name, err)
-		}
-		// Best of three testing.Benchmark rounds: the ratio is between two
-		// in-process measurements, so the mins cancel shared-machine noise.
-		var best *testing.BenchmarkResult
-		for i := 0; i < 3; i++ {
-			r := testing.Benchmark(func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					op()
-				}
-			})
-			nsOp := float64(r.T.Nanoseconds()) / float64(r.N)
-			if best == nil || nsOp < float64(best.T.Nanoseconds())/float64(best.N) {
-				rr := r
-				best = &rr
-			}
-		}
-		res := Result{
-			Name:        bench.Name,
-			NsPerOp:     float64(best.T.Nanoseconds()) / float64(best.N),
-			AllocsPerOp: best.AllocsPerOp(),
-			Unit:        bench.Unit,
-			UnitsPerOp:  bench.UnitsPerOp,
-		}
-		res.NsPerUnit = res.NsPerOp / float64(bench.UnitsPerOp)
-		if res.NsPerOp > 0 {
-			res.GuestMIPS = float64(bench.UnitsPerOp) / res.NsPerOp * 1e3
-		}
-		return res, nil
-	}
-	generic, err := measure(DispatchLoop())
-	if err != nil {
-		return nil, err
-	}
-	traced, err := measure(DispatchLoopTraced())
-	if err != nil {
-		return nil, err
-	}
-	s.Results = append(s.Results, generic, traced)
-	s.WallClocks = append(s.WallClocks, WallClock{
-		Name:      "dispatch-loop: generic dispatch → direct-chained traces",
-		BeforeSec: generic.NsPerOp / 1e9,
-		AfterSec:  traced.NsPerOp / 1e9,
-		Speedup:   generic.NsPerOp / traced.NsPerOp,
-		Note:      "same process, best of 3 rounds each; simulated results bit-identical",
-	})
-	return s, nil
 }
 
 // ---------------------------------------------------------------------------
