@@ -3,7 +3,7 @@
 GO ?= go
 BENCH_COUNT ?= 10
 
-.PHONY: all build test race bench bench-smoke bench-json golden-matrix fmt vet lint mech-smoke serve-chaos fault-chaos store-chaos
+.PHONY: all build test race bench bench-smoke bench-json golden-matrix fmt vet lint mech-smoke serve-chaos fault-chaos store-chaos profile-smoke
 
 all: build test
 
@@ -62,6 +62,13 @@ store-chaos:
 	$(GO) test -race -v ./internal/store
 	$(GO) test -race -run 'TestStoreWarmGoldenMatrix' ./internal/core
 	$(GO) test -race -run 'TestWarmStart|TestStoreCorruptionDegradesToCold|TestProfilesMergeAcrossDrains|TestLoaderRequestWithoutStoreKeyBypassesStore|TestStoreWarmRestart' ./internal/serve ./cmd/dbtserve
+
+# The README's profile flows through the dbtrun CLI on
+# cmd/dbtrun/testdata/sum.gasm: -profile-out then -mech speh -profile-in
+# reports no misalignment traps, and so does the second of two
+# -mech speh -store DIR runs.
+profile-smoke:
+	$(GO) test -run '^TestProfileSmoke$$' -v ./cmd/dbtrun
 
 # One experiment run per registered mechanism (policy registry) — the CI
 # mechanism-smoke job.

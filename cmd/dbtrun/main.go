@@ -23,6 +23,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -67,8 +68,8 @@ func main() {
 	staticalign := flag.Bool("staticalign", false, "layer the static alignment analysis over the mechanism")
 	aotFlag := flag.Bool("aot", false, "pre-translate the whole binary ahead of time from the recovered CFG (implies -staticalign)")
 	lint := flag.Bool("lint", false, "run the translation verifier over every emitted block after the run")
-	profileOut := flag.String("profile-out", "", "run a training census and write the profile database (JSON) here, then exit")
-	profileIn := flag.String("profile-in", "", "load a stored profile database for the static mechanism")
+	profileOut := flag.String("profile-out", "", "run a training census and write its trap profile (the store's JSON) here, then exit")
+	profileIn := flag.String("profile-in", "", "load a trap profile written by -profile-out for the static mechanism")
 	storeDir := flag.String("store", "", "persistent artifact store directory: warm-start from stored AOT images and trap profiles, merge this run's history back (shared with dbtserve -store)")
 	selfcheck := flag.Bool("selfcheck", false, "validate engine invariants after every structural mutation and at exit")
 	faultRate := flag.Float64("fault-rate", 0, "inject faults at every injection point with this probability (chaos mode)")
@@ -133,7 +134,6 @@ func main() {
 	m := mem.New()
 	entry := uint32(guest.CodeBase)
 
-	progName := "program"
 	storeProg := "" // persistent-store program identity ("" = no store traffic)
 	var benchProg *workload.Program
 	switch {
@@ -155,7 +155,6 @@ func main() {
 		if fp == nil {
 			fail("unknown fault workload %q (have %s)", *faultProg, strings.Join(names, ", "))
 		}
-		progName = fp.Name
 		fp.Load(m) // code + data images plus the page-protection plan
 		entry = fp.Entry()
 	case *bench != "":
@@ -163,7 +162,6 @@ func main() {
 		if !ok {
 			fail("unknown benchmark %q", *bench)
 		}
-		progName = *bench
 		prog, err := workload.Generate(spec)
 		if err != nil {
 			fail("generate: %v", err)
@@ -183,7 +181,6 @@ func main() {
 		if err != nil {
 			fail("%v", err)
 		}
-		progName = flag.Arg(0)
 		img, err := guestasm.Assemble(string(src), guest.CodeBase)
 		if err != nil {
 			fail("%v", err)
@@ -196,33 +193,32 @@ func main() {
 
 	if *profileOut != "" {
 		// FX!32-style pre-execution: census the program and persist the
-		// profile database for later static-profiling runs.
-		db, err := core.TrainProfile(m, progName, *input, entry, *budget)
+		// profile (the store's trap-profile JSON) for later
+		// static-profiling runs.
+		tp, err := core.TrainProfile(m, entry, *budget)
 		if err != nil {
 			fail("train: %v", err)
 		}
-		f, err := os.Create(*profileOut)
+		data, err := json.MarshalIndent(tp, "", "  ")
 		if err != nil {
 			fail("%v", err)
 		}
-		defer f.Close()
-		if err := db.Save(f); err != nil {
+		if err := os.WriteFile(*profileOut, append(data, '\n'), 0o644); err != nil {
 			fail("%v", err)
 		}
-		fmt.Printf("%s: %d MDA sites profiled\n", *profileOut, len(db.Sites))
+		fmt.Printf("%s: %d MDA sites profiled\n", *profileOut, len(tp.StaticSites()))
 		return
 	}
 	if *profileIn != "" {
-		f, err := os.Open(*profileIn)
+		data, err := os.ReadFile(*profileIn)
 		if err != nil {
 			fail("%v", err)
 		}
-		db, err := core.LoadProfileDB(f)
-		f.Close()
-		if err != nil {
-			fail("%v", err)
+		var tp store.TrapProfile
+		if err := json.Unmarshal(data, &tp); err != nil {
+			fail("profile %s: %v", *profileIn, err)
 		}
-		opt.StaticSites = db.StaticSites()
+		opt.StaticSites = tp.StaticSites()
 	}
 
 	// Warm-start from the persistent store: adopt the stored AOT block
@@ -258,13 +254,16 @@ func main() {
 			}
 		}
 		if !warmed && benchProg != nil {
-			opt.StaticSites = trainProfile(benchProg)
+			// The static profile comes from the train input.
+			tm := mem.New()
+			benchProg.Load(tm, workload.Train)
+			trained, err := core.TrainProfile(tm, benchProg.Entry(), 300_000_000)
+			if err != nil {
+				fail("train profile: %v", err)
+			}
+			opt.StaticSites = trained.StaticSites()
 			if st != nil && storeProg != "" {
-				delta := &store.TrapProfile{Sessions: 1}
-				for pc := range opt.StaticSites {
-					delta.Add(pc, 1, 0)
-				}
-				if serr := st.MergeTrapProfile(profKey, delta); serr != nil {
+				if serr := st.MergeTrapProfile(profKey, trained); serr != nil {
 					fmt.Fprintf(os.Stderr, "dbtrun: store save trap profile: %v\n", serr)
 				}
 			}
@@ -299,10 +298,8 @@ func main() {
 	// the next run of this (program, options) pair warm-starts from it. A
 	// failed merge costs future warmth, never this run's result.
 	if st != nil && storeProg != "" {
-		delta := &store.TrapProfile{Sessions: 1}
-		for pc, h := range eng.SiteHistory() {
-			delta.Add(pc, h.MDA, h.Aligned)
-		}
+		delta := &store.TrapProfile{}
+		eng.AddSiteHistory(delta)
 		k := store.Key{Program: storeProg, Fingerprint: fingerprint, Kind: store.KindTrapProfile}
 		if serr := st.MergeTrapProfile(k, delta); serr != nil {
 			fmt.Fprintf(os.Stderr, "dbtrun: store merge trap profile: %v\n", serr)
@@ -401,24 +398,6 @@ func main() {
 			fmt.Printf("(%d older events dropped)\n", dropped)
 		}
 	}
-}
-
-// trainProfile runs the train input through the census interpreter and
-// collects the MDA site set (the FX!32-style profile).
-func trainProfile(prog *workload.Program) map[uint32]bool {
-	m := mem.New()
-	prog.Load(m, workload.Train)
-	c, err := core.RunCensus(m, prog.Entry(), 300_000_000)
-	if err != nil {
-		fail("train profile: %v", err)
-	}
-	sites := make(map[uint32]bool)
-	for pc, site := range c.Sites {
-		if site.MDA > 0 {
-			sites[pc] = true
-		}
-	}
-	return sites
 }
 
 func fail(format string, args ...any) {

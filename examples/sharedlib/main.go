@@ -34,11 +34,11 @@ func main() {
 	}
 	var appMDAs, libMDAs uint64
 	var appSites, libSites int
-	for pc, s := range census.Sites {
+	for _, s := range census.Sites {
 		if s.MDA == 0 {
 			continue
 		}
-		if pc >= mdabt.GuestSharedLib {
+		if s.PC >= mdabt.GuestSharedLib {
 			libMDAs += s.MDA
 			libSites++
 		} else {

@@ -120,8 +120,8 @@ type memSite struct {
 	// patched marks host PCs already redirected to an MDA stub.
 	patched map[uint64]bool
 	// patchFails counts failed patch attempts (stub zone full, assembler
-	// error, branch out of range); past Options.PatchRetryLimit the trap-
-	// storm limiter demotes the site (see Engine.patchFailed).
+	// error, branch out of range); past patchRetryLimit the trap-storm
+	// limiter demotes the site (see Engine.patchFailed).
 	patchFails int
 }
 

@@ -191,9 +191,6 @@ type Options struct {
 	// Verdicts are advisory for performance only: a wrong aligned verdict
 	// degrades to the OS-style trap fixup, never to a wrong result.
 	StaticAlign bool
-	// AnalyzeCyclesPerInst is the modeled cost of the alignment analysis,
-	// charged once per analyzed guest instruction at Run entry.
-	AnalyzeCyclesPerInst uint64
 
 	// AOT enables the ahead-of-time tier (DESIGN.md §13): at Run entry the
 	// engine recovers the whole-binary CFG (or adopts AOTBlocks) and
@@ -212,14 +209,10 @@ type Options struct {
 	// the image into the fresh code cache at the next Run. Requires AOT.
 	AOTBlocks []uint32
 
-	// BT software costs, in host cycles (DESIGN.md §5).
-	InterpCyclesPerInst    uint64
-	TranslateCyclesPerInst uint64
-	TranslateFixedCycles   uint64
-	DispatchCycles         uint64
-	EHHandlerCycles        uint64
-	RearrangeFixedCycles   uint64
-	RearrangePerInstCycles uint64
+	// EHHandlerCycles is the BT misalignment handler's software cost per
+	// delivered trap, in host cycles; the rest of the BT cost model is the
+	// constants below (DESIGN.md §5).
+	EHHandlerCycles uint64
 
 	// CodeCacheBytes bounds the code cache; on exhaustion the whole cache
 	// is flushed (Dynamo-style, §IV-C) and translation restarts.
@@ -233,14 +226,6 @@ type Options struct {
 	// statistics; it only bounds cancellation latency. Zero selects
 	// DefaultSliceInsts.
 	SliceInsts uint64
-
-	// PatchRetryLimit bounds the exception handler's failed patch attempts
-	// per site (stub zone full, assembler error, branch out of range).
-	// Past the limit the trap-storm limiter demotes the site: the block is
-	// invalidated so the retained-MDA record inlines the sequence on
-	// retranslation, and the site falls back to permanent soft emulation
-	// in the meantime.
-	PatchRetryLimit int
 
 	// FaultPlan, when non-nil, enables deterministic fault injection at
 	// the points defined in internal/faultinject. The engine propagates
@@ -262,23 +247,15 @@ func DefaultOptions(m Mechanism) Options {
 		heat = p.HeatThreshold()
 	}
 	o := Options{
-		Mechanism:              m,
-		HeatThreshold:          heat,
-		RetransThreshold:       4,
-		MixedSiteMin:           0.05,
-		MixedSiteMax:           0.95,
-		AdaptiveStreak:         200,
-		InterpCyclesPerInst:    45,
-		TranslateCyclesPerInst: 250,
-		TranslateFixedCycles:   500,
-		DispatchCycles:         60,
-		EHHandlerCycles:        1500,
-		RearrangeFixedCycles:   800,
-		RearrangePerInstCycles: 120,
-		AnalyzeCyclesPerInst:   40,
-		CodeCacheBytes:         4 << 20,
-		SliceInsts:             DefaultSliceInsts,
-		PatchRetryLimit:        8,
+		Mechanism:        m,
+		HeatThreshold:    heat,
+		RetransThreshold: 4,
+		MixedSiteMin:     0.05,
+		MixedSiteMax:     0.95,
+		AdaptiveStreak:   200,
+		EHHandlerCycles:  1500,
+		CodeCacheBytes:   4 << 20,
+		SliceInsts:       DefaultSliceInsts,
 	}
 	if name, ok := policy.NameOf(int(m)); ok && name == "aot" {
 		// The aot mechanism is the AOT tier: pre-translate everything from
@@ -288,6 +265,27 @@ func DefaultOptions(m Mechanism) Options {
 	}
 	return o
 }
+
+// The BT software cost model, in host cycles (DESIGN.md §5), and the
+// exception handler's patch-retry bound.
+const (
+	interpCyclesPerInst    = 45  // interpreting one guest instruction
+	translateFixedCycles   = 500 // per translation unit
+	translateCyclesPerInst = 250 // per translated guest instruction
+	dispatchCycles         = 60  // one dispatcher round trip (BRKBT)
+	// Code rearrangement (§IV-A) reuses the block's IR and relocates code,
+	// so it charges a discounted per-instruction rate plus a fixed cost.
+	rearrangeFixedCycles   = 800
+	rearrangePerInstCycles = 120
+	analyzeCyclesPerInst   = 40 // static alignment analysis, per guest instruction
+	// patchRetryLimit bounds the exception handler's failed patch attempts
+	// per site (stub zone full, assembler error, branch out of range).
+	// Past the limit the trap-storm limiter demotes the site: the block is
+	// invalidated so the retained-MDA record inlines the sequence on
+	// retranslation, and the site falls back to permanent soft emulation
+	// in the meantime.
+	patchRetryLimit = 8
+)
 
 // DefaultSliceInsts is the default cancellation-check granularity of
 // RunContext, in host instructions: small enough that a deadline aborts in
@@ -311,38 +309,14 @@ func (o *Options) normalize() {
 	if o.AdaptiveStreak == 0 {
 		o.AdaptiveStreak = d.AdaptiveStreak
 	}
-	if o.InterpCyclesPerInst == 0 {
-		o.InterpCyclesPerInst = d.InterpCyclesPerInst
-	}
-	if o.TranslateCyclesPerInst == 0 {
-		o.TranslateCyclesPerInst = d.TranslateCyclesPerInst
-	}
-	if o.TranslateFixedCycles == 0 {
-		o.TranslateFixedCycles = d.TranslateFixedCycles
-	}
-	if o.DispatchCycles == 0 {
-		o.DispatchCycles = d.DispatchCycles
-	}
 	if o.EHHandlerCycles == 0 {
 		o.EHHandlerCycles = d.EHHandlerCycles
-	}
-	if o.RearrangeFixedCycles == 0 {
-		o.RearrangeFixedCycles = d.RearrangeFixedCycles
-	}
-	if o.RearrangePerInstCycles == 0 {
-		o.RearrangePerInstCycles = d.RearrangePerInstCycles
-	}
-	if o.AnalyzeCyclesPerInst == 0 {
-		o.AnalyzeCyclesPerInst = d.AnalyzeCyclesPerInst
 	}
 	if o.CodeCacheBytes == 0 {
 		o.CodeCacheBytes = d.CodeCacheBytes
 	}
 	if o.SliceInsts == 0 {
 		o.SliceInsts = d.SliceInsts
-	}
-	if o.PatchRetryLimit == 0 {
-		o.PatchRetryLimit = d.PatchRetryLimit
 	}
 	if o.Traces && o.TraceHeat == 0 {
 		o.TraceHeat = 1

@@ -8,6 +8,7 @@ import (
 	"mdabt/internal/guest"
 	"mdabt/internal/machine"
 	"mdabt/internal/mem"
+	"mdabt/internal/store"
 )
 
 // allConfigs enumerates every mechanism configuration the co-simulation
@@ -146,24 +147,24 @@ func compareState(t *testing.T, label string, ref, got guest.CPU, refArena, gotA
 	}
 }
 
-// censusSites extracts the set of guest PCs that did MDAs in a reference
-// run — the "train profile" for StaticProfile configs.
-func censusSites(t *testing.T, img []byte, dataInit []byte) map[uint32]bool {
+// censusProfile trains the program's profile with the census interpreter
+// — the "train profile" for StaticProfile configs.
+func censusProfile(t *testing.T, img []byte, dataInit []byte) *store.TrapProfile {
 	t.Helper()
 	m := mem.New()
 	m.WriteBytes(guest.CodeBase, img)
 	m.WriteBytes(guest.DataBase, dataInit)
-	c, err := RunCensus(m, guest.CodeBase, 50_000_000)
+	tp, err := TrainProfile(m, guest.CodeBase, 50_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sites := make(map[uint32]bool)
-	for pc, s := range c.Sites {
-		if s.MDA > 0 {
-			sites[pc] = true
-		}
-	}
-	return sites
+	return tp
+}
+
+// censusSites is censusProfile's static site set.
+func censusSites(t *testing.T, img []byte, dataInit []byte) map[uint32]bool {
+	t.Helper()
+	return censusProfile(t, img, dataInit).StaticSites()
 }
 
 // cosim runs the program under every configuration and compares against

@@ -75,8 +75,8 @@ type Engine struct {
 	retainedMDA map[uint32]map[int]bool
 	// trapSites counts delivered misalignment traps per guest instruction
 	// address (registered sites only). Together with the decode cache's
-	// interpreter profiles it forms SiteHistory, the per-session trap
-	// record the persistent store aggregates across sessions.
+	// interpreter profiles it forms the session history AddSiteHistory
+	// folds into the trap profile the persistent store aggregates.
 	trapSites map[uint32]uint64
 	// aotPreseedSkips counts schedule entries the preseed pass had to
 	// leave to dynamic discovery (adopted image not matching the loaded
@@ -508,19 +508,19 @@ func (e *Engine) flushAll() {
 // ErrBlockTooLarge (the caller blacklists it to the interpreter); an
 // injected transient fault gets one retry before degrading the same way.
 func (e *Engine) ensureTranslated(pc uint32) (*block, error) {
-	b, err := e.translate(pc)
+	b, err := e.translate(pc, translateCyclesPerInst)
 	switch err {
 	case errCodeCacheFull:
 		e.flushAll()
-		b, err = e.translate(pc)
+		b, err = e.translate(pc, translateCyclesPerInst)
 		if err == errCodeCacheFull {
 			err = fmt.Errorf("%w: block %#x", ErrBlockTooLarge, pc)
 		}
 	case errInjectedTranslate:
-		b, err = e.translate(pc)
+		b, err = e.translate(pc, translateCyclesPerInst)
 		if err == errCodeCacheFull {
 			e.flushAll()
-			b, err = e.translate(pc)
+			b, err = e.translate(pc, translateCyclesPerInst)
 		}
 	}
 	return b, err
@@ -685,7 +685,7 @@ func (e *Engine) RunContext(ctx context.Context, entry uint32, maxHostInsts uint
 			// at the machine's current PC without recounting the dispatch.
 			resume, sliceEnd = true, true
 		case machine.StopBrk:
-			e.Mach.AddCycles(e.Opt.DispatchCycles)
+			e.Mach.AddCycles(dispatchCycles)
 			if payload == svcFault {
 				// A trap handler parked the machine on the fault pad: rewind
 				// to the faulting guest instruction and re-execute it under
@@ -886,22 +886,19 @@ func (e *Engine) handleMisalign(m *machine.Machine, pc uint64, inst host.Inst, e
 		// Repositioning reuses the block's existing IR and relocates code
 		// (Fig. 6), so it is cheaper than a from-scratch translation:
 		// charge the discounted per-instruction rate for this pass.
-		saved := e.Opt.TranslateCyclesPerInst
-		e.Opt.TranslateCyclesPerInst = e.Opt.RearrangePerInstCycles
 		// Translate directly — never through ensureTranslated: flushing
 		// clears the exit table, and the stale code we resume into still
 		// carries live exit payloads. If the cache is full the block simply
 		// stays invalid and the dispatcher retranslates it at the next
 		// entry, where flushing is safe.
-		_, terr := e.translate(b.guestPC)
+		_, terr := e.translate(b.guestPC, rearrangePerInstCycles)
 		if terr == errInjectedTranslate {
-			_, terr = e.translate(b.guestPC)
+			_, terr = e.translate(b.guestPC, rearrangePerInstCycles)
 		}
-		e.Opt.TranslateCyclesPerInst = saved
 		if terr == nil {
 			e.event(EvRearrange, b.guestPC, 0, "")
 			e.stats.Rearrangements++
-			m.AddTrapCycles(e.Opt.RearrangeFixedCycles)
+			m.AddTrapCycles(rearrangeFixedCycles)
 			e.selfCheck("rearrange")
 		}
 		return pc + host.InstBytes
@@ -965,7 +962,7 @@ func (e *Engine) handleMisalign(m *machine.Machine, pc uint64, inst host.Inst, e
 }
 
 // patchFailed records one failed attempt to convert a trapping site and,
-// once the failures reach Options.PatchRetryLimit, demotes the site to
+// once the failures reach patchRetryLimit, demotes the site to
 // permanent soft emulation (the trap-storm limiter). The demotion also
 // invalidates the block: its retained-MDA record makes the retranslation
 // inline the sequence, so the storm usually ends there and soft emulation
@@ -973,7 +970,7 @@ func (e *Engine) handleMisalign(m *machine.Machine, pc uint64, inst host.Inst, e
 func (e *Engine) patchFailed(b *block, site *memSite, hostPC uint64, why string) {
 	site.patchFails++
 	e.event(EvDegrade, site.guestPC, hostPC, "patch failed: "+why)
-	if site.patchFails < e.Opt.PatchRetryLimit || e.softEmu[site.guestPC] {
+	if site.patchFails < patchRetryLimit || e.softEmu[site.guestPC] {
 		return
 	}
 	e.softEmu[site.guestPC] = true

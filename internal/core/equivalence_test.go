@@ -10,6 +10,7 @@ import (
 	"mdabt/internal/guest"
 	"mdabt/internal/machine"
 	"mdabt/internal/mem"
+	"mdabt/internal/store"
 	"mdabt/internal/workload"
 )
 
@@ -120,20 +121,20 @@ func faultEquivalencePrograms(t *testing.T) []*workload.FaultProgram {
 	return progs
 }
 
-// faultCensusSites is censusSites for a FaultProgram (protections applied;
-// a fault-terminated census still yields its sites).
-func faultCensusSites(t *testing.T, p *workload.FaultProgram) map[uint32]bool {
+// faultProfile is censusProfile for a FaultProgram (protections
+// applied; a fault-terminated census still yields its sites).
+func faultProfile(t *testing.T, p *workload.FaultProgram) *store.TrapProfile {
 	t.Helper()
 	m := mem.New()
 	p.Load(m)
 	c, _ := RunCensus(m, p.Entry(), 50_000_000)
-	sites := make(map[uint32]bool)
-	for pc, s := range c.Sites {
-		if s.MDA > 0 {
-			sites[pc] = true
-		}
-	}
-	return sites
+	return c.Profile()
+}
+
+// faultStaticSites is faultProfile's static site set.
+func faultStaticSites(t *testing.T, p *workload.FaultProgram) map[uint32]bool {
+	t.Helper()
+	return faultProfile(t, p).StaticSites()
 }
 
 func TestMechanismEquivalence(t *testing.T) {
@@ -160,7 +161,7 @@ func TestMechanismEquivalence(t *testing.T) {
 		}
 	}
 	for _, fp := range faultEquivalencePrograms(t) {
-		static := faultCensusSites(t, fp)
+		static := faultStaticSites(t, fp)
 		for _, cfg := range equivalenceConfigs(static) {
 			key := "fault:" + fp.Name + "|" + cfg.name
 			m := mem.New()
@@ -300,7 +301,7 @@ func TestEngineReuseEquivalence(t *testing.T) {
 	}
 	// The fault-workload half of the matrix through the same reused engine.
 	for _, fp := range faultEquivalencePrograms(t) {
-		static := faultCensusSites(t, fp)
+		static := faultStaticSites(t, fp)
 		for _, cfg := range equivalenceConfigs(static) {
 			key := "fault:" + fp.Name + "|" + cfg.name
 			e.Reset(cfg.opt)

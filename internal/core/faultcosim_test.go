@@ -36,13 +36,9 @@ func faultReference(t *testing.T, p *workload.FaultProgram) (guest.CPU, *guest.F
 	m := mem.New()
 	p.Load(m)
 	c, err := RunCensus(m, p.Entry(), 50_000_000)
-	sites := make(map[uint32]bool)
+	var sites map[uint32]bool
 	if c != nil {
-		for pc, s := range c.Sites {
-			if s.MDA > 0 {
-				sites[pc] = true
-			}
-		}
+		sites = c.Profile().StaticSites()
 	}
 	if p.ExpectFault {
 		gf, ok := AsGuestFault(err)

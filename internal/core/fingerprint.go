@@ -9,7 +9,7 @@ import (
 // when the set of fingerprinted knobs or their rendering changes, so
 // artifacts produced under an older notion of "same configuration" read
 // as foreign instead of silently matching.
-const fingerprintFormat = 1
+const fingerprintFormat = 2
 
 // Fingerprint condenses every translation-relevant option into a short
 // stable token, the Options component of a persistent-store key

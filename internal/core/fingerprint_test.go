@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mdabt/internal/faultinject"
+	"mdabt/internal/store"
 )
 
 // TestFingerprintIdentity: the fingerprint is deterministic, equates a
@@ -59,7 +60,8 @@ func TestFingerprintIdentity(t *testing.T) {
 // TestSiteHistoryRecordsTrapsAndProfiles: the session history carries
 // both exception-handler trap counts (EH: translate-first, no interp
 // profiling) and interpreter profile counts (DPEH: heated profiling), at
-// real site granularity — the raw material the store aggregates.
+// real site granularity — the raw material the store aggregates — and
+// AddSiteHistory folds exactly what SiteHistory maps.
 func TestSiteHistoryRecordsTrapsAndProfiles(t *testing.T) {
 	eh := engineFor(t, mdaLoopImg(t, 1000), DefaultOptions(ExceptionHandling))
 	mustRun(t, eh)
@@ -83,6 +85,21 @@ func TestSiteHistoryRecordsTrapsAndProfiles(t *testing.T) {
 	}
 	if mdaN == 0 || alignedN == 0 {
 		t.Fatalf("DPEH history missing profile counts: mda=%d aligned=%d", mdaN, alignedN)
+	}
+
+	// AddSiteHistory folds the same walk into a trap profile as one session.
+	for _, e := range []*Engine{eh, dp} {
+		hist := e.SiteHistory()
+		tp := &store.TrapProfile{Sessions: 2}
+		e.AddSiteHistory(tp)
+		if tp.Sessions != 3 || len(tp.Sites) != len(hist) {
+			t.Fatalf("AddSiteHistory: %d sessions, %d sites; want 3 and %d", tp.Sessions, len(tp.Sites), len(hist))
+		}
+		for _, s := range tp.Sites {
+			if h := hist[s.PC]; s.MDA != h.MDA || s.Aligned != h.Aligned {
+				t.Fatalf("AddSiteHistory site %#x = %d/%d, SiteHistory %d/%d", s.PC, s.MDA, s.Aligned, h.MDA, h.Aligned)
+			}
+		}
 	}
 
 	// Reset clears the history with the rest of the session state.

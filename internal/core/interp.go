@@ -5,6 +5,7 @@ import (
 
 	"mdabt/internal/guest"
 	"mdabt/internal/mem"
+	"mdabt/internal/store"
 )
 
 // interpretBlock interprets one execution of the basic block starting at
@@ -24,7 +25,7 @@ func (e *Engine) interpretBlock(pc uint32) (uint32, error) {
 			return 0, err
 		}
 		e.stats.InterpretedInsts++
-		e.Mach.AddCycles(e.Opt.InterpCyclesPerInst)
+		e.Mach.AddCycles(interpCyclesPerInst)
 		// Self-modifying code: an interpreted store into a watched code page
 		// invalidates the stale translations and decode entries it covers.
 		// Translated stores reach here too — the write trap reroutes them to
@@ -76,23 +77,24 @@ func (e *Engine) profile(pc uint32) *blockProfile {
 	return p
 }
 
-// CensusSite is one static memory instruction's alignment census.
-type CensusSite struct {
-	PC      uint32
-	MDA     uint64
-	Aligned uint64
-}
-
 // Census is a pure-interpretation measurement of a guest program: the data
 // behind Table I (NMI, MDA counts, MDA ratio) and Figure 15 (per-site
 // misalignment ratio classes). No host machine is involved.
 type Census struct {
-	Insts    uint64 // guest instructions executed
-	MemRefs  uint64 // data memory accesses (all sizes)
-	MDAs     uint64 // misaligned accesses
-	Sites    map[uint32]*CensusSite
+	Insts   uint64 // guest instructions executed
+	MemRefs uint64 // data memory accesses (all sizes)
+	MDAs    uint64 // misaligned accesses
+	// Sites holds every static instruction that made at least one
+	// non-byte access, sorted by PC (store.TrapProfile's canonical form).
+	Sites    []store.TrapSite
 	Halted   bool
 	FinalCPU guest.CPU
+}
+
+// Profile views the census as a one-session trap profile sharing c.Sites;
+// callers must not mutate it.
+func (c *Census) Profile() *store.TrapProfile {
+	return &store.TrapProfile{Sessions: 1, Sites: c.Sites}
 }
 
 // NMI returns the number of distinct static instructions that performed at
@@ -146,14 +148,14 @@ func (c *Census) RatioClasses() (lt, eq, gt, always int) {
 func RunCensus(m *mem.Memory, entry uint32, maxInsts uint64) (*Census, error) {
 	cpu := &guest.CPU{}
 	cpu.Reset(entry)
-	c := &Census{Sites: make(map[uint32]*CensusSite)}
+	c := &Census{}
 	// Per-site counts accumulate in the decode-cache entries (no map hit per
-	// memory reference); the Sites map is materialized once at the end.
+	// memory reference); Sites is materialized once at the end.
 	var dec decodeCache
 	finish := func(err error) (*Census, error) {
-		dec.forEachProf(func(pc uint32, p *siteProfile) {
-			c.Sites[pc] = &CensusSite{PC: pc, MDA: p.mda, Aligned: p.aligned}
-		})
+		var tp store.TrapProfile
+		dec.forEachProf(func(pc uint32, p *siteProfile) { tp.Add(pc, p.mda, p.aligned) })
+		c.Sites = tp.Sites
 		c.Halted = cpu.Halted
 		c.FinalCPU = *cpu
 		return c, err
@@ -208,4 +210,18 @@ func RunCensus(m *mem.Memory, entry uint32, maxInsts uint64) (*Census, error) {
 		}
 	}
 	return finish(nil)
+}
+
+// TrainProfile runs the program at entry under the census interpreter (the
+// profiling pre-execution of the paper's Fig. 3) and returns its profile:
+// the static-profile mechanism's site set is its StaticSites.
+func TrainProfile(m *mem.Memory, entry uint32, maxInsts uint64) (*store.TrapProfile, error) {
+	c, err := RunCensus(m, entry, maxInsts)
+	if err != nil {
+		return nil, err
+	}
+	if !c.Halted {
+		return nil, fmt.Errorf("core: train profile: program did not halt within %d instructions", maxInsts)
+	}
+	return c.Profile(), nil
 }

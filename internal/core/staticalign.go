@@ -25,7 +25,7 @@ func (e *Engine) buildAlignDB(entry uint32) {
 	if !e.Opt.AOT {
 		// Under the AOT tier the analysis is part of the offline build, like
 		// the pre-translation pass itself: no simulated cycles.
-		e.Mach.AddCycles(e.Opt.AnalyzeCyclesPerInst * uint64(e.alignDB.Insts()))
+		e.Mach.AddCycles(analyzeCyclesPerInst * uint64(e.alignDB.Insts()))
 	}
 }
 

@@ -97,26 +97,18 @@ func (w *warmStore) roundTrip(k store.Key, payload, out any) bool {
 
 // warmOptions routes cfg's warm-start inputs through the store for one
 // (program, config) matrix entry and returns the options the engine
-// should run with. On a clean round trip the store's copy replaces the
+// should run with. A static-profile config's sites come from trained, the
+// program's training profile, which is persisted whole as dbtrun does on
+// a store miss. On a clean round trip the store's copy replaces the
 // in-memory input; on a corrupt one the original (cold) input stays.
-func (w *warmStore) warmOptions(opt Options, program string, m *mem.Memory, entry uint32) Options {
+func (w *warmStore) warmOptions(opt Options, trained *store.TrapProfile, program string, m *mem.Memory, entry uint32) Options {
 	w.t.Helper()
 	fp := opt.Fingerprint()
 	if opt.StaticSites != nil {
-		delta := &store.TrapProfile{Sessions: 1}
-		for pc := range opt.StaticSites {
-			delta.Add(pc, 1, 0)
-		}
 		var tp store.TrapProfile
 		k := store.Key{Program: program, Fingerprint: fp, Kind: store.KindTrapProfile}
-		if w.roundTrip(k, delta, &tp) {
-			sites := tp.StaticSites()
-			if sites == nil {
-				// An empty profile round-trips to nil; keep lookup
-				// semantics identical to the golden run's empty map.
-				sites = make(map[uint32]bool)
-			}
-			opt.StaticSites = sites
+		if w.roundTrip(k, trained, &tp) {
+			opt.StaticSites = tp.StaticSites()
 		}
 	}
 	if opt.AOT && opt.AOTBlocks == nil {
@@ -177,16 +169,16 @@ func TestStoreWarmGoldenMatrix(t *testing.T) {
 		ran++
 	}
 	for _, p := range programs {
-		static := censusSites(t, p.img, data)
+		trained := censusProfile(t, p.img, data)
 		program := store.HashProgram(p.img, data)
-		for _, cfg := range equivalenceConfigs(static) {
+		for _, cfg := range equivalenceConfigs(trained.StaticSites()) {
 			key := p.name + "|" + cfg.name
 			// Stage the program once so the offline schedule recovery sees
 			// the same bytes the run will.
 			m.Reset()
 			m.WriteBytes(guest.CodeBase, p.img)
 			m.WriteBytes(guest.DataBase, data)
-			opt := ws.warmOptions(cfg.opt, program, m, guest.CodeBase)
+			opt := ws.warmOptions(cfg.opt, trained, program, m, guest.CodeBase)
 			if e == nil {
 				e = NewEngine(m, mach, opt)
 			} else {
@@ -201,13 +193,13 @@ func TestStoreWarmGoldenMatrix(t *testing.T) {
 		}
 	}
 	for _, fp := range faultEquivalencePrograms(t) {
-		static := faultCensusSites(t, fp)
+		trained := faultProfile(t, fp)
 		program := "fault-" + fp.Name
-		for _, cfg := range equivalenceConfigs(static) {
+		for _, cfg := range equivalenceConfigs(trained.StaticSites()) {
 			key := "fault:" + fp.Name + "|" + cfg.name
 			m.Reset()
 			fp.Load(m)
-			opt := ws.warmOptions(cfg.opt, program, m, fp.Entry())
+			opt := ws.warmOptions(cfg.opt, trained, program, m, fp.Entry())
 			e.Reset(opt)
 			fp.Load(m)
 			rerr := e.Run(fp.Entry(), 500_000_000)

@@ -92,7 +92,7 @@ func TestTraceTierFingerprintParity(t *testing.T) {
 		}
 	}
 	for _, fp := range faultEquivalencePrograms(t) {
-		static := faultCensusSites(t, fp)
+		static := faultStaticSites(t, fp)
 		for _, cfg := range equivalenceConfigs(static) {
 			key := "fault:" + fp.Name + "|" + cfg.name
 			e.Reset(tracedOpt(cfg.opt))

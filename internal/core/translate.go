@@ -864,8 +864,8 @@ func (e *Engine) sitePolicies(b *block) (map[int]sitePolicy, bool) {
 // translate translates the unit at guest pc — a basic block, or a trace of
 // blocks when superblock formation applies — consuming the interpretation
 // profile. It registers the unit, writes its code into the machine, and
-// charges translation cost.
-func (e *Engine) translate(pc uint32) (*block, error) {
+// charges translation cost at perInst cycles per guest instruction.
+func (e *Engine) translate(pc uint32, perInst uint64) (*block, error) {
 	if e.Opt.FaultPlan.Should(faultinject.Translate) {
 		return nil, errInjectedTranslate
 	}
@@ -977,7 +977,7 @@ func (e *Engine) translate(pc uint32) (*block, error) {
 			// miss, SMC invalidation, or a post-flush refill.
 			e.stats.AOTFallbacks++
 		}
-		cost := e.Opt.TranslateFixedCycles + e.Opt.TranslateCyclesPerInst*uint64(len(insts))
+		cost := translateFixedCycles + perInst*uint64(len(insts))
 		e.Mach.AddCycles(cost)
 	}
 	if nblocks > 1 {

@@ -137,7 +137,6 @@ type Session struct {
 	cens   map[string]*core.Census
 	runs   map[string]RunResult
 	native map[string]uint64
-	sites  map[string]map[uint32]bool // trainSites memo, keyed by benchmark
 }
 
 // NewSession returns a session with full-scale defaults.
@@ -148,7 +147,6 @@ func NewSession() *Session {
 		cens:   make(map[string]*core.Census),
 		runs:   make(map[string]RunResult),
 		native: make(map[string]uint64),
-		sites:  make(map[string]map[uint32]bool),
 	}
 }
 
@@ -227,32 +225,6 @@ func (s *Session) Census(name string, in workload.Input) (*core.Census, error) {
 	return c, nil
 }
 
-// trainSites derives the static (train-input) profile for a benchmark,
-// memoized per benchmark: every static-profile configuration of the same
-// benchmark shares one derived site set. Callers must not mutate the result.
-func (s *Session) trainSites(name string) (map[uint32]bool, error) {
-	s.mu.Lock()
-	sites, ok := s.sites[name]
-	s.mu.Unlock()
-	if ok {
-		return sites, nil
-	}
-	c, err := s.Census(name, workload.Train)
-	if err != nil {
-		return nil, err
-	}
-	sites = make(map[uint32]bool)
-	for pc, site := range c.Sites {
-		if site.MDA > 0 {
-			sites[pc] = true
-		}
-	}
-	s.mu.Lock()
-	s.sites[name] = sites
-	s.mu.Unlock()
-	return sites, nil
-}
-
 // Run executes a benchmark (ref input) under cfg on the simulated host,
 // returning cached results on repeat calls.
 func (s *Session) Run(name string, cfg Config) (RunResult, error) {
@@ -293,10 +265,13 @@ func (s *Session) Run(name string, cfg Config) (RunResult, error) {
 		opt.StaticAlign = true
 	}
 	if pm, ok := policy.ByID(int(mech)); ok && pm.UsesStaticProfile() {
-		opt.StaticSites, err = s.trainSites(name)
+		// The train-input profile, from the cached train census (the same
+		// Census.Profile core.TrainProfile returns).
+		c, err := s.Census(name, workload.Train)
 		if err != nil {
 			return RunResult{}, err
 		}
+		opt.StaticSites = c.Profile().StaticSites()
 	}
 	if err := opt.Validate(); err != nil {
 		return RunResult{}, fmt.Errorf("experiments: %s under %v: %w", name, cfg, err)

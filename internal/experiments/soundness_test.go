@@ -39,10 +39,8 @@ func TestStaticAlignSoundness(t *testing.T) {
 		p.Load(m, workload.Ref)
 		dec := memDecoder(m)
 		checked := 0
-		for pc, cs := range c.Sites {
-			if cs.MDA+cs.Aligned == 0 {
-				continue
-			}
+		for _, cs := range c.Sites {
+			pc := cs.PC
 			in, _, derr := dec(pc)
 			if derr != nil {
 				continue

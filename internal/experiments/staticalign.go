@@ -104,14 +104,11 @@ func SiteHistogram(s *Session) (*Result, error) {
 		dec := memDecoder(m)
 		var dyn [3]float64
 		var total float64
-		for pc, cs := range c.Sites {
+		for _, cs := range c.Sites {
 			execs := float64(cs.MDA + cs.Aligned)
-			if execs == 0 {
-				continue
-			}
 			v := align.Unknown
-			if in, _, derr := dec(pc); derr == nil {
-				v = a.InstVerdict(pc, in.Op)
+			if in, _, derr := dec(cs.PC); derr == nil {
+				v = a.InstVerdict(cs.PC, in.Op)
 			}
 			dyn[v] += execs
 			total += execs

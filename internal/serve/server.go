@@ -239,7 +239,7 @@ func (s *Server) attempt(ctx context.Context, w *Worker, req Request) (*Result, 
 	// A completed request contributes its session's site history to the
 	// pending store delta (flushed on Drain/Close).
 	if s.store != nil && program != "" {
-		s.accumulate(program, fingerprint, b.eng.SiteHistory())
+		s.accumulate(program, fingerprint, b.eng)
 	}
 	ts1 := b.eng.TraceStats()
 	return &Result{

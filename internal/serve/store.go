@@ -74,7 +74,7 @@ func (s *Server) warmStart(opt *core.Options, program string) string {
 // stays in memory until flushProfiles merges it into the store. A session
 // with an empty history still counts: "ran warm and discovered nothing
 // new" is signal (the profile converged), not absence of a session.
-func (s *Server) accumulate(program, fingerprint string, hist map[uint32]core.SiteHistoryEntry) {
+func (s *Server) accumulate(program, fingerprint string, eng *core.Engine) {
 	s.profMu.Lock()
 	defer s.profMu.Unlock()
 	pk := profKey{program: program, fingerprint: fingerprint}
@@ -83,10 +83,7 @@ func (s *Server) accumulate(program, fingerprint string, hist map[uint32]core.Si
 		tp = &store.TrapProfile{}
 		s.profiles[pk] = tp
 	}
-	tp.Sessions++
-	for pc, h := range hist {
-		tp.Add(pc, h.MDA, h.Aligned)
-	}
+	eng.AddSiteHistory(tp)
 }
 
 // flushProfiles merges every pending trap-profile delta into the store.

@@ -1,7 +1,9 @@
 package store
 
 import (
+	"encoding/json"
 	"errors"
+	"fmt"
 	"sort"
 )
 
@@ -14,11 +16,13 @@ type TrapSite struct {
 	Aligned uint64 `json:"aligned"`
 }
 
-// TrapProfile is the KindTrapProfile payload: a program's per-site trap
-// history merged across sessions. It is the persistent form of the FX!32
-// profile-database idea — sites that trapped for *any* past session
-// warm-start the static-profile/SPEH site policy for the next one, so the
-// ~1000-cycle discovery traps are paid once per fleet, not once per run.
+// TrapProfile is the engine's one per-site alignment profile: a census's
+// sites, a training run's profile file (dbtrun -profile-out/-profile-in),
+// a session's trap history, and the KindTrapProfile payload merged across
+// sessions. It is the persistent form of the FX!32 profile-database idea —
+// sites that trapped for *any* past session warm-start the
+// static-profile/SPEH site policy for the next one, so the ~1000-cycle
+// discovery traps are paid once per fleet, not once per run.
 type TrapProfile struct {
 	// Sessions counts how many engine sessions have been merged in.
 	Sessions uint64 `json:"sessions"`
@@ -27,8 +31,12 @@ type TrapProfile struct {
 	Sites []TrapSite `json:"sites,omitempty"`
 }
 
-// Add folds one site observation into the profile.
+// Add folds one site observation into the profile. An observation with
+// both counts zero carries nothing and adds no site.
 func (tp *TrapProfile) Add(pc uint32, mda, aligned uint64) {
+	if mda == 0 && aligned == 0 {
+		return
+	}
 	i := sort.Search(len(tp.Sites), func(i int) bool { return tp.Sites[i].PC >= pc })
 	if i < len(tp.Sites) && tp.Sites[i].PC == pc {
 		tp.Sites[i].MDA += mda
@@ -49,6 +57,29 @@ func (tp *TrapProfile) Merge(other *TrapProfile) {
 	for _, s := range other.Sites {
 		tp.Add(s.PC, s.MDA, s.Aligned)
 	}
+}
+
+// UnmarshalJSON decodes a profile and checks the canonical form Add keeps:
+// sites strictly ascending by PC, none with both counts zero. Store loads
+// and profile files decode through here alike; unknown keys are ignored,
+// so a file in the older {"program","input","sites":[…]} layout loads
+// with Sessions 0.
+func (tp *TrapProfile) UnmarshalJSON(data []byte) error {
+	type plain TrapProfile // drops the method: no recursion
+	var p plain
+	if err := json.Unmarshal(data, &p); err != nil {
+		return err
+	}
+	for i, s := range p.Sites {
+		if s.MDA == 0 && s.Aligned == 0 {
+			return fmt.Errorf("store: trap profile: site %d (pc %#x) has no accesses", i, s.PC)
+		}
+		if i > 0 && s.PC <= p.Sites[i-1].PC {
+			return fmt.Errorf("store: trap profile: site %d (pc %#x) out of pc order", i, s.PC)
+		}
+	}
+	*tp = TrapProfile(p)
+	return nil
 }
 
 // StaticSites renders the profile as the engine's static-profile site set

@@ -134,11 +134,11 @@ func TestSharedLibraryMDAs(t *testing.T) {
 	}
 	c := census(t, p, Ref)
 	var libMDAs, mainMDAs uint64
-	for pc, s := range c.Sites {
+	for _, s := range c.Sites {
 		if s.MDA == 0 {
 			continue
 		}
-		if pc >= guest.SharedLib {
+		if s.PC >= guest.SharedLib {
 			libMDAs += s.MDA
 		} else {
 			mainMDAs += s.MDA

@@ -42,7 +42,6 @@ package mdabt
 
 import (
 	"context"
-	"io"
 
 	"mdabt/internal/core"
 	"mdabt/internal/experiments"
@@ -51,6 +50,7 @@ import (
 	"mdabt/internal/machine"
 	"mdabt/internal/mem"
 	"mdabt/internal/serve"
+	"mdabt/internal/store"
 	"mdabt/internal/workload"
 )
 
@@ -206,18 +206,17 @@ func RunCensus(m *mem.Memory, entry uint32, maxInsts uint64) (*Census, error) {
 	return core.RunCensus(m, entry, maxInsts)
 }
 
-// ProfileDB is a persistent misalignment profile (the FX!32-style profile
-// database behind the static-profiling mechanism).
-type ProfileDB = core.ProfileDB
+// TrapProfile is the per-site alignment profile: a census's sites, the
+// FX!32-style profile file behind the static-profiling mechanism (JSON),
+// and the store's cross-session trap profile. StaticSites gives the
+// static mechanism's site set.
+type TrapProfile = store.TrapProfile
 
 // TrainProfile censuses the program at entry (a training pre-execution)
-// and returns its profile database.
-func TrainProfile(m *mem.Memory, program, input string, entry uint32, maxInsts uint64) (*ProfileDB, error) {
-	return core.TrainProfile(m, program, input, entry, maxInsts)
+// and returns its profile.
+func TrainProfile(m *mem.Memory, entry uint32, maxInsts uint64) (*TrapProfile, error) {
+	return core.TrainProfile(m, entry, maxInsts)
 }
-
-// LoadProfileDB reads a profile database written by ProfileDB.Save.
-func LoadProfileDB(r io.Reader) (*ProfileDB, error) { return core.LoadProfileDB(r) }
 
 // BenchmarkSpec models one SPEC benchmark's MDA behaviour.
 type BenchmarkSpec = workload.Spec

@@ -1,6 +1,7 @@
 package mdabt
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -174,20 +175,20 @@ func TestFacadeProfileWorkflow(t *testing.T) {
 	}
 	m := mem.New()
 	m.WriteBytes(GuestCodeBase, img)
-	db, err := TrainProfile(m, "p", "train", GuestCodeBase, 1<<24)
+	tp, err := TrainProfile(m, GuestCodeBase, 1<<24)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf strings.Builder
-	if err := db.Save(&buf); err != nil {
+	data, err := json.Marshal(tp)
+	if err != nil {
 		t.Fatal(err)
 	}
-	db2, err := LoadProfileDB(strings.NewReader(buf.String()))
-	if err != nil {
+	var loaded TrapProfile
+	if err := json.Unmarshal(data, &loaded); err != nil {
 		t.Fatal(err)
 	}
 	opt := MechanismOptions(StaticProfile)
-	opt.StaticSites = db2.StaticSites()
+	opt.StaticSites = loaded.StaticSites()
 	sys := NewSystem(opt)
 	sys.LoadImage(GuestCodeBase, img)
 	if err := sys.Run(GuestCodeBase, 1<<26); err != nil {
