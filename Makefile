@@ -70,9 +70,11 @@ store-chaos:
 profile-smoke:
 	$(GO) test -run '^TestProfileSmoke$$' -v ./cmd/dbtrun
 
-# One experiment run per registered mechanism (policy registry) — the CI
-# mechanism-smoke job.
+# One experiment run per registered mechanism (policy registry), and the
+# check that a bare Options{Mechanism: m} is DefaultOptions(m) for every
+# one of them — the CI mechanism-smoke job.
 mech-smoke:
+	$(GO) test -run '^TestOptionsLiteralMatchesDefault$$' -v ./internal/core
 	$(GO) test -run '^TestRegistryMechanismSmoke$$' -v ./internal/experiments
 
 # Machine-readable summary (guest MIPS, ns/guest-inst, allocs) → BENCH_4.json.

@@ -92,26 +92,24 @@ func main() {
 	if !ok {
 		fail("unknown mechanism %q (have %s)", *mechName, strings.Join(policy.AllNames(), ", "))
 	}
-	opt := core.DefaultOptions(mech)
-	if *threshold != 0 {
-		opt.HeatThreshold = *threshold
+	opt := core.Options{
+		Mechanism:          mech,
+		HeatThreshold:      *threshold,
+		Rearrange:          *rearrange,
+		Retranslate:        *retranslate,
+		MultiVersion:       *multiversion,
+		MVBlockGranularity: *mvblock,
+		IBTC:               *ibtc,
+		Adaptive:           *adaptive,
+		Superblocks:        *superblocks,
+		Traces:             *traces,
+		StaticAlign:        *staticalign,
+		AOT:                *aotFlag,
+		SelfCheck:          *selfcheck,
 	}
-	opt.Rearrange = *rearrange
-	opt.Retranslate = *retranslate
-	opt.MultiVersion = *multiversion
-	opt.MVBlockGranularity = *mvblock
-	opt.IBTC = *ibtc
-	opt.Adaptive = *adaptive
-	opt.Superblocks = *superblocks
-	opt.Traces = *traces
-	// The aot mechanism's DefaultOptions pre-sets AOT and StaticAlign; the
-	// flags add the layers over other bases without clearing those.
-	opt.StaticAlign = *staticalign || opt.StaticAlign
-	if *aotFlag {
-		opt.AOT = true
-		opt.StaticAlign = true
-	}
-	opt.SelfCheck = *selfcheck
+	// The store block reads the implied settings (the aot mechanism sets
+	// AOT, AOT sets StaticAlign) before the engine exists.
+	opt.Normalize()
 	if *faultRate < 0 || *faultRate > 1 {
 		fail("-fault-rate must be in [0,1]")
 	}
@@ -140,20 +138,9 @@ func main() {
 	case *bench != "" && *faultProg != "":
 		fail("give either -bench or -faultprog, not both")
 	case *faultProg != "":
-		progs, err := workload.FaultPrograms()
+		fp, err := workload.FaultProgramByName(*faultProg)
 		if err != nil {
-			fail("faultprog: %v", err)
-		}
-		var fp *workload.FaultProgram
-		var names []string
-		for _, p := range progs {
-			names = append(names, p.Name)
-			if p.Name == *faultProg {
-				fp = p
-			}
-		}
-		if fp == nil {
-			fail("unknown fault workload %q (have %s)", *faultProg, strings.Join(names, ", "))
+			fail("%v", err)
 		}
 		fp.Load(m) // code + data images plus the page-protection plan
 		entry = fp.Entry()
@@ -166,16 +153,14 @@ func main() {
 		if err != nil {
 			fail("generate: %v", err)
 		}
-		in, inName := workload.Ref, "ref"
+		in := workload.Ref
 		if *input == "train" {
-			in, inName = workload.Train, "train"
+			in = workload.Train
 		}
 		prog.Load(m, in)
 		entry = prog.Entry()
 		benchProg = prog
-		// Matches dbtserve's benchStoreKey: artifacts trained by one front
-		// end warm the other.
-		storeProg = "bench-" + *bench + "-" + inName
+		storeProg = workload.BenchStoreKey(*bench, in)
 	case flag.NArg() == 1:
 		src, err := os.ReadFile(flag.Arg(0))
 		if err != nil {
@@ -308,7 +293,7 @@ func main() {
 
 	c := mach.Counters()
 	s := eng.Stats()
-	fmt.Printf("mechanism:        %v\n", opt.Mechanism)
+	fmt.Printf("mechanism:        %v\n", eng.Opt.Mechanism)
 	fmt.Printf("cycles:           %d\n", c.Cycles)
 	fmt.Printf("host insts:       %d\n", c.Insts)
 	fmt.Printf("loads/stores:     %d / %d\n", c.Loads, c.Stores)
@@ -327,15 +312,15 @@ func main() {
 		fmt.Printf("degraded:         stub-full=%d unpatchable=%d interp-fallbacks=%d demotions=%d flushes=%d\n",
 			s.StubZoneFull, s.UnpatchableSites, s.InterpFallbacks, s.TrapStormDemotions, s.Flushes)
 	}
-	if opt.FaultPlan != nil {
-		fmt.Printf("injected faults:  %d (%s)\n", s.InjectedFaults, opt.FaultPlan)
+	if eng.Opt.FaultPlan != nil {
+		fmt.Printf("injected faults:  %d (%s)\n", s.InjectedFaults, eng.Opt.FaultPlan)
 	}
-	if opt.StaticAlign {
+	if eng.Opt.StaticAlign {
 		fmt.Printf("static-align:     analyzed=%d sites aligned=%d misaligned=%d unknown=%d violations=%d\n",
 			s.StaticAnalyzedInsts, s.StaticAlignedSites, s.StaticMisalignedSites,
 			s.StaticUnknownSites, s.StaticAlignViolations)
 	}
-	if opt.AOT {
+	if eng.Opt.AOT {
 		fmt.Printf("aot:              %d blocks pre-translated, %d hits, %d jit fallbacks\n",
 			s.AOTBlocks, s.AOTHits, s.AOTFallbacks)
 	}
@@ -344,7 +329,7 @@ func main() {
 		fmt.Printf("store:            hits=%d misses=%d saves=%d merges=%d corrupt=%d quarantined=%d\n",
 			ss.Hits, ss.Misses, ss.Saves, ss.Merges, ss.Corrupt, ss.Quarantined)
 	}
-	if opt.Traces {
+	if eng.Opt.Traces {
 		ts := eng.TraceStats()
 		fmt.Printf("trace tier:       %d formed, %d chain follows, %d invalidations, %d host insts traced\n",
 			ts.Formed, ts.ChainFollows, ts.Invalidations, ts.TracedInsts)

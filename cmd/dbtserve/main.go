@@ -162,16 +162,6 @@ func newApp(srv *serve.Server, st *store.Store, mech core.Mechanism, deadline ti
 	}
 }
 
-// benchStoreKey is the persistent-store program identity for a benchmark
-// request. dbtrun derives the same identity, so artifacts trained by one
-// front end warm the other.
-func benchStoreKey(bench, input string) string {
-	if input != "train" {
-		input = "ref"
-	}
-	return "bench-" + bench + "-" + input
-}
-
 // mux returns the HTTP routing table (shared by main and the tests).
 func (a *app) mux() *http.ServeMux {
 	m := http.NewServeMux()
@@ -270,24 +260,13 @@ func (a *app) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "give exactly one of asm, bench, faultprog", Class: "permanent"})
 		return
 	case body.FaultProg != "":
-		progs, err := workload.FaultPrograms()
-		if err != nil {
-			writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error(), Class: "internal"})
+		fp, err := workload.FaultProgramByName(body.FaultProg)
+		if errors.Is(err, workload.ErrUnknownFaultProgram) {
+			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error(), Class: "permanent"})
 			return
 		}
-		var fp *workload.FaultProgram
-		var names []string
-		for _, p := range progs {
-			names = append(names, p.Name)
-			if p.Name == body.FaultProg {
-				fp = p
-			}
-		}
-		if fp == nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{
-				Error: fmt.Sprintf("unknown fault workload %q (have %s)", body.FaultProg, strings.Join(names, ", ")),
-				Class: "permanent",
-			})
+		if err != nil {
+			writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error(), Class: "internal"})
 			return
 		}
 		name = fp.Name
@@ -312,7 +291,7 @@ func (a *app) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 		name = body.Bench
 		req.Key = body.Bench
-		req.StoreKey = benchStoreKey(body.Bench, body.Input)
+		req.StoreKey = workload.BenchStoreKey(body.Bench, in)
 		req.Load = func(m *mem.Memory) uint32 { prog.Load(m, in); return prog.Entry() }
 		if opt.AOT {
 			// Adopt the benchmark's cached ahead-of-time image: the engine

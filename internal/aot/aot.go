@@ -93,9 +93,9 @@ func MemDecoder(m *mem.Memory) align.Decoder {
 
 // Apply configures o to adopt the image: the aot mechanism's pre-seeding
 // pass translates im.Blocks instead of re-running CFG recovery in-engine.
+// AOT implies StaticAlign (Options.Normalize).
 func (im *Image) Apply(o *core.Options) {
 	o.AOT = true
-	o.StaticAlign = true
 	o.AOTBlocks = im.Blocks
 }
 

@@ -69,6 +69,7 @@ func TestApplyConfiguresAdoption(t *testing.T) {
 	im := buildTestImage(t)
 	opt := core.DefaultOptions(core.ExceptionHandling)
 	im.Apply(&opt)
+	opt.Normalize()
 	if !opt.AOT || !opt.StaticAlign {
 		t.Errorf("Apply left opt %+v", opt)
 	}

@@ -202,12 +202,9 @@ type block struct {
 	// aot marks translations produced by the offline pre-translation pass
 	// (Options.AOT); dispatches into them count as Stats.AOTHits.
 	aot bool
-	// Trace-tier seeding state (Options.Traces; host-side only, never
-	// visible to the simulation): runs counts native dispatches absorbed
-	// while the unit has no machine trace, so the dispatcher seeds one at
-	// Options.TraceHeat; notrace latches a failed build (unsupported host
-	// instruction) so the dispatcher stops retrying.
-	runs    int
+	// notrace latches a failed trace-tier build (Options.Traces; an
+	// unsupported host instruction) so the dispatcher stops retrying.
+	// Host-side only, never visible to the simulation.
 	notrace bool
 }
 

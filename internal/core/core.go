@@ -122,9 +122,6 @@ type Options struct {
 	// pessimistic all-sequence copy. The check runs once per block
 	// execution instead of once per site execution.
 	MVBlockGranularity bool
-	// MixedSiteMin/Max bound the per-site misalignment ratio (observed
-	// during profiling) classifying a site as "mixed" for multi-version.
-	MixedSiteMin, MixedSiteMax float64
 
 	// Adaptive enables the "truly adaptive method" the paper describes but
 	// rejects on cost grounds (§IV-D, Fig. 8 right): MDA-sequence sites are
@@ -163,11 +160,6 @@ type Options struct {
 	// simulation speed changes. Host-side telemetry (traces formed, chain
 	// follows, invalidations) is reported separately via Engine.TraceStats.
 	Traces bool
-	// TraceHeat is the number of native dispatches a translated block
-	// absorbs before a trace is built over it. The default (1) traces on
-	// the first native dispatch; larger values skip trace-building work
-	// for blocks that never get hot. Requires Traces.
-	TraceHeat int
 
 	// IBTC enables an inline indirect-branch translation cache for RET
 	// targets: a 256-entry direct-mapped guest-PC→host-PC table probed in
@@ -199,9 +191,10 @@ type Options struct {
 	// simulated cycles and counts in Stats.AOTBlocks, not BlocksTranslated —
 	// so the simulated run starts with a warm code cache. Indirect-target
 	// misses and SMC invalidations fall back to the ordinary dynamic
-	// translator (Stats.AOTFallbacks). AOT implies StaticAlign: the align
-	// verdicts are what select plain / eager-sequence / trap-guarded shapes
-	// per site during the offline pass.
+	// translator (Stats.AOTFallbacks). The aot mechanism implies AOT, and
+	// AOT implies StaticAlign: the align verdicts are what select plain /
+	// eager-sequence / trap-guarded shapes per site during the offline
+	// pass. Normalize applies both.
 	AOT bool
 	// AOTBlocks, when non-nil, is a pre-recovered block-entry schedule (an
 	// internal/aot image) adopted instead of running CFG recovery in-engine:
@@ -238,31 +231,12 @@ type Options struct {
 }
 
 // DefaultOptions returns the configuration used by the experiments for the
-// given mechanism, with per-mechanism defaults matching the paper's §VI
-// settings (DynamicProfile threshold 50; DPEH low threshold; retranslation
-// threshold 4).
+// given mechanism: Options{Mechanism: m} with every default Normalize fills
+// in (the paper's §VI settings: DynamicProfile threshold 50, DPEH low
+// threshold, retranslation threshold 4).
 func DefaultOptions(m Mechanism) Options {
-	heat := uint64(50)
-	if p, ok := policy.ByID(int(m)); ok {
-		heat = p.HeatThreshold()
-	}
-	o := Options{
-		Mechanism:        m,
-		HeatThreshold:    heat,
-		RetransThreshold: 4,
-		MixedSiteMin:     0.05,
-		MixedSiteMax:     0.95,
-		AdaptiveStreak:   200,
-		EHHandlerCycles:  1500,
-		CodeCacheBytes:   4 << 20,
-		SliceInsts:       DefaultSliceInsts,
-	}
-	if name, ok := policy.NameOf(int(m)); ok && name == "aot" {
-		// The aot mechanism is the AOT tier: pre-translate everything from
-		// the recovered CFG, with align verdicts choosing the site shapes.
-		o.AOT = true
-		o.StaticAlign = true
-	}
+	o := Options{Mechanism: m}
+	o.Normalize()
 	return o
 }
 
@@ -285,6 +259,11 @@ const (
 	// retranslation, and the site falls back to permanent soft emulation
 	// in the meantime.
 	patchRetryLimit = 8
+	// mixedSiteMin/Max bound the per-site misalignment ratio (observed
+	// during profiling) that classifies a site as "mixed" for
+	// multi-version code (§IV-D).
+	mixedSiteMin = 0.05
+	mixedSiteMax = 0.95
 )
 
 // DefaultSliceInsts is the default cancellation-check granularity of
@@ -293,33 +272,41 @@ const (
 // dispatch overhead vanishes against the simulated work.
 const DefaultSliceInsts = 1 << 20
 
-// normalize fills zero-valued tuning fields with the mechanism defaults, so
-// hand-built Options behave sensibly.
-func (o *Options) normalize() {
-	d := DefaultOptions(o.Mechanism)
+// Normalize fills zero-valued tuning fields with the mechanism defaults
+// and applies the implied settings — the aot mechanism sets AOT, and AOT
+// sets StaticAlign — so a hand-built Options behaves exactly like
+// DefaultOptions with the same fields set. It is idempotent. NewEngine,
+// Validate and Fingerprint normalize their own copy; code that inspects
+// Options before building an engine calls it first.
+func (o *Options) Normalize() {
 	if o.HeatThreshold == 0 {
-		o.HeatThreshold = d.HeatThreshold
+		o.HeatThreshold = 50
+		if p, ok := policy.ByID(int(o.Mechanism)); ok {
+			o.HeatThreshold = p.HeatThreshold()
+		}
 	}
 	if o.RetransThreshold == 0 {
-		o.RetransThreshold = d.RetransThreshold
-	}
-	if o.MixedSiteMin == 0 && o.MixedSiteMax == 0 {
-		o.MixedSiteMin, o.MixedSiteMax = d.MixedSiteMin, d.MixedSiteMax
+		o.RetransThreshold = 4
 	}
 	if o.AdaptiveStreak == 0 {
-		o.AdaptiveStreak = d.AdaptiveStreak
+		o.AdaptiveStreak = 200
 	}
 	if o.EHHandlerCycles == 0 {
-		o.EHHandlerCycles = d.EHHandlerCycles
+		o.EHHandlerCycles = 1500
 	}
 	if o.CodeCacheBytes == 0 {
-		o.CodeCacheBytes = d.CodeCacheBytes
+		o.CodeCacheBytes = 4 << 20
 	}
 	if o.SliceInsts == 0 {
-		o.SliceInsts = d.SliceInsts
+		o.SliceInsts = DefaultSliceInsts
 	}
-	if o.Traces && o.TraceHeat == 0 {
-		o.TraceHeat = 1
+	if name, ok := policy.NameOf(int(o.Mechanism)); ok && name == "aot" {
+		// The aot mechanism is the AOT tier: pre-translate everything from
+		// the recovered CFG.
+		o.AOT = true
+	}
+	if o.AOT {
+		o.StaticAlign = true
 	}
 }
 
@@ -344,7 +331,7 @@ func (o *Options) buildMechanism() (policy.Mechanism, error) {
 	}
 	profiled, patching := m.WantsInterpProfiling(), policy.Patches(m)
 	if o.MultiVersion && profiled && patching {
-		m = policy.WithMultiVersion(m, o.MixedSiteMin, o.MixedSiteMax)
+		m = policy.WithMultiVersion(m, mixedSiteMin, mixedSiteMax)
 	}
 	if o.Adaptive && profiled && patching {
 		m = policy.WithAdaptive(m)
@@ -368,7 +355,7 @@ func (o *Options) buildMechanism() (policy.Mechanism, error) {
 // automatically (the error surfaces from Run); CLIs call it up front for
 // early diagnostics.
 func (o Options) Validate() error {
-	o.normalize()
+	o.Normalize()
 	base, err := o.Mechanism.newMechanism()
 	if err != nil {
 		return err
@@ -386,12 +373,8 @@ func (o Options) Validate() error {
 		return fmt.Errorf("core: Adaptive needs a profiling exception-patching mechanism (dpeh), not %s", name)
 	case o.MVBlockGranularity && !o.MultiVersion:
 		return fmt.Errorf("core: MVBlockGranularity requires MultiVersion")
-	case o.MixedSiteMin > o.MixedSiteMax:
-		return fmt.Errorf("core: MixedSiteMin %g > MixedSiteMax %g", o.MixedSiteMin, o.MixedSiteMax)
 	case profiled && o.HeatThreshold == 0:
 		return fmt.Errorf("core: %s is two-phase but the heating threshold is zero", name)
-	case o.AOT && !o.StaticAlign:
-		return fmt.Errorf("core: AOT needs StaticAlign: the offline pass has no profiles, align verdicts pick the site shapes")
 	case o.AOT && profiled:
 		return fmt.Errorf("core: AOT pre-translation is single-phase; %s interprets first to profile", name)
 	case o.AOT && o.MultiVersion:
@@ -400,10 +383,6 @@ func (o Options) Validate() error {
 		return fmt.Errorf("core: Adaptive needs interpretation profiles, which AOT pre-translation never gathers")
 	case o.Superblocks && o.MVBlockGranularity:
 		return fmt.Errorf("core: Superblocks cannot splice block-granularity multi-version code: the one alignment check at the first mixed site would guard sites of every folded block; use per-site MultiVersion with Superblocks, or drop MVBlockGranularity")
-	case o.TraceHeat < 0:
-		return fmt.Errorf("core: TraceHeat %d is negative; use a positive dispatch count (1 traces on first native dispatch)", o.TraceHeat)
-	case o.TraceHeat != 0 && !o.Traces:
-		return fmt.Errorf("core: TraceHeat tunes the trace tier but Traces is off; set Traces to enable the direct-chaining tier")
 	case o.AOTBlocks != nil && !o.AOT:
 		return fmt.Errorf("core: AOTBlocks is an AOT image schedule; set AOT to adopt it")
 	}

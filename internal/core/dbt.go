@@ -160,7 +160,7 @@ func NewEngine(m *mem.Memory, mach *machine.Machine, opt Options) *Engine {
 // in place; everything else is rebuilt, so a configured engine is
 // indistinguishable from a fresh one.
 func (e *Engine) configure(opt Options) {
-	opt.normalize()
+	opt.Normalize()
 	e.Opt = opt
 	if e.cc == nil {
 		e.cc = newCodeCache(opt.CodeCacheBytes, opt.FaultPlan)
@@ -762,16 +762,12 @@ func (e *Engine) maybeLink(ex *exit) {
 }
 
 // maybeTrace seeds the machine's direct-chaining trace tier over a
-// translated unit once it has absorbed Options.TraceHeat native
-// dispatches. Purely a host-side accelerator: success or failure never
-// changes simulated state. A failed build (an instruction form the tier
-// does not pre-resolve) is latched so the dispatcher stops retrying.
+// translated unit on its first native dispatch. Purely a host-side
+// accelerator: success or failure never changes simulated state. A failed
+// build (an instruction form the tier does not pre-resolve) is latched so
+// the dispatcher stops retrying.
 func (e *Engine) maybeTrace(b *block) {
 	if b.notrace || b.invalid || e.Mach.HasTrace(b.hostEntry) {
-		return
-	}
-	b.runs++
-	if b.runs < e.Opt.TraceHeat {
 		return
 	}
 	if !e.Mach.BuildTrace(b.hostEntry, b.hostEntry+b.hostSize) {

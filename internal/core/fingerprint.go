@@ -9,7 +9,7 @@ import (
 // when the set of fingerprinted knobs or their rendering changes, so
 // artifacts produced under an older notion of "same configuration" read
 // as foreign instead of silently matching.
-const fingerprintFormat = 2
+const fingerprintFormat = 3
 
 // Fingerprint condenses every translation-relevant option into a short
 // stable token, the Options component of a persistent-store key
@@ -24,18 +24,17 @@ const fingerprintFormat = 2
 //     start its own universe.
 //   - FaultPlan, SelfCheck, and SliceInsts are harness knobs, proven
 //     simulation-invisible (or injection-only) elsewhere.
-//   - Traces and TraceHeat select the host execution tier, which is
-//     bit-invisible to guest results and engine statistics by the trace
-//     tier's own parity contract (DESIGN.md §14).
+//   - Traces selects the host execution tier, which is bit-invisible to
+//     guest results and engine statistics by the trace tier's own parity
+//     contract (DESIGN.md §14).
 func (o Options) Fingerprint() string {
-	o.normalize()
+	o.Normalize()
 	o.StaticSites = nil
 	o.AOTBlocks = nil
 	o.FaultPlan = nil
 	o.SelfCheck = false
 	o.SliceInsts = 0
 	o.Traces = false
-	o.TraceHeat = 0
 	h := fnv.New64a()
 	fmt.Fprintf(h, "fp%d|%s|%+v", fingerprintFormat, o.Mechanism, o)
 	return fmt.Sprintf("%016x", h.Sum64())

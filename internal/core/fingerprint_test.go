@@ -17,6 +17,12 @@ func TestFingerprintIdentity(t *testing.T) {
 	if fp == "" || fp != base.Fingerprint() {
 		t.Fatalf("fingerprint not deterministic: %q vs %q", fp, base.Fingerprint())
 	}
+	// Pinned under fingerprintFormat 3. A change to the Options fields or
+	// their rendering moves this value: bump fingerprintFormat with it, so
+	// stored artifacts keyed under the old notion read as foreign.
+	if want := "e74a3dc945f382b6"; fp != want {
+		t.Errorf("DefaultOptions(ExceptionHandling) fingerprint %s, pinned %s (fingerprintFormat %d)", fp, want, fingerprintFormat)
+	}
 
 	// Normalization: leaving a knob zero fingerprints like its default.
 	zeroed := base
@@ -34,7 +40,6 @@ func TestFingerprintIdentity(t *testing.T) {
 	excl.SelfCheck = true
 	excl.SliceInsts = 123
 	excl.Traces = true
-	excl.TraceHeat = 7
 	if excl.Fingerprint() != fp {
 		t.Errorf("excluded inputs changed the fingerprint")
 	}
@@ -45,7 +50,7 @@ func TestFingerprintIdentity(t *testing.T) {
 		"heat":        func(o *Options) { o.HeatThreshold = 999 },
 		"rearrange":   func(o *Options) { o.Rearrange = true },
 		"staticalign": func(o *Options) { o.StaticAlign = true },
-		"aot":         func(o *Options) { o.AOT = true; o.StaticAlign = true },
+		"aot":         func(o *Options) { o.AOT = true },
 		"cachesize":   func(o *Options) { o.CodeCacheBytes = 1 << 16 },
 		"ehcycles":    func(o *Options) { o.EHHandlerCycles = 42 },
 	} {

@@ -46,7 +46,6 @@ func TestOptionsValidate(t *testing.T) {
 		{"adaptive/speh", func() Options { o := DefaultOptions(SPEH); o.Adaptive = true; return o }(), "Adaptive"},
 		{"multiversion/eh", func() Options { o := DefaultOptions(ExceptionHandling); o.MultiVersion = true; return o }(), "MultiVersion"},
 		{"mvblock-alone", func() Options { o := DefaultOptions(DPEH); o.MVBlockGranularity = true; return o }(), "MVBlockGranularity"},
-		{"mixed-band", func() Options { o := DefaultOptions(DPEH); o.MixedSiteMin, o.MixedSiteMax = 0.9, 0.1; return o }(), "MixedSiteMin"},
 		{"unknown-mechanism", Options{Mechanism: Mechanism(99)}, "unknown mechanism"},
 	}
 	for _, c := range bad {
@@ -82,6 +81,30 @@ func TestOptionsValidate(t *testing.T) {
 		if err := o.Validate(); err != nil {
 			t.Errorf("Validate rejected %v: %v", o.Mechanism, err)
 		}
+	}
+}
+
+// TestOptionsLiteralMatchesDefault: Normalize owns every default and the
+// implied settings, so a bare Options{Mechanism: m} is the same
+// configuration as DefaultOptions(m) for every registered mechanism — the
+// aot mechanism included, which implies AOT and, through it, StaticAlign.
+func TestOptionsLiteralMatchesDefault(t *testing.T) {
+	for _, m := range Mechanisms() {
+		lit := Options{Mechanism: m}
+		if err := lit.Validate(); err != nil {
+			t.Errorf("%v: Options{Mechanism} rejected: %v", m, err)
+		}
+		if got, want := lit.Fingerprint(), DefaultOptions(m).Fingerprint(); got != want {
+			t.Errorf("%v: Options{Mechanism} fingerprints %s, DefaultOptions %s", m, got, want)
+		}
+	}
+	aotOnly := Options{Mechanism: ExceptionHandling, AOT: true}
+	both := Options{Mechanism: ExceptionHandling, AOT: true, StaticAlign: true}
+	if err := aotOnly.Validate(); err != nil {
+		t.Errorf("AOT without StaticAlign rejected: %v", err)
+	}
+	if aotOnly.Fingerprint() != both.Fingerprint() {
+		t.Error("AOT alone fingerprints differently from AOT+StaticAlign")
 	}
 }
 

@@ -17,11 +17,10 @@ import (
 // a register, or a delivered fault. These tests hold every golden-matrix
 // configuration to that contract, with the tier layered on top.
 
-// tracedOpt returns opt with the trace tier armed (trace on first native
-// dispatch, so even short matrix programs exercise it).
+// tracedOpt returns opt with the trace tier armed (it traces on a unit's
+// first native dispatch, so even short matrix programs exercise it).
 func tracedOpt(opt Options) Options {
 	opt.Traces = true
-	opt.TraceHeat = 1
 	return opt
 }
 
@@ -183,8 +182,6 @@ func TestValidateTraceCombos(t *testing.T) {
 		mut  func(*Options)
 		frag string // the error must mention this
 	}{
-		{"traceheat-without-traces", func(o *Options) { o.TraceHeat = 4 }, "Traces"},
-		{"negative-traceheat", func(o *Options) { o.Traces = true; o.TraceHeat = -1 }, "negative"},
 		{"superblocks-mvblock", func(o *Options) {
 			o.Superblocks = true
 			o.MultiVersion = true
@@ -212,7 +209,6 @@ func TestValidateTraceCombos(t *testing.T) {
 	// And the sound combinations stay accepted.
 	for _, mut := range []func(*Options){
 		func(o *Options) { o.Traces = true },
-		func(o *Options) { o.Traces = true; o.TraceHeat = 16 },
 		func(o *Options) { o.Traces = true; o.Superblocks = true; o.IBTC = true },
 	} {
 		opt := DefaultOptions(DPEH)

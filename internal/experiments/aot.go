@@ -13,11 +13,11 @@ import "mdabt/internal/core"
 func AOTStudy(s *Session) (*Result, error) {
 	names := selectedNames()
 	order := []string{"Direct", "ExceptionHandling", "SPEH", "AOT"}
-	cfgs := map[string]Config{
-		"Direct":            {Mech: core.Direct},
-		"ExceptionHandling": {Mech: core.ExceptionHandling},
-		"SPEH":              {Policy: "speh"},
-		"AOT":               {Policy: "aot"},
+	cfgs := map[string]core.Options{
+		"Direct":            {Mechanism: core.Direct},
+		"ExceptionHandling": {Mechanism: core.ExceptionHandling},
+		"SPEH":              {Mechanism: core.SPEH},
+		"AOT":               {Mechanism: core.AOT},
 	}
 	r := newResult("aot", "Extension: ahead-of-time whole-binary pre-translation vs dynamic mechanisms",
 		names, "Direct", "ExceptionHandling", "SPEH", "AOT", "aotBlocks", "jitFallbacks")

@@ -261,12 +261,12 @@ func Figure10(s *Session) (*Result, error) {
 	r := newResult("fig10", "Dynamic profiling: runtime vs heating threshold (normalized to TH=10)",
 		names, order...)
 	err := s.forEach(names, func(name string) error {
-		base, err := s.Run(name, Config{Mech: core.DynamicProfile, Threshold: 10})
+		base, err := s.Run(name, core.Options{Mechanism: core.DynamicProfile, HeatThreshold: 10})
 		if err != nil {
 			return err
 		}
 		for i, th := range ths {
-			run, err := s.Run(name, Config{Mech: core.DynamicProfile, Threshold: th})
+			run, err := s.Run(name, core.Options{Mechanism: core.DynamicProfile, HeatThreshold: th})
 			if err != nil {
 				return err
 			}
@@ -280,7 +280,7 @@ func Figure10(s *Session) (*Result, error) {
 }
 
 // gainExperiment renders base-vs-variant speedup per benchmark.
-func gainExperiment(s *Session, id, title string, base, variant Config, note string) (*Result, error) {
+func gainExperiment(s *Session, id, title string, base, variant core.Options, note string) (*Result, error) {
 	names := selectedNames()
 	r := newResult(id, title, names, "gain%")
 	err := s.forEach(names, func(name string) error {
@@ -305,32 +305,32 @@ func gainExperiment(s *Session, id, title string, base, variant Config, note str
 // plain exception-handling mechanism.
 func Figure11(s *Session) (*Result, error) {
 	return gainExperiment(s, "fig11", "Performance gain/loss with code rearrangement (vs exception handling)",
-		Config{Mech: core.ExceptionHandling},
-		Config{Mech: core.ExceptionHandling, Rearrange: true},
+		core.Options{Mechanism: core.ExceptionHandling},
+		core.Options{Mechanism: core.ExceptionHandling, Rearrange: true},
 		"paper: up to +11% (464.h264ref), ~+1.5% overall")
 }
 
 // Figure12 reproduces Figure 12: gain/loss of DPEH over exception handling.
 func Figure12(s *Session) (*Result, error) {
 	return gainExperiment(s, "fig12", "Performance gain/loss of DPEH (vs exception handling)",
-		Config{Mech: core.ExceptionHandling},
-		Config{Mech: core.DPEH},
+		core.Options{Mechanism: core.ExceptionHandling},
+		core.Options{Mechanism: core.DPEH},
 		"paper: >8% for 464.h264ref/471.omnetpp/433.milc, ~+2% overall")
 }
 
 // Figure13 reproduces Figure 13: gain/loss of retranslation over DPEH.
 func Figure13(s *Session) (*Result, error) {
 	return gainExperiment(s, "fig13", "Performance gain/loss with retranslation (vs DPEH)",
-		Config{Mech: core.DPEH},
-		Config{Mech: core.DPEH, Retranslate: true},
+		core.Options{Mechanism: core.DPEH},
+		core.Options{Mechanism: core.DPEH, Retranslate: true},
 		"paper: some benchmarks gain significantly, some degrade slightly; overall benefit not substantial")
 }
 
 // Figure14 reproduces Figure 14: gain/loss of multi-version code over DPEH.
 func Figure14(s *Session) (*Result, error) {
 	return gainExperiment(s, "fig14", "Performance gain/loss with multi-version code (vs DPEH)",
-		Config{Mech: core.DPEH},
-		Config{Mech: core.DPEH, MultiVersion: true},
+		core.Options{Mechanism: core.DPEH},
+		core.Options{Mechanism: core.DPEH, MultiVersion: true},
 		"paper: ~+1.1% average, up to +4.7%")
 }
 
@@ -361,13 +361,13 @@ func Figure15(s *Session) (*Result, error) {
 }
 
 // Fig16Configs returns the five mechanisms of the overall comparison.
-func Fig16Configs() map[string]Config {
-	return map[string]Config{
-		"ExceptionHandling": {Mech: core.ExceptionHandling},
-		"DPEH":              {Mech: core.DPEH},
-		"DynamicProfiling":  {Mech: core.DynamicProfile, Threshold: 50},
-		"StaticProfiling":   {Mech: core.StaticProfile},
-		"Direct":            {Mech: core.Direct},
+func Fig16Configs() map[string]core.Options {
+	return map[string]core.Options{
+		"ExceptionHandling": {Mechanism: core.ExceptionHandling},
+		"DPEH":              {Mechanism: core.DPEH},
+		"DynamicProfiling":  {Mechanism: core.DynamicProfile, HeatThreshold: 50},
+		"StaticProfiling":   {Mechanism: core.StaticProfile},
+		"Direct":            {Mechanism: core.Direct},
 	}
 }
 
@@ -406,7 +406,7 @@ func TableIII(s *Session) (*Result, error) {
 	r := newResult("table3", "MDAs not detected by dynamic profiling (TH=50)",
 		names, "undetected", "paper")
 	err := s.forEach(names, func(name string) error {
-		run, err := s.Run(name, Config{Mech: core.DynamicProfile, Threshold: 50})
+		run, err := s.Run(name, core.Options{Mechanism: core.DynamicProfile, HeatThreshold: 50})
 		if err != nil {
 			return err
 		}
@@ -427,7 +427,7 @@ func TableIV(s *Session) (*Result, error) {
 	r := newResult("table4", "MDAs remaining while profiling with train input",
 		names, "remaining", "paper")
 	err := s.forEach(names, func(name string) error {
-		run, err := s.Run(name, Config{Mech: core.StaticProfile})
+		run, err := s.Run(name, core.Options{Mechanism: core.StaticProfile})
 		if err != nil {
 			return err
 		}
@@ -460,16 +460,16 @@ func AdaptiveStudy(s *Session) (*Result, error) {
 	names := selectedNames()
 	r := newResult("adaptive", "Extension: truly-adaptive method vs multi-version code (gains over DPEH)",
 		names, "multiversion%", "mv-block%", "adaptive%")
-	base := Config{Mech: core.DPEH}
+	base := core.Options{Mechanism: core.DPEH}
 	err := s.forEach(names, func(name string) error {
 		b, err := s.Run(name, base)
 		if err != nil {
 			return err
 		}
-		for series, cfg := range map[string]Config{
-			"multiversion%": {Mech: core.DPEH, MultiVersion: true},
-			"mv-block%":     {Mech: core.DPEH, MultiVersion: true, MVBlock: true},
-			"adaptive%":     {Mech: core.DPEH, Adaptive: true},
+		for series, cfg := range map[string]core.Options{
+			"multiversion%": {Mechanism: core.DPEH, MultiVersion: true},
+			"mv-block%":     {Mechanism: core.DPEH, MultiVersion: true, MVBlockGranularity: true},
+			"adaptive%":     {Mechanism: core.DPEH, Adaptive: true},
 		} {
 			v, err := s.Run(name, cfg)
 			if err != nil {
@@ -493,11 +493,11 @@ func ChainingAblation(s *Session) (*Result, error) {
 	r := newResult("ablation-chaining", "Ablation: runtime without translation chaining (normalized to DPEH)",
 		names, "nochain")
 	err := s.forEach(names, func(name string) error {
-		b, err := s.Run(name, Config{Mech: core.DPEH})
+		b, err := s.Run(name, core.Options{Mechanism: core.DPEH})
 		if err != nil {
 			return err
 		}
-		v, err := s.Run(name, Config{Mech: core.DPEH, NoChain: true})
+		v, err := s.Run(name, core.Options{Mechanism: core.DPEH, NoChain: true})
 		if err != nil {
 			return err
 		}
@@ -518,11 +518,11 @@ func IBTCAblation(s *Session) (*Result, error) {
 	r := newResult("ablation-ibtc", "Ablation: speedup from the indirect-branch translation cache (over DPEH)",
 		names, "gain%")
 	err := s.forEach(names, func(name string) error {
-		b, err := s.Run(name, Config{Mech: core.DPEH})
+		b, err := s.Run(name, core.Options{Mechanism: core.DPEH})
 		if err != nil {
 			return err
 		}
-		v, err := s.Run(name, Config{Mech: core.DPEH, IBTC: true})
+		v, err := s.Run(name, core.Options{Mechanism: core.DPEH, IBTC: true})
 		if err != nil {
 			return err
 		}
@@ -541,11 +541,11 @@ func SuperblockAblation(s *Session) (*Result, error) {
 	r := newResult("ablation-superblocks", "Ablation: speedup from superblock (trace) translation (over DPEH)",
 		names, "gain%", "traces")
 	err := s.forEach(names, func(name string) error {
-		b, err := s.Run(name, Config{Mech: core.DPEH})
+		b, err := s.Run(name, core.Options{Mechanism: core.DPEH})
 		if err != nil {
 			return err
 		}
-		v, err := s.Run(name, Config{Mech: core.DPEH, Superblocks: true})
+		v, err := s.Run(name, core.Options{Mechanism: core.DPEH, Superblocks: true})
 		if err != nil {
 			return err
 		}
@@ -568,11 +568,11 @@ func TracesStudy(s *Session) (*Result, error) {
 	r := newResult("traces", "Direct-chaining trace tier: coverage, chain follows, and simulation invisibility (over DPEH)",
 		names, "traced%", "follows/1e3", "formed", "Δcycles")
 	err := s.forEach(names, func(name string) error {
-		b, err := s.Run(name, Config{Mech: core.DPEH})
+		b, err := s.Run(name, core.Options{Mechanism: core.DPEH})
 		if err != nil {
 			return err
 		}
-		v, err := s.Run(name, Config{Mech: core.DPEH, Traces: true})
+		v, err := s.Run(name, core.Options{Mechanism: core.DPEH, Traces: true})
 		if err != nil {
 			return err
 		}

@@ -83,16 +83,6 @@ func TestFaultStudyShape(t *testing.T) {
 	}
 }
 
-func TestConfigString(t *testing.T) {
-	c := Config{Mech: core.DPEH, Threshold: 50, Rearrange: true, Retranslate: true, MultiVersion: true}
-	s := c.String()
-	for _, frag := range []string{"dpeh", "th=50", "rearrange", "retrans", "multiver"} {
-		if !strings.Contains(s, frag) {
-			t.Errorf("Config.String() = %q lacks %q", s, frag)
-		}
-	}
-}
-
 func TestFigure16Shape(t *testing.T) {
 	r := runExp(t, "fig16")
 	if len(r.Names) != 21 {
@@ -328,21 +318,44 @@ func TestResultHelpers(t *testing.T) {
 	r.Value("s", "zzz")
 }
 
+// TestSessionRunCaches: runs are cached by options fingerprint plus
+// Traces. A zero knob and its explicit default share one entry; the trace
+// tier, which the fingerprint ignores, gets its own.
 func TestSessionRunCaches(t *testing.T) {
-	s := session()
-	cfg := Config{Mech: core.ExceptionHandling}
-	r1, err := s.Run("470.lbm", cfg)
-	if err != nil {
-		t.Fatal(err)
+	s := NewSession()
+	s.Shrink = 100
+	s.IterFloor = 600
+	for _, c := range []struct {
+		label   string
+		opt     core.Options
+		entries int // len(s.runs) after the run
+		traced  bool
+	}{
+		{"dynprof", core.Options{Mechanism: core.DynamicProfile}, 1, false},
+		{"dynprof-th50", core.Options{Mechanism: core.DynamicProfile, HeatThreshold: 50}, 1, false},
+		{"dpeh", core.Options{Mechanism: core.DPEH}, 2, false},
+		{"dpeh-traced", core.Options{Mechanism: core.DPEH, Traces: true}, 3, true},
+		{"dpeh-again", core.Options{Mechanism: core.DPEH}, 3, false},
+	} {
+		r1, err := s.Run("470.lbm", c.opt)
+		if err != nil {
+			t.Fatalf("%s: %v", c.label, err)
+		}
+		if n := len(s.runs); n != c.entries {
+			t.Errorf("%s: %d cached runs, want %d", c.label, n, c.entries)
+		}
+		if traced := r1.Traces.TracedInsts > 0; traced != c.traced {
+			t.Errorf("%s: TracedInsts %d, want traced=%v", c.label, r1.Traces.TracedInsts, c.traced)
+		}
+		r2, err := s.Run("470.lbm", c.opt)
+		if err != nil {
+			t.Fatalf("%s: %v", c.label, err)
+		}
+		if r1 != r2 {
+			t.Errorf("%s: cached run differs", c.label)
+		}
 	}
-	r2, err := s.Run("470.lbm", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Cycles() != r2.Cycles() {
-		t.Error("cached run differs")
-	}
-	if _, err := s.Run("no-such-benchmark", cfg); err == nil {
+	if _, err := s.Run("no-such-benchmark", core.Options{Mechanism: core.ExceptionHandling}); err == nil {
 		t.Error("unknown benchmark: want error")
 	}
 	if _, err := s.Program("470.lbm", "weird"); err == nil {

@@ -36,7 +36,7 @@ func TestCostModelSensitivity(t *testing.T) {
 			s.Shrink = 100
 			s.IterFloor = 600
 			s.MachineParams = &params
-			cycles := func(name string, cfg Config) float64 {
+			cycles := func(name string, cfg core.Options) float64 {
 				r, err := s.Run(name, cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -44,10 +44,10 @@ func TestCostModelSensitivity(t *testing.T) {
 				return float64(r.Cycles())
 			}
 			for _, name := range bench {
-				eh := cycles(name, Config{Mech: core.ExceptionHandling})
-				dyn := cycles(name, Config{Mech: core.DynamicProfile, Threshold: 50})
-				dpeh := cycles(name, Config{Mech: core.DPEH})
-				direct := cycles(name, Config{Mech: core.Direct})
+				eh := cycles(name, core.Options{Mechanism: core.ExceptionHandling})
+				dyn := cycles(name, core.Options{Mechanism: core.DynamicProfile, HeatThreshold: 50})
+				dpeh := cycles(name, core.Options{Mechanism: core.DPEH})
+				direct := cycles(name, core.Options{Mechanism: core.Direct})
 				// Direct loses wherever aligned traffic dominates; on
 				// extreme-MDA benchmarks (188.ammp, 43% misaligned) its
 				// always-inline sequences can legitimately win, so the
@@ -76,7 +76,7 @@ func TestSessionBudgetError(t *testing.T) {
 	s.Shrink = 100
 	s.IterFloor = 600
 	s.Budget = 1000
-	if _, err := s.Run("188.ammp", Config{Mech: core.ExceptionHandling}); err == nil {
+	if _, err := s.Run("188.ammp", core.Options{Mechanism: core.ExceptionHandling}); err == nil {
 		t.Fatal("tiny budget: want error")
 	} else if want := "budget"; !containsFold(err.Error(), want) {
 		t.Fatalf("error %q does not mention %q", err, want)

@@ -19,91 +19,12 @@ import (
 	"mdabt/internal/workload"
 )
 
-// Config names one translator configuration under test. The mechanism is
-// selected either by the Mech constant or — taking precedence when set —
-// by Policy, a policy-registry name, so experiments can address
-// registry-only mechanisms without new core constants.
-type Config struct {
-	Mech         core.Mechanism
-	Policy       string // registry name/alias; overrides Mech when non-empty
-	Threshold    uint64 // heating threshold; 0 selects the mechanism default
-	Rearrange    bool
-	Retranslate  bool
-	MultiVersion bool
-	MVBlock      bool // block-granularity multi-version (§IV-D preferred form)
-	Adaptive     bool // §IV-D truly-adaptive sites (extension experiment)
-	NoChain      bool // disable translation chaining (ablation)
-	IBTC         bool // indirect-branch translation cache (ablation)
-	Superblocks  bool // phase-2 trace formation (ablation)
-	StaticAlign  bool // static alignment analysis layer (PR 3)
-	AOT          bool // ahead-of-time whole-binary pre-translation (PR 8)
-	Traces       bool // IR-less direct-chaining execution tier (simulation-invisible)
-}
-
-// mechanism resolves the configured mechanism ID (Policy wins over Mech).
-func (c Config) mechanism() (core.Mechanism, error) {
-	if c.Policy == "" {
-		return c.Mech, nil
-	}
-	m, ok := core.MechanismByName(c.Policy)
-	if !ok {
-		return 0, fmt.Errorf("experiments: unknown mechanism policy %q", c.Policy)
-	}
-	return m, nil
-}
-
-func (c Config) key() string {
-	return fmt.Sprintf("%d/%s/%d/%v%v%v%v%v%v%v%v%v%v%v", c.Mech, c.Policy, c.Threshold, c.Rearrange, c.Retranslate, c.MultiVersion, c.MVBlock, c.Adaptive, c.NoChain, c.IBTC, c.Superblocks, c.StaticAlign, c.AOT, c.Traces)
-}
-
-// String names the configuration for reports.
-func (c Config) String() string {
-	s := c.Mech.String()
-	if m, err := c.mechanism(); err == nil {
-		s = m.String()
-	}
-	if c.Threshold != 0 {
-		s += fmt.Sprintf("(th=%d)", c.Threshold)
-	}
-	if c.Rearrange {
-		s += "+rearrange"
-	}
-	if c.Retranslate {
-		s += "+retrans"
-	}
-	if c.MultiVersion {
-		s += "+multiver"
-	}
-	if c.MVBlock {
-		s += "+mvblock"
-	}
-	if c.Adaptive {
-		s += "+adaptive"
-	}
-	if c.NoChain {
-		s += "+nochain"
-	}
-	if c.IBTC {
-		s += "+ibtc"
-	}
-	if c.Superblocks {
-		s += "+superblocks"
-	}
-	if c.StaticAlign {
-		s += "+staticalign"
-	}
-	if c.AOT {
-		s += "+aot"
-	}
-	return s
-}
-
 // RunResult is the outcome of one benchmark × configuration execution.
 type RunResult struct {
 	Counters machine.Counters
 	Stats    core.Stats
 	// Traces is the host-side trace-tier telemetry (zero unless
-	// Config.Traces); it never feeds the simulated columns.
+	// Options.Traces); it never feeds the simulated columns.
 	Traces machine.TraceStats
 }
 
@@ -225,10 +146,14 @@ func (s *Session) Census(name string, in workload.Input) (*core.Census, error) {
 	return c, nil
 }
 
-// Run executes a benchmark (ref input) under cfg on the simulated host,
-// returning cached results on repeat calls.
-func (s *Session) Run(name string, cfg Config) (RunResult, error) {
-	key := name + "|" + cfg.key()
+// Run executes a benchmark (ref input) under opt on the simulated host,
+// returning cached results on repeat calls. Runs are cached by the
+// options' Fingerprint plus Traces: the fingerprint already equates a zero
+// knob with its default and ignores the trace tier, which TracesStudy
+// needs kept apart. A static-profile mechanism gets its StaticSites from
+// the benchmark's train census.
+func (s *Session) Run(name string, opt core.Options) (RunResult, error) {
+	key := fmt.Sprintf("%s|%s|%v", name, opt.Fingerprint(), opt.Traces)
 	s.mu.Lock()
 	r, ok := s.runs[key]
 	s.mu.Unlock()
@@ -239,32 +164,7 @@ func (s *Session) Run(name string, cfg Config) (RunResult, error) {
 	if err != nil {
 		return RunResult{}, err
 	}
-	mech, err := cfg.mechanism()
-	if err != nil {
-		return RunResult{}, err
-	}
-	opt := core.DefaultOptions(mech)
-	if cfg.Threshold != 0 {
-		opt.HeatThreshold = cfg.Threshold
-	}
-	opt.Rearrange = cfg.Rearrange
-	opt.Retranslate = cfg.Retranslate
-	opt.MultiVersion = cfg.MultiVersion
-	opt.MVBlockGranularity = cfg.MVBlock
-	opt.Adaptive = cfg.Adaptive
-	opt.NoChain = cfg.NoChain
-	opt.IBTC = cfg.IBTC
-	opt.Superblocks = cfg.Superblocks
-	opt.Traces = cfg.Traces
-	// OR-preserving: DefaultOptions("aot") pre-sets StaticAlign and AOT;
-	// the config flags add the layers over other bases without clearing
-	// those defaults.
-	opt.StaticAlign = cfg.StaticAlign || opt.StaticAlign
-	opt.AOT = cfg.AOT || opt.AOT
-	if opt.AOT {
-		opt.StaticAlign = true
-	}
-	if pm, ok := policy.ByID(int(mech)); ok && pm.UsesStaticProfile() {
+	if pm, ok := policy.ByID(int(opt.Mechanism)); ok && pm.UsesStaticProfile() {
 		// The train-input profile, from the cached train census (the same
 		// Census.Profile core.TrainProfile returns).
 		c, err := s.Census(name, workload.Train)
@@ -274,7 +174,7 @@ func (s *Session) Run(name string, cfg Config) (RunResult, error) {
 		opt.StaticSites = c.Profile().StaticSites()
 	}
 	if err := opt.Validate(); err != nil {
-		return RunResult{}, fmt.Errorf("experiments: %s under %v: %w", name, cfg, err)
+		return RunResult{}, fmt.Errorf("experiments: %s under %v: %w", name, opt.Mechanism, err)
 	}
 	m := mem.New()
 	p.Load(m, workload.Ref)
@@ -291,13 +191,13 @@ func (s *Session) Run(name string, cfg Config) (RunResult, error) {
 		defer cancel()
 	}
 	if err := e.RunContext(ctx, p.Entry(), s.Budget); err != nil {
-		return RunResult{}, fmt.Errorf("experiments: %s under %v: %w", name, cfg, err)
+		return RunResult{}, fmt.Errorf("experiments: %s under %v: %w", name, opt.Mechanism, err)
 	}
 	// Every run doubles as a verifier pass: the emitted code of every live
 	// translation must lint clean (ISSUE 3 acceptance criterion).
 	if findings := e.Lint(); len(findings) > 0 {
 		return RunResult{}, fmt.Errorf("experiments: %s under %v: translation lint: %s (%d findings)",
-			name, cfg, findings[0], len(findings))
+			name, opt.Mechanism, findings[0], len(findings))
 	}
 	r = RunResult{Counters: mach.Counters(), Stats: e.Stats(), Traces: e.TraceStats()}
 	s.mu.Lock()

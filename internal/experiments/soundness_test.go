@@ -68,16 +68,16 @@ func TestStaticAlignSoundness(t *testing.T) {
 		}
 		// Runtime side: proven-aligned emissions carry no trap hook, so any
 		// trap landing on one increments StaticAlignViolations.
-		for _, cfg := range []Config{
-			{Mech: core.Direct, StaticAlign: true},
-			{Mech: core.DPEH, StaticAlign: true},
+		for _, cfg := range []core.Options{
+			{Mechanism: core.Direct, StaticAlign: true},
+			{Mechanism: core.DPEH, StaticAlign: true},
 		} {
 			run, rerr := s.Run(name, cfg)
 			if rerr != nil {
 				return rerr
 			}
 			if v := run.Stats.StaticAlignViolations; v != 0 {
-				t.Errorf("%s under %v: %d static-align violations at runtime", name, cfg, v)
+				t.Errorf("%s under %v+staticalign: %d static-align violations at runtime", name, cfg.Mechanism, v)
 			}
 		}
 		return nil

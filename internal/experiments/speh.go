@@ -11,10 +11,10 @@ import "mdabt/internal/core"
 func SPEHStudy(s *Session) (*Result, error) {
 	names := selectedNames()
 	order := []string{"StaticProfiling", "SPEH", "ExceptionHandling"}
-	cfgs := map[string]Config{
-		"StaticProfiling":   {Mech: core.StaticProfile},
-		"SPEH":              {Policy: "speh"},
-		"ExceptionHandling": {Mech: core.ExceptionHandling},
+	cfgs := map[string]core.Options{
+		"StaticProfiling":   {Mechanism: core.StaticProfile},
+		"SPEH":              {Mechanism: core.SPEH},
+		"ExceptionHandling": {Mechanism: core.ExceptionHandling},
 	}
 	r := newResult("speh", "Extension: SPEH hybrid (static profile + exception handling) vs its parents",
 		names, "StaticProfiling", "SPEH", "ExceptionHandling", "staticTraps", "spehTraps")

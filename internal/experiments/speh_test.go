@@ -3,7 +3,7 @@ package experiments
 import (
 	"testing"
 
-	"mdabt/internal/policy"
+	"mdabt/internal/core"
 	"mdabt/internal/workload"
 )
 
@@ -39,11 +39,11 @@ func TestRegistryMechanismSmoke(t *testing.T) {
 		t.Skip("experiment sweeps are slow; skipped under -short (race CI job)")
 	}
 	name := workload.SelectedSpecs()[0].Name
-	for _, mech := range policy.Names() {
+	for _, mech := range core.Mechanisms() {
 		mech := mech
-		t.Run(mech, func(t *testing.T) {
+		t.Run(mech.String(), func(t *testing.T) {
 			t.Parallel()
-			res, err := session().Run(name, Config{Policy: mech})
+			res, err := session().Run(name, core.Options{Mechanism: mech})
 			if err != nil {
 				t.Fatalf("%s under %s: %v", name, mech, err)
 			}

@@ -65,7 +65,7 @@ func TestAnalyzeMatchesEngine(t *testing.T) {
 	for _, site := range a.Sites() {
 		counts[site.Verdict]++
 	}
-	run, err := s.Run("164.gzip", Config{Mech: core.Direct, StaticAlign: true})
+	run, err := s.Run("164.gzip", core.Options{Mechanism: core.Direct, StaticAlign: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,8 +43,11 @@ func storeProgram(req Request) string {
 // tier but carries no schedule, and a static trap profile when the
 // mechanism consumes one and the request brought none. Every load
 // validates before adoption; on any error the options are left cold.
-// Returns the options fingerprint (the store key component) for reuse.
+// opt is normalized first, so a bare Options{Mechanism: core.AOT} wants
+// the AOT tier like DefaultOptions(core.AOT). Returns the options
+// fingerprint (the store key component) for reuse.
 func (s *Server) warmStart(opt *core.Options, program string) string {
+	opt.Normalize()
 	fp := opt.Fingerprint()
 	if opt.AOT && opt.AOTBlocks == nil {
 		var im aot.Image

@@ -144,6 +144,18 @@ func TestWarmStartAOTImageBitIdentical(t *testing.T) {
 	if st.Stats().Hits == 0 {
 		t.Fatalf("warm aot session never hit the store: %+v", st.Stats())
 	}
+
+	// A bare Options{Mechanism: AOT} is the same configuration: warm start
+	// normalizes it before deciding to load the image.
+	hits := st.Stats().Hits
+	lit := core.Options{Mechanism: core.AOT}
+	got = doReq(t, warm, Request{Key: "p", Image: img, Data: data, Options: &lit})
+	if got.CPU != cold.CPU || got.Counters != cold.Counters || got.Stats != cold.Stats {
+		t.Fatalf("literal aot options run not bit-identical: stats %+v, want %+v", got.Stats, cold.Stats)
+	}
+	if st.Stats().Hits == hits {
+		t.Fatalf("literal aot options never loaded the stored image: %+v", st.Stats())
+	}
 }
 
 // TestStoreCorruptionDegradesToCold: a corrupt stored image (latent

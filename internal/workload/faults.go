@@ -13,7 +13,9 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 
 	"mdabt/internal/guest"
 	"mdabt/internal/mem"
@@ -303,4 +305,25 @@ func FaultPrograms() ([]*FaultProgram, error) {
 		return nil, err
 	}
 	return append(out, smc), nil
+}
+
+// ErrUnknownFaultProgram is wrapped by FaultProgramByName for a name that
+// is not in the fault workload set.
+var ErrUnknownFaultProgram = errors.New("unknown fault workload")
+
+// FaultProgramByName returns the fault workload called name. An unknown
+// name fails with ErrUnknownFaultProgram and the list of known names.
+func FaultProgramByName(name string) (*FaultProgram, error) {
+	progs, err := FaultPrograms()
+	if err != nil {
+		return nil, err
+	}
+	names := make([]string, len(progs))
+	for i, p := range progs {
+		if p.Name == name {
+			return p, nil
+		}
+		names[i] = p.Name
+	}
+	return nil, fmt.Errorf("%w %q (have %s)", ErrUnknownFaultProgram, name, strings.Join(names, ", "))
 }

@@ -25,6 +25,14 @@ func (in Input) String() string {
 	return "ref"
 }
 
+// BenchStoreKey is the persistent-store program identity of a benchmark
+// model run on an input: "bench-NAME-ref" or "bench-NAME-train". dbtrun
+// and dbtserve both use it, so artifacts trained by one front end warm the
+// other.
+func BenchStoreKey(name string, in Input) string {
+	return "bench-" + name + "-" + in.String()
+}
+
 // Data-image layout (offsets from guest.DataBase).
 const (
 	tableOff   = 0x000 // group pointer table, 4 bytes per group

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"mdabt/internal/core"
@@ -197,6 +199,39 @@ func TestWorkloadCosim(t *testing.T) {
 func TestInputString(t *testing.T) {
 	if Train.String() != "train" || Ref.String() != "ref" {
 		t.Error("Input.String wrong")
+	}
+}
+
+// TestBenchStoreKey pins the store identity byte for byte: existing
+// stores were written under it.
+func TestBenchStoreKey(t *testing.T) {
+	if got := BenchStoreKey("429.mcf", Ref); got != "bench-429.mcf-ref" {
+		t.Errorf("ref key %q", got)
+	}
+	if got := BenchStoreKey("429.mcf", Train); got != "bench-429.mcf-train" {
+		t.Errorf("train key %q", got)
+	}
+}
+
+func TestFaultProgramByName(t *testing.T) {
+	progs, err := FaultPrograms()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range progs {
+		got, err := FaultProgramByName(want.Name)
+		if err != nil || got.Name != want.Name {
+			t.Errorf("FaultProgramByName(%q) = %v, %v", want.Name, got, err)
+		}
+	}
+	_, err = FaultProgramByName("nope")
+	if !errors.Is(err, ErrUnknownFaultProgram) {
+		t.Fatalf("unknown name: error %v, want ErrUnknownFaultProgram", err)
+	}
+	for _, p := range progs {
+		if !strings.Contains(err.Error(), p.Name) {
+			t.Errorf("error %q does not list %q", err, p.Name)
+		}
 	}
 }
 
