@@ -25,10 +25,11 @@ bench:
 # perfbench suite includes the traced dispatch-loop config
 # (BenchmarkDispatchLoopTraced), so the trace tier is exercised here too.
 # The allocation guards follow: zero steady-state allocations in the
-# dispatch loop, and a bounded allocation per recycled engine request.
+# dispatch loop, a bounded allocation per recycled engine request, and a
+# bounded byte count per fresh ES40 cache hierarchy.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
-	$(GO) test -run '^TestSteadyStateAllocs$$|^TestSuiteRuns$$|^TestRecycledRequestAllocs$$' ./internal/perfbench/ ./internal/core/
+	$(GO) test -run '^TestSteadyStateAllocs$$|^TestSuiteRuns$$|^TestRecycledRequestAllocs$$|^TestNewES40Bytes$$' ./internal/perfbench/ ./internal/core/ ./internal/cache/
 
 # Pool chaos suite under the race detector: ≥8 concurrent sessions with
 # faults firing at every injection point, results checked bit-identical

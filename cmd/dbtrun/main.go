@@ -64,7 +64,7 @@ func main() {
 	ibtc := flag.Bool("ibtc", false, "enable the indirect-branch translation cache")
 	adaptive := flag.Bool("adaptive", false, "enable §IV-D adaptive sites (DPEH)")
 	superblocks := flag.Bool("superblocks", false, "enable phase-2 trace formation (DPEH/dynprof)")
-	traces := flag.Bool("traces", false, "enable the IR-less direct-chaining trace execution tier (simulation-invisible; see -dump for annotations)")
+	traces := flag.Bool("traces", true, "run on the IR-less direct-chaining trace execution tier (simulation-invisible; see -dump for annotations); -traces=false forces the generic dispatch loop")
 	staticalign := flag.Bool("staticalign", false, "layer the static alignment analysis over the mechanism")
 	aotFlag := flag.Bool("aot", false, "pre-translate the whole binary ahead of time from the recovered CFG (implies -staticalign)")
 	lint := flag.Bool("lint", false, "run the translation verifier over every emitted block after the run")

@@ -4,8 +4,10 @@
 //
 // The model is a classic set-associative tag array with true-LRU replacement
 // and charges additional latency cycles on misses. It tracks no data, only
-// tags; it is used by the machine simulator to account for the code-locality
-// effects the paper's code-rearrangement experiment (Fig. 11) depends on.
+// tags and, in set-associative levels, recency stamps: a direct-mapped level
+// (the L2) keeps tags only. It is used by the machine simulator to account
+// for the code-locality effects the paper's code-rearrangement experiment
+// (Fig. 11) depends on.
 //
 // Stats().Accesses counts probes, not the simulated program's accesses:
 // both of the machine simulator's execution tiers skip the L1D probe for
@@ -46,7 +48,8 @@ type Cache struct {
 	setMask   uint64
 	// tags[set*assoc+way] holds line+1, with 0 meaning invalid (folding the
 	// validity bit into the tag keeps the probe loop to one comparison);
-	// lru[set*assoc+way] holds a recency stamp.
+	// lru[set*assoc+way] holds a recency stamp. A direct-mapped cache has
+	// no replacement choice, so it keeps tags only and lru is nil.
 	tags  []uint64
 	lru   []uint64
 	clock uint64
@@ -71,13 +74,16 @@ func New(cfg Config) *Cache {
 		lineShift++
 	}
 	n := sets * cfg.Assoc
-	return &Cache{
+	c := &Cache{
 		cfg:       cfg,
 		lineShift: lineShift,
 		setMask:   uint64(sets - 1),
 		tags:      make([]uint64, n),
-		lru:       make([]uint64, n),
 	}
+	if cfg.Assoc > 1 {
+		c.lru = make([]uint64, n)
+	}
+	return c
 }
 
 // Config returns the cache's configuration.

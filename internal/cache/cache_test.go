@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -162,6 +164,121 @@ func TestMissRate(t *testing.T) {
 	if s.MissRate() != 0.25 {
 		t.Fatalf("MissRate = %v, want 0.25", s.MissRate())
 	}
+}
+
+// lruModel is the reference for Cache: each set is a list of resident
+// lines, most recently used first.
+type lruModel struct {
+	sets      [][]uint64
+	assoc     int
+	lineShift uint
+}
+
+func newLRUModel(cfg Config) *lruModel {
+	m := &lruModel{assoc: cfg.Assoc}
+	for 1<<m.lineShift != cfg.LineSize {
+		m.lineShift++
+	}
+	m.sets = make([][]uint64, cfg.Size/(cfg.LineSize*cfg.Assoc))
+	return m
+}
+
+func (m *lruModel) access(addr uint64) bool {
+	line := addr >> m.lineShift
+	set := line % uint64(len(m.sets))
+	l := m.sets[set]
+	for i, x := range l {
+		if x == line {
+			copy(l[1:i+1], l[:i])
+			l[0] = line
+			return true
+		}
+	}
+	if len(l) < m.assoc {
+		l = append(l, 0)
+	}
+	copy(l[1:], l)
+	l[0] = line
+	m.sets[set] = l
+	return false
+}
+
+func (m *lruModel) contains(addr uint64) bool {
+	line := addr >> m.lineShift
+	for _, x := range m.sets[line%uint64(len(m.sets))] {
+		if x == line {
+			return true
+		}
+	}
+	return false
+}
+
+func (m *lruModel) reset() {
+	for i := range m.sets {
+		m.sets[i] = nil
+	}
+}
+
+// TestCacheReferenceModel sends seeded random address streams through
+// direct-mapped, 2-way and 4-way caches (the last on the generic way loop)
+// and checks every probe, Contains and the counters against a per-set
+// LRU-list model, with Resets and Flushes mid-stream.
+func TestCacheReferenceModel(t *testing.T) {
+	for _, assoc := range []int{1, 2, 4} {
+		cfg := Config{Name: "ref", Size: 1024, LineSize: 64, Assoc: assoc}
+		for seed := int64(1); seed <= 20; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			c, m := New(cfg), newLRUModel(cfg)
+			var want Stats
+			for i := 0; i < 5000; i++ {
+				// 64 lines over a 16-line cache: hits and conflict misses.
+				addr := uint64(rng.Intn(64*64)) + uint64(seed)<<20
+				switch r := rng.Intn(500); {
+				case r == 0:
+					c.Reset()
+					m.reset()
+					want = Stats{}
+				case r == 1:
+					c.Flush()
+					m.reset()
+				}
+				if got, exp := c.Contains(addr), m.contains(addr); got != exp {
+					t.Fatalf("assoc %d seed %d step %d: Contains(%#x) = %v, model %v", assoc, seed, i, addr, got, exp)
+				}
+				hit, exp := c.Access(addr), m.access(addr)
+				if hit != exp {
+					t.Fatalf("assoc %d seed %d step %d: Access(%#x) hit = %v, model %v", assoc, seed, i, addr, hit, exp)
+				}
+				want.Accesses++
+				if !exp {
+					want.Misses++
+				}
+				if c.Stats() != want {
+					t.Fatalf("assoc %d seed %d step %d: stats %+v, want %+v", assoc, seed, i, c.Stats(), want)
+				}
+			}
+		}
+	}
+}
+
+// TestNewES40Bytes bounds the memory a fresh ES40 hierarchy allocates: the
+// tag arrays of the three levels (16 KiB per 2-way L1 with its recency
+// stamps, 256 KiB for the direct-mapped L2, which keeps no stamps). Every
+// fresh simulated machine builds one.
+func TestNewES40Bytes(t *testing.T) {
+	const runs = 10
+	const budget = 320 << 10
+	keep := make([]*Hierarchy, runs)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range keep {
+		keep[i] = NewES40()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > budget {
+		t.Errorf("NewES40 allocates %d bytes, budget %d", per, budget)
+	}
+	runtime.KeepAlive(keep)
 }
 
 func BenchmarkAccessHit(b *testing.B) {

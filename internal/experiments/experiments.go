@@ -568,11 +568,13 @@ func TracesStudy(s *Session) (*Result, error) {
 	r := newResult("traces", "Direct-chaining trace tier: coverage, chain follows, and simulation invisibility (over DPEH)",
 		names, "traced%", "follows/1e3", "formed", "Δcycles")
 	err := s.forEach(names, func(name string) error {
-		b, err := s.Run(name, core.Options{Mechanism: core.DPEH})
+		// Session.Run is always traced; the untraced baseline bypasses its
+		// cache.
+		b, err := s.execute(name, core.Options{Mechanism: core.DPEH})
 		if err != nil {
 			return err
 		}
-		v, err := s.Run(name, core.Options{Mechanism: core.DPEH, Traces: true})
+		v, err := s.Run(name, core.Options{Mechanism: core.DPEH})
 		if err != nil {
 			return err
 		}

@@ -318,9 +318,10 @@ func TestResultHelpers(t *testing.T) {
 	r.Value("s", "zzz")
 }
 
-// TestSessionRunCaches: runs are cached by options fingerprint plus
-// Traces. A zero knob and its explicit default share one entry; the trace
-// tier, which the fingerprint ignores, gets its own.
+// TestSessionRunCaches: runs are cached by options fingerprint alone, and
+// every run is on the trace tier. A zero knob and its explicit default
+// share one entry, and so do a run that asks for Traces and one that does
+// not: the fingerprint ignores the tier.
 func TestSessionRunCaches(t *testing.T) {
 	s := NewSession()
 	s.Shrink = 100
@@ -329,13 +330,12 @@ func TestSessionRunCaches(t *testing.T) {
 		label   string
 		opt     core.Options
 		entries int // len(s.runs) after the run
-		traced  bool
 	}{
-		{"dynprof", core.Options{Mechanism: core.DynamicProfile}, 1, false},
-		{"dynprof-th50", core.Options{Mechanism: core.DynamicProfile, HeatThreshold: 50}, 1, false},
-		{"dpeh", core.Options{Mechanism: core.DPEH}, 2, false},
-		{"dpeh-traced", core.Options{Mechanism: core.DPEH, Traces: true}, 3, true},
-		{"dpeh-again", core.Options{Mechanism: core.DPEH}, 3, false},
+		{"dynprof", core.Options{Mechanism: core.DynamicProfile}, 1},
+		{"dynprof-th50", core.Options{Mechanism: core.DynamicProfile, HeatThreshold: 50}, 1},
+		{"dpeh", core.Options{Mechanism: core.DPEH}, 2},
+		{"dpeh-traced", core.Options{Mechanism: core.DPEH, Traces: true}, 2},
+		{"dpeh-nochain", core.Options{Mechanism: core.DPEH, NoChain: true}, 3},
 	} {
 		r1, err := s.Run("470.lbm", c.opt)
 		if err != nil {
@@ -344,8 +344,8 @@ func TestSessionRunCaches(t *testing.T) {
 		if n := len(s.runs); n != c.entries {
 			t.Errorf("%s: %d cached runs, want %d", c.label, n, c.entries)
 		}
-		if traced := r1.Traces.TracedInsts > 0; traced != c.traced {
-			t.Errorf("%s: TracedInsts %d, want traced=%v", c.label, r1.Traces.TracedInsts, c.traced)
+		if r1.Traces.TracedInsts == 0 {
+			t.Errorf("%s: run not traced", c.label)
 		}
 		r2, err := s.Run("470.lbm", c.opt)
 		if err != nil {

@@ -33,7 +33,8 @@ func TestSPEHStudyShape(t *testing.T) {
 // was written — must drive a benchmark end to end through the experiment
 // session with no core changes. A new strategy that trips Validate, panics
 // in a hook, or emits unlintable code fails here before any experiment
-// depends on it.
+// depends on it. Each session run is traced, and its counters must equal an
+// untraced engine run of the same options.
 func TestRegistryMechanismSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweeps are slow; skipped under -short (race CI job)")
@@ -43,7 +44,8 @@ func TestRegistryMechanismSmoke(t *testing.T) {
 		mech := mech
 		t.Run(mech.String(), func(t *testing.T) {
 			t.Parallel()
-			res, err := session().Run(name, core.Options{Mechanism: mech})
+			opt := core.Options{Mechanism: mech}
+			res, err := session().Run(name, opt)
 			if err != nil {
 				t.Fatalf("%s under %s: %v", name, mech, err)
 			}
@@ -51,6 +53,18 @@ func TestRegistryMechanismSmoke(t *testing.T) {
 			// fully covered AOT run legitimately has zero dynamic ones.
 			if res.Cycles() == 0 || res.Stats.BlocksTranslated+res.Stats.AOTBlocks == 0 {
 				t.Errorf("%s under %s: degenerate run %+v", name, mech, res.Counters)
+			}
+			// Session runs are traced, and the tier must not perturb the
+			// simulation.
+			if res.Traces.TracedInsts == 0 {
+				t.Errorf("%s under %s: session run not traced", name, mech)
+			}
+			plain, err := session().execute(name, opt)
+			if err != nil {
+				t.Fatalf("%s under %s, untraced: %v", name, mech, err)
+			}
+			if res.Counters != plain.Counters {
+				t.Errorf("%s under %s: traced counters %+v, untraced %+v", name, mech, res.Counters, plain.Counters)
 			}
 		})
 	}

@@ -671,19 +671,10 @@ func (m *Machine) runLoop(maxInsts uint64, exitOnTrace bool) (_ StopReason, _ ui
 		dshift = caches.L1D.LineShift()
 	}
 	for n := uint64(0); n < maxInsts; {
-		// Fetch, with the common cases inlined so the per-run path does
-		// not pay a call: the same I-line, or a crossing onto a line of the
-		// dense window that is already decoded (charged exactly as fetch
-		// charges it). First executions and far lines go through fetch.
+		// Fetch, with the same-I-line case inlined so it does not pay a
+		// call. Line crossings and first executions go through fetch.
 		var s *slot
-		if lineID := pc >> ilineShift; lineID == curLineID && curLine != nil {
-			s = &curLine[pc>>2&(ilineInsts-1)]
-		} else if off := lineID - m.denseBase; m.anchored && off < uint64(len(m.dense)) && m.dense[off] != nil {
-			curLine, curLineID = m.dense[off], lineID
-			m.curLine, m.curLineID = curLine, curLineID
-			if caches != nil {
-				cycles += uint64(caches.Fetch(pc))
-			}
+		if pc>>ilineShift == curLineID && curLine != nil {
 			s = &curLine[pc>>2&(ilineInsts-1)]
 		}
 		if s == nil || s.kind == slotEmpty {
