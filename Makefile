@@ -3,7 +3,7 @@
 GO ?= go
 BENCH_COUNT ?= 10
 
-.PHONY: all build test race bench bench-smoke bench-json golden-matrix fmt vet lint mech-smoke serve-chaos fault-chaos store-chaos profile-smoke
+.PHONY: all build test race bench bench-smoke bench-correct bench-json golden-matrix fmt vet lint mech-smoke serve-chaos fault-chaos store-chaos profile-smoke
 
 all: build test
 
@@ -30,6 +30,18 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
 	$(GO) test -run '^TestSteadyStateAllocs$$|^TestSuiteRuns$$|^TestRecycledRequestAllocs$$|^TestNewES40Bytes$$' ./internal/perfbench/ ./internal/core/ ./internal/cache/
+
+# The repository benchmark's correctness gate: one short dbtbench run per
+# workload. Each run checks its results against every pinned digest
+# (dbtbench/golden.json); the target fails unless the last line of every
+# run reports "correct":true and "failed":0.
+bench-correct:
+	@for w in fig16 traced serve; do \
+		last=$$(bash dbtbench/run.sh --workload $$w --seed 1 --seconds 1 | tail -n 1); \
+		echo "$$w: $$last"; \
+		echo "$$last" | grep -q '"correct":true' && echo "$$last" | grep -q '"failed":0[,}]' || \
+			{ echo "bench-correct: workload $$w is not correct" >&2; exit 1; }; \
+	done
 
 # Pool chaos suite under the race detector: ≥8 concurrent sessions with
 # faults firing at every injection point, results checked bit-identical

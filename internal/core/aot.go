@@ -67,7 +67,9 @@ func (e *Engine) preseedAOT(entry uint32) {
 				// program. Leave the block to dynamic discovery (which will
 				// fail it properly only if it is ever reached).
 				e.aotPreseedSkips++
-				e.event(EvDegrade, pc, 0, "aot: left to dynamic discovery: "+err.Error())
+				if e.events != nil {
+					e.event(EvDegrade, pc, 0, "aot: left to dynamic discovery: "+err.Error())
+				}
 			}
 		}
 	}
@@ -77,7 +79,9 @@ func (e *Engine) preseedAOT(entry uint32) {
 	if cfg != nil {
 		e.aotCoverage = cfg.VerifyCoverage(func(pc uint32) bool { return covered[pc] })
 	}
-	e.event(EvTranslate, entry, 0, fmt.Sprintf("aot preseed: %d blocks", e.stats.AOTBlocks))
+	if e.events != nil {
+		e.event(EvTranslate, entry, 0, fmt.Sprintf("aot preseed: %d blocks", e.stats.AOTBlocks))
+	}
 	e.selfCheck("aot preseed")
 }
 

@@ -117,7 +117,8 @@ type memSite struct {
 	// this site (guarded multi-version arms are omitted — they cannot
 	// trap; block-granularity copies contribute one entry per plain arm).
 	hostPCs []uint64
-	// patched marks host PCs already redirected to an MDA stub.
+	// patched marks host PCs already redirected to an MDA stub (nil until
+	// the first patch).
 	patched map[uint64]bool
 	// patchFails counts failed patch attempts (stub zone full, assembler
 	// error, branch out of range); past patchRetryLimit the trap-storm
@@ -149,16 +150,37 @@ const (
 	kindFST8
 )
 
+// unitInst is the translator's record of one guest instruction of a
+// translation unit: the decoded instruction and where it came from, and
+// every per-instruction decision the emitter, fault delivery, the verifier
+// and the dumps read back.
+type unitInst struct {
+	inst guest.Inst
+	pc   uint32 // guest address (trace instructions are not contiguous)
+	len  int    // encoded length
+	// knownMDA marks an instruction known to do MDAs at translation time:
+	// trap-discovered sites the engine retains across retranslation (§IV-C)
+	// and flushes, so the new code inlines their sequences.
+	knownMDA bool
+	// pol is the memory site's translation policy; polNone for an
+	// instruction that is not a memory site.
+	pol sitePolicy
+	// verdict is the site's whole-instruction static alignment verdict
+	// (meaningful only under Options.StaticAlign).
+	verdict align.Verdict
+	// counter is the adaptive site's streak counter address (polAdaptive).
+	counter uint64
+	// edge says how a trace-internal terminator is emitted.
+	edge traceEdge
+}
+
 // block is one translated unit: a basic block, or (with superblocks
 // enabled) a trace of basic blocks laid out fall-through along the hot
-// path. instPCs carries each instruction's guest address explicitly —
-// trace instructions are not contiguous in guest memory.
+// path.
 type block struct {
 	guestPC   uint32
 	guestLen  uint32
-	insts     []guest.Inst
-	instLens  []int
-	instPCs   []uint32
+	insts     []unitInst
 	nblocks   int // basic blocks in this unit (1 unless a trace)
 	hostEntry uint64
 	hostSize  uint64
@@ -167,28 +189,17 @@ type block struct {
 	// bounds maps in-block host PCs back to guest instruction indices
 	// (precise fault attribution; see instBound).
 	bounds []instBound
-	// knownMDA marks inst indices known to do MDAs: from the profiling
-	// phase at translation time plus every site the exception handler has
-	// seen trap. It survives retranslation (§IV-C) so the new code inlines
-	// the discovered sequences.
-	knownMDA map[int]bool
-	// mixed marks inst indices classified as sometimes-aligned (multi-
-	// version sites, §IV-D).
-	mixed map[int]bool
-	// sitePol and averdict record the translation-time policy and static
-	// alignment verdict per memory-inst index (dump annotations; averdict
-	// is populated only under Options.StaticAlign).
-	sitePol  map[int]sitePolicy
-	averdict map[int]align.Verdict
 	// alignedPCs marks host memory ops emitted under a proven-aligned
 	// claim: static Aligned verdicts plus BT-internal data at constructed-
 	// aligned addresses (adaptive streak counters, IBTC entries). The
 	// verifier accepts them without a trap-site registration; a trap at one
 	// of these PCs is a soundness violation (Stats.StaticAlignViolations).
+	// Nil until the first mark.
 	alignedPCs map[uint64]bool
 	// guardedPCs marks plain memory ops inside alignment-guarded arms
 	// (multi-version and adaptive aligned paths): unreachable when the
 	// address misaligns, so they carry no trap-site registration either.
+	// Nil until the first mark.
 	guardedPCs map[uint64]bool
 	// incoming lists exits of other blocks linked directly to this block,
 	// so invalidation can unlink them.
@@ -222,14 +233,12 @@ type siteProfile struct {
 func (p siteProfile) total() uint64 { return p.mda + p.aligned }
 
 // blockProfile aggregates a block's heating count and successor counts
-// during the interpretation phase. Per-site alignment profiles are engine-
-// global (Engine.siteProf), keyed by instruction address, so trace
+// during the interpretation phase. Per-site alignment profiles live in the
+// engine's decode cache, keyed by instruction address, so trace
 // translation sees the profiles of every block it folds in.
 type blockProfile struct {
 	heat uint64
-	succ map[uint32]uint64 // successor-block counts (trace formation)
-}
-
-func newBlockProfile() *blockProfile {
-	return &blockProfile{succ: make(map[uint32]uint64)}
+	// succ counts successor blocks for trace formation; it is kept only
+	// under Options.Superblocks (nil until the first count).
+	succ map[uint32]uint64
 }

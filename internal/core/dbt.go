@@ -64,6 +64,9 @@ type Engine struct {
 	// dec is the PC-indexed decode cache; its entries also carry the
 	// per-instruction alignment profiles (formerly separate maps).
 	dec decodeCache
+	// unitBuf is translate's decode scratch: a unit's records are gathered
+	// here and copied into the block at their final length.
+	unitBuf []unitInst
 	// blockLUT is a direct-mapped, PC-indexed front for the blocks map on
 	// the dispatch path. Entries are filled on lookup and evicted when the
 	// block they name is invalidated (or wholesale on flush); CheckInvariants
@@ -381,7 +384,9 @@ func (e *Engine) handleAdaptiveRevert(id uint32) error {
 		e.reverted[ref.b.guestPC] = set
 	}
 	set[ref.instIdx] = true
-	e.event(EvRevert, ref.b.guestPC, 0, fmt.Sprintf("site #%d", ref.instIdx))
+	if e.events != nil {
+		e.event(EvRevert, ref.b.guestPC, 0, fmt.Sprintf("site #%d", ref.instIdx))
+	}
 	// Reverting wins over the trap-discovered record, else the next
 	// translation would immediately re-inline the sequence. The streak
 	// counter resets so the stale code cannot refire before its block
@@ -530,7 +535,9 @@ func (e *Engine) ensureTranslated(pc uint32) (*block, error) {
 // of the translation ladder (translate → flush → interpreter).
 func (e *Engine) blacklistBlock(pc uint32, cause error) {
 	e.blacklist[pc] = true
-	e.event(EvDegrade, pc, 0, "interpreter fallback: "+cause.Error())
+	if e.events != nil {
+		e.event(EvDegrade, pc, 0, "interpreter fallback: "+cause.Error())
+	}
 }
 
 // Run executes the guest program from entry until it halts or the machine
@@ -632,7 +639,12 @@ func (e *Engine) RunContext(ctx context.Context, entry uint32, maxHostInsts uint
 						if err != nil {
 							return e.guestError(target, err)
 						}
-						p.succ[next]++
+						if e.Opt.Superblocks {
+							if p.succ == nil {
+								p.succ = make(map[uint32]uint64)
+							}
+							p.succ[next]++
+						}
 						target = next
 						continue
 					}
@@ -844,9 +856,10 @@ func (e *Engine) handleMisalign(m *machine.Machine, pc uint64, inst host.Inst, e
 		return pc + host.InstBytes
 	}
 	b, site := ref.b, ref.site
-	e.event(EvTrap, site.guestPC, pc, fmt.Sprintf("ea=%#x", ea))
+	if e.events != nil {
+		e.event(EvTrap, site.guestPC, pc, fmt.Sprintf("ea=%#x", ea))
+	}
 	b.trapCount++
-	b.knownMDA[site.instIdx] = true
 	e.retained(b.guestPC)[site.instIdx] = true
 	m.AddTrapCycles(e.Opt.EHHandlerCycles)
 
@@ -862,9 +875,9 @@ func (e *Engine) handleMisalign(m *machine.Machine, pc uint64, inst host.Inst, e
 	if act == policy.Retranslate {
 		m.EmulateAccess(inst, ea)
 		e.invalidateBlock(b)
-		e.profiles[b.guestPC] = newBlockProfile() // restart dynamic profiling
-		for _, ipc := range b.instPCs {
-			e.dec.clearProf(ipc) // restart the per-site profiles too
+		e.profiles[b.guestPC] = &blockProfile{} // restart dynamic profiling
+		for _, u := range b.insts {
+			e.dec.clearProf(u.pc) // restart the per-site profiles too
 		}
 		e.mech.OnRetranslate(b.guestPC)
 		e.event(EvRetranslate, b.guestPC, 0, "")
@@ -942,13 +955,18 @@ func (e *Engine) handleMisalign(m *machine.Machine, pc uint64, inst host.Inst, e
 		return pc + host.InstBytes
 	}
 	m.Patch(pc, host.MustEncode(host.Inst{Op: host.BR, Ra: host.Zero, Disp: d}))
+	if site.patched == nil {
+		site.patched = make(map[uint64]bool)
+	}
 	site.patched[pc] = true
 	// The stub now carries live guest accesses: register its range so a
 	// protection trap inside it attributes back to the site's instruction.
 	e.stubRanges = append(e.stubRanges, stubRange{
 		lo: addr, hi: addr + stubLen, b: b, idx: site.instIdx,
 	})
-	e.event(EvPatch, site.guestPC, pc, fmt.Sprintf("stub=%#x", addr))
+	if e.events != nil {
+		e.event(EvPatch, site.guestPC, pc, fmt.Sprintf("stub=%#x", addr))
+	}
 	e.stats.Patches++
 	e.stats.MDAStubs++
 	e.selfCheck("patch")
@@ -965,7 +983,9 @@ func (e *Engine) handleMisalign(m *machine.Machine, pc uint64, inst host.Inst, e
 // only carries traps from code the translator cannot improve.
 func (e *Engine) patchFailed(b *block, site *memSite, hostPC uint64, why string) {
 	site.patchFails++
-	e.event(EvDegrade, site.guestPC, hostPC, "patch failed: "+why)
+	if e.events != nil {
+		e.event(EvDegrade, site.guestPC, hostPC, "patch failed: "+why)
+	}
 	if site.patchFails < patchRetryLimit || e.softEmu[site.guestPC] {
 		return
 	}

@@ -57,13 +57,12 @@ func (e *Engine) DumpBlock(pc uint32) (string, error) {
 	}
 	fmt.Fprintf(&sb, "%s %#x: %d guest insts -> %d host bytes at %#x\n",
 		unit, b.guestPC, len(b.insts), b.hostSize, b.hostEntry)
-	for i, in := range b.insts {
-		gpc := b.instPCs[i]
-		fmt.Fprintf(&sb, "  %#08x  %s", gpc, guest.Disasm(gpc, in, b.instLens[i]))
-		if pol, ok := b.sitePol[i]; ok {
-			fmt.Fprintf(&sb, "  ; site: policy=%s", pol)
-			if v, ok := b.averdict[i]; ok {
-				fmt.Fprintf(&sb, " align=%s", v)
+	for _, u := range b.insts {
+		fmt.Fprintf(&sb, "  %#08x  %s", u.pc, guest.Disasm(u.pc, u.inst, u.len))
+		if u.pol != polNone {
+			fmt.Fprintf(&sb, "  ; site: policy=%s", u.pol)
+			if e.Opt.StaticAlign {
+				fmt.Fprintf(&sb, " align=%s", u.verdict)
 			}
 		}
 		sb.WriteByte('\n')

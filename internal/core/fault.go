@@ -191,7 +191,7 @@ func (e *Engine) guestAccessOf(in guest.Inst, hostStore bool) (addr uint32, size
 // precise guest fault, the second performs a self-modifying write that the
 // SMC hooks must observe.
 func (e *Engine) faultsGuest(b *block, idx int, hostStore bool) bool {
-	addr, size, write, ok := e.guestAccessOf(b.insts[idx], hostStore)
+	addr, size, write, ok := e.guestAccessOf(b.insts[idx].inst, hostStore)
 	if !ok {
 		return false
 	}
@@ -239,7 +239,7 @@ func (e *Engine) deliverFault() (uint32, error) {
 		return 0, WithClass(Internal, errors.New("core: fault pad reached with no pending fault"))
 	}
 	e.syncToCPU()
-	in := pf.b.insts[pf.idx]
+	in := pf.b.insts[pf.idx].inst
 	// The translated PUSH/CALL pre-decrements ESP before its store; the
 	// interpreter re-executes the whole instruction, so undo it.
 	if in.Op == guest.PUSH || in.Op == guest.CALL {
@@ -247,7 +247,7 @@ func (e *Engine) deliverFault() (uint32, error) {
 	}
 	e.reconstructFlags(pf.b, pf.idx)
 	e.stats.GuestFaultResumes++
-	pc := pf.b.instPCs[pf.idx]
+	pc := pf.b.insts[pf.idx].pc
 	e.event(EvGuestFault, pc, 0, "rewind to interpreter")
 	next, err := e.interpretBlock(pc)
 	if err != nil {
@@ -262,7 +262,9 @@ func (e *Engine) guestError(blockPC uint32, err error) error {
 	var gf *guest.Fault
 	if errors.As(err, &gf) {
 		e.stats.GuestFaults++
-		e.event(EvGuestFault, gf.PC, gf.Mem.Addr, gf.Error())
+		if e.events != nil {
+			e.event(EvGuestFault, gf.PC, gf.Mem.Addr, gf.Error())
+		}
 	}
 	return &ClassifiedError{Class: Permanent, BlockPC: blockPC, Err: err}
 }
@@ -278,7 +280,7 @@ func (e *Engine) guestError(blockPC uint32, err error) error {
 // value alone.
 func (e *Engine) reconstructFlags(b *block, idx int) {
 	for i := idx - 1; i >= 0; i-- {
-		in := b.insts[i]
+		in := b.insts[i].inst
 		if !in.Op.SetsFlags() {
 			continue
 		}
@@ -306,9 +308,8 @@ func (e *Engine) smcWrite(addr uint64, size int) {
 	hi := addr + uint64(size)
 	var stale []*block
 	for _, b := range e.blocks {
-		for i, ipc := range b.instPCs {
-			s := uint64(ipc)
-			if s < hi && s+uint64(b.instLens[i]) > addr {
+		for _, u := range b.insts {
+			if s := uint64(u.pc); s < hi && s+uint64(u.len) > addr {
 				stale = append(stale, b)
 				break
 			}

@@ -71,7 +71,7 @@ func (e *Engine) interpretBlock(pc uint32) (uint32, error) {
 func (e *Engine) profile(pc uint32) *blockProfile {
 	p := e.profiles[pc]
 	if p == nil {
-		p = newBlockProfile()
+		p = &blockProfile{}
 		e.profiles[pc] = p
 	}
 	return p

@@ -51,7 +51,7 @@ func (e *Engine) CheckInvariants() error {
 		// instruction index at least once (multi-version bodies record one
 		// bound per copy). A gap here would make resolveFaultSite blame a
 		// trap on the wrong guest instruction.
-		covered := make([]bool, len(b.instPCs))
+		covered := make([]bool, len(b.insts))
 		for i, bd := range b.bounds {
 			if bd.hostPC < b.hostEntry || bd.hostPC > b.hostEntry+b.hostSize {
 				return fmt.Errorf("core: invariant: block %#x bound %d host PC %#x outside its span", pc, i, bd.hostPC)
@@ -60,16 +60,16 @@ func (e *Engine) CheckInvariants() error {
 				return fmt.Errorf("core: invariant: block %#x bounds decreasing at %d (%#x after %#x)",
 					pc, i, bd.hostPC, b.bounds[i-1].hostPC)
 			}
-			if bd.idx < 0 || bd.idx >= len(b.instPCs) {
+			if bd.idx < 0 || bd.idx >= len(b.insts) {
 				return fmt.Errorf("core: invariant: block %#x bound %d inst index %d out of range [0,%d)",
-					pc, i, bd.idx, len(b.instPCs))
+					pc, i, bd.idx, len(b.insts))
 			}
 			covered[bd.idx] = true
 		}
 		for idx, ok := range covered {
 			if !ok {
 				return fmt.Errorf("core: invariant: block %#x guest inst %d (%#x) has no attribution bound",
-					pc, idx, b.instPCs[idx])
+					pc, idx, b.insts[idx].pc)
 			}
 		}
 
@@ -128,8 +128,8 @@ func (e *Engine) CheckInvariants() error {
 			return fmt.Errorf("core: invariant: stubRanges[%d] [%#x,%#x) outside the stub zone [%#x,%#x)",
 				i, sr.lo, sr.hi, cc.stubNext, cc.base+cc.size)
 		}
-		if sr.b == nil || sr.idx < 0 || sr.idx >= len(sr.b.instPCs) {
-			return fmt.Errorf("core: invariant: stubRanges[%d] names inst %d of a %d-inst block", i, sr.idx, len(sr.b.instPCs))
+		if sr.b == nil || sr.idx < 0 || sr.idx >= len(sr.b.insts) {
+			return fmt.Errorf("core: invariant: stubRanges[%d] names inst %d of a %d-inst block", i, sr.idx, len(sr.b.insts))
 		}
 	}
 

@@ -108,7 +108,7 @@ func TestRetainedMDASurvivesFlush(t *testing.T) {
 				t.Fatalf("%v: retranslate %#x after flush: %v", mech, pc, err)
 			}
 			for idx := range want {
-				if !b.knownMDA[idx] {
+				if !b.insts[idx].knownMDA {
 					t.Errorf("%v: block %#x lost retained MDA site #%d across the flush", mech, pc, idx)
 				}
 			}

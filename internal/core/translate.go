@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"mdabt/internal/align"
 	"mdabt/internal/faultinject"
@@ -23,7 +24,8 @@ const MaxBlockInsts = maxBlockInsts
 type sitePolicy uint8
 
 const (
-	polPlain    sitePolicy = iota // single trap-prone memory instruction
+	polNone     sitePolicy = iota // not a memory site
+	polPlain                      // single trap-prone memory instruction
 	polSeq                        // inline MDA code sequence
 	polMixed                      // per-site multi-version code (§IV-D, Fig. 8 left)
 	polAdaptive                   // streak-counting adaptive code (§IV-D, Fig. 8 right)
@@ -46,17 +48,17 @@ func (p sitePolicy) String() string {
 
 // decodeBlock decodes the basic block starting at pc from guest memory,
 // through the engine's PC-indexed decode cache (translations and the
-// interpreter share decoded instructions).
-func (e *Engine) decodeBlock(pc uint32) (insts []guest.Inst, lens []int, pcs []uint32, err error) {
+// interpreter share decoded instructions), and appends one record per
+// instruction to units.
+func (e *Engine) decodeBlock(units []unitInst, pc uint32) ([]unitInst, error) {
+	start := len(units)
 	cur := pc
-	for len(insts) < maxBlockInsts {
-		de, derr := e.decoded(cur)
-		if derr != nil {
-			return nil, nil, nil, fmt.Errorf("core: decode block at %#x: %w", cur, derr)
+	for len(units)-start < maxBlockInsts {
+		de, err := e.decoded(cur)
+		if err != nil {
+			return nil, fmt.Errorf("core: decode block at %#x: %w", cur, err)
 		}
-		insts = append(insts, de.inst)
-		lens = append(lens, de.len)
-		pcs = append(pcs, cur)
+		units = append(units, unitInst{inst: de.inst, pc: cur, len: de.len})
 		cur += uint32(de.len)
 		if de.inst.Op.EndsBlock() {
 			break
@@ -65,12 +67,10 @@ func (e *Engine) decodeBlock(pc uint32) (insts []guest.Inst, lens []int, pcs []u
 	// When splitting an over-long straight-line run, never separate a
 	// flag-setting instruction from the conditional branch that consumes
 	// it: push the flag setter into the next block.
-	if n := len(insts); n == maxBlockInsts && insts[n-1].Op.SetsFlags() {
-		insts = insts[:n-1]
-		lens = lens[:n-1]
-		pcs = pcs[:n-1]
+	if n := len(units); n-start == maxBlockInsts && units[n-1].inst.Op.SetsFlags() {
+		units = units[:n-1]
 	}
-	return insts, lens, pcs, nil
+	return units, nil
 }
 
 // guestKind maps a guest memory op to the host memKind of its data access.
@@ -134,13 +134,13 @@ func (f *flagState) note(w guest.Reg) {
 	}
 }
 
-// traceEdge describes how a trace-internal terminator is emitted: JMPs to
-// the next trace block vanish; JCCs become side-exit branches, inverted
-// when the hot path is the taken target.
+// traceEdge describes how a trace-internal terminator is emitted: a folded
+// JMP to the next trace block vanishes; a folded JCC becomes a side-exit
+// branch, inverted when the hot path is the taken target.
 type traceEdge struct {
-	skip       bool   // suppress the branch entirely (JMP to next)
-	invert     bool   // branch on the inverse condition
-	sideTarget uint32 // guest target of the cold side exit
+	folded     bool   // the terminator leads to the next trace block
+	invert     bool   // JCC: branch on the inverse condition
+	sideTarget uint32 // JCC: guest target of the cold side exit
 }
 
 // sideExit is a deferred cold-path exit stub emitted after the trace body.
@@ -154,9 +154,6 @@ type emitter struct {
 	e         *Engine
 	a         *host.Asm
 	b         *block
-	policy    map[int]sitePolicy
-	counters  map[int]uint64    // inst index -> adaptive streak counter address
-	edges     map[int]traceEdge // trace-internal terminators
 	sideExits []sideExit
 	// mvActive/mvPolicy replace polMixed while emitting one copy of a
 	// block-granularity multi-version body (polPlain in the optimistic
@@ -176,7 +173,7 @@ func (em *emitter) label(prefix string) string {
 // siteFor returns the memSite for inst index idx (sub-access sub: string
 // copies have a load site 0 and a store site 1), creating it on the
 // recording pass.
-func (em *emitter) siteFor(idx, sub int, pc uint32, k memKind) *memSite {
+func (em *emitter) siteFor(idx, sub int, k memKind) *memSite {
 	if !em.record {
 		return nil
 	}
@@ -186,8 +183,8 @@ func (em *emitter) siteFor(idx, sub int, pc uint32, k memKind) *memSite {
 		}
 	}
 	s := &memSite{
-		instIdx: idx, sub: sub, guestPC: pc, size: k.size(), isStore: k.isStore(),
-		kind: k, patched: make(map[uint64]bool),
+		instIdx: idx, sub: sub, guestPC: em.b.insts[idx].pc,
+		size: k.size(), isStore: k.isStore(), kind: k,
 	}
 	em.b.sites = append(em.b.sites, s)
 	return s
@@ -198,6 +195,9 @@ func (em *emitter) siteFor(idx, sub int, pc uint32, k memKind) *memSite {
 // BT-internal data at a constructed-aligned address).
 func (em *emitter) markAligned(pc uint64) {
 	if em.record {
+		if em.b.alignedPCs == nil {
+			em.b.alignedPCs = make(map[uint64]bool)
+		}
 		em.b.alignedPCs[pc] = true
 	}
 }
@@ -206,6 +206,9 @@ func (em *emitter) markAligned(pc uint64) {
 // alignment-guarded arm (unreachable when the address misaligns).
 func (em *emitter) markGuarded(pc uint64) {
 	if em.record {
+		if em.b.guardedPCs == nil {
+			em.b.guardedPCs = make(map[uint64]bool)
+		}
 		em.b.guardedPCs[pc] = true
 	}
 }
@@ -249,11 +252,11 @@ func (em *emitter) addressing(m guest.MemRef, size int) (host.Reg, int32) {
 
 // memAccess emits the data access for site idx according to policy,
 // recording the trapping host PC for plain emissions.
-func (em *emitter) memAccess(idx int, pc uint32, k memKind, data host.Reg, m guest.MemRef) {
-	em.memAccessSub(idx, 0, pc, k, data, m)
+func (em *emitter) memAccess(idx int, k memKind, data host.Reg, m guest.MemRef) {
+	em.memAccessSub(idx, 0, k, data, m)
 }
 
-func (em *emitter) memAccessSub(idx, sub int, pc uint32, k memKind, data host.Reg, m guest.MemRef) {
+func (em *emitter) memAccessSub(idx, sub int, k memKind, data host.Reg, m guest.MemRef) {
 	base, disp := em.addressing(m, k.size())
 	// Static alignment layer, per access stream: a proven-aligned stream
 	// emits the plain operation with no trap-site registration (the
@@ -264,7 +267,7 @@ func (em *emitter) memAccessSub(idx, sub int, pc uint32, k memKind, data host.Re
 	// differently. Verdicts are fixed at translation time, so both
 	// emission passes agree (length invariance).
 	if em.e.Opt.StaticAlign {
-		switch em.e.alignDB.Verdict(pc, sub) {
+		switch em.e.alignDB.Verdict(em.b.insts[idx].pc, sub) {
 		case align.Aligned:
 			em.markAligned(emitPlain(em.a, k, data, base, disp))
 			return
@@ -273,8 +276,8 @@ func (em *emitter) memAccessSub(idx, sub int, pc uint32, k memKind, data host.Re
 			return
 		}
 	}
-	site := em.siteFor(idx, sub, pc, k)
-	pol := em.policy[idx]
+	site := em.siteFor(idx, sub, k)
+	pol := em.b.insts[idx].pol
 	if pol == polMixed && em.mvActive {
 		pol = em.mvPolicy
 	}
@@ -319,7 +322,7 @@ func (em *emitter) memAccessSub(idx, sub int, pc uint32, k memKind, data host.Re
 // asks the monitor to revert the site to a plain operation.
 func (em *emitter) adaptiveAccess(idx int, k memKind, data host.Reg, base host.Reg, disp int32) {
 	a := em.a
-	ctr := em.counters[idx]
+	ctr := em.b.insts[idx].counter
 	mda := em.label("amda")
 	aligned := em.label("aok")
 	end := em.label("aend")
@@ -362,8 +365,8 @@ func (em *emitter) adaptiveAccess(idx int, k memKind, data host.Reg, base host.R
 
 // stackAccess emits a 4-byte stack slot access through ESP (PUSH/POP/
 // CALL/RET traffic). ESP-relative addressing is always direct.
-func (em *emitter) stackAccess(idx int, pc uint32, k memKind, data host.Reg) {
-	em.memAccess(idx, pc, k, data, guest.MemRef{Base: guest.ESP})
+func (em *emitter) stackAccess(idx int, k memKind, data host.Reg) {
+	em.memAccess(idx, k, data, guest.MemRef{Base: guest.ESP})
 }
 
 // exitTo emits a patchable exit stub to a static guest target.
@@ -411,27 +414,26 @@ func (em *emitter) cmpWith(op host.Op, f flagState, dst host.Reg) {
 	em.a.Opr(op, hostGPR(f.a), rb, dst)
 }
 
+// cmpPlans maps a condition after CMP a, b to the host compare and the
+// branch on its result (S/NS are handled separately).
+var cmpPlans = map[guest.Cond]struct{ op, branch host.Op }{
+	guest.E:  {host.CMPEQ, host.BNE},
+	guest.NE: {host.CMPEQ, host.BEQ},
+	guest.L:  {host.CMPLT, host.BNE},
+	guest.LE: {host.CMPLE, host.BNE},
+	guest.G:  {host.CMPLE, host.BEQ},
+	guest.GE: {host.CMPLT, host.BEQ},
+	guest.B:  {host.CMPULT, host.BNE},
+	guest.BE: {host.CMPULE, host.BNE},
+	guest.A:  {host.CMPULE, host.BEQ},
+	guest.AE: {host.CMPULT, host.BEQ},
+}
+
 // cmpBranch handles conditions after CMP a, b: compare host ops on the
 // sign-extended 64-bit register images preserve both signed and unsigned
 // 32-bit ordering.
 func (em *emitter) cmpBranch(cond guest.Cond, f flagState, label string) error {
-	type plan struct {
-		op     host.Op
-		branch host.Op
-	}
-	plans := map[guest.Cond]plan{
-		guest.E:  {host.CMPEQ, host.BNE},
-		guest.NE: {host.CMPEQ, host.BEQ},
-		guest.L:  {host.CMPLT, host.BNE},
-		guest.LE: {host.CMPLE, host.BNE},
-		guest.G:  {host.CMPLE, host.BEQ},
-		guest.GE: {host.CMPLT, host.BEQ},
-		guest.B:  {host.CMPULT, host.BNE},
-		guest.BE: {host.CMPULE, host.BNE},
-		guest.A:  {host.CMPULE, host.BEQ},
-		guest.AE: {host.CMPULT, host.BEQ},
-	}
-	if p, ok := plans[cond]; ok {
+	if p, ok := cmpPlans[cond]; ok {
 		em.cmpWith(p.op, f, tmpCond)
 		em.a.Br(p.branch, tmpCond, label)
 		return nil
@@ -519,9 +521,11 @@ func (em *emitter) aluImm(op host.Op, dst host.Reg, imm int32) {
 }
 
 // inst translates the idx-th guest instruction of the block.
-func (em *emitter) inst(idx int, pc uint32, nextPC uint32) error {
+func (em *emitter) inst(idx int) error {
 	a := em.a
-	in := em.b.insts[idx]
+	u := &em.b.insts[idx]
+	in := u.inst
+	nextPC := u.pc + uint32(u.len)
 	switch in.Op {
 	case guest.NOP:
 	case guest.HALT:
@@ -550,19 +554,19 @@ func (em *emitter) inst(idx int, pc uint32, nextPC uint32) error {
 			}
 		} else {
 			k, _ := guestKind(in.Op)
-			em.memAccess(idx, pc, k, hostGPR(in.R1), in.Mem)
+			em.memAccess(idx, k, hostGPR(in.R1), in.Mem)
 		}
 		em.flags.note(in.R1)
 	case guest.ST4, guest.ST2:
 		k, _ := guestKind(in.Op)
-		em.memAccess(idx, pc, k, hostGPR(in.R1), in.Mem)
+		em.memAccess(idx, k, hostGPR(in.R1), in.Mem)
 	case guest.ST1:
 		base, disp := em.addressing(in.Mem, 1)
 		a.Mem(host.STB, hostGPR(in.R1), disp, base)
 	case guest.FLD8:
-		em.memAccess(idx, pc, kindFLD8, hostFR(in.FR1), in.Mem)
+		em.memAccess(idx, kindFLD8, hostFR(in.FR1), in.Mem)
 	case guest.FST8:
-		em.memAccess(idx, pc, kindFST8, hostFR(in.FR1), in.Mem)
+		em.memAccess(idx, kindFST8, hostFR(in.FR1), in.Mem)
 
 	case guest.ADDrr, guest.SUBrr, guest.ANDrr, guest.ORrr, guest.XORrr, guest.IMULrr:
 		op, _ := aluHostOp(in.Op)
@@ -616,8 +620,8 @@ func (em *emitter) inst(idx int, pc uint32, nextPC uint32) error {
 		done := em.label("repdone")
 		a.Label(top)
 		a.Br(host.BEQ, ecx, done)
-		em.memAccessSub(idx, 0, pc, kindLD4, tmpImm, guest.MemRef{Base: guest.ESI})
-		em.memAccessSub(idx, 1, pc, kindST4, tmpImm, guest.MemRef{Base: guest.EDI})
+		em.memAccessSub(idx, 0, kindLD4, tmpImm, guest.MemRef{Base: guest.ESI})
+		em.memAccessSub(idx, 1, kindST4, tmpImm, guest.MemRef{Base: guest.EDI})
 		a.Mem(host.LDA, esi, 4, esi)
 		a.Mem(host.LDA, edi, 4, edi)
 		a.OprLit(host.SUBL, ecx, 1, ecx)
@@ -628,12 +632,12 @@ func (em *emitter) inst(idx int, pc uint32, nextPC uint32) error {
 		em.flags.note(guest.EDI)
 
 	case guest.JMP:
-		if edge, ok := em.edges[idx]; ok && edge.skip {
+		if u.edge.folded {
 			break // trace-internal: fall through into the next trace block
 		}
 		em.exitTo(nextPC + uint32(in.Rel))
 	case guest.JCC:
-		if edge, ok := em.edges[idx]; ok {
+		if edge := u.edge; edge.folded {
 			// Trace-internal conditional: branch to the cold side exit and
 			// fall through along the hot path.
 			cond := in.Cond
@@ -658,11 +662,11 @@ func (em *emitter) inst(idx int, pc uint32, nextPC uint32) error {
 		esp := hostGPR(guest.ESP)
 		a.MovImm(tmpImm, int64(nextPC))
 		a.Mem(host.LDA, esp, -4, esp)
-		em.stackAccess(idx, pc, kindST4, tmpImm)
+		em.stackAccess(idx, kindST4, tmpImm)
 		em.exitTo(nextPC + uint32(in.Rel))
 	case guest.RET:
 		esp := hostGPR(guest.ESP)
-		em.stackAccess(idx, pc, kindLD4, tmpIndirect)
+		em.stackAccess(idx, kindLD4, tmpIndirect)
 		a.Mem(host.LDA, esp, 4, esp)
 		if em.e.Opt.IBTC {
 			// Inline indirect-branch translation cache probe: on a tag hit
@@ -688,10 +692,10 @@ func (em *emitter) inst(idx int, pc uint32, nextPC uint32) error {
 	case guest.PUSH:
 		esp := hostGPR(guest.ESP)
 		a.Mem(host.LDA, esp, -4, esp)
-		em.stackAccess(idx, pc, kindST4, hostGPR(in.R1))
+		em.stackAccess(idx, kindST4, hostGPR(in.R1))
 	case guest.POP:
 		esp := hostGPR(guest.ESP)
-		em.stackAccess(idx, pc, kindLD4, hostGPR(in.R1))
+		em.stackAccess(idx, kindLD4, hostGPR(in.R1))
 		a.Mem(host.LDA, esp, 4, esp)
 		em.flags.note(in.R1)
 
@@ -707,12 +711,10 @@ func (em *emitter) inst(idx int, pc uint32, nextPC uint32) error {
 func (em *emitter) emitRange(from, to int) error {
 	b := em.b
 	for idx := from; idx < to; idx++ {
-		pc := b.instPCs[idx]
-		next := pc + uint32(b.instLens[idx])
 		if em.record {
 			b.bounds = append(b.bounds, instBound{hostPC: em.a.PC(), idx: idx})
 		}
-		if err := em.inst(idx, pc, next); err != nil {
+		if err := em.inst(idx); err != nil {
 			return err
 		}
 	}
@@ -723,12 +725,10 @@ func (em *emitter) emitRange(from, to int) error {
 // instruction does not branch (split at maxBlockInsts).
 func (em *emitter) syntheticExit() {
 	b := em.b
-	if last := len(b.insts) - 1; last < 0 || !b.insts[last].Op.EndsBlock() {
-		var cont uint32
+	if last := len(b.insts) - 1; last < 0 || !b.insts[last].inst.Op.EndsBlock() {
+		cont := b.guestPC
 		if last >= 0 {
-			cont = b.instPCs[last] + uint32(b.instLens[last])
-		} else {
-			cont = b.guestPC
+			cont = b.insts[last].pc + uint32(b.insts[last].len)
 		}
 		em.exitTo(cont)
 	}
@@ -742,7 +742,7 @@ func (em *emitter) body() error {
 	split := -1
 	if em.e.Opt.MultiVersion && em.e.Opt.MVBlockGranularity {
 		for idx := range b.insts {
-			if em.policy[idx] == polMixed {
+			if b.insts[idx].pol == polMixed {
 				split = idx
 				break
 			}
@@ -760,7 +760,7 @@ func (em *emitter) body() error {
 		}
 		// One alignment check on the first mixed site's address selects
 		// the copy (paper Fig. 8: "Multi-version Code", block form).
-		in := b.insts[split]
+		in := b.insts[split].inst
 		k, _ := guestKind(in.Op)
 		m := in.Mem
 		if !in.Op.IsExplicitMem() {
@@ -812,25 +812,25 @@ func fromPolicy(p policy.SitePolicy) sitePolicy {
 	return polPlain
 }
 
-// sitePolicies computes the per-site translation policy for the unit by
-// assembling a SiteCtx snapshot per memory site (trap history, train
+// sitePolicies decides the translation policy of every memory site in the
+// unit by assembling a SiteCtx snapshot per site (trap history, train
 // profile, interpretation profile, adaptive reversion, static-analysis
-// verdict) and asking the mechanism strategy. The engine records the
-// verdicts and mixed-site set for the emitter; everything mechanism-
-// specific lives behind the policy seam.
-func (e *Engine) sitePolicies(b *block) (map[int]sitePolicy, bool) {
-	pol := make(map[int]sitePolicy)
-	for idx, in := range b.insts {
-		instPC := b.instPCs[idx]
-		if _, isMem := guestKind(in.Op); !isMem {
+// verdict) and asking the mechanism strategy. It records each decision,
+// verdict and adaptive streak counter in the site's unitInst and reports
+// whether any site is mixed; everything mechanism-specific lives behind
+// the policy seam.
+func (e *Engine) sitePolicies(b *block) (anyMixed bool) {
+	for idx := range b.insts {
+		u := &b.insts[idx]
+		if _, isMem := guestKind(u.inst.Op); !isMem {
 			continue
 		}
 		ctx := policy.SiteCtx{
-			GuestPC:      instPC,
-			KnownMDA:     b.knownMDA[idx],
-			StaticMarked: e.Opt.StaticSites[instPC],
+			GuestPC:      u.pc,
+			KnownMDA:     u.knownMDA,
+			StaticMarked: e.Opt.StaticSites[u.pc],
 		}
-		if s := e.dec.profAt(instPC); s != nil {
+		if s := e.dec.profAt(u.pc); s != nil {
 			ctx.ProfMDA, ctx.ProfAligned = s.mda, s.aligned
 		}
 		if rv := e.reverted[b.guestPC]; rv != nil && rv[idx] {
@@ -841,9 +841,9 @@ func (e *Engine) sitePolicies(b *block) (map[int]sitePolicy, bool) {
 			// the engine records them for dumps/verifier and the stats.
 			// Unknown (and mixed-stream) sites keep the base mechanism's
 			// decision; memAccessSub further refines per access stream.
-			ctx.AlignVerdict = e.alignDB.InstVerdict(instPC, in.Op)
-			b.averdict[idx] = ctx.AlignVerdict
-			switch ctx.AlignVerdict {
+			u.verdict = e.alignDB.InstVerdict(u.pc, u.inst.Op)
+			ctx.AlignVerdict = u.verdict
+			switch u.verdict {
 			case align.Aligned:
 				e.stats.StaticAlignedSites++
 			case align.Misaligned:
@@ -852,13 +852,17 @@ func (e *Engine) sitePolicies(b *block) (map[int]sitePolicy, bool) {
 				e.stats.StaticUnknownSites++
 			}
 		}
-		p := fromPolicy(e.mech.SitePolicy(ctx))
-		pol[idx] = p
-		if p == polMixed {
-			b.mixed[idx] = true
+		u.pol = fromPolicy(e.mech.SitePolicy(ctx))
+		switch u.pol {
+		case polMixed:
+			anyMixed = true
+		case polAdaptive:
+			// The streak counter's address must be known to both emission
+			// passes.
+			u.counter = e.allocCounter()
 		}
 	}
-	return pol, len(b.mixed) > 0
+	return anyMixed
 }
 
 // translate translates the unit at guest pc — a basic block, or a trace of
@@ -869,61 +873,33 @@ func (e *Engine) translate(pc uint32, perInst uint64) (*block, error) {
 	if e.Opt.FaultPlan.Should(faultinject.Translate) {
 		return nil, errInjectedTranslate
 	}
-	insts, lens, pcs, err := e.decodeBlock(pc)
+	units, err := e.decodeBlock(e.unitBuf[:0], pc)
 	if err != nil {
 		return nil, err
 	}
-	edges := map[int]traceEdge{}
 	nblocks := 1
-	if e.Opt.Superblocks {
-		switch {
-		case e.profiled:
-			insts, lens, pcs, edges, nblocks, err = e.formTrace(pc, insts, lens, pcs)
-		case e.Opt.AOT:
-			// No interpretation profile exists ahead of time, so the AOT
-			// tier folds only edges that are taken on every execution.
-			insts, lens, pcs, edges, nblocks, err = e.formStaticTrace(pc, insts, lens, pcs)
-		}
-		if err != nil {
+	if e.Opt.Superblocks && (e.profiled || e.Opt.AOT) {
+		if units, nblocks, err = e.formTrace(units); err != nil {
 			return nil, err
 		}
 	}
-	b := &block{
-		guestPC:    pc,
-		insts:      insts,
-		instLens:   lens,
-		instPCs:    pcs,
-		nblocks:    nblocks,
-		knownMDA:   make(map[int]bool),
-		mixed:      make(map[int]bool),
-		averdict:   make(map[int]align.Verdict),
-		alignedPCs: make(map[uint64]bool),
-		guardedPCs: make(map[uint64]bool),
-	}
-	for _, n := range lens {
-		b.guestLen += uint32(n)
+	e.unitBuf = units
+	b := &block{guestPC: pc, insts: slices.Clone(units), nblocks: nblocks}
+	for _, u := range b.insts {
+		b.guestLen += uint32(u.len)
 	}
 	// Retranslations inherit the accumulated trap-discovered MDA sites
 	// (§IV-C) so the new code inlines their sequences.
 	for idx := range e.retainedMDA[pc] {
-		b.knownMDA[idx] = true
-	}
-	policy, anyMixed := e.sitePolicies(b)
-	b.sitePol = policy
-	b.twoVer = anyMixed
-
-	// Adaptive sites need streak counters at addresses known to both
-	// emission passes.
-	counters := make(map[int]uint64)
-	for idx := range b.insts {
-		if policy[idx] == polAdaptive {
-			counters[idx] = e.allocCounter()
+		if idx < len(b.insts) {
+			b.insts[idx].knownMDA = true
 		}
 	}
+	b.twoVer = e.sitePolicies(b)
 
 	emit := func(base uint64, record bool) (*host.Asm, error) {
 		a := host.NewAsm(base)
-		em := &emitter{e: e, a: a, b: b, policy: policy, counters: counters, edges: edges, record: record}
+		em := &emitter{e: e, a: a, b: b, record: record}
 		if err := em.body(); err != nil {
 			return nil, err
 		}
@@ -963,7 +939,9 @@ func (e *Engine) translate(pc uint32, perInst uint64) (*block, error) {
 	}
 	e.blocks[pc] = b
 	e.blockSpans = append(e.blockSpans, blockSpan{lo: addr, hi: addr + size, b: b})
-	e.event(EvTranslate, pc, addr, fmt.Sprintf("%d insts, %d blocks", len(insts), nblocks))
+	if e.events != nil {
+		e.event(EvTranslate, pc, addr, fmt.Sprintf("%d insts, %d blocks", len(b.insts), nblocks))
+	}
 	if e.aotPass {
 		// Offline pre-translation: counted separately and free of simulated
 		// cycles — the AOT tier's whole point is that this work happens
@@ -977,7 +955,7 @@ func (e *Engine) translate(pc uint32, perInst uint64) (*block, error) {
 			// miss, SMC invalidation, or a post-flush refill.
 			e.stats.AOTFallbacks++
 		}
-		cost := translateFixedCycles + perInst*uint64(len(insts))
+		cost := translateFixedCycles + perInst*uint64(len(b.insts))
 		e.Mach.AddCycles(cost)
 	}
 	if nblocks > 1 {
@@ -999,118 +977,79 @@ const (
 	traceBias      = 0.75 // successor must carry this fraction of exits
 )
 
-// formTrace extends the hot block at head along its dominant successors
-// (superblock formation — the "retranslate and further optimize" phase the
-// paper's two-phase framework describes). The returned instruction list
-// concatenates the chained blocks; edges records how each trace-internal
-// terminator is emitted.
-func (e *Engine) formTrace(head uint32, insts []guest.Inst, lens []int, pcs []uint32) (
-	[]guest.Inst, []int, []uint32, map[int]traceEdge, int, error) {
-	edges := map[int]traceEdge{}
-	visited := map[uint32]bool{head: true}
+// formTrace extends the decoded block in units into a trace (superblock
+// formation — the "retranslate and further optimize" phase the paper's
+// two-phase framework describes): it appends each successor block's
+// records and marks the folded terminator's edge. With an interpretation
+// profile the trace follows each block's dominant successor. The
+// profile-less AOT tier follows only edges taken on every execution —
+// direct jumps and block splits (a block cut short because another block
+// starts at its fall-through); a conditional branch ends its trace, since
+// without a profile there is no dominant arm to speculate on, and folding
+// the wrong one would pessimize the straight-line layout AOT exists to
+// provide. It returns the records and the number of blocks folded.
+func (e *Engine) formTrace(units []unitInst) ([]unitInst, int, error) {
+	var heads [maxTraceBlocks]uint32
+	heads[0] = units[0].pc
 	nblocks := 1
-	cur := head
-	for nblocks < maxTraceBlocks && len(insts) < maxTraceInsts {
-		next, ok := e.dominantSuccessor(cur)
-		if !ok || visited[next] {
-			break
-		}
-		// Only JMP/JCC/fallthrough terminators can be folded into a trace.
-		last := len(insts) - 1
-		term := insts[last]
-		termPC := pcs[last]
-		termNext := termPC + uint32(lens[last])
-		var edge traceEdge
-		switch term.Op {
-		case guest.JMP:
-			if termNext+uint32(term.Rel) != next {
-				return insts, lens, pcs, edges, nblocks, nil
-			}
-			edge = traceEdge{skip: true}
-		case guest.JCC:
-			taken := termNext + uint32(term.Rel)
-			switch next {
-			case taken:
-				edge = traceEdge{invert: true, sideTarget: termNext}
-			case termNext:
-				edge = traceEdge{sideTarget: taken}
-			default:
-				return insts, lens, pcs, edges, nblocks, nil
-			}
-		default:
-			if term.Op.EndsBlock() || termNext != next {
-				// CALL/RET/HALT terminators (or a split that does not lead
-				// to the profiled successor) end the trace.
-				return insts, lens, pcs, edges, nblocks, nil
-			}
-			// Block split: the successor already follows fall-through.
-		}
-		nInsts, nLens, nPCs, err := e.decodeBlock(next)
-		if err != nil {
-			return nil, nil, nil, nil, 0, err
-		}
-		if len(insts)+len(nInsts) > maxTraceInsts {
-			break
-		}
-		if term.Op == guest.JMP || term.Op == guest.JCC {
-			edges[len(insts)-1] = edge
-		}
-		insts = append(insts, nInsts...)
-		lens = append(lens, nLens...)
-		pcs = append(pcs, nPCs...)
-		visited[next] = true
-		nblocks++
-		cur = next
-	}
-	return insts, lens, pcs, edges, nblocks, nil
-}
-
-// formStaticTrace is formTrace for the profile-less AOT tier: it extends
-// the block only along edges that are taken on every execution — direct
-// jumps and block splits (a block cut short because another block starts
-// at its fall-through). Conditional branches end the trace: without a
-// profile there is no dominant arm to speculate on, and folding the wrong
-// one would pessimize the straight-line layout AOT exists to provide.
-func (e *Engine) formStaticTrace(head uint32, insts []guest.Inst, lens []int, pcs []uint32) (
-	[]guest.Inst, []int, []uint32, map[int]traceEdge, int, error) {
-	edges := map[int]traceEdge{}
-	visited := map[uint32]bool{head: true}
-	nblocks := 1
-	for nblocks < maxTraceBlocks && len(insts) < maxTraceInsts {
-		last := len(insts) - 1
-		term := insts[last]
-		termNext := pcs[last] + uint32(lens[last])
+	for nblocks < maxTraceBlocks && len(units) < maxTraceInsts {
+		last := len(units) - 1
+		term := units[last].inst
+		termNext := units[last].pc + uint32(units[last].len)
 		var next uint32
-		fold := false
-		switch term.Op {
-		case guest.JMP:
-			next, fold = termNext+uint32(term.Rel), true
+		ok := true
+		switch {
+		case e.profiled:
+			next, ok = e.dominantSuccessor(heads[nblocks-1])
+		case term.Op == guest.JMP:
+			next = termNext + uint32(term.Rel)
+		case term.Op.EndsBlock():
+			ok = false
 		default:
-			if term.Op.EndsBlock() {
-				return insts, lens, pcs, edges, nblocks, nil
-			}
 			next = termNext // block split: fall-through is unconditional
 		}
-		if visited[next] {
+		if !ok || slices.Contains(heads[:nblocks], next) {
 			break
 		}
-		nInsts, nLens, nPCs, err := e.decodeBlock(next)
-		if err != nil {
-			return nil, nil, nil, nil, 0, err
-		}
-		if len(insts)+len(nInsts) > maxTraceInsts {
+		edge, ok := foldEdge(term, termNext, next)
+		if !ok {
 			break
 		}
-		if fold {
-			edges[last] = traceEdge{skip: true}
+		n := len(units)
+		var err error
+		if units, err = e.decodeBlock(units, next); err != nil {
+			return nil, 0, err
 		}
-		insts = append(insts, nInsts...)
-		lens = append(lens, nLens...)
-		pcs = append(pcs, nPCs...)
-		visited[next] = true
+		if len(units) > maxTraceInsts {
+			units = units[:n]
+			break
+		}
+		units[last].edge = edge
+		heads[nblocks] = next
 		nblocks++
 	}
-	return insts, lens, pcs, edges, nblocks, nil
+	return units, nblocks, nil
+}
+
+// foldEdge returns how the terminator term, whose fall-through address is
+// termNext, is emitted when the trace continues at next. ok is false when
+// term cannot lead to next inside a trace.
+func foldEdge(term guest.Inst, termNext, next uint32) (edge traceEdge, ok bool) {
+	switch term.Op {
+	case guest.JMP:
+		return traceEdge{folded: true}, termNext+uint32(term.Rel) == next
+	case guest.JCC:
+		switch taken := termNext + uint32(term.Rel); next {
+		case taken:
+			return traceEdge{folded: true, invert: true, sideTarget: termNext}, true
+		case termNext:
+			return traceEdge{folded: true, sideTarget: taken}, true
+		}
+		return traceEdge{}, false
+	}
+	// A block split, whose successor already follows fall-through; CALL/
+	// RET/HALT terminators end the trace.
+	return traceEdge{}, !term.Op.EndsBlock() && termNext == next
 }
 
 // dominantSuccessor consults the interpretation profile for the block's
