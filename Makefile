@@ -58,9 +58,11 @@ serve-chaos:
 # traps taken mid-run in the generic dispatch loop (with and without
 # injection) against the single-stepping reference machine. Traced runs of
 # random programs with MDA mega-steps, whose constituents fault mid-sequence
-# on protected pages, must match the generic loop at every budget.
+# on protected pages, must match the generic loop at every budget. A unit
+# whose block allocation fails after emission must register none of its
+# exits or adaptive sites (translate's commit point).
 fault-chaos:
-	$(GO) test -race -run 'TestFaultCosimAllMechanisms|TestChaosGuestFaults|TestSelfModifyingInvalidates|TestMultiContextReset' -v ./internal/core
+	$(GO) test -race -run 'TestFaultCosimAllMechanisms|TestChaosGuestFaults|TestSelfModifyingInvalidates|TestMultiContextReset|TestTranslateCommitAfterAllocFault' -v ./internal/core
 	$(GO) test -race -run 'TestServeGuestFaults' ./internal/serve
 	$(GO) test -race -run 'TestTrapTableReferenceModel' -v ./internal/mem
 	$(GO) test -race -run 'TestTrapMidRun|TestTraceParityRandomPrograms|TestTraceMegaStepFaults' -v ./internal/machine
@@ -97,11 +99,12 @@ bench-json:
 	$(GO) run ./cmd/mdaeval -benchjson BENCH_4.json
 
 # The golden equivalence matrix under the race detector: the 144 pinned
-# fingerprints, the engine-reuse replay, and the trace-tier parity sweep
+# fingerprints, the engine-reuse replay, the trace-tier parity sweep
 # (every matrix config re-run with Options.Traces — fingerprints must match
-# the untraced goldens bit for bit).
+# the untraced goldens bit for bit), and the DumpBlock golden, which pins
+# the emitted host code and its per-instruction records byte for byte.
 golden-matrix:
-	$(GO) test -race -run 'TestMechanismEquivalence|TestEngineReuseEquivalence|TestTraceTierFingerprintParity' -v ./internal/core
+	$(GO) test -race -run 'TestMechanismEquivalence|TestEngineReuseEquivalence|TestTraceTierFingerprintParity|TestDumpBlockGolden' -v ./internal/core
 
 fmt:
 	gofmt -l .

@@ -149,13 +149,13 @@ func main() {
 		if !ok {
 			fail("unknown benchmark %q", *bench)
 		}
+		in, err := workload.InputByName(*input)
+		if err != nil {
+			fail("%v", err)
+		}
 		prog, err := workload.Generate(spec)
 		if err != nil {
 			fail("generate: %v", err)
-		}
-		in := workload.Ref
-		if *input == "train" {
-			in = workload.Train
 		}
 		prog.Load(m, in)
 		entry = prog.Entry()

@@ -63,3 +63,17 @@ func TestProfileSmoke(t *testing.T) {
 		t.Fatalf("warm speh -store run: %d traps, want 0\n%s", traps, out)
 	}
 }
+
+// TestUnknownInputFails: a misspelled -input is an error naming the valid
+// input sets, not a silent run of the ref input.
+func TestUnknownInputFails(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-bench", "429.mcf", "-input", "trian")
+	cmd.Env = append(os.Environ(), "DBTRUN_TEST_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	if err == nil {
+		t.Fatalf("dbtrun -input trian succeeded:\n%s", out)
+	}
+	if !strings.Contains(string(out), `unknown input "trian" (have train, ref)`) {
+		t.Fatalf("dbtrun -input trian: error does not name the valid inputs:\n%s", out)
+	}
+}

@@ -217,7 +217,7 @@ func errBody(err error) errorResponse {
 
 func (a *app) handleRun(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST only"})
+		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST only", Class: "permanent"})
 		return
 	}
 	var body runRequest
@@ -285,9 +285,12 @@ func (a *app) handleRun(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error(), Class: "permanent"})
 			return
 		}
-		in := workload.Ref
-		if body.Input == "train" {
-			in = workload.Train
+		in := workload.Ref // an omitted input runs ref
+		if body.Input != "" {
+			if in, err = workload.InputByName(body.Input); err != nil {
+				writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error(), Class: "permanent"})
+				return
+			}
 		}
 		name = body.Bench
 		req.Key = body.Bench

@@ -154,6 +154,7 @@ func TestRunErrors(t *testing.T) {
 		{"bad asm", runRequest{Asm: "notanop eax"}, http.StatusBadRequest},
 		{"bad mech", runRequest{Asm: "halt", Mech: "nope"}, http.StatusBadRequest},
 		{"bad bench", runRequest{Bench: "999.nope"}, http.StatusBadRequest},
+		{"bad input", runRequest{Bench: "429.mcf", Input: "trian"}, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		resp, body := postRun(t, ts, c.body)
@@ -164,6 +165,27 @@ func TestRunErrors(t *testing.T) {
 		if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
 			t.Errorf("%s: malformed error body %s", c.name, body)
 		}
+		if e.Class != "permanent" {
+			t.Errorf("%s: class = %q, want permanent", c.name, e.Class)
+		}
+	}
+}
+
+// TestRunPostOnly: /run rejects other methods with 405 and a classified
+// error body.
+func TestRunPostOnly(t *testing.T) {
+	_, ts := testApp(t)
+	resp, err := http.Get(ts.URL + "/run")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("GET /run: status %d, want 405", resp.StatusCode)
+	}
+	var e errorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Error == "" || e.Class != "permanent" {
+		t.Errorf("GET /run: error body %+v (%v), want an error with class permanent", e, err)
 	}
 }
 

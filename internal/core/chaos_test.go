@@ -129,3 +129,38 @@ func TestChaosRandomPrograms(t *testing.T) {
 		})
 	}
 }
+
+// TestTranslateCommitAfterAllocFault fails the first block allocation of a
+// DPEH run whose first hot unit, the loop, holds an adaptive site. The
+// unit has already been emitted, with an exit and an adaptive payload id,
+// when the allocation fails; translate must register neither, so after the
+// flush and retry every exit and adaptive ref belongs to a registered block
+// and the adaptive-site count matches the adaptive table.
+func TestTranslateCommitAfterAllocFault(t *testing.T) {
+	img := shapesImg(t, 500)
+	data := patternData(256)
+	refCPU, refArena := reference(t, img, data)
+	opt := DefaultOptions(DPEH)
+	opt.HeatThreshold = 8
+	opt.MultiVersion = true
+	opt.Adaptive = true
+	opt.SelfCheck = true
+	plan := faultinject.New(1).At(faultinject.AllocBlock, 1)
+	opt.FaultPlan = plan
+	gotCPU, gotArena, e := runDBT(t, img, data, opt)
+	compareState(t, "commit-after-alloc-fault", refCPU, gotCPU, refArena, gotArena)
+	if err := e.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
+	s := e.Stats()
+	if plan.Fired(faultinject.AllocBlock) != 1 || s.Flushes == 0 {
+		t.Fatalf("allocation faults fired %d, flushes %d; want 1 and at least 1",
+			plan.Fired(faultinject.AllocBlock), s.Flushes)
+	}
+	if len(e.adaptives) == 0 {
+		t.Fatal("no adaptive sites registered; the workload is not exercising the adaptive table")
+	}
+	if s.AdaptiveSites != uint64(len(e.adaptives)) {
+		t.Errorf("Stats().AdaptiveSites = %d, adaptive table holds %d", s.AdaptiveSites, len(e.adaptives))
+	}
+}

@@ -127,10 +127,10 @@ type memSite struct {
 }
 
 // instBound maps the host address where a guest instruction's emission
-// starts to that instruction's index in block.insts. Recorded on the
-// translation's recording pass, in emission order (host PCs strictly
-// increase), so the access-fault handler can binary-search any in-block
-// host PC back to the guest instruction it implements. Block-granularity
+// starts to that instruction's index in block.insts. Recorded as the unit
+// is emitted, in emission order (host PCs strictly increase), so the
+// access-fault handler can binary-search any in-block host PC back to the
+// guest instruction it implements. Block-granularity
 // multi-version bodies record each instruction once per emitted copy.
 type instBound struct {
 	hostPC uint64

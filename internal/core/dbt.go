@@ -319,13 +319,6 @@ type adaptiveRef struct {
 	counter uint64
 }
 
-// newAdaptive registers an adaptive site and returns its BRKBT payload id.
-func (e *Engine) newAdaptive(b *block, instIdx int, counter uint64) uint32 {
-	id := uint32(len(e.adaptives))
-	e.adaptives = append(e.adaptives, adaptiveRef{b: b, instIdx: instIdx, counter: counter})
-	return id
-}
-
 // allocCounter reserves a 4-byte adaptive streak counter.
 func (e *Engine) allocCounter() uint64 {
 	addr := e.counterNext
@@ -398,14 +391,6 @@ func (e *Engine) handleAdaptiveRevert(id uint32) error {
 	}
 	e.stats.AdaptiveReverts++
 	return nil
-}
-
-// newExit registers a new patchable exit stub.
-func (e *Engine) newExit(from *block, target uint32, hostPC uint64) *exit {
-	ex := &exit{id: uint32(len(e.exits)), from: from, targetGuest: target, hostPC: hostPC}
-	e.exits = append(e.exits, ex)
-	from.exits = append(from.exits, ex)
-	return ex
 }
 
 // syncToHost copies the guest architectural state into the host register

@@ -158,11 +158,23 @@ func (e *Engine) CheckInvariants() error {
 		}
 	}
 
-	// Exit table: ids index their own slots; a linked exit's target must be
-	// a live translation (invalidation unlinks incoming exits).
+	// Exit and adaptive tables: translate registers a unit's exits and
+	// adaptive refs only at its commit point, so the block behind each is
+	// live or invalidated — never a unit that failed after emission. Exit
+	// ids index their own slots; a linked exit's target must be a live
+	// translation (invalidation unlinks incoming exits).
+	registered := func(b *block) bool { return b.invalid || e.blocks[b.guestPC] == b }
+	for i, ref := range e.adaptives {
+		if !registered(ref.b) {
+			return fmt.Errorf("core: invariant: adaptive site %d belongs to an unregistered block %#x", i, ref.b.guestPC)
+		}
+	}
 	for i, ex := range e.exits {
 		if int(ex.id) != i {
 			return fmt.Errorf("core: invariant: exit %d carries id %d", i, ex.id)
+		}
+		if !registered(ex.from) {
+			return fmt.Errorf("core: invariant: exit %d belongs to an unregistered block %#x", i, ex.from.guestPC)
 		}
 		if ex.linked {
 			if _, ok := e.blocks[ex.targetGuest]; !ok {

@@ -99,6 +99,23 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 			want: "exit 0 carries id",
 		},
 		{
+			name: "exit from an unregistered block",
+			corrupt: func(t *testing.T, e *Engine) {
+				if len(e.exits) == 0 {
+					t.Skip("no exits")
+				}
+				e.exits[0].from = &block{guestPC: e.exits[0].from.guestPC}
+			},
+			want: "exit 0 belongs to an unregistered block",
+		},
+		{
+			name: "adaptive site in an unregistered block",
+			corrupt: func(t *testing.T, e *Engine) {
+				e.adaptives = append(e.adaptives, adaptiveRef{b: &block{guestPC: anyBlock(e).guestPC}})
+			},
+			want: "belongs to an unregistered block",
+		},
+		{
 			name: "ibtc mirror diverges from memory",
 			corrupt: func(t *testing.T, e *Engine) {
 				for i := range e.ibtc {

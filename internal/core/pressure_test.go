@@ -273,3 +273,33 @@ func TestBlockLUTCollision(t *testing.T) {
 		}
 	}
 }
+
+// TestStaticAlignSiteCountsUnderPressure: the static-align site counters
+// count a unit's sites when it commits, so a translation that finds the
+// cache full, flushes and retries counts its sites once, not twice. The
+// phased workload never re-enters a flushed phase, so the counts must equal
+// those of a run whose cache never fills.
+func TestStaticAlignSiteCountsUnderPressure(t *testing.T) {
+	img := pressureProgram(t)
+	data := patternData(256)
+	opt := DefaultOptions(ExceptionHandling)
+	opt.StaticAlign = true
+	opt.SelfCheck = true
+	_, _, roomy := runDBT(t, img, data, opt)
+	opt.CodeCacheBytes = 512
+	_, _, tight := runDBT(t, img, data, opt)
+	r, s := roomy.Stats(), tight.Stats()
+	if r.Flushes != 0 || s.Flushes == 0 {
+		t.Fatalf("flushes: roomy %d, tight %d; want 0 and at least 1", r.Flushes, s.Flushes)
+	}
+	counts := func(s Stats) [3]uint64 {
+		return [3]uint64{s.StaticAlignedSites, s.StaticMisalignedSites, s.StaticUnknownSites}
+	}
+	if got, want := counts(s), counts(r); got != want {
+		t.Errorf("aligned/misaligned/unknown sites under pressure = %v, want %v (as without pressure)", got, want)
+	}
+	if counts(r) == [3]uint64{} {
+		t.Fatal("no static-align sites counted; the workload is not exercising the counters")
+	}
+	t.Logf("flushes %d, blocks translated %d, sites %v", s.Flushes, s.BlocksTranslated, counts(s))
+}

@@ -36,10 +36,10 @@ func recycledRequest(tb testing.TB) func() {
 // allocate. The engine's own per-run tables (block maps, translation
 // records, profiles) are rebuilt each run; the trap table, I-lines and
 // trace steps must not be. Allocating a trap table for the whole
-// protectable range costs 512 KiB alone. A request measured 8,991 bytes
+// protectable range costs 512 KiB alone. A request measured 7,911 bytes
 // (Go 1.24, linux/amd64); the budget leaves under 25% headroom, so a
 // translate-path regression of a few allocations per unit fails it.
-const recycledRequestBudget = 11_200
+const recycledRequestBudget = 9_850
 
 // TestRecycledRequestAllocs guards Engine.Reset's reuse of what the engine
 // owns: after one warm-up request, every further request on the same

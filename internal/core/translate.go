@@ -160,9 +160,11 @@ type emitter struct {
 	// copy, polSeq in the pessimistic one).
 	mvActive bool
 	mvPolicy sitePolicy
-	record   bool // second pass: record sites and exits
-	flags    flagState
-	nlabel   int
+	// adaptives stages the unit's adaptive-site refs; translate commits
+	// them to Engine.adaptives once the unit's allocation succeeds.
+	adaptives []adaptiveRef
+	flags     flagState
+	nlabel    int
 }
 
 func (em *emitter) label(prefix string) string {
@@ -171,12 +173,8 @@ func (em *emitter) label(prefix string) string {
 }
 
 // siteFor returns the memSite for inst index idx (sub-access sub: string
-// copies have a load site 0 and a store site 1), creating it on the
-// recording pass.
+// copies have a load site 0 and a store site 1), creating it on first use.
 func (em *emitter) siteFor(idx, sub int, k memKind) *memSite {
-	if !em.record {
-		return nil
-	}
 	for _, s := range em.b.sites {
 		if s.instIdx == idx && s.sub == sub {
 			return s
@@ -190,27 +188,23 @@ func (em *emitter) siteFor(idx, sub int, k memKind) *memSite {
 	return s
 }
 
-// markAligned records, on the recording pass, that the host memory op at
-// pc was emitted under a proven-aligned claim (static verdict or
-// BT-internal data at a constructed-aligned address).
+// markAligned records that the host memory op at pc was emitted under a
+// proven-aligned claim (static verdict or BT-internal data at a
+// constructed-aligned address).
 func (em *emitter) markAligned(pc uint64) {
-	if em.record {
-		if em.b.alignedPCs == nil {
-			em.b.alignedPCs = make(map[uint64]bool)
-		}
-		em.b.alignedPCs[pc] = true
+	if em.b.alignedPCs == nil {
+		em.b.alignedPCs = make(map[uint64]bool)
 	}
+	em.b.alignedPCs[pc] = true
 }
 
-// markGuarded records, on the recording pass, a plain memory op inside an
-// alignment-guarded arm (unreachable when the address misaligns).
+// markGuarded records a plain memory op inside an alignment-guarded arm
+// (unreachable when the address misaligns).
 func (em *emitter) markGuarded(pc uint64) {
-	if em.record {
-		if em.b.guardedPCs == nil {
-			em.b.guardedPCs = make(map[uint64]bool)
-		}
-		em.b.guardedPCs[pc] = true
+	if em.b.guardedPCs == nil {
+		em.b.guardedPCs = make(map[uint64]bool)
 	}
+	em.b.guardedPCs[pc] = true
 }
 
 // addressing resolves a guest memory operand to (hostBase, disp) with
@@ -264,8 +258,7 @@ func (em *emitter) memAccessSub(idx, sub int, k memKind, data host.Reg, m guest.
 	// misaligned stream inlines the MDA sequence eagerly. Stream-level
 	// interception refines the instruction-level policy override in
 	// sitePolicies for string copies whose two streams classified
-	// differently. Verdicts are fixed at translation time, so both
-	// emission passes agree (length invariance).
+	// differently.
 	if em.e.Opt.StaticAlign {
 		switch em.e.alignDB.Verdict(em.b.insts[idx].pc, sub) {
 		case align.Aligned:
@@ -308,10 +301,7 @@ func (em *emitter) memAccessSub(idx, sub int, k memKind, data host.Reg, m guest.
 		emitMDA(a, k, data, base, disp)
 		a.Label(join)
 	default:
-		memPC := emitPlain(em.a, k, data, base, disp)
-		if site != nil {
-			site.hostPCs = append(site.hostPCs, memPC)
-		}
+		site.hostPCs = append(site.hostPCs, emitPlain(em.a, k, data, base, disp))
 	}
 }
 
@@ -342,13 +332,11 @@ func (em *emitter) adaptiveAccess(idx int, k memKind, data host.Reg, base host.R
 	a.Mem(host.STL, tmpD, 0, tmpC)
 	a.OprLit(host.CMPLT, tmpD, em.e.Opt.AdaptiveStreak, tmpCond)
 	a.Br(host.BNE, tmpCond, aligned)
-	// Streak exhausted: ask the BT monitor to revert this site.
-	if em.record {
-		id := em.e.newAdaptive(em.b, idx, ctr)
-		a.Brk(svcAdaptiveFlag | id)
-	} else {
-		a.Brk(svcAdaptiveFlag)
-	}
+	// Streak exhausted: ask the BT monitor to revert this site. The payload
+	// id is the slot the staged ref takes when the unit commits.
+	id := uint32(len(em.e.adaptives) + len(em.adaptives))
+	em.adaptives = append(em.adaptives, adaptiveRef{b: em.b, instIdx: idx, counter: ctr})
+	a.Brk(svcAdaptiveFlag | id)
 	a.Label(aligned)
 	em.markGuarded(emitPlain(a, k, data, base, disp)) // guarded: cannot trap
 	a.Br(host.BR, host.Zero, end)
@@ -358,9 +346,6 @@ func (em *emitter) adaptiveAccess(idx int, k memKind, data host.Reg, base host.R
 	a.Mem(host.STL, host.Zero, 0, tmpC) // reset the streak
 	emitMDA(a, k, data, base, disp)
 	a.Label(end)
-	if em.record {
-		em.e.stats.AdaptiveSites++
-	}
 }
 
 // stackAccess emits a 4-byte stack slot access through ESP (PUSH/POP/
@@ -369,14 +354,12 @@ func (em *emitter) stackAccess(idx int, k memKind, data host.Reg) {
 	em.memAccess(idx, k, data, guest.MemRef{Base: guest.ESP})
 }
 
-// exitTo emits a patchable exit stub to a static guest target.
+// exitTo emits a patchable exit stub to a static guest target. The exit's
+// id is the slot it takes in Engine.exits when the unit commits.
 func (em *emitter) exitTo(target uint32) {
-	if em.record {
-		ex := em.e.newExit(em.b, target, em.a.PC())
-		em.a.Brk(svcExitBase + ex.id)
-		return
-	}
-	em.a.Brk(svcExitBase) // placeholder: identical length
+	id := uint32(len(em.e.exits) + len(em.b.exits))
+	em.b.exits = append(em.b.exits, &exit{id: id, from: em.b, targetGuest: target, hostPC: em.a.PC()})
+	em.a.Brk(svcExitBase + id)
 }
 
 // condBranch materializes the pending flags for cond and emits a host
@@ -705,15 +688,12 @@ func (em *emitter) inst(idx int) error {
 	return nil
 }
 
-// emitRange emits the instructions in [from, to). On the recording pass it
-// also records each instruction's host start address (block.bounds) for
-// fault attribution — pure metadata, so both passes stay length-invariant.
+// emitRange emits the instructions in [from, to), recording each
+// instruction's host start address (block.bounds) for fault attribution.
 func (em *emitter) emitRange(from, to int) error {
 	b := em.b
 	for idx := from; idx < to; idx++ {
-		if em.record {
-			b.bounds = append(b.bounds, instBound{hostPC: em.a.PC(), idx: idx})
-		}
+		b.bounds = append(b.bounds, instBound{hostPC: em.a.PC(), idx: idx})
 		if err := em.inst(idx); err != nil {
 			return err
 		}
@@ -838,27 +818,18 @@ func (e *Engine) sitePolicies(b *block) (anyMixed bool) {
 		}
 		if e.Opt.StaticAlign {
 			// Whole-instruction verdicts feed the StaticAlign decorator;
-			// the engine records them for dumps/verifier and the stats.
-			// Unknown (and mixed-stream) sites keep the base mechanism's
-			// decision; memAccessSub further refines per access stream.
+			// the engine records them for dumps/verifier, and translate
+			// counts them into the stats when the unit commits. Unknown
+			// (and mixed-stream) sites keep the base mechanism's decision;
+			// memAccessSub further refines per access stream.
 			u.verdict = e.alignDB.InstVerdict(u.pc, u.inst.Op)
 			ctx.AlignVerdict = u.verdict
-			switch u.verdict {
-			case align.Aligned:
-				e.stats.StaticAlignedSites++
-			case align.Misaligned:
-				e.stats.StaticMisalignedSites++
-			default:
-				e.stats.StaticUnknownSites++
-			}
 		}
 		u.pol = fromPolicy(e.mech.SitePolicy(ctx))
 		switch u.pol {
 		case polMixed:
 			anyMixed = true
 		case polAdaptive:
-			// The streak counter's address must be known to both emission
-			// passes.
 			u.counter = e.allocCounter()
 		}
 	}
@@ -897,41 +868,48 @@ func (e *Engine) translate(pc uint32, perInst uint64) (*block, error) {
 	}
 	b.twoVer = e.sitePolicies(b)
 
-	emit := func(base uint64, record bool) (*host.Asm, error) {
-		a := host.NewAsm(base)
-		em := &emitter{e: e, a: a, b: b, record: record}
-		if err := em.body(); err != nil {
-			return nil, err
-		}
-		return a, nil
-	}
-
-	// Pass 1: measure. All emission paths produce length-invariant code for
-	// the same inputs, so the sizing pass is exact.
-	probe, err := emit(0, false)
-	if err != nil {
-		return nil, err
-	}
-	size := uint64(probe.Len()) * host.InstBytes
-	addr, err := e.cc.allocBlock(size)
-	if err != nil {
-		return nil, err // engine flushes and retries
-	}
-	// Pass 2: emit for real, recording sites and exits.
-	b.hostEntry = addr
-	b.hostSize = size
-	a, err := emit(addr, true)
-	if err != nil {
+	// Emit once, at the address the block zone's bump allocator hands out
+	// next. Exits and adaptive refs stay staged on the block and emitter
+	// until the allocation succeeds, so a unit that fails here (emission
+	// error, full cache, injected allocation fault) registers nothing.
+	base := e.cc.blockNext
+	a := host.NewAsm(base)
+	em := &emitter{e: e, a: a, b: b}
+	if err := em.body(); err != nil {
 		return nil, err
 	}
 	words, err := a.Finish()
 	if err != nil {
 		return nil, err
 	}
-	if uint64(len(words))*host.InstBytes != size {
-		return nil, fmt.Errorf("core: translate %#x: size drift between passes", pc)
+	size := uint64(len(words)) * host.InstBytes
+	addr, err := e.cc.allocBlock(size)
+	if err != nil {
+		return nil, err // engine flushes and retries
 	}
+	if addr != base {
+		return nil, fmt.Errorf("core: translate %#x: emitted at %#x but allocated %#x", pc, base, addr)
+	}
+	// Commit point: the unit is in the cache, so register it.
+	b.hostEntry = addr
+	b.hostSize = size
 	e.Mach.WriteCode(addr, words)
+	e.exits = append(e.exits, b.exits...)
+	e.adaptives = append(e.adaptives, em.adaptives...)
+	e.stats.AdaptiveSites += uint64(len(em.adaptives))
+	if e.Opt.StaticAlign {
+		for _, u := range b.insts {
+			switch {
+			case u.pol == polNone:
+			case u.verdict == align.Aligned:
+				e.stats.StaticAlignedSites++
+			case u.verdict == align.Misaligned:
+				e.stats.StaticMisalignedSites++
+			default:
+				e.stats.StaticUnknownSites++
+			}
+		}
+	}
 	for _, s := range b.sites {
 		for _, hpc := range s.hostPCs {
 			e.sites[hpc] = siteRef{b: b, site: s}

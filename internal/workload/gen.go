@@ -25,6 +25,18 @@ func (in Input) String() string {
 	return "ref"
 }
 
+// InputByName returns the input set called name, "train" or "ref". Any
+// other name fails with an error that lists the valid ones, so a typo
+// never silently measures the wrong input.
+func InputByName(name string) (Input, error) {
+	for _, in := range []Input{Train, Ref} {
+		if in.String() == name {
+			return in, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown input %q (have train, ref)", name)
+}
+
 // BenchStoreKey is the persistent-store program identity of a benchmark
 // model run on an input: "bench-NAME-ref" or "bench-NAME-train". dbtrun
 // and dbtserve both use it, so artifacts trained by one front end warm the

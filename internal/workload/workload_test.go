@@ -235,6 +235,32 @@ func TestFaultProgramByName(t *testing.T) {
 	}
 }
 
+func TestInputByName(t *testing.T) {
+	cases := []struct {
+		name string
+		want Input
+		ok   bool
+	}{
+		{"train", Train, true},
+		{"ref", Ref, true},
+		{"", 0, false},
+		{"trian", 0, false},
+		{"Ref", 0, false},
+	}
+	for _, c := range cases {
+		got, err := InputByName(c.name)
+		if c.ok {
+			if err != nil || got != c.want {
+				t.Errorf("InputByName(%q) = %v, %v; want %v", c.name, got, err, c.want)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "have train, ref") {
+			t.Errorf("InputByName(%q) error = %v, want one naming train and ref", c.name, err)
+		}
+	}
+}
+
 func TestGateForRareBenchmarks(t *testing.T) {
 	p, err := Generate(mustSpec(t, "458.sjeng")) // ratio 0.00%
 	if err != nil {
