@@ -60,9 +60,13 @@ serve-chaos:
 # random programs with MDA mega-steps, whose constituents fault mid-sequence
 # on protected pages, must match the generic loop at every budget. A unit
 # whose block allocation fails after emission must register none of its
-# exits or adaptive sites (translate's commit point).
+# exits or adaptive sites (translate's commit point) and hand back its
+# adaptive streak counters (TestAdaptiveCountersRewoundOnFailedCommit).
+# Injected spurious and duplicate traps at proven-aligned host PCs must
+# not count as static-align violations
+# (TestStaticAlignViolationsIgnoreInjectedTraps).
 fault-chaos:
-	$(GO) test -race -run 'TestFaultCosimAllMechanisms|TestChaosGuestFaults|TestSelfModifyingInvalidates|TestMultiContextReset|TestTranslateCommitAfterAllocFault' -v ./internal/core
+	$(GO) test -race -run 'TestFaultCosimAllMechanisms|TestChaosGuestFaults|TestSelfModifyingInvalidates|TestMultiContextReset|TestTranslateCommitAfterAllocFault|TestAdaptiveCountersRewoundOnFailedCommit|TestStaticAlignViolationsIgnoreInjectedTraps' -v ./internal/core
 	$(GO) test -race -run 'TestServeGuestFaults' ./internal/serve
 	$(GO) test -race -run 'TestTrapTableReferenceModel' -v ./internal/mem
 	$(GO) test -race -run 'TestTrapMidRun|TestTraceParityRandomPrograms|TestTraceMegaStepFaults' -v ./internal/machine

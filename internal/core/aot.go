@@ -26,7 +26,7 @@ func (e *Engine) alignDecoder() align.Decoder {
 		if err != nil {
 			return guest.Inst{}, 0, err
 		}
-		return de.inst, de.len, nil
+		return de.inst, int(de.len), nil
 	}
 }
 
@@ -54,7 +54,7 @@ func (e *Engine) preseedAOT(entry uint32) {
 	e.aotPass = true
 	for _, pc := range schedule {
 		covered[pc] = true
-		if e.blocks[pc] != nil || e.blacklist[pc] {
+		if st := e.dec.stateAt(pc); st != nil && (st.blk != nil || st.blacklisted) {
 			continue
 		}
 		e.mech.OnBlockHot(pc)

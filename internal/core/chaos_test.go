@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -162,5 +163,93 @@ func TestTranslateCommitAfterAllocFault(t *testing.T) {
 	}
 	if s.AdaptiveSites != uint64(len(e.adaptives)) {
 		t.Errorf("Stats().AdaptiveSites = %d, adaptive table holds %d", s.AdaptiveSites, len(e.adaptives))
+	}
+}
+
+// TestAdaptiveCountersRewoundOnFailedCommit fails the first block
+// allocation of the same DPEH run: the unit that loses its allocation has
+// already taken the adaptive site's streak counter, and must hand it back.
+// The retry after the flush then takes the same address, so the run
+// allocates exactly the counters of the units it commits, fault or not.
+func TestAdaptiveCountersRewoundOnFailedCommit(t *testing.T) {
+	img := shapesImg(t, 500)
+	data := patternData(256)
+	run := func(plan *faultinject.Plan) *Engine {
+		opt := DefaultOptions(DPEH)
+		opt.HeatThreshold = 8
+		opt.MultiVersion = true
+		opt.Adaptive = true
+		opt.SelfCheck = true
+		opt.FaultPlan = plan
+		_, _, e := runDBT(t, img, data, opt)
+		return e
+	}
+	plan := faultinject.New(1).At(faultinject.AllocBlock, 1)
+	clean, faulted := run(nil), run(plan)
+	if plan.Fired(faultinject.AllocBlock) != 1 {
+		t.Fatalf("allocation faults fired %d, want 1", plan.Fired(faultinject.AllocBlock))
+	}
+	for _, c := range []struct {
+		name string
+		e    *Engine
+	}{{"fault-free", clean}, {"faulted", faulted}} {
+		if n := (c.e.counterNext - counterBase) / 4; n != 1 {
+			t.Errorf("%s run allocated %d streak counters, want 1", c.name, n)
+		}
+		if len(c.e.adaptives) != 1 || c.e.adaptives[0].counter != counterBase {
+			t.Errorf("%s run: adaptive refs %+v, want one at counter %#x", c.name, c.e.adaptives, counterBase)
+		}
+	}
+}
+
+// TestAdaptiveCounterRegionBound fills the streak-counter region before
+// the run: the first unit needing a counter must fail the run with a
+// classified error naming the exhausted region, and take no counter.
+func TestAdaptiveCounterRegionBound(t *testing.T) {
+	opt := DefaultOptions(DPEH)
+	opt.HeatThreshold = 8
+	opt.MultiVersion = true
+	opt.Adaptive = true
+	e := newTestEngine(t, shapesImg(t, 500), opt)
+	e.counterNext = ibtcBase - 2 // not even one 4-byte counter left
+	err := e.Run(guest.CodeBase, 500_000_000)
+	if !errors.Is(err, errCounterSpace) {
+		t.Fatalf("Run = %v, want the exhausted counter region", err)
+	}
+	var ce *ClassifiedError
+	if !errors.As(err, &ce) || ce.Class != Permanent || ce.BlockPC == 0 {
+		t.Fatalf("Run = %v, want a Permanent ClassifiedError with the block PC", err)
+	}
+	if e.counterNext != ibtcBase-2 {
+		t.Errorf("counterNext = %#x after the failed unit, want %#x", e.counterNext, ibtcBase-2)
+	}
+}
+
+// TestStaticAlignViolationsIgnoreInjectedTraps: spurious and duplicate
+// trap delivery hit proven-aligned accesses, whose effective addresses are
+// aligned. Only a misaligned access at a proven-aligned PC is a soundness
+// violation, so a chaos run must report as many violations as a clean
+// one: none.
+func TestStaticAlignViolationsIgnoreInjectedTraps(t *testing.T) {
+	img := shapesImg(t, 500)
+	data := patternData(256)
+	refCPU, refArena := reference(t, img, data)
+	for _, mech := range []Mechanism{ExceptionHandling, DPEH} {
+		opt := DefaultOptions(mech)
+		opt.StaticAlign = true
+		opt.SelfCheck = true
+		plan := faultinject.New(2).Rate(faultinject.SpuriousTrap, 0.2).Rate(faultinject.DuplicateTrap, 0.2)
+		opt.FaultPlan = plan
+		gotCPU, gotArena, e := runDBT(t, img, data, opt)
+		compareState(t, fmt.Sprintf("staticalign-chaos/%v", mech), refCPU, gotCPU, refArena, gotArena)
+		s := e.Stats()
+		if s.StaticAlignedSites == 0 || plan.Fired(faultinject.SpuriousTrap) == 0 {
+			t.Fatalf("%v: %d proven-aligned sites, %d spurious traps; the run does not exercise the counter",
+				mech, s.StaticAlignedSites, plan.Fired(faultinject.SpuriousTrap))
+		}
+		if s.StaticAlignViolations != 0 {
+			t.Errorf("%v: %d static-align violations from %d injected traps, want 0",
+				mech, s.StaticAlignViolations, plan.Total())
+		}
 	}
 }

@@ -229,16 +229,3 @@ type siteProfile struct {
 	mda     uint64 // misaligned executions
 	aligned uint64 // aligned executions
 }
-
-func (p siteProfile) total() uint64 { return p.mda + p.aligned }
-
-// blockProfile aggregates a block's heating count and successor counts
-// during the interpretation phase. Per-site alignment profiles live in the
-// engine's decode cache, keyed by instruction address, so trace
-// translation sees the profiles of every block it folds in.
-type blockProfile struct {
-	heat uint64
-	// succ counts successor blocks for trace formation; it is kept only
-	// under Options.Superblocks (nil until the first count).
-	succ map[uint32]uint64
-}

@@ -472,7 +472,7 @@ type Stats struct {
 	StaticAlignedSites    uint64 // translated sites proven aligned (plain, no trap hook)
 	StaticMisalignedSites uint64 // translated sites proven misaligned (eager MDA)
 	StaticUnknownSites    uint64 // translated sites left to the base mechanism
-	StaticAlignViolations uint64 // traps at host PCs claimed proven-aligned (soundness bug)
+	StaticAlignViolations uint64 // misaligned accesses trapping at host PCs claimed proven-aligned (soundness bug)
 
 	// Degradation-ladder counters (failure modes that previously degraded
 	// silently; see DESIGN.md §7).

@@ -56,46 +56,21 @@ type Engine struct {
 	// signature).
 	optErr error
 
-	cc       *codeCache
-	blocks   map[uint32]*block
-	exits    []*exit
-	sites    map[uint64]siteRef
-	profiles map[uint32]*blockProfile
-	// dec is the PC-indexed decode cache; its entries also carry the
-	// per-instruction alignment profiles (formerly separate maps).
+	cc    *codeCache
+	exits []*exit
+	sites map[uint64]siteRef
+	// dec is the PC-indexed decode cache and the engine's one per-guest-PC
+	// table: each entry carries the instruction's alignment profile and its
+	// pcState (live block, heat, blacklist bit, retained and reverted
+	// sites, trap count, soft-emulation demotion).
 	dec decodeCache
 	// unitBuf is translate's decode scratch: a unit's records are gathered
 	// here and copied into the block at their final length.
 	unitBuf []unitInst
-	// blockLUT is a direct-mapped, PC-indexed front for the blocks map on
-	// the dispatch path. Entries are filled on lookup and evicted when the
-	// block they name is invalidated (or wholesale on flush); CheckInvariants
-	// cross-checks every entry against the authoritative map.
-	blockLUT [blockLUTSize]blockLUTEntry
-	// retainedMDA records, per block start PC, the instruction indices the
-	// exception handler has seen trap; it survives block invalidation and
-	// cache flushes so retranslations inline the discovered sequences.
-	retainedMDA map[uint32]map[int]bool
-	// trapSites counts delivered misalignment traps per guest instruction
-	// address (registered sites only). Together with the decode cache's
-	// interpreter profiles it forms the session history AddSiteHistory
-	// folds into the trap profile the persistent store aggregates.
-	trapSites map[uint32]uint64
 	// aotPreseedSkips counts schedule entries the preseed pass had to
 	// leave to dynamic discovery (adopted image not matching the loaded
 	// program); surfaced through Lint as a degraded-adoption finding.
 	aotPreseedSkips int
-	// reverted records sites the adaptive monitor (§IV-D) has demoted back
-	// to plain operations, per block start PC.
-	reverted map[uint32]map[int]bool
-	// blacklist holds guest PCs whose blocks failed translation even after
-	// the flush ladder; the dispatcher executes them with the interpreter
-	// forever instead of failing the run.
-	blacklist map[uint32]bool
-	// softEmu holds guest instruction addresses demoted by the trap-storm
-	// limiter: the exception handler fixes their traps up in software
-	// without further patch attempts.
-	softEmu map[uint32]bool
 	// invariantErr latches the first self-check violation (Opt.SelfCheck);
 	// Run aborts with it at the next dispatch.
 	invariantErr error
@@ -120,7 +95,9 @@ type Engine struct {
 	// instructions for precise fault delivery (fault.go). Both are
 	// append-only within a cache generation and cleared only on flush:
 	// invalidated blocks keep their spans because stale code can still
-	// execute (and trap) until the next dispatch boundary.
+	// execute (and trap) until the next dispatch boundary. blockSpans is
+	// also the list of every unit committed in this generation, in host
+	// order: the live blocks are its entries not marked invalid.
 	blockSpans []blockSpan
 	stubRanges []stubRange
 	// pendingFault carries a detected guest fault from the in-machine trap
@@ -170,19 +147,11 @@ func (e *Engine) configure(opt Options) {
 	} else {
 		e.cc.reconfigure(opt.CodeCacheBytes, opt.FaultPlan)
 	}
-	e.blocks = make(map[uint32]*block)
 	e.exits = nil
 	e.sites = make(map[uint64]siteRef)
-	e.profiles = make(map[uint32]*blockProfile)
-	clear(e.dec.dense) // keep the arena; every entry back to undecoded
+	clear(e.dec.dense) // keep the arena; every entry back to undecoded, no run state
 	clear(e.dec.far)
-	e.lutClear()
-	e.retainedMDA = make(map[uint32]map[int]bool)
-	e.trapSites = make(map[uint32]uint64)
 	e.aotPreseedSkips = 0
-	e.reverted = make(map[uint32]map[int]bool)
-	e.blacklist = make(map[uint32]bool)
-	e.softEmu = make(map[uint32]bool)
 	e.invariantErr = nil
 	e.adaptives = nil
 	e.counterNext = counterBase
@@ -248,7 +217,7 @@ func (e *Engine) Stats() Stats {
 }
 
 // Blocks returns the number of live translations.
-func (e *Engine) Blocks() int { return len(e.blocks) }
+func (e *Engine) Blocks() int { return len(e.TranslatedPCs()) }
 
 // TraceStats returns the host-side trace-tier telemetry (traces formed,
 // chain follows, invalidations, traced host instructions). All zero when
@@ -260,49 +229,6 @@ func (e *Engine) TraceStats() machine.TraceStats { return e.Mach.TraceStats() }
 // TraceInfos returns every live machine trace (dump annotations and the
 // translation lint), ordered by start address.
 func (e *Engine) TraceInfos() []machine.TraceInfo { return e.Mach.TraceInfos() }
-
-// Block lookup table geometry: 4096 direct-mapped entries indexed by the
-// low bits of the guest PC.
-const (
-	blockLUTBits = 12
-	blockLUTSize = 1 << blockLUTBits
-	blockLUTMask = blockLUTSize - 1
-)
-
-// blockLUTEntry caches one blocks-map binding: guest PC → live block.
-type blockLUTEntry struct {
-	pc uint32
-	b  *block
-}
-
-// lookupBlock resolves pc to its live translation, consulting the
-// direct-mapped LUT before the map and filling the LUT on a map hit.
-func (e *Engine) lookupBlock(pc uint32) *block {
-	ent := &e.blockLUT[pc&blockLUTMask]
-	if ent.b != nil && ent.pc == pc {
-		return ent.b
-	}
-	b := e.blocks[pc]
-	if b != nil {
-		ent.pc, ent.b = pc, b
-	}
-	return b
-}
-
-// lutEvict drops b's LUT entry if present (block invalidation).
-func (e *Engine) lutEvict(b *block) {
-	ent := &e.blockLUT[b.guestPC&blockLUTMask]
-	if ent.b == b {
-		ent.b = nil
-	}
-}
-
-// lutClear empties the whole LUT (code cache flush).
-func (e *Engine) lutClear() {
-	for i := range e.blockLUT {
-		e.blockLUT[i] = blockLUTEntry{}
-	}
-}
 
 // CodeCacheUsed returns bytes allocated in the code cache.
 func (e *Engine) CodeCacheUsed() uint64 { return e.cc.used() }
@@ -319,11 +245,19 @@ type adaptiveRef struct {
 	counter uint64
 }
 
-// allocCounter reserves a 4-byte adaptive streak counter.
-func (e *Engine) allocCounter() uint64 {
+// errCounterSpace reports that the adaptive streak counters have filled
+// their region, which ends where the IBTC begins.
+var errCounterSpace = errors.New("core: adaptive counter region exhausted")
+
+// allocCounter reserves a 4-byte adaptive streak counter. translate
+// rewinds counterNext when the unit that took counters does not commit.
+func (e *Engine) allocCounter() (uint64, error) {
 	addr := e.counterNext
+	if addr+4 > ibtcBase {
+		return 0, errCounterSpace
+	}
 	e.counterNext += 4
-	return addr
+	return addr, nil
 }
 
 // ibtcFill installs an IBTC entry for a resolved indirect target.
@@ -371,12 +305,8 @@ func (e *Engine) handleAdaptiveRevert(id uint32) error {
 		return fmt.Errorf("core: bad adaptive payload %d", id)
 	}
 	ref := e.adaptives[id]
-	set := e.reverted[ref.b.guestPC]
-	if set == nil {
-		set = make(map[int]bool)
-		e.reverted[ref.b.guestPC] = set
-	}
-	set[ref.instIdx] = true
+	st := e.dec.state(ref.b.guestPC)
+	st.reverted.add(ref.instIdx)
 	if e.events != nil {
 		e.event(EvRevert, ref.b.guestPC, 0, fmt.Sprintf("site #%d", ref.instIdx))
 	}
@@ -384,7 +314,7 @@ func (e *Engine) handleAdaptiveRevert(id uint32) error {
 	// translation would immediately re-inline the sequence. The streak
 	// counter resets so the stale code cannot refire before its block
 	// exits.
-	delete(e.retained(ref.b.guestPC), ref.instIdx)
+	st.retained.del(ref.instIdx)
 	e.Mem.Write32(ref.counter, 0)
 	if !ref.b.invalid {
 		e.invalidateBlock(ref.b)
@@ -429,24 +359,12 @@ func (e *Engine) FinalCPU() guest.CPU {
 	return e.CPU
 }
 
-// retained returns the persistent trap-discovered MDA set for a block.
-func (e *Engine) retained(pc uint32) map[int]bool {
-	m := e.retainedMDA[pc]
-	if m == nil {
-		m = make(map[int]bool)
-		e.retainedMDA[pc] = m
-	}
-	return m
-}
-
 // invalidateBlock removes b's translation: unmaps it, unlinks every direct
 // branch into it, and marks it so in-flight execution of the stale code is
 // handled conservatively by the exception handler.
 func (e *Engine) invalidateBlock(b *block) {
 	e.event(EvInvalidate, b.guestPC, b.hostEntry, "")
-	b.invalid = true
-	delete(e.blocks, b.guestPC)
-	e.lutEvict(b)
+	e.unbind(b)
 	if e.Opt.IBTC {
 		e.ibtcEvict(b.hostEntry, b.hostEntry+b.hostSize)
 	}
@@ -461,21 +379,30 @@ func (e *Engine) invalidateBlock(b *block) {
 	b.incoming = nil
 }
 
+// unbind marks b invalid and drops its binding at its start-PC entry.
+func (e *Engine) unbind(b *block) {
+	b.invalid = true
+	if st := e.dec.stateAt(b.guestPC); st != nil && st.blk == b {
+		st.blk = nil
+	}
+}
+
 // flushAll empties the code cache (Dynamo-style full flush) when an
 // allocation fails or a forced flush is injected. Both zones are reclaimed
-// — block bodies and the exception handler's MDA stubs. Heating profiles,
-// trap-discovered MDA sites, the interpreter blacklist, and soft-emulation
-// demotions survive.
+// — block bodies and the exception handler's MDA stubs. Only the block
+// bindings go: heating profiles, trap-discovered MDA sites, the
+// interpreter blacklist, and soft-emulation demotions stay on the per-PC
+// table.
 //
 // Flushing clears the exit table, so it is only safe at a dispatch
 // boundary (never from inside the trap handler, where stale code holding
 // live BRKBT exit payloads is still executing).
 func (e *Engine) flushAll() {
-	for _, b := range e.blocks {
-		b.invalid = true
+	for _, sp := range e.blockSpans {
+		if !sp.b.invalid {
+			e.unbind(sp.b)
+		}
 	}
-	e.blocks = make(map[uint32]*block)
-	e.lutClear()
 	e.exits = nil
 	e.sites = make(map[uint64]siteRef)
 	// A flush is only reached at a dispatch boundary, so no stale code (and
@@ -519,7 +446,7 @@ func (e *Engine) ensureTranslated(pc uint32) (*block, error) {
 // blacklistBlock permanently routes pc to the interpreter: the bottom rung
 // of the translation ladder (translate → flush → interpreter).
 func (e *Engine) blacklistBlock(pc uint32, cause error) {
-	e.blacklist[pc] = true
+	e.dec.state(pc).blacklisted = true
 	if e.events != nil {
 		e.event(EvDegrade, pc, 0, "interpreter fallback: "+cause.Error())
 	}
@@ -599,7 +526,8 @@ func (e *Engine) RunContext(ctx context.Context, entry uint32, maxHostInsts uint
 			if e.Opt.FaultPlan.Should(faultinject.ForcedFlush) {
 				e.flushAll()
 			}
-			if e.blacklist[target] {
+			st := e.dec.state(target)
+			if st.blacklisted {
 				// Bottom rung of the ladder: the block failed translation
 				// permanently, so it runs on the interpreter forever.
 				e.syncToCPU()
@@ -614,21 +542,21 @@ func (e *Engine) RunContext(ctx context.Context, entry uint32, maxHostInsts uint
 				target = next
 				continue
 			}
-			b := e.lookupBlock(target)
+			b := st.blk
 			if b == nil {
 				if e.profiled {
-					if p := e.profile(target); p.heat < e.Opt.HeatThreshold {
+					if st.heat < e.Opt.HeatThreshold {
 						e.syncToCPU()
-						p.heat++
+						st.heat++
 						next, err := e.interpretBlock(target)
 						if err != nil {
 							return e.guestError(target, err)
 						}
 						if e.Opt.Superblocks {
-							if p.succ == nil {
-								p.succ = make(map[uint32]uint64)
+							if st.succ == nil {
+								st.succ = make(map[uint32]uint64)
 							}
-							p.succ[next]++
+							st.succ[next]++
 						}
 						target = next
 						continue
@@ -644,7 +572,9 @@ func (e *Engine) RunContext(ctx context.Context, entry uint32, maxHostInsts uint
 					}
 					// Translation failures that survive the recovery ladder
 					// are bad guest code (undecodable instructions, or a
-					// fetch-protection fault found while decoding).
+					// fetch-protection fault found while decoding) or a run
+					// whose adaptive units filled the streak-counter region;
+					// retrying either reproduces it.
 					return e.guestError(target, err)
 				}
 			}
@@ -698,7 +628,7 @@ func (e *Engine) RunContext(ctx context.Context, entry uint32, maxHostInsts uint
 			if payload == svcIndirect {
 				target = uint32(e.Mach.Reg(tmpIndirect))
 				if e.Opt.IBTC {
-					if tb := e.lookupBlock(target); tb != nil {
+					if tb := e.dec.blockAt(target); tb != nil {
 						e.ibtcFill(target, tb.hostEntry)
 					}
 				}
@@ -736,7 +666,7 @@ func (e *Engine) maybeLink(ex *exit) {
 	if e.Opt.NoChain || ex.linked || ex.from.invalid {
 		return
 	}
-	tb := e.lookupBlock(ex.targetGuest)
+	tb := e.dec.blockAt(ex.targetGuest)
 	if tb == nil {
 		return
 	}
@@ -815,7 +745,7 @@ func (e *Engine) handleMisalign(m *machine.Machine, pc uint64, inst host.Inst, e
 	// handler and the OS-style software fixup is the permanent cost.
 	act := policy.Fixup
 	if known {
-		e.trapSites[ref.site.guestPC]++
+		e.dec.state(ref.site.guestPC).traps++
 		act = e.mech.OnMisalignTrap(policy.TrapCtx{
 			GuestPC:    ref.site.guestPC,
 			BlockPC:    ref.b.guestPC,
@@ -830,11 +760,12 @@ func (e *Engine) handleMisalign(m *machine.Machine, pc uint64, inst host.Inst, e
 		// translator about the site, so the pending retranslation inlines
 		// it instead of rediscovering it one trap at a time.
 		if known && act != policy.Fixup && ref.b.invalid {
-			e.retained(ref.b.guestPC)[ref.site.instIdx] = true
+			e.dec.state(ref.b.guestPC).retained.add(ref.site.instIdx)
 		}
-		if !known && e.Opt.StaticAlign {
-			// Proven-aligned emissions carry no site registration, so a trap
-			// at one of their PCs lands here — flag the soundness violation.
+		if !known && e.Opt.StaticAlign && ea&uint64(inst.Op.MemSize()-1) != 0 {
+			// Proven-aligned emissions carry no site registration, so a
+			// misaligned access at one of their PCs lands here — flag the
+			// soundness violation. An aligned one is an injected trap.
 			e.noteAlignViolation(pc)
 		}
 		m.EmulateAccess(inst, ea)
@@ -845,10 +776,11 @@ func (e *Engine) handleMisalign(m *machine.Machine, pc uint64, inst host.Inst, e
 		e.event(EvTrap, site.guestPC, pc, fmt.Sprintf("ea=%#x", ea))
 	}
 	b.trapCount++
-	e.retained(b.guestPC)[site.instIdx] = true
+	bst := e.dec.state(b.guestPC)
+	bst.retained.add(site.instIdx)
 	m.AddTrapCycles(e.Opt.EHHandlerCycles)
 
-	if e.softEmu[site.guestPC] {
+	if e.dec.state(site.guestPC).softEmu {
 		// Demoted by the trap-storm limiter: fix the access up in software
 		// permanently, without further patch or retranslation attempts.
 		m.EmulateAccess(inst, ea)
@@ -860,7 +792,7 @@ func (e *Engine) handleMisalign(m *machine.Machine, pc uint64, inst host.Inst, e
 	if act == policy.Retranslate {
 		m.EmulateAccess(inst, ea)
 		e.invalidateBlock(b)
-		e.profiles[b.guestPC] = &blockProfile{} // restart dynamic profiling
+		bst.heat, bst.succ = 0, nil // restart dynamic profiling
 		for _, u := range b.insts {
 			e.dec.clearProf(u.pc) // restart the per-site profiles too
 		}
@@ -971,10 +903,11 @@ func (e *Engine) patchFailed(b *block, site *memSite, hostPC uint64, why string)
 	if e.events != nil {
 		e.event(EvDegrade, site.guestPC, hostPC, "patch failed: "+why)
 	}
-	if site.patchFails < patchRetryLimit || e.softEmu[site.guestPC] {
+	st := e.dec.state(site.guestPC)
+	if site.patchFails < patchRetryLimit || st.softEmu {
 		return
 	}
-	e.softEmu[site.guestPC] = true
+	st.softEmu = true
 	e.stats.TrapStormDemotions++
 	e.event(EvDegrade, site.guestPC, hostPC, "trap-storm demotion: soft emulation")
 	if !b.invalid {

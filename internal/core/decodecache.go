@@ -5,15 +5,53 @@ import (
 	"mdabt/internal/mem"
 )
 
-// decEntry caches one decoded guest instruction together with its alignment
-// profile. Fusing the profile pointer into the decode entry removes the
-// separate per-memory-op profile map lookup from the interpreter's inner
-// loop: the entry is already in hand when the profile is updated.
+// decEntry is the one record per guest PC: the cached decode, the
+// instruction's alignment profile and the engine's run state for that PC.
+// Fusing the profile pointer into the decode entry removes the separate
+// per-memory-op profile map lookup from the interpreter's inner loop: the
+// entry is already in hand when the profile is updated.
 type decEntry struct {
 	inst guest.Inst
-	len  int          // 0 = not decoded yet
+	len  uint8        // encoded length; 0 = not decoded yet
 	prof *siteProfile // lazily created on first profiled execution
+	st   *pcState     // engine run state; created only by the engine (never by RunCensus)
 }
+
+// pcState is the engine's run state for one guest PC (paper Fig. 9: every
+// heating, blacklisting, trap and revert decision is keyed by a guest PC).
+// It hangs off the decode-cache entry, so it survives everything the
+// entry's decode does not: a guest store over the instruction
+// (invalidateWrite), a profile reset (clearProf), block invalidation and
+// full cache flushes. Only configure (Engine.Reset) drops it, with the
+// decode cache itself.
+type pcState struct {
+	// Per-instruction facts.
+	traps   uint64 // misalignment traps delivered at this registered site
+	softEmu bool   // demoted to soft emulation by the trap-storm limiter
+
+	// Block-start facts.
+	blacklisted bool   // failed translation past the flush ladder: interpreted forever
+	blk         *block // live translation starting here; nil when none
+	heat        uint64 // interpreted executions so far (two-phase heating)
+	// succ counts successor blocks for trace formation; it is kept only
+	// under Options.Superblocks (nil until the first count). Per-site
+	// alignment profiles stay per instruction, so a trace's translation
+	// sees the profiles of every block it folds in.
+	succ map[uint32]uint64
+	// retained holds the unit's instruction indices the exception handler
+	// has seen trap, so retranslations (§IV-C) inline their sequences;
+	// reverted holds those the adaptive monitor (§IV-D) demoted back to
+	// plain operations. Both are keyed by unit index, not guest PC: which
+	// unit an instruction trapped in decides what is retranslated.
+	retained, reverted idxSet
+}
+
+// idxSet is a set of instruction indices within one translation unit.
+type idxSet [(maxTraceInsts + 63) / 64]uint64
+
+func (s *idxSet) add(i int)      { s[i/64] |= 1 << (i % 64) }
+func (s *idxSet) del(i int)      { s[i/64] &^= 1 << (i % 64) }
+func (s *idxSet) has(i int) bool { return s[i/64]&(1<<(i%64)) != 0 }
 
 // profile returns the entry's alignment profile, creating it on first use.
 func (de *decEntry) profile() *siteProfile {
@@ -33,12 +71,15 @@ const (
 	decDenseLimit = uint32(4 << 20)
 )
 
-// decodeCache is a PC-indexed cache of decoded guest instructions. The zero
-// value is ready to use. Entries stay valid until a guest store overlaps
-// their encoded bytes (self-modifying code): the owner routes such stores
-// through invalidateWrite, which drops every decode the write could have
-// changed. Per-site profiles can also be reset individually (retranslation
-// restarts profiling).
+// decodeCache is a PC-indexed cache of decoded guest instructions, and the
+// engine's per-guest-PC table. The zero value is ready to use. Decodes stay
+// valid until a guest store overlaps their encoded bytes (self-modifying
+// code): the owner routes such stores through invalidateWrite, which drops
+// every decode the write could have changed. Per-site profiles can also be
+// reset individually (retranslation restarts profiling).
+//
+// entry may grow the dense arena, which moves every entry: hold *pcState
+// (heap allocated), never *decEntry, across a call that may decode.
 type decodeCache struct {
 	dense []decEntry // indexed by pc - decDenseBase
 	far   map[uint32]*decEntry
@@ -95,7 +136,7 @@ func (c *decodeCache) decoded(pc uint32, m *mem.Memory) (de *decEntry, fresh boo
 		if derr != nil {
 			return nil, false, derr
 		}
-		de.inst, de.len = inst, n
+		de.inst, de.len = inst, uint8(n)
 		fresh = true
 	}
 	return de, fresh, nil
@@ -104,7 +145,8 @@ func (c *decodeCache) decoded(pc uint32, m *mem.Memory) (de *decEntry, fresh boo
 // invalidateWrite drops every cached decode a guest store to [addr,
 // addr+size) could have changed: any entry whose encoded bytes overlap the
 // write, i.e. entries starting as far back as MaxInstLen-1 bytes before it.
-// Profiles go with the decode — the site is a different instruction now.
+// Profiles go with the decode — the site is a different instruction now —
+// but the run state stays: it is keyed by the PC, not the instruction.
 // It returns the number of entries dropped.
 func (c *decodeCache) invalidateWrite(addr uint64, size int) int {
 	n := 0
@@ -151,16 +193,38 @@ func (c *decodeCache) clearProf(pc uint32) {
 	}
 }
 
-// forEachProf calls fn for every site with a recorded alignment profile.
-func (c *decodeCache) forEachProf(fn func(pc uint32, p *siteProfile)) {
+// state returns pc's run state, creating it (and its slot) on first use.
+func (c *decodeCache) state(pc uint32) *pcState {
+	de := c.entry(pc)
+	if de.st == nil {
+		de.st = &pcState{}
+	}
+	return de.st
+}
+
+// stateAt returns pc's run state without allocating, or nil if none exists.
+func (c *decodeCache) stateAt(pc uint32) *pcState {
+	if de := c.peek(pc); de != nil {
+		return de.st
+	}
+	return nil
+}
+
+// blockAt returns the live translation starting at pc, or nil.
+func (c *decodeCache) blockAt(pc uint32) *block {
+	if st := c.stateAt(pc); st != nil {
+		return st.blk
+	}
+	return nil
+}
+
+// each calls fn for every slot: the dense window in PC order, then the far
+// entries in map order.
+func (c *decodeCache) each(fn func(pc uint32, de *decEntry)) {
 	for i := range c.dense {
-		if p := c.dense[i].prof; p != nil {
-			fn(decDenseBase+uint32(i), p)
-		}
+		fn(decDenseBase+uint32(i), &c.dense[i])
 	}
 	for pc, de := range c.far {
-		if de.prof != nil {
-			fn(pc, de.prof)
-		}
+		fn(pc, de)
 	}
 }

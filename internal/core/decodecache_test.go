@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"unsafe"
 
 	"mdabt/internal/guest"
 	"mdabt/internal/mem"
@@ -60,7 +61,7 @@ func TestDecodeCacheDenseAndFar(t *testing.T) {
 }
 
 // TestDecodeCacheProfiles covers the fused per-site alignment profiles:
-// lazy creation, profAt/clearProf, and forEachProf across both tiers.
+// lazy creation, profAt/clearProf, and the each walk across both tiers.
 func TestDecodeCacheProfiles(t *testing.T) {
 	m := mem.New()
 	var b guest.Builder
@@ -95,22 +96,101 @@ func TestDecodeCacheProfiles(t *testing.T) {
 	}
 
 	seen := map[uint32]bool{}
-	c.forEachProf(func(pc uint32, p *siteProfile) {
-		if p.mda != 5 {
-			t.Errorf("forEachProf(%#x): mda = %d, want 5", pc, p.mda)
+	c.each(func(pc uint32, de *decEntry) {
+		if p := de.prof; p != nil {
+			if p.mda != 5 {
+				t.Errorf("each(%#x): mda = %d, want 5", pc, p.mda)
+			}
+			seen[pc] = true
 		}
-		seen[pc] = true
 	})
 	if !seen[densePC] || !seen[farPC] {
-		t.Fatalf("forEachProf visited %v, want both %#x and %#x", seen, densePC, farPC)
+		t.Fatalf("each visited profiles at %v, want both %#x and %#x", seen, densePC, farPC)
 	}
 
-	// Retranslation resets a site's profile without touching the decode.
+	// Retranslation resets a site's profile without touching the decode or
+	// the PC's run state.
+	st := c.state(densePC)
+	st.traps = 3
 	c.clearProf(densePC)
 	if got := c.profAt(densePC); got != nil {
 		t.Fatalf("profAt after clearProf = %p, want nil", got)
 	}
 	if de := c.peek(densePC); de == nil || de.len == 0 {
 		t.Fatal("clearProf dropped the decoded instruction")
+	}
+	if got := c.stateAt(densePC); got != st || got.traps != 3 {
+		t.Fatalf("stateAt after clearProf = %+v, want the recorded state", got)
+	}
+}
+
+// TestDecEntrySize pins the decode-cache entry at 48 bytes on 64-bit
+// hosts: the per-PC run state is one pointer, paid for by narrowing the
+// length, so the census's and the interpreter's arenas do not grow.
+func TestDecEntrySize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sized for 64-bit hosts")
+	}
+	if got := unsafe.Sizeof(decEntry{}); got != 48 {
+		t.Fatalf("decEntry is %d bytes, want 48", got)
+	}
+}
+
+// TestPCStateSurvival pins what each engine event keeps of a guest PC's
+// row in the per-PC table. A guest store over the instruction drops its
+// decode and its translation but none of the PC's run state; a full cache
+// flush drops only the block binding; Reset drops everything.
+func TestPCStateSurvival(t *testing.T) {
+	cases := []struct {
+		name           string
+		act            func(e *Engine, pc uint32)
+		decoded, facts bool
+	}{
+		{"guest store over the instruction", func(e *Engine, pc uint32) {
+			e.Mem.Write8(uint64(pc), e.Mem.Read8(uint64(pc)))
+			e.smcWrite(uint64(pc), 1)
+		}, false, true},
+		{"cache flush", func(e *Engine, _ uint32) { e.flushAll() }, true, true},
+		{"reset", func(e *Engine, _ uint32) { e.Reset(e.Opt) }, false, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, _, e := runDBT(t, shapesImg(t, 100), patternData(256), DefaultOptions(DPEH))
+			b := anyBlock(e)
+			if b == nil {
+				t.Fatal("no live translation")
+			}
+			pc := b.guestPC
+			st := e.dec.stateAt(pc)
+			if st == nil || st.blk != b || st.heat == 0 {
+				t.Fatalf("run left %+v at %#x, want a bound, heated entry", st, pc)
+			}
+			// The other facts arise on other paths (translation failure,
+			// trap storms, adaptive reverts); plant them on the same row.
+			st.blacklisted, st.softEmu, st.traps = true, true, 7
+			st.retained.add(1)
+			st.reverted.add(2)
+			heat := st.heat
+
+			tc.act(e, pc)
+
+			if de := e.dec.peek(pc); (de != nil && de.len != 0) != tc.decoded {
+				t.Errorf("decoded = %v, want %v", !tc.decoded, tc.decoded)
+			}
+			if got := e.dec.blockAt(pc); got != nil {
+				t.Errorf("block %v still bound at %#x", got, pc)
+			}
+			got := e.dec.stateAt(pc)
+			if !tc.facts {
+				if got != nil {
+					t.Errorf("run state %+v survived", got)
+				}
+				return
+			}
+			if got != st || !got.blacklisted || !got.softEmu || got.traps != 7 || got.heat != heat ||
+				!got.retained.has(1) || !got.reverted.has(2) {
+				t.Errorf("run state at %#x = %+v, want every planted fact and heat %d", pc, got, heat)
+			}
+		})
 	}
 }

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"mdabt/internal/guest"
@@ -46,8 +46,8 @@ func (e *Engine) DumpTraces() string {
 // per-site policy artifacts (patched branches show up as the patched
 // instruction). It returns an error if the block is not translated.
 func (e *Engine) DumpBlock(pc uint32) (string, error) {
-	b, ok := e.blocks[pc]
-	if !ok {
+	b := e.dec.blockAt(pc)
+	if b == nil {
 		return "", fmt.Errorf("core: block %#x is not translated", pc)
 	}
 	var sb strings.Builder
@@ -104,16 +104,18 @@ func (e *Engine) DumpStats() string {
 	fmt.Fprintf(&sb, "degraded: stub-full=%d unpatchable=%d interp-fallbacks=%d demotions=%d injected-faults=%d\n",
 		full.StubZoneFull, full.UnpatchableSites, full.InterpFallbacks,
 		full.TrapStormDemotions, full.InjectedFaults)
-	fmt.Fprintf(&sb, "code-cache=%dB blocks=%d\n", e.cc.used(), len(e.blocks))
+	fmt.Fprintf(&sb, "code-cache=%dB blocks=%d\n", e.cc.used(), e.Blocks())
 	return sb.String()
 }
 
 // TranslatedPCs lists the guest PCs with live translations, sorted.
 func (e *Engine) TranslatedPCs() []uint32 {
-	pcs := make([]uint32, 0, len(e.blocks))
-	for pc := range e.blocks {
-		pcs = append(pcs, pc)
+	var pcs []uint32
+	for _, sp := range e.blockSpans {
+		if !sp.b.invalid {
+			pcs = append(pcs, sp.b.guestPC)
+		}
 	}
-	sort.Slice(pcs, func(i, j int) bool { return pcs[i] < pcs[j] })
+	slices.Sort(pcs)
 	return pcs
 }

@@ -81,10 +81,10 @@ func (e *Engine) decoded(pc uint32) (*decEntry, error) {
 		return nil, err
 	}
 	if fresh {
-		e.watchCode(pc, de.len)
+		e.watchCode(pc, int(de.len))
 	}
 	if e.Mem.Armed() {
-		if mf := e.Mem.CheckFetch(uint64(pc), de.len); mf != nil {
+		if mf := e.Mem.CheckFetch(uint64(pc), int(de.len)); mf != nil {
 			return nil, &guest.Fault{PC: pc, Mem: *mf}
 		}
 	}
@@ -128,27 +128,35 @@ func (e *Engine) resolveFaultSite(pc uint64) (*block, int, bool) {
 			return sr.b, sr.idx, true
 		}
 	}
-	for i := len(e.blockSpans) - 1; i >= 0; i-- {
-		sp := &e.blockSpans[i]
-		if pc < sp.lo || pc >= sp.hi {
-			continue
-		}
-		b := sp.b
-		lo, hi := 0, len(b.bounds)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if b.bounds[mid].hostPC <= pc {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo == 0 {
-			return nil, 0, false
-		}
-		return b, b.bounds[lo-1].idx, true
+	b := e.blockSpanAt(pc)
+	if b == nil {
+		return nil, 0, false
 	}
-	return nil, 0, false
+	lo, hi := 0, len(b.bounds)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if b.bounds[mid].hostPC <= pc {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo == 0 {
+		return nil, 0, false
+	}
+	return b, b.bounds[lo-1].idx, true
+}
+
+// blockSpanAt returns the unit whose host span holds pc — live or
+// invalidated, since stale code can still run until the next dispatch —
+// or nil. Spans never overlap, so at most one matches.
+func (e *Engine) blockSpanAt(pc uint64) *block {
+	for i := len(e.blockSpans) - 1; i >= 0; i-- {
+		if sp := &e.blockSpans[i]; pc >= sp.lo && pc < sp.hi {
+			return sp.b
+		}
+	}
+	return nil
 }
 
 // guestAccessOf recomputes the guest data access of instruction in from
@@ -306,19 +314,19 @@ func (e *Engine) reconstructFlags(b *block, idx int) {
 // interpreter hooks only — never from inside machine.Run.
 func (e *Engine) smcWrite(addr uint64, size int) {
 	hi := addr + uint64(size)
-	var stale []*block
-	for _, b := range e.blocks {
+	for _, sp := range e.blockSpans {
+		b := sp.b
+		if b.invalid {
+			continue
+		}
 		for _, u := range b.insts {
 			if s := uint64(u.pc); s < hi && s+uint64(u.len) > addr {
-				stale = append(stale, b)
+				e.invalidateBlock(b)
+				e.stats.SMCInvalidations++
+				e.event(EvSMC, b.guestPC, addr, "translation invalidated by guest store")
 				break
 			}
 		}
-	}
-	for _, b := range stale {
-		e.invalidateBlock(b)
-		e.stats.SMCInvalidations++
-		e.event(EvSMC, b.guestPC, addr, "translation invalidated by guest store")
 	}
 	e.stats.SMCDecodeFlushes += uint64(e.dec.invalidateWrite(addr, size))
 }

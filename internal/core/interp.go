@@ -20,7 +20,7 @@ func (e *Engine) interpretBlock(pc uint32) (uint32, error) {
 		if err != nil {
 			return 0, fmt.Errorf("core: interpret at %#x: %w", cur, err)
 		}
-		info, err := e.CPU.Exec(e.Mem, cur, &de.inst, de.len)
+		info, err := e.CPU.Exec(e.Mem, cur, &de.inst, int(de.len))
 		if err != nil {
 			return 0, err
 		}
@@ -65,16 +65,6 @@ func (e *Engine) interpretBlock(pc uint32) (uint32, error) {
 		}
 	}
 	return e.CPU.EIP, nil
-}
-
-// profile returns (creating if needed) the block profile for pc.
-func (e *Engine) profile(pc uint32) *blockProfile {
-	p := e.profiles[pc]
-	if p == nil {
-		p = &blockProfile{}
-		e.profiles[pc] = p
-	}
-	return p
 }
 
 // Census is a pure-interpretation measurement of a guest program: the data
@@ -154,7 +144,11 @@ func RunCensus(m *mem.Memory, entry uint32, maxInsts uint64) (*Census, error) {
 	var dec decodeCache
 	finish := func(err error) (*Census, error) {
 		var tp store.TrapProfile
-		dec.forEachProf(func(pc uint32, p *siteProfile) { tp.Add(pc, p.mda, p.aligned) })
+		dec.each(func(pc uint32, de *decEntry) {
+			if p := de.prof; p != nil {
+				tp.Add(pc, p.mda, p.aligned)
+			}
+		})
 		c.Sites = tp.Sites
 		c.Halted = cpu.Halted
 		c.FinalCPU = *cpu
@@ -167,11 +161,11 @@ func RunCensus(m *mem.Memory, entry uint32, maxInsts uint64) (*Census, error) {
 			return nil, fmt.Errorf("core: census at %#x: %w", pc, err)
 		}
 		if m.Armed() {
-			if f := m.CheckFetch(uint64(pc), de.len); f != nil {
+			if f := m.CheckFetch(uint64(pc), int(de.len)); f != nil {
 				return finish(&guest.Fault{PC: pc, Mem: *f})
 			}
 		}
-		info, err := cpu.Exec(m, pc, &de.inst, de.len)
+		info, err := cpu.Exec(m, pc, &de.inst, int(de.len))
 		if err != nil {
 			return finish(err)
 		}

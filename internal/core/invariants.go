@@ -1,14 +1,12 @@
 package core
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // CheckInvariants validates the engine's internal consistency: code cache
-// geometry, the block map, the side table mapping host PCs to memory
-// sites, the exit table, the IBTC mirror against its in-memory table, and
-// the interpreter blacklist. It returns nil when every invariant holds and
+// geometry, the block bindings in the per-PC table against the live
+// blocks, the side table mapping host PCs to memory sites, the exit table,
+// the IBTC mirror against its in-memory table, and the interpreter
+// blacklist. It returns nil when every invariant holds and
 // a descriptive error for the first violation found.
 //
 // The checker is the robustness harness's oracle: tests and `dbtrun
@@ -24,25 +22,67 @@ func (e *Engine) CheckInvariants() error {
 			cc.base, cc.blockNext, cc.stubNext, cc.base+cc.size)
 	}
 
-	// Block map: every live block is valid, keyed by its guest PC, and its
-	// host span lies inside the block zone; live spans never overlap.
-	type span struct {
-		lo, hi uint64
-		pc     uint32
-	}
-	var spans []span
-	for pc, b := range e.blocks {
-		if b.invalid {
-			return fmt.Errorf("core: invariant: block %#x is live but marked invalid", pc)
+	// Fault-attribution span table: well formed, and the count of each
+	// live block's entries (spans are append-only per cache generation;
+	// invalidated blocks may linger, live ones may not repeat).
+	liveSpans := make(map[*block]int)
+	for i, sp := range e.blockSpans {
+		if sp.b == nil || sp.lo >= sp.hi {
+			return fmt.Errorf("core: invariant: blockSpans[%d] malformed [%#x,%#x)", i, sp.lo, sp.hi)
 		}
-		if b.guestPC != pc {
-			return fmt.Errorf("core: invariant: block map key %#x != block.guestPC %#x", pc, b.guestPC)
+		if !sp.b.invalid {
+			liveSpans[sp.b]++
+		}
+	}
+
+	// Per-PC table: every bound entry names a live block — valid, keyed by
+	// its own guest PC, committed in this cache generation exactly once —
+	// and no blacklisted PC has one (the two dispatch paths would race over
+	// the same guest PC).
+	var tableErr error
+	e.dec.each(func(pc uint32, de *decEntry) {
+		if tableErr != nil || de.st == nil || de.st.blk == nil {
+			return
+		}
+		switch b := de.st.blk; {
+		case b.invalid:
+			tableErr = fmt.Errorf("core: invariant: block %#x is bound but marked invalid", pc)
+		case b.guestPC != pc:
+			tableErr = fmt.Errorf("core: invariant: block table key %#x != block.guestPC %#x", pc, b.guestPC)
+		case liveSpans[b] != 1:
+			tableErr = fmt.Errorf("core: invariant: bound block %#x has %d fault-attribution spans, want 1", pc, liveSpans[b])
+		case de.st.blacklisted:
+			tableErr = fmt.Errorf("core: invariant: blacklisted guest %#x has a live translation", pc)
+		}
+	})
+	if tableErr != nil {
+		return tableErr
+	}
+
+	// Live blocks, in host order: each is bound at its start-PC entry, its
+	// host span lies inside the block zone and agrees with its span entry,
+	// and live spans never overlap.
+	var prevHi uint64
+	for i, sp := range e.blockSpans {
+		b, pc := sp.b, sp.b.guestPC
+		if b.invalid {
+			continue
+		}
+		if e.dec.blockAt(pc) != b {
+			return fmt.Errorf("core: invariant: live block %#x is not bound at its start-PC entry", pc)
 		}
 		if b.hostEntry < cc.base || b.hostEntry+b.hostSize > cc.blockNext {
 			return fmt.Errorf("core: invariant: block %#x host span [%#x,%#x) outside allocated zone [%#x,%#x)",
 				pc, b.hostEntry, b.hostEntry+b.hostSize, cc.base, cc.blockNext)
 		}
-		spans = append(spans, span{b.hostEntry, b.hostEntry + b.hostSize, pc})
+		if sp.lo != b.hostEntry || sp.hi != b.hostEntry+b.hostSize {
+			return fmt.Errorf("core: invariant: blockSpans[%d] [%#x,%#x) disagrees with block %#x span [%#x,%#x)",
+				i, sp.lo, sp.hi, pc, b.hostEntry, b.hostEntry+b.hostSize)
+		}
+		if sp.lo < prevHi {
+			return fmt.Errorf("core: invariant: block %#x overlaps an earlier block in the code cache", pc)
+		}
+		prevHi = sp.hi
 
 		// Fault-attribution bounds: recorded in emission order, so host PCs
 		// must be non-decreasing (an instruction that emits zero host words
@@ -91,35 +131,6 @@ func (e *Engine) CheckInvariants() error {
 			}
 		}
 	}
-	sort.Slice(spans, func(i, j int) bool { return spans[i].lo < spans[j].lo })
-	for i := 1; i < len(spans); i++ {
-		if spans[i].lo < spans[i-1].hi {
-			return fmt.Errorf("core: invariant: blocks %#x and %#x overlap in the code cache",
-				spans[i-1].pc, spans[i].pc)
-		}
-	}
-
-	// Fault-attribution span table: every live block must appear exactly
-	// once with its current geometry (spans are append-only per cache
-	// generation; invalidated blocks may linger, live ones may not drift).
-	liveSpans := make(map[*block]int)
-	for i, sp := range e.blockSpans {
-		if sp.b == nil || sp.lo >= sp.hi {
-			return fmt.Errorf("core: invariant: blockSpans[%d] malformed [%#x,%#x)", i, sp.lo, sp.hi)
-		}
-		if !sp.b.invalid {
-			liveSpans[sp.b]++
-			if sp.lo != sp.b.hostEntry || sp.hi != sp.b.hostEntry+sp.b.hostSize {
-				return fmt.Errorf("core: invariant: blockSpans[%d] [%#x,%#x) disagrees with block %#x span [%#x,%#x)",
-					i, sp.lo, sp.hi, sp.b.guestPC, sp.b.hostEntry, sp.b.hostEntry+sp.b.hostSize)
-			}
-		}
-	}
-	for pc, b := range e.blocks {
-		if n := liveSpans[b]; n != 1 {
-			return fmt.Errorf("core: invariant: live block %#x has %d fault-attribution spans, want 1", pc, n)
-		}
-	}
 
 	// Stub attribution ranges live in the allocated stub zone and name a
 	// valid instruction of their block.
@@ -152,7 +163,7 @@ func (e *Engine) CheckInvariants() error {
 	// above verified it) or marked invalid — a live-looking entry for a
 	// vanished block means a missed cleanup.
 	for hpc, ref := range e.sites {
-		if !ref.b.invalid && e.blocks[ref.b.guestPC] != ref.b {
+		if !ref.b.invalid && e.dec.blockAt(ref.b.guestPC) != ref.b {
 			return fmt.Errorf("core: invariant: side table entry %#x references a non-live, non-invalid block %#x",
 				hpc, ref.b.guestPC)
 		}
@@ -163,7 +174,7 @@ func (e *Engine) CheckInvariants() error {
 	// live or invalidated — never a unit that failed after emission. Exit
 	// ids index their own slots; a linked exit's target must be a live
 	// translation (invalidation unlinks incoming exits).
-	registered := func(b *block) bool { return b.invalid || e.blocks[b.guestPC] == b }
+	registered := func(b *block) bool { return b.invalid || e.dec.blockAt(b.guestPC) == b }
 	for i, ref := range e.adaptives {
 		if !registered(ref.b) {
 			return fmt.Errorf("core: invariant: adaptive site %d belongs to an unregistered block %#x", i, ref.b.guestPC)
@@ -177,7 +188,7 @@ func (e *Engine) CheckInvariants() error {
 			return fmt.Errorf("core: invariant: exit %d belongs to an unregistered block %#x", i, ex.from.guestPC)
 		}
 		if ex.linked {
-			if _, ok := e.blocks[ex.targetGuest]; !ok {
+			if e.dec.blockAt(ex.targetGuest) == nil {
 				return fmt.Errorf("core: invariant: exit %d linked to untranslated guest %#x", i, ex.targetGuest)
 			}
 		}
@@ -205,39 +216,13 @@ func (e *Engine) CheckInvariants() error {
 			if int((ent.guest>>ibtcShift)&(ibtcEntries-1)) != i {
 				return fmt.Errorf("core: invariant: ibtc slot %d holds guest %#x which hashes elsewhere", i, ent.guest)
 			}
-			tb, ok := e.blocks[ent.guest]
-			if !ok {
+			tb := e.dec.blockAt(ent.guest)
+			if tb == nil {
 				return fmt.Errorf("core: invariant: ibtc slot %d targets untranslated guest %#x", i, ent.guest)
 			}
 			if tb.hostEntry != ent.host {
 				return fmt.Errorf("core: invariant: ibtc slot %d host %#x != block entry %#x", i, ent.host, tb.hostEntry)
 			}
-		}
-	}
-
-	// Block lookup table: every live entry must agree with the authoritative
-	// blocks map — a stale entry would dispatch into invalidated code.
-	for i := range e.blockLUT {
-		ent := &e.blockLUT[i]
-		if ent.b == nil {
-			continue
-		}
-		if int(ent.pc&blockLUTMask) != i {
-			return fmt.Errorf("core: invariant: block LUT slot %d holds guest %#x which maps elsewhere", i, ent.pc)
-		}
-		if ent.b.invalid {
-			return fmt.Errorf("core: invariant: block LUT slot %d holds invalidated block %#x", i, ent.pc)
-		}
-		if e.blocks[ent.pc] != ent.b {
-			return fmt.Errorf("core: invariant: block LUT slot %d for guest %#x disagrees with the block map", i, ent.pc)
-		}
-	}
-
-	// Degradation ladder: a blacklisted block must never be translated —
-	// the two dispatch paths would race over the same guest PC.
-	for pc := range e.blacklist {
-		if _, ok := e.blocks[pc]; ok {
-			return fmt.Errorf("core: invariant: blacklisted guest %#x has a live translation", pc)
 		}
 	}
 
@@ -265,10 +250,13 @@ func (e *Engine) CheckInvariants() error {
 	// emitted words and metadata must account for each other — every
 	// trap-prone memory op registered, proven aligned, or guarded; branch
 	// targets and BRKBT payloads resolved; patch sites well-formed.
-	for pc, b := range e.blocks {
-		if fs := e.verifyBlock(b); len(fs) > 0 {
+	for _, sp := range e.blockSpans {
+		if sp.b.invalid {
+			continue
+		}
+		if fs := e.verifyBlock(sp.b); len(fs) > 0 {
 			return fmt.Errorf("core: invariant: block %#x fails translation lint (%d findings): %s",
-				pc, len(fs), fs[0])
+				sp.b.guestPC, len(fs), fs[0])
 		}
 	}
 	return nil

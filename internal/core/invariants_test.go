@@ -30,10 +30,20 @@ func invariantEngine(t *testing.T) *Engine {
 	opt := DefaultOptions(ExceptionHandling)
 	opt.IBTC = true
 	_, _, e := runDBT(t, img, patternData(64), opt)
-	if len(e.blocks) == 0 {
+	if e.Blocks() == 0 {
 		t.Fatal("engine has no live translations to corrupt")
 	}
 	return e
+}
+
+// anyBlock returns the engine's first live block in host order.
+func anyBlock(e *Engine) *block {
+	for _, sp := range e.blockSpans {
+		if !sp.b.invalid {
+			return sp.b
+		}
+	}
+	return nil
 }
 
 // TestCheckInvariantsCleanEngine: a healthy post-run engine passes.
@@ -47,12 +57,6 @@ func TestCheckInvariantsCleanEngine(t *testing.T) {
 // TestCheckInvariantsDetectsCorruption plants one corruption of each class
 // the checker covers and asserts each is caught with a matching message.
 func TestCheckInvariantsDetectsCorruption(t *testing.T) {
-	anyBlock := func(e *Engine) *block {
-		for _, b := range e.blocks {
-			return b
-		}
-		return nil
-	}
 	cases := []struct {
 		name    string
 		corrupt func(t *testing.T, e *Engine)
@@ -71,7 +75,7 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		{
 			name:    "block map key mismatch",
 			corrupt: func(t *testing.T, e *Engine) { anyBlock(e).guestPC++ },
-			want:    "block map key",
+			want:    "block table key",
 		},
 		{
 			name:    "block outside allocated zone",
@@ -131,35 +135,42 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		{
 			name: "blacklisted block translated",
 			corrupt: func(t *testing.T, e *Engine) {
-				e.blacklist[anyBlock(e).guestPC] = true
+				e.dec.state(anyBlock(e).guestPC).blacklisted = true
 			},
 			want: "blacklisted",
 		},
 		{
-			name: "block LUT entry in wrong slot",
+			name: "block bound at a foreign PC",
 			corrupt: func(t *testing.T, e *Engine) {
 				b := anyBlock(e)
-				e.blockLUT[(b.guestPC+1)&blockLUTMask] = blockLUTEntry{pc: b.guestPC + 1, b: b}
+				e.dec.state(b.guestPC + 1).blk = b
 			},
-			want: "block LUT",
+			want: "block table key",
 		},
 		{
-			name: "block LUT holds invalidated block",
+			name: "bound entry names an invalidated block",
 			corrupt: func(t *testing.T, e *Engine) {
 				b := anyBlock(e)
 				stale := &block{guestPC: b.guestPC, hostEntry: b.hostEntry, hostSize: b.hostSize, invalid: true}
-				e.blockLUT[b.guestPC&blockLUTMask] = blockLUTEntry{pc: b.guestPC, b: stale}
+				e.dec.state(b.guestPC).blk = stale
 			},
-			want: "block LUT",
+			want: "bound but marked invalid",
 		},
 		{
-			name: "block LUT disagrees with block map",
+			name: "bound entry names an uncommitted block",
 			corrupt: func(t *testing.T, e *Engine) {
 				b := anyBlock(e)
-				ghost := *b // live-looking copy the block map does not own
-				e.blockLUT[b.guestPC&blockLUTMask] = blockLUTEntry{pc: b.guestPC, b: &ghost}
+				ghost := *b // live-looking copy no span entry owns
+				e.dec.state(b.guestPC).blk = &ghost
 			},
-			want: "disagrees with the block map",
+			want: "has 0 fault-attribution spans",
+		},
+		{
+			name: "live block not bound at its entry",
+			corrupt: func(t *testing.T, e *Engine) {
+				e.dec.state(anyBlock(e).guestPC).blk = nil
+			},
+			want: "not bound at its start-PC entry",
 		},
 	}
 	for _, tc := range cases {
@@ -182,19 +193,13 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 func TestSelfCheckLatchesIntoRun(t *testing.T) {
 	e := invariantEngine(t)
 	e.Opt.SelfCheck = true
-	anyB := func() *block {
-		for _, b := range e.blocks {
-			return b
-		}
-		return nil
-	}
-	anyB().guestPC++ // plant corruption
+	anyBlock(e).guestPC++ // plant corruption
 	e.selfCheck("test")
 	if e.invariantErr == nil {
 		t.Fatal("selfCheck did not latch the violation")
 	}
 	if err := e.Run(uint32(guest.CodeBase), 1_000_000); err == nil ||
-		!strings.Contains(err.Error(), "block map key") {
+		!strings.Contains(err.Error(), "block table key") {
 		t.Fatalf("Run = %v, want latched invariant error", err)
 	}
 }

@@ -97,18 +97,21 @@ func TestRetainedMDASurvivesFlush(t *testing.T) {
 		}
 		opt.SelfCheck = true
 		_, _, e := runDBT(t, img, data, opt)
-		checked := 0
-		for pc, want := range e.retainedMDA {
-			if len(want) == 0 {
-				continue
+		retained := map[uint32]idxSet{}
+		e.dec.each(func(pc uint32, de *decEntry) {
+			if de.st != nil && de.st.retained != (idxSet{}) {
+				retained[pc] = de.st.retained
 			}
+		})
+		checked := 0
+		for pc, want := range retained {
 			e.flushAll()
 			b, err := e.ensureTranslated(pc)
 			if err != nil {
 				t.Fatalf("%v: retranslate %#x after flush: %v", mech, pc, err)
 			}
-			for idx := range want {
-				if !b.insts[idx].knownMDA {
+			for idx := range maxTraceInsts {
+				if want.has(idx) && !b.insts[idx].knownMDA {
 					t.Errorf("%v: block %#x lost retained MDA site #%d across the flush", mech, pc, idx)
 				}
 			}
@@ -175,39 +178,30 @@ func TestStubZoneReclaimedOnFlush(t *testing.T) {
 	}
 }
 
-// TestBlockLUTCoherence drives the direct-mapped block LUT through its
-// full lifecycle — fill on lookup, eviction on block invalidation, full
-// clear on cache flush, refill after retranslation — and asserts it never
-// serves a stale binding.
-func TestBlockLUTCoherence(t *testing.T) {
+// TestBlockBindingCoherence drives a block's binding in the per-PC table
+// through its full lifecycle — bound at commit, dropped on invalidation,
+// rebound by retranslation, dropped on cache flush — and asserts the
+// table never serves a stale translation.
+func TestBlockBindingCoherence(t *testing.T) {
 	img := pressureProgram(t)
 	data := patternData(256)
 	opt := DefaultOptions(ExceptionHandling)
 	opt.SelfCheck = true
 	_, _, e := runDBT(t, img, data, opt)
-	if len(e.blocks) == 0 {
+	b := anyBlock(e)
+	if b == nil {
 		t.Fatal("no live translations after the run")
 	}
-
-	// Fill: a lookup caches the binding in the block's slot.
-	var pc uint32
-	var b *block
-	for p, bb := range e.blocks {
-		pc, b = p, bb
-		break
-	}
-	if got := e.lookupBlock(pc); got != b {
-		t.Fatalf("lookupBlock(%#x) = %p, want %p", pc, got, b)
-	}
-	if ent := e.blockLUT[pc&blockLUTMask]; ent.b != b || ent.pc != pc {
-		t.Fatalf("LUT slot not filled after lookup: %+v", ent)
+	pc := b.guestPC
+	if got := e.dec.blockAt(pc); got != b {
+		t.Fatalf("blockAt(%#x) = %p, want %p", pc, got, b)
 	}
 
-	// Invalidation evicts the cached binding: a later lookup must miss
-	// instead of returning the dead block.
+	// Invalidation drops the binding: a later lookup must miss instead of
+	// returning the dead block.
 	e.invalidateBlock(b)
-	if got := e.lookupBlock(pc); got != nil {
-		t.Fatalf("lookupBlock(%#x) after invalidation = %p, want nil", pc, got)
+	if got := e.dec.blockAt(pc); got != nil {
+		t.Fatalf("blockAt(%#x) after invalidation = %p, want nil", pc, got)
 	}
 	if err := e.CheckInvariants(); err != nil {
 		t.Fatalf("after invalidation: %v", err)
@@ -221,56 +215,22 @@ func TestBlockLUTCoherence(t *testing.T) {
 	if nb == b {
 		t.Fatal("retranslation returned the invalidated block")
 	}
-	if got := e.lookupBlock(pc); got != nb {
-		t.Fatalf("lookupBlock(%#x) after retranslation = %p, want %p", pc, got, nb)
+	if got := e.dec.blockAt(pc); got != nb {
+		t.Fatalf("blockAt(%#x) after retranslation = %p, want %p", pc, got, nb)
 	}
 	if err := e.CheckInvariants(); err != nil {
 		t.Fatalf("after retranslation: %v", err)
 	}
 
-	// Flush clears every slot; no entry may outlive the code cache.
+	// Flush drops every binding; none may outlive the code cache.
 	e.flushAll()
-	for i, ent := range e.blockLUT {
-		if ent.b != nil {
-			t.Fatalf("LUT slot %d still holds %#x after flush", i, ent.pc)
+	e.dec.each(func(p uint32, de *decEntry) {
+		if de.st != nil && de.st.blk != nil {
+			t.Fatalf("guest %#x still bound after flush", p)
 		}
-	}
-	if got := e.lookupBlock(pc); got != nil {
-		t.Fatalf("lookupBlock(%#x) after flush = %p, want nil", pc, got)
-	}
+	})
 	if err := e.CheckInvariants(); err != nil {
 		t.Fatalf("after flush: %v", err)
-	}
-}
-
-// TestBlockLUTCollision checks the direct-mapped LUT stays correct when two
-// guest PCs contend for one slot: each lookup must return its own block,
-// with the slot simply swapping owners.
-func TestBlockLUTCollision(t *testing.T) {
-	img := pressureProgram(t)
-	data := patternData(256)
-	opt := DefaultOptions(Direct)
-	_, _, e := runDBT(t, img, data, opt)
-
-	var pc uint32
-	var b *block
-	for p, bb := range e.blocks {
-		pc, b = p, bb
-		break
-	}
-	// Forge a second live-looking block whose PC aliases the same LUT slot.
-	pc2 := pc + blockLUTSize
-	b2 := &block{guestPC: pc2, hostEntry: b.hostEntry, hostSize: b.hostSize}
-	e.blocks[pc2] = b2
-	defer delete(e.blocks, pc2)
-
-	for round := 0; round < 3; round++ {
-		if got := e.lookupBlock(pc); got != b {
-			t.Fatalf("round %d: lookupBlock(%#x) = %p, want %p", round, pc, got, b)
-		}
-		if got := e.lookupBlock(pc2); got != b2 {
-			t.Fatalf("round %d: lookupBlock(%#x) = %p, want %p", round, pc2, got, b2)
-		}
 	}
 }
 

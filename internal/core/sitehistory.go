@@ -3,10 +3,11 @@ package core
 import "mdabt/internal/store"
 
 // AddSiteHistory folds this session's per-site alignment knowledge into
-// tp as one more session: the decode cache's interpreter profiles (MDA
-// and aligned counts) plus the delivered-trap counts the exception
-// handler recorded (MDA only). It is what the persistent store
-// (internal/store) aggregates across sessions into a trap profile — the
+// tp as one more session: the interpreter profiles (MDA and aligned
+// counts) plus the delivered-trap counts the exception handler recorded
+// (MDA only), both read off the engine's per-PC table. It is what the
+// persistent store (internal/store) aggregates across sessions into a
+// trap profile — the
 // FX!32-style amortized static profile — so the next session's
 // SPEH/static-profile run starts with every previously discovered MDA site
 // already known. The engine itself does not interpret the history;
@@ -22,23 +23,25 @@ func (e *Engine) AddSiteHistory(tp *store.TrapProfile) {
 func (e *Engine) SiteHistory() map[uint32]struct{ MDA, Aligned uint64 } {
 	out := make(map[uint32]struct{ MDA, Aligned uint64 })
 	e.forEachSite(func(pc uint32, mda, aligned uint64) {
-		h := out[pc]
-		h.MDA += mda
-		h.Aligned += aligned
-		out[pc] = h
+		out[pc] = struct{ MDA, Aligned uint64 }{mda, aligned}
 	})
 	return out
 }
 
-// forEachSite reports every profiled site with a nonzero count, then every
-// trapped site; a PC can be reported twice.
+// forEachSite reports every site with a nonzero count once, in one walk of
+// the per-PC table: interpreter MDAs plus delivered traps, and aligned
+// executions.
 func (e *Engine) forEachSite(fn func(pc uint32, mda, aligned uint64)) {
-	e.dec.forEachProf(func(pc uint32, p *siteProfile) {
-		if p.total() != 0 {
-			fn(pc, p.mda, p.aligned)
+	e.dec.each(func(pc uint32, de *decEntry) {
+		var mda, aligned uint64
+		if p := de.prof; p != nil {
+			mda, aligned = p.mda, p.aligned
+		}
+		if de.st != nil {
+			mda += de.st.traps
+		}
+		if mda != 0 || aligned != 0 {
+			fn(pc, mda, aligned)
 		}
 	})
-	for pc, n := range e.trapSites {
-		fn(pc, n, 0)
-	}
 }

@@ -29,19 +29,14 @@ func (e *Engine) buildAlignDB(entry uint32) {
 	}
 }
 
-// noteAlignViolation records a misalignment trap arriving at a host PC the
+// noteAlignViolation records a misaligned access trapping at a host PC the
 // translator emitted under a proven-aligned claim — a lattice soundness
 // bug. Execution still recovers through the software fixup; the counter
 // makes the bug visible to the soundness cosim test.
 func (e *Engine) noteAlignViolation(pc uint64) {
-	for _, b := range e.blocks {
-		if pc >= b.hostEntry && pc < b.hostEntry+b.hostSize {
-			if b.alignedPCs[pc] {
-				e.stats.StaticAlignViolations++
-				e.event(EvDegrade, b.guestPC, pc, "static-align violation: proven-aligned site trapped")
-			}
-			return
-		}
+	if b := e.blockSpanAt(pc); b != nil && b.alignedPCs[pc] {
+		e.stats.StaticAlignViolations++
+		e.event(EvDegrade, b.guestPC, pc, "static-align violation: proven-aligned site trapped")
 	}
 }
 
@@ -110,7 +105,7 @@ func (e *Engine) verifyBlock(b *block) []align.Finding {
 				if !ex.linked {
 					return fmt.Errorf("exit %d is unlinked but holds an out-of-block branch", ex.id)
 				}
-				tb := e.blocks[ex.targetGuest]
+				tb := e.dec.blockAt(ex.targetGuest)
 				if tb == nil {
 					return fmt.Errorf("exit %d is linked to untranslated guest %#x", ex.id, ex.targetGuest)
 				}
@@ -142,7 +137,7 @@ func (e *Engine) verifyBlock(b *block) []align.Finding {
 func (e *Engine) Lint() []string {
 	var out []string
 	for _, pc := range e.TranslatedPCs() {
-		for _, f := range e.verifyBlock(e.blocks[pc]) {
+		for _, f := range e.verifyBlock(e.dec.blockAt(pc)) {
 			out = append(out, fmt.Sprintf("block %#x: %s", pc, f))
 		}
 	}

@@ -58,7 +58,7 @@ func (e *Engine) decodeBlock(units []unitInst, pc uint32) ([]unitInst, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: decode block at %#x: %w", cur, err)
 		}
-		units = append(units, unitInst{inst: de.inst, pc: cur, len: de.len})
+		units = append(units, unitInst{inst: de.inst, pc: cur, len: int(de.len)})
 		cur += uint32(de.len)
 		if de.inst.Op.EndsBlock() {
 			break
@@ -798,8 +798,8 @@ func fromPolicy(p policy.SitePolicy) sitePolicy {
 // verdict) and asking the mechanism strategy. It records each decision,
 // verdict and adaptive streak counter in the site's unitInst and reports
 // whether any site is mixed; everything mechanism-specific lives behind
-// the policy seam.
-func (e *Engine) sitePolicies(b *block) (anyMixed bool) {
+// the policy seam. st is the per-PC state at the unit's start.
+func (e *Engine) sitePolicies(b *block, st *pcState) (anyMixed bool, err error) {
 	for idx := range b.insts {
 		u := &b.insts[idx]
 		if _, isMem := guestKind(u.inst.Op); !isMem {
@@ -813,9 +813,7 @@ func (e *Engine) sitePolicies(b *block) (anyMixed bool) {
 		if s := e.dec.profAt(u.pc); s != nil {
 			ctx.ProfMDA, ctx.ProfAligned = s.mda, s.aligned
 		}
-		if rv := e.reverted[b.guestPC]; rv != nil && rv[idx] {
-			ctx.Reverted = true
-		}
+		ctx.Reverted = st.reverted.has(idx)
 		if e.Opt.StaticAlign {
 			// Whole-instruction verdicts feed the StaticAlign decorator;
 			// the engine records them for dumps/verifier, and translate
@@ -830,10 +828,12 @@ func (e *Engine) sitePolicies(b *block) (anyMixed bool) {
 		case polMixed:
 			anyMixed = true
 		case polAdaptive:
-			u.counter = e.allocCounter()
+			if u.counter, err = e.allocCounter(); err != nil {
+				return false, err
+			}
 		}
 	}
-	return anyMixed
+	return anyMixed, nil
 }
 
 // translate translates the unit at guest pc — a basic block, or a trace of
@@ -861,34 +861,41 @@ func (e *Engine) translate(pc uint32, perInst uint64) (*block, error) {
 	}
 	// Retranslations inherit the accumulated trap-discovered MDA sites
 	// (§IV-C) so the new code inlines their sequences.
-	for idx := range e.retainedMDA[pc] {
-		if idx < len(b.insts) {
-			b.insts[idx].knownMDA = true
-		}
+	st := e.dec.state(pc)
+	for idx := range b.insts {
+		b.insts[idx].knownMDA = st.retained.has(idx)
 	}
-	b.twoVer = e.sitePolicies(b)
-
+	// From here on the unit stages everything it takes — streak counters,
+	// exits, adaptive refs — until its allocation succeeds, so a unit that
+	// fails (counter region full, emission error, full cache, injected
+	// allocation fault) registers nothing and hands its counters back.
+	counterMark := e.counterNext
+	fail := func(err error) (*block, error) {
+		e.counterNext = counterMark
+		return nil, err
+	}
+	if b.twoVer, err = e.sitePolicies(b, st); err != nil {
+		return fail(err)
+	}
 	// Emit once, at the address the block zone's bump allocator hands out
-	// next. Exits and adaptive refs stay staged on the block and emitter
-	// until the allocation succeeds, so a unit that fails here (emission
-	// error, full cache, injected allocation fault) registers nothing.
+	// next.
 	base := e.cc.blockNext
 	a := host.NewAsm(base)
 	em := &emitter{e: e, a: a, b: b}
 	if err := em.body(); err != nil {
-		return nil, err
+		return fail(err)
 	}
 	words, err := a.Finish()
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
 	size := uint64(len(words)) * host.InstBytes
 	addr, err := e.cc.allocBlock(size)
 	if err != nil {
-		return nil, err // engine flushes and retries
+		return fail(err) // engine flushes and retries
 	}
 	if addr != base {
-		return nil, fmt.Errorf("core: translate %#x: emitted at %#x but allocated %#x", pc, base, addr)
+		return fail(fmt.Errorf("core: translate %#x: emitted at %#x but allocated %#x", pc, base, addr))
 	}
 	// Commit point: the unit is in the cache, so register it.
 	b.hostEntry = addr
@@ -915,7 +922,7 @@ func (e *Engine) translate(pc uint32, perInst uint64) (*block, error) {
 			e.sites[hpc] = siteRef{b: b, site: s}
 		}
 	}
-	e.blocks[pc] = b
+	st.blk = b
 	e.blockSpans = append(e.blockSpans, blockSpan{lo: addr, hi: addr + size, b: b})
 	if e.events != nil {
 		e.event(EvTranslate, pc, addr, fmt.Sprintf("%d insts, %d blocks", len(b.insts), nblocks))
@@ -1033,13 +1040,13 @@ func foldEdge(term guest.Inst, termNext, next uint32) (edge traceEdge, ok bool) 
 // dominantSuccessor consults the interpretation profile for the block's
 // overwhelmingly common successor.
 func (e *Engine) dominantSuccessor(pc uint32) (uint32, bool) {
-	prof := e.profiles[pc]
-	if prof == nil || len(prof.succ) == 0 {
+	st := e.dec.stateAt(pc)
+	if st == nil || len(st.succ) == 0 {
 		return 0, false
 	}
 	var total, best uint64
 	var bestPC uint32
-	for next, n := range prof.succ {
+	for next, n := range st.succ {
 		total += n
 		if n > best {
 			best, bestPC = n, next
