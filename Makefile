@@ -21,9 +21,8 @@ race:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -count $(BENCH_COUNT) ./internal/perfbench/
 
-# One iteration per benchmark across the repo — the CI smoke job. The
-# perfbench suite includes the traced dispatch-loop config
-# (BenchmarkDispatchLoopTraced), so the trace tier is exercised here too.
+# One iteration per benchmark across the repo — the CI smoke job. Every
+# run is on the trace tier, the machine's only executor.
 # The allocation guards follow: zero steady-state allocations in the
 # dispatch loop, a bounded allocation per recycled engine request, and a
 # bounded byte count per fresh ES40 cache hierarchy.
@@ -55,10 +54,12 @@ serve-chaos:
 # registry mechanism, with and without fixed-seed fault injection; fault
 # delivery must be precise and interpreter-identical (DESIGN.md §12). The
 # trap-bit table is checked against a brute-force reference model, and
-# traps taken mid-run in the generic dispatch loop (with and without
+# traps taken mid-trace in the machine's trace executor (with and without
 # injection) against the single-stepping reference machine. Traced runs of
 # random programs with MDA mega-steps, whose constituents fault mid-sequence
-# on protected pages, must match the generic loop at every budget. A unit
+# on protected pages, must match the reference at every budget, and so
+# must such programs under a fault plan, injection stream included
+# (TestTraceFaultPlanParity). A unit
 # whose block allocation fails after emission must register none of its
 # exits or adaptive sites (translate's commit point) and hand back its
 # adaptive streak counters (TestAdaptiveCountersRewoundOnFailedCommit).
@@ -69,7 +70,7 @@ fault-chaos:
 	$(GO) test -race -run 'TestFaultCosimAllMechanisms|TestChaosGuestFaults|TestSelfModifyingInvalidates|TestMultiContextReset|TestTranslateCommitAfterAllocFault|TestAdaptiveCountersRewoundOnFailedCommit|TestStaticAlignViolationsIgnoreInjectedTraps' -v ./internal/core
 	$(GO) test -race -run 'TestServeGuestFaults' ./internal/serve
 	$(GO) test -race -run 'TestTrapTableReferenceModel' -v ./internal/mem
-	$(GO) test -race -run 'TestTrapMidRun|TestTraceParityRandomPrograms|TestTraceMegaStepFaults' -v ./internal/machine
+	$(GO) test -race -run 'TestTrapMidRun|TestTraceParityRandomPrograms|TestTraceMegaStepFaults|TestTraceFaultPlanParity' -v ./internal/machine
 
 # Persistent-store crash/corruption suite under the race detector: the
 # full internal/store suite (atomic-write protocol, SIGKILL-mid-write
@@ -97,15 +98,17 @@ mech-smoke:
 	$(GO) test -run '^TestRegistryMechanismSmoke$$' -v ./internal/experiments
 
 # Machine-readable summary (guest MIPS, ns/guest-inst, allocs) → BENCH_4.json.
-# Its dispatch-loop and dispatch-loop-traced rows give the trace tier's
-# speedup. BENCH_2.json and BENCH_3.json are earlier checked-in baselines.
+# Its dispatch-loop and dispatch-loop-traced rows now measure the same run
+# (the trace executor is the only dispatch loop); in the checked-in file
+# they give the trace tier's speedup over the generic loop it replaced.
+# BENCH_2.json and BENCH_3.json are earlier checked-in baselines.
 bench-json:
 	$(GO) run ./cmd/mdaeval -benchjson BENCH_4.json
 
 # The golden equivalence matrix under the race detector: the 144 pinned
 # fingerprints, the engine-reuse replay, the trace-tier parity sweep
-# (every matrix config re-run with Options.Traces — fingerprints must match
-# the untraced goldens bit for bit), and the DumpBlock golden, which pins
+# (every matrix config re-run on one recycled engine — fingerprints must
+# match the goldens bit for bit), and the DumpBlock golden, which pins
 # the emitted host code and its per-instruction records byte for byte.
 golden-matrix:
 	$(GO) test -race -run 'TestMechanismEquivalence|TestEngineReuseEquivalence|TestTraceTierFingerprintParity|TestDumpBlockGolden' -v ./internal/core

@@ -64,7 +64,7 @@ func main() {
 	ibtc := flag.Bool("ibtc", false, "enable the indirect-branch translation cache")
 	adaptive := flag.Bool("adaptive", false, "enable §IV-D adaptive sites (DPEH)")
 	superblocks := flag.Bool("superblocks", false, "enable phase-2 trace formation (DPEH/dynprof)")
-	traces := flag.Bool("traces", true, "run on the IR-less direct-chaining trace execution tier (simulation-invisible; see -dump for annotations); -traces=false forces the generic dispatch loop")
+	flag.Bool("traces", true, "ignored: every run executes on the trace tier (see -dump for its annotations)")
 	staticalign := flag.Bool("staticalign", false, "layer the static alignment analysis over the mechanism")
 	aotFlag := flag.Bool("aot", false, "pre-translate the whole binary ahead of time from the recovered CFG (implies -staticalign)")
 	lint := flag.Bool("lint", false, "run the translation verifier over every emitted block after the run")
@@ -102,7 +102,6 @@ func main() {
 		IBTC:               *ibtc,
 		Adaptive:           *adaptive,
 		Superblocks:        *superblocks,
-		Traces:             *traces,
 		StaticAlign:        *staticalign,
 		AOT:                *aotFlag,
 		SelfCheck:          *selfcheck,
@@ -329,11 +328,9 @@ func main() {
 		fmt.Printf("store:            hits=%d misses=%d saves=%d merges=%d corrupt=%d quarantined=%d\n",
 			ss.Hits, ss.Misses, ss.Saves, ss.Merges, ss.Corrupt, ss.Quarantined)
 	}
-	if eng.Opt.Traces {
-		ts := eng.TraceStats()
-		fmt.Printf("trace tier:       %d formed, %d chain follows, %d invalidations, %d host insts traced\n",
-			ts.Formed, ts.ChainFollows, ts.Invalidations, ts.TracedInsts)
-	}
+	ts := eng.TraceStats()
+	fmt.Printf("trace tier:       %d formed, %d chain follows, %d invalidations, %d host insts traced\n",
+		ts.Formed, ts.ChainFollows, ts.Invalidations, ts.TracedInsts)
 	if *lint {
 		findings := eng.Lint()
 		for _, f := range findings {

@@ -77,3 +77,18 @@ func TestUnknownInputFails(t *testing.T) {
 		t.Fatalf("dbtrun -input trian: error does not name the valid inputs:\n%s", out)
 	}
 }
+
+// TestTracesFlagIgnored: -traces stays accepted for existing scripts but
+// changes nothing — every run executes on the trace tier, so the output
+// with -traces=false, trace-tier line included, equals the default's.
+func TestTracesFlagIgnored(t *testing.T) {
+	const prog = "testdata/sum.gasm"
+	_, def := dbtrun(t, "-mech", "dpeh", prog)
+	_, off := dbtrun(t, "-mech", "dpeh", "-traces=false", prog)
+	if off != def {
+		t.Fatalf("-traces=false output differs from the default:\n%s\nvs\n%s", off, def)
+	}
+	if !strings.Contains(def, "trace tier:") {
+		t.Fatalf("no trace-tier line:\n%s", def)
+	}
+}

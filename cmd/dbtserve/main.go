@@ -14,16 +14,15 @@
 //	                  {"bench": "164.gzip", "input":"ref"} run a benchmark model, or
 //	                  {"faultprog": "straddle-store-fault"} run a guest-fault workload
 //	                optional fields: "mech" (policy name), "budget",
-//	                "deadline_ms", "threshold", "traces" (enable the
-//	                direct-chaining trace tier; simulated results are
-//	                bit-identical, the response gains trace counters). A run ending in a
+//	                "deadline_ms", "threshold". The response carries the
+//	                run's trace counters. A run ending in a
 //	                guest-visible memory fault returns HTTP 422 with the
 //	                faulting guest PC and address in "guest_fault".
 //	GET  /healthz — pool health snapshot (503 while draining).
 //	GET  /statsz  — cumulative serving counters, including AOT cache hits
 //	                vs JIT fallbacks (cold-start observability) and
 //	                trace-tier totals (traces_formed, chain_follows,
-//	                trace_invalidations) across "traces":true runs.
+//	                trace_invalidations) across all runs.
 //
 // Requests running the "aot" mechanism on a benchmark adopt a cached
 // ahead-of-time image (built once per benchmark): the engine pre-seeds its
@@ -76,7 +75,6 @@ type runRequest struct {
 	FaultProg  string `json:"faultprog,omitempty"` // built-in guest-fault workload
 	Input      string `json:"input,omitempty"`     // "train" or "ref" (default)
 	Mech       string `json:"mech,omitempty"`
-	Traces     bool   `json:"traces,omitempty"` // enable the direct-chaining trace tier
 	Threshold  uint64 `json:"threshold,omitempty"`
 	Budget     uint64 `json:"budget,omitempty"`
 	DeadlineMS int64  `json:"deadline_ms,omitempty"`
@@ -104,9 +102,8 @@ type runResponse struct {
 	AOTBlocks    uint64 `json:"aot_blocks,omitempty"`
 	AOTHits      uint64 `json:"aot_hits,omitempty"`
 	JITFallbacks uint64 `json:"jit_fallbacks,omitempty"`
-	// Trace-tier telemetry (present on "traces":true runs). Host-side
-	// only: the simulated counters above are bit-identical with the tier
-	// on or off.
+	// Trace-tier telemetry. Host-side only: which traces exist never
+	// changes the simulated counters above.
 	TracesFormed       uint64 `json:"traces_formed,omitempty"`
 	ChainFollows       uint64 `json:"chain_follows,omitempty"`
 	TraceInvalidations uint64 `json:"trace_invalidations,omitempty"`
@@ -147,7 +144,7 @@ type app struct {
 	aotHits      atomic.Uint64 // dispatches into pre-translated blocks
 	jitFallbacks atomic.Uint64 // dynamic translations despite AOT
 
-	// Trace-tier counters, summed across "traces":true runs.
+	// Trace-tier counters, summed across runs.
 	tracesFormed       atomic.Uint64 // step-list traces built
 	chainFollows       atomic.Uint64 // direct trace-to-trace transfers
 	traceInvalidations atomic.Uint64 // traces dropped (SMC, flush, reset)
@@ -242,7 +239,6 @@ func (a *app) handleRun(w http.ResponseWriter, r *http.Request) {
 	if body.Threshold != 0 {
 		opt.HeatThreshold = body.Threshold
 	}
-	opt.Traces = body.Traces
 
 	req := serve.Request{Options: &opt, Budget: body.Budget, Timeout: a.deadline}
 	if body.DeadlineMS > 0 {
@@ -340,11 +336,9 @@ func (a *app) handleRun(w http.ResponseWriter, r *http.Request) {
 		resp.Regs[i] = res.CPU.R[guest.Reg(i)]
 	}
 	a.runs.Add(1)
-	if opt.Traces {
-		a.tracesFormed.Add(res.Traces.Formed)
-		a.chainFollows.Add(res.Traces.ChainFollows)
-		a.traceInvalidations.Add(res.Traces.Invalidations)
-	}
+	a.tracesFormed.Add(res.Traces.Formed)
+	a.chainFollows.Add(res.Traces.ChainFollows)
+	a.traceInvalidations.Add(res.Traces.Invalidations)
 	if opt.AOT {
 		a.aotRuns.Add(1)
 		a.aotHits.Add(res.Stats.AOTHits)
@@ -364,7 +358,7 @@ type statsResponse struct {
 	AOTRuns      uint64 `json:"aot_runs"`
 	AOTHits      uint64 `json:"aot_hits"`
 	JITFallbacks uint64 `json:"jit_fallbacks"`
-	// Trace-tier totals across "traces":true runs: how much dispatch tax
+	// Trace-tier totals across runs: how much dispatch tax
 	// the pool's engines avoided, and how often invalidation severed the
 	// chains (SMC, flushes, engine resets).
 	TracesFormed       uint64 `json:"traces_formed"`

@@ -382,3 +382,23 @@ func TestRunAOTWarmup(t *testing.T) {
 		t.Errorf("statsz = %+v, want hits with zero fallbacks", s)
 	}
 }
+
+// TestRunTracesFieldIgnored: the request body's old "traces" field is
+// ignored by JSON decoding, so a body that turns it off still runs, on the
+// trace tier like every other request, and reports trace counters.
+func TestRunTracesFieldIgnored(t *testing.T) {
+	_, ts := testApp(t)
+	raw, _ := json.Marshal(map[string]any{"asm": testAsm, "traces": false})
+	resp, err := http.Post(ts.URL+"/run", "application/json", bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var r runResponse
+	if err := json.NewDecoder(resp.Body).Decode(&r); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || r.HostInsts == 0 || r.TracesFormed == 0 {
+		t.Fatalf("status %d, response %+v: want a traced run", resp.StatusCode, r)
+	}
+}

@@ -213,9 +213,9 @@ type block struct {
 	// aot marks translations produced by the offline pre-translation pass
 	// (Options.AOT); dispatches into them count as Stats.AOTHits.
 	aot bool
-	// notrace latches a failed trace-tier build (Options.Traces; an
-	// unsupported host instruction) so the dispatcher stops retrying.
-	// Host-side only, never visible to the simulation.
+	// notrace latches a failed unit-trace build (a unit longer than a
+	// trace may be) so the dispatcher stops retrying; the unit then runs
+	// in fill traces. Host-side only, never visible to the simulation.
 	notrace bool
 }
 

@@ -149,16 +149,11 @@ type Options struct {
 	// splits) are folded, never conditional branches.
 	Superblocks bool
 
-	// Traces enables the IR-less direct-chaining execution tier (DESIGN.md
-	// §14): once a translated block is dispatched natively, the host
-	// machine pre-resolves its instructions into a flat step list and
-	// subsequent executions run the steps directly — no per-instruction
-	// fetch/decode — chaining through patched exit branches into successor
-	// traces without returning to the dispatcher. The tier is
-	// simulation-invisible: guest state, machine counters, and engine
-	// statistics are bit-identical with it on or off; only wall-clock
-	// simulation speed changes. Host-side telemetry (traces formed, chain
-	// follows, invalidations) is reported separately via Engine.TraceStats.
+	// Traces is ignored. The trace executor (DESIGN.md §14) is the host
+	// machine's only dispatch loop, so every run is traced: a translated
+	// unit gets a unit trace on its first native dispatch, and other code
+	// runs in fill traces. The field stays so existing callers that set it
+	// keep compiling; it never changes a result.
 	Traces bool
 
 	// IBTC enables an inline indirect-branch translation cache for RET

@@ -177,9 +177,6 @@ func (e *Engine) configure(opt Options) {
 	}
 	e.Mach.SetMisalignHandler(e.handleMisalign)
 	e.Mach.SetAccessFaultHandler(e.handleAccessFault)
-	// The trace tier is machine state, so (re)configuration — including
-	// Engine.Reset reuse — re-arms or drops it to match the options.
-	e.Mach.EnableTraces(opt.Traces)
 	e.writeFaultPad()
 	e.Mach.SetFaultPlan(nil)
 	if opt.FaultPlan != nil {
@@ -196,8 +193,8 @@ func (e *Engine) configure(opt Options) {
 // just-constructed state under opt, so one System can execute program after
 // program with fresh statistics and a cold simulated machine. It is the
 // cheap-reuse primitive of the serving layer (internal/serve): the memory's
-// page arena and trap table, the machine's decode window, I-lines and
-// trace-step arena, the guest decode cache, the event log buffer, and the
+// page arena and trap table, the machine's trace tables and trace-step
+// arena, the guest decode cache, the event log buffer, and the
 // code-cache address range are all retained, only their contents cleared.
 // A reset engine produces bit-identical results and statistics to a
 // freshly built one.
@@ -220,13 +217,12 @@ func (e *Engine) Stats() Stats {
 func (e *Engine) Blocks() int { return len(e.TranslatedPCs()) }
 
 // TraceStats returns the host-side trace-tier telemetry (traces formed,
-// chain follows, invalidations, traced host instructions). All zero when
-// Options.Traces is off. Deliberately not part of Stats: the tier is
-// simulation-invisible and its counters must never enter the simulated
-// fingerprint.
+// chain follows, invalidations, traced host instructions). Deliberately
+// not part of Stats: which traces exist is simulation-invisible, and
+// their counters must never enter the simulated fingerprint.
 func (e *Engine) TraceStats() machine.TraceStats { return e.Mach.TraceStats() }
 
-// TraceInfos returns every live machine trace (dump annotations and the
+// TraceInfos returns every live unit trace (dump annotations and the
 // translation lint), ordered by start address.
 func (e *Engine) TraceInfos() []machine.TraceInfo { return e.Mach.TraceInfos() }
 
@@ -581,9 +577,7 @@ func (e *Engine) RunContext(ctx context.Context, entry uint32, maxHostInsts uint
 			if b.aot {
 				e.stats.AOTHits++
 			}
-			if e.Opt.Traces {
-				e.maybeTrace(b)
-			}
+			e.maybeTrace(b)
 			e.syncToHost()
 			e.Mach.SetPC(b.hostEntry)
 		}
@@ -679,20 +673,20 @@ func (e *Engine) maybeLink(ex *exit) {
 	tb.incoming = append(tb.incoming, ex)
 	e.event(EvLink, ex.targetGuest, ex.hostPC, "")
 	e.stats.Links++
-	if e.Opt.Traces {
-		// The patch just severed any trace covering the exiting unit (the
-		// stub sits inside its host span). Links happen once per edge, so
-		// reseeding immediately — with the exit now a direct branch the new
-		// trace chains straight into the target — is cheap and bounded.
-		e.maybeTrace(ex.from)
-	}
+	// The patch just severed any trace covering the exiting unit (the stub
+	// sits inside its host span). Links happen once per edge, so reseeding
+	// immediately — with the exit now a direct branch the new trace chains
+	// straight into the target — is cheap and bounded.
+	e.maybeTrace(ex.from)
 }
 
-// maybeTrace seeds the machine's direct-chaining trace tier over a
-// translated unit on its first native dispatch. Purely a host-side
-// accelerator: success or failure never changes simulated state. A failed
-// build (an instruction form the tier does not pre-resolve) is latched so
-// the dispatcher stops retrying.
+// maybeTrace seeds a unit trace over a translated unit on its first
+// native dispatch, and again after a patch dropped it; the machine's
+// BuildTrace replaces the fill traces execution left over the unit. Purely
+// a host-side accelerator: success or failure never changes simulated
+// state (code no unit trace covers runs in fill traces). A failed build (a
+// unit longer than a trace may be) is latched so the dispatcher stops
+// retrying.
 func (e *Engine) maybeTrace(b *block) {
 	if b.notrace || b.invalid || e.Mach.HasTrace(b.hostEntry) {
 		return

@@ -9,10 +9,10 @@ import (
 	"mdabt/internal/host"
 )
 
-// DumpTraces renders every live machine trace: its id, host code span,
+// DumpTraces renders every live unit trace: its id, host code span,
 // compacted step count, the member translations it covers (guest PC and
 // kind), its static side-exit targets, and the memoized chain links it has
-// followed. Empty when the trace tier is off or nothing has been traced.
+// followed. Empty when no unit trace is live.
 func (e *Engine) DumpTraces() string {
 	infos := e.Mach.TraceInfos()
 	if len(infos) == 0 {

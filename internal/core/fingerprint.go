@@ -24,9 +24,7 @@ const fingerprintFormat = 3
 //     start its own universe.
 //   - FaultPlan, SelfCheck, and SliceInsts are harness knobs, proven
 //     simulation-invisible (or injection-only) elsewhere.
-//   - Traces selects the host execution tier, which is bit-invisible to
-//     guest results and engine statistics by the trace tier's own parity
-//     contract (DESIGN.md §14).
+//   - Traces is ignored (every run is traced; DESIGN.md §14).
 func (o Options) Fingerprint() string {
 	o.Normalize()
 	o.StaticSites = nil

@@ -228,15 +228,11 @@ func (e *Engine) CheckInvariants() error {
 
 	// Trace tier: the machine's side tables (PC lookup, live-trace list,
 	// threaded step pointers, memoized chain links) must be mutually
-	// coherent, the tier must be armed exactly when the options ask for
-	// it, and every live trace must cover allocated code-cache words — a
-	// trace outliving its code would replay stale instructions.
+	// coherent and agree with the code in memory, and every live unit
+	// trace must cover allocated code-cache words — a trace outliving its
+	// code would replay stale instructions.
 	if err := e.Mach.CheckTraceCoherence(); err != nil {
 		return fmt.Errorf("core: invariant: %w", err)
-	}
-	if e.Mach.TracesEnabled() != e.Opt.Traces {
-		return fmt.Errorf("core: invariant: machine trace tier enabled=%v disagrees with Options.Traces=%v",
-			e.Mach.TracesEnabled(), e.Opt.Traces)
 	}
 	for _, ti := range e.Mach.TraceInfos() {
 		if ti.Start < cc.base || ti.End > cc.blockNext {

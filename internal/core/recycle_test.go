@@ -12,7 +12,7 @@ import (
 // recycledRequest returns a closure that serves one request the way
 // serve.Server does on a warm worker: Reset the engine, load a fault
 // program (which arms page protections, and whose run arms the code
-// watch), and run it with the trace tier on.
+// watch), and run it.
 func recycledRequest(tb testing.TB) func() {
 	tb.Helper()
 	p, err := workload.GenerateStraddle(workload.StraddleOK)
@@ -20,7 +20,6 @@ func recycledRequest(tb testing.TB) func() {
 		tb.Fatal(err)
 	}
 	opt := DefaultOptions(DPEH)
-	opt.Traces = true
 	m := mem.New()
 	e := NewEngine(m, machine.New(m, machine.DefaultParams()), opt)
 	return func() {
@@ -34,19 +33,19 @@ func recycledRequest(tb testing.TB) func() {
 
 // recycledRequestBudget bounds the bytes one recycled request may
 // allocate. The engine's own per-run tables (block maps, translation
-// records, profiles) are rebuilt each run; the trap table, I-lines and
-// trace steps must not be. Allocating a trap table for the whole
-// protectable range costs 512 KiB alone. A request measured 7,911 bytes
-// (Go 1.24, linux/amd64); the budget leaves under 25% headroom, so a
+// records, profiles) are rebuilt each run; the trap table, the trace
+// tables and trace steps must not be. Allocating a trap table for the
+// whole protectable range costs 512 KiB alone. A request measured 5,080
+// bytes (Go 1.24, linux/amd64); the budget leaves under 25% headroom, so a
 // translate-path regression of a few allocations per unit fails it.
-const recycledRequestBudget = 9_850
+const recycledRequestBudget = 6_300
 
 // TestRecycledRequestAllocs guards Engine.Reset's reuse of what the engine
 // owns: after one warm-up request, every further request on the same
 // engine must stay under recycledRequestBudget bytes allocated.
 func TestRecycledRequestAllocs(t *testing.T) {
 	serve := recycledRequest(t)
-	serve() // warm-up: sizes the trap table, lines and step arena
+	serve() // warm-up: sizes the trap table, trace tables and step arena
 	const n = 8
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

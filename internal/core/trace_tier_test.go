@@ -13,12 +13,13 @@ import (
 )
 
 // The direct-chaining trace tier's contract is simulation invisibility:
-// Options.Traces may change only the wall clock, never a counter, a stat,
-// a register, or a delivered fault. These tests hold every golden-matrix
-// configuration to that contract, with the tier layered on top.
+// which traces exist may change only the wall clock, never a counter, a
+// stat, a register, or a delivered fault. The tier is the machine's only
+// executor, and Options.Traces is ignored; these tests set it anyway, so
+// they also pin that the field changes nothing.
 
-// tracedOpt returns opt with the trace tier armed (it traces on a unit's
-// first native dispatch, so even short matrix programs exercise it).
+// tracedOpt returns opt with Options.Traces set (ignored: every run is
+// traced, a unit from its first native dispatch).
 func tracedOpt(opt Options) Options {
 	opt.Traces = true
 	return opt
@@ -26,12 +27,13 @@ func tracedOpt(opt Options) Options {
 
 // TestTraceTierFingerprintParity re-runs the entire golden equivalence
 // matrix — every program under every configuration, clean and
-// fault-workload halves — with Options.Traces enabled, on ONE engine
-// recycled with Engine.Reset between entries. Every fingerprint must match
-// the untraced golden file bit for bit: the tier is invisible across
-// mechanisms, across engine reuse, and across the precise-fault rewind
-// path (the fault half of the matrix ends each run in a delivered guest
-// fault that the machine hands back to the interpreter mid-trace).
+// fault-workload halves — on ONE engine recycled with Engine.Reset between
+// entries, which keeps the machine's trace tables and pooled steps. Every
+// fingerprint must match the golden file bit for bit: the tier is
+// invisible across mechanisms, across engine reuse, and across the
+// precise-fault rewind path (the fault half of the matrix ends each run in
+// a delivered guest fault that the machine hands back to the interpreter
+// mid-trace).
 func TestTraceTierFingerprintParity(t *testing.T) {
 	raw, err := os.ReadFile(equivalenceGoldenPath)
 	if err != nil {
@@ -120,9 +122,9 @@ func TestTraceTierFingerprintParity(t *testing.T) {
 
 // TestChainBoundaryCounterParity pins the stats accounting at chain
 // boundaries: a chained trace-to-trace transfer must increment
-// NativeBlockRuns — and every other engine counter — exactly as dispatched
-// execution does, and both must land on the interpreter census's
-// architectural state. The program is a multi-block loop, so the hot path
+// NativeBlockRuns — and every other engine counter — the same whether or
+// not the ignored Options.Traces is set, and both runs must land on the
+// interpreter census's architectural state. The program is a multi-block loop, so the hot path
 // crosses block boundaries every iteration and the traced run resolves
 // them through memoized chain links rather than the dispatcher.
 func TestChainBoundaryCounterParity(t *testing.T) {
@@ -229,7 +231,8 @@ func TestValidateTraceCombos(t *testing.T) {
 // TestTraceTierSelfModifying extends the SMC story to the trace tier: a
 // guest that rewrites its own code mid-run must sever the chains through
 // the stale trace, invalidate it, and retranslate — and the run's
-// simulated outcome must be bit-identical to the untraced one.
+// simulated outcome must be bit-identical to one without the ignored
+// Options.Traces set.
 func TestTraceTierSelfModifying(t *testing.T) {
 	p, err := workload.GenerateSelfModifying()
 	if err != nil {
@@ -260,5 +263,36 @@ func TestTraceTierSelfModifying(t *testing.T) {
 		if err := e.CheckInvariants(); err != nil {
 			t.Errorf("%v: invariants after SMC trace invalidation: %v", mech, err)
 		}
+	}
+}
+
+// TestEHPatchRebuildsUnitTrace: an EH patch inside a unit drops the unit's
+// trace, and execution resumes in fill traces over the rest of the unit.
+// The next dispatch must replace them with a unit trace again rather than
+// latch the unit as untraceable. NoChain sends every loop iteration back
+// through the dispatcher, so the unit is dispatched after the patch.
+func TestEHPatchRebuildsUnitTrace(t *testing.T) {
+	opt := DefaultOptions(ExceptionHandling)
+	opt.NoChain = true
+	e := engineFor(t, mdaLoopImg(t, 50), opt)
+	mustRun(t, e)
+	if e.Stats().Patches == 0 {
+		t.Fatal("no EH patch: the test exercised nothing")
+	}
+	if e.TraceStats().Invalidations == 0 {
+		t.Fatal("the EH patch dropped no trace")
+	}
+	pcs := e.TranslatedPCs()
+	if len(pcs) == 0 {
+		t.Fatal("no translated units")
+	}
+	for _, pc := range pcs {
+		b := e.dec.blockAt(pc)
+		if b.notrace || !e.Mach.HasTrace(b.hostEntry) {
+			t.Errorf("unit %#x: notrace %v, unit trace live %v: want its trace rebuilt", pc, b.notrace, e.Mach.HasTrace(b.hostEntry))
+		}
+	}
+	if err := e.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -160,7 +160,6 @@ func (s *Session) Run(name string, opt core.Options) (RunResult, error) {
 	if ok {
 		return r, nil
 	}
-	opt.Traces = true
 	r, err := s.execute(name, opt)
 	if err != nil {
 		return RunResult{}, err

@@ -33,8 +33,8 @@ func TestSPEHStudyShape(t *testing.T) {
 // was written — must drive a benchmark end to end through the experiment
 // session with no core changes. A new strategy that trips Validate, panics
 // in a hook, or emits unlintable code fails here before any experiment
-// depends on it. Each session run is traced, and its counters must equal an
-// untraced engine run of the same options.
+// depends on it. Each session run is traced, and its counters must equal a
+// fresh engine run of the same options outside the session's cache.
 func TestRegistryMechanismSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweeps are slow; skipped under -short (race CI job)")
@@ -54,17 +54,17 @@ func TestRegistryMechanismSmoke(t *testing.T) {
 			if res.Cycles() == 0 || res.Stats.BlocksTranslated+res.Stats.AOTBlocks == 0 {
 				t.Errorf("%s under %s: degenerate run %+v", name, mech, res.Counters)
 			}
-			// Session runs are traced, and the tier must not perturb the
-			// simulation.
+			// Session runs are traced, and the cache must return what a
+			// fresh run computes.
 			if res.Traces.TracedInsts == 0 {
 				t.Errorf("%s under %s: session run not traced", name, mech)
 			}
 			plain, err := session().execute(name, opt)
 			if err != nil {
-				t.Fatalf("%s under %s, untraced: %v", name, mech, err)
+				t.Fatalf("%s under %s, fresh run: %v", name, mech, err)
 			}
 			if res.Counters != plain.Counters {
-				t.Errorf("%s under %s: traced counters %+v, untraced %+v", name, mech, res.Counters, plain.Counters)
+				t.Errorf("%s under %s: session counters %+v, fresh run %+v", name, mech, res.Counters, plain.Counters)
 			}
 		})
 	}

@@ -12,19 +12,25 @@ import (
 	"mdabt/internal/mem"
 )
 
-// The generic loop runs lowered I-line slots (see lower) and skips the
+// The executor runs lowered trace steps (see lower) and skips the
 // data-cache probe for an access to the previous access's L1D line. These
 // tests pin both to refMachine, a reference written from the architectural
 // definitions — host.Decode, host.EvalOp, host.BranchTaken, the MemSize/
 // Aligns/IsStore predicates — that decodes every instruction afresh and
 // probes its own cache.Hierarchy on every line crossing and every access.
 
-// refMachine is a single-stepping reference for runLoop's semantics and
-// cost model. Misaligned accesses take the default fixup (no handler) or
-// call onMisalign, and accesses the trap-bit table flags take the default
-// raw access or call onAccessFault; the hooks stand in for registered
-// handlers and resume at the next instruction. With faults set it draws
-// the machine's injection points in the order runLoop defines.
+// ilineInsts is the number of instructions in one 64-byte I-line.
+const ilineInsts = (1 << ilineShift) / host.InstBytes
+
+// refMachine is a single-stepping reference for the machine's semantics
+// and cost model. Misaligned accesses take the default fixup (no handler)
+// or call onMisalign, and accesses the trap-bit table flags take the
+// default raw access or call onAccessFault; the hooks stand in for
+// registered handlers and resume at the next instruction. With faults set
+// it draws the machine's injection points in instruction order: a
+// spurious misalignment trap for an aligned access of an aligning op, then
+// a spurious access fault unless the access really traps, then duplicate
+// delivery after each serviced misalignment trap.
 type refMachine struct {
 	p             Params
 	mem           *mem.Memory
@@ -441,8 +447,9 @@ func TestLoweringReraisesTrapInst(t *testing.T) {
 // lowerRandomProgram builds a looping program dense in data accesses:
 // same-line runs, line crossings, aligned and misaligned (trapping) loads
 // and stores, LDQU/STQU, operate ops on the accessed values, and R31 used
-// as source and destination throughout.
-func lowerRandomProgram(t *testing.T, rng *rand.Rand, base uint64) []uint32 {
+// as source and destination throughout. With megas set it also splices in
+// the MDA load and store sequences the executor fuses into mega-steps.
+func lowerRandomProgram(t *testing.T, rng *rand.Rand, base uint64, megas bool) []uint32 {
 	aluOps := []host.Op{
 		host.ADDL, host.ADDQ, host.SUBL, host.SUBQ, host.MULL, host.CMPLT,
 		host.CMPULT, host.AND, host.BIS, host.XOR, host.SLL, host.SRA,
@@ -471,6 +478,17 @@ func lowerRandomProgram(t *testing.T, rng *rand.Rand, base uint64) []uint32 {
 			case 2:
 				// Walk the base across lines (and, rarely, pages).
 				a.Mem(host.LDA, host.R9, int32(rng.Intn(256)-96), host.R9)
+			case 3:
+				if megas && rng.Intn(2) == 0 {
+					sz := []int{2, 4, 8}[rng.Intn(3)]
+					if rng.Intn(2) == 0 {
+						trMegaLd(a, sz, int32(rng.Intn(32)), sz == 4 && rng.Intn(2) == 0)
+					} else {
+						trMegaSt(a, sz, int32(rng.Intn(32)))
+					}
+					break
+				}
+				fallthrough
 			default:
 				// Mostly small displacements: runs on one L1D line.
 				d := int32(rng.Intn(24))
@@ -495,7 +513,7 @@ func TestDataMemoCycleParity(t *testing.T) {
 	const base = 0x1000
 	for seed := int64(0); seed < 24; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		words := lowerRandomProgram(t, rng, base)
+		words := lowerRandomProgram(t, rng, base, false)
 		probeInHandler := seed%2 == 1
 		// The handler touches two other lines of the faulting access's L1D
 		// set (the L1D is 2-way with 32 KiB between lines of one set), which
@@ -566,32 +584,29 @@ func lowerPair(base uint64, words []uint32) (*Machine, *refMachine) {
 	return m, ref
 }
 
-// lineRuns returns the run lengths of the lowered line holding addr, or
-// false when that line is not in the decode cache.
-func lineRuns(m *Machine, addr uint64) ([ilineInsts]uint8, bool) {
-	var runs [ilineInsts]uint8
-	off := addr>>ilineShift - m.denseBase
-	if !m.anchored || off >= uint64(len(m.dense)) || m.dense[off] == nil {
-		return runs, false
+// traceSpan returns the span of the live trace with a step at pc.
+func traceSpan(m *Machine, pc uint64) (start, end uint64, ok bool) {
+	ent, ok := m.traces[pc]
+	if !ok {
+		return 0, 0, false
 	}
-	for i, s := range m.dense[off] {
-		runs[i] = s.run
-	}
-	return runs, true
+	return ent.tr.start, ent.tr.end, true
 }
 
-// TestRunParityEveryBudget: runLoop retires a straight-line run per fetch,
-// charging it up front. Random straight-line-heavy programs run in Run
-// calls of every budget from 1 to the program length, so across the loop's
-// iterations (whose lines are fully lowered after the first) the calls stop
-// at every offset inside a run. After each call registers, PC, counters,
+// TestRunParityEveryBudget: Run retires each stretch of straight-line code
+// in a fill trace that ends at its control transfer. Random
+// straight-line-heavy programs run in Run calls of every budget from 1 to
+// the program length, so across the loop's iterations (whose fill traces
+// are built on the first) the calls stop at every offset inside a trace
+// and enter one mid-body. After each call registers, PC, counters,
 // issue-slot state and the memory around the data pointer must match the
-// reference, and the whole data area must match at the halt.
+// reference, and the whole data area must match at the halt, with every
+// instruction retired in a trace.
 func TestRunParityEveryBudget(t *testing.T) {
 	const base = 0x1000
 	for seed := int64(0); seed < 4; seed++ {
 		rng := rand.New(rand.NewSource(100 + seed))
-		words := lowerRandomProgram(t, rng, base)
+		words := lowerRandomProgram(t, rng, base, false)
 		for budget := uint64(1); budget <= uint64(len(words)); budget++ {
 			m, ref := lowerPair(base, words)
 			for calls := 0; ; calls++ {
@@ -617,12 +632,15 @@ func TestRunParityEveryBudget(t *testing.T) {
 			if err := lowerDataSame(m.Mem, ref.mem, lowerDataBase-1024, lowerDataBase+16384); err != nil {
 				t.Fatalf("seed %d budget %d: %v", seed, budget, err)
 			}
+			if ts := m.TraceStats(); ts.TracedInsts != ref.c.Insts {
+				t.Fatalf("seed %d budget %d: %d of %d instructions retired in traces", seed, budget, ts.TracedInsts, ref.c.Insts)
+			}
 		}
 	}
 }
 
 // trapRunProgram builds a loop around one I-line of sixteen straight-line
-// slots (one run once lowered), whose slot pos is the access at trap: a
+// slots (one fill trace with the loop's tail), whose slot pos is the access at trap: a
 // misaligned load or store off R9, a load from the unmapped page at R7, or
 // a store to the read-only page at R8. The other slots are aligned loads
 // and stores off R9 and operate ops on what they load. The loop runs
@@ -668,15 +686,15 @@ const (
 )
 
 // TestTrapMidRun: a misaligned or access-faulting access at each position
-// of a run traps mid-run, and the run's up-front charge must be taken back
-// to exactly the trapping slot. Two handler pairs service the traps: one
-// emulates (or performs) the access, the other also patches a later slot
-// of the same run into a branch to the next slot, once, so that on
-// re-execution the run ends at the patched slot. Everything runs against
-// the reference in Run calls of 5 and of the whole budget, with and
-// without a fault plan (spurious and duplicate misalignment traps and
-// spurious access faults on every access), whose injection stream must
-// equal the reference's.
+// of a fill trace traps mid-trace, and execution must stop at exactly the
+// trapping slot and resume after it. Two handler pairs service the traps:
+// one emulates (or performs) the access, the other also patches a later
+// slot of the same trace into a branch to the next slot, once, so that on
+// re-execution the rebuilt fill trace ends at the patched slot.
+// Everything runs against the reference in Run calls of 5 and of the
+// whole budget, with and without a fault plan (spurious and duplicate
+// misalignment traps and spurious access faults on every access), whose
+// injection stream must equal the reference's.
 func TestTrapMidRun(t *testing.T) {
 	const base = 0x1000
 	br := host.MustEncode(host.Inst{Op: host.BR, Ra: host.R31}) // to the next slot
@@ -800,19 +818,21 @@ func trapMidRunCase(t *testing.T, name string, base uint64, pos int, trap host.I
 		}
 	}
 	if patching && !planned {
-		// The last iterations ran the patched line lowered: its first run
-		// ends at the patched branch, and the next one at the line's end.
-		runs, ok := lineRuns(m, hot)
-		if !ok || runs[0] != uint8(later+1) || later+1 < ilineInsts && runs[later+1] != uint8(ilineInsts-later-1) {
-			t.Fatalf("%s: line runs %v (lowered %v), want the first to end at slot %d", name, runs, ok, later)
+		// The last iterations ran the patched line in fill traces: the one
+		// holding the patched branch ends after it, and the next one starts
+		// there.
+		start, end, ok := traceSpan(m, target)
+		nstart, _, nok := traceSpan(m, target+host.InstBytes)
+		if !ok || start < hot || end != target+host.InstBytes || !nok || nstart != target+host.InstBytes {
+			t.Fatalf("%s: traces [%#x,%#x) (%v) and from %#x (%v), want a split after slot %d at %#x", name, start, end, ok, nstart, nok, later, target)
 		}
 	}
 }
 
 // TestRelowerAfterCodeChange: Patch, WriteCode and IMB each replace a slot
 // that was already lowered, and the next execution runs the new word. The
-// run lengths of a changed line are recomputed too, after Patch, WriteCode,
-// IMB and Reset alike.
+// fill traces over a changed line are rebuilt to end at its new control
+// transfers, after Patch, WriteCode, IMB and Reset alike.
 func TestRelowerAfterCodeChange(t *testing.T) {
 	const base = 0x1000
 	word := func(i host.Inst) uint32 { return host.MustEncode(i) }
@@ -868,26 +888,22 @@ func TestRelowerAfterCodeChange(t *testing.T) {
 		code[i] = addq
 	}
 	code[ilineInsts-1] = word(host.Inst{Op: host.BRKBT, Payload: 1})
-	// check runs the line once and requires each slot's run to reach the
-	// next of cuts, the slots that end a run.
+	// check runs the line once and requires it to run in fill traces that
+	// end after each of cuts, the slots that transfer control, and after
+	// the BRKBT.
 	check := func(what string, cuts ...int) {
 		t.Helper()
 		m.SetPC(lb)
 		if stop, _, err := m.Run(1 << 10); stop != StopBrk || err != nil {
 			t.Fatalf("%s: stop %v, err %v", what, stop, err)
 		}
-		var want [ilineInsts]uint8
-		end := ilineInsts - 1
-		for i := ilineInsts - 1; i >= 0; i-- {
-			for _, c := range cuts {
-				if c == i {
-					end = i
-				}
+		pc := uint64(lb)
+		for _, c := range append(cuts, ilineInsts-1) {
+			end := lb + uint64(c+1)*host.InstBytes
+			if gs, ge, ok := traceSpan(m, pc); !ok || gs != pc || ge != end {
+				t.Fatalf("%s: trace at %#x spans [%#x,%#x) (live %v), want [%#x,%#x)", what, pc, gs, ge, ok, pc, end)
 			}
-			want[i] = uint8(end - i + 1)
-		}
-		if got, ok := lineRuns(m, lb); !ok || got != want {
-			t.Fatalf("%s: runs %v (lowered %v), want %v", what, got, ok, want)
+			pc = end
 		}
 	}
 	m.WriteCode(lb, code)
@@ -902,28 +918,19 @@ func TestRelowerAfterCodeChange(t *testing.T) {
 	check("after IMB", 9, 10)
 	m.Mem.Write32(lb+9*host.InstBytes, addq)
 	m.Reset()
-	if _, ok := lineRuns(m, lb); ok {
-		t.Fatal("a line survived Reset")
+	if _, _, ok := traceSpan(m, lb); ok {
+		t.Fatal("a trace survived Reset")
 	}
 	check("after Reset", 10)
-}
-
-// TestIlineSize: lowering must not grow the decode cache. An i-line of
-// decoded host.Inst values plus valid flags took 272 bytes; sixteen
-// lowered slots, run length included, take exactly 256.
-func TestIlineSize(t *testing.T) {
-	if n := unsafe.Sizeof(slot{}); n != 16 {
-		t.Fatalf("slot is %d bytes, want 16", n)
-	}
-	if n := unsafe.Sizeof(iline{}); n != 256 {
-		t.Fatalf("iline is %d bytes, want 256", n)
-	}
 }
 
 // TestTraceStepSize pins the trace step: it embeds the 16-byte slot and
 // adds only threading, chain-link and mega-step operands, so it must not
 // regrow unnoticed (a step with operand pointers took 192 bytes).
 func TestTraceStepSize(t *testing.T) {
+	if n := unsafe.Sizeof(slot{}); n != 16 {
+		t.Fatalf("slot is %d bytes, want 16", n)
+	}
 	if n := unsafe.Sizeof(traceStep{}); n > 104 {
 		t.Fatalf("traceStep is %d bytes, want at most 104", n)
 	}

@@ -305,12 +305,21 @@ func TestRunLimit(t *testing.T) {
 	}
 }
 
+// TestFetchErrorOnGarbage: an undecodable word is Run's fetch error, at
+// once or after the code before it retired, and the fetch charges the
+// I-cache as any fetch of a new line does.
 func TestFetchErrorOnGarbage(t *testing.T) {
-	m := newMachine(false)
+	m := newMachine(true)
 	m.Mem.Write32(0x1000, 0x04<<26) // unassigned opcode
 	m.SetPC(0x1000)
-	if _, _, err := m.Run(10); err == nil {
-		t.Fatal("executing garbage: want error")
+	if _, _, err := m.Run(10); err == nil || m.PC() != 0x1000 || m.Counters().Cycles == 0 {
+		t.Fatalf("executing garbage: err %v, pc %#x, %d cycles: want a fetch error at 0x1000 after an I-cache charge", err, m.PC(), m.Counters().Cycles)
+	}
+	m.Mem.Write32(0x2000, host.MustEncode(host.Inst{Op: host.ADDQ, Ra: host.R1, Rc: host.R1, IsLit: true, Lit: 1}))
+	m.Mem.Write32(0x2004, 0x04<<26)
+	m.SetPC(0x2000)
+	if _, _, err := m.Run(10); err == nil || m.PC() != 0x2004 || m.Reg(host.R1) != 1 || m.Counters().Insts != 1 {
+		t.Fatalf("garbage after an add: err %v, pc %#x, r1 %d, %d insts", err, m.PC(), m.Reg(host.R1), m.Counters().Insts)
 	}
 }
 
@@ -408,57 +417,61 @@ func BenchmarkTightLoop(b *testing.B) {
 	}
 }
 
+// farCode is an address 64 MiB above the low test code, so one machine
+// runs code in two places far apart.
+const farCode = 0x1000 + 64<<20 + 0x2000
+
 // TestPatchInvalidatesFarDecodedCache repeats the patch-coherence check for
-// code beyond the dense decode window: far lines live in a map tier, and a
-// patch there must invalidate the cached decode just like a dense one.
+// code far from the rest: the trace over it must be dropped by a patch
+// just like one over low code, and the low code's trace must survive.
 func TestPatchInvalidatesFarDecodedCache(t *testing.T) {
 	m := newMachine(false)
-	// Anchor the dense window low, then run code far outside it.
 	load(t, m, 0x1000, func(a *host.Asm) {
 		a.Brk(HaltService)
 	})
 	run(t, m)
-	if !m.anchored {
-		t.Fatal("dense window not anchored by the first fetch")
-	}
-	farBase := 0x1000 + uint64(maxDenseLines)<<ilineShift + 0x2000
-	load(t, m, farBase, func(a *host.Asm) {
+	load(t, m, farCode, func(a *host.Asm) {
 		a.OprLit(host.ADDQ, host.R1, 1, host.R1)
 		a.Brk(2)
 	})
 	if r, payload := run(t, m); r != StopBrk || payload != 2 {
 		t.Fatalf("stop = %v/%d", r, payload)
 	}
-	if len(m.farLines) == 0 {
-		t.Fatalf("code at %#x was not cached in the far tier", farBase)
+	if _, ok := m.traces[farCode]; !ok {
+		t.Fatalf("code at %#x runs in no trace", farCode)
 	}
 	// Patch the already-decoded far ADDQ into ADDQ r1, #5, r1.
-	m.Patch(farBase, host.MustEncode(host.Inst{Op: host.ADDQ, Ra: host.R1, Lit: 5, IsLit: true, Rc: host.R1}))
-	m.SetPC(farBase)
+	m.Patch(farCode, host.MustEncode(host.Inst{Op: host.ADDQ, Ra: host.R1, Lit: 5, IsLit: true, Rc: host.R1}))
+	if _, ok := m.traces[farCode]; ok {
+		t.Fatal("patched far trace still live")
+	}
+	if _, ok := m.traces[0x1000]; !ok {
+		t.Fatal("patching far code dropped the low trace")
+	}
+	m.SetPC(farCode)
 	run(t, m)
 	if got := m.Reg(host.R1); got != 6 {
 		t.Fatalf("r1 = %d, want 6 (1 from old inst + 5 from patched)", got)
 	}
 }
 
-// TestIMBFlushesFarDecoded: IMB must drop far-tier decodes too.
+// TestIMBFlushesFarDecoded: IMB must drop the traces over far code too.
 func TestIMBFlushesFarDecoded(t *testing.T) {
 	m := newMachine(false)
 	load(t, m, 0x1000, func(a *host.Asm) {
 		a.Brk(HaltService)
 	})
 	run(t, m)
-	farBase := 0x1000 + uint64(maxDenseLines)<<ilineShift + 0x4000
-	load(t, m, farBase, func(a *host.Asm) {
+	load(t, m, farCode+0x2000, func(a *host.Asm) {
 		a.MovImm(host.R2, 11)
 		a.Brk(HaltService)
 	})
 	run(t, m)
-	if len(m.farLines) == 0 {
-		t.Fatal("far tier empty after executing far code")
+	if len(m.traceList) != 2 {
+		t.Fatalf("%d live traces after running low and far code, want 2", len(m.traceList))
 	}
-	// Rewrite the whole far body behind the decoder's back, then IMB.
-	a := host.NewAsm(farBase)
+	// Rewrite the whole far body behind the tier's back, then IMB.
+	a := host.NewAsm(farCode + 0x2000)
 	a.MovImm(host.R2, 77)
 	a.Brk(HaltService)
 	words, err := a.Finish()
@@ -466,13 +479,13 @@ func TestIMBFlushesFarDecoded(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, w := range words {
-		m.Mem.Write32(farBase+uint64(i)*4, w)
+		m.Mem.Write32(farCode+0x2000+uint64(i)*4, w)
 	}
 	m.IMB()
-	if len(m.farLines) != 0 {
-		t.Fatalf("far tier holds %d lines after IMB, want 0", len(m.farLines))
+	if len(m.traceList) != 0 || len(m.traces) != 0 {
+		t.Fatalf("%d traces (%d steps) live after IMB, want 0", len(m.traceList), len(m.traces))
 	}
-	m.SetPC(farBase)
+	m.SetPC(farCode + 0x2000)
 	run(t, m)
 	if got := m.Reg(host.R2); got != 77 {
 		t.Fatalf("r2 = %d, want 77 from the rewritten code", got)

@@ -3,6 +3,7 @@ package machine
 import (
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"mdabt/internal/host"
 )
@@ -24,8 +25,8 @@ func resetProgA(a *host.Asm) {
 }
 
 // resetProgB has register operate forms and plain accesses at the same
-// addresses, so a field left over from resetProgA's steps or decoded
-// slots would change its result.
+// addresses, so a field left over from resetProgA's steps would change its
+// result.
 func resetProgB(a *host.Asm) {
 	a.MovImm(host.R9, trDataBase)
 	a.MovImm(host.R1, 30)
@@ -46,7 +47,7 @@ func resetProgB(a *host.Asm) {
 // and the PC of the loop's decrement, where the tests split traces.
 func resetLoad(t *testing.T, m *Machine, base uint64, words []uint32) (mid, end uint64) {
 	t.Helper()
-	trSeedData(m)
+	trSeedData(m.Mem)
 	m.WriteCode(base, words)
 	m.SetPC(base)
 	for i, w := range words {
@@ -57,10 +58,9 @@ func resetLoad(t *testing.T, m *Machine, base uint64, words []uint32) (mid, end 
 	return mid, base + uint64(len(words))*host.InstBytes
 }
 
-// resetTrace enables the trace tier and builds a trace over each span.
+// resetTrace builds a unit trace over each span.
 func resetTrace(t *testing.T, m *Machine, spans ...[2]uint64) {
 	t.Helper()
-	m.EnableTraces(true)
 	for _, s := range spans {
 		if !m.BuildTrace(s[0], s[1]) {
 			t.Fatalf("BuildTrace(%#x, %#x) failed", s[0], s[1])
@@ -68,18 +68,19 @@ func resetTrace(t *testing.T, m *Machine, spans ...[2]uint64) {
 	}
 }
 
-// TestResetRecyclesLinesAndSteps runs program A with traces, resets, and
-// runs program B on the same machine: B's registers, counters and trace
-// stats must equal a fresh machine's, while B's decoded lines and trace
-// steps come from what A left behind. That proves recycled lines and
-// steps come back zeroed.
+// TestResetRecyclesLinesAndSteps runs program A on fill traces and on two
+// chained unit traces, resets, and runs program B on the same machine: B's
+// registers, counters and trace stats must equal a fresh machine's, while
+// B's trace steps come from the pool A's traces went to and its trace
+// tables are the ones A filled. That proves recycled steps come back
+// zeroed and Reset keeps the tables.
 func TestResetRecyclesLinesAndSteps(t *testing.T) {
 	const base = 0x1000
 	wordsA := trProgram(t, base, resetProgA)
 	wordsB := trProgram(t, base, resetProgB)
 	for _, caches := range []bool{false, true} {
-		// A runs generically, then again over two chained traces, so
-		// both its decoded lines and its steps are dirty at Reset.
+		// A runs on fill traces, then again over two chained unit traces
+		// (which replace the fills), so its steps are dirty at Reset.
 		m := newMachine(caches)
 		mid, end := resetLoad(t, m, base, wordsA)
 		if got := trRun(m, 1<<20); got.Stop != StopHalt {
@@ -93,21 +94,21 @@ func TestResetRecyclesLinesAndSteps(t *testing.T) {
 		if ts := m.TraceStats(); ts.ChainFollows == 0 || ts.TracedInsts == 0 {
 			t.Fatalf("program A trace stats %+v: want chained traced execution", ts)
 		}
-		arena := &m.steps.chunks[0][0]
-		lines := len(m.farLines)
-		for _, l := range m.dense {
-			if l != nil {
-				lines++
-			}
-		}
+		tables := [2]unsafe.Pointer{reflect.ValueOf(m.traces).UnsafePointer(), reflect.ValueOf(m.traceList).UnsafePointer()}
 
 		m.Reset()
 		m.Mem.Reset()
-		if len(m.spare) != lines || len(m.filled) != 0 {
-			t.Fatalf("Reset left %d spare lines and %d filled offsets, want %d and 0", len(m.spare), len(m.filled), lines)
+		pooled := map[*traceStep]bool{}
+		for _, class := range m.steps.free {
+			for _, steps := range class {
+				pooled[&steps[0]] = true
+			}
 		}
-		// B's loop body runs generically on recycled lines; its
-		// back-edge runs in a trace carved from the recycled arena.
+		if len(m.traces) != 0 || len(m.traceList) != 0 || m.curLineID != noLineID {
+			t.Fatalf("Reset left %d steps, %d traces and line %#x", len(m.traces), len(m.traceList), m.curLineID)
+		}
+		// B's loop body runs on fill traces; its back-edge runs in a unit
+		// trace built on pooled steps.
 		mid, end = resetLoad(t, m, base, wordsB)
 		resetTrace(t, m, [2]uint64{mid, end})
 		got, gotStats := trRun(m, 1<<20), m.TraceStats()
@@ -123,13 +124,11 @@ func TestResetRecyclesLinesAndSteps(t *testing.T) {
 		if gotStats != wantStats {
 			t.Fatalf("caches=%v: trace stats %+v, fresh %+v", caches, gotStats, wantStats)
 		}
-		for _, tr := range m.traceList {
-			if &tr.steps[0] != arena {
-				t.Fatal("program B's trace was not carved from the recycled arena")
-			}
+		if tr := m.traceList[1]; tr == nil || !pooled[&tr.steps[0]] {
+			t.Fatal("program B's unit trace was not built on pooled steps")
 		}
-		if len(m.spare) >= lines {
-			t.Fatalf("program B took no recycled line (%d spare of %d)", len(m.spare), lines)
+		if got := [2]unsafe.Pointer{reflect.ValueOf(m.traces).UnsafePointer(), reflect.ValueOf(m.traceList).UnsafePointer()}; got != tables {
+			t.Fatal("Reset replaced the trace tables")
 		}
 		if err := m.CheckTraceCoherence(); err != nil {
 			t.Fatal(err)
@@ -139,9 +138,9 @@ func TestResetRecyclesLinesAndSteps(t *testing.T) {
 
 // TestStepArenaBoundedWithoutReset rewrites a traced span and rebuilds its
 // trace many times with no Reset, next to a trace that stays live
-// throughout. The arena must not grow with the steps it has carved, and
-// the long-lived trace must still run correctly after the arena abandoned
-// the chunk holding it.
+// throughout. The rebuilds must reuse pooled steps rather than allocate,
+// the pool must stay within its bound, and the long-lived trace must still
+// run correctly.
 func TestStepArenaBoundedWithoutReset(t *testing.T) {
 	const churn, stay = 0x1000, 0x4000
 	wordsA := trProgram(t, churn, resetProgA)
@@ -150,16 +149,19 @@ func TestStepArenaBoundedWithoutReset(t *testing.T) {
 	_, stayEnd := resetLoad(t, m, stay, wordsB)
 	_, end := resetLoad(t, m, churn, wordsA)
 	resetTrace(t, m, [2]uint64{stay, stayEnd}, [2]uint64{churn, end})
-	carved := 0
+	slices := map[*traceStep]bool{}
 	for i := 0; i < 1000; i++ {
 		m.WriteCode(churn, wordsA) // drops the churn trace
 		if !m.BuildTrace(churn, end) {
 			t.Fatal("rebuild failed")
 		}
-		carved += len(m.traceList[m.traceSeq].steps)
-		if r := m.steps.retained(); r > maxStepChunk {
-			t.Fatalf("after %d rebuilds (%d steps carved) the arena retains %d steps", i+1, carved, r)
+		slices[&m.traceList[m.traceSeq].steps[0]] = true
+		if m.steps.held > maxPooledSteps {
+			t.Fatalf("after %d rebuilds the pool holds %d steps", i+1, m.steps.held)
 		}
+	}
+	if len(slices) > 2 {
+		t.Fatalf("1000 rebuilds used %d step slices: the pool is not reused", len(slices))
 	}
 	if err := m.CheckTraceCoherence(); err != nil {
 		t.Fatal(err)
@@ -171,18 +173,33 @@ func TestStepArenaBoundedWithoutReset(t *testing.T) {
 	resetLoad(t, ref, stay, wordsB)
 	want := trRun(ref, 1<<20)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("long-lived trace ran to %+v, generic run to %+v", got, want)
+		t.Fatalf("long-lived trace ran to %+v, a fresh machine to %+v", got, want)
 	}
-	if m.steps.gen == 0 || m.TraceStats().TracedInsts == 0 {
-		t.Fatalf("arena generation %d, trace stats %+v: want an abandoned chunk and traced execution", m.steps.gen, m.TraceStats())
+	if m.TraceStats().TracedInsts == 0 {
+		t.Fatalf("trace stats %+v: want traced execution", m.TraceStats())
 	}
 }
 
-// retained reports the steps the arena's chunks hold.
-func (a *stepArena) retained() int {
-	n := 0
-	for _, c := range a.chunks {
-		n += len(c)
+// TestStepPoolBound: dropping more steps than maxPooledSteps leaves the
+// excess to the garbage collector, and every pooled slice comes back
+// zeroed.
+func TestStepPoolBound(t *testing.T) {
+	var p stepPool
+	for i := 0; i < 2*maxPooledSteps/64; i++ {
+		s := make([]traceStep, 40, 64)
+		s[39].pc = 1
+		p.put(s)
 	}
-	return n
+	if p.held != maxPooledSteps {
+		t.Fatalf("pool holds %d steps, want its bound %d", p.held, maxPooledSteps)
+	}
+	s := p.get(33)
+	if len(s) != 33 || cap(s) != 64 || p.held != maxPooledSteps-64 {
+		t.Fatalf("get(33): len %d cap %d, pool %d", len(s), cap(s), p.held)
+	}
+	for i := range s[:cap(s)] {
+		if s[:cap(s)][i] != (traceStep{}) {
+			t.Fatalf("pooled step %d not zeroed", i)
+		}
+	}
 }

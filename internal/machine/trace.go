@@ -1,25 +1,32 @@
 package machine
 
-// The IR-less trace execution tier. A trace is a pre-decoded copy of a span
-// of host code: every instruction becomes a traceStep that embeds the same
-// lowered slot the generic loop runs (lower), plus what threaded execution
-// needs — direct successor and taken-branch pointers, memoized chain links
-// into other traces, the step's PC and I-line. The executor (execTrace)
-// therefore switches once per step over the slot kinds runLoop switches
-// over, with no fetch, no line lookup and no PC arithmetic between steps,
+// The IR-less trace executor, the machine's only way to run host code. A
+// trace is a pre-decoded copy of a span of host code: every instruction
+// becomes a traceStep that embeds its lowered slot (lower), plus what
+// threaded execution needs — direct successor and taken-branch pointers,
+// memoized chain links into other traces, the step's PC and I-line. The
+// executor (execTrace) therefore switches once per step over the slot
+// kinds, with no fetch, no line lookup and no PC arithmetic between steps,
 // and follows branches between traces through chain links: it never
-// returns to the BT dispatcher until it executes a BRKBT or leaves the
-// tier.
+// returns to Run until it executes a BRKBT, takes a trap, or reaches code
+// no live trace covers.
 //
-// On top of the slots, BuildTrace fuses the two MDA code sequences the
+// Traces come from two places. BuildTrace makes a unit trace over a span
+// the BT runtime names (one translated unit). Run makes a fill trace
+// wherever execution reaches a PC no live trace covers: it starts there
+// and ends after the first control transfer, before a live trace's step,
+// before an undecodable word, or at maxTraceSteps. A unit trace takes
+// precedence: BuildTrace first drops the fill traces it overlaps.
+//
+// BuildTrace and fill traces alike fuse the two MDA code sequences the
 // translator emits (paper Fig. 2: the ldq_u/ext/ins/msk expansions of a
 // misaligned load or store) into one mega-step each, so the 6-11
 // instructions that replace a misalignment trap retire in one dispatch.
 //
-// The tier is simulation-invisible by construction: every cycle, counter,
-// cache access, and trap the generic loop (runLoop) would charge is
-// charged identically here. Two accounting transformations are applied,
-// both provably neutral:
+// Every cycle, counter, cache access, trap and fault-injection draw an
+// instruction-at-a-time machine would make is made here, in the same
+// order; the single-stepping reference in lower_test.go is the judge. Two
+// accounting transformations are applied, both provably neutral:
 //
 //   - Cycles are tracked as a delta above the 1-cycle/instruction
 //     baseline ("extra"), materialized as insts-delta + extra on exit.
@@ -36,23 +43,24 @@ package machine
 //     Only the cache-internal access counter diverges, and nothing
 //     outside internal/cache consumes it.
 //
-// The golden equivalence matrix pins this down — a trace-enabled
-// configuration must fingerprint-identical to its untraced counterpart.
+// Which traces exist is simulation-invisible: the golden equivalence
+// matrix pins runs with and without unit traces to the same fingerprints.
 // Trace-tier telemetry therefore lives in the separate TraceStats struct,
 // never in Counters.
 //
 // Coherence: WriteCode/Patch invalidate overlapping traces (and sever
-// chain links into them) through the same invalidate() path that drops
-// decoded I-lines; IMB and Reset drop every trace. CheckTraceCoherence
-// re-lowers every live step from memory to catch code changed behind the
-// tier's back. A machine with a fault plan installed falls back to the
-// generic loop wholesale so the injection stream is untouched (see Run).
+// chain links into them); IMB and Reset drop every trace. A code write
+// behind the tier's back (a raw memory write) is not seen until then;
+// CheckTraceCoherence re-lowers every live step from memory to catch it.
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 
+	"mdabt/internal/faultinject"
 	"mdabt/internal/host"
 	"mdabt/internal/mem"
 )
@@ -64,8 +72,8 @@ import (
 type TraceStats struct {
 	Formed        uint64 // traces built
 	ChainFollows  uint64 // direct trace-to-trace transfers (no dispatch)
-	Invalidations uint64 // traces dropped by patching, IMB, or Reset
-	TracedInsts   uint64 // host instructions retired by the trace executor
+	Invalidations uint64 // traces dropped by code writes, IMB, or a unit trace replacing fill traces
+	TracedInsts   uint64 // host instructions retired (every one runs in a trace)
 }
 
 // Mega-step kinds extend the slot kinds. Each retires a whole
@@ -119,7 +127,7 @@ type trace struct {
 	id         uint64
 	start, end uint64
 	steps      []traceStep
-	gen        uint64 // stepArena generation steps was carved in
+	fill       bool // built by Run, not BuildTrace
 	// incoming lists steps of other traces whose chain link targets this
 	// trace, so invalidation can sever them. A severed entry may belong to
 	// an already-dropped trace; nil-ing its link is then harmless.
@@ -138,116 +146,68 @@ type traceEntry struct {
 // smaller).
 const maxTraceSteps = 4096
 
-// stepArena carves the step slices of traces out of chunks the machine
-// keeps, so a recycled machine rebuilds its traces without allocating.
-// Memory the arena has not committed is always zero, as BuildTrace needs.
+// stepPool recycles the step slices of dropped traces, so a machine that
+// keeps rebuilding traces — after patches, over code resumed after a
+// trap, or on every request of a recycled engine — reuses their memory
+// instead of allocating. Slices are pooled by capacity class (a power of
+// two) and cleared when pooled, so get always returns zeroed steps.
 //
-// Steps are reused only at Reset, the one point where no step pointer can
-// survive: the trace tables are dropped, and no executor is running.
-// Invalidation and IMB leave dropped steps in place, because chain-link
-// back-lists and a running executor may still point into them. So that a
-// long run that keeps invalidating and rebuilding traces does not grow
-// the arena without bound, the arena abandons its chunks to the garbage
-// collector (starting a new generation) when it needs a new chunk and
-// more than half of the steps committed in the current generation belong
-// to dropped traces. The steps it holds then stay within twice the live
-// steps, plus the unused tails of full chunks and the chunk being filled.
-type stepArena struct {
-	chunks [][]traceStep
-	cur    int    // chunk being carved
-	off    int    // chunks[cur][:off] is committed
-	gen    uint64 // bumped when the chunks are recycled or abandoned
-	used   int    // steps committed in this generation
-	dead   int    // of those, steps of dropped traces
+// A dropped trace's steps are never in use by the executor: traces are
+// dropped only between executor runs (by BuildTrace, by a code write from
+// the dispatcher or from a trap handler, which runs after the executor
+// synced its state and before it returns without touching a step again,
+// by IMB and by Reset). Stale entries for them may linger in the chain-link
+// back-lists of live traces; severing one only clears a link memo, which
+// is harmless on any step. The pool holds at most maxPooledSteps steps;
+// beyond that dropped steps are left to the garbage collector, which
+// bounds a long run that keeps dropping traces without Reset.
+type stepPool struct {
+	free [maxStepClass + 1][][]traceStep // free[c] holds slices of capacity 1<<c
+	held int                             // steps held in free
 }
 
-// Chunk sizes double from minStepChunk up to maxStepChunk; a trace larger
-// than that gets a chunk of its own size.
 const (
-	minStepChunk = 64
-	maxStepChunk = 4096
+	maxStepClass   = 13 // 1<<13 steps hold the largest trace, maxTraceSteps+1
+	maxPooledSteps = 1 << 14
 )
 
-// carve returns n zeroed steps at the arena cursor. They stay the
-// arena's until commit; a caller that gives up must zero them again.
-func (a *stepArena) carve(n int) []traceStep {
-	for ; a.cur < len(a.chunks); a.cur, a.off = a.cur+1, 0 {
-		if c := a.chunks[a.cur]; a.off+n <= len(c) {
-			return c[a.off : a.off+n : a.off+n]
-		}
+// stepClass is the capacity class that holds n steps.
+func stepClass(n int) int { return bits.Len(uint(n - 1)) }
+
+// get returns n zeroed steps.
+func (p *stepPool) get(n int) []traceStep {
+	c := stepClass(n)
+	if k := len(p.free[c]); k > 0 {
+		s := p.free[c][k-1]
+		p.free[c] = p.free[c][:k-1]
+		p.held -= cap(s)
+		return s[:n]
 	}
-	if 2*a.dead > a.used {
-		a.chunks, a.used, a.dead = nil, 0, 0
-		a.gen++
-	}
-	size := minStepChunk
-	if k := len(a.chunks); k > 0 {
-		size = min(2*len(a.chunks[k-1]), maxStepChunk)
-	}
-	a.chunks = append(a.chunks, make([]traceStep, max(size, n)))
-	a.cur, a.off = len(a.chunks)-1, 0
-	return a.chunks[a.cur][:n:n]
+	return make([]traceStep, n, 1<<c)
 }
 
-// commit hands the first n steps of the last carve to a trace.
-func (a *stepArena) commit(n int) {
-	a.off += n
-	a.used += n
-}
-
-// release accounts for a dropped trace's steps.
-func (a *stepArena) release(t *trace) {
-	if t.gen == a.gen {
-		a.dead += len(t.steps)
-	}
-}
-
-// releaseAll accounts for dropping every live trace.
-func (a *stepArena) releaseAll() { a.dead = a.used }
-
-// recycle zeroes every committed step and rewinds the cursor. Only Reset
-// may call it (see stepArena).
-func (a *stepArena) recycle() {
-	for i, c := range a.chunks {
-		if i == a.cur {
-			clear(c[:a.off])
-			break
-		}
-		clear(c)
-	}
-	a.cur, a.off, a.used, a.dead = 0, 0, 0, 0
-	a.gen++
-}
-
-// noLineID is the "no current decoded line" sentinel used by the
-// executor; real line IDs are PC>>6 and can never reach it.
-const noLineID = ^uint64(0)
-
-// EnableTraces switches the trace tier on or off. Disabling drops every
-// trace. The tier stays dormant (Run uses the generic loop) while a
-// fault-injection plan is installed even when enabled.
-func (m *Machine) EnableTraces(on bool) {
-	if !on {
-		m.traces, m.traceList = nil, nil
-		m.traceLo, m.traceHi = ^uint64(0), 0
-		m.steps.releaseAll()
+// put takes back the steps of a dropped trace (or a failed build).
+func (p *stepPool) put(s []traceStep) {
+	if p.held+cap(s) > maxPooledSteps {
 		return
 	}
-	if m.traces == nil {
-		m.traces = make(map[uint64]traceEntry)
-		m.traceList = make(map[uint64]*trace)
-		m.traceLo, m.traceHi = ^uint64(0), 0
-		m.traceVer = 1
-	}
+	s = s[:cap(s)]
+	clear(s)
+	c := stepClass(cap(s))
+	p.free[c] = append(p.free[c], s)
+	p.held += cap(s)
 }
 
-// TracesEnabled reports whether the trace tier is on.
-func (m *Machine) TracesEnabled() bool { return m.traces != nil }
+// noLineID is the "no line" sentinel of the fetch state (curLineID) and of
+// the executor's data-line memo; real line IDs are addresses shifted right
+// and can never reach it.
+const noLineID = ^uint64(0)
 
-// HasTrace reports whether pc is covered by a live trace.
+// HasTrace reports whether pc is a step of a live unit trace (one
+// BuildTrace made).
 func (m *Machine) HasTrace(pc uint64) bool {
-	_, ok := m.traces[pc]
-	return ok
+	ent, ok := m.traces[pc]
+	return ok && !ent.tr.fill
 }
 
 // TraceStats returns a copy of the trace-tier telemetry.
@@ -372,32 +332,70 @@ func fuseMegaSt(s []slot) (slot, megaAux, int) {
 		megaMaxLen
 }
 
-// BuildTrace pre-decodes the host code in [start, end) into a trace and
-// registers every covered PC for direct execution. It reports success;
-// failure (tier disabled, undecodable word, overlap with a live trace,
-// bad bounds) leaves no trace behind. Building charges no simulated
-// cycles: it models work the BT runtime does off the simulated CPU's
-// critical path, and the resulting execution is bit-identical anyway.
+// BuildTrace pre-decodes the host code in [start, end) into a unit trace
+// and registers every covered PC for direct execution, first dropping the
+// fill traces the span overlaps. It reports success; failure (undecodable
+// word, overlap with a live unit trace, bad bounds) leaves no trace
+// behind. Building charges no simulated cycles: it models work the BT
+// runtime does off the simulated CPU's critical path, and the resulting
+// execution is bit-identical anyway.
 func (m *Machine) BuildTrace(start, end uint64) bool {
-	if m.traces == nil || start%host.InstBytes != 0 || end%host.InstBytes != 0 || end <= start {
+	if start%host.InstBytes != 0 || end%host.InstBytes != 0 || end <= start ||
+		(end-start)/host.InstBytes > maxTraceSteps || m.dropOverlapping(start, end, true) {
 		return false
 	}
+	return m.build(start, end, false) != nil
+}
+
+// fillTrace builds a fill trace at pc, which no live trace covers, and
+// returns its first step. An undecodable word at pc is Run's fetch error;
+// the fetch charges the I-cache first, as every fetch of a new line does.
+func (m *Machine) fillTrace(pc uint64) (*traceStep, error) {
+	end := pc
+	for n := 0; n < maxTraceSteps && end+host.InstBytes != 0; n++ {
+		inst, err := host.Decode(m.Mem.Read32(end))
+		if err != nil {
+			break
+		}
+		end += host.InstBytes
+		if opSlot[inst.Op].transfers() {
+			break
+		}
+		if _, live := m.traces[end]; live {
+			break
+		}
+	}
+	if end != pc {
+		return &m.build(pc, end, true).steps[0], nil
+	}
+	if l := pc >> ilineShift; l != m.curLineID {
+		m.curLineID = l
+		if m.caches != nil {
+			m.counters.Cycles += uint64(m.caches.Fetch(pc))
+		}
+	}
+	_, err := host.Decode(m.Mem.Read32(pc))
+	if err == nil { // the last word of the address space
+		err = errors.New("code runs off the end of the address space")
+	}
+	return nil, fmt.Errorf("machine: fetch at %#x: %w", pc, err)
+}
+
+// build lowers [start, end), which no live trace overlaps, into a trace
+// and registers it. It returns nil if a word does not decode.
+func (m *Machine) build(start, end uint64, fill bool) *trace {
 	n := int((end - start) / host.InstBytes)
-	if n > maxTraceSteps {
-		return false
-	}
-	steps := m.steps.carve(n + 1)
+	steps := m.steps.get(n + 1)
 	// Lower every word, marking in-trace branch targets: a mega-step must
 	// not swallow one, since only step heads are enterable.
 	var target [maxTraceSteps/64 + 1]uint64
 	isTarget := func(i int) bool { return target[i/64]>>(i%64)&1 != 0 }
 	for i := 0; i < n; i++ {
 		pc := start + uint64(i)*host.InstBytes
-		_, live := m.traces[pc]
 		inst, err := host.Decode(m.Mem.Read32(pc))
-		if live || err != nil {
-			clear(steps[:i]) // hand the arena back zeroed
-			return false
+		if err != nil {
+			m.steps.put(steps)
+			return nil
 		}
 		st := &steps[i]
 		st.slot, st.pc, st.lineID, st.n = lower(pc, inst), pc, pc>>ilineShift, 1
@@ -428,19 +426,18 @@ func (m *Machine) BuildTrace(start, end uint64) bool {
 		}
 		i += c
 	}
-	// Compaction leaves stale copies past the new end; zero them before
-	// the arena reuses that space.
-	clear(steps[w+1:])
+	// Compaction leaves stale copies past the new end, outside the
+	// trace's slice; the pool clears them when the trace is dropped.
 	steps = steps[:w+1]
-	m.steps.commit(w + 1)
-	// Synthetic fallthrough exit: reached only if the final instruction
-	// does not transfer control (translated units always do; this keeps
-	// the executor total anyway). It retires nothing and sits on the last
-	// instruction's line, so reaching it charges no fetch.
+	// Synthetic fallthrough exit: reached when the final instruction does
+	// not transfer control (a fill trace cut before a live trace or an
+	// undecodable word; translated units always transfer). It retires
+	// nothing and sits on the last instruction's line, so reaching it
+	// charges no fetch.
 	steps[w] = traceStep{pc: end, lineID: (end - host.InstBytes) >> ilineShift, exitPC: end}
 
 	m.traceSeq++
-	t := &trace{id: m.traceSeq, start: start, end: end, steps: steps, gen: m.steps.gen}
+	t := &trace{id: m.traceSeq, start: start, end: end, steps: steps, fill: fill}
 	for i := 0; i < w; i++ {
 		m.traces[steps[i].pc] = traceEntry{tr: t, idx: int32(i)}
 	}
@@ -452,44 +449,49 @@ func (m *Machine) BuildTrace(start, end uint64) bool {
 		}
 	}
 	m.traceList[t.id] = t
-	if start < m.traceLo {
-		m.traceLo = start
-	}
-	if end > m.traceHi {
-		m.traceHi = end
-	}
+	m.traceLo = min(m.traceLo, start)
+	m.traceHi = max(m.traceHi, end)
 	m.traceVer++ // stale negative link caches must re-probe
 	m.tstats.Formed++
-	return true
+	return t
 }
 
-// runTraced is Run's trace-tier driver: it alternates trace execution
-// with generic segments (runLoop in exit-on-trace mode), sharing one
-// instruction budget.
-func (m *Machine) runTraced(maxInsts uint64) (StopReason, uint32, error) {
-	used := uint64(0)
-	for used < maxInsts {
-		if ent, ok := m.traces[m.pc]; ok && !m.traceStall {
-			stop, payload, done := m.execTrace(&ent.tr.steps[ent.idx], &used, maxInsts)
-			if done {
-				return stop, payload, nil
-			}
-			continue // trap, side exit, or budget stall; re-probe below
+// unfuse lowers the words of mega-step st into the machine's scratch
+// trace, one step each, and returns its first step: the budget ends inside
+// the sequence, so its constituents retire one at a time. The scratch
+// trace's exit hands control back to Run without chaining. If st's first
+// word no longer decodes (code changed behind the tier's back), the stale
+// trace is dropped and the exit is at st.pc.
+func (m *Machine) unfuse(st *traceStep) *traceStep {
+	s := &m.scratch
+	k := 0
+	for ; k < int(st.n); k++ {
+		pc := st.pc + uint64(k)*host.InstBytes
+		inst, err := host.Decode(m.Mem.Read32(pc))
+		if err != nil {
+			break
 		}
-		// A budget stall means the next mega-step is bigger than what is
-		// left; the generic segment below retires the tail one
-		// instruction at a time (it always makes progress before any
-		// trace redirect, so this cannot livelock).
-		m.traceStall = false
-		before := m.counters.Insts
-		stop, payload, err, redirected := m.runLoop(maxInsts-used, true)
-		used += m.counters.Insts - before
-		if !redirected {
-			return stop, payload, err
+		s[k] = traceStep{slot: lower(pc, inst), next: &s[k+1], pc: pc, lineID: pc >> ilineShift, n: 1, linkVer: m.traceVer}
+		if s[k].kind.branches() {
+			s[k].exitPC = s[k].imm
 		}
 	}
-	return StopLimit, 0, nil
+	pc, lineID := st.pc+uint64(k)*host.InstBytes, st.lineID
+	if k == 0 {
+		m.dropTrace(m.traces[st.pc].tr) // st is not read again
+	} else {
+		lineID = s[k-1].lineID
+	}
+	s[k] = traceStep{pc: pc, lineID: lineID, exitPC: pc, linkVer: m.traceVer}
+	return &s[0]
 }
+
+// Trap kinds a pageMemo access reports.
+const (
+	trapNone     = iota
+	trapMisalign // a spurious misalignment trap (fault plan)
+	trapAccess   // an access-protection trap, real or spurious
+)
 
 // pageMemo is the executor's one-entry page memo: a data access to the
 // page of the last access that went through the memory layer reads or
@@ -499,36 +501,61 @@ func (m *Machine) runTraced(maxInsts uint64) (StopReason, uint32, error) {
 // aligned accesses are. Both stay valid while the executor runs: page
 // arrays are stable, and protections change only in trap handlers, which
 // run after the executor has exited.
+//
+// Under a fault plan the memo never points at a page, so every access
+// goes through load or store, which make the plan's draws in instruction
+// order: a spurious misalignment trap for an aligned access of an
+// aligning kind (slotLd, slotLdl, slotSt), then a spurious access fault
+// unless the access really traps.
 type pageMemo struct {
 	idx            uint64 // page index of pg; ^0 matches no address
 	pg             *[mem.PageSize]byte
 	ldTrap, stTrap bool
+	faults         *faultinject.Plan
 }
 
-// load performs a load the memo does not serve: it checks protections,
-// reads through the memory layer and points the memo at acc's page. It
-// reports trapped, without reading, when the access must trap.
-func (pm *pageMemo) load(mm *mem.Memory, acc uint64, size uint8) (v uint64, trapped bool) {
-	if mm.AccessTrap(acc, int(size), false) {
-		return 0, true
+// load performs a load the memo does not serve: it checks protections and
+// the fault plan, reads through the memory layer and points the memo at
+// acc's page. It reports the trap, without reading, when the access must
+// trap.
+func (pm *pageMemo) load(mm *mem.Memory, acc uint64, size uint8, aligning bool) (v uint64, trap uint8) {
+	if trap = pm.check(mm, acc, size, aligning, false); trap != trapNone {
+		return 0, trap
 	}
 	v = mm.Read(acc, int(size))
 	pm.point(mm, acc)
-	return v, false
+	return v, trapNone
 }
 
 // store is load's counterpart for stores.
-func (pm *pageMemo) store(mm *mem.Memory, acc, v uint64, size uint8) (trapped bool) {
-	if mm.AccessTrap(acc, int(size), true) {
-		return true
+func (pm *pageMemo) store(mm *mem.Memory, acc, v uint64, size uint8, aligning bool) (trap uint8) {
+	if trap = pm.check(mm, acc, size, aligning, true); trap != trapNone {
+		return trap
 	}
 	mm.Write(acc, v, int(size))
 	pm.point(mm, acc)
-	return false
+	return trapNone
 }
 
-// point memoizes acc's page, unless it has never been touched.
+// check decides whether an access traps: the fault plan's spurious
+// misalignment draw first (aligning kinds only), then the trap-bit table,
+// then the plan's spurious access-fault draw.
+func (pm *pageMemo) check(mm *mem.Memory, acc uint64, size uint8, aligning, store bool) uint8 {
+	if pm.faults != nil && aligning && pm.faults.Should(faultinject.SpuriousTrap) {
+		return trapMisalign
+	}
+	if mm.AccessTrap(acc, int(size), store) || (pm.faults != nil && pm.faults.Should(faultinject.SpuriousAccessFault)) {
+		return trapAccess
+	}
+	return trapNone
+}
+
+// point memoizes acc's page, unless it has never been touched or a fault
+// plan is installed.
 func (pm *pageMemo) point(mm *mem.Memory, acc uint64) {
+	if pm.faults != nil {
+		return
+	}
 	if p := mm.PeekPage(acc); p != nil {
 		pm.idx, pm.pg = acc>>mem.PageShift, p
 		pm.ldTrap, pm.stTrap = mm.PageTrapped(acc)
@@ -569,13 +596,8 @@ func pageWrite(pg *[mem.PageSize]byte, acc, v uint64, size uint8) {
 // threaded successor pointers, in-trace branch targets, and memoized
 // chain links. It returns done=true when Run should return (BRKBT or
 // exhausted budget); a false return means machine state is synced (a trap
-// was delivered, or control left the trace tier) and the caller should
-// re-probe at m.pc.
-//
-// Parity contract: the case bodies below are runLoop's, kind for kind,
-// with the same counters, cycles and cache probes in the same order
-// (modulo the two neutral accounting transformations documented at the
-// top of this file). Change one only with its twin.
+// was delivered, or control left the trace tier) and Run should re-probe
+// at m.pc.
 func (m *Machine) execTrace(st *traceStep, used *uint64, maxInsts uint64) (StopReason, uint32, bool) {
 	p := &m.Params
 	dual := p.DualIssueALU
@@ -592,10 +614,7 @@ func (m *Machine) execTrace(st *traceStep, used *uint64, maxInsts uint64) (StopR
 	n0 := *used
 	limit := insts + (maxInsts - n0) // budget expressed on the insts counter
 	var extra uint64                 // cycles above the 1/inst baseline; wraps on dual-issue credit
-	curLineID := noLineID
-	if m.curLine != nil {
-		curLineID = m.curLineID
-	}
+	curLineID := m.curLineID
 	// Same-L1D-line probe memo (see the header comment for why skipping
 	// repeat probes is simulation-invisible).
 	dataLine := noLineID
@@ -603,9 +622,10 @@ func (m *Machine) execTrace(st *traceStep, used *uint64, maxInsts uint64) (StopR
 	if caches != nil {
 		dshift = caches.L1D.LineShift()
 	}
-	pm := pageMemo{idx: ^uint64(0)}
+	pm := pageMemo{idx: ^uint64(0), faults: m.faults}
 	var ea, acc, v uint64 // effective and accessed address, loaded or stored value
-	var trapped, taken bool
+	var taken bool
+	var fault uint8 // the trap a memory access takes (trapMisalign, trapAccess)
 	// A mega-step constituent that faults: its index and its slot.
 	var trapK uint64
 	var trap slot
@@ -617,16 +637,14 @@ func (m *Machine) execTrace(st *traceStep, used *uint64, maxInsts uint64) (StopR
 	for {
 		if insts+uint64(st.n) > limit {
 			// A mega-step retires atomically, but the budget is defined on
-			// single instructions: when the remainder cannot fit it, hand
-			// its head PC to the generic loop so the tail retires
-			// instruction by instruction, bit-identical to an unfused run.
-			// For any other step this is insts >= limit: the budget is
-			// spent.
-			m.traceExit(st.pc, insts, extra, loads, stores, entryInsts, n0, curLineID, slotOpen != 0, used)
+			// single instructions: when the remainder cannot fit it, its
+			// constituents retire one at a time from an unfused copy. For
+			// any other step this is insts >= limit: the budget is spent.
 			if insts < limit {
-				m.traceStall = true
-				return 0, 0, false
+				st = m.unfuse(st)
+				continue
 			}
+			m.traceExit(st.pc, insts, extra, loads, stores, entryInsts, n0, curLineID, slotOpen != 0, used)
 			return StopLimit, 0, true
 		}
 		if st.lineID != curLineID {
@@ -661,7 +679,8 @@ func (m *Machine) execTrace(st *traceStep, used *uint64, maxInsts uint64) (StopR
 		case slotLd, slotLdl:
 			ea = regs[st.b] + st.imm
 			if ea&uint64(st.size-1) != 0 {
-				goto memAlign
+				fault = trapMisalign
+				goto memTrap
 			}
 			acc = ea
 			goto load
@@ -672,7 +691,8 @@ func (m *Machine) execTrace(st *traceStep, used *uint64, maxInsts uint64) (StopR
 		case slotSt:
 			ea = regs[st.b] + st.imm
 			if ea&uint64(st.size-1) != 0 {
-				goto memAlign
+				fault = trapMisalign
+				goto memTrap
 			}
 			acc = ea
 			goto store
@@ -777,9 +797,9 @@ func (m *Machine) execTrace(st *traceStep, used *uint64, maxInsts uint64) (StopR
 			// trap checks, so a fault mid-sequence delivers precisely: the
 			// earlier register writes are visible, the faulting PC is the
 			// constituent's, and megaTrap hands back the rest unretired
-			// (interior PCs are not in the trace LUT, so the generic loop
-			// runs it). An I-line crossing is charged before the first
-			// access past it, or at the end, as runLoop's fetch would be.
+			// (interior PCs are not step heads, so Run builds a fill trace
+			// there). An I-line crossing is charged before the first access
+			// past it, or at the end, as an instruction fetch would be.
 			x := &st.mega
 			eaLo := regs[st.b] + st.imm
 			slotOpen = 1
@@ -795,7 +815,7 @@ func (m *Machine) execTrace(st *traceStep, used *uint64, maxInsts uint64) (StopR
 				acc = ea &^ 7
 				if acc>>mem.PageShift == pm.idx && !pm.ldTrap {
 					q[k] = binary.LittleEndian.Uint64(pm.pg[acc&(mem.PageSize-1):])
-				} else if q[k], trapped = pm.load(m.Mem, acc, 8); trapped {
+				} else if q[k], fault = pm.load(m.Mem, acc, 8, false); fault != trapNone {
 					trapK, trap = k, slot{op: host.LDQU, a: x.ld[k], b: st.b, imm: st.imm + ea - eaLo}
 					goto megaTrap
 				}
@@ -860,7 +880,7 @@ func (m *Machine) execTrace(st *traceStep, used *uint64, maxInsts uint64) (StopR
 				acc = ea &^ 7
 				if acc>>mem.PageShift == pm.idx && !pm.ldTrap {
 					q[k-1] = binary.LittleEndian.Uint64(pm.pg[acc&(mem.PageSize-1):])
-				} else if q[k-1], trapped = pm.load(m.Mem, acc, 8); trapped {
+				} else if q[k-1], fault = pm.load(m.Mem, acc, 8, false); fault != trapNone {
 					trapK, trap = k, slot{op: host.LDQU, a: x.ld[k-1], b: st.b, imm: st.imm + ea - eaLo}
 					goto megaTrap
 				}
@@ -902,7 +922,7 @@ func (m *Machine) execTrace(st *traceStep, used *uint64, maxInsts uint64) (StopR
 				acc = ea &^ 7
 				if acc>>mem.PageShift == pm.idx && !pm.stTrap {
 					binary.LittleEndian.PutUint64(pm.pg[acc&(mem.PageSize-1):], q[k-9])
-				} else if pm.store(m.Mem, acc, q[k-9], 8) {
+				} else if pm.store(m.Mem, acc, q[k-9], 8, false) != trapNone {
 					trapK, trap = k, slot{op: host.STQU, a: x.st[k-9], b: st.b, imm: st.imm + ea - eaLo}
 					goto megaTrap
 				}
@@ -933,7 +953,7 @@ func (m *Machine) execTrace(st *traceStep, used *uint64, maxInsts uint64) (StopR
 		slotOpen = 1 // a memory op leaves an ALU slot open
 		if acc>>mem.PageShift == pm.idx && !pm.ldTrap {
 			v = pageRead(pm.pg, acc, st.size)
-		} else if v, trapped = pm.load(m.Mem, acc, st.size); trapped {
+		} else if v, fault = pm.load(m.Mem, acc, st.size, st.kind != slotLdu); fault != trapNone {
 			goto memTrap
 		}
 		loads++
@@ -949,7 +969,7 @@ func (m *Machine) execTrace(st *traceStep, used *uint64, maxInsts uint64) (StopR
 		v = regs[st.a]
 		if acc>>mem.PageShift == pm.idx && !pm.stTrap {
 			pageWrite(pm.pg, acc, v, st.size)
-		} else if pm.store(m.Mem, acc, v, st.size) {
+		} else if fault = pm.store(m.Mem, acc, v, st.size, st.kind == slotSt); fault != trapNone {
 			goto memTrap
 		}
 		stores++
@@ -987,14 +1007,14 @@ func (m *Machine) execTrace(st *traceStep, used *uint64, maxInsts uint64) (StopR
 	// Cold trap exits, reached by goto from the memory paths; ea holds the
 	// faulting effective address. A memory op leaves the issue slot open,
 	// trapping or not.
-memAlign:
-	m.traceExit(st.pc, insts, extra, loads, stores, entryInsts, n0, curLineID, true, used)
-	m.misalignTrap(st.inst(), ea)
-	return 0, 0, false // handler set the resume PC; re-probe
 memTrap:
 	m.traceExit(st.pc, insts, extra, loads, stores, entryInsts, n0, curLineID, true, used)
-	m.accessTrap(st.inst(), ea)
-	return 0, 0, false
+	if fault == trapMisalign {
+		m.misalignTrap(st.inst(), ea)
+	} else {
+		m.accessTrap(st.inst(), ea)
+	}
+	return 0, 0, false // handler set the resume PC; re-probe
 megaTrap:
 	// A constituent of a mega-step faulted. Those before trapK retired
 	// (their register/memory effects are visible, and are reflected in
@@ -1021,12 +1041,7 @@ func (m *Machine) traceExit(pc, insts, extra, loads, stores, entryInsts, n0, cur
 	m.counters.Loads, m.counters.Stores = loads, stores
 	m.slotOpen = slotOpen
 	m.tstats.TracedInsts += delta
-	if curLineID != noLineID {
-		// Generic execution would have this line decoded; materialize it
-		// (decode slots refill lazily, at no simulated cost) so the generic
-		// loop resumes without a spurious fetch charge.
-		m.curLine, m.curLineID = m.line(curLineID), curLineID
-	}
+	m.curLineID = curLineID
 }
 
 // followLink resolves st's static side-exit target to a step of a live
@@ -1052,21 +1067,27 @@ func (m *Machine) followLink(st *traceStep) *traceStep {
 	return nil
 }
 
-// invalidateTraces drops every trace overlapping [addr, addr+size) and
-// severs chain links into it. Called from invalidate() under WriteCode/
-// Patch; the range filter keeps the common new-code case free.
-func (m *Machine) invalidateTraces(addr, size uint64) {
-	if len(m.traceList) == 0 || addr >= m.traceHi || addr+size <= m.traceLo {
-		return
+// dropOverlapping drops every live trace with a step covering a word of
+// [addr, end), or with fillsOnly only the fill traces, and reports whether
+// a trace it kept overlaps. It probes the PC lookup table for the step
+// heads in the range and for the mega-steps that may reach into it from
+// before, so its cost follows the words written, not the live traces; the
+// range filter skips a write outside the span of every live trace.
+func (m *Machine) dropOverlapping(addr, end uint64, fillsOnly bool) (kept bool) {
+	if addr >= m.traceHi || end <= m.traceLo {
+		return false
 	}
-	// Span overlap against each live trace, not a per-PC LUT probe:
-	// mega-steps register only their head PC, so a write landing on an
-	// interior constituent would slip past the map.
-	for _, t := range m.traceList {
-		if addr < t.end && addr+size > t.start {
-			m.dropTrace(t)
+	for pc := addr - min(addr, (megaMaxLen-1)*host.InstBytes); pc < end; pc += host.InstBytes {
+		ent, ok := m.traces[pc]
+		switch {
+		case !ok || pc+uint64(ent.tr.steps[ent.idx].n)*host.InstBytes <= addr:
+		case fillsOnly && !ent.tr.fill:
+			kept = true
+		default:
+			m.dropTrace(ent.tr)
 		}
 	}
+	return kept
 }
 
 // dropTrace removes t from the lookup table and severs every chain link
@@ -1085,7 +1106,7 @@ func (m *Machine) dropTrace(t *trace) {
 	}
 	t.incoming = nil
 	delete(m.traceList, t.id)
-	m.steps.release(t)
+	m.steps.put(t.steps)
 	m.tstats.Invalidations++
 }
 
@@ -1095,21 +1116,29 @@ func (m *Machine) dropAllTraces() {
 		return
 	}
 	m.tstats.Invalidations += uint64(len(m.traceList))
-	clear(m.traces)
-	clear(m.traceList)
-	m.steps.releaseAll()
+	m.releaseTraces()
 	m.traceLo, m.traceHi = ^uint64(0), 0
 	m.traceVer++
 }
 
-// clearTraceState restores the just-built (disabled) trace tier on Reset
-// and recycles the step arena.
+// releaseTraces empties the trace tables, keeping them, and pools every
+// live trace's steps.
+func (m *Machine) releaseTraces() {
+	for _, t := range m.traceList {
+		m.steps.put(t.steps)
+	}
+	clear(m.traces)
+	clear(m.traceList)
+}
+
+// clearTraceState empties the trace tier and the fetch state (New and
+// Reset only).
 func (m *Machine) clearTraceState() {
-	m.steps.recycle()
-	m.traces, m.traceList = nil, nil
+	m.releaseTraces()
 	m.traceLo, m.traceHi = ^uint64(0), 0
-	m.traceSeq, m.traceVer = 0, 0
+	m.traceSeq, m.traceVer = 0, 1
 	m.tstats = TraceStats{}
+	m.curLineID = noLineID
 }
 
 // TraceLink is one resolved chain link, for diagnostics and lint.
@@ -1118,7 +1147,7 @@ type TraceLink struct {
 	ToPC   uint64 // the target step in another (or the same) trace
 }
 
-// TraceInfo describes one live trace, for dump output and the
+// TraceInfo describes one live unit trace, for dump output and the
 // translation lint.
 type TraceInfo struct {
 	ID         uint64
@@ -1128,10 +1157,13 @@ type TraceInfo struct {
 	Links      []TraceLink
 }
 
-// TraceInfos returns every live trace, ordered by start address.
+// TraceInfos returns every live unit trace, ordered by start address.
 func (m *Machine) TraceInfos() []TraceInfo {
 	infos := make([]TraceInfo, 0, len(m.traceList))
 	for _, t := range m.traceList {
+		if t.fill {
+			continue
+		}
 		info := TraceInfo{ID: t.id, Start: t.start, End: t.end, Steps: len(t.steps) - 1}
 		seen := map[uint64]bool{}
 		for i := range t.steps {
@@ -1237,10 +1269,8 @@ func (m *Machine) checkStepCode(st *traceStep) error {
 			return fmt.Errorf("mega-step %#x no longer fuses its %d instructions (%d)", st.pc, st.n, c)
 		}
 	}
-	got := st.slot
-	got.run, want.run = 0, 0
-	if got != want || st.mega != wantMega {
-		return fmt.Errorf("step %#x is stale: holds %+v %+v, code in memory lowers to %+v %+v", st.pc, got, st.mega, want, wantMega)
+	if st.slot != want || st.mega != wantMega {
+		return fmt.Errorf("step %#x is stale: holds %+v %+v, code in memory lowers to %+v %+v", st.pc, st.slot, st.mega, want, wantMega)
 	}
 	return nil
 }

@@ -11,12 +11,13 @@ import (
 	"mdabt/internal/mem"
 )
 
-// The trace tier's whole contract is bit-identical simulation: a machine
-// with traces built over any subset of the code must produce exactly the
-// same architectural state and Counters as the generic loop, instruction
-// for instruction, including trap paths and budget exhaustion mid-trace.
-// These tests enforce that contract directly at the machine level; the
-// core-level golden matrix enforces it end to end.
+// The trace executor's whole contract is bit-identical simulation: a
+// machine with unit traces built over any subset of the code, and fill
+// traces over the rest, must produce exactly the same architectural state
+// and Counters as the single-stepping reference (refMachine, lower_test.go),
+// instruction for instruction, including trap paths and budget exhaustion
+// mid-trace. These tests enforce that contract directly at the machine
+// level; the core-level golden matrix enforces it end to end.
 
 const trDataBase = 0x100000
 
@@ -38,9 +39,15 @@ func trRun(m *Machine, budget uint64) trSnap {
 	return s
 }
 
-func trSeedData(m *Machine) {
+// trRef runs the reference for budget instructions.
+func trRef(r *refMachine, budget uint64) trSnap {
+	stop, payload, err := r.run(budget)
+	return trSnap{Stop: stop, Payload: payload, Err: err != nil, PC: r.pc, Regs: r.regs, C: r.c}
+}
+
+func trSeedData(mm *mem.Memory) {
 	for i := uint64(0); i < 4096; i++ {
-		m.Mem.Write(trDataBase+i, (i*2654435761)>>3, 1)
+		mm.Write(trDataBase+i, (i*2654435761)>>3, 1)
 	}
 }
 
@@ -56,38 +63,41 @@ func trProgram(t *testing.T, base uint64, build func(a *host.Asm)) []uint32 {
 	return words
 }
 
-// trCompare runs words on a generic machine and on trace-enabled machines
-// (one trace over the whole span, and one with traces over alternating
-// chunks so control crosses trace/generic boundaries both ways), asserting
-// bit-identical outcomes at every budget.
+// trCompare runs words on the reference and on machines with three trace
+// layouts — fill traces only, one unit trace over the whole span, and unit
+// traces over alternating chunks so control crosses unit and fill traces
+// both ways — asserting bit-identical outcomes at every budget.
 func trCompare(t *testing.T, base uint64, words []uint32, budgets []uint64, caches bool, chunk int) {
 	t.Helper()
 	trCompareArm(t, base, words, budgets, caches, chunk, nil)
 }
 
-// trCompareArm is trCompare with a hook that arms identical extra machine
-// state (e.g. page protections) on every compared machine before running.
-func trCompareArm(t *testing.T, base uint64, words []uint32, budgets []uint64, caches bool, chunk int, arm func(m *Machine)) {
+// trCompareArm is trCompare with a hook that arms identical extra memory
+// state (e.g. page protections) on every compared memory before running.
+func trCompareArm(t *testing.T, base uint64, words []uint32, budgets []uint64, caches bool, chunk int, arm func(mm *mem.Memory)) {
 	t.Helper()
 	for _, budget := range budgets {
-		ref := newMachine(caches)
-		trSeedData(ref)
+		p := DefaultParams()
+		p.UseCaches = caches
+		ref := newRef(p, mem.New())
+		trSeedData(ref.mem)
 		if arm != nil {
-			arm(ref)
+			arm(ref.mem)
 		}
-		ref.WriteCode(base, words)
-		ref.SetPC(base)
-		want := trRun(ref, budget)
+		for i, w := range words {
+			ref.mem.Write32(base+uint64(i)*host.InstBytes, w)
+		}
+		ref.pc = base
+		want := trRef(ref, budget)
 
-		for _, variant := range []string{"whole", "chunks"} {
+		for _, variant := range []string{"fills", "whole", "chunks"} {
 			m := newMachine(caches)
-			trSeedData(m)
+			trSeedData(m.Mem)
 			if arm != nil {
-				arm(m)
+				arm(m.Mem)
 			}
 			m.WriteCode(base, words)
 			m.SetPC(base)
-			m.EnableTraces(true)
 			switch variant {
 			case "whole":
 				if !m.BuildTrace(base, base+uint64(len(words))*host.InstBytes) {
@@ -112,29 +122,33 @@ func trCompareArm(t *testing.T, base uint64, words []uint32, budgets []uint64, c
 			if err := m.CheckTraceCoherence(); err != nil {
 				t.Fatalf("variant=%s: coherence after run: %v", variant, err)
 			}
-			if variant == "whole" && budget > 10 && m.TraceStats().TracedInsts == 0 {
-				t.Fatalf("whole-span trace retired no instructions (tier never engaged)")
+			if ts := m.TraceStats(); ts.TracedInsts != got.C.Insts {
+				t.Fatalf("variant=%s: %d of %d instructions retired in traces", variant, ts.TracedInsts, got.C.Insts)
 			}
 		}
 	}
 }
 
 // trEveryBudget returns the budgets 1, 2, ... up to the instruction count
-// of a generic run of words from base (capped at limit), plus one budget
+// of a reference run of words from base (capped at limit), plus one budget
 // large enough to finish any program that halts.
-func trEveryBudget(t *testing.T, base uint64, words []uint32, caches bool, arm func(m *Machine), limit uint64) []uint64 {
+func trEveryBudget(t *testing.T, base uint64, words []uint32, caches bool, arm func(mm *mem.Memory), limit uint64) []uint64 {
 	t.Helper()
-	m := newMachine(caches)
-	trSeedData(m)
+	p := DefaultParams()
+	p.UseCaches = caches
+	ref := newRef(p, mem.New())
+	trSeedData(ref.mem)
 	if arm != nil {
-		arm(m)
+		arm(ref.mem)
 	}
-	m.WriteCode(base, words)
-	m.SetPC(base)
+	for i, w := range words {
+		ref.mem.Write32(base+uint64(i)*host.InstBytes, w)
+	}
+	ref.pc = base
 	const full = 200000
-	trRun(m, full)
+	trRef(ref, full)
 	budgets := []uint64{}
-	for b := uint64(1); b <= min(m.Counters().Insts, limit); b++ {
+	for b := uint64(1); b <= min(ref.c.Insts, limit); b++ {
 		budgets = append(budgets, b)
 	}
 	return append(budgets, full)
@@ -186,7 +200,7 @@ func TestTraceParityRandomPrograms(t *testing.T) {
 		// Data base: the seeded data, or just below a page boundary when a
 		// page is protected, so that sequences straddle it.
 		dataBase := int64(trDataBase)
-		var arm func(m *Machine)
+		var arm func(mm *mem.Memory)
 		if seed%4 >= 2 {
 			dataBase = pageB - 16
 			// Every pairing of page and protection (none, read-only,
@@ -195,7 +209,7 @@ func TestTraceParityRandomPrograms(t *testing.T) {
 			if seed/4%2 == 0 {
 				page = trDataBase
 			}
-			arm = func(m *Machine) { m.Mem.Protect(page, mem.PageSize, prot) }
+			arm = func(mm *mem.Memory) { mm.Protect(page, mem.PageSize, prot) }
 		}
 		idioms := 0
 		words := trProgram(t, base, func(a *host.Asm) {
@@ -276,7 +290,6 @@ func TestTraceParityRandomPrograms(t *testing.T) {
 		// this the runs below could silently test no mega-step.
 		m := newMachine(caches)
 		m.WriteCode(base, words)
-		m.EnableTraces(true)
 		if !m.BuildTrace(base, base+uint64(len(words))*host.InstBytes) {
 			t.Fatal("BuildTrace failed")
 		}
@@ -343,8 +356,7 @@ func TestTraceParityKernels(t *testing.T) {
 }
 
 // TestTraceOperateParity pins the executor's operate and branch cases to
-// the generic loop's op by op, over register and literal forms, so the
-// two executors can never drift silently.
+// the reference op by op, over register and literal forms.
 func TestTraceOperateParity(t *testing.T) {
 	aluOps := []host.Op{
 		host.ADDL, host.SUBL, host.ADDQ, host.SUBQ, host.MULL, host.MULQ,
@@ -399,7 +411,7 @@ func TestTraceOperateParity(t *testing.T) {
 func TestTraceChainFollowAndSever(t *testing.T) {
 	const base = 0x1000
 	m := newMachine(false)
-	trSeedData(m)
+	trSeedData(m.Mem)
 	words := trProgram(t, base, func(a *host.Asm) {
 		a.MovImm(host.R1, 10)
 		a.Label("a")
@@ -411,7 +423,6 @@ func TestTraceChainFollowAndSever(t *testing.T) {
 	})
 	m.WriteCode(base, words)
 	m.SetPC(base)
-	m.EnableTraces(true)
 	// Split the program at label "b" into two traces.
 	var bPC uint64
 	for i, w := range words {
@@ -463,6 +474,9 @@ func TestTraceChainFollowAndSever(t *testing.T) {
 	}
 }
 
+// TestTraceBuildRejects: BuildTrace refuses bad bounds, undecodable words
+// and overlap with a live unit trace, and leaves no trace behind when it
+// does; a fill trace it overlaps is dropped instead.
 func TestTraceBuildRejects(t *testing.T) {
 	const base = 0x1000
 	m := newMachine(false)
@@ -474,10 +488,6 @@ func TestTraceBuildRejects(t *testing.T) {
 	m.WriteCode(base, words)
 	end := base + uint64(len(words))*host.InstBytes
 
-	if m.BuildTrace(base, end) {
-		t.Fatal("BuildTrace succeeded with tier disabled")
-	}
-	m.EnableTraces(true)
 	if m.BuildTrace(base+2, end) || m.BuildTrace(base, end+2) || m.BuildTrace(end, base) {
 		t.Fatal("BuildTrace accepted misaligned or inverted bounds")
 	}
@@ -485,14 +495,26 @@ func TestTraceBuildRejects(t *testing.T) {
 	if m.BuildTrace(base, end+host.InstBytes) {
 		t.Fatal("BuildTrace accepted an undecodable word")
 	}
+	if len(m.traceList) != 0 || m.TraceStats().Formed != 0 {
+		t.Fatalf("rejected builds left %d traces (%d formed)", len(m.traceList), m.TraceStats().Formed)
+	}
+	// Run the code once: it executes in a fill trace from the second add,
+	// which a unit trace over the whole span replaces.
+	m.SetPC(base + host.InstBytes)
+	if got := trRun(m, 1<<20); got.Stop != StopHalt || m.HasTrace(base+host.InstBytes) || len(m.traceList) != 1 {
+		t.Fatalf("stop %v, unit trace %v, %d traces: want a halt in one fill trace", got.Stop, m.HasTrace(base+host.InstBytes), len(m.traceList))
+	}
 	if !m.BuildTrace(base, end) {
 		t.Fatal("BuildTrace failed on valid span")
+	}
+	if len(m.traceList) != 1 || !m.HasTrace(base) || !m.HasTrace(base+host.InstBytes) {
+		t.Fatalf("%d traces after the unit build: want only the unit trace", len(m.traceList))
 	}
 	if m.BuildTrace(base, base+host.InstBytes) {
 		t.Fatal("BuildTrace accepted an overlap with a live trace")
 	}
-	if got := m.TraceStats().Formed; got != 1 {
-		t.Fatalf("formed = %d, want 1", got)
+	if got := m.TraceStats().Formed; got != 2 {
+		t.Fatalf("formed = %d, want 2 (the fill and the unit trace)", got)
 	}
 }
 
@@ -504,7 +526,6 @@ func TestTraceIMBAndResetDropAll(t *testing.T) {
 		a.Brk(HaltService)
 	})
 	m.WriteCode(base, words)
-	m.EnableTraces(true)
 	end := base + uint64(len(words))*host.InstBytes
 	if !m.BuildTrace(base, end) {
 		t.Fatal("BuildTrace failed")
@@ -516,23 +537,20 @@ func TestTraceIMBAndResetDropAll(t *testing.T) {
 	if got := m.TraceStats().Invalidations; got != 1 {
 		t.Fatalf("invalidations = %d, want 1", got)
 	}
-	if !m.TracesEnabled() {
-		t.Fatal("IMB disabled the tier")
-	}
 	if !m.BuildTrace(base, end) {
 		t.Fatal("rebuild after IMB failed")
 	}
 	m.Reset()
-	if m.TracesEnabled() || m.HasTrace(base) {
-		t.Fatal("Reset left the trace tier armed")
+	if m.HasTrace(base) || len(m.traceList) != 0 {
+		t.Fatal("Reset left a trace live")
 	}
 	if got := m.TraceStats(); got != (TraceStats{}) {
 		t.Fatalf("Reset left trace stats %+v", got)
 	}
 }
 
-// TestTraceMidEntry enters a trace at a PC in its middle (as a stub return
-// would) and checks parity with generic execution.
+// TestTraceMidEntry enters a unit trace at a PC in its middle (as a stub
+// return would) and checks parity with a machine that runs fill traces.
 func TestTraceMidEntry(t *testing.T) {
 	const base = 0x1000
 	words := trProgram(t, base, func(a *host.Asm) {
@@ -550,7 +568,6 @@ func TestTraceMidEntry(t *testing.T) {
 
 	m := newMachine(true)
 	m.WriteCode(base, words)
-	m.EnableTraces(true)
 	if !m.BuildTrace(base, base+uint64(len(words))*host.InstBytes) {
 		t.Fatal("BuildTrace failed")
 	}
@@ -559,33 +576,82 @@ func TestTraceMidEntry(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("mid-entry:\n got %+v\nwant %+v", got, want)
 	}
-	if m.TraceStats().TracedInsts != 2 {
-		t.Fatalf("traced insts = %d, want 2", m.TraceStats().TracedInsts)
+	if ts := m.TraceStats(); ts.TracedInsts != 2 || ts.Formed != 1 {
+		t.Fatalf("trace stats %+v: want 2 insts traced in the one unit trace", ts)
 	}
 }
 
-// TestTraceFaultPlanFallsBack checks that a machine with an installed
-// fault plan never enters the trace executor, keeping injection streams
-// untouched by the tier.
-func TestTraceFaultPlanFallsBack(t *testing.T) {
+// TestTraceFaultPlanParity runs seeded random programs with MDA
+// sequences the executor fuses into mega-steps, under seeded fault plans
+// (spurious misalignment traps, spurious access faults, duplicate traps),
+// on fill traces and on one unit trace over the whole program, in Run
+// calls of every budget from 1 to the program length. After each call
+// registers, PC, counters and issue-slot state must match the reference;
+// at the halt the data area and the whole injection stream — every fired
+// point with its check count — must match too.
+func TestTraceFaultPlanParity(t *testing.T) {
 	const base = 0x1000
-	m := newMachine(false)
-	words := trProgram(t, base, func(a *host.Asm) {
-		a.OprLit(host.ADDQ, host.R1, 1, host.R1)
-		a.Brk(HaltService)
-	})
-	m.WriteCode(base, words)
-	m.EnableTraces(true)
-	if !m.BuildTrace(base, base+uint64(len(words))*host.InstBytes) {
-		t.Fatal("BuildTrace failed")
+	type fire struct {
+		pt faultinject.Point
+		n  uint64
 	}
-	m.SetFaultPlan(faultinject.New(1))
-	m.SetPC(base)
-	if got := trRun(m, 1<<20); got.Stop != StopHalt {
-		t.Fatalf("stop = %v, want halt", got.Stop)
+	points := []faultinject.Point{faultinject.SpuriousTrap, faultinject.DuplicateTrap, faultinject.SpuriousAccessFault}
+	fired := map[faultinject.Point]uint64{}
+	for seed := int64(0); seed < 3; seed++ {
+		rng := rand.New(rand.NewSource(300 + seed))
+		words := lowerRandomProgram(t, rng, base, true)
+		for _, unit := range []bool{false, true} {
+			for budget := uint64(1); budget <= uint64(len(words)); budget++ {
+				name := fmt.Sprintf("seed %d unit %v budget %d", seed, unit, budget)
+				m, ref := lowerPair(base, words)
+				if unit {
+					if !m.BuildTrace(base, base+uint64(len(words))*host.InstBytes) || trMegaSteps(m) == 0 {
+						t.Fatalf("%s: no unit trace with mega-steps", name)
+					}
+				}
+				var got, want []fire
+				arm := func(log *[]fire) *faultinject.Plan {
+					p := faultinject.New(seed).Rate(faultinject.SpuriousTrap, 0.05).
+						Rate(faultinject.DuplicateTrap, 0.3).Rate(faultinject.SpuriousAccessFault, 0.05)
+					p.Observe(func(pt faultinject.Point) { *log = append(*log, fire{pt, p.Checks(pt)}) })
+					return p
+				}
+				plan, refPlan := arm(&got), arm(&want)
+				m.SetFaultPlan(plan)
+				ref.faults = refPlan
+				for calls := 0; ; calls++ {
+					stop, payload, err := m.Run(budget)
+					g := machineSnap(m, stop, payload, err)
+					rstop, rpayload, rerr := ref.run(budget)
+					if w := refSnap(ref, rstop, rpayload, rerr); g != w {
+						t.Fatalf("%s call %d:\n got %+v\nwant %+v", name, calls, g, w)
+					}
+					if stop != StopLimit || err != nil {
+						break
+					}
+				}
+				if err := lowerDataSame(m.Mem, ref.mem, lowerDataBase-1024, lowerDataBase+16384); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				for _, pt := range points {
+					if plan.Checks(pt) != refPlan.Checks(pt) {
+						t.Fatalf("%s: %s checked %d times, reference %d", name, pt, plan.Checks(pt), refPlan.Checks(pt))
+					}
+					fired[pt] += plan.Fired(pt)
+				}
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("%s: injection stream\n got %v\nwant %v", name, got, want)
+				}
+				if ts := m.TraceStats(); ts.TracedInsts == 0 || ts.TracedInsts != m.Counters().Insts {
+					t.Fatalf("%s: %d of %d instructions retired in traces", name, ts.TracedInsts, m.Counters().Insts)
+				}
+			}
+		}
 	}
-	if got := m.TraceStats().TracedInsts; got != 0 {
-		t.Fatalf("trace executor ran %d insts with a fault plan installed", got)
+	for _, pt := range points {
+		if fired[pt] == 0 {
+			t.Errorf("%s never fired", pt)
+		}
 	}
 }
 
@@ -607,7 +673,6 @@ func TestTraceCoherenceDetectsCorruption(t *testing.T) {
 	build := func() *Machine {
 		m := newMachine(false)
 		m.WriteCode(base, words)
-		m.EnableTraces(true)
 		if !m.BuildTrace(base, base+uint64(len(words))*host.InstBytes) {
 			t.Fatal("BuildTrace failed")
 		}
@@ -661,7 +726,9 @@ func TestTraceCoherenceDetectsCorruption(t *testing.T) {
 
 // benchKernel is a tight counted loop (no misaligned traffic) approximating
 // translated hot-loop code: the shape the dispatch-loop perfbench measures.
-func benchKernel(b *testing.B, traced bool) {
+// With unit set it runs in one unit trace, otherwise in the fill traces Run
+// builds.
+func benchKernel(b *testing.B, unit bool) {
 	const base = 0x1000
 	a := host.NewAsm(base)
 	a.MovImm(host.R9, trDataBase)
@@ -681,11 +748,8 @@ func benchKernel(b *testing.B, traced bool) {
 	}
 	m := New(mem.New(), DefaultParams())
 	m.WriteCode(base, words)
-	if traced {
-		m.EnableTraces(true)
-		if !m.BuildTrace(base, base+uint64(len(words))*host.InstBytes) {
-			b.Fatal("BuildTrace failed")
-		}
+	if unit && !m.BuildTrace(base, base+uint64(len(words))*host.InstBytes) {
+		b.Fatal("BuildTrace failed")
 	}
 	const iters = 4096
 	insts := uint64(0)
@@ -702,8 +766,8 @@ func benchKernel(b *testing.B, traced bool) {
 	b.ReportMetric(float64(insts)/float64(b.Elapsed().Nanoseconds())*1000, "MIPS")
 }
 
-func BenchmarkGenericLoop(b *testing.B) { benchKernel(b, false) }
-func BenchmarkTracedLoop(b *testing.B)  { benchKernel(b, true) }
+func BenchmarkFillTraceLoop(b *testing.B) { benchKernel(b, false) }
+func BenchmarkTracedLoop(b *testing.B)    { benchKernel(b, true) }
 
 // trMegaLd emits the translator's misalignment-safe load idiom in the
 // exact shape fuseMegaLd matches: base in R9, result in R7, temporaries
@@ -770,10 +834,9 @@ func trMegaNops(a *host.Asm, n int) {
 func trAssertMega(t *testing.T, base uint64, words []uint32, kind slotKind, wantN int) {
 	t.Helper()
 	m := newMachine(false)
-	trSeedData(m)
+	trSeedData(m.Mem)
 	m.WriteCode(base, words)
 	m.SetPC(base)
-	m.EnableTraces(true)
 	if !m.BuildTrace(base, base+uint64(len(words))*host.InstBytes) {
 		t.Fatal("BuildTrace failed")
 	}
@@ -797,8 +860,7 @@ func trAssertMega(t *testing.T, base uint64, words []uint32, kind slotKind, want
 	}
 }
 
-// TestTraceMegaStepParity pins the fused MDA mega-steps to the generic
-// loop: the exact load/store expansion idioms the translator emits must
+// TestTraceMegaStepParity pins the fused MDA mega-steps to the reference: the exact load/store expansion idioms the translator emits must
 // fuse into one dispatch and stay bit-identical across word sizes,
 // quadword straddles, sign extension, I-line-crossing positions, budget
 // exhaustion at and inside the idiom, and cache modeling on/off.
@@ -885,9 +947,9 @@ func TestTraceMegaStepParity(t *testing.T) {
 // step take access faults mid-idiom, via page protections straddled by
 // the access. The machine's default access-trap path (count, charge,
 // complete, continue) must leave a traced run bit-identical to the
-// generic one: the mega exits at the faulting constituent's PC with the
-// architecturally visible prefix retired, resumes generically through
-// the idiom tail, and re-enters the trace on the next iteration.
+// reference: the mega exits at the faulting constituent's PC with the
+// architecturally visible prefix retired, resumes through the idiom tail
+// in a fill trace, and re-enters the unit trace on the next iteration.
 func TestTraceMegaStepFaults(t *testing.T) {
 	const base = 0x1000
 	const pageA = uint64(trDataBase)           // [0x100000, 0x102000)
@@ -937,23 +999,23 @@ func TestTraceMegaStepFaults(t *testing.T) {
 			a.Brk(HaltService)
 		})
 	}
-	writeOnlyB := func(m *Machine) { m.Mem.Protect(pageB, mem.PageSize, mem.ProtWrite) }
-	readOnlyB := func(m *Machine) { m.Mem.Protect(pageB, mem.PageSize, mem.ProtRead) }
+	writeOnlyB := func(mm *mem.Memory) { mm.Protect(pageB, mem.PageSize, mem.ProtWrite) }
+	readOnlyB := func(mm *mem.Memory) { mm.Protect(pageB, mem.PageSize, mem.ProtRead) }
 
 	cases := []struct {
 		name  string
 		words []uint32
-		arm   func(m *Machine)
+		arm   func(mm *mem.Memory)
 	}{
 		// Load: fault on the second, first, then both ldq_u constituents.
-		{"ld-hi-faults", loadProg, func(m *Machine) { m.Mem.Protect(pageB, mem.PageSize, 0) }},
-		{"ld-lo-faults", loadProg, func(m *Machine) { m.Mem.Protect(pageA, mem.PageSize, 0) }},
-		{"ld-both-fault", loadProg, func(m *Machine) { m.Mem.Protect(pageA, 2*mem.PageSize, 0) }},
+		{"ld-hi-faults", loadProg, func(mm *mem.Memory) { mm.Protect(pageB, mem.PageSize, 0) }},
+		{"ld-lo-faults", loadProg, func(mm *mem.Memory) { mm.Protect(pageA, mem.PageSize, 0) }},
+		{"ld-both-fault", loadProg, func(mm *mem.Memory) { mm.Protect(pageA, 2*mem.PageSize, 0) }},
 		// Store: unreadable high page faults ldq_u hi AND stq_u hi;
 		// read-only pages fault exactly the trailing stq_u constituents.
-		{"st-hi-unreadable", storeProg, func(m *Machine) { m.Mem.Protect(pageB, mem.PageSize, 0) }},
-		{"st-hi-write-faults", storeProg, func(m *Machine) { m.Mem.Protect(pageB, mem.PageSize, mem.ProtRead) }},
-		{"st-both-writes-fault", storeProg, func(m *Machine) { m.Mem.Protect(pageA, 2*mem.PageSize, mem.ProtRead) }},
+		{"st-hi-unreadable", storeProg, func(mm *mem.Memory) { mm.Protect(pageB, mem.PageSize, 0) }},
+		{"st-hi-write-faults", storeProg, func(mm *mem.Memory) { mm.Protect(pageB, mem.PageSize, mem.ProtRead) }},
+		{"st-both-writes-fault", storeProg, func(mm *mem.Memory) { mm.Protect(pageA, 2*mem.PageSize, mem.ProtRead) }},
 		// A load or store that hits the page memo must still trap.
 		{"ld-memo-write-only", memoProg(host.STQ, func(a *host.Asm) { a.Mem(host.LDQ, host.R6, 32, host.R9) }), writeOnlyB},
 		{"mega-ld-memo-write-only", memoProg(host.STQ, func(a *host.Asm) { trMegaLd(a, 8, 16, false) }), writeOnlyB},
@@ -968,11 +1030,10 @@ func TestTraceMegaStepFaults(t *testing.T) {
 			}
 			// Sanity: the protections really did fire faults.
 			m := newMachine(false)
-			trSeedData(m)
-			tc.arm(m)
+			trSeedData(m.Mem)
+			tc.arm(m.Mem)
 			m.WriteCode(base, tc.words)
 			m.SetPC(base)
-			m.EnableTraces(true)
 			if !m.BuildTrace(base, base+uint64(len(tc.words))*host.InstBytes) {
 				t.Fatal("BuildTrace failed")
 			}
@@ -981,5 +1042,40 @@ func TestTraceMegaStepFaults(t *testing.T) {
 				t.Error("protections armed but no access faults were taken")
 			}
 		})
+	}
+}
+
+// TestTraceStallOnStaleMega: when the budget ends inside a mega-step whose
+// head word was overwritten behind the tier's back with an undecodable
+// one, the executor cannot unfuse it; it drops the stale trace and Run
+// reports the fetch error there, as for any undecodable word, instead of
+// re-entering the stale step forever.
+func TestTraceStallOnStaleMega(t *testing.T) {
+	const base = 0x1000
+	words := trProgram(t, base, func(a *host.Asm) {
+		a.MovImm(host.R9, trDataBase)
+		trMegaLd(a, 4, 3, false)
+		a.Brk(HaltService)
+	})
+	m := newMachine(false)
+	trSeedData(m.Mem)
+	m.WriteCode(base, words)
+	if !m.BuildTrace(base, base+uint64(len(words))*host.InstBytes) || trMegaSteps(m) != 1 {
+		t.Fatal("no mega-step to stall on")
+	}
+	var head uint64
+	for pc := range m.traces {
+		if m.traces[pc].tr.steps[m.traces[pc].idx].kind == stepMisLd {
+			head = pc
+		}
+	}
+	m.Mem.Write32(head, 0x04<<26) // unassigned opcode
+	m.SetPC(base)
+	pre := (head - base) / host.InstBytes
+	if _, _, err := m.Run(pre + 3); err == nil || m.PC() != head || m.Counters().Insts != pre {
+		t.Fatalf("err %v at pc %#x after %d insts: want the fetch error at %#x after %d", err, m.PC(), m.Counters().Insts, head, pre)
+	}
+	if m.HasTrace(base) {
+		t.Fatal("the stale trace is still live")
 	}
 }

@@ -67,9 +67,9 @@ type Result struct {
 	CodeUsed uint64 // code-cache bytes at completion
 	Attempts int    // 1 unless transient failures were retried
 	Worker   int    // worker that produced the result
-	// Traces is the host-side trace-tier telemetry this request generated
-	// (all zero unless Options.Traces). Engine reuse makes the machine's
-	// own counters cumulative, so this is the per-request delta.
+	// Traces is the host-side trace-tier telemetry this request generated.
+	// Engine reuse makes the machine's own counters cumulative, so this is
+	// the per-request delta.
 	Traces machine.TraceStats
 }
 
