@@ -65,9 +65,14 @@ serve-chaos:
 # adaptive streak counters (TestAdaptiveCountersRewoundOnFailedCommit).
 # Injected spurious and duplicate traps at proven-aligned host PCs must
 # not count as static-align violations
-# (TestStaticAlignViolationsIgnoreInjectedTraps).
+# (TestStaticAlignViolationsIgnoreInjectedTraps). The reference interpreter
+# itself is pinned: every census of the selected models and the fault
+# programs against a golden file (TestCensusGolden), a census that rewrites
+# its shared-library code (TestCensusSharedLibSMC), and Exec's access
+# record and fault precision for every guest op (TestExecAccessRecord).
 fault-chaos:
-	$(GO) test -race -run 'TestFaultCosimAllMechanisms|TestChaosGuestFaults|TestSelfModifyingInvalidates|TestMultiContextReset|TestTranslateCommitAfterAllocFault|TestAdaptiveCountersRewoundOnFailedCommit|TestStaticAlignViolationsIgnoreInjectedTraps' -v ./internal/core
+	$(GO) test -race -run 'TestFaultCosimAllMechanisms|TestChaosGuestFaults|TestSelfModifyingInvalidates|TestMultiContextReset|TestTranslateCommitAfterAllocFault|TestAdaptiveCountersRewoundOnFailedCommit|TestStaticAlignViolationsIgnoreInjectedTraps|TestCensusGolden|TestCensusSharedLibSMC' -v ./internal/core
+	$(GO) test -race -run 'TestExecAccessRecord' -v ./internal/guest
 	$(GO) test -race -run 'TestServeGuestFaults' ./internal/serve
 	$(GO) test -race -run 'TestTrapTableReferenceModel' -v ./internal/mem
 	$(GO) test -race -run 'TestTrapMidRun|TestTraceParityRandomPrograms|TestTraceMegaStepFaults|TestTraceFaultPlanParity' -v ./internal/machine

@@ -61,6 +61,40 @@ func (de *decEntry) profile() *siteProfile {
 	return de.prof
 }
 
+// count adds one execution's data accesses to the entry's alignment
+// profile and returns how many were misaligned. Byte accesses are never
+// misaligned and are not profiled; both halves of a REPMOVS4 step count at
+// its site. RunCensus and the engine's interpreter share it; it inlines
+// into their loops, so an instruction without a profiled access costs one
+// compare.
+func (de *decEntry) count(acc *guest.Access) uint64 {
+	if acc.Size < 2 {
+		return 0
+	}
+	return de.add(acc)
+}
+
+// add records acc's accesses (of two bytes or more) and returns how many
+// were misaligned.
+func (de *decEntry) add(acc *guest.Access) (mdas uint64) {
+	s := de.profile()
+	if acc.MDA() {
+		s.mda++
+		mdas++
+	} else {
+		s.aligned++
+	}
+	if acc.N == 2 {
+		if acc.MDA2() {
+			s.mda++
+			mdas++
+		} else {
+			s.aligned++
+		}
+	}
+	return mdas
+}
+
 // Guest code is loaded contiguously at guest.CodeBase, so the decode cache
 // is PC-indexed: a dense window of decDenseLimit bytes starting at the code
 // base, grown on demand, with a map fallback for the rare instruction
@@ -83,6 +117,10 @@ const (
 type decodeCache struct {
 	dense []decEntry // indexed by pc - decDenseBase
 	far   map[uint32]*decEntry
+	// farLo and farHi bound the PCs of the far entries (valid while far is
+	// non-empty), so mayContain can clear a store outside that span
+	// without probing the map.
+	farLo, farHi uint32
 }
 
 // entry returns the cache slot for pc, allocating backing storage as needed.
@@ -107,10 +145,26 @@ func (c *decodeCache) entry(pc uint32) *decEntry {
 	}
 	de := c.far[pc]
 	if de == nil {
+		if len(c.far) == 0 {
+			c.farLo, c.farHi = pc, pc
+		}
+		c.farLo, c.farHi = min(c.farLo, pc), max(c.farHi, pc)
 		de = new(decEntry)
 		c.far[pc] = de
 	}
 	return de
+}
+
+// fallThrough returns the decoded entry at pc when pc lies in the grown
+// dense window, or nil when the caller must probe with decoded. It is how
+// the interpreter loops step to the next instruction of straight-line
+// code: by index, with no probe. An entry a self-modifying store dropped
+// reads as undecoded, so the caller's probe re-decodes the new bytes.
+func (c *decodeCache) fallThrough(pc uint32) *decEntry {
+	if off := pc - decDenseBase; off < uint32(len(c.dense)) && c.dense[off].len != 0 {
+		return &c.dense[off]
+	}
+	return nil
 }
 
 // peek returns the slot for pc without allocating, or nil if none exists.
@@ -165,15 +219,15 @@ func (c *decodeCache) invalidateWrite(addr uint64, size int) int {
 }
 
 // mayContain reports whether any cached decode could overlap a write to
-// [addr, addr+size) — a cheap bounds test that keeps invalidateWrite off
-// the path of ordinary data stores.
+// [addr, addr+size) — a cheap bounds test against the grown dense window
+// and the span of far entries that keeps invalidateWrite off the path of
+// ordinary data stores.
 func (c *decodeCache) mayContain(addr uint64, size int) bool {
-	if len(c.far) > 0 {
+	end := addr + uint64(size)
+	if lo := uint64(decDenseBase); end > lo && addr < lo+uint64(len(c.dense))+guest.MaxInstLen {
 		return true
 	}
-	lo := uint64(decDenseBase)
-	hi := lo + uint64(len(c.dense))
-	return addr+uint64(size) > lo && addr < hi+guest.MaxInstLen
+	return len(c.far) > 0 && end > uint64(c.farLo) && addr < uint64(c.farHi)+guest.MaxInstLen
 }
 
 // profAt returns the alignment profile recorded for pc, or nil if the site

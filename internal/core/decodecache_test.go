@@ -194,3 +194,107 @@ func TestPCStateSurvival(t *testing.T) {
 		})
 	}
 }
+
+// TestDecodeCacheFarSpanSMC pins the census's self-modifying-code filter
+// while far entries exist (shared-library code at guest.SharedLib, outside
+// the dense window): a stack or data store is not flagged, a store over a
+// far entry's bytes is, and invalidateWrite then drops that decode.
+func TestDecodeCacheFarSpanSMC(t *testing.T) {
+	m := mem.New()
+	var b guest.Builder
+	b.MovImm(guest.EAX, 7) // 5+ bytes: its encoding spans several addresses
+	b.Ret()
+	lib, err := b.Build(guest.SharedLib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.WriteBytes(guest.SharedLib, lib)
+	m.WriteBytes(guest.CodeBase, lib)
+
+	var c decodeCache
+	for _, pc := range []uint32{guest.CodeBase, guest.SharedLib} {
+		if _, _, err := c.decoded(pc, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	de, _, err := c.decoded(guest.SharedLib, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	retPC := guest.SharedLib + uint32(de.len)
+	if _, _, err := c.decoded(retPC, m); err != nil {
+		t.Fatal(err)
+	}
+	if len(c.far) != 2 {
+		t.Fatalf("%d far entries, want 2", len(c.far))
+	}
+
+	for _, tc := range []struct {
+		name  string
+		addr  uint64
+		size  int
+		flags bool
+	}{
+		{"stack store", guest.StackTop - 4, 4, false},
+		{"data store", guest.DataBase + 0x100, 8, false},
+		{"store just below the library", guest.SharedLib - 4, 4, false},
+		{"store past the last far entry's bytes", uint64(retPC) + guest.MaxInstLen, 4, false},
+		{"store into the library's first instruction", guest.SharedLib + 1, 4, true},
+		{"store ending on the library's first byte", guest.SharedLib - 3, 4, true},
+		{"store over the RET", uint64(retPC), 1, true},
+		{"store into the dense window", guest.CodeBase + 2, 2, true},
+	} {
+		if got := c.mayContain(tc.addr, tc.size); got != tc.flags {
+			t.Errorf("%s: mayContain(%#x, %d) = %v, want %v", tc.name, tc.addr, tc.size, got, tc.flags)
+		}
+	}
+
+	if n := c.invalidateWrite(guest.SharedLib+1, 4); n != 1 {
+		t.Fatalf("invalidateWrite over the library's first instruction dropped %d decodes, want 1", n)
+	}
+	if de := c.peek(guest.SharedLib); de == nil || de.len != 0 {
+		t.Fatal("the overwritten library decode survived")
+	}
+}
+
+// TestCensusSharedLibSMC runs a census of a program that rewrites its own
+// shared-library code: the second call must execute the new bytes.
+func TestCensusSharedLibSMC(t *testing.T) {
+	stub := func(v int32) []byte {
+		b := guest.NewBuilder()
+		b.MovImm(guest.EAX, v)
+		b.Ret()
+		img, err := b.Build(guest.SharedLib)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return img
+	}
+	stubA, stubB := stub(1), stub(2)
+	for len(stubB)%4 != 0 {
+		stubB = append(stubB, 0)
+	}
+	img := buildImg(t, func(b *guest.Builder) {
+		b.CallAbs(guest.SharedLib)
+		b.Mov(guest.EBX, guest.EAX)
+		b.MovImm(guest.EDI, guest.SharedLib)
+		for off := 0; off < len(stubB); off += 4 {
+			w := int32(uint32(stubB[off]) | uint32(stubB[off+1])<<8 | uint32(stubB[off+2])<<16 | uint32(stubB[off+3])<<24)
+			b.MovImm(guest.ESI, w)
+			b.Store(guest.ST4, guest.MemRef{Base: guest.EDI, Disp: int32(off)}, guest.ESI)
+		}
+		b.CallAbs(guest.SharedLib)
+		b.Halt()
+	})
+	m := mem.New()
+	m.WriteBytes(guest.CodeBase, img)
+	m.WriteBytes(guest.SharedLib, stubA)
+	c, err := RunCensus(m, guest.CodeBase, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !c.Halted || c.FinalCPU.R[guest.EBX] != 1 || c.FinalCPU.R[guest.EAX] != 2 {
+		t.Fatalf("halted=%v ebx=%d eax=%d, want true 1 2 (the rewritten library code must run)",
+			c.Halted, c.FinalCPU.R[guest.EBX], c.FinalCPU.R[guest.EAX])
+	}
+}

@@ -12,16 +12,18 @@ import (
 // pc: it steps the reference CPU until a block-ending instruction has
 // executed (or the block-length cap is hit), collecting the MDA profile and
 // charging interpreter cycles. It returns the guest PC after the block.
+//
+// Like RunCensus it follows straight-line code by index through the decode
+// cache's dense window and probes the cache only where EIP leaves it.
 func (e *Engine) interpretBlock(pc uint32) (uint32, error) {
 	e.CPU.EIP = pc
-	for n := 0; n < maxBlockInsts; n++ {
-		cur := e.CPU.EIP
-		de, err := e.decoded(cur)
+	var acc guest.Access
+	de, err := e.decoded(pc)
+	for n := 1; ; n++ {
 		if err != nil {
-			return 0, fmt.Errorf("core: interpret at %#x: %w", cur, err)
+			return 0, fmt.Errorf("core: interpret at %#x: %w", pc, err)
 		}
-		info, err := e.CPU.Exec(e.Mem, cur, &de.inst, int(de.len))
-		if err != nil {
+		if err := e.CPU.Exec(e.Mem, pc, &de.inst, int(de.len), &acc); err != nil {
 			return 0, err
 		}
 		e.stats.InterpretedInsts++
@@ -31,40 +33,33 @@ func (e *Engine) interpretBlock(pc uint32) (uint32, error) {
 		// Translated stores reach here too — the write trap reroutes them to
 		// this interpreter, so this hook is the single SMC choke point.
 		if e.Mem.Armed() {
-			if info.IsMem && info.IsStore && e.Mem.WatchedRange(uint64(info.EA), info.Size) {
-				e.smcWrite(uint64(info.EA), info.Size)
+			if acc.Store && e.Mem.WatchedRange(uint64(acc.EA), int(acc.Size)) {
+				e.smcWrite(uint64(acc.EA), int(acc.Size))
 			}
-			if info.IsMem2 && info.IsStore2 && e.Mem.WatchedRange(uint64(info.EA2), info.Size2) {
-				e.smcWrite(uint64(info.EA2), info.Size2)
-			}
-		}
-		if info.IsMem && info.Size > 1 {
-			s := de.profile()
-			if info.MDA {
-				s.mda++
-				e.stats.InterpretedMDAs++
-			} else {
-				s.aligned++
+			if acc.N == 2 && e.Mem.WatchedRange(uint64(acc.EA2), int(acc.Size)) {
+				e.smcWrite(uint64(acc.EA2), int(acc.Size))
 			}
 		}
-		if info.IsMem2 {
-			s := de.profile()
-			if info.MDA2 {
-				s.mda++
-				e.stats.InterpretedMDAs++
-			} else {
-				s.aligned++
-			}
-		}
+		e.stats.InterpretedMDAs += de.count(&acc)
 		if e.CPU.Halted {
 			e.halted = true
 			return e.CPU.EIP, nil
 		}
-		if de.inst.Op.EndsBlock() {
-			break
+		if de.inst.Op.EndsBlock() || n == maxBlockInsts {
+			return e.CPU.EIP, nil
+		}
+		next := pc + uint32(de.len)
+		pc = e.CPU.EIP
+		if de = e.dec.fallThrough(pc); pc == next && de != nil {
+			// decoded's fetch check (CheckFetch passes every fetch while
+			// no protection is set).
+			if mf := e.Mem.CheckFetch(uint64(pc), int(de.len)); mf != nil {
+				err = &guest.Fault{PC: pc, Mem: *mf}
+			}
+		} else {
+			de, err = e.decoded(pc)
 		}
 	}
-	return e.CPU.EIP, nil
 }
 
 // Census is a pure-interpretation measurement of a guest program: the data
@@ -154,53 +149,46 @@ func RunCensus(m *mem.Memory, entry uint32, maxInsts uint64) (*Census, error) {
 		c.FinalCPU = *cpu
 		return c, err
 	}
+	var acc guest.Access
 	for c.Insts < maxInsts && !cpu.Halted {
 		pc := cpu.EIP
 		de, _, err := dec.decoded(pc, m)
 		if err != nil {
 			return nil, fmt.Errorf("core: census at %#x: %w", pc, err)
 		}
-		if m.Armed() {
-			if f := m.CheckFetch(uint64(pc), int(de.len)); f != nil {
-				return finish(&guest.Fault{PC: pc, Mem: *f})
-			}
-		}
-		info, err := cpu.Exec(m, pc, &de.inst, int(de.len))
-		if err != nil {
-			return finish(err)
-		}
-		// Self-modifying code: drop decode entries a store overwrote so the
-		// next visit re-decodes the new bytes.
-		if info.IsMem && info.IsStore && dec.mayContain(uint64(info.EA), info.Size) {
-			dec.invalidateWrite(uint64(info.EA), info.Size)
-		}
-		if info.IsMem2 && info.IsStore2 && dec.mayContain(uint64(info.EA2), info.Size2) {
-			dec.invalidateWrite(uint64(info.EA2), info.Size2)
-		}
-		c.Insts++
-		if info.IsMem {
-			c.MemRefs++
-			if info.Size > 1 {
-				s := de.profile()
-				if info.MDA {
-					s.mda++
-					c.MDAs++
-				} else {
-					s.aligned++
+		// Run straight-line code from pc, stepping to each fall-through by
+		// index into the dense window. The cache is probed again only when
+		// EIP leaves the straight line (a control transfer or a REPMOVS4
+		// re-execution) or the fall-through is not decoded: a first visit,
+		// code outside the window, or a decode a store just dropped.
+		for {
+			if m.Armed() {
+				if f := m.CheckFetch(uint64(pc), int(de.len)); f != nil {
+					return finish(&guest.Fault{PC: pc, Mem: *f})
 				}
 			}
-		}
-		if info.IsMem2 {
-			c.MemRefs++
-			if info.Size2 > 1 {
-				s := de.profile()
-				if info.MDA2 {
-					s.mda++
-					c.MDAs++
-				} else {
-					s.aligned++
-				}
+			if err := cpu.Exec(m, pc, &de.inst, int(de.len), &acc); err != nil {
+				return finish(err)
 			}
+			// Self-modifying code: drop decode entries a store overwrote so
+			// the next visit re-decodes the new bytes.
+			if acc.Store && dec.mayContain(uint64(acc.EA), int(acc.Size)) {
+				dec.invalidateWrite(uint64(acc.EA), int(acc.Size))
+			}
+			if acc.N == 2 && dec.mayContain(uint64(acc.EA2), int(acc.Size)) {
+				dec.invalidateWrite(uint64(acc.EA2), int(acc.Size))
+			}
+			c.Insts++
+			c.MemRefs += uint64(acc.N)
+			c.MDAs += de.count(&acc)
+			next := pc + uint32(de.len)
+			if cpu.EIP != next || cpu.Halted || c.Insts >= maxInsts {
+				break
+			}
+			if de = dec.fallThrough(next); de == nil {
+				break
+			}
+			pc = next
 		}
 	}
 	return finish(nil)

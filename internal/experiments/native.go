@@ -46,6 +46,7 @@ func (s *Session) nativeCycles(name, variant string) (uint64, error) {
 	}
 	dcache := make(map[uint32]decoded)
 	var cycles uint64
+	var acc guest.Access
 	for steps := uint64(0); !cpu.Halted; steps++ {
 		if steps > 400_000_000 {
 			return 0, fmt.Errorf("experiments: native %s did not halt", name)
@@ -62,18 +63,17 @@ func (s *Session) nativeCycles(name, variant string) (uint64, error) {
 			de = decoded{inst, n}
 			dcache[pc] = de
 		}
-		info, err := cpu.Exec(m, pc, &de.inst, de.n)
-		if err != nil {
+		if err := cpu.Exec(m, pc, &de.inst, de.n, &acc); err != nil {
 			return 0, err
 		}
 		cycles++
-		if info.IsMem {
-			if !info.IsStore {
+		if acc.N > 0 {
+			if !acc.Store {
 				cycles += nativeLoadExtra
 			}
-			cycles += uint64(caches.Data(uint64(info.EA)))
-			if info.MDA {
-				if info.EA/nativeLine != (info.EA+uint32(info.Size)-1)/nativeLine {
+			cycles += uint64(caches.Data(uint64(acc.EA)))
+			if acc.MDA() {
+				if acc.EA/nativeLine != (acc.EA+uint32(acc.Size)-1)/nativeLine {
 					cycles += nativeSplitLine
 				} else {
 					cycles += nativeMDAPenalty

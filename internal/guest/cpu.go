@@ -33,25 +33,25 @@ func (c *CPU) Reset(entry uint32) {
 	c.R[ESP] = StackTop
 }
 
-// StepInfo describes one executed instruction, for profilers and tracers.
-// String-copy steps perform two accesses (a load and a store); the second
-// is reported through the *2 fields.
-type StepInfo struct {
-	PC      uint32 // address of the instruction
-	Op      Op
-	Len     int    // encoded length
-	IsMem   bool   // performed a data memory access
-	EA      uint32 // effective address of that access
-	Size    int    // access size in bytes
-	IsStore bool
-	MDA     bool // the access was misaligned (would trap on the host ISA)
-
-	IsMem2   bool // second access of a string-copy step
-	EA2      uint32
-	Size2    int
-	IsStore2 bool
-	MDA2     bool
+// Access is Exec's record of the data memory one instruction touched,
+// written through a pointer the caller owns. N is the number of accesses,
+// each of Size bytes: 0, 1, or 2 for a REPMOVS4 step, which loads at EA
+// and then stores at EA2. Store gives the direction of the access at EA.
+// Exec rewrites the whole record, so it is zero when N is 0.
+type Access struct {
+	N     uint8
+	Size  uint8
+	Store bool
+	EA    uint32
+	EA2   uint32 // REPMOVS4's store
 }
+
+// MDA reports whether the access at EA was misaligned (would trap on the
+// host ISA).
+func (a *Access) MDA() bool { return IsMDA(a.EA, int(a.Size)) }
+
+// MDA2 reports whether REPMOVS4's store at EA2 was misaligned.
+func (a *Access) MDA2() bool { return IsMDA(a.EA2, int(a.Size)) }
 
 // EA computes the effective address of a memory operand.
 func (c *CPU) EA(m MemRef) uint32 {
@@ -126,82 +126,77 @@ func (c *CPU) CondTaken(cond Cond) bool {
 	panic(fmt.Sprintf("guest: CondTaken: bad condition %d", uint8(cond)))
 }
 
-// Step decodes and executes one instruction from m at EIP.
-func (c *CPU) Step(m *mem.Memory) (StepInfo, error) {
+// Step decodes and executes one instruction from m at EIP, recording its
+// data accesses in acc.
+func (c *CPU) Step(m *mem.Memory, acc *Access) error {
 	if c.Halted {
-		return StepInfo{}, fmt.Errorf("guest: step: CPU halted")
+		return fmt.Errorf("guest: step: CPU halted")
 	}
 	var buf [MaxInstLen]byte
 	m.ReadBytes(uint64(c.EIP), buf[:])
 	inst, n, err := Decode(buf[:])
 	if err != nil {
-		return StepInfo{}, fmt.Errorf("guest: step at %#x: %w", c.EIP, err)
+		return fmt.Errorf("guest: step at %#x: %w", c.EIP, err)
 	}
 	if m.Armed() {
 		if mf := m.CheckFetch(uint64(c.EIP), n); mf != nil {
-			return StepInfo{}, &Fault{PC: c.EIP, Mem: *mf}
+			return &Fault{PC: c.EIP, Mem: *mf}
 		}
 	}
-	info, err := c.Exec(m, c.EIP, &inst, n)
-	return info, err
+	return c.Exec(m, c.EIP, &inst, n, acc)
 }
 
 // Exec executes one already-decoded instruction located at pc with encoded
-// length n. EIP is advanced (or redirected for branches). The instruction is
-// taken by pointer so cached decodes are executed without copying; Exec never
-// mutates it.
+// length n and records its data accesses in acc. EIP is advanced (or
+// redirected for branches). The instruction is taken by pointer so cached
+// decodes are executed without copying; Exec never mutates it. The
+// address, size and direction of an op's access come from opTable.
 //
 // Exec is fault-precise: when the memory has protections armed, every data
 // access is checked before any architectural state is mutated, and a
 // violation returns a *Fault with the CPU exactly in its pre-instruction
-// state — EIP on the faulting instruction, ESP undisturbed, zero store
-// bytes committed.
-func (c *CPU) Exec(m *mem.Memory, pc uint32, inst *Inst, n int) (StepInfo, error) {
-	info := StepInfo{PC: pc, Op: inst.Op, Len: n}
+// state — EIP on the faulting instruction, ESP, ESI, EDI and ECX
+// undisturbed, zero store bytes committed.
+func (c *CPU) Exec(m *mem.Memory, pc uint32, inst *Inst, n int, acc *Access) error {
 	next := pc + uint32(n)
+	f := &opTable[inst.Op]
+	*acc = Access{}
+	var ea uint32
+	if f.mem != memNone {
+		switch f.mem {
+		case memExplicit:
+			ea = c.EA(inst.Mem)
+		case memPush:
+			ea = c.R[ESP] - 4
+		case memPop:
+			ea = c.R[ESP]
+		case memCopy:
+			// One architectural step: copy a single dword, or fall
+			// through when the count is exhausted.
+			if c.R[ECX] == 0 {
+				c.EIP = next
+				return nil
+			}
+			ea = c.R[ESI]
+		}
+		if m.Armed() {
+			// Check both halves of a copy before either commits: a
+			// faulting step leaves ESI/EDI/ECX at the values that name
+			// the faulting dword, which is exactly the resumable-REP
+			// architecture.
+			mf := m.CheckRange(uint64(ea), int(f.size), !f.load)
+			if mf == nil && f.mem == memCopy {
+				mf = m.CheckRange(uint64(c.R[EDI]), 4, true)
+			}
+			if mf != nil {
+				c.EIP = pc
+				return &Fault{PC: pc, Mem: *mf}
+			}
+		}
+		*acc = Access{N: 1, Size: f.size, Store: !f.load, EA: ea}
+	}
 	c.EIP = next
-
-	// check validates an access before it (or any other side effect of the
-	// instruction) happens; on a violation it rewinds EIP and builds the
-	// guest fault.
-	check := func(ea uint32, size int, store bool) *Fault {
-		if !m.Armed() {
-			return nil
-		}
-		if mf := m.CheckRange(uint64(ea), size, store); mf != nil {
-			c.EIP = pc
-			return &Fault{PC: pc, Mem: *mf}
-		}
-		return nil
-	}
-	access := func(ea uint32, size int, store bool) {
-		info.IsMem = true
-		info.EA = ea
-		info.Size = size
-		info.IsStore = store
-		info.MDA = IsMDA(ea, size)
-	}
-	push := func(v uint32) *Fault {
-		ea := c.R[ESP] - 4
-		if f := check(ea, 4, true); f != nil {
-			return f
-		}
-		c.R[ESP] = ea
-		access(ea, 4, true)
-		m.Write32(uint64(ea), v)
-		return nil
-	}
-	pop := func() (uint32, *Fault) {
-		ea := c.R[ESP]
-		if f := check(ea, 4, false); f != nil {
-			return 0, f
-		}
-		v := m.Read32(uint64(ea))
-		access(ea, 4, false)
-		c.R[ESP] += 4
-		return v, nil
-	}
-
+	a := uint64(ea)
 	switch inst.Op {
 	case NOP:
 	case HALT:
@@ -214,75 +209,53 @@ func (c *CPU) Exec(m *mem.Memory, pc uint32, inst *Inst, n int) (StepInfo, error
 		c.R[inst.R1] = c.EA(inst.Mem)
 
 	case LD4:
-		ea := c.EA(inst.Mem)
-		if f := check(ea, 4, false); f != nil {
-			return info, f
-		}
-		access(ea, 4, false)
-		c.R[inst.R1] = m.Read32(uint64(ea))
+		c.R[inst.R1] = m.Read32(a)
 	case LD2Z:
-		ea := c.EA(inst.Mem)
-		if f := check(ea, 2, false); f != nil {
-			return info, f
-		}
-		access(ea, 2, false)
-		c.R[inst.R1] = uint32(m.Read16(uint64(ea)))
+		c.R[inst.R1] = uint32(m.Read16(a))
 	case LD2S:
-		ea := c.EA(inst.Mem)
-		if f := check(ea, 2, false); f != nil {
-			return info, f
-		}
-		access(ea, 2, false)
-		c.R[inst.R1] = uint32(int32(int16(m.Read16(uint64(ea)))))
+		c.R[inst.R1] = uint32(int32(int16(m.Read16(a))))
 	case LD1Z:
-		ea := c.EA(inst.Mem)
-		if f := check(ea, 1, false); f != nil {
-			return info, f
-		}
-		access(ea, 1, false)
-		c.R[inst.R1] = uint32(m.Read8(uint64(ea)))
+		c.R[inst.R1] = uint32(m.Read8(a))
 	case LD1S:
-		ea := c.EA(inst.Mem)
-		if f := check(ea, 1, false); f != nil {
-			return info, f
-		}
-		access(ea, 1, false)
-		c.R[inst.R1] = uint32(int32(int8(m.Read8(uint64(ea)))))
+		c.R[inst.R1] = uint32(int32(int8(m.Read8(a))))
 	case ST4:
-		ea := c.EA(inst.Mem)
-		if f := check(ea, 4, true); f != nil {
-			return info, f
-		}
-		access(ea, 4, true)
-		m.Write32(uint64(ea), c.R[inst.R1])
+		m.Write32(a, c.R[inst.R1])
 	case ST2:
-		ea := c.EA(inst.Mem)
-		if f := check(ea, 2, true); f != nil {
-			return info, f
-		}
-		access(ea, 2, true)
-		m.Write16(uint64(ea), uint16(c.R[inst.R1]))
+		m.Write16(a, uint16(c.R[inst.R1]))
 	case ST1:
-		ea := c.EA(inst.Mem)
-		if f := check(ea, 1, true); f != nil {
-			return info, f
-		}
-		access(ea, 1, true)
-		m.Write8(uint64(ea), uint8(c.R[inst.R1]))
+		m.Write8(a, uint8(c.R[inst.R1]))
 	case FLD8:
-		ea := c.EA(inst.Mem)
-		if f := check(ea, 8, false); f != nil {
-			return info, f
-		}
-		access(ea, 8, false)
-		c.F[inst.FR1] = m.Read64(uint64(ea))
+		c.F[inst.FR1] = m.Read64(a)
 	case FST8:
-		ea := c.EA(inst.Mem)
-		if f := check(ea, 8, true); f != nil {
-			return info, f
+		m.Write64(a, c.F[inst.FR1])
+	case PUSH:
+		// PUSH ESP stores ESP's value before the push.
+		m.Write32(a, c.R[inst.R1])
+		c.R[ESP] = ea
+	case POP:
+		// POP ESP leaves the popped value, not the incremented pointer.
+		v := m.Read32(a)
+		c.R[ESP] = ea + 4
+		c.R[inst.R1] = v
+	case CALL:
+		m.Write32(a, next)
+		c.R[ESP] = ea
+		c.EIP = next + uint32(inst.Rel)
+	case RET:
+		c.EIP = m.Read32(a)
+		c.R[ESP] = ea + 4
+	case REPMOVS4:
+		dst := c.R[EDI]
+		acc.N, acc.EA2 = 2, dst
+		m.Write32(uint64(dst), m.Read32(a))
+		c.R[ESI] += 4
+		c.R[EDI] += 4
+		c.R[ECX]--
+		if c.R[ECX] != 0 {
+			// EIP stays on the instruction while work remains, so it
+			// re-executes (interruptible REP).
+			c.EIP = pc
 		}
-		access(ea, 8, true)
-		m.Write64(uint64(ea), c.F[inst.FR1])
 
 	case ADDrr:
 		c.R[inst.R1] = c.setAddFlags(c.R[inst.R1], c.R[inst.R2])
@@ -330,68 +303,14 @@ func (c *CPU) Exec(m *mem.Memory, pc uint32, inst *Inst, n int) (StepInfo, error
 		c.F[inst.FR1] += c.F[inst.FR2]
 	case FMOVrr:
 		c.F[inst.FR1] = c.F[inst.FR2]
-
-	case REPMOVS4:
-		// One architectural step: copy a single dword, or fall through when
-		// the count is exhausted. EIP stays on the instruction while work
-		// remains, so the instruction re-executes (interruptible REP).
-		if c.R[ECX] == 0 {
-			break
-		}
-		src, dst := c.R[ESI], c.R[EDI]
-		// Check both halves of the copy before either commits: a faulting
-		// step leaves ESI/EDI/ECX at the values that name the faulting
-		// dword, which is exactly the resumable-REP architecture.
-		if f := check(src, 4, false); f != nil {
-			return info, f
-		}
-		if f := check(dst, 4, true); f != nil {
-			return info, f
-		}
-		access(src, 4, false)
-		info.IsMem2 = true
-		info.EA2 = dst
-		info.Size2 = 4
-		info.IsStore2 = true
-		info.MDA2 = IsMDA(dst, 4)
-		m.Write32(uint64(dst), m.Read32(uint64(src)))
-		c.R[ESI] += 4
-		c.R[EDI] += 4
-		c.R[ECX]--
-		if c.R[ECX] != 0 {
-			c.EIP = pc // re-execute
-		}
-
 	case JMP:
 		c.EIP = next + uint32(inst.Rel)
 	case JCC:
 		if c.CondTaken(inst.Cond) {
 			c.EIP = next + uint32(inst.Rel)
 		}
-	case CALL:
-		if f := push(next); f != nil {
-			return info, f
-		}
-		c.EIP = next + uint32(inst.Rel)
-	case RET:
-		v, f := pop()
-		if f != nil {
-			return info, f
-		}
-		c.EIP = v
-	case PUSH:
-		if f := push(c.R[inst.R1]); f != nil {
-			return info, f
-		}
-	case POP:
-		v, f := pop()
-		if f != nil {
-			return info, f
-		}
-		c.R[inst.R1] = v
-
 	default:
-		return info, fmt.Errorf("guest: exec: unhandled op %v", inst.Op)
+		return fmt.Errorf("guest: exec: unhandled op %v", inst.Op)
 	}
-	return info, nil
+	return nil
 }

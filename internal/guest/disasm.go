@@ -20,7 +20,7 @@ func sizePrefix(op Op) string {
 // syntax. Branch targets are absolute.
 func Disasm(pc uint32, inst Inst, n int) string {
 	target := pc + uint32(n) + uint32(inst.Rel)
-	switch opLayouts[inst.Op] {
+	switch opTable[inst.Op].lay {
 	case layNone:
 		return inst.Op.String()
 	case layR:

@@ -104,7 +104,7 @@ func Encode(dst []byte, inst Inst) ([]byte, error) {
 	}
 	dst = append(dst, byte(inst.Op))
 	var err error
-	switch opLayouts[inst.Op] {
+	switch opTable[inst.Op].lay {
 	case layNone:
 	case layR:
 		dst = append(dst, modrm(modeReg, uint8(inst.R1), 0))
@@ -231,7 +231,7 @@ func Decode(buf []byte) (Inst, int, error) {
 		return mb, nil
 	}
 	var err error
-	switch opLayouts[op] {
+	switch opTable[op].lay {
 	case layNone:
 	case layR:
 		var mb byte

@@ -259,89 +259,105 @@ const (
 	layCondRel
 )
 
-var opLayouts = [numOps]layout{
-	NOP: layNone, HALT: layNone,
-	MOVri: layRI, MOVrr: layRR, LEA: layRM,
-	LD4: layRM, LD2Z: layRM, LD2S: layRM, LD1Z: layRM, LD1S: layRM,
-	ST4: layMR, ST2: layMR, ST1: layMR,
-	FLD8: layFM, FST8: layMF,
-	ADDrr: layRR, SUBrr: layRR, ANDrr: layRR, ORrr: layRR, XORrr: layRR,
-	IMULrr: layRR, CMPrr: layRR, TESTrr: layRR,
-	ADDri: layRI, SUBri: layRI, ANDri: layRI, ORri: layRI, XORri: layRI,
-	IMULri: layRI, CMPri: layRI, SHLri: layRI, SHRri: layRI, SARri: layRI,
-	FADDrr: layFF, FMOVrr: layFF,
-	JMP: layRel, JCC: layCondRel, CALL: layRel,
-	RET: layNone, PUSH: layR, POP: layR,
-	REPMOVS4: layNone,
+// memKind says how an op forms the address of its data access.
+type memKind uint8
+
+const (
+	memNone     memKind = iota // no data access
+	memExplicit                // the MemRef operand
+	memPush                    // ESP-4 (PUSH, CALL)
+	memPop                     // ESP (POP, RET)
+	memCopy                    // ESI, then EDI (REPMOVS4)
+)
+
+// opFacts holds one op's static facts: its operand layout and, for the ops
+// that touch data memory, how the address is formed, the access size and
+// its direction. Exec, the encoder, the decoder and the Op predicates all
+// read them from opTable.
+type opFacts struct {
+	lay         layout
+	mem         memKind
+	size        uint8 // bytes per data access; 0 for non-memory ops
+	load, store bool  // reads / writes data memory (REPMOVS4 does both: load first)
+	branch      bool  // transfers control (ends a basic block)
+	setsFlags   bool  // defines the EFLAGS condition codes the translator consumes
+}
+
+// opTable has one row per Op value, so indexing it by an Op needs no
+// bounds check; rows past the last op are zero (no layout, no access).
+var opTable = [256]opFacts{
+	NOP:   {lay: layNone},
+	HALT:  {lay: layNone, branch: true},
+	MOVri: {lay: layRI},
+	MOVrr: {lay: layRR},
+	LEA:   {lay: layRM},
+
+	LD4:  {lay: layRM, mem: memExplicit, size: 4, load: true},
+	LD2Z: {lay: layRM, mem: memExplicit, size: 2, load: true},
+	LD2S: {lay: layRM, mem: memExplicit, size: 2, load: true},
+	LD1Z: {lay: layRM, mem: memExplicit, size: 1, load: true},
+	LD1S: {lay: layRM, mem: memExplicit, size: 1, load: true},
+	ST4:  {lay: layMR, mem: memExplicit, size: 4, store: true},
+	ST2:  {lay: layMR, mem: memExplicit, size: 2, store: true},
+	ST1:  {lay: layMR, mem: memExplicit, size: 1, store: true},
+	FLD8: {lay: layFM, mem: memExplicit, size: 8, load: true},
+	FST8: {lay: layMF, mem: memExplicit, size: 8, store: true},
+
+	ADDrr:  {lay: layRR, setsFlags: true},
+	SUBrr:  {lay: layRR, setsFlags: true},
+	ANDrr:  {lay: layRR, setsFlags: true},
+	ORrr:   {lay: layRR, setsFlags: true},
+	XORrr:  {lay: layRR, setsFlags: true},
+	IMULrr: {lay: layRR},
+	CMPrr:  {lay: layRR, setsFlags: true},
+	TESTrr: {lay: layRR, setsFlags: true},
+	ADDri:  {lay: layRI, setsFlags: true},
+	SUBri:  {lay: layRI, setsFlags: true},
+	ANDri:  {lay: layRI, setsFlags: true},
+	ORri:   {lay: layRI, setsFlags: true},
+	XORri:  {lay: layRI, setsFlags: true},
+	IMULri: {lay: layRI},
+	CMPri:  {lay: layRI, setsFlags: true},
+	SHLri:  {lay: layRI},
+	SHRri:  {lay: layRI},
+	SARri:  {lay: layRI},
+	FADDrr: {lay: layFF},
+	FMOVrr: {lay: layFF},
+
+	JMP:  {lay: layRel, branch: true},
+	JCC:  {lay: layCondRel, branch: true},
+	CALL: {lay: layRel, mem: memPush, size: 4, store: true, branch: true},
+	RET:  {lay: layNone, mem: memPop, size: 4, load: true, branch: true},
+	PUSH: {lay: layR, mem: memPush, size: 4, store: true},
+	POP:  {lay: layR, mem: memPop, size: 4, load: true},
+
+	REPMOVS4: {lay: layNone, mem: memCopy, size: 4, load: true, store: true},
 }
 
 // MemSize returns the memory access size in bytes of op, or 0 for
 // non-memory ops. PUSH/POP/CALL/RET access the stack with 4-byte operands.
-func (op Op) MemSize() int {
-	switch op {
-	case LD1Z, LD1S, ST1:
-		return 1
-	case LD2Z, LD2S, ST2:
-		return 2
-	case LD4, ST4, PUSH, POP, CALL, RET, REPMOVS4:
-		return 4
-	case FLD8, FST8:
-		return 8
-	}
-	return 0
-}
+func (op Op) MemSize() int { return int(opTable[op].size) }
 
 // IsLoad reports whether op reads data memory.
-func (op Op) IsLoad() bool {
-	switch op {
-	case LD4, LD2Z, LD2S, LD1Z, LD1S, FLD8, POP, RET, REPMOVS4:
-		return true
-	}
-	return false
-}
+func (op Op) IsLoad() bool { return opTable[op].load }
 
 // IsStore reports whether op writes data memory.
-func (op Op) IsStore() bool {
-	switch op {
-	case ST4, ST2, ST1, FST8, PUSH, CALL, REPMOVS4:
-		return true
-	}
-	return false
-}
+func (op Op) IsStore() bool { return opTable[op].store }
 
 // IsExplicitMem reports whether op carries a MemRef operand (loads/stores
 // other than the implicit stack accesses).
-func (op Op) IsExplicitMem() bool {
-	switch opLayouts[op] {
-	case layRM, layMR, layFM, layMF:
-		return op != LEA
-	}
-	return false
-}
+func (op Op) IsExplicitMem() bool { return opTable[op].mem == memExplicit }
 
 // IsBranch reports whether op transfers control.
-func (op Op) IsBranch() bool {
-	switch op {
-	case JMP, JCC, CALL, RET, HALT:
-		return true
-	}
-	return false
-}
+func (op Op) IsBranch() bool { return opTable[op].branch }
 
 // EndsBlock reports whether op terminates a basic block.
 func (op Op) EndsBlock() bool { return op.IsBranch() }
 
 // SetsFlags reports whether op defines the EFLAGS condition codes the
 // translator consumes.
-func (op Op) SetsFlags() bool {
-	switch op {
-	case ADDrr, SUBrr, ANDrr, ORrr, XORrr, CMPrr, TESTrr,
-		ADDri, SUBri, ANDri, ORri, XORri, CMPri:
-		return true
-	}
-	return false
-}
+func (op Op) SetsFlags() bool { return opTable[op].setsFlags }
 
 // Layout returns the operand layout class (used by the encoder/decoder and
 // the assembler's operand validation).
-func (op Op) Layout() int { return int(opLayouts[op]) }
+func (op Op) Layout() int { return int(opTable[op].lay) }

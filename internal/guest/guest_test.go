@@ -33,7 +33,7 @@ func randInst(rnd *rand.Rand) Inst {
 			}
 			return m
 		}
-		switch opLayouts[op] {
+		switch opTable[op].lay {
 		case layNone:
 		case layR:
 			inst.R1 = Reg(rnd.Intn(NumRegs))
@@ -159,7 +159,7 @@ func runProgram(t *testing.T, build func(b *Builder)) (*CPU, *mem.Memory) {
 		if steps > 1<<20 {
 			t.Fatal("program did not halt")
 		}
-		if _, err := cpu.Step(m); err != nil {
+		if err := cpu.Step(m, &Access{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -347,12 +347,12 @@ func TestStepInfoMDA(t *testing.T) {
 	cpu.Reset(CodeBase)
 	var mdas []bool
 	for !cpu.Halted {
-		info, err := cpu.Step(m)
-		if err != nil {
+		var acc Access
+		if err := cpu.Step(m, &acc); err != nil {
 			t.Fatal(err)
 		}
-		if info.IsMem {
-			mdas = append(mdas, info.MDA)
+		if acc.N > 0 {
+			mdas = append(mdas, acc.MDA())
 		}
 	}
 	want := []bool{true, false, false, true}
@@ -480,7 +480,7 @@ func TestStackOps(t *testing.T) {
 
 func TestCPUHaltedStepErrors(t *testing.T) {
 	cpu := &CPU{Halted: true}
-	if _, err := cpu.Step(mem.New()); err == nil {
+	if err := cpu.Step(mem.New(), &Access{}); err == nil {
 		t.Fatal("Step on halted CPU: want error")
 	}
 }
@@ -501,7 +501,7 @@ func BenchmarkStep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cpu.Step(m); err != nil {
+		if err := cpu.Step(m, &Access{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -614,12 +614,13 @@ func TestRepMovsStepwiseEIP(t *testing.T) {
 	cpu.Reset(CodeBase)
 	var repPCs []uint32
 	for !cpu.Halted {
-		info, err := cpu.Step(m)
-		if err != nil {
+		pc := cpu.EIP
+		var acc Access
+		if err := cpu.Step(m, &acc); err != nil {
 			t.Fatal(err)
 		}
-		if info.Op == REPMOVS4 {
-			repPCs = append(repPCs, info.PC)
+		if acc.N == 2 {
+			repPCs = append(repPCs, pc)
 		}
 	}
 	if len(repPCs) != 2 {
@@ -643,7 +644,7 @@ func TestFlagsModel(t *testing.T) {
 		cpu := &CPU{}
 		cpu.R[EAX], cpu.R[EBX] = c.a, c.b
 		m := mem.New()
-		if _, err := cpu.Exec(m, 0, &Inst{Op: ADDrr, R1: EAX, R2: EBX}, 2); err != nil {
+		if err := cpu.Exec(m, 0, &Inst{Op: ADDrr, R1: EAX, R2: EBX}, 2, &Access{}); err != nil {
 			t.Fatal(err)
 		}
 		sum := c.a + c.b
@@ -657,7 +658,7 @@ func TestFlagsModel(t *testing.T) {
 		// CMP (sub flags, operands unchanged)
 		cpu2 := &CPU{}
 		cpu2.R[EAX], cpu2.R[EBX] = c.a, c.b
-		if _, err := cpu2.Exec(m, 0, &Inst{Op: CMPrr, R1: EAX, R2: EBX}, 2); err != nil {
+		if err := cpu2.Exec(m, 0, &Inst{Op: CMPrr, R1: EAX, R2: EBX}, 2, &Access{}); err != nil {
 			t.Fatal(err)
 		}
 		if cpu2.R[EAX] != c.a {
@@ -671,7 +672,7 @@ func TestFlagsModel(t *testing.T) {
 		cpu3 := &CPU{}
 		cpu3.CF, cpu3.OF = true, true
 		cpu3.R[EAX], cpu3.R[EBX] = c.a, c.b
-		if _, err := cpu3.Exec(m, 0, &Inst{Op: ANDrr, R1: EAX, R2: EBX}, 2); err != nil {
+		if err := cpu3.Exec(m, 0, &Inst{Op: ANDrr, R1: EAX, R2: EBX}, 2, &Access{}); err != nil {
 			t.Fatal(err)
 		}
 		if cpu3.CF || cpu3.OF {

@@ -23,7 +23,7 @@ func run(t *testing.T, src string) *guest.CPU {
 		if steps > 1<<20 {
 			t.Fatal("program did not halt")
 		}
-		if _, err := cpu.Step(m); err != nil {
+		if err := cpu.Step(m, &guest.Access{}); err != nil {
 			t.Fatal(err)
 		}
 	}

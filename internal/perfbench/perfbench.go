@@ -234,11 +234,12 @@ func GuestExec() Bench {
 				decoded[off] = dec{inst, n}
 				off += n
 			}
+			var acc guest.Access
 			op := func() {
 				cpu.Reset(entry)
 				for !cpu.Halted {
 					d := &decoded[cpu.EIP-entry]
-					if _, err := cpu.Exec(m, cpu.EIP, &d.inst, d.n); err != nil {
+					if err := cpu.Exec(m, cpu.EIP, &d.inst, d.n, &acc); err != nil {
 						panic(err)
 					}
 				}

@@ -128,6 +128,7 @@ func chaosEnginePlan() *faultinject.Plan {
 	p.At(faultinject.Translate, 1)
 	p.At(faultinject.ForcedFlush, 2)
 	p.At(faultinject.SpuriousAccessFault, 3)
+	p.At(faultinject.DuplicateTrap, 1)
 	return p
 }
 
