@@ -53,8 +53,9 @@ serve-chaos:
 # kinds (page-straddling MDA, self-modifying, multi-context) across every
 # registry mechanism, with and without fixed-seed fault injection; fault
 # delivery must be precise and interpreter-identical (DESIGN.md §12). The
-# trap-bit table is checked against a brute-force reference model, and
-# traps taken mid-trace in the machine's trace executor (with and without
+# trap-bit table, and the watch queries it filters (Watched, WatchedRange),
+# are checked against a brute-force reference model, and traps taken
+# mid-trace in the machine's trace executor (with and without
 # injection) against the single-stepping reference machine. Traced runs of
 # random programs with MDA mega-steps, whose constituents fault mid-sequence
 # on protected pages, must match the reference at every budget, and so
@@ -70,12 +71,17 @@ serve-chaos:
 # programs against a golden file (TestCensusGolden), a census that rewrites
 # its shared-library code (TestCensusSharedLibSMC), and Exec's access
 # record and fault precision for every guest op (TestExecAccessRecord).
+# Trace formation is pinned on the translator's unit shapes: one trace
+# from a unit's entry through its last stub
+# (TestFormationCoversForwardRegion), and a trace is dropped only by a
+# write into its code, so with no flush the tier invalidates no more traces
+# than the engine patches and links (TestTraceInvalidationsFollowCodeWrites).
 fault-chaos:
-	$(GO) test -race -run 'TestFaultCosimAllMechanisms|TestChaosGuestFaults|TestSelfModifyingInvalidates|TestMultiContextReset|TestTranslateCommitAfterAllocFault|TestAdaptiveCountersRewoundOnFailedCommit|TestStaticAlignViolationsIgnoreInjectedTraps|TestCensusGolden|TestCensusSharedLibSMC' -v ./internal/core
+	$(GO) test -race -run 'TestFaultCosimAllMechanisms|TestChaosGuestFaults|TestSelfModifyingInvalidates|TestMultiContextReset|TestTranslateCommitAfterAllocFault|TestAdaptiveCountersRewoundOnFailedCommit|TestStaticAlignViolationsIgnoreInjectedTraps|TestCensusGolden|TestCensusSharedLibSMC|TestTraceInvalidationsFollowCodeWrites' -v ./internal/core
 	$(GO) test -race -run 'TestExecAccessRecord' -v ./internal/guest
 	$(GO) test -race -run 'TestServeGuestFaults' ./internal/serve
 	$(GO) test -race -run 'TestTrapTableReferenceModel' -v ./internal/mem
-	$(GO) test -race -run 'TestTrapMidRun|TestTraceParityRandomPrograms|TestTraceMegaStepFaults|TestTraceFaultPlanParity' -v ./internal/machine
+	$(GO) test -race -run 'TestTrapMidRun|TestTraceParityRandomPrograms|TestTraceMegaStepFaults|TestTraceFaultPlanParity|TestFormationCoversForwardRegion' -v ./internal/machine
 
 # Persistent-store crash/corruption suite under the race detector: the
 # full internal/store suite (atomic-write protocol, SIGKILL-mid-write

@@ -150,9 +150,9 @@ type Options struct {
 	Superblocks bool
 
 	// Traces is ignored. The trace executor (DESIGN.md §14) is the host
-	// machine's only dispatch loop, so every run is traced: a translated
-	// unit gets a unit trace on its first native dispatch, and other code
-	// runs in fill traces. The field stays so existing callers that set it
+	// machine's only dispatch loop, so every run is traced: the machine
+	// forms a trace wherever execution reaches untraced code, one per
+	// translated unit. The field stays so existing callers that set it
 	// keep compiling; it never changes a result.
 	Traces bool
 

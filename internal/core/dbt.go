@@ -103,9 +103,6 @@ type Engine struct {
 	// pendingFault carries a detected guest fault from the in-machine trap
 	// handlers to the dispatcher's deliverFault.
 	pendingFault *pendingFault
-	// codePages tracks the guest code pages the engine has armed store
-	// watches on (self-modification detection).
-	codePages map[uint64]bool
 	// ibtc mirrors the in-memory indirect-branch cache so invalidation can
 	// evict entries pointing into discarded translations.
 	ibtc [ibtcEntries]ibtcEntry
@@ -160,7 +157,6 @@ func (e *Engine) configure(opt Options) {
 	e.blockSpans = nil
 	e.stubRanges = nil
 	e.pendingFault = nil
-	e.codePages = make(map[uint64]bool)
 	e.ibtc = [ibtcEntries]ibtcEntry{}
 	e.stats = Stats{}
 	e.CPU = guest.CPU{}
@@ -221,10 +217,6 @@ func (e *Engine) Blocks() int { return len(e.TranslatedPCs()) }
 // not part of Stats: which traces exist is simulation-invisible, and
 // their counters must never enter the simulated fingerprint.
 func (e *Engine) TraceStats() machine.TraceStats { return e.Mach.TraceStats() }
-
-// TraceInfos returns every live unit trace (dump annotations and the
-// translation lint), ordered by start address.
-func (e *Engine) TraceInfos() []machine.TraceInfo { return e.Mach.TraceInfos() }
 
 // CodeCacheUsed returns bytes allocated in the code cache.
 func (e *Engine) CodeCacheUsed() uint64 { return e.cc.used() }
@@ -577,7 +569,6 @@ func (e *Engine) RunContext(ctx context.Context, entry uint32, maxHostInsts uint
 			if b.aot {
 				e.stats.AOTHits++
 			}
-			e.maybeTrace(b)
 			e.syncToHost()
 			e.Mach.SetPC(b.hostEntry)
 		}
@@ -673,27 +664,6 @@ func (e *Engine) maybeLink(ex *exit) {
 	tb.incoming = append(tb.incoming, ex)
 	e.event(EvLink, ex.targetGuest, ex.hostPC, "")
 	e.stats.Links++
-	// The patch just severed any trace covering the exiting unit (the stub
-	// sits inside its host span). Links happen once per edge, so reseeding
-	// immediately — with the exit now a direct branch the new trace chains
-	// straight into the target — is cheap and bounded.
-	e.maybeTrace(ex.from)
-}
-
-// maybeTrace seeds a unit trace over a translated unit on its first
-// native dispatch, and again after a patch dropped it; the machine's
-// BuildTrace replaces the fill traces execution left over the unit. Purely
-// a host-side accelerator: success or failure never changes simulated
-// state (code no unit trace covers runs in fill traces). A failed build (a
-// unit longer than a trace may be) is latched so the dispatcher stops
-// retrying.
-func (e *Engine) maybeTrace(b *block) {
-	if b.notrace || b.invalid || e.Mach.HasTrace(b.hostEntry) {
-		return
-	}
-	if !e.Mach.BuildTrace(b.hostEntry, b.hostEntry+b.hostSize) {
-		b.notrace = true
-	}
 }
 
 // stubKind maps a faulting host memory opcode to the MDA sequence the

@@ -9,10 +9,10 @@ import (
 	"mdabt/internal/host"
 )
 
-// DumpTraces renders every live unit trace: its id, host code span,
-// compacted step count, the member translations it covers (guest PC and
-// kind), its static side-exit targets, and the memoized chain links it has
-// followed. Empty when no unit trace is live.
+// DumpTraces renders every live trace: its id, host code span, compacted
+// step count, the member translations it overlaps (guest PC and kind), its
+// static side-exit targets, and the memoized chain links it has followed.
+// Empty when no trace is live.
 func (e *Engine) DumpTraces() string {
 	infos := e.Mach.TraceInfos()
 	if len(infos) == 0 {

@@ -98,8 +98,7 @@ func (e *Engine) watchCode(pc uint32, n int) {
 	first := uint64(pc) &^ (mem.PageSize - 1)
 	last := (uint64(pc) + uint64(n) - 1) &^ (mem.PageSize - 1)
 	for p := first; p <= last; p += mem.PageSize {
-		if !e.codePages[p] {
-			e.codePages[p] = true
+		if !e.Mem.Watched(p) {
 			e.Mem.SetWatch(p, mem.PageSize, true)
 		}
 	}

@@ -1,6 +1,11 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"mdabt/internal/host"
+	"mdabt/internal/mem"
+)
 
 // CheckInvariants validates the engine's internal consistency: code cache
 // geometry, the block bindings in the per-PC table against the live
@@ -35,13 +40,26 @@ func (e *Engine) CheckInvariants() error {
 		}
 	}
 
-	// Per-PC table: every bound entry names a live block — valid, keyed by
-	// its own guest PC, committed in this cache generation exactly once —
-	// and no blacklisted PC has one (the two dispatch paths would race over
-	// the same guest PC).
+	// Per-PC table: every page the engine decoded guest code from is
+	// still write-watched (an unwatched code page would let self-modifying
+	// stores run stale translations), and every bound entry names a live
+	// block — valid, keyed by its own guest PC, committed in this cache
+	// generation exactly once — and no blacklisted PC has one (the two
+	// dispatch paths would race over the same guest PC).
 	var tableErr error
 	e.dec.each(func(pc uint32, de *decEntry) {
-		if tableErr != nil || de.st == nil || de.st.blk == nil {
+		if tableErr != nil {
+			return
+		}
+		if de.len > 0 {
+			for _, p := range [2]uint64{uint64(pc), uint64(pc) + uint64(de.len) - 1} {
+				if !e.Mem.Watched(p) {
+					tableErr = fmt.Errorf("core: invariant: decoded code page %#x is not write-watched", p&^(mem.PageSize-1))
+					return
+				}
+			}
+		}
+		if de.st == nil || de.st.blk == nil {
 			return
 		}
 		switch b := de.st.blk; {
@@ -150,15 +168,6 @@ func (e *Engine) CheckInvariants() error {
 		return fmt.Errorf("core: invariant: %w", err)
 	}
 
-	// Every page the engine decoded guest code from must still be watched —
-	// an unwatched code page would let self-modifying stores run stale
-	// translations.
-	for p := range e.codePages {
-		if !e.Mem.Watched(p) {
-			return fmt.Errorf("core: invariant: decoded code page %#x is not write-watched", p)
-		}
-	}
-
 	// Side table: every entry's block is either live (and then the lookup
 	// above verified it) or marked invalid — a live-looking entry for a
 	// vanished block means a missed cleanup.
@@ -228,16 +237,18 @@ func (e *Engine) CheckInvariants() error {
 
 	// Trace tier: the machine's side tables (PC lookup, live-trace list,
 	// threaded step pointers, memoized chain links) must be mutually
-	// coherent and agree with the code in memory, and every live unit
-	// trace must cover allocated code-cache words — a trace outliving its
-	// code would replay stale instructions.
+	// coherent and agree with the code in memory, and every live trace
+	// must lie inside allocated host code — the block zone, the stub zone
+	// or the fault pad. A trace outliving its code would replay stale
+	// instructions.
 	if err := e.Mach.CheckTraceCoherence(); err != nil {
 		return fmt.Errorf("core: invariant: %w", err)
 	}
 	for _, ti := range e.Mach.TraceInfos() {
-		if ti.Start < cc.base || ti.End > cc.blockNext {
-			return fmt.Errorf("core: invariant: trace %d span [%#x,%#x) outside the allocated block zone [%#x,%#x)",
-				ti.ID, ti.Start, ti.End, cc.base, cc.blockNext)
+		inside := func(lo, hi uint64) bool { return ti.Start >= lo && ti.End <= hi }
+		if !inside(cc.base, cc.blockNext) && !inside(cc.stubNext, cc.base+cc.size) && !inside(btFaultBase, btFaultBase+host.InstBytes) {
+			return fmt.Errorf("core: invariant: trace %d span [%#x,%#x) outside the block zone [%#x,%#x), the stub zone [%#x,%#x) and the fault pad %#x",
+				ti.ID, ti.Start, ti.End, cc.base, cc.blockNext, cc.stubNext, cc.base+cc.size, btFaultBase)
 		}
 	}
 

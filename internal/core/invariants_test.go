@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"mdabt/internal/guest"
+	"mdabt/internal/host"
+	"mdabt/internal/machine"
 )
 
 // invariantEngine runs a small program to populate a real engine state.
@@ -164,6 +166,25 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 				e.dec.state(b.guestPC).blk = &ghost
 			},
 			want: "has 0 fault-attribution spans",
+		},
+		{
+			name: "decoded code page unwatched",
+			corrupt: func(t *testing.T, e *Engine) {
+				e.Mem.SetWatch(uint64(anyBlock(e).guestPC), 1, false)
+			},
+			want: "is not write-watched",
+		},
+		{
+			name: "trace outside allocated host code",
+			corrupt: func(t *testing.T, e *Engine) {
+				const pc = btFaultBase - 0x1000 // between the IBTC and the fault pad
+				e.Mach.WriteCode(pc, []uint32{host.MustEncode(host.Inst{Op: host.BRKBT, Payload: 1})})
+				e.Mach.SetPC(pc)
+				if stop, _, err := e.Mach.Run(1); stop != machine.StopBrk || err != nil {
+					t.Fatalf("stop %v, err %v", stop, err)
+				}
+			},
+			want: "outside the block zone",
 		},
 		{
 			name: "live block not bound at its entry",

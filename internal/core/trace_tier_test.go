@@ -266,33 +266,62 @@ func TestTraceTierSelfModifying(t *testing.T) {
 	}
 }
 
-// TestEHPatchRebuildsUnitTrace: an EH patch inside a unit drops the unit's
-// trace, and execution resumes in fill traces over the rest of the unit.
-// The next dispatch must replace them with a unit trace again rather than
-// latch the unit as untraceable. NoChain sends every loop iteration back
-// through the dispatcher, so the unit is dispatched after the patch.
-func TestEHPatchRebuildsUnitTrace(t *testing.T) {
-	opt := DefaultOptions(ExceptionHandling)
-	opt.NoChain = true
-	e := engineFor(t, mdaLoopImg(t, 50), opt)
+// TestTraceInvalidationsFollowCodeWrites: with one formation rule a trace
+// is dropped only by a write into its code. In runs with no flush, every
+// invalidation is an EH patch or a chain link, so the tier invalidates no
+// more traces than the engine patches words. It fails if anything else
+// drops traces, as seeding a unit trace over the traces execution formed
+// did.
+func TestTraceInvalidationsFollowCodeWrites(t *testing.T) {
+	eh, ehNoChain, sb := DefaultOptions(ExceptionHandling), DefaultOptions(ExceptionHandling), DefaultOptions(DPEH)
+	ehNoChain.NoChain = true
+	sb.Superblocks = true
+	for _, c := range []struct {
+		name string
+		opt  Options
+	}{{"eh", eh}, {"eh-nochain", ehNoChain}, {"dpeh-superblocks", sb}} {
+		e := engineFor(t, mdaLoopImg(t, 300), c.opt)
+		mustRun(t, e)
+		s, ts := e.Stats(), e.TraceStats()
+		if s.Flushes != 0 || s.Patches+s.Links == 0 {
+			t.Fatalf("%s: %d flushes, %d patches, %d links: want code writes and no flush", c.name, s.Flushes, s.Patches, s.Links)
+		}
+		if ts.Invalidations > s.Patches+s.Links {
+			t.Errorf("%s: %d trace invalidations for %d patches and %d links", c.name, ts.Invalidations, s.Patches, s.Links)
+		}
+		if err := e.CheckInvariants(); err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
+	}
+}
+
+// TestDumpTracesNamesUnits: after a chained DPEH run, DumpTraces names a
+// trace at every live unit's host entry, followed by that unit's member
+// line, and reports the chain links the run followed.
+func TestDumpTracesNamesUnits(t *testing.T) {
+	e := engineFor(t, multiBlockLoopImg(t, 800), DefaultOptions(DPEH))
 	mustRun(t, e)
-	if e.Stats().Patches == 0 {
-		t.Fatal("no EH patch: the test exercised nothing")
+	if e.Stats().Links == 0 || e.TraceStats().ChainFollows == 0 {
+		t.Fatalf("stats %+v, trace stats %+v: want a chained run", e.Stats(), e.TraceStats())
 	}
-	if e.TraceStats().Invalidations == 0 {
-		t.Fatal("the EH patch dropped no trace")
-	}
+	out := e.DumpTraces()
 	pcs := e.TranslatedPCs()
 	if len(pcs) == 0 {
 		t.Fatal("no translated units")
 	}
 	for _, pc := range pcs {
 		b := e.dec.blockAt(pc)
-		if b.notrace || !e.Mach.HasTrace(b.hostEntry) {
-			t.Errorf("unit %#x: notrace %v, unit trace live %v: want its trace rebuilt", pc, b.notrace, e.Mach.HasTrace(b.hostEntry))
+		head := fmt.Sprintf(": host [%#x,", b.hostEntry)
+		member := fmt.Sprintf("  member block %#x: host [%#x,%#x)\n", pc, b.hostEntry, b.hostEntry+b.hostSize)
+		i := strings.Index(out, head)
+		if i < 0 || !strings.HasPrefix(out[strings.IndexByte(out[i:], '\n')+i+1:], member) {
+			t.Errorf("unit %#x: no trace at host entry %#x with member line %q", pc, b.hostEntry, member)
 		}
 	}
-	if err := e.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	if !strings.Contains(out, "  chain ") {
+		t.Error("no chain line")
+	}
+	if t.Failed() {
+		t.Logf("DumpTraces:\n%s", out)
 	}
 }

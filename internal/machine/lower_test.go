@@ -593,15 +593,14 @@ func traceSpan(m *Machine, pc uint64) (start, end uint64, ok bool) {
 	return ent.tr.start, ent.tr.end, true
 }
 
-// TestRunParityEveryBudget: Run retires each stretch of straight-line code
-// in a fill trace that ends at its control transfer. Random
-// straight-line-heavy programs run in Run calls of every budget from 1 to
-// the program length, so across the loop's iterations (whose fill traces
-// are built on the first) the calls stop at every offset inside a trace
-// and enter one mid-body. After each call registers, PC, counters,
-// issue-slot state and the memory around the data pointer must match the
-// reference, and the whole data area must match at the halt, with every
-// instruction retired in a trace.
+// TestRunParityEveryBudget: Run retires every instruction in the traces
+// it forms. Random straight-line-heavy programs run in Run calls of every
+// budget from 1 to the program length, so across the loop's iterations
+// (whose traces are formed on the first) the calls stop at every offset
+// inside a trace and enter one mid-body. After each call registers, PC,
+// counters, issue-slot state and the memory around the data pointer must
+// match the reference, and the whole data area must match at the halt,
+// with every instruction retired in a trace.
 func TestRunParityEveryBudget(t *testing.T) {
 	const base = 0x1000
 	for seed := int64(0); seed < 4; seed++ {
@@ -640,7 +639,7 @@ func TestRunParityEveryBudget(t *testing.T) {
 }
 
 // trapRunProgram builds a loop around one I-line of sixteen straight-line
-// slots (one fill trace with the loop's tail), whose slot pos is the access at trap: a
+// slots (one trace with the loop's tail), whose slot pos is the access at trap: a
 // misaligned load or store off R9, a load from the unmapped page at R7, or
 // a store to the read-only page at R8. The other slots are aligned loads
 // and stores off R9 and operate ops on what they load. The loop runs
@@ -686,11 +685,11 @@ const (
 )
 
 // TestTrapMidRun: a misaligned or access-faulting access at each position
-// of a fill trace traps mid-trace, and execution must stop at exactly the
+// of a trace traps mid-trace, and execution must stop at exactly the
 // trapping slot and resume after it. Two handler pairs service the traps:
 // one emulates (or performs) the access, the other also patches a later
 // slot of the same trace into a branch to the next slot, once, so that on
-// re-execution the rebuilt fill trace ends at the patched slot.
+// re-execution the re-formed trace ends at the patched slot.
 // Everything runs against the reference in Run calls of 5 and of the
 // whole budget, with and without a fault plan (spurious and duplicate
 // misalignment traps and spurious access faults on every access), whose
@@ -818,7 +817,7 @@ func trapMidRunCase(t *testing.T, name string, base uint64, pos int, trap host.I
 		}
 	}
 	if patching && !planned {
-		// The last iterations ran the patched line in fill traces: the one
+		// The last iterations ran the patched line in two traces: the one
 		// holding the patched branch ends after it, and the next one starts
 		// there.
 		start, end, ok := traceSpan(m, target)
@@ -831,7 +830,7 @@ func trapMidRunCase(t *testing.T, name string, base uint64, pos int, trap host.I
 
 // TestRelowerAfterCodeChange: Patch, WriteCode and IMB each replace a slot
 // that was already lowered, and the next execution runs the new word. The
-// fill traces over a changed line are rebuilt to end at its new control
+// traces over a changed line are re-formed to end at its new control
 // transfers, after Patch, WriteCode, IMB and Reset alike.
 func TestRelowerAfterCodeChange(t *testing.T) {
 	const base = 0x1000
@@ -888,7 +887,7 @@ func TestRelowerAfterCodeChange(t *testing.T) {
 		code[i] = addq
 	}
 	code[ilineInsts-1] = word(host.Inst{Op: host.BRKBT, Payload: 1})
-	// check runs the line once and requires it to run in fill traces that
+	// check runs the line once and requires it to run in traces that
 	// end after each of cuts, the slots that transfer control, and after
 	// the BRKBT.
 	check := func(what string, cuts ...int) {

@@ -261,7 +261,7 @@ var opSlot = [256]slotKind{
 }
 
 // transfers reports whether a slot of kind k may leave straight-line
-// execution, which ends a fill trace.
+// execution; an unconditional one can end a trace.
 func (k slotKind) transfers() bool { return k == slotPAL || k >= slotBr }
 
 // lower builds the slot for inst located at pc.
@@ -425,7 +425,7 @@ func (m *Machine) IMB() {
 // invalidate drops the traces over [addr, addr+size); a write to the line
 // being fetched makes the next fetch charge the I-cache again.
 func (m *Machine) invalidate(addr, size uint64) {
-	m.dropOverlapping(addr, addr+size, false)
+	m.dropOverlapping(addr, addr+size)
 	if m.curLineID >= addr>>ilineShift && m.curLineID <= (addr+size-1)>>ilineShift {
 		m.curLineID = noLineID
 	}
@@ -453,7 +453,7 @@ func (m *Machine) EmulateAccess(inst host.Inst, ea uint64) {
 // PC is left at the instruction after the BRKBT and the payload is returned.
 //
 // Every instruction retires in the trace executor (trace.go): Run enters
-// the live trace covering the PC, or first builds a fill trace there, and
+// the live trace covering the PC, or first forms one there, and
 // re-enters after each trap or exit from the tier, sharing one budget.
 func (m *Machine) Run(maxInsts uint64) (StopReason, uint32, error) {
 	for used := uint64(0); used < maxInsts; {
@@ -462,7 +462,7 @@ func (m *Machine) Run(maxInsts uint64) (StopReason, uint32, error) {
 			st = &ent.tr.steps[ent.idx]
 		} else {
 			var err error
-			if st, err = m.fillTrace(m.pc); err != nil {
+			if st, err = m.formTrace(m.pc); err != nil {
 				return StopLimit, 0, err
 			}
 		}

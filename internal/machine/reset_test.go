@@ -58,34 +58,36 @@ func resetLoad(t *testing.T, m *Machine, base uint64, words []uint32) (mid, end 
 	return mid, base + uint64(len(words))*host.InstBytes
 }
 
-// resetTrace builds a unit trace over each span.
+// resetTrace builds a trace over each span.
 func resetTrace(t *testing.T, m *Machine, spans ...[2]uint64) {
 	t.Helper()
 	for _, s := range spans {
-		if !m.BuildTrace(s[0], s[1]) {
-			t.Fatalf("BuildTrace(%#x, %#x) failed", s[0], s[1])
+		if !trBuild(m, s[0], s[1]) {
+			t.Fatalf("trBuild(%#x, %#x) failed", s[0], s[1])
 		}
 	}
 }
 
-// TestResetRecyclesLinesAndSteps runs program A on fill traces and on two
-// chained unit traces, resets, and runs program B on the same machine: B's
-// registers, counters and trace stats must equal a fresh machine's, while
-// B's trace steps come from the pool A's traces went to and its trace
-// tables are the ones A filled. That proves recycled steps come back
-// zeroed and Reset keeps the tables.
+// TestResetRecyclesLinesAndSteps runs program A on the traces Run forms
+// and on two chained built traces, resets, and runs program B on the same
+// machine: B's registers, counters and trace stats must equal a fresh
+// machine's, while B's trace steps come from the pool A's traces went to
+// and its trace tables are the ones A filled. That proves recycled steps
+// come back zeroed and Reset keeps the tables.
 func TestResetRecyclesLinesAndSteps(t *testing.T) {
 	const base = 0x1000
 	wordsA := trProgram(t, base, resetProgA)
 	wordsB := trProgram(t, base, resetProgB)
 	for _, caches := range []bool{false, true} {
-		// A runs on fill traces, then again over two chained unit traces
-		// (which replace the fills), so its steps are dirty at Reset.
+		// A runs on the traces Run forms, then, after IMB drops them,
+		// again over two chained built traces, so its steps are dirty at
+		// Reset.
 		m := newMachine(caches)
 		mid, end := resetLoad(t, m, base, wordsA)
 		if got := trRun(m, 1<<20); got.Stop != StopHalt {
 			t.Fatalf("program A stopped with %v", got.Stop)
 		}
+		m.IMB()
 		m.SetPC(base)
 		resetTrace(t, m, [2]uint64{base, mid}, [2]uint64{mid, end})
 		if got := trRun(m, 1<<20); got.Stop != StopHalt {
@@ -107,8 +109,8 @@ func TestResetRecyclesLinesAndSteps(t *testing.T) {
 		if len(m.traces) != 0 || len(m.traceList) != 0 || m.curLineID != noLineID {
 			t.Fatalf("Reset left %d steps, %d traces and line %#x", len(m.traces), len(m.traceList), m.curLineID)
 		}
-		// B's loop body runs on fill traces; its back-edge runs in a unit
-		// trace built on pooled steps.
+		// B's loop back-edge runs in a trace built on pooled steps, and
+		// its head in a trace Run forms.
 		mid, end = resetLoad(t, m, base, wordsB)
 		resetTrace(t, m, [2]uint64{mid, end})
 		got, gotStats := trRun(m, 1<<20), m.TraceStats()
@@ -125,7 +127,7 @@ func TestResetRecyclesLinesAndSteps(t *testing.T) {
 			t.Fatalf("caches=%v: trace stats %+v, fresh %+v", caches, gotStats, wantStats)
 		}
 		if tr := m.traceList[1]; tr == nil || !pooled[&tr.steps[0]] {
-			t.Fatal("program B's unit trace was not built on pooled steps")
+			t.Fatal("program B's built trace is not on pooled steps")
 		}
 		if got := [2]unsafe.Pointer{reflect.ValueOf(m.traces).UnsafePointer(), reflect.ValueOf(m.traceList).UnsafePointer()}; got != tables {
 			t.Fatal("Reset replaced the trace tables")
@@ -152,7 +154,7 @@ func TestStepArenaBoundedWithoutReset(t *testing.T) {
 	slices := map[*traceStep]bool{}
 	for i := 0; i < 1000; i++ {
 		m.WriteCode(churn, wordsA) // drops the churn trace
-		if !m.BuildTrace(churn, end) {
+		if !trBuild(m, churn, end) {
 			t.Fatal("rebuild failed")
 		}
 		slices[&m.traceList[m.traceSeq].steps[0]] = true

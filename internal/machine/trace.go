@@ -11,17 +11,21 @@ package machine
 // returns to Run until it executes a BRKBT, takes a trap, or reaches code
 // no live trace covers.
 //
-// Traces come from two places. BuildTrace makes a unit trace over a span
-// the BT runtime names (one translated unit). Run makes a fill trace
-// wherever execution reaches a PC no live trace covers: it starts there
-// and ends after the first control transfer, before a live trace's step,
-// before an undecodable word, or at maxTraceSteps. A unit trace takes
-// precedence: BuildTrace first drops the fill traces it overlaps.
+// Run forms every trace, wherever execution reaches a PC no live trace
+// covers, and recovers a translated unit's extent from the code alone. A
+// trace starts at its entry PC and runs through conditional branches. It
+// ends after the first unconditional transfer (BR/BSR, JMP/JSR/RET,
+// BRKBT) that lies at or past the farthest forward target of the
+// conditional branches already in it, so a unit's taken arms, two-version
+// copies and inline loops stay in the one trace its entry starts. It also
+// ends before a live trace's step, before an undecodable word, or at
+// maxTraceSteps. Formation needs no hint from the BT runtime about where a
+// unit ends, and each word is decoded and lowered once.
 //
-// BuildTrace and fill traces alike fuse the two MDA code sequences the
-// translator emits (paper Fig. 2: the ldq_u/ext/ins/msk expansions of a
-// misaligned load or store) into one mega-step each, so the 6-11
-// instructions that replace a misalignment trap retire in one dispatch.
+// Formation fuses the two MDA code sequences the translator emits (paper
+// Fig. 2: the ldq_u/ext/ins/msk expansions of a misaligned load or store)
+// into one mega-step each, so the 6-11 instructions that replace a
+// misalignment trap retire in one dispatch.
 //
 // Every cycle, counter, cache access, trap and fault-injection draw an
 // instruction-at-a-time machine would make is made here, in the same
@@ -43,8 +47,8 @@ package machine
 //     Only the cache-internal access counter diverges, and nothing
 //     outside internal/cache consumes it.
 //
-// Which traces exist is simulation-invisible: the golden equivalence
-// matrix pins runs with and without unit traces to the same fingerprints.
+// Which traces exist is simulation-invisible: the machine tests pin runs
+// over any tiling of the code into traces to the single-stepping reference.
 // Trace-tier telemetry therefore lives in the separate TraceStats struct,
 // never in Counters.
 //
@@ -72,7 +76,7 @@ import (
 type TraceStats struct {
 	Formed        uint64 // traces built
 	ChainFollows  uint64 // direct trace-to-trace transfers (no dispatch)
-	Invalidations uint64 // traces dropped by code writes, IMB, or a unit trace replacing fill traces
+	Invalidations uint64 // traces dropped by code writes or IMB
 	TracedInsts   uint64 // host instructions retired (every one runs in a trace)
 }
 
@@ -122,12 +126,15 @@ type traceStep struct {
 // whose imm is the target.
 func (k slotKind) branches() bool { return k >= slotBr && k < slotJmp }
 
+// conditional reports whether a slot of kind k is a conditional branch,
+// which a trace runs through.
+func (k slotKind) conditional() bool { return k >= slotBeq && k < slotJmp }
+
 // trace is one built trace: a contiguous pre-decoded span of host code.
 type trace struct {
 	id         uint64
 	start, end uint64
 	steps      []traceStep
-	fill       bool // built by Run, not BuildTrace
 	// incoming lists steps of other traces whose chain link targets this
 	// trace, so invalidation can sever them. A severed entry may belong to
 	// an already-dropped trace; nil-ing its link is then harmless.
@@ -153,8 +160,8 @@ const maxTraceSteps = 4096
 // two) and cleared when pooled, so get always returns zeroed steps.
 //
 // A dropped trace's steps are never in use by the executor: traces are
-// dropped only between executor runs (by BuildTrace, by a code write from
-// the dispatcher or from a trap handler, which runs after the executor
+// dropped only between executor runs (by a code write from the dispatcher
+// or from a trap handler, which runs after the executor
 // synced its state and before it returns without touching a step again,
 // by IMB and by Reset). Stale entries for them may linger in the chain-link
 // back-lists of live traces; severing one only clears a link memo, which
@@ -202,13 +209,6 @@ func (p *stepPool) put(s []traceStep) {
 // the executor's data-line memo; real line IDs are addresses shifted right
 // and can never reach it.
 const noLineID = ^uint64(0)
-
-// HasTrace reports whether pc is a step of a live unit trace (one
-// BuildTrace made).
-func (m *Machine) HasTrace(pc uint64) bool {
-	ent, ok := m.traces[pc]
-	return ok && !ent.tr.fill
-}
 
 // TraceStats returns a copy of the trace-tier telemetry.
 func (m *Machine) TraceStats() TraceStats { return m.tstats }
@@ -332,41 +332,38 @@ func fuseMegaSt(s []slot) (slot, megaAux, int) {
 		megaMaxLen
 }
 
-// BuildTrace pre-decodes the host code in [start, end) into a unit trace
-// and registers every covered PC for direct execution, first dropping the
-// fill traces the span overlaps. It reports success; failure (undecodable
-// word, overlap with a live unit trace, bad bounds) leaves no trace
-// behind. Building charges no simulated cycles: it models work the BT
-// runtime does off the simulated CPU's critical path, and the resulting
-// execution is bit-identical anyway.
-func (m *Machine) BuildTrace(start, end uint64) bool {
-	if start%host.InstBytes != 0 || end%host.InstBytes != 0 || end <= start ||
-		(end-start)/host.InstBytes > maxTraceSteps || m.dropOverlapping(start, end, true) {
-		return false
-	}
-	return m.build(start, end, false) != nil
-}
-
-// fillTrace builds a fill trace at pc, which no live trace covers, and
-// returns its first step. An undecodable word at pc is Run's fetch error;
-// the fetch charges the I-cache first, as every fetch of a new line does.
-func (m *Machine) fillTrace(pc uint64) (*traceStep, error) {
-	end := pc
-	for n := 0; n < maxTraceSteps && end+host.InstBytes != 0; n++ {
+// formTrace forms the trace Run enters at pc, which no live trace covers,
+// by the rule in the header comment, and returns its first step. Building
+// charges no simulated cycles: it models work the BT runtime does off the
+// simulated CPU's critical path, and the resulting execution is
+// bit-identical anyway. An undecodable word at pc is Run's fetch error; the
+// fetch charges the I-cache first, as every fetch of a new line does.
+func (m *Machine) formTrace(pc uint64) (*traceStep, error) {
+	// On the stack: the longest units of the selected models are about 500
+	// words, and a buffer kept on the machine would cost every fresh engine
+	// its growth. A longer trace grows onto the heap.
+	var buf [512]slot
+	low := buf[:0]
+	reach := pc // the farthest forward target of the conditional branches so far
+	for end := pc; len(low) < maxTraceSteps && end+host.InstBytes != 0; {
 		inst, err := host.Decode(m.Mem.Read32(end))
 		if err != nil {
 			break
 		}
-		end += host.InstBytes
-		if opSlot[inst.Op].transfers() {
+		s := lower(end, inst)
+		low = append(low, s)
+		if s.kind.conditional() {
+			reach = max(reach, s.imm)
+		} else if s.kind.transfers() && end >= reach {
 			break
 		}
+		end += host.InstBytes
 		if _, live := m.traces[end]; live {
 			break
 		}
 	}
-	if end != pc {
-		return &m.build(pc, end, true).steps[0], nil
+	if len(low) > 0 {
+		return &m.build(pc, low).steps[0], nil
 	}
 	if l := pc >> ilineShift; l != m.curLineID {
 		m.curLineID = l
@@ -381,70 +378,62 @@ func (m *Machine) fillTrace(pc uint64) (*traceStep, error) {
 	return nil, fmt.Errorf("machine: fetch at %#x: %w", pc, err)
 }
 
-// build lowers [start, end), which no live trace overlaps, into a trace
-// and registers it. It returns nil if a word does not decode.
-func (m *Machine) build(start, end uint64, fill bool) *trace {
-	n := int((end - start) / host.InstBytes)
-	steps := m.steps.get(n + 1)
-	// Lower every word, marking in-trace branch targets: a mega-step must
-	// not swallow one, since only step heads are enterable.
+// build threads low, the lowered words of the code from start, into a
+// trace and registers it; no live trace may overlap the span.
+func (m *Machine) build(start uint64, low []slot) *trace {
+	n := len(low)
+	end := start + uint64(n)*host.InstBytes
+	inTrace := func(pc uint64) bool { return pc >= start && pc < end }
+	// Mark the in-trace branch targets: a mega-step must not swallow one,
+	// since only step heads are enterable.
 	var target [maxTraceSteps/64 + 1]uint64
 	isTarget := func(i int) bool { return target[i/64]>>(i%64)&1 != 0 }
-	for i := 0; i < n; i++ {
-		pc := start + uint64(i)*host.InstBytes
-		inst, err := host.Decode(m.Mem.Read32(pc))
-		if err != nil {
-			m.steps.put(steps)
-			return nil
-		}
-		st := &steps[i]
-		st.slot, st.pc, st.lineID, st.n = lower(pc, inst), pc, pc>>ilineShift, 1
-		if st.kind.branches() {
-			if j := (st.imm - start) / host.InstBytes; st.imm >= start && st.imm < end {
-				target[j/64] |= 1 << (j % 64)
-			} else {
-				st.exitPC = st.imm
-			}
+	for i := range low {
+		if s := &low[i]; s.kind.branches() && inTrace(s.imm) {
+			j := (s.imm - start) / host.InstBytes
+			target[j/64] |= 1 << (j % 64)
 		}
 	}
-	// Fuse the MDA sequences, compacting the steps in place. A sequence
-	// ends before the next branch target.
+	// One step per word, or per fused MDA sequence; a sequence ends before
+	// the next branch target.
+	steps := m.steps.get(n + 1)
 	w := 0
 	for i := 0; i < n; w++ {
-		steps[w] = steps[i]
-		c := 1
-		if op := steps[w].op; op == host.LDQU || op == host.LDA {
-			var win [megaMaxLen]slot
-			k := 0
-			for ; k < megaMaxLen && i+k < n && (k == 0 || !isTarget(i+k)); k++ {
-				win[k] = steps[i+k].slot
+		pc := start + uint64(i)*host.InstBytes
+		st := &steps[w]
+		st.slot, st.pc, st.lineID, st.n = low[i], pc, pc>>ilineShift, 1
+		if op := st.op; op == host.LDQU || op == host.LDA {
+			k := 1
+			for k < megaMaxLen && i+k < n && !isTarget(i+k) {
+				k++
 			}
-			if ms, mx, f := fuseMega(win[:k]); f > 0 {
-				steps[w].slot, steps[w].mega, steps[w].n = ms, mx, uint8(f)
-				c = f
+			if ms, mx, f := fuseMega(low[i : i+k]); f > 0 {
+				st.slot, st.mega, st.n = ms, mx, uint8(f)
 			}
 		}
-		i += c
+		if st.kind.branches() && !inTrace(st.imm) {
+			st.exitPC = st.imm
+		}
+		i += int(st.n)
 	}
-	// Compaction leaves stale copies past the new end, outside the
-	// trace's slice; the pool clears them when the trace is dropped.
+	// Fusion leaves unused steps past the new end, outside the trace's
+	// slice; they are still zero, as the pool hands them out.
 	steps = steps[:w+1]
 	// Synthetic fallthrough exit: reached when the final instruction does
-	// not transfer control (a fill trace cut before a live trace or an
-	// undecodable word; translated units always transfer). It retires
-	// nothing and sits on the last instruction's line, so reaching it
-	// charges no fetch.
+	// not transfer control (a trace cut before a live trace, an
+	// undecodable word or maxTraceSteps). It retires nothing and sits on
+	// the last instruction's line, so reaching it charges no fetch.
 	steps[w] = traceStep{pc: end, lineID: (end - host.InstBytes) >> ilineShift, exitPC: end}
 
 	m.traceSeq++
-	t := &trace{id: m.traceSeq, start: start, end: end, steps: steps, fill: fill}
+	t := &trace{id: m.traceSeq, start: start, end: end, steps: steps}
 	for i := 0; i < w; i++ {
 		m.traces[steps[i].pc] = traceEntry{tr: t, idx: int32(i)}
 	}
 	for i := 0; i < w; i++ {
 		st := &steps[i]
 		st.next = &steps[i+1]
-		if st.kind.branches() && st.imm >= start && st.imm < end {
+		if st.kind.branches() && inTrace(st.imm) {
 			st.taken = &steps[m.traces[st.imm].idx]
 		}
 	}
@@ -797,7 +786,7 @@ func (m *Machine) execTrace(st *traceStep, used *uint64, maxInsts uint64) (StopR
 			// trap checks, so a fault mid-sequence delivers precisely: the
 			// earlier register writes are visible, the faulting PC is the
 			// constituent's, and megaTrap hands back the rest unretired
-			// (interior PCs are not step heads, so Run builds a fill trace
+			// (interior PCs are not step heads, so Run forms a trace
 			// there). An I-line crossing is charged before the first access
 			// past it, or at the end, as an instruction fetch would be.
 			x := &st.mega
@@ -1068,26 +1057,19 @@ func (m *Machine) followLink(st *traceStep) *traceStep {
 }
 
 // dropOverlapping drops every live trace with a step covering a word of
-// [addr, end), or with fillsOnly only the fill traces, and reports whether
-// a trace it kept overlaps. It probes the PC lookup table for the step
+// [addr, end). It probes the PC lookup table for the step
 // heads in the range and for the mega-steps that may reach into it from
 // before, so its cost follows the words written, not the live traces; the
 // range filter skips a write outside the span of every live trace.
-func (m *Machine) dropOverlapping(addr, end uint64, fillsOnly bool) (kept bool) {
+func (m *Machine) dropOverlapping(addr, end uint64) {
 	if addr >= m.traceHi || end <= m.traceLo {
-		return false
+		return
 	}
 	for pc := addr - min(addr, (megaMaxLen-1)*host.InstBytes); pc < end; pc += host.InstBytes {
-		ent, ok := m.traces[pc]
-		switch {
-		case !ok || pc+uint64(ent.tr.steps[ent.idx].n)*host.InstBytes <= addr:
-		case fillsOnly && !ent.tr.fill:
-			kept = true
-		default:
+		if ent, ok := m.traces[pc]; ok && pc+uint64(ent.tr.steps[ent.idx].n)*host.InstBytes > addr {
 			m.dropTrace(ent.tr)
 		}
 	}
-	return kept
 }
 
 // dropTrace removes t from the lookup table and severs every chain link
@@ -1147,8 +1129,8 @@ type TraceLink struct {
 	ToPC   uint64 // the target step in another (or the same) trace
 }
 
-// TraceInfo describes one live unit trace, for dump output and the
-// translation lint.
+// TraceInfo describes one live trace, for dump output and the engine's
+// invariant check.
 type TraceInfo struct {
 	ID         uint64
 	Start, End uint64
@@ -1157,13 +1139,10 @@ type TraceInfo struct {
 	Links      []TraceLink
 }
 
-// TraceInfos returns every live unit trace, ordered by start address.
+// TraceInfos returns every live trace, ordered by start address.
 func (m *Machine) TraceInfos() []TraceInfo {
 	infos := make([]TraceInfo, 0, len(m.traceList))
 	for _, t := range m.traceList {
-		if t.fill {
-			continue
-		}
 		info := TraceInfo{ID: t.id, Start: t.start, End: t.end, Steps: len(t.steps) - 1}
 		seen := map[uint64]bool{}
 		for i := range t.steps {
@@ -1185,7 +1164,7 @@ func (m *Machine) TraceInfos() []TraceInfo {
 }
 
 // CheckTraceCoherence verifies the trace tier against memory and against
-// its own side tables. Every live step must still be what BuildTrace
+// its own side tables. Every live step must still be what formation
 // would make of the code in memory now: a plain step's slot equals
 // lower's result for its word, and a mega-step equals what fusing its
 // freshly lowered words gives. The PC lookup table and the live-trace

@@ -12,12 +12,13 @@ import (
 )
 
 // The trace executor's whole contract is bit-identical simulation: a
-// machine with unit traces built over any subset of the code, and fill
-// traces over the rest, must produce exactly the same architectural state
-// and Counters as the single-stepping reference (refMachine, lower_test.go),
-// instruction for instruction, including trap paths and budget exhaustion
-// mid-trace. These tests enforce that contract directly at the machine
-// level; the core-level golden matrix enforces it end to end.
+// machine running any tiling of the code into traces — the ones Run forms,
+// or spans built directly (trBuild) with Run forming the rest — must
+// produce exactly the same architectural state and Counters as the
+// single-stepping reference (refMachine, lower_test.go), instruction for
+// instruction, including trap paths and budget exhaustion mid-trace.
+// These tests enforce that contract directly at the machine level; the
+// core-level golden matrix enforces it end to end.
 
 const trDataBase = 0x100000
 
@@ -51,6 +52,32 @@ func trSeedData(mm *mem.Memory) {
 	}
 }
 
+// trBuild builds one trace over exactly [start, end), as formation would
+// if its rule ended the trace there. It builds nothing and reports false
+// when a word does not decode, a live trace has a step in the span, or
+// the span is empty or longer than a trace may be.
+func trBuild(m *Machine, start, end uint64) bool {
+	var low []slot
+	for pc := start; pc < end; pc += host.InstBytes {
+		inst, err := host.Decode(m.Mem.Read32(pc))
+		if _, live := m.traces[pc]; live || err != nil {
+			return false
+		}
+		low = append(low, lower(pc, inst))
+	}
+	if len(low) == 0 || len(low) > maxTraceSteps {
+		return false
+	}
+	m.build(start, low)
+	return true
+}
+
+// trLive reports whether pc is a step head of a live trace.
+func trLive(m *Machine, pc uint64) bool {
+	_, ok := m.traces[pc]
+	return ok
+}
+
 // trProgram assembles a program and returns its words.
 func trProgram(t *testing.T, base uint64, build func(a *host.Asm)) []uint32 {
 	t.Helper()
@@ -64,9 +91,10 @@ func trProgram(t *testing.T, base uint64, build func(a *host.Asm)) []uint32 {
 }
 
 // trCompare runs words on the reference and on machines with three trace
-// layouts — fill traces only, one unit trace over the whole span, and unit
-// traces over alternating chunks so control crosses unit and fill traces
-// both ways — asserting bit-identical outcomes at every budget.
+// layouts — the traces Run forms, one trace built over the whole span, and
+// traces built over alternating chunks with Run forming the rest, so
+// control crosses built and formed traces both ways — asserting
+// bit-identical outcomes at every budget.
 func trCompare(t *testing.T, base uint64, words []uint32, budgets []uint64, caches bool, chunk int) {
 	t.Helper()
 	trCompareArm(t, base, words, budgets, caches, chunk, nil)
@@ -90,7 +118,7 @@ func trCompareArm(t *testing.T, base uint64, words []uint32, budgets []uint64, c
 		ref.pc = base
 		want := trRef(ref, budget)
 
-		for _, variant := range []string{"fills", "whole", "chunks"} {
+		for _, variant := range []string{"formed", "whole", "chunks"} {
 			m := newMachine(caches)
 			trSeedData(m.Mem)
 			if arm != nil {
@@ -100,8 +128,8 @@ func trCompareArm(t *testing.T, base uint64, words []uint32, budgets []uint64, c
 			m.SetPC(base)
 			switch variant {
 			case "whole":
-				if !m.BuildTrace(base, base+uint64(len(words))*host.InstBytes) {
-					t.Fatalf("BuildTrace over whole span failed")
+				if !trBuild(m, base, base+uint64(len(words))*host.InstBytes) {
+					t.Fatalf("trBuild over whole span failed")
 				}
 			case "chunks":
 				for start := 0; start < len(words); start += 2 * chunk {
@@ -109,8 +137,8 @@ func trCompareArm(t *testing.T, base uint64, words []uint32, budgets []uint64, c
 					if end > len(words) {
 						end = len(words)
 					}
-					if !m.BuildTrace(base+uint64(start)*host.InstBytes, base+uint64(end)*host.InstBytes) {
-						t.Fatalf("BuildTrace over chunk [%d,%d) failed", start, end)
+					if !trBuild(m, base+uint64(start)*host.InstBytes, base+uint64(end)*host.InstBytes) {
+						t.Fatalf("trBuild over chunk [%d,%d) failed", start, end)
 					}
 				}
 			}
@@ -290,8 +318,8 @@ func TestTraceParityRandomPrograms(t *testing.T) {
 		// this the runs below could silently test no mega-step.
 		m := newMachine(caches)
 		m.WriteCode(base, words)
-		if !m.BuildTrace(base, base+uint64(len(words))*host.InstBytes) {
-			t.Fatal("BuildTrace failed")
+		if !trBuild(m, base, base+uint64(len(words))*host.InstBytes) {
+			t.Fatal("trBuild failed")
 		}
 		if got := trMegaSteps(m); got != idioms {
 			t.Fatalf("seed %d: %d mega-steps, want one per spliced sequence (%d)", seed, got, idioms)
@@ -438,8 +466,8 @@ func TestTraceChainFollowAndSever(t *testing.T) {
 		t.Fatal("BNE not found")
 	}
 	end := base + uint64(len(words))*host.InstBytes
-	if !m.BuildTrace(base, bPC) || !m.BuildTrace(bPC, end) {
-		t.Fatal("BuildTrace failed")
+	if !trBuild(m, base, bPC) || !trBuild(m, bPC, end) {
+		t.Fatal("trBuild failed")
 	}
 	if got := trRun(m, 1<<20); got.Stop != StopHalt {
 		t.Fatalf("stop = %v, want halt", got.Stop)
@@ -455,10 +483,10 @@ func TestTraceChainFollowAndSever(t *testing.T) {
 	// Patching a word inside trace B drops it, severs A's memoized link
 	// into it, and leaves trace A executable and coherent.
 	m.Patch(bPC, words[(bPC-base)/host.InstBytes])
-	if m.HasTrace(bPC) {
+	if trLive(m, bPC) {
 		t.Fatal("patched trace still live")
 	}
-	if !m.HasTrace(base) {
+	if !trLive(m, base) {
 		t.Fatal("untouched trace dropped")
 	}
 	if got := m.TraceStats().Invalidations; got != 1 {
@@ -474,9 +502,9 @@ func TestTraceChainFollowAndSever(t *testing.T) {
 	}
 }
 
-// TestTraceBuildRejects: BuildTrace refuses bad bounds, undecodable words
-// and overlap with a live unit trace, and leaves no trace behind when it
-// does; a fill trace it overlaps is dropped instead.
+// TestTraceBuildRejects: formation refuses an undecodable word at its
+// entry (Run's fetch error, which leaves no trace behind), and ends a
+// trace before an undecodable word and before a live trace's step.
 func TestTraceBuildRejects(t *testing.T) {
 	const base = 0x1000
 	m := newMachine(false)
@@ -486,35 +514,140 @@ func TestTraceBuildRejects(t *testing.T) {
 		a.Brk(HaltService)
 	})
 	m.WriteCode(base, words)
-	end := base + uint64(len(words))*host.InstBytes
+	brk := uint64(base + 2*host.InstBytes)
+	m.Mem.Write32(brk, 0x04<<26) // unassigned opcode
+	m.SetPC(base)
+	if _, _, err := m.Run(1 << 20); err == nil || m.PC() != brk || m.Counters().Insts != 2 {
+		t.Fatalf("err %v at pc %#x after %d insts: want the fetch error at %#x after 2", err, m.PC(), m.Counters().Insts, brk)
+	}
+	if start, end, ok := traceSpan(m, base); !ok || start != base || end != brk || len(m.traceList) != 1 {
+		t.Fatalf("%d traces, the one at %#x spanning [%#x,%#x): want only [%#x,%#x)", len(m.traceList), base, start, end, base, brk)
+	}
 
-	if m.BuildTrace(base+2, end) || m.BuildTrace(base, end+2) || m.BuildTrace(end, base) {
-		t.Fatal("BuildTrace accepted misaligned or inverted bounds")
+	// With the halt back, a trace built from the second add is live: a
+	// trace formed at the first ends before it and chains into it.
+	m.Reset()
+	m.WriteCode(base, words)
+	if !trBuild(m, base+host.InstBytes, base+uint64(len(words))*host.InstBytes) {
+		t.Fatal("trBuild failed")
 	}
-	m.Mem.Write32(end, 0x04<<26) // unassigned opcode
-	if m.BuildTrace(base, end+host.InstBytes) {
-		t.Fatal("BuildTrace accepted an undecodable word")
+	m.SetPC(base)
+	if got := trRun(m, 1<<20); got.Stop != StopHalt || got.Regs[host.R1] != 2 {
+		t.Fatalf("stop %v, r1 %d: want a halt after both adds", got.Stop, got.Regs[host.R1])
 	}
-	if len(m.traceList) != 0 || m.TraceStats().Formed != 0 {
-		t.Fatalf("rejected builds left %d traces (%d formed)", len(m.traceList), m.TraceStats().Formed)
+	if start, end, ok := traceSpan(m, base); !ok || start != base || end != base+host.InstBytes {
+		t.Fatalf("formed trace spans [%#x,%#x) (live %v), want [%#x,%#x)", start, end, ok, base, base+host.InstBytes)
 	}
-	// Run the code once: it executes in a fill trace from the second add,
-	// which a unit trace over the whole span replaces.
-	m.SetPC(base + host.InstBytes)
-	if got := trRun(m, 1<<20); got.Stop != StopHalt || m.HasTrace(base+host.InstBytes) || len(m.traceList) != 1 {
-		t.Fatalf("stop %v, unit trace %v, %d traces: want a halt in one fill trace", got.Stop, m.HasTrace(base+host.InstBytes), len(m.traceList))
+	if ts := m.TraceStats(); ts.Formed != 2 || ts.ChainFollows != 1 {
+		t.Fatalf("trace stats %+v: want 2 formed and 1 chain follow", ts)
 	}
-	if !m.BuildTrace(base, end) {
-		t.Fatal("BuildTrace failed on valid span")
+}
+
+// TestFormationCoversForwardRegion hand-assembles the unit shapes the
+// translator emits and requires formation at the unit's entry to cover
+// each with one trace, from its entry through its last stub and no
+// further, with every branch into the trace threaded to its target step
+// and every branch out of it a side exit. An EH-patched BR (a branch to an
+// MDA stub outside the trace, which returns to the next word) does not end
+// the trace when a conditional branch before it targets past it, as a
+// superblock's folded side exit does; in a body with no such branch the
+// patched BR ends the trace, and the rest of the unit forms its own.
+func TestFormationCoversForwardRegion(t *testing.T) {
+	const base, stub = 0x1000, 0x8000
+	ehPatch := func(a *host.Asm) {
+		d, _ := host.BrDispFor(a.PC(), stub)
+		a.Emit(host.Inst{Op: host.BR, Ra: host.R31, Disp: d})
 	}
-	if len(m.traceList) != 1 || !m.HasTrace(base) || !m.HasTrace(base+host.InstBytes) {
-		t.Fatalf("%d traces after the unit build: want only the unit trace", len(m.traceList))
-	}
-	if m.BuildTrace(base, base+host.InstBytes) {
-		t.Fatal("BuildTrace accepted an overlap with a live trace")
-	}
-	if got := m.TraceStats().Formed; got != 2 {
-		t.Fatalf("formed = %d, want 2 (the fill and the unit trace)", got)
+	for _, c := range []struct {
+		name  string
+		shape func(a *host.Asm)
+		cut   int // words in the trace when the shape does not form one; 0: all
+	}{
+		{"cond-exit", func(a *host.Asm) {
+			a.OprLit(host.CMPLT, host.R1, 9, host.R10)
+			a.Br(host.BNE, host.R10, "taken")
+			a.Brk(1) // fallthrough exit stub
+			a.Label("taken")
+			a.Brk(2) // taken exit stub
+		}, 0},
+		{"two-version", func(a *host.Asm) {
+			a.Mem(host.LDA, host.R10, 3, host.R9)
+			a.OprLit(host.AND, host.R10, 3, host.R10)
+			a.Br(host.BNE, host.R10, "v2")
+			a.Mem(host.LDL, host.R7, 3, host.R9) // optimistic copy
+			a.OprLit(host.ADDQ, host.R7, 1, host.R8)
+			a.Brk(1)
+			a.Label("v2")
+			trMegaLd(a, 4, 3, true) // pessimistic copy
+			a.OprLit(host.ADDQ, host.R7, 1, host.R8)
+			a.Brk(1)
+		}, 0},
+		{"repmovs", func(a *host.Asm) {
+			a.OprLit(host.ADDQ, host.R8, 1, host.R8)
+			a.Label("top")
+			a.Br(host.BEQ, host.R1, "done")
+			a.Mem(host.LDL, host.R2, 0, host.R3)
+			a.Mem(host.STL, host.R2, 0, host.R4)
+			a.Mem(host.LDA, host.R3, 4, host.R3)
+			a.Mem(host.LDA, host.R4, 4, host.R4)
+			a.OprLit(host.SUBL, host.R1, 1, host.R1)
+			a.Br(host.BR, host.R31, "top")
+			a.Label("done")
+			a.Brk(1)
+		}, 0},
+		{"eh-patched", func(a *host.Asm) {
+			a.Br(host.BNE, host.R5, "side") // a superblock's folded side exit
+			a.OprLit(host.ADDQ, host.R1, 1, host.R1)
+			ehPatch(a)
+			a.OprLit(host.CMPLT, host.R1, 9, host.R10)
+			a.Br(host.BNE, host.R10, "taken")
+			a.Brk(1)
+			a.Label("taken")
+			a.Brk(2)
+			a.Label("side")
+			a.Brk(3)
+		}, 0},
+		{"eh-patched-plain", func(a *host.Asm) {
+			a.OprLit(host.ADDQ, host.R1, 1, host.R1)
+			ehPatch(a)
+			a.OprLit(host.CMPLT, host.R1, 9, host.R10)
+			a.Br(host.BNE, host.R10, "taken")
+			a.Brk(1)
+			a.Label("taken")
+			a.Brk(2)
+		}, 2},
+	} {
+		var n int
+		words := trProgram(t, base, func(a *host.Asm) {
+			c.shape(a)
+			n = a.Len()
+			a.OprLit(host.ADDQ, host.R1, 1, host.R1) // the next unit: not in the trace
+			a.Brk(HaltService)
+		})
+		if c.cut > 0 {
+			n = c.cut
+		}
+		m := newMachine(false)
+		m.WriteCode(base, words)
+		if _, err := m.formTrace(base); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		tr := m.traces[base].tr
+		if end := uint64(base + n*host.InstBytes); len(m.traceList) != 1 || tr.start != base || tr.end != end {
+			t.Errorf("%s: %d traces, the first spanning [%#x,%#x): want one over [%#x,%#x)", c.name, len(m.traceList), tr.start, tr.end, uint64(base), end)
+		}
+		for i := range tr.steps[:len(tr.steps)-1] {
+			st := &tr.steps[i]
+			if !st.kind.branches() {
+				continue
+			}
+			if in := st.imm >= tr.start && st.imm < tr.end; in != (st.taken != nil) || in && st.taken.pc != st.imm || !in && st.exitPC != st.imm {
+				t.Errorf("%s: branch at %#x to %#x: taken step %v, exit %#x", c.name, st.pc, st.imm, st.taken != nil, st.exitPC)
+			}
+		}
+		if err := m.CheckTraceCoherence(); err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
 	}
 }
 
@@ -527,21 +660,21 @@ func TestTraceIMBAndResetDropAll(t *testing.T) {
 	})
 	m.WriteCode(base, words)
 	end := base + uint64(len(words))*host.InstBytes
-	if !m.BuildTrace(base, end) {
-		t.Fatal("BuildTrace failed")
+	if !trBuild(m, base, end) {
+		t.Fatal("trBuild failed")
 	}
 	m.IMB()
-	if m.HasTrace(base) {
+	if trLive(m, base) {
 		t.Fatal("trace survived IMB")
 	}
 	if got := m.TraceStats().Invalidations; got != 1 {
 		t.Fatalf("invalidations = %d, want 1", got)
 	}
-	if !m.BuildTrace(base, end) {
+	if !trBuild(m, base, end) {
 		t.Fatal("rebuild after IMB failed")
 	}
 	m.Reset()
-	if m.HasTrace(base) || len(m.traceList) != 0 {
+	if trLive(m, base) || len(m.traceList) != 0 {
 		t.Fatal("Reset left a trace live")
 	}
 	if got := m.TraceStats(); got != (TraceStats{}) {
@@ -549,8 +682,8 @@ func TestTraceIMBAndResetDropAll(t *testing.T) {
 	}
 }
 
-// TestTraceMidEntry enters a unit trace at a PC in its middle (as a stub
-// return would) and checks parity with a machine that runs fill traces.
+// TestTraceMidEntry enters a built trace at a PC in its middle (as a stub
+// return would) and checks parity with a machine that forms its own.
 func TestTraceMidEntry(t *testing.T) {
 	const base = 0x1000
 	words := trProgram(t, base, func(a *host.Asm) {
@@ -568,8 +701,8 @@ func TestTraceMidEntry(t *testing.T) {
 
 	m := newMachine(true)
 	m.WriteCode(base, words)
-	if !m.BuildTrace(base, base+uint64(len(words))*host.InstBytes) {
-		t.Fatal("BuildTrace failed")
+	if !trBuild(m, base, base+uint64(len(words))*host.InstBytes) {
+		t.Fatal("trBuild failed")
 	}
 	m.SetPC(entry)
 	got := trRun(m, 1<<20)
@@ -577,14 +710,14 @@ func TestTraceMidEntry(t *testing.T) {
 		t.Fatalf("mid-entry:\n got %+v\nwant %+v", got, want)
 	}
 	if ts := m.TraceStats(); ts.TracedInsts != 2 || ts.Formed != 1 {
-		t.Fatalf("trace stats %+v: want 2 insts traced in the one unit trace", ts)
+		t.Fatalf("trace stats %+v: want 2 insts traced in the one built trace", ts)
 	}
 }
 
 // TestTraceFaultPlanParity runs seeded random programs with MDA
 // sequences the executor fuses into mega-steps, under seeded fault plans
 // (spurious misalignment traps, spurious access faults, duplicate traps),
-// on fill traces and on one unit trace over the whole program, in Run
+// on the traces Run forms and on one trace built over the whole program, in Run
 // calls of every budget from 1 to the program length. After each call
 // registers, PC, counters and issue-slot state must match the reference;
 // at the halt the data area and the whole injection stream — every fired
@@ -600,13 +733,13 @@ func TestTraceFaultPlanParity(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		rng := rand.New(rand.NewSource(300 + seed))
 		words := lowerRandomProgram(t, rng, base, true)
-		for _, unit := range []bool{false, true} {
+		for _, whole := range []bool{false, true} {
 			for budget := uint64(1); budget <= uint64(len(words)); budget++ {
-				name := fmt.Sprintf("seed %d unit %v budget %d", seed, unit, budget)
+				name := fmt.Sprintf("seed %d whole %v budget %d", seed, whole, budget)
 				m, ref := lowerPair(base, words)
-				if unit {
-					if !m.BuildTrace(base, base+uint64(len(words))*host.InstBytes) || trMegaSteps(m) == 0 {
-						t.Fatalf("%s: no unit trace with mega-steps", name)
+				if whole {
+					if !trBuild(m, base, base+uint64(len(words))*host.InstBytes) || trMegaSteps(m) == 0 {
+						t.Fatalf("%s: no whole-program trace with mega-steps", name)
 					}
 				}
 				var got, want []fire
@@ -673,8 +806,8 @@ func TestTraceCoherenceDetectsCorruption(t *testing.T) {
 	build := func() *Machine {
 		m := newMachine(false)
 		m.WriteCode(base, words)
-		if !m.BuildTrace(base, base+uint64(len(words))*host.InstBytes) {
-			t.Fatal("BuildTrace failed")
+		if !trBuild(m, base, base+uint64(len(words))*host.InstBytes) {
+			t.Fatal("trBuild failed")
 		}
 		if err := m.CheckTraceCoherence(); err != nil {
 			t.Fatal(err)
@@ -724,11 +857,10 @@ func TestTraceCoherenceDetectsCorruption(t *testing.T) {
 	}
 }
 
-// benchKernel is a tight counted loop (no misaligned traffic) approximating
-// translated hot-loop code: the shape the dispatch-loop perfbench measures.
-// With unit set it runs in one unit trace, otherwise in the fill traces Run
-// builds.
-func benchKernel(b *testing.B, unit bool) {
+// BenchmarkTracedLoop runs a tight counted loop (no misaligned traffic)
+// approximating translated hot-loop code, the shape the dispatch-loop
+// perfbench measures, in the one trace Run forms over it.
+func BenchmarkTracedLoop(b *testing.B) {
 	const base = 0x1000
 	a := host.NewAsm(base)
 	a.MovImm(host.R9, trDataBase)
@@ -748,9 +880,6 @@ func benchKernel(b *testing.B, unit bool) {
 	}
 	m := New(mem.New(), DefaultParams())
 	m.WriteCode(base, words)
-	if unit && !m.BuildTrace(base, base+uint64(len(words))*host.InstBytes) {
-		b.Fatal("BuildTrace failed")
-	}
 	const iters = 4096
 	insts := uint64(0)
 	b.ResetTimer()
@@ -765,9 +894,6 @@ func benchKernel(b *testing.B, unit bool) {
 	}
 	b.ReportMetric(float64(insts)/float64(b.Elapsed().Nanoseconds())*1000, "MIPS")
 }
-
-func BenchmarkFillTraceLoop(b *testing.B) { benchKernel(b, false) }
-func BenchmarkTracedLoop(b *testing.B)    { benchKernel(b, true) }
 
 // trMegaLd emits the translator's misalignment-safe load idiom in the
 // exact shape fuseMegaLd matches: base in R9, result in R7, temporaries
@@ -837,8 +963,8 @@ func trAssertMega(t *testing.T, base uint64, words []uint32, kind slotKind, want
 	trSeedData(m.Mem)
 	m.WriteCode(base, words)
 	m.SetPC(base)
-	if !m.BuildTrace(base, base+uint64(len(words))*host.InstBytes) {
-		t.Fatal("BuildTrace failed")
+	if !trBuild(m, base, base+uint64(len(words))*host.InstBytes) {
+		t.Fatal("trBuild failed")
 	}
 	megas := 0
 	for _, tr := range m.traceList {
@@ -949,7 +1075,8 @@ func TestTraceMegaStepParity(t *testing.T) {
 // complete, continue) must leave a traced run bit-identical to the
 // reference: the mega exits at the faulting constituent's PC with the
 // architecturally visible prefix retired, resumes through the idiom tail
-// in a fill trace, and re-enters the unit trace on the next iteration.
+// in a trace formed there, and re-enters the whole-span trace on the next
+// iteration.
 func TestTraceMegaStepFaults(t *testing.T) {
 	const base = 0x1000
 	const pageA = uint64(trDataBase)           // [0x100000, 0x102000)
@@ -1034,8 +1161,8 @@ func TestTraceMegaStepFaults(t *testing.T) {
 			tc.arm(m.Mem)
 			m.WriteCode(base, tc.words)
 			m.SetPC(base)
-			if !m.BuildTrace(base, base+uint64(len(tc.words))*host.InstBytes) {
-				t.Fatal("BuildTrace failed")
+			if !trBuild(m, base, base+uint64(len(tc.words))*host.InstBytes) {
+				t.Fatal("trBuild failed")
 			}
 			trRun(m, 1<<20)
 			if m.Counters().AccessFaults == 0 {
@@ -1060,7 +1187,7 @@ func TestTraceStallOnStaleMega(t *testing.T) {
 	m := newMachine(false)
 	trSeedData(m.Mem)
 	m.WriteCode(base, words)
-	if !m.BuildTrace(base, base+uint64(len(words))*host.InstBytes) || trMegaSteps(m) != 1 {
+	if !trBuild(m, base, base+uint64(len(words))*host.InstBytes) || trMegaSteps(m) != 1 {
 		t.Fatal("no mega-step to stall on")
 	}
 	var head uint64
@@ -1075,7 +1202,7 @@ func TestTraceStallOnStaleMega(t *testing.T) {
 	if _, _, err := m.Run(pre + 3); err == nil || m.PC() != head || m.Counters().Insts != pre {
 		t.Fatalf("err %v at pc %#x after %d insts: want the fetch error at %#x after %d", err, m.PC(), m.Counters().Insts, head, pre)
 	}
-	if m.HasTrace(base) {
+	if trLive(m, base) {
 		t.Fatal("the stale trace is still live")
 	}
 }

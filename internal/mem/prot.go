@@ -266,17 +266,23 @@ func (m *Memory) PageTrapped(addr uint64) (load, store bool) {
 }
 
 // Watched reports whether the page holding addr carries a store watch.
-func (m *Memory) Watched(addr uint64) bool { return m.watch[addr>>PageShift] }
+// Every watched page has its trap-table store bit set, so the watch map is
+// probed only for a page whose bit is.
+func (m *Memory) Watched(addr uint64) bool {
+	i := addr >> PageShift
+	return i < uint64(len(m.trap)) && m.trap[i]&tStore != 0 && m.watch[i]
+}
 
 // WatchedRange reports whether any page overlapping [addr, addr+n) is
-// watched.
+// watched, filtering on the trap table as Watched does.
 func (m *Memory) WatchedRange(addr uint64, n int) bool {
-	if len(m.watch) == 0 || n <= 0 {
+	if n <= 0 {
 		return false
 	}
+	t := m.trap
 	first, last := addr>>PageShift, (addr+uint64(n)-1)>>PageShift
-	for i := first; i <= last; i++ {
-		if m.watch[i] {
+	for i := first; i <= last && i < uint64(len(t)); i++ {
+		if t[i]&tStore != 0 && m.watch[i] {
 			return true
 		}
 	}

@@ -43,6 +43,16 @@ func (r *protModel) pageTrapped(i uint64) (load, store bool) {
 	return r.ownLoad(i), r.ownStore(i) || (i > 0 && r.ownStore(i-1))
 }
 
+// watchedRange is the reference for WatchedRange.
+func (r *protModel) watchedRange(addr uint64, n int) bool {
+	for i := addr >> PageShift; n > 0 && i <= (addr+uint64(n)-1)>>PageShift; i++ {
+		if r.watch[i] {
+			return true
+		}
+	}
+	return false
+}
+
 func (r *protModel) accessTrap(addr uint64, size int, store bool) bool {
 	for _, i := range []uint64{addr >> PageShift, (addr + uint64(size) - 1) >> PageShift} {
 		ld, st := r.pageTrapped(i)
@@ -57,7 +67,9 @@ func (r *protModel) accessTrap(addr uint64, size int, store bool) bool {
 // Reset sequences over page 0, neighbouring pairs and the pages at the top
 // of the protectable range, and after every step compares AccessTrap (loads
 // and stores, including accesses straddling past the table's end),
-// PageTrapped and Armed against protModel. It also pins the table's size
+// PageTrapped, Watched, WatchedRange (ranges within a page, straddling
+// into the next one or two, and past the table's end) and Armed against
+// protModel. It also pins the table's size
 // to the highest page ever armed plus its guard successor.
 func TestTrapTableReferenceModel(t *testing.T) {
 	top := denseLimit>>PageShift - 1 // highest protectable page
@@ -171,6 +183,19 @@ func (r *protModel) check(m *Memory, anchors []uint64) error {
 			return fmt.Errorf("PageTrapped(page %#x) = %v,%v, want %v,%v", i, ld, st, wld, wst)
 		}
 		base := i << PageShift
+		for _, off := range []uint64{0, PageSize - 1} {
+			if got, want := m.Watched(base+off), r.watch[i]; got != want {
+				return fmt.Errorf("Watched(%#x) = %v, want %v", base+off, got, want)
+			}
+		}
+		for _, w := range []struct {
+			addr uint64
+			n    int
+		}{{base, 0}, {base, 1}, {base + 8, 8}, {base + PageSize - 1, 2}, {base + PageSize - 3, PageSize + 4}, {base, 3 * PageSize}} {
+			if got, want := m.WatchedRange(w.addr, w.n), r.watchedRange(w.addr, w.n); got != want {
+				return fmt.Errorf("WatchedRange(%#x, %d) = %v, want %v", w.addr, w.n, got, want)
+			}
+		}
 		// In-page accesses at both ends, and accesses straddling into
 		// the next page (past the table's end when i is its last page).
 		for _, a := range []struct {
