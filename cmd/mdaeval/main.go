@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"mdabt/internal/experiments"
-	"mdabt/internal/perfbench"
 	"mdabt/internal/profiling"
 )
 
@@ -30,7 +29,6 @@ func main() {
 	csvDir := flag.String("csv", "", "also write each result as CSV into this directory")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
-	benchJSON := flag.String("benchjson", "", "run the perfbench suite and write its JSON summary here, then exit")
 	sitehist := flag.Bool("sitehist", false, "shorthand for -exp sitehist (per-benchmark alignment verdict histogram)")
 	flag.Parse()
 	if *sitehist {
@@ -47,26 +45,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "mdaeval: %v\n", err)
 		}
 	}()
-
-	if *benchJSON != "" {
-		sum, err := perfbench.Collect("")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mdaeval: %v\n", err)
-			os.Exit(1)
-		}
-		if err := sum.WriteFile(*benchJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "mdaeval: %v\n", err)
-			os.Exit(1)
-		}
-		for _, r := range sum.Results {
-			fmt.Printf("%-18s %12.1f ns/op  %6d allocs/op", r.Name, r.NsPerOp, r.AllocsPerOp)
-			if r.GuestMIPS > 0 {
-				fmt.Printf("  %8.1f guest-MIPS", r.GuestMIPS)
-			}
-			fmt.Println()
-		}
-		return
-	}
 
 	s := experiments.NewSession()
 	s.Parallelism = *par

@@ -8,7 +8,7 @@ import (
 
 // This file is the static translation verifier: a structural linter over
 // one emitted host block. It re-decodes the block's words and checks that
-// the code is accounted for under the translator's own metadata:
+// the code is accounted for under the translator's own per-word tags:
 //
 //   - every word decodes;
 //   - every alignment-trapping memory instruction (host.Op.Aligns) is
@@ -18,43 +18,46 @@ import (
 //     addresses), or guarded (inside a multi-version/adaptive arm whose
 //     alignment check makes the plain instruction unreachable when
 //     misaligned) — MDA sequences themselves use only LDQ_U/STQ_U/LDA,
-//     which never trap, so they need no entry;
+//     which never trap, so they need no tag;
+//   - every data-accessing memory op lies in some guest instruction's
+//     emission, or a memory fault there could not be attributed to a
+//     precise guest instruction;
 //   - branch targets resolve: in-block targets land inside the block, and
 //     out-of-block branches (chained exits, handler patches) pass the
 //     caller's CheckBranch policy;
-//   - patch sites are well-formed: a host PC the exception handler claims
-//     to have patched must now hold an unconditional BR, and a registered
-//     trap site that is not patched must still hold a trapping memory
+//   - patch sites are well-formed: a word the exception handler claims to
+//     have patched must be a trap site and now hold an unconditional BR,
+//     and an unpatched trap site must still hold a trapping memory
 //     instruction;
 //   - BRKBT payloads pass the caller's CheckBrk policy (exit table /
 //     service payload consistency).
 //
-// The verifier never trusts the emitted bytes over the metadata or vice
+// The verifier never trusts the emitted bytes over the tags or vice
 // versa — a disagreement in either direction is a finding.
 
-// HostBlock describes one translated block to the verifier. The maps may
-// be nil (treated as empty).
-type HostBlock struct {
-	Entry uint64   // host address of Words[0]
-	Words []uint32 // the block's code as currently in memory
+// WordTag is the set of translator claims about one emitted host word.
+type WordTag uint8
 
-	TrapSites map[uint64]bool // host PCs registered with the trap handler
-	Proven    map[uint64]bool // host PCs emitted under a proven-aligned claim
-	Guarded   map[uint64]bool // host PCs inside alignment-guarded arms
-	Patched   map[uint64]bool // trap-site PCs the handler patched into BRs
+// Word tags.
+const (
+	TagTrapSite   WordTag = 1 << iota // registered with the trap handler
+	TagProven                         // emitted under a proven-aligned claim
+	TagGuarded                        // inside an alignment-guarded arm
+	TagPatched                        // trap site the handler patched into a BR
+	TagAttributed                     // inside a guest instruction's emission
+)
+
+// HostBlock describes one translated block to the verifier.
+type HostBlock struct {
+	Entry uint64    // host address of Words[0]
+	Words []uint32  // the block's code as currently in memory
+	Tags  []WordTag // one tag set per word of Words
 
 	// CheckBranch validates a branch at pc whose target lies outside the
 	// block. nil forbids all out-of-block branches.
 	CheckBranch func(pc, target uint64) error
 	// CheckBrk validates a BRKBT payload. nil accepts any payload.
 	CheckBrk func(pc uint64, payload uint32) error
-
-	// Bounds, when non-nil, holds the sorted host start addresses of the
-	// guest instructions' emissions (the engine's fault-attribution table).
-	// Every data-accessing memory op must then be preceded by a bound at or
-	// below its PC, or a memory fault at that op could not be attributed to
-	// a precise guest instruction.
-	Bounds []uint64
 }
 
 // Finding is one verifier complaint.
@@ -73,27 +76,29 @@ func Verify(b HostBlock) []Finding {
 	bad := func(pc uint64, format string, args ...any) {
 		findings = append(findings, Finding{HostPC: pc, Msg: fmt.Sprintf(format, args...)})
 	}
+	if len(b.Tags) != len(b.Words) {
+		bad(b.Entry, "%d word tags for %d words", len(b.Tags), len(b.Words))
+		return findings
+	}
 	end := b.Entry + uint64(len(b.Words))*host.InstBytes
-	seenTrapSite := make(map[uint64]bool)
 
 	for i, w := range b.Words {
 		pc := b.Entry + uint64(i)*host.InstBytes
+		tag := b.Tags[i]
 		in, err := host.Decode(w)
 		if err != nil {
 			bad(pc, "undecodable word %#08x: %v", w, err)
 			continue
 		}
-		if b.TrapSites[pc] {
-			seenTrapSite[pc] = true
-			if b.Patched[pc] {
-				if in.Op != host.BR || in.Ra != host.Zero {
-					bad(pc, "patched trap site does not hold an unconditional BR (got %s)", host.DisasmWord(pc, w))
-				}
-			} else if !in.Op.Aligns() {
-				bad(pc, "registered trap site no longer holds a trapping memory op (got %s)", host.DisasmWord(pc, w))
-			}
-		} else if b.Patched[pc] {
+		switch {
+		case tag&TagPatched != 0 && tag&TagTrapSite == 0:
 			bad(pc, "patched PC is not a registered trap site")
+		case tag&TagPatched != 0:
+			if in.Op != host.BR || in.Ra != host.Zero {
+				bad(pc, "patched trap site does not hold an unconditional BR (got %s)", host.DisasmWord(pc, w))
+			}
+		case tag&TagTrapSite != 0 && !in.Op.Aligns():
+			bad(pc, "registered trap site no longer holds a trapping memory op (got %s)", host.DisasmWord(pc, w))
 		}
 
 		switch host.FormatOf(in.Op) {
@@ -101,13 +106,13 @@ func Verify(b HostBlock) []Finding {
 			if in.Op == host.LDA || in.Op == host.LDAH {
 				break // address arithmetic, not an access
 			}
-			if b.Bounds != nil && (len(b.Bounds) == 0 || b.Bounds[0] > pc) {
-				bad(pc, "memory op %v precedes every fault-attribution bound", in.Op)
+			if tag&TagAttributed == 0 {
+				bad(pc, "memory op %v lies in no guest instruction's emission", in.Op)
 			}
 			if !in.Op.Aligns() {
 				break // byte accesses and LDQ_U/STQ_U never trap
 			}
-			if !(b.TrapSites[pc] || b.Proven[pc] || b.Guarded[pc]) {
+			if tag&(TagTrapSite|TagProven|TagGuarded) == 0 {
 				bad(pc, "trap-prone %v is neither a registered trap site, proven aligned, nor guarded", in.Op)
 			}
 		case host.FormatPAL:
@@ -126,13 +131,6 @@ func Verify(b HostBlock) []Finding {
 			} else if err := b.CheckBranch(pc, target); err != nil {
 				bad(pc, "out-of-block branch to %#x: %v", target, err)
 			}
-		}
-	}
-
-	// Every registered trap site must actually lie inside the block.
-	for pc := range b.TrapSites {
-		if !seenTrapSite[pc] {
-			bad(pc, "registered trap site lies outside the block [%#x,%#x)", b.Entry, end)
 		}
 	}
 	return findings

@@ -7,6 +7,7 @@ import (
 	"mdabt/internal/align"
 	"mdabt/internal/faultinject"
 	"mdabt/internal/guest"
+	"mdabt/internal/host"
 )
 
 // CodeCacheBase is the host virtual address of the translation cache. It
@@ -100,42 +101,45 @@ type exit struct {
 	linked      bool
 }
 
-// memSite is the translation-time record of one guest memory operation
-// inside a block. The exception handler uses it to regenerate code for a
-// faulting host instruction.
+// memSite is the translation-time record of one guest memory access
+// inside a block: the site the exception handler resolves a trapping host
+// word to (hostWord.site) and whose patch attempts it counts.
 type memSite struct {
 	instIdx int    // index into block.insts
 	sub     int    // sub-access within the instruction (string copies)
 	guestPC uint32 // address of the guest instruction
-	size    int
-	isStore bool
-	// How the access is reached on the host side: base register + disp
-	// (either the guest base register directly, or tmpEA with disp 0 when
-	// the address needed materialization).
-	kind memKind
-	// hostPCs lists every trap-prone host memory instruction emitted for
-	// this site (guarded multi-version arms are omitted — they cannot
-	// trap; block-granularity copies contribute one entry per plain arm).
-	hostPCs []uint64
-	// patched marks host PCs already redirected to an MDA stub (nil until
-	// the first patch).
-	patched map[uint64]bool
 	// patchFails counts failed patch attempts (stub zone full, assembler
 	// error, branch out of range); past patchRetryLimit the trap-storm
 	// limiter demotes the site (see Engine.patchFailed).
 	patchFails int
 }
 
-// instBound maps the host address where a guest instruction's emission
-// starts to that instruction's index in block.insts. Recorded as the unit
-// is emitted, in emission order (host PCs strictly increase), so the
-// access-fault handler can binary-search any in-block host PC back to the
-// guest instruction it implements. Block-granularity
-// multi-version bodies record each instruction once per emitted copy.
-type instBound struct {
-	hostPC uint64
-	idx    int
+// hostWord is a unit's record of one emitted host word: which guest
+// instruction's emission holds it, which memory site it is the trap-prone
+// access of, and the translator's alignment claims about it. A unit keeps
+// one per word of its host span (block.words), so a host PC inside the
+// unit indexes its record directly: the exception handler finds the site
+// to patch, fault delivery the guest instruction to rewind to, and the
+// verifier the claims to check the word against.
+type hostWord struct {
+	// inst indexes block.insts: the last instruction whose emission
+	// started at or before the word (an instruction that emits nothing
+	// shares its successor's start, and the later one wins). noInst marks
+	// words emitted before the first instruction (a block-granularity
+	// multi-version guard at index 0).
+	inst int16
+	// site indexes block.sites when the word is a plain, trap-prone access
+	// registered with the misalignment handler; noSite otherwise.
+	site int16
+	// tags holds align.TagProven, align.TagGuarded and align.TagPatched.
+	tags align.WordTag
 }
+
+// Absent hostWord indices.
+const (
+	noInst = -1
+	noSite = -1
+)
 
 // memKind describes which MDA sequence a site needs.
 type memKind uint8
@@ -186,21 +190,9 @@ type block struct {
 	hostSize  uint64
 	exits     []*exit
 	sites     []*memSite
-	// bounds maps in-block host PCs back to guest instruction indices
-	// (precise fault attribution; see instBound).
-	bounds []instBound
-	// alignedPCs marks host memory ops emitted under a proven-aligned
-	// claim: static Aligned verdicts plus BT-internal data at constructed-
-	// aligned addresses (adaptive streak counters, IBTC entries). The
-	// verifier accepts them without a trap-site registration; a trap at one
-	// of these PCs is a soundness violation (Stats.StaticAlignViolations).
-	// Nil until the first mark.
-	alignedPCs map[uint64]bool
-	// guardedPCs marks plain memory ops inside alignment-guarded arms
-	// (multi-version and adaptive aligned paths): unreachable when the
-	// address misaligns, so they carry no trap-site registration either.
-	// Nil until the first mark.
-	guardedPCs map[uint64]bool
+	// words holds one record per host word of the unit's span (see
+	// hostWord).
+	words []hostWord
 	// incoming lists exits of other blocks linked directly to this block,
 	// so invalidation can unlink them.
 	incoming []*exit
@@ -213,6 +205,12 @@ type block struct {
 	// aot marks translations produced by the offline pre-translation pass
 	// (Options.AOT); dispatches into them count as Stats.AOTHits.
 	aot bool
+}
+
+// word returns the record of the host word at pc, which must lie inside
+// the unit's span.
+func (b *block) word(pc uint64) *hostWord {
+	return &b.words[(pc-b.hostEntry)/host.InstBytes]
 }
 
 func (b *block) String() string {

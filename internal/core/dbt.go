@@ -29,12 +29,6 @@ var ErrBlockTooLarge = errors.New("core: block exceeds code cache capacity")
 // persists through the retry.
 var errInjectedTranslate = errors.New("core: injected translation fault")
 
-// siteRef resolves a faulting host PC back to its block and memory site.
-type siteRef struct {
-	b    *block
-	site *memSite
-}
-
 // Engine is the dynamic binary translator (DigitalBridge-like, paper Fig.
 // 9): interpreter + translator + code cache + dynamic monitor + BT
 // misalignment exception handler, configured with one MDA handling
@@ -58,15 +52,16 @@ type Engine struct {
 
 	cc    *codeCache
 	exits []*exit
-	sites map[uint64]siteRef
 	// dec is the PC-indexed decode cache and the engine's one per-guest-PC
 	// table: each entry carries the instruction's alignment profile and its
 	// pcState (live block, heat, blacklist bit, retained and reverted
 	// sites, trap count, soft-emulation demotion).
 	dec decodeCache
-	// unitBuf is translate's decode scratch: a unit's records are gathered
-	// here and copied into the block at their final length.
+	// unitBuf and wordBuf are translate's scratch: a unit's instruction
+	// records and its per-word table are gathered here and copied into the
+	// block at their final length.
 	unitBuf []unitInst
+	wordBuf []hostWord
 	// aotPreseedSkips counts schedule entries the preseed pass had to
 	// leave to dynamic discovery (adopted image not matching the loaded
 	// program); surfaced through Lint as a degraded-adoption finding.
@@ -145,7 +140,6 @@ func (e *Engine) configure(opt Options) {
 		e.cc.reconfigure(opt.CodeCacheBytes, opt.FaultPlan)
 	}
 	e.exits = nil
-	e.sites = make(map[uint64]siteRef)
 	clear(e.dec.dense) // keep the arena; every entry back to undecoded, no run state
 	clear(e.dec.far)
 	e.aotPreseedSkips = 0
@@ -261,22 +255,10 @@ func (e *Engine) ibtcFill(guestPC uint32, hostEntry uint64) {
 }
 
 // ibtcEvict clears entries whose host target lies in [lo, hi) — called when
-// a translation is invalidated.
+// a translation is invalidated, and over the whole code cache on a flush.
 func (e *Engine) ibtcEvict(lo, hi uint64) {
 	for i := range e.ibtc {
 		if e.ibtc[i].valid && e.ibtc[i].host >= lo && e.ibtc[i].host < hi {
-			addr := uint64(ibtcBase) + uint64(i)*16
-			e.Mem.Write64(addr, 0)
-			e.Mem.Write64(addr+8, 0)
-			e.ibtc[i].valid = false
-		}
-	}
-}
-
-// ibtcClear empties the whole table (code cache flush).
-func (e *Engine) ibtcClear() {
-	for i := range e.ibtc {
-		if e.ibtc[i].valid {
 			addr := uint64(ibtcBase) + uint64(i)*16
 			e.Mem.Write64(addr, 0)
 			e.Mem.Write64(addr+8, 0)
@@ -392,7 +374,6 @@ func (e *Engine) flushAll() {
 		}
 	}
 	e.exits = nil
-	e.sites = make(map[uint64]siteRef)
 	// A flush is only reached at a dispatch boundary, so no stale code (and
 	// no stale trap) can outlive it: the attribution tables reset with the
 	// allocator whose addresses they describe.
@@ -401,7 +382,7 @@ func (e *Engine) flushAll() {
 	e.cc.reset()
 	e.Mach.IMB()
 	if e.Opt.IBTC {
-		e.ibtcClear()
+		e.ibtcEvict(e.cc.base, e.cc.base+e.cc.size)
 	}
 	e.event(EvFlush, 0, 0, "")
 	e.stats.Flushes++
@@ -704,38 +685,46 @@ func (e *Engine) handleMisalign(m *machine.Machine, pc uint64, inst host.Inst, e
 			return btFaultBase
 		}
 	}
-	ref, known := e.sites[pc]
+	// The trapping word's record names its memory site, if it is one the
+	// translator registered with this handler.
+	b := e.blockSpanAt(pc)
+	var site *memSite
+	if b != nil {
+		if w := b.word(pc); w.site != noSite {
+			site = b.sites[w.site]
+		}
+	}
+	known := site != nil
 	// The mechanism decides the reaction; Fixup means it has no exception
 	// handler and the OS-style software fixup is the permanent cost.
 	act := policy.Fixup
 	if known {
-		e.dec.state(ref.site.guestPC).traps++
+		e.dec.state(site.guestPC).traps++
 		act = e.mech.OnMisalignTrap(policy.TrapCtx{
-			GuestPC:    ref.site.guestPC,
-			BlockPC:    ref.b.guestPC,
-			BlockTraps: ref.b.trapCount + 1,
+			GuestPC:    site.guestPC,
+			BlockPC:    b.guestPC,
+			BlockTraps: b.trapCount + 1,
 		})
 	}
-	if !known || act == policy.Fixup || ref.b.invalid {
+	if !known || act == policy.Fixup || b.invalid {
 		// OS-style fixup: emulate the access and continue. This is the
 		// every-time cost that Direct/Static/Dynamic mechanisms pay for
 		// sites they failed to convert, and the conservative path for
 		// stale code. Traps in stale (invalidated) code still teach the
 		// translator about the site, so the pending retranslation inlines
 		// it instead of rediscovering it one trap at a time.
-		if known && act != policy.Fixup && ref.b.invalid {
-			e.dec.state(ref.b.guestPC).retained.add(ref.site.instIdx)
+		if known && act != policy.Fixup && b.invalid {
+			e.dec.state(b.guestPC).retained.add(site.instIdx)
 		}
-		if !known && e.Opt.StaticAlign && ea&uint64(inst.Op.MemSize()-1) != 0 {
+		if !known && b != nil && e.Opt.StaticAlign && ea&uint64(inst.Op.MemSize()-1) != 0 {
 			// Proven-aligned emissions carry no site registration, so a
 			// misaligned access at one of their PCs lands here — flag the
 			// soundness violation. An aligned one is an injected trap.
-			e.noteAlignViolation(pc)
+			e.noteAlignViolation(b, pc)
 		}
 		m.EmulateAccess(inst, ea)
 		return pc + host.InstBytes
 	}
-	b, site := ref.b, ref.site
 	if e.events != nil {
 		e.event(EvTrap, site.guestPC, pc, fmt.Sprintf("ea=%#x", ea))
 	}
@@ -836,10 +825,7 @@ func (e *Engine) handleMisalign(m *machine.Machine, pc uint64, inst host.Inst, e
 		return pc + host.InstBytes
 	}
 	m.Patch(pc, host.MustEncode(host.Inst{Op: host.BR, Ra: host.Zero, Disp: d}))
-	if site.patched == nil {
-		site.patched = make(map[uint64]bool)
-	}
-	site.patched[pc] = true
+	b.word(pc).tags |= align.TagPatched
 	// The stub now carries live guest accesses: register its range so a
 	// protection trap inside it attributes back to the site's instruction.
 	e.stubRanges = append(e.stubRanges, stubRange{

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strings"
 
+	"mdabt/internal/align"
 	"mdabt/internal/guest"
 	"mdabt/internal/host"
 )
@@ -68,44 +69,20 @@ func (e *Engine) DumpBlock(pc uint32) (string, error) {
 		sb.WriteByte('\n')
 	}
 	sb.WriteString("host code:\n")
-	for hpc := b.hostEntry; hpc < b.hostEntry+b.hostSize; hpc += host.InstBytes {
-		w := e.Mem.Read32(hpc)
+	for i, rec := range b.words {
+		hpc := b.hostEntry + uint64(i)*host.InstBytes
 		marker := " "
-		if ref, ok := e.sites[hpc]; ok && ref.site.patched[hpc] {
+		switch {
+		case rec.tags&align.TagPatched != 0:
 			marker = "*" // patched by the exception handler
-		} else if b.alignedPCs[hpc] {
+		case rec.tags&align.TagProven != 0:
 			marker = "a" // proven aligned (static verdict or BT-internal data)
-		} else if b.guardedPCs[hpc] {
+		case rec.tags&align.TagGuarded != 0:
 			marker = "g" // plain op inside an alignment-guarded arm
 		}
-		fmt.Fprintf(&sb, " %s%#010x  %s\n", marker, hpc, host.DisasmWord(hpc, w))
+		fmt.Fprintf(&sb, " %s%#010x  %s\n", marker, hpc, host.DisasmWord(hpc, e.Mem.Read32(hpc)))
 	}
 	return sb.String(), nil
-}
-
-// DumpStats renders a human-readable statistics summary.
-func (e *Engine) DumpStats() string {
-	s := e.stats
-	c := e.Mach.Counters()
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "cycles=%d insts=%d traps=%d trap-cycles=%d\n",
-		c.Cycles, c.Insts, c.MisalignTraps, c.TrapCycles)
-	fmt.Fprintf(&sb, "translated=%d retrans=%d rearranged=%d multi-version=%d adaptive=%d/%d\n",
-		s.BlocksTranslated, s.Retranslations, s.Rearrangements, s.MultiVersion,
-		s.AdaptiveSites, s.AdaptiveReverts)
-	fmt.Fprintf(&sb, "patches=%d stubs=%d links=%d flushes=%d interp-insts=%d\n",
-		s.Patches, s.MDAStubs, s.Links, s.Flushes, s.InterpretedInsts)
-	if e.Opt.StaticAlign {
-		fmt.Fprintf(&sb, "static-align: analyzed=%d sites aligned=%d misaligned=%d unknown=%d violations=%d\n",
-			s.StaticAnalyzedInsts, s.StaticAlignedSites, s.StaticMisalignedSites,
-			s.StaticUnknownSites, s.StaticAlignViolations)
-	}
-	full := e.Stats() // includes the fault-plan total
-	fmt.Fprintf(&sb, "degraded: stub-full=%d unpatchable=%d interp-fallbacks=%d demotions=%d injected-faults=%d\n",
-		full.StubZoneFull, full.UnpatchableSites, full.InterpFallbacks,
-		full.TrapStormDemotions, full.InjectedFaults)
-	fmt.Fprintf(&sb, "code-cache=%dB blocks=%d\n", e.cc.used(), e.Blocks())
-	return sb.String()
 }
 
 // TranslatedPCs lists the guest PCs with live translations, sorted.

@@ -94,9 +94,9 @@ func TestEngineReRunAfterHalt(t *testing.T) {
 	}
 }
 
-// TestTrapInUnknownCodeFallsBackToFixup: a trap at a host PC outside the
-// side table (e.g. hand-written host code) uses the OS-style fixup even
-// under the patching mechanisms.
+// TestTrapInUnknownCodeFallsBackToFixup: a trap at a host PC outside every
+// translation unit (e.g. hand-written host code) uses the OS-style fixup
+// even under the patching mechanisms.
 func TestTrapInUnknownCodeFallsBackToFixup(t *testing.T) {
 	m := mem.New()
 	mach := machine.New(m, machine.DefaultParams())
@@ -104,7 +104,7 @@ func TestTrapInUnknownCodeFallsBackToFixup(t *testing.T) {
 	m.Write64(0x2000, 0x1122334455667788)
 	a := host.NewAsm(0x100000)
 	a.MovImm(host.R2, 0x2002)
-	a.Mem(host.LDL, host.R1, 0, host.R2) // misaligned: not in any side table
+	a.Mem(host.LDL, host.R1, 0, host.R2) // misaligned: in no unit
 	a.Brk(machine.HaltService)
 	words, err := a.Finish()
 	if err != nil {

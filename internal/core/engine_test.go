@@ -883,20 +883,6 @@ func TestMixed8ByteSiteMultiVersion(t *testing.T) {
 	}
 }
 
-func TestStatsDumpMentionsEverything(t *testing.T) {
-	opt := DefaultOptions(DPEH)
-	opt.HeatThreshold = 4
-	opt.Retranslate = true
-	e := engineFor(t, lateOnsetImg(t, 100, 400), opt)
-	mustRun(t, e)
-	out := e.DumpStats()
-	for _, frag := range []string{"cycles=", "traps=", "translated=", "patches=", "code-cache="} {
-		if !strings.Contains(out, frag) {
-			t.Errorf("DumpStats lacks %q:\n%s", frag, out)
-		}
-	}
-}
-
 // TestProfileDBRoundTrip: dbtrun -profile-out writes the trained profile
 // as the store's trap-profile JSON and -profile-in decodes it through
 // store.TrapProfile's decoder — the same one store loads use. A round trip

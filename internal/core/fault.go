@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sort"
 
 	"mdabt/internal/guest"
 	"mdabt/internal/host"
@@ -18,7 +19,8 @@ import (
 // of a faulting store committed — takes four steps:
 //
 //  1. attribute the faulting host PC to the guest instruction it
-//     implements (stub ranges, then block spans + per-block bounds);
+//     implements (stub ranges, then block spans + the unit's per-word
+//     table);
 //  2. recompute the *guest* access range from the live register file (the
 //     host access that trapped may be a covering quadword of an MDA
 //     sequence, which is wider than the guest access and can trap on a
@@ -41,7 +43,8 @@ import (
 // attribution. Spans are append-only across a cache generation — an
 // invalidated block keeps its span, because stale code can still execute
 // (and trap) until the next dispatch — and the bump allocator never reuses
-// addresses between flushes, so spans never overlap.
+// addresses between flushes, so spans never overlap and lie in ascending
+// host order.
 type blockSpan struct {
 	lo, hi uint64
 	b      *block
@@ -119,8 +122,8 @@ func isGuestAccess(in host.Inst) bool {
 
 // resolveFaultSite attributes a host PC inside translated code to the
 // guest instruction it implements: handler stubs first (their block may be
-// invalid, but its instruction tables are still intact), then block spans
-// with a binary search over the per-block bounds.
+// invalid, but its instruction tables are still intact), then the record
+// of the word in its unit's per-word table.
 func (e *Engine) resolveFaultSite(pc uint64) (*block, int, bool) {
 	for i := len(e.stubRanges) - 1; i >= 0; i-- {
 		if sr := &e.stubRanges[i]; pc >= sr.lo && pc < sr.hi {
@@ -131,29 +134,22 @@ func (e *Engine) resolveFaultSite(pc uint64) (*block, int, bool) {
 	if b == nil {
 		return nil, 0, false
 	}
-	lo, hi := 0, len(b.bounds)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if b.bounds[mid].hostPC <= pc {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == 0 {
+	w := b.word(pc)
+	if w.inst == noInst {
 		return nil, 0, false
 	}
-	return b, b.bounds[lo-1].idx, true
+	return b, int(w.inst), true
 }
 
 // blockSpanAt returns the unit whose host span holds pc — live or
 // invalidated, since stale code can still run until the next dispatch —
-// or nil. Spans never overlap, so at most one matches.
+// or nil. Spans ascend and never overlap, so a binary search finds the
+// only candidate.
 func (e *Engine) blockSpanAt(pc uint64) *block {
-	for i := len(e.blockSpans) - 1; i >= 0; i-- {
-		if sp := &e.blockSpans[i]; pc >= sp.lo && pc < sp.hi {
-			return sp.b
-		}
+	spans := e.blockSpans
+	i := sort.Search(len(spans), func(i int) bool { return spans[i].hi > pc })
+	if i < len(spans) && spans[i].lo <= pc {
+		return spans[i].b
 	}
 	return nil
 }

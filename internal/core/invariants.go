@@ -9,10 +9,10 @@ import (
 
 // CheckInvariants validates the engine's internal consistency: code cache
 // geometry, the block bindings in the per-PC table against the live
-// blocks, the side table mapping host PCs to memory sites, the exit table,
-// the IBTC mirror against its in-memory table, and the interpreter
-// blacklist. It returns nil when every invariant holds and
-// a descriptive error for the first violation found.
+// blocks, each live unit's per-word table, the exit table, the IBTC mirror
+// against its in-memory table, and the interpreter blacklist. It returns
+// nil when every invariant holds and a descriptive error for the first
+// violation found.
 //
 // The checker is the robustness harness's oracle: tests and `dbtrun
 // -selfcheck` run it after every structural mutation (translate, patch,
@@ -27,13 +27,18 @@ func (e *Engine) CheckInvariants() error {
 			cc.base, cc.blockNext, cc.stubNext, cc.base+cc.size)
 	}
 
-	// Fault-attribution span table: well formed, and the count of each
-	// live block's entries (spans are append-only per cache generation;
-	// invalidated blocks may linger, live ones may not repeat).
+	// Fault-attribution span table: well formed, in ascending host order
+	// without overlap (blockSpanAt binary-searches it), and the count of
+	// each live block's entries (spans are append-only per cache
+	// generation; invalidated blocks may linger, live ones may not repeat).
 	liveSpans := make(map[*block]int)
 	for i, sp := range e.blockSpans {
 		if sp.b == nil || sp.lo >= sp.hi {
 			return fmt.Errorf("core: invariant: blockSpans[%d] malformed [%#x,%#x)", i, sp.lo, sp.hi)
+		}
+		if i > 0 && sp.lo < e.blockSpans[i-1].hi {
+			return fmt.Errorf("core: invariant: blockSpans[%d] [%#x,%#x) is not above blockSpans[%d] [%#x,%#x)",
+				i, sp.lo, sp.hi, i-1, e.blockSpans[i-1].lo, e.blockSpans[i-1].hi)
 		}
 		if !sp.b.invalid {
 			liveSpans[sp.b]++
@@ -79,8 +84,7 @@ func (e *Engine) CheckInvariants() error {
 
 	// Live blocks, in host order: each is bound at its start-PC entry, its
 	// host span lies inside the block zone and agrees with its span entry,
-	// and live spans never overlap.
-	var prevHi uint64
+	// and its per-word table describes exactly that span.
 	for i, sp := range e.blockSpans {
 		b, pc := sp.b, sp.b.guestPC
 		if b.invalid {
@@ -97,56 +101,8 @@ func (e *Engine) CheckInvariants() error {
 			return fmt.Errorf("core: invariant: blockSpans[%d] [%#x,%#x) disagrees with block %#x span [%#x,%#x)",
 				i, sp.lo, sp.hi, pc, b.hostEntry, b.hostEntry+b.hostSize)
 		}
-		if sp.lo < prevHi {
-			return fmt.Errorf("core: invariant: block %#x overlaps an earlier block in the code cache", pc)
-		}
-		prevHi = sp.hi
-
-		// Fault-attribution bounds: recorded in emission order, so host PCs
-		// must be non-decreasing (an instruction that emits zero host words
-		// shares its successor's start; resolveFaultSite attributes the tie
-		// to the later entry), inside the block's span, and cover every
-		// instruction index at least once (multi-version bodies record one
-		// bound per copy). A gap here would make resolveFaultSite blame a
-		// trap on the wrong guest instruction.
-		covered := make([]bool, len(b.insts))
-		for i, bd := range b.bounds {
-			if bd.hostPC < b.hostEntry || bd.hostPC > b.hostEntry+b.hostSize {
-				return fmt.Errorf("core: invariant: block %#x bound %d host PC %#x outside its span", pc, i, bd.hostPC)
-			}
-			if i > 0 && bd.hostPC < b.bounds[i-1].hostPC {
-				return fmt.Errorf("core: invariant: block %#x bounds decreasing at %d (%#x after %#x)",
-					pc, i, bd.hostPC, b.bounds[i-1].hostPC)
-			}
-			if bd.idx < 0 || bd.idx >= len(b.insts) {
-				return fmt.Errorf("core: invariant: block %#x bound %d inst index %d out of range [0,%d)",
-					pc, i, bd.idx, len(b.insts))
-			}
-			covered[bd.idx] = true
-		}
-		for idx, ok := range covered {
-			if !ok {
-				return fmt.Errorf("core: invariant: block %#x guest inst %d (%#x) has no attribution bound",
-					pc, idx, b.insts[idx].pc)
-			}
-		}
-
-		// Per-block site records: every trap-prone host PC lies inside the
-		// block and is registered in the engine's side table.
-		for _, s := range b.sites {
-			for _, hpc := range s.hostPCs {
-				if hpc < b.hostEntry || hpc >= b.hostEntry+b.hostSize {
-					return fmt.Errorf("core: invariant: block %#x site @%#x has host PC %#x outside its block",
-						pc, s.guestPC, hpc)
-				}
-				ref, ok := e.sites[hpc]
-				if !ok {
-					return fmt.Errorf("core: invariant: block %#x site host PC %#x missing from side table", pc, hpc)
-				}
-				if ref.b != b || ref.site != s {
-					return fmt.Errorf("core: invariant: side table entry for %#x resolves to the wrong block/site", hpc)
-				}
-			}
+		if err := b.checkWords(); err != nil {
+			return fmt.Errorf("core: invariant: block %#x %w", pc, err)
 		}
 	}
 
@@ -166,16 +122,6 @@ func (e *Engine) CheckInvariants() error {
 	// guest-fault delivery funnels through it.
 	if err := e.faultPadIntact(); err != nil {
 		return fmt.Errorf("core: invariant: %w", err)
-	}
-
-	// Side table: every entry's block is either live (and then the lookup
-	// above verified it) or marked invalid — a live-looking entry for a
-	// vanished block means a missed cleanup.
-	for hpc, ref := range e.sites {
-		if !ref.b.invalid && e.dec.blockAt(ref.b.guestPC) != ref.b {
-			return fmt.Errorf("core: invariant: side table entry %#x references a non-live, non-invalid block %#x",
-				hpc, ref.b.guestPC)
-		}
 	}
 
 	// Exit and adaptive tables: translate registers a unit's exits and
@@ -264,6 +210,43 @@ func (e *Engine) CheckInvariants() error {
 		if fs := e.verifyBlock(sp.b); len(fs) > 0 {
 			return fmt.Errorf("core: invariant: block %#x fails translation lint (%d findings): %s",
 				sp.b.guestPC, len(fs), fs[0])
+		}
+	}
+	return nil
+}
+
+// checkWords validates the unit's per-word table: one record per host word
+// of its span, every instruction and site index in range, a trap site only
+// on a word of its own instruction's emission, and every memory site's
+// instruction named by at least one word. A wrong record would make the
+// exception handler patch the wrong site or fault delivery rewind to the
+// wrong guest instruction.
+func (b *block) checkWords() error {
+	if n := b.hostSize / host.InstBytes; uint64(len(b.words)) != n {
+		return fmt.Errorf("has %d word records for %d host words", len(b.words), n)
+	}
+	named := make([]bool, len(b.insts))
+	for i, w := range b.words {
+		hpc := b.hostEntry + uint64(i)*host.InstBytes
+		if w.inst < noInst || int(w.inst) >= len(b.insts) {
+			return fmt.Errorf("word %#x names instruction index %d out of range [0,%d)", hpc, w.inst, len(b.insts))
+		}
+		if w.site < noSite || int(w.site) >= len(b.sites) {
+			return fmt.Errorf("word %#x names site index %d out of range [0,%d)", hpc, w.site, len(b.sites))
+		}
+		if w.inst != noInst {
+			named[w.inst] = true
+		}
+		if w.site == noSite {
+			continue
+		}
+		if s := b.sites[w.site]; s.instIdx != int(w.inst) {
+			return fmt.Errorf("word %#x of instruction %d is the trap site of instruction %d", hpc, w.inst, s.instIdx)
+		}
+	}
+	for _, s := range b.sites {
+		if !named[s.instIdx] {
+			return fmt.Errorf("memory site @%#x (instruction %d) is named by no host word", s.guestPC, s.instIdx)
 		}
 	}
 	return nil

@@ -48,6 +48,24 @@ func anyBlock(e *Engine) *block {
 	return nil
 }
 
+// siteWord returns a live block and the index of one of its words that is
+// a registered trap site.
+func siteWord(t *testing.T, e *Engine) (*block, int) {
+	t.Helper()
+	for _, sp := range e.blockSpans {
+		if sp.b.invalid {
+			continue
+		}
+		for i, w := range sp.b.words {
+			if w.site != noSite && len(sp.b.insts) > 1 {
+				return sp.b, i
+			}
+		}
+	}
+	t.Fatal("no live block has a trap-site word")
+	return nil, 0
+}
+
 // TestCheckInvariantsCleanEngine: a healthy post-run engine passes.
 func TestCheckInvariantsCleanEngine(t *testing.T) {
 	e := invariantEngine(t)
@@ -85,14 +103,59 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 			want:    "outside allocated zone",
 		},
 		{
-			name: "side table entry dropped",
+			name: "word table shorter than the span",
 			corrupt: func(t *testing.T, e *Engine) {
-				for hpc := range e.sites {
-					delete(e.sites, hpc)
-					break
+				b := anyBlock(e)
+				b.words = b.words[:len(b.words)-1]
+			},
+			want: "word records for",
+		},
+		{
+			name: "word names an instruction out of range",
+			corrupt: func(t *testing.T, e *Engine) {
+				b := anyBlock(e)
+				b.words[0].inst = int16(len(b.insts))
+			},
+			want: "instruction index",
+		},
+		{
+			name: "word names a site out of range",
+			corrupt: func(t *testing.T, e *Engine) {
+				b, i := siteWord(t, e)
+				b.words[i].site = int16(len(b.sites))
+			},
+			want: "site index",
+		},
+		{
+			name: "trap site on another instruction's word",
+			corrupt: func(t *testing.T, e *Engine) {
+				b, i := siteWord(t, e)
+				b.words[i].inst = int16((int(b.words[i].inst) + 1) % len(b.insts))
+			},
+			want: "is the trap site of instruction",
+		},
+		{
+			name: "memory site named by no word",
+			corrupt: func(t *testing.T, e *Engine) {
+				b, i := siteWord(t, e)
+				idx := b.words[i].inst
+				for j := range b.words {
+					if b.words[j].inst == idx {
+						b.words[j].inst, b.words[j].site = noInst, noSite
+					}
 				}
 			},
-			want: "side table",
+			want: "is named by no host word",
+		},
+		{
+			name: "block spans out of order",
+			corrupt: func(t *testing.T, e *Engine) {
+				if len(e.blockSpans) < 2 {
+					t.Skip("fewer than two spans")
+				}
+				e.blockSpans[0], e.blockSpans[1] = e.blockSpans[1], e.blockSpans[0]
+			},
+			want: "is not above",
 		},
 		{
 			name: "exit id mismatch",

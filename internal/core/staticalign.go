@@ -29,12 +29,12 @@ func (e *Engine) buildAlignDB(entry uint32) {
 	}
 }
 
-// noteAlignViolation records a misaligned access trapping at a host PC the
-// translator emitted under a proven-aligned claim — a lattice soundness
-// bug. Execution still recovers through the software fixup; the counter
-// makes the bug visible to the soundness cosim test.
-func (e *Engine) noteAlignViolation(pc uint64) {
-	if b := e.blockSpanAt(pc); b != nil && b.alignedPCs[pc] {
+// noteAlignViolation records a misaligned access trapping at a host PC of
+// unit b that the translator emitted under a proven-aligned claim — a
+// lattice soundness bug. Execution still recovers through the software
+// fixup; the counter makes the bug visible to the soundness cosim test.
+func (e *Engine) noteAlignViolation(b *block, pc uint64) {
+	if b.word(pc).tags&align.TagProven != 0 {
 		e.stats.StaticAlignViolations++
 		e.event(EvDegrade, b.guestPC, pc, "static-align violation: proven-aligned site trapped")
 	}
@@ -66,41 +66,31 @@ func (e *Engine) checkBrkPayload(pc uint64, payload uint32) error {
 
 // verifyBlock lints one live translation: it reads the block's words back
 // out of simulated memory and hands them to align.Verify together with the
-// engine-side metadata (trap sites, alignment claims, patches) and the
-// link policies for out-of-block branches and BRKBT payloads.
+// tags of its per-word table (trap sites, alignment claims, patches,
+// attribution) and the link policies for out-of-block branches and BRKBT
+// payloads.
 func (e *Engine) verifyBlock(b *block) []align.Finding {
-	words := make([]uint32, b.hostSize/host.InstBytes)
-	for i := range words {
+	words := make([]uint32, len(b.words))
+	tags := make([]align.WordTag, len(b.words))
+	for i, w := range b.words {
 		words[i] = e.Mem.Read32(b.hostEntry + uint64(i)*host.InstBytes)
-	}
-	trap := make(map[uint64]bool)
-	patched := make(map[uint64]bool)
-	for _, s := range b.sites {
-		for _, hpc := range s.hostPCs {
-			trap[hpc] = true
+		tags[i] = w.tags
+		if w.site != noSite {
+			tags[i] |= align.TagTrapSite
 		}
-		for hpc := range s.patched {
-			patched[hpc] = true
+		if w.inst != noInst {
+			tags[i] |= align.TagAttributed
 		}
-	}
-	exits := make(map[uint64]*exit, len(b.exits))
-	for _, ex := range b.exits {
-		exits[ex.hostPC] = ex
-	}
-	bounds := make([]uint64, len(b.bounds))
-	for i, bd := range b.bounds {
-		bounds[i] = bd.hostPC
 	}
 	return align.Verify(align.HostBlock{
-		Entry:     b.hostEntry,
-		Words:     words,
-		TrapSites: trap,
-		Proven:    b.alignedPCs,
-		Guarded:   b.guardedPCs,
-		Patched:   patched,
-		Bounds:    bounds,
+		Entry: b.hostEntry,
+		Words: words,
+		Tags:  tags,
 		CheckBranch: func(pc, target uint64) error {
-			if ex, ok := exits[pc]; ok {
+			for _, ex := range b.exits {
+				if ex.hostPC != pc {
+					continue
+				}
 				// A chained exit must branch to its target's current entry.
 				if !ex.linked {
 					return fmt.Errorf("exit %d is unlinked but holds an out-of-block branch", ex.id)
@@ -114,7 +104,7 @@ func (e *Engine) verifyBlock(b *block) []align.Finding {
 				}
 				return nil
 			}
-			if patched[pc] {
+			if b.word(pc).tags&align.TagPatched != 0 {
 				// A patched trap site must branch into the MDA stub zone.
 				lo, hi := e.cc.stubNext, e.cc.base+e.cc.size
 				if target < lo || target >= hi {

@@ -155,6 +155,13 @@ type emitter struct {
 	a         *host.Asm
 	b         *block
 	sideExits []sideExit
+	// words is the unit's per-word table as it is emitted (one hostWord per
+	// host word from base, in Engine.wordBuf's storage); cur is the
+	// instruction whose emission is in progress, which every new record
+	// names.
+	base  uint64
+	words []hostWord
+	cur   int16
 	// mvActive/mvPolicy replace polMixed while emitting one copy of a
 	// block-granularity multi-version body (polPlain in the optimistic
 	// copy, polSeq in the pessimistic one).
@@ -172,40 +179,44 @@ func (em *emitter) label(prefix string) string {
 	return fmt.Sprintf("%s_%d", prefix, em.nlabel)
 }
 
-// siteFor returns the memSite for inst index idx (sub-access sub: string
-// copies have a load site 0 and a store site 1), creating it on first use.
-func (em *emitter) siteFor(idx, sub int, k memKind) *memSite {
-	for _, s := range em.b.sites {
+// siteFor returns the index in block.sites of the memSite for inst index
+// idx (sub-access sub: string copies have a load site 0 and a store site
+// 1), creating it on first use.
+func (em *emitter) siteFor(idx, sub int) int16 {
+	for i, s := range em.b.sites {
 		if s.instIdx == idx && s.sub == sub {
-			return s
+			return int16(i)
 		}
 	}
-	s := &memSite{
-		instIdx: idx, sub: sub, guestPC: em.b.insts[idx].pc,
-		size: k.size(), isStore: k.isStore(), kind: k,
+	em.b.sites = append(em.b.sites, &memSite{instIdx: idx, sub: sub, guestPC: em.b.insts[idx].pc})
+	return int16(len(em.b.sites) - 1)
+}
+
+// through extends the table through word index i with records naming the
+// current instruction.
+func (em *emitter) through(i int) {
+	for len(em.words) <= i {
+		em.words = append(em.words, hostWord{inst: em.cur, site: noSite})
 	}
-	em.b.sites = append(em.b.sites, s)
-	return s
+}
+
+// word returns the record of the host word at pc, extending the table
+// through it. pc may be the next word to emit, so a claim can be recorded
+// before its word.
+func (em *emitter) word(pc uint64) *hostWord {
+	i := int((pc - em.base) / host.InstBytes)
+	em.through(i)
+	return &em.words[i]
 }
 
 // markAligned records that the host memory op at pc was emitted under a
 // proven-aligned claim (static verdict or BT-internal data at a
 // constructed-aligned address).
-func (em *emitter) markAligned(pc uint64) {
-	if em.b.alignedPCs == nil {
-		em.b.alignedPCs = make(map[uint64]bool)
-	}
-	em.b.alignedPCs[pc] = true
-}
+func (em *emitter) markAligned(pc uint64) { em.word(pc).tags |= align.TagProven }
 
 // markGuarded records a plain memory op inside an alignment-guarded arm
 // (unreachable when the address misaligns).
-func (em *emitter) markGuarded(pc uint64) {
-	if em.b.guardedPCs == nil {
-		em.b.guardedPCs = make(map[uint64]bool)
-	}
-	em.b.guardedPCs[pc] = true
-}
+func (em *emitter) markGuarded(pc uint64) { em.word(pc).tags |= align.TagGuarded }
 
 // addressing resolves a guest memory operand to (hostBase, disp) with
 // disp+size-1 guaranteed to fit the 16-bit memory displacement, emitting
@@ -254,7 +265,7 @@ func (em *emitter) memAccessSub(idx, sub int, k memKind, data host.Reg, m guest.
 	base, disp := em.addressing(m, k.size())
 	// Static alignment layer, per access stream: a proven-aligned stream
 	// emits the plain operation with no trap-site registration (the
-	// verifier accounts for it through block.alignedPCs); a proven-
+	// verifier accounts for it through its word's proven tag); a proven-
 	// misaligned stream inlines the MDA sequence eagerly. Stream-level
 	// interception refines the instruction-level policy override in
 	// sitePolicies for string copies whose two streams classified
@@ -269,7 +280,7 @@ func (em *emitter) memAccessSub(idx, sub int, k memKind, data host.Reg, m guest.
 			return
 		}
 	}
-	site := em.siteFor(idx, sub, k)
+	site := em.siteFor(idx, sub)
 	pol := em.b.insts[idx].pol
 	if pol == polMixed && em.mvActive {
 		pol = em.mvPolicy
@@ -301,7 +312,7 @@ func (em *emitter) memAccessSub(idx, sub int, k memKind, data host.Reg, m guest.
 		emitMDA(a, k, data, base, disp)
 		a.Label(join)
 	default:
-		site.hostPCs = append(site.hostPCs, emitPlain(em.a, k, data, base, disp))
+		em.word(emitPlain(em.a, k, data, base, disp)).site = site
 	}
 }
 
@@ -688,12 +699,12 @@ func (em *emitter) inst(idx int) error {
 	return nil
 }
 
-// emitRange emits the instructions in [from, to), recording each
-// instruction's host start address (block.bounds) for fault attribution.
+// emitRange emits the instructions in [from, to). The words emitted so far
+// keep the instruction they were emitted under; later ones name idx.
 func (em *emitter) emitRange(from, to int) error {
-	b := em.b
 	for idx := from; idx < to; idx++ {
-		b.bounds = append(b.bounds, instBound{hostPC: em.a.PC(), idx: idx})
+		em.through(em.a.Len() - 1)
+		em.cur = int16(idx)
 		if err := em.inst(idx); err != nil {
 			return err
 		}
@@ -881,8 +892,11 @@ func (e *Engine) translate(pc uint32, perInst uint64) (*block, error) {
 	// next.
 	base := e.cc.blockNext
 	a := host.NewAsm(base)
-	em := &emitter{e: e, a: a, b: b}
-	if err := em.body(); err != nil {
+	em := &emitter{e: e, a: a, b: b, base: base, words: e.wordBuf[:0], cur: noInst}
+	err = em.body()
+	em.through(a.Len() - 1)
+	e.wordBuf = em.words
+	if err != nil {
 		return fail(err)
 	}
 	words, err := a.Finish()
@@ -900,6 +914,7 @@ func (e *Engine) translate(pc uint32, perInst uint64) (*block, error) {
 	// Commit point: the unit is in the cache, so register it.
 	b.hostEntry = addr
 	b.hostSize = size
+	b.words = slices.Clone(em.words)
 	e.Mach.WriteCode(addr, words)
 	e.exits = append(e.exits, b.exits...)
 	e.adaptives = append(e.adaptives, em.adaptives...)
@@ -915,11 +930,6 @@ func (e *Engine) translate(pc uint32, perInst uint64) (*block, error) {
 			default:
 				e.stats.StaticUnknownSites++
 			}
-		}
-	}
-	for _, s := range b.sites {
-		for _, hpc := range s.hostPCs {
-			e.sites[hpc] = siteRef{b: b, site: s}
 		}
 	}
 	st.blk = b

@@ -578,6 +578,6 @@ func TracesStudy(s *Session) (*Result, error) {
 	})
 	r.Notes = append(r.Notes,
 		"traced% is the share of host instructions retired by the trace executor, the machine's only dispatch loop",
-		"wall-clock cost of the executor: the dispatch-loop rows of BENCH_4.json (`make bench-json`)")
+		"wall-clock cost of the executor: machine.traced_ns_per_guest_inst in BENCH_5.json (`make bench-json`)")
 	return r, err
 }

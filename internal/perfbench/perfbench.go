@@ -3,18 +3,16 @@
 // translated-code dispatch loop, and an end-to-end DBT run reported in guest
 // MIPS. The same per-op closures back both the standard `go test -bench`
 // entry points (perfbench_test.go) and Collect, which runs the whole suite
-// programmatically and emits a JSON summary (`make bench-json` writes
-// BENCH_4.json at the repo root) so the engine's performance trajectory is
-// tracked over time.
+// programmatically for the repository benchmark's per-layer rows
+// (dbtbench). The checked-in BENCH_2–4.json files are earlier summaries of
+// this suite.
 //
 // The suite is a measurement harness, not a correctness harness: the
 // chaos/co-simulation tests prove the fast paths change cost, never results.
 package perfbench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"testing"
 	"time"
@@ -35,8 +33,8 @@ type Bench struct {
 	Make       func() (op func(), err error)
 }
 
-// Result is one benchmark's measurement, JSON-shaped for the BENCH_N.json
-// summaries.
+// Result is one benchmark's measurement (JSON-shaped as in the
+// BENCH_2–4.json summaries).
 type Result struct {
 	Name        string  `json:"name"`
 	NsPerOp     float64 `json:"ns_per_op"`
@@ -57,19 +55,6 @@ type Summary struct {
 	When      string   `json:"when"`
 	Note      string   `json:"note,omitempty"`
 	Results   []Result `json:"results"`
-	// WallClocks records before/after end-to-end timings for optimisation
-	// rounds (filled in by hand when a baseline is checked in; Collect
-	// leaves it empty).
-	WallClocks []WallClock `json:"wall_clocks,omitempty"`
-}
-
-// WallClock is one recorded end-to-end timing comparison.
-type WallClock struct {
-	Name      string  `json:"name"`
-	BeforeSec float64 `json:"before_sec"`
-	AfterSec  float64 `json:"after_sec"`
-	Speedup   float64 `json:"speedup"`
-	Note      string  `json:"note,omitempty"`
 }
 
 // Suite returns the layer-by-layer benchmarks, bottom of the stack first.
@@ -120,15 +105,6 @@ func Collect(note string) (*Summary, error) {
 		s.Results = append(s.Results, res)
 	}
 	return s, nil
-}
-
-// WriteFile writes the summary as indented JSON to path.
-func (s *Summary) WriteFile(path string) error {
-	data, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // ---------------------------------------------------------------------------
