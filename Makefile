@@ -76,12 +76,16 @@ serve-chaos:
 # (TestFormationCoversForwardRegion), and a trace is dropped only by a
 # write into its code, so with no flush the tier invalidates no more traces
 # than the engine patches and links (TestTraceInvalidationsFollowCodeWrites).
+# Stretch accounting (one budget check, I-line fetch and static charge per
+# straight-line stretch) matches the reference at every budget, with a
+# trap at every access, for stretch entries of every kind and under two
+# cost models switched with traces live (TestTraceStretchParity).
 fault-chaos:
 	$(GO) test -race -run 'TestFaultCosimAllMechanisms|TestChaosGuestFaults|TestSelfModifyingInvalidates|TestMultiContextReset|TestTranslateCommitAfterAllocFault|TestAdaptiveCountersRewoundOnFailedCommit|TestStaticAlignViolationsIgnoreInjectedTraps|TestCensusGolden|TestCensusSharedLibSMC|TestTraceInvalidationsFollowCodeWrites' -v ./internal/core
 	$(GO) test -race -run 'TestExecAccessRecord' -v ./internal/guest
 	$(GO) test -race -run 'TestServeGuestFaults' ./internal/serve
 	$(GO) test -race -run 'TestTrapTableReferenceModel' -v ./internal/mem
-	$(GO) test -race -run 'TestTrapMidRun|TestTraceParityRandomPrograms|TestTraceMegaStepFaults|TestTraceFaultPlanParity|TestFormationCoversForwardRegion' -v ./internal/machine
+	$(GO) test -race -run 'TestTrapMidRun|TestTraceParityRandomPrograms|TestTraceMegaStepFaults|TestTraceFaultPlanParity|TestFormationCoversForwardRegion|TestTraceStretchParity' -v ./internal/machine
 
 # Persistent-store crash/corruption suite under the race detector: the
 # full internal/store suite (atomic-write protocol, SIGKILL-mid-write

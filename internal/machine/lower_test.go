@@ -19,9 +19,6 @@ import (
 // Aligns/IsStore predicates — that decodes every instruction afresh and
 // probes its own cache.Hierarchy on every line crossing and every access.
 
-// ilineInsts is the number of instructions in one 64-byte I-line.
-const ilineInsts = (1 << ilineShift) / host.InstBytes
-
 // refMachine is a single-stepping reference for the machine's semantics
 // and cost model. Misaligned accesses take the default fixup (no handler)
 // or call onMisalign, and accesses the trap-bit table flags take the
@@ -924,13 +921,17 @@ func TestRelowerAfterCodeChange(t *testing.T) {
 }
 
 // TestTraceStepSize pins the trace step: it embeds the 16-byte slot and
-// adds only threading, chain-link and mega-step operands, so it must not
-// regrow unnoticed (a step with operand pointers took 192 bytes).
+// adds only threading, chain-link, mega-step operands and stretch totals,
+// so it must not regrow unnoticed (a step with operand pointers took 192
+// bytes).
 func TestTraceStepSize(t *testing.T) {
 	if n := unsafe.Sizeof(slot{}); n != 16 {
 		t.Fatalf("slot is %d bytes, want 16", n)
 	}
-	if n := unsafe.Sizeof(traceStep{}); n > 104 {
-		t.Fatalf("traceStep is %d bytes, want at most 104", n)
+	if n := unsafe.Sizeof(stretch{}); n != 7 {
+		t.Fatalf("stretch is %d bytes, want 7", n)
+	}
+	if n := unsafe.Sizeof(traceStep{}); n != 96 {
+		t.Fatalf("traceStep is %d bytes, want 96", n)
 	}
 }

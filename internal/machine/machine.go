@@ -169,14 +169,18 @@ type Machine struct {
 	traceVer  uint64 // bumped on build/flush; versions negative link caches
 	steps     stepPool
 	tstats    TraceStats
-	// scratch holds the unfused copy of a mega-step whose constituents
-	// must retire one at a time because the budget ends inside it.
-	scratch [megaMaxLen + 1]traceStep
+	// scratch holds the unfused copy of a stretch whose instructions must
+	// retire one at a time because the budget ends inside it. A stretch's
+	// steps start on one I-line, and the last may be a mega-step.
+	scratch [ilineInsts + megaMaxLen]traceStep
 }
 
 // ilineShift sizes the I-line: a fetch from a line other than the last
 // one fetched charges the I-cache.
 const ilineShift = 6
+
+// ilineInsts is the number of instructions in one I-line.
+const ilineInsts = (1 << ilineShift) / host.InstBytes
 
 // sinkReg is the register-file index that stands in for R31 as a
 // destination; nothing reads it.
@@ -262,7 +266,7 @@ var opSlot = [256]slotKind{
 
 // transfers reports whether a slot of kind k may leave straight-line
 // execution; an unconditional one can end a trace.
-func (k slotKind) transfers() bool { return k == slotPAL || k >= slotBr }
+func (k slotKind) transfers() bool { return k == slotPAL || k >= slotBr && k <= slotJmp }
 
 // lower builds the slot for inst located at pc.
 func lower(pc uint64, inst host.Inst) slot {

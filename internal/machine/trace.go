@@ -17,10 +17,12 @@ package machine
 // ends after the first unconditional transfer (BR/BSR, JMP/JSR/RET,
 // BRKBT) that lies at or past the farthest forward target of the
 // conditional branches already in it, so a unit's taken arms, two-version
-// copies and inline loops stay in the one trace its entry starts. It also
-// ends before a live trace's step, before an undecodable word, or at
-// maxTraceSteps. Formation needs no hint from the BT runtime about where a
-// unit ends, and each word is decoded and lowered once.
+// copies and inline loops stay in the one trace its entry starts. A BR to
+// code that returns to the next word (an EH-patched memory op's MDA stub)
+// does not end it. It also ends before a live trace's step, before an
+// undecodable word, or at maxTraceSteps. Formation needs no hint from the
+// BT runtime about where a unit ends, and each word is decoded and
+// lowered once.
 //
 // Formation fuses the two MDA code sequences the translator emits (paper
 // Fig. 2: the ldq_u/ext/ins/msk expansions of a misaligned load or store)
@@ -29,8 +31,8 @@ package machine
 //
 // Every cycle, counter, cache access, trap and fault-injection draw an
 // instruction-at-a-time machine would make is made here, in the same
-// order; the single-stepping reference in lower_test.go is the judge. Two
-// accounting transformations are applied, both provably neutral:
+// order; the single-stepping reference in lower_test.go is the judge.
+// Three accounting transformations are applied, all provably neutral:
 //
 //   - Cycles are tracked as a delta above the 1-cycle/instruction
 //     baseline ("extra"), materialized as insts-delta + extra on exit.
@@ -46,6 +48,23 @@ package machine
 //     hit/miss — and therefore every simulated cycle — is unchanged.
 //     Only the cache-internal access counter diverges, and nothing
 //     outside internal/cache consumes it.
+//   - Accounting is made once per straight-line stretch: a run of steps
+//     that starts on one I-line and ends at a control transfer (a branch,
+//     JMP, BRKBT or the synthetic exit) or before a step on another line.
+//     Build gives each step the totals from it to its stretch's end:
+//     instructions, loads, stores, multiplies, and the dual-issue credit
+//     and exit slot state for each entry slot state. Whichever step the
+//     executor enters, it checks the budget, fetches the I-line and
+//     charges those totals there (with the Params of the run), and the
+//     stretch's steps do only their operations. This is neutral because
+//     every charge it moves is static: the I-line is the same for every
+//     step of a stretch (a mega-step fetches the lines it crosses itself,
+//     as before); the slot state a step sees follows from the entry state
+//     and the kinds before it, because a memory op leaves the slot open
+//     whether it traps or not; and nothing between the head and a step
+//     reads the moved counters or cycles. A trap mid-stretch takes back
+//     what did not retire (takeBack); a budget that ends inside a
+//     stretch retires it one instruction at a time (unfuse).
 //
 // Which traces exist is simulation-invisible: the machine tests pin runs
 // over any tiling of the code into traces to the single-stepping reference.
@@ -102,7 +121,9 @@ type megaAux struct {
 
 // traceStep is one host instruction of a trace (or one fused mega-step):
 // the slot lower builds, threaded. The fields execTrace touches on every
-// step come first.
+// step come first. A step that leaves the trace (a branch whose target
+// no step of the trace holds, or the synthetic exit) leaves for the host
+// PC in its imm.
 type traceStep struct {
 	slot
 	next   *traceStep // fallthrough successor (the synthetic exit at the end)
@@ -111,7 +132,7 @@ type traceStep struct {
 	lineID uint64
 	n      uint8 // host instructions retired: 1, a mega-step's constituents, 0 for the synthetic exit
 	mega   megaAux
-	exitPC uint64 // side-exit / fallthrough target host PC
+	rest   stretch // the static charges from this step to the end of its stretch
 
 	// Memoized side-exit resolution: link points at the target step of a
 	// live trace (linkTr), nil when unresolved. linkVer caches the trace-
@@ -120,6 +141,82 @@ type traceStep struct {
 	link    *traceStep
 	linkTr  *trace
 	linkVer uint64
+}
+
+// stretch holds the static charges of a run of steps through the end of
+// their straight-line stretch (see the header comment): what the
+// executor charges once, when it enters the run at its first step. The
+// dual-issue credit and the slot state the run leaves depend on the slot
+// state it is entered with, so slots has one entry per entry state, and
+// both cost models' exits, so that no Params value is baked in.
+type stretch struct {
+	insts, loads, stores, muls uint8
+	slots                      [2]uint8 // credit<<2 | exit slot without dual issue<<1 | exit slot with it
+	last                       bool     // the stretch ends after this step
+}
+
+// Fields of stretch.slots.
+const (
+	exitDual  = 1 << 0
+	exitPlain = 1 << 1
+	creditLSB = 2
+)
+
+// charges returns st's own static charges, as a stretch of one step. An
+// operate-class instruction pairs with an open issue slot (a credit of one
+// cycle) and toggles it under dual issue; a memory op leaves the slot
+// open; a multiply, a taken-or-not branch, a jump and BRKBT close it; a
+// foldable BR pairs like an operate op under dual issue and closes the
+// slot otherwise. A mega-step's constituents apply the same rules in
+// order.
+func (st *traceStep) charges() stretch {
+	c := stretch{insts: st.n, last: true}
+	for e := range uint8(2) { // the entry slot state
+		credit, dual, plain := uint8(0), e, e
+		switch k := st.kind; {
+		case k == slotEmpty:
+		case k == slotLd || k == slotLdl || k == slotLdu:
+			c.loads, dual, plain = 1, 1, 1
+		case k == slotSt || k == slotStu:
+			c.stores, dual, plain = 1, 1, 1
+		case k == slotMul:
+			c.muls, dual, plain = 1, 0, 0
+		case k == slotLda || k >= slotOpr && k < slotMul:
+			credit, dual = e, e^1
+		case k == slotBr:
+			credit, dual, plain = e, e^1, 0
+		case k == stepMisLd: // ldq_u ×2, then n-2 operate ops from an open slot
+			c.loads, credit, dual, plain = 2, (st.n-1)>>1, (st.n-1)&1, 1
+		case k == stepMisSt: // lda, ldq_u ×2, three operate pairs, stq_u ×2
+			c.loads, c.stores, credit, dual, plain = 2, 2, e+3, 1, 1
+		default: // every other transfer
+			dual, plain = 0, 0
+		}
+		c.slots[e] = credit<<creditLSB | plain<<1 | dual
+	}
+	return c
+}
+
+// then returns the charges of c followed by d: each of c's exit slot
+// states enters d.
+func (c stretch) then(d stretch) stretch {
+	r := stretch{insts: c.insts + d.insts, loads: c.loads + d.loads, stores: c.stores + d.stores, muls: c.muls + d.muls}
+	for e, s := range c.slots {
+		dual, plain := d.slots[s&exitDual], d.slots[s>>1&1]
+		r.slots[e] = (s>>creditLSB+dual>>creditLSB)<<creditLSB | plain&exitPlain | dual&exitDual
+	}
+	return r
+}
+
+// sums returns st's stretch totals, given its successor's: a stretch ends
+// at a control transfer, at the synthetic exit, and before a step that
+// starts on another I-line than st does.
+func (st *traceStep) sums() stretch {
+	c := st.charges()
+	if st.kind.transfers() || st.kind == slotEmpty || st.next.lineID != st.lineID {
+		return c
+	}
+	return c.then(st.next.rest)
 }
 
 // branches reports whether a slot of kind k is a PC-relative branch,
@@ -354,7 +451,7 @@ func (m *Machine) formTrace(pc uint64) (*traceStep, error) {
 		low = append(low, s)
 		if s.kind.conditional() {
 			reach = max(reach, s.imm)
-		} else if s.kind.transfers() && end >= reach {
+		} else if s.kind.transfers() && end >= reach && !m.returnsAfter(s, end) {
 			break
 		}
 		end += host.InstBytes
@@ -376,6 +473,29 @@ func (m *Machine) formTrace(pc uint64) (*traceStep, error) {
 		err = errors.New("code runs off the end of the address space")
 	}
 	return nil, fmt.Errorf("machine: fetch at %#x: %w", pc, err)
+}
+
+// returnsAfter reports whether s, the word at pc, is a foldable BR to
+// code whose first control transfer, within an MDA stub's length, is a
+// foldable BR back to pc's next word: the shape of a memory op the
+// exception handler patched into a branch to its MDA stub (paper Fig. 5).
+// Formation runs through it, so the patched unit stays one trace: the BR
+// is a side exit into the stub's trace, and the stub's return enters this
+// one mid-body.
+func (m *Machine) returnsAfter(s slot, pc uint64) bool {
+	if s.kind != slotBr {
+		return false
+	}
+	for at := s.imm; at < s.imm+(megaMaxLen+1)*host.InstBytes; at += host.InstBytes {
+		inst, err := host.Decode(m.Mem.Read32(at))
+		if err != nil {
+			return false
+		}
+		if r := lower(at, inst); r.kind.transfers() {
+			return r.kind == slotBr && r.imm == pc+host.InstBytes
+		}
+	}
+	return false
 }
 
 // build threads low, the lowered words of the code from start, into a
@@ -411,9 +531,6 @@ func (m *Machine) build(start uint64, low []slot) *trace {
 				st.slot, st.mega, st.n = ms, mx, uint8(f)
 			}
 		}
-		if st.kind.branches() && !inTrace(st.imm) {
-			st.exitPC = st.imm
-		}
 		i += int(st.n)
 	}
 	// Fusion leaves unused steps past the new end, outside the trace's
@@ -423,19 +540,21 @@ func (m *Machine) build(start uint64, low []slot) *trace {
 	// not transfer control (a trace cut before a live trace, an
 	// undecodable word or maxTraceSteps). It retires nothing and sits on
 	// the last instruction's line, so reaching it charges no fetch.
-	steps[w] = traceStep{pc: end, lineID: (end - host.InstBytes) >> ilineShift, exitPC: end}
+	steps[w] = traceStep{slot: slot{imm: end}, pc: end, lineID: (end - host.InstBytes) >> ilineShift}
+	steps[w].rest = steps[w].charges()
 
 	m.traceSeq++
 	t := &trace{id: m.traceSeq, start: start, end: end, steps: steps}
 	for i := 0; i < w; i++ {
 		m.traces[steps[i].pc] = traceEntry{tr: t, idx: int32(i)}
 	}
-	for i := 0; i < w; i++ {
+	for i := w - 1; i >= 0; i-- {
 		st := &steps[i]
 		st.next = &steps[i+1]
 		if st.kind.branches() && inTrace(st.imm) {
 			st.taken = &steps[m.traces[st.imm].idx]
 		}
+		st.rest = st.sums()
 	}
 	m.traceList[t.id] = t
 	m.traceLo = min(m.traceLo, start)
@@ -445,33 +564,59 @@ func (m *Machine) build(start uint64, low []slot) *trace {
 	return t
 }
 
-// unfuse lowers the words of mega-step st into the machine's scratch
-// trace, one step each, and returns its first step: the budget ends inside
-// the sequence, so its constituents retire one at a time. The scratch
-// trace's exit hands control back to Run without chaining. If st's first
-// word no longer decodes (code changed behind the tier's back), the stale
-// trace is dropped and the exit is at st.pc.
+// unfuse copies the stretch run from st into the machine's scratch
+// trace, one step per host instruction, and returns its first step: the
+// budget ends inside the run, so its instructions retire one at a time,
+// each a stretch of its own. A plain step is copied; a mega-step's words
+// are lowered afresh. The scratch trace's exit hands control back to Run
+// without chaining. If a mega-step's word no longer decodes (code changed
+// behind the tier's back), the copy ends before it, and when that is st's
+// first word the stale trace is dropped and the exit is at st.pc.
 func (m *Machine) unfuse(st *traceStep) *traceStep {
 	s := &m.scratch
 	k := 0
-	for ; k < int(st.n); k++ {
-		pc := st.pc + uint64(k)*host.InstBytes
-		inst, err := host.Decode(m.Mem.Read32(pc))
-		if err != nil {
+	for src := st; src.kind != slotEmpty; src = src.next {
+		if src.n == 1 {
+			s[k] = traceStep{slot: src.slot, pc: src.pc, lineID: src.lineID, n: 1}
+			k++
+		} else {
+			for j := range uint64(src.n) {
+				pc := src.pc + j*host.InstBytes
+				inst, err := host.Decode(m.Mem.Read32(pc))
+				if err != nil {
+					if k == 0 {
+						m.dropTrace(m.traces[st.pc].tr) // st is not read again
+					}
+					return m.scratchExit(k, pc)
+				}
+				s[k] = traceStep{slot: lower(pc, inst), pc: pc, lineID: pc >> ilineShift, n: 1}
+				k++
+			}
+		}
+		if src.rest.last {
 			break
 		}
-		s[k] = traceStep{slot: lower(pc, inst), next: &s[k+1], pc: pc, lineID: pc >> ilineShift, n: 1, linkVer: m.traceVer}
-		if s[k].kind.branches() {
-			s[k].exitPC = s[k].imm
-		}
 	}
-	pc, lineID := st.pc+uint64(k)*host.InstBytes, st.lineID
-	if k == 0 {
-		m.dropTrace(m.traces[st.pc].tr) // st is not read again
-	} else {
+	return m.scratchExit(k, s[k-1].pc+host.InstBytes)
+}
+
+// scratchExit threads the first k steps of the scratch trace, ends it
+// with an exit to pc, and returns its first step. Each step is a stretch
+// of its own, and its link cache holds the current trace-table version,
+// so its exits never memoize a link to it.
+func (m *Machine) scratchExit(k int, pc uint64) *traceStep {
+	s := &m.scratch
+	lineID := (pc - host.InstBytes) >> ilineShift
+	if k > 0 {
 		lineID = s[k-1].lineID
 	}
-	s[k] = traceStep{pc: pc, lineID: lineID, exitPC: pc, linkVer: m.traceVer}
+	s[k] = traceStep{slot: slot{imm: pc}, pc: pc, lineID: lineID}
+	for i := range s[:k+1] {
+		s[i].rest, s[i].linkVer = s[i].charges(), m.traceVer
+		if i < k {
+			s[i].next = &s[i+1]
+		}
+	}
 	return &s[0]
 }
 
@@ -587,22 +732,25 @@ func pageWrite(pg *[mem.PageSize]byte, acc, v uint64, size uint8) {
 // exhausted budget); a false return means machine state is synced (a trap
 // was delivered, or control left the trace tier) and Run should re-probe
 // at m.pc.
+//
+// Every step it enters other than by falling through inside a stretch —
+// the first, a branch or jump target, a chain link, the step after a
+// stretch ends — heads a stretch: the budget check, the I-line fetch and
+// the stretch's static charges (st.rest) are made there, once. The steps
+// of the stretch then do only their operations, their memory accesses
+// and their L1D probes.
 func (m *Machine) execTrace(st *traceStep, used *uint64, maxInsts uint64) (StopReason, uint32, bool) {
 	p := &m.Params
-	dual := p.DualIssueALU
-	ldExtra := p.LoadExtraCycles
 	regs := &m.regs
 	caches := m.caches
-	insts := m.counters.Insts
-	loads, stores := m.counters.Loads, m.counters.Stores
-	slotOpen := uint64(0) // dual-issue slot state as 0/1 for branchless toggling
+	c := tally{insts: m.counters.Insts, loads: m.counters.Loads, stores: m.counters.Stores}
+	slotOpen := uint64(0) // dual-issue slot state as 0/1, to index stretch.slots
 	if m.slotOpen {
 		slotOpen = 1
 	}
-	entryInsts := insts
+	entryInsts := c.insts
 	n0 := *used
-	limit := insts + (maxInsts - n0) // budget expressed on the insts counter
-	var extra uint64                 // cycles above the 1/inst baseline; wraps on dual-issue credit
+	limit := c.insts + (maxInsts - n0) // budget expressed on the insts counter
 	curLineID := m.curLineID
 	// Same-L1D-line probe memo (see the header comment for why skipping
 	// repeat probes is simulation-invisible).
@@ -615,37 +763,50 @@ func (m *Machine) execTrace(st *traceStep, used *uint64, maxInsts uint64) (StopR
 	var ea, acc, v uint64 // effective and accessed address, loaded or stored value
 	var taken bool
 	var fault uint8 // the trap a memory access takes (trapMisalign, trapAccess)
-	// A mega-step constituent that faults: its index and its slot.
+	// The constituent of a mega-step that faults (0 for a plain step), and
+	// a mega-step constituent's slot.
 	var trapK uint64
 	var trap slot
 
 	// Every exit path (including trap dispatch) writes the hoisted state
-	// back through traceExit — a plain call with value arguments, not a
-	// closure, so the per-step hot locals stay in registers instead of
-	// being spilled to closure-captured stack slots.
+	// back through traceExit — a plain call, not a closure, so the other
+	// hot locals stay in registers instead of being spilled to
+	// closure-captured stack slots.
 	for {
-		if insts+uint64(st.n) > limit {
-			// A mega-step retires atomically, but the budget is defined on
-			// single instructions: when the remainder cannot fit it, its
-			// constituents retire one at a time from an unfused copy. For
-			// any other step this is insts >= limit: the budget is spent.
-			if insts < limit {
+		// st heads a stretch.
+		r := &st.rest
+		if c.insts+uint64(r.insts) > limit {
+			// The budget is defined on single instructions: when the
+			// remainder cannot fit the stretch, its instructions retire
+			// one at a time from a copy. Otherwise the budget is spent.
+			if c.insts < limit {
 				st = m.unfuse(st)
 				continue
 			}
-			m.traceExit(st.pc, insts, extra, loads, stores, entryInsts, n0, curLineID, slotOpen != 0, used)
+			m.traceExit(st.pc, &c, entryInsts, n0, curLineID, slotOpen != 0, used)
 			return StopLimit, 0, true
 		}
 		if st.lineID != curLineID {
 			curLineID = st.lineID
 			if caches != nil {
-				extra += uint64(caches.Fetch(st.pc))
+				c.extra += uint64(caches.Fetch(st.pc))
 			}
 		}
-		insts += uint64(st.n)
+		c.insts += uint64(r.insts)
+		c.loads += uint64(r.loads)
+		c.stores += uint64(r.stores)
+		c.extra += p.LoadExtraCycles*uint64(r.loads) + p.MulExtraCycles*uint64(r.muls)
+		if s := r.slots[slotOpen&1]; p.DualIssueALU {
+			c.extra -= uint64(s >> creditLSB)
+			slotOpen = uint64(s & exitDual)
+		} else {
+			slotOpen = uint64(s>>1) & 1
+		}
 
-		// Memory kinds jump to the shared load or store path, operate kinds
-		// to the dual-issue tail, branches to the taken/follow tail.
+	step:
+		// Memory kinds jump to the shared load or store path, other
+		// straight-line kinds to advance, branches to the taken/follow
+		// tail.
 		switch st.kind {
 		case slotEmpty:
 			// The synthetic exit: chain into the successor trace or hand
@@ -654,8 +815,8 @@ func (m *Machine) execTrace(st *traceStep, used *uint64, maxInsts uint64) (StopR
 
 		case slotPAL:
 			m.counters.Brks++
-			extra += p.BrkCycles
-			m.traceExit(st.pc+host.InstBytes, insts, extra, loads, stores, entryInsts, n0, curLineID, false, used)
+			c.extra += p.BrkCycles
+			m.traceExit(st.pc+host.InstBytes, &c, entryInsts, n0, curLineID, false, used)
 			if st.imm == HaltService {
 				return StopHalt, uint32(st.imm), true
 			}
@@ -663,7 +824,7 @@ func (m *Machine) execTrace(st *traceStep, used *uint64, maxInsts uint64) (StopR
 
 		case slotLda:
 			regs[st.a] = regs[st.b] + st.imm
-			goto alu
+			goto advance
 
 		case slotLd, slotLdl:
 			ea = regs[st.b] + st.imm
@@ -690,56 +851,42 @@ func (m *Machine) execTrace(st *traceStep, used *uint64, maxInsts uint64) (StopR
 			acc = ea &^ uint64(st.size-1)
 			goto store
 
-		case slotOpr:
+		case slotOpr, slotMul:
 			regs[st.c] = host.EvalOp(st.op, regs[st.a], regs[st.b]+st.imm)
-			goto alu
+			goto advance
 		case slotAddl:
 			regs[st.c] = uint64(int64(int32(regs[st.a] + regs[st.b] + st.imm)))
-			goto alu
+			goto advance
 		case slotAddq:
 			regs[st.c] = regs[st.a] + regs[st.b] + st.imm
-			goto alu
+			goto advance
 		case slotBis:
 			regs[st.c] = regs[st.a] | (regs[st.b] + st.imm)
-			goto alu
+			goto advance
 		case slotXor:
 			regs[st.c] = regs[st.a] ^ (regs[st.b] + st.imm)
-			goto alu
+			goto advance
 		case slotCmplt:
 			v = 0
 			if int64(regs[st.a]) < int64(regs[st.b]+st.imm) {
 				v = 1
 			}
 			regs[st.c] = v
-			goto alu
+			goto advance
 		case slotExtql:
 			regs[st.c] = host.ExtLow(regs[st.a], regs[st.b]+st.imm, 8)
-			goto alu
+			goto advance
 		case slotExtqh:
 			regs[st.c] = host.ExtHigh(regs[st.a], regs[st.b]+st.imm, 8)
-			goto alu
-
-		case slotMul:
-			regs[st.c] = host.EvalOp(st.op, regs[st.a], regs[st.b]+st.imm)
-			extra += p.MulExtraCycles
-			slotOpen = 0
-			st = st.next
-			continue
+			goto advance
 
 		case slotBr:
 			// A BR with no link register is a pure fetch redirect; the EV6
 			// front end folds it (it can also dual-issue).
-			if dual {
-				extra -= slotOpen
-				slotOpen ^= 1
-			} else {
-				slotOpen = 0
-			}
 			goto follow
 		case slotBrLink:
-			slotOpen = 0
 			regs[st.a] = st.pc + host.InstBytes
-			extra += p.TakenBranchCycles
+			c.extra += p.TakenBranchCycles
 			goto follow
 		case slotBeq:
 			taken = regs[st.a] == 0
@@ -767,10 +914,9 @@ func (m *Machine) execTrace(st *traceStep, used *uint64, maxInsts uint64) (StopR
 			goto cond
 
 		case slotJmp:
-			slotOpen = 0
 			target := regs[st.b] &^ 3 // read before the link write: Ra may equal Rb
 			regs[st.a] = st.pc + host.InstBytes
-			extra += p.TakenBranchCycles
+			c.extra += p.TakenBranchCycles
 			// Dynamic target: no memoized link, but a direct LUT probe
 			// still keeps indirect transfers inside the tier.
 			if ent, ok := m.traces[target]; ok {
@@ -778,7 +924,7 @@ func (m *Machine) execTrace(st *traceStep, used *uint64, maxInsts uint64) (StopR
 				st = &ent.tr.steps[ent.idx]
 				continue
 			}
-			m.traceExit(target, insts, extra, loads, stores, entryInsts, n0, curLineID, false, used)
+			m.traceExit(target, &c, entryInsts, n0, curLineID, false, used)
 			return 0, 0, false
 
 		case stepMisLd:
@@ -791,14 +937,13 @@ func (m *Machine) execTrace(st *traceStep, used *uint64, maxInsts uint64) (StopR
 			// past it, or at the end, as an instruction fetch would be.
 			x := &st.mega
 			eaLo := regs[st.b] + st.imm
-			slotOpen = 1
 			var q [2]uint64 // the low and high quadwords
 			for k := uint64(0); k < 2; k++ {
 				ea = eaLo + k*(uint64(st.size)-1)
 				if l := (st.pc + k*host.InstBytes) >> ilineShift; l != curLineID {
 					curLineID = l
 					if caches != nil {
-						extra += uint64(caches.Fetch(l << ilineShift))
+						c.extra += uint64(caches.Fetch(l << ilineShift))
 					}
 				}
 				acc = ea &^ 7
@@ -808,23 +953,15 @@ func (m *Machine) execTrace(st *traceStep, used *uint64, maxInsts uint64) (StopR
 					trapK, trap = k, slot{op: host.LDQU, a: x.ld[k], b: st.b, imm: st.imm + ea - eaLo}
 					goto megaTrap
 				}
-				loads++
-				extra += ldExtra
 				if caches != nil {
 					if l := acc >> dshift; l != dataLine {
 						dataLine = l
-						extra += uint64(caches.Data(acc))
+						c.extra += uint64(caches.Data(acc))
 					}
 				}
 				regs[x.ld[k]] = q[k]
 			}
-			// lda; extXl; extXh; bis [; addl]: operate ops pairing from
-			// the slot the loads left open.
-			if dual {
-				ops := uint64(st.n) - 2
-				extra -= (ops + 1) >> 1
-				slotOpen = (ops + 1) & 1
-			}
+			// lda; extXl; extXh; bis [; addl].
 			xl := host.ExtLow(q[0], eaLo, int(st.size))
 			xh := host.ExtHigh(q[1], eaLo, int(st.size))
 			regs[x.ea], regs[x.ext[0]], regs[x.ext[1]] = eaLo, xl, xh
@@ -836,11 +973,10 @@ func (m *Machine) execTrace(st *traceStep, used *uint64, maxInsts uint64) (StopR
 			if l := (st.pc + uint64(st.n-1)*host.InstBytes) >> ilineShift; l != curLineID {
 				curLineID = l
 				if caches != nil {
-					extra += uint64(caches.Fetch(l << ilineShift))
+					c.extra += uint64(caches.Fetch(l << ilineShift))
 				}
 			}
-			st = st.next
-			continue
+			goto advance
 
 		case stepMisSt:
 			// The store twin of stepMisLd: read-merge-write of the two
@@ -849,11 +985,7 @@ func (m *Machine) execTrace(st *traceStep, used *uint64, maxInsts uint64) (StopR
 			x := &st.mega
 			eaLo := regs[st.b] + st.imm
 			eaHi := eaLo + uint64(st.size) - 1
-			if dual { // lda pairs with an open slot; the loads then leave one open
-				extra -= slotOpen
-			}
 			regs[x.ea] = eaLo
-			slotOpen = 1
 			var q [2]uint64 // the high and low quadwords, in program order
 			for k := uint64(1); k <= 2; k++ {
 				ea = eaHi
@@ -863,7 +995,7 @@ func (m *Machine) execTrace(st *traceStep, used *uint64, maxInsts uint64) (StopR
 				if l := (st.pc + k*host.InstBytes) >> ilineShift; l != curLineID {
 					curLineID = l
 					if caches != nil {
-						extra += uint64(caches.Fetch(l << ilineShift))
+						c.extra += uint64(caches.Fetch(l << ilineShift))
 					}
 				}
 				acc = ea &^ 7
@@ -873,21 +1005,15 @@ func (m *Machine) execTrace(st *traceStep, used *uint64, maxInsts uint64) (StopR
 					trapK, trap = k, slot{op: host.LDQU, a: x.ld[k-1], b: st.b, imm: st.imm + ea - eaLo}
 					goto megaTrap
 				}
-				loads++
-				extra += ldExtra
 				if caches != nil {
 					if l := acc >> dshift; l != dataLine {
 						dataLine = l
-						extra += uint64(caches.Data(acc))
+						c.extra += uint64(caches.Data(acc))
 					}
 				}
 				regs[x.ld[k-1]] = q[k-1]
 			}
-			// insXh; insXl; mskXh; mskXl; bis; bis: three dual-issue pairs
-			// from the open slot, leaving it open.
-			if dual {
-				extra -= 3
-			}
+			// insXh; insXl; mskXh; mskXl; bis; bis.
 			sz := int(st.size)
 			ih := host.InsHigh(regs[st.a], eaLo, sz)
 			il := host.InsLow(regs[st.a], eaLo, sz)
@@ -905,7 +1031,7 @@ func (m *Machine) execTrace(st *traceStep, used *uint64, maxInsts uint64) (StopR
 				if l := (st.pc + k*host.InstBytes) >> ilineShift; l != curLineID {
 					curLineID = l
 					if caches != nil {
-						extra += uint64(caches.Fetch(l << ilineShift))
+						c.extra += uint64(caches.Fetch(l << ilineShift))
 					}
 				}
 				acc = ea &^ 7
@@ -915,38 +1041,25 @@ func (m *Machine) execTrace(st *traceStep, used *uint64, maxInsts uint64) (StopR
 					trapK, trap = k, slot{op: host.STQU, a: x.st[k-9], b: st.b, imm: st.imm + ea - eaLo}
 					goto megaTrap
 				}
-				stores++
 				if caches != nil {
 					if l := acc >> dshift; l != dataLine {
 						dataLine = l
-						extra += uint64(caches.Data(acc))
+						c.extra += uint64(caches.Data(acc))
 					}
 				}
 			}
-			st = st.next
-			continue
+			goto advance
 
 		default:
 			panic(fmt.Sprintf("machine: corrupt trace step kind %d at %#x", st.kind, st.pc))
 		}
 
-	alu:
-		if dual {
-			extra -= slotOpen // issued alongside the previous instruction, or opens a slot
-			slotOpen ^= 1
-		}
-		st = st.next
-		continue
-
 	load:
-		slotOpen = 1 // a memory op leaves an ALU slot open
 		if acc>>mem.PageShift == pm.idx && !pm.ldTrap {
 			v = pageRead(pm.pg, acc, st.size)
 		} else if v, fault = pm.load(m.Mem, acc, st.size, st.kind != slotLdu); fault != trapNone {
 			goto memTrap
 		}
-		loads++
-		extra += ldExtra
 		if st.kind == slotLdl {
 			v = uint64(int64(int32(v)))
 		}
@@ -954,32 +1067,35 @@ func (m *Machine) execTrace(st *traceStep, used *uint64, maxInsts uint64) (StopR
 		goto data
 
 	store:
-		slotOpen = 1
 		v = regs[st.a]
 		if acc>>mem.PageShift == pm.idx && !pm.stTrap {
 			pageWrite(pm.pg, acc, v, st.size)
 		} else if fault = pm.store(m.Mem, acc, v, st.size, st.kind == slotSt); fault != trapNone {
 			goto memTrap
 		}
-		stores++
 
 	data:
 		if caches != nil {
 			if l := acc >> dshift; l != dataLine {
 				dataLine = l
-				extra += uint64(caches.Data(acc))
+				c.extra += uint64(caches.Data(acc))
 			}
 		}
+
+	advance:
+		if st.rest.last {
+			st = st.next
+			continue
+		}
 		st = st.next
-		continue
+		goto step
 
 	cond:
-		slotOpen = 0
 		if !taken {
 			st = st.next
 			continue
 		}
-		extra += p.TakenBranchCycles
+		c.extra += p.TakenBranchCycles
 	follow:
 		if st.taken != nil {
 			st = st.taken
@@ -989,15 +1105,17 @@ func (m *Machine) execTrace(st *traceStep, used *uint64, maxInsts uint64) (StopR
 			st = l
 			continue
 		}
-		m.traceExit(st.exitPC, insts, extra, loads, stores, entryInsts, n0, curLineID, slotOpen != 0, used)
+		m.traceExit(st.imm, &c, entryInsts, n0, curLineID, slotOpen != 0, used)
 		return 0, 0, false
 	}
 
 	// Cold trap exits, reached by goto from the memory paths; ea holds the
-	// faulting effective address. A memory op leaves the issue slot open,
-	// trapping or not.
+	// faulting effective address. The stretch's head charged st and the
+	// rest of the stretch, so what did not retire is taken back first. A
+	// memory op leaves the issue slot open, trapping or not.
 memTrap:
-	m.traceExit(st.pc, insts, extra, loads, stores, entryInsts, n0, curLineID, true, used)
+	c.takeBack(m.unretired(st, 0))
+	m.traceExit(st.pc, &c, entryInsts, n0, curLineID, true, used)
 	if fault == trapMisalign {
 		m.misalignTrap(st.inst(), ea)
 	} else {
@@ -1005,29 +1123,70 @@ memTrap:
 	}
 	return 0, 0, false // handler set the resume PC; re-probe
 megaTrap:
-	// A constituent of a mega-step faulted. Those before trapK retired
-	// (their register/memory effects are visible, and are reflected in
-	// loads/stores/extra already); the faulting instruction itself is
-	// charged like every other trapping access, and the rest of the
-	// sequence is handed back unretired.
-	insts -= uint64(st.n) - trapK - 1
-	m.traceExit(st.pc+trapK*host.InstBytes, insts, extra, loads, stores, entryInsts, n0, curLineID, true, used)
+	c.takeBack(m.unretired(st, trapK))
+	m.traceExit(st.pc+trapK*host.InstBytes, &c, entryInsts, n0, curLineID, true, used)
 	m.accessTrap(trap.inst(), ea)
 	return 0, 0, false
 }
 
+// unretired returns the charges a stretch head made for st and the rest
+// of its stretch that did not retire because st's instruction k (a
+// mega-step's constituent k; 0 for a plain step) faulted: instructions,
+// loads, stores and cycles above the baseline. The faulting instruction
+// itself retires; its access does not. A memory op leaves the issue slot
+// open, trapping or not, so the rest's dual-issue credit does not depend
+// on the slot state st was entered with, beyond a mega-store's leading
+// lda, which retired.
+func (m *Machine) unretired(st *traceStep, k uint64) (insts, loads, stores, extra uint64) {
+	var doneLoads, doneStores, doneCredit uint64 // what st retired before k
+	switch {
+	case st.kind == stepMisLd:
+		doneLoads = k
+	case st.kind == stepMisSt && k <= 2:
+		doneLoads = k - 1
+	case st.kind == stepMisSt:
+		doneLoads, doneStores, doneCredit = 2, k-9, 3
+	}
+	r := &st.rest
+	insts = uint64(r.insts) - k - 1
+	loads = uint64(r.loads) - doneLoads
+	stores = uint64(r.stores) - doneStores
+	extra = m.Params.LoadExtraCycles*loads + m.Params.MulExtraCycles*uint64(r.muls)
+	if m.Params.DualIssueALU {
+		extra -= uint64(r.slots[0]>>creditLSB) - doneCredit
+	}
+	return insts, loads, stores, extra
+}
+
+// tally is the executor's running count of retired instructions, loads
+// and stores, and of cycles above the 1-cycle/instruction baseline
+// (extra). Stretch heads update it once per stretch, and its exits take
+// its address, so it lives in memory: that leaves the registers to the
+// steps, which measured faster than holding the four in registers.
+type tally struct {
+	insts, loads, stores uint64
+	extra                uint64 // wraps on dual-issue credit
+}
+
+// takeBack removes charges that did not retire (unretired's results).
+func (c *tally) takeBack(insts, loads, stores, extra uint64) {
+	c.insts -= insts
+	c.loads -= loads
+	c.stores -= stores
+	c.extra -= extra
+}
+
 // traceExit writes the executor's hoisted state back to the machine with
 // the PC at resume. Cycles are derived here: the executor tracks only the
-// charges above the 1-cycle/instruction baseline. Value parameters keep
-// execTrace's hot locals out of memory; this runs only on trace exit,
-// never per step.
-func (m *Machine) traceExit(pc, insts, extra, loads, stores, entryInsts, n0, curLineID uint64, slotOpen bool, used *uint64) {
-	delta := insts - entryInsts
+// charges above the 1-cycle/instruction baseline. It runs only on trace
+// exit, never per step.
+func (m *Machine) traceExit(pc uint64, c *tally, entryInsts, n0, curLineID uint64, slotOpen bool, used *uint64) {
+	delta := c.insts - entryInsts
 	*used = n0 + delta
 	m.pc = pc
-	m.counters.Insts = insts
-	m.counters.Cycles += delta + extra
-	m.counters.Loads, m.counters.Stores = loads, stores
+	m.counters.Insts = c.insts
+	m.counters.Cycles += delta + c.extra
+	m.counters.Loads, m.counters.Stores = c.loads, c.stores
 	m.slotOpen = slotOpen
 	m.tstats.TracedInsts += delta
 	m.curLineID = curLineID
@@ -1046,7 +1205,7 @@ func (m *Machine) followLink(st *traceStep) *traceStep {
 		return nil
 	}
 	st.linkVer = m.traceVer
-	if ent, ok := m.traces[st.exitPC]; ok {
+	if ent, ok := m.traces[st.imm]; ok {
 		st.link = &ent.tr.steps[ent.idx]
 		st.linkTr = ent.tr
 		ent.tr.incoming = append(ent.tr.incoming, st)
@@ -1147,9 +1306,9 @@ func (m *Machine) TraceInfos() []TraceInfo {
 		seen := map[uint64]bool{}
 		for i := range t.steps {
 			st := &t.steps[i]
-			if st.kind != slotEmpty && st.taken == nil && st.exitPC != 0 && !seen[st.exitPC] {
-				seen[st.exitPC] = true
-				info.Exits = append(info.Exits, st.exitPC)
+			if st.kind.branches() && st.taken == nil && !seen[st.imm] {
+				seen[st.imm] = true
+				info.Exits = append(info.Exits, st.imm)
 			}
 			if st.link != nil {
 				info.Links = append(info.Links, TraceLink{FromPC: st.pc, ToPC: st.link.pc})
@@ -1202,8 +1361,13 @@ func (m *Machine) CheckTraceCoherence() error {
 					want = &t.steps[ent.idx]
 				}
 			}
-			if st.taken != want || st.taken == nil && st.kind.branches() && st.exitPC != st.imm {
-				return fmt.Errorf("machine: trace %d step %#x taken pointer or exit mismatches target %#x", t.id, st.pc, st.imm)
+			if st.taken != want {
+				return fmt.Errorf("machine: trace %d step %#x taken pointer mismatches target %#x", t.id, st.pc, st.imm)
+			}
+		}
+		for i := len(t.steps) - 1; i >= 0; i-- {
+			if st := &t.steps[i]; st.rest != st.sums() {
+				return fmt.Errorf("machine: trace %d step %#x stretch totals %+v, want %+v", t.id, st.pc, st.rest, st.sums())
 			}
 		}
 		for i := range t.steps {
@@ -1215,11 +1379,11 @@ func (m *Machine) CheckTraceCoherence() error {
 			if lt == nil || m.traceList[lt.id] != lt {
 				return fmt.Errorf("machine: trace %d holds a chain link into a dropped trace", t.id)
 			}
-			if st.link.pc != st.exitPC {
-				return fmt.Errorf("machine: trace %d chain link %#x→%#x mistargeted", t.id, st.pc, st.exitPC)
+			if st.link.pc != st.imm {
+				return fmt.Errorf("machine: trace %d chain link %#x→%#x mistargeted", t.id, st.pc, st.imm)
 			}
-			if ent, ok := m.traces[st.exitPC]; !ok || ent.tr != lt || &lt.steps[ent.idx] != st.link {
-				return fmt.Errorf("machine: trace %d chain link %#x→%#x not registered in LUT", t.id, st.pc, st.exitPC)
+			if ent, ok := m.traces[st.imm]; !ok || ent.tr != lt || &lt.steps[ent.idx] != st.link {
+				return fmt.Errorf("machine: trace %d chain link %#x→%#x not registered in LUT", t.id, st.pc, st.imm)
 			}
 		}
 	}

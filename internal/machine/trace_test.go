@@ -548,19 +548,24 @@ func TestTraceBuildRejects(t *testing.T) {
 // each with one trace, from its entry through its last stub and no
 // further, with every branch into the trace threaded to its target step
 // and every branch out of it a side exit. An EH-patched BR (a branch to an
-// MDA stub outside the trace, which returns to the next word) does not end
-// the trace when a conditional branch before it targets past it, as a
-// superblock's folded side exit does; in a body with no such branch the
-// patched BR ends the trace, and the rest of the unit forms its own.
+// MDA stub outside the trace, whose sequence returns to the next word)
+// does not end the trace: formation runs through it whether or not a
+// conditional branch before it targets past it. A BR whose target code
+// returns elsewhere, or does not return, ends the trace when no
+// conditional branch before it reaches past it, and the rest of the unit
+// forms its own.
 func TestFormationCoversForwardRegion(t *testing.T) {
 	const base, stub = 0x1000, 0x8000
+	var patched uint64
 	ehPatch := func(a *host.Asm) {
+		patched = a.PC()
 		d, _ := host.BrDispFor(a.PC(), stub)
 		a.Emit(host.Inst{Op: host.BR, Ra: host.R31, Disp: d})
 	}
 	for _, c := range []struct {
 		name  string
 		shape func(a *host.Asm)
+		ret   int // the stub returns this many words past the patched BR's next word; -1: no stub
 		cut   int // words in the trace when the shape does not form one; 0: all
 	}{
 		{"cond-exit", func(a *host.Asm) {
@@ -569,7 +574,7 @@ func TestFormationCoversForwardRegion(t *testing.T) {
 			a.Brk(1) // fallthrough exit stub
 			a.Label("taken")
 			a.Brk(2) // taken exit stub
-		}, 0},
+		}, -1, 0},
 		{"two-version", func(a *host.Asm) {
 			a.Mem(host.LDA, host.R10, 3, host.R9)
 			a.OprLit(host.AND, host.R10, 3, host.R10)
@@ -581,7 +586,7 @@ func TestFormationCoversForwardRegion(t *testing.T) {
 			trMegaLd(a, 4, 3, true) // pessimistic copy
 			a.OprLit(host.ADDQ, host.R7, 1, host.R8)
 			a.Brk(1)
-		}, 0},
+		}, -1, 0},
 		{"repmovs", func(a *host.Asm) {
 			a.OprLit(host.ADDQ, host.R8, 1, host.R8)
 			a.Label("top")
@@ -594,7 +599,7 @@ func TestFormationCoversForwardRegion(t *testing.T) {
 			a.Br(host.BR, host.R31, "top")
 			a.Label("done")
 			a.Brk(1)
-		}, 0},
+		}, -1, 0},
 		{"eh-patched", func(a *host.Asm) {
 			a.Br(host.BNE, host.R5, "side") // a superblock's folded side exit
 			a.OprLit(host.ADDQ, host.R1, 1, host.R1)
@@ -606,7 +611,7 @@ func TestFormationCoversForwardRegion(t *testing.T) {
 			a.Brk(2)
 			a.Label("side")
 			a.Brk(3)
-		}, 0},
+		}, -1, 0},
 		{"eh-patched-plain", func(a *host.Asm) {
 			a.OprLit(host.ADDQ, host.R1, 1, host.R1)
 			ehPatch(a)
@@ -615,7 +620,25 @@ func TestFormationCoversForwardRegion(t *testing.T) {
 			a.Brk(1)
 			a.Label("taken")
 			a.Brk(2)
-		}, 2},
+		}, 0, 0},
+		{"br-returns-elsewhere", func(a *host.Asm) {
+			a.OprLit(host.ADDQ, host.R1, 1, host.R1)
+			ehPatch(a)
+			a.OprLit(host.CMPLT, host.R1, 9, host.R10)
+			a.Br(host.BNE, host.R10, "taken")
+			a.Brk(1)
+			a.Label("taken")
+			a.Brk(2)
+		}, 1, 2},
+		{"br-no-return", func(a *host.Asm) {
+			a.OprLit(host.ADDQ, host.R1, 1, host.R1)
+			ehPatch(a)
+			a.OprLit(host.CMPLT, host.R1, 9, host.R10)
+			a.Br(host.BNE, host.R10, "taken")
+			a.Brk(1)
+			a.Label("taken")
+			a.Brk(2)
+		}, -1, 2},
 	} {
 		var n int
 		words := trProgram(t, base, func(a *host.Asm) {
@@ -629,6 +652,12 @@ func TestFormationCoversForwardRegion(t *testing.T) {
 		}
 		m := newMachine(false)
 		m.WriteCode(base, words)
+		if c.ret >= 0 { // the MDA stub: the sequence, then a BR back
+			m.WriteCode(stub, trProgram(t, stub, func(a *host.Asm) {
+				trMegaLd(a, 4, 3, true)
+				a.BrTo(host.BR, host.R31, patched+uint64(1+c.ret)*host.InstBytes)
+			}))
+		}
 		if _, err := m.formTrace(base); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -641,8 +670,8 @@ func TestFormationCoversForwardRegion(t *testing.T) {
 			if !st.kind.branches() {
 				continue
 			}
-			if in := st.imm >= tr.start && st.imm < tr.end; in != (st.taken != nil) || in && st.taken.pc != st.imm || !in && st.exitPC != st.imm {
-				t.Errorf("%s: branch at %#x to %#x: taken step %v, exit %#x", c.name, st.pc, st.imm, st.taken != nil, st.exitPC)
+			if in := st.imm >= tr.start && st.imm < tr.end; in != (st.taken != nil) || in && st.taken.pc != st.imm {
+				t.Errorf("%s: branch at %#x to %#x: taken step %v", c.name, st.pc, st.imm, st.taken != nil)
 			}
 		}
 		if err := m.CheckTraceCoherence(); err != nil {
@@ -1204,5 +1233,198 @@ func TestTraceStallOnStaleMega(t *testing.T) {
 	}
 	if trLive(m, base) {
 		t.Fatal("the stale trace is still live")
+	}
+}
+
+// TestSlotKindPredicates pins the kind predicates formation and the
+// stretch rule use, over every slot and mega-step kind: a mega-step is
+// straight-line code, not a transfer.
+func TestSlotKindPredicates(t *testing.T) {
+	for k := slotEmpty; k <= stepMisSt; k++ {
+		isBranch := k >= slotBr && k <= slotBlbs
+		want := [3]bool{
+			k == slotPAL || isBranch || k == slotJmp, // transfers
+			isBranch,                                 // branches
+			isBranch && k >= slotBeq,                 // conditional
+		}
+		if got := [3]bool{k.transfers(), k.branches(), k.conditional()}; got != want {
+			t.Errorf("kind %d: transfers, branches, conditional = %v, want %v", k, got, want)
+		}
+	}
+}
+
+// stretchProgram assembles TestTraceStretchParity's loop. Its stretches
+// cross I-lines, hold load and store mega-steps that straddle a line
+// boundary, reach the longest a stretch can be (a line of steps, the last
+// an 11-word sequence), and end in every kind of transfer: BRKBT, a
+// foldable BR, BSR,
+// each conditional branch, JMP and RET. Each conditional branch skips
+// the step after it, so its taken arm enters a stretch at its second
+// step; the JMP goes to the second step of a stretch, and the loop's back
+// edge to the third step of the first.
+func stretchProgram(t *testing.T, base uint64) []uint32 {
+	t.Helper()
+	asm := func(mid uint64) (words []uint32, midPC uint64) {
+		words = trProgram(t, base, func(a *host.Asm) {
+			a.MovImm(host.R9, trDataBase)
+			a.MovImm(host.R10, 3) // iterations
+			a.MovImm(host.R11, int64(mid))
+			a.Mem(host.LDQ, host.R1, 0, host.R9)
+			a.OprLit(host.ADDQ, host.R1, 3, host.R2)
+			a.Label("again")
+			a.Mem(host.STQ, host.R2, 8, host.R9)
+			a.Opr(host.MULQ, host.R2, host.R2, host.R3)
+			a.Mem(host.LDA, host.R4, 4, host.R9)
+			a.Mem(host.LDL, host.R6, 1, host.R9) // misaligned: traps
+			for i := uint8(0); a.Len()%ilineInsts != ilineInsts-3; i++ {
+				a.OprLit([]host.Op{host.XOR, host.ADDL, host.BIS, host.CMPLT, host.SUBQ}[i%5], host.R5, i, host.R5)
+			}
+			trMegaLd(a, 4, 3, true) // crosses a line after its third word
+			a.OprLit(host.ADDQ, host.R7, 1, host.R8)
+			a.OprLit(host.SUBQ, host.R10, 2, host.R14) // 1, 0, -1 over the iterations
+			for i, op := range []host.Op{host.BEQ, host.BNE, host.BLT, host.BLE, host.BGT, host.BGE, host.BLBC, host.BLBS} {
+				r := host.R14
+				if op == host.BLBC || op == host.BLBS {
+					r = host.R10
+				}
+				a.Br(op, r, fmt.Sprintf("c%d", i))
+				a.OprLit(host.ADDQ, host.R8, uint8(i+1), host.R8)
+				a.Label(fmt.Sprintf("c%d", i))
+				a.Mem(host.LDBU, host.R12, int32(i), host.R9)
+			}
+			a.Br(host.BSR, host.R13, "fn")
+			a.Mem(host.LDBU, host.R12, 9, host.R9) // the BR is entered with the slot open
+			a.Br(host.BR, host.R31, "skip")
+			a.OprLit(host.ADDQ, host.R8, 100, host.R8) // never runs
+			a.Label("skip")
+			a.OprLit(host.ADDQ, host.R8, 7, host.R8)
+			a.Opr(host.MULL, host.R8, host.R12, host.R12)
+			a.Jmp(host.JMP, host.R31, host.R11)
+			a.OprLit(host.ADDQ, host.R8, 101, host.R8) // never runs
+			midPC = a.PC()
+			a.OprLit(host.ADDQ, host.R8, 5, host.R8)
+			for a.Len()%ilineInsts != ilineInsts-9 {
+				a.Mem(host.LDWU, host.R12, 2, host.R9)
+			}
+			trMegaSt(a, 8, 3) // crosses a line before its stq_u hi
+			a.Mem(host.STL, host.R8, 16, host.R9)
+			// The longest stretch there is: a line of fifteen plain steps
+			// and a store sequence from its last word.
+			for i := 0; i < ilineInsts || a.Len()%ilineInsts != ilineInsts-1; i++ {
+				a.Mem(host.LDWU, host.R12, 4, host.R9)
+			}
+			trMegaSt(a, 4, 5)
+			a.Brk(1)
+			a.Mem(host.STQU, host.R8, 21, host.R9)
+			a.Mem(host.STW, host.R3, 30, host.R9)
+			a.OprLit(host.SUBQ, host.R10, 1, host.R10)
+			a.Br(host.BNE, host.R10, "again")
+			a.Brk(HaltService)
+			a.Label("fn")
+			a.OprLit(host.ADDQ, host.R8, 3, host.R8)
+			a.Jmp(host.RET, host.R31, host.R13)
+		})
+		return words, midPC
+	}
+	_, mid := asm(base)
+	words, mid2 := asm(mid)
+	if mid2 != mid {
+		t.Fatalf("JMP target moved from %#x to %#x", mid, mid2)
+	}
+	return words
+}
+
+// TestTraceStretchParity pins stretch accounting (one budget check,
+// I-line fetch and static charge per straight-line stretch) to the
+// single-stepping reference. stretchProgram runs on the traces Run forms,
+// on one trace over the whole program, and on traces built over
+// alternating five-word chunks, so stretches are entered mid-way by taken
+// branches, chain links, the JMP and Run calls that resume where the
+// last one stopped, and are cut short by synthetic exits. Every budget
+// from 1 to the program's length runs, and, with Run calls of the whole
+// budget and of five, a trap at every access: the Nth spurious access
+// fault, which lands on every plain access and every mega-step
+// constituent, and the Nth spurious misalignment trap. Each run starts
+// under one cost model and switches to the other after its first Run call,
+// with the traces formed under the first still live: DefaultParams, and a
+// model without dual issue and with other load, multiply and taken-branch
+// cycles. After each call registers, PC, counters and issue-slot state
+// must match the reference; at the halt, the data area too.
+func TestTraceStretchParity(t *testing.T) {
+	const base = 0x1000
+	words := stretchProgram(t, base)
+	alt := DefaultParams()
+	alt.DualIssueALU = false
+	alt.LoadExtraCycles, alt.MulExtraCycles, alt.TakenBranchCycles = 5, 3, 4
+	end := base + uint64(len(words))*host.InstBytes
+	for _, models := range [][2]Params{{DefaultParams(), alt}, {alt, DefaultParams()}} {
+		for _, layout := range []string{"formed", "whole", "chunks"} {
+			run := func(budget uint64, pt faultinject.Point, nth uint64) bool {
+				name := fmt.Sprintf("dual %v layout %s budget %d %s #%d", models[0].DualIssueALU, layout, budget, pt, nth)
+				m, ref := lowerPair(base, words)
+				m.Params, ref.p = models[0], models[0]
+				switch layout {
+				case "whole":
+					if !trBuild(m, base, end) || trMegaSteps(m) != 3 {
+						t.Fatalf("%s: no whole-program trace with its three mega-steps", name)
+					}
+				case "chunks":
+					for pc := uint64(base); pc < end; pc += 10 * host.InstBytes {
+						if !trBuild(m, pc, min(pc+5*host.InstBytes, end)) {
+							t.Fatalf("%s: trBuild at %#x failed", name, pc)
+						}
+					}
+				}
+				var plan *faultinject.Plan
+				if nth > 0 {
+					plan = faultinject.New(1).At(pt, nth)
+					m.SetFaultPlan(plan)
+					ref.faults = faultinject.New(1).At(pt, nth)
+				}
+				for calls := 0; ; calls++ {
+					if calls == 1 {
+						m.Params, ref.p = models[1], models[1]
+					}
+					stop, payload, err := m.Run(budget)
+					got := machineSnap(m, stop, payload, err)
+					rstop, rpayload, rerr := ref.run(budget)
+					if want := refSnap(ref, rstop, rpayload, rerr); got != want {
+						t.Fatalf("%s call %d:\n got %+v\nwant %+v", name, calls, got, want)
+					}
+					if stop == StopHalt || err != nil || calls > 10000 {
+						break
+					}
+				}
+				if m.PC() < base || m.Counters().Brks != 4 {
+					t.Fatalf("%s: stopped at %#x after %d BRKBTs, want the halt after 4", name, m.PC(), m.Counters().Brks)
+				}
+				if err := lowerDataSame(m.Mem, ref.mem, trDataBase, trDataBase+64); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if ts := m.TraceStats(); ts.TracedInsts != m.Counters().Insts {
+					t.Fatalf("%s: %d of %d instructions retired in traces", name, ts.TracedInsts, m.Counters().Insts)
+				}
+				if err := m.CheckTraceCoherence(); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				return plan.Fired(pt) > 0
+			}
+			for budget := uint64(1); budget <= uint64(len(words)); budget++ {
+				run(budget, "", 0)
+			}
+			// Each point fires at every access that draws it, at least as
+			// many as the program makes in its loop.
+			for pt, least := range map[faultinject.Point]uint64{faultinject.SpuriousAccessFault: 40, faultinject.SpuriousTrap: 8} {
+				for _, budget := range []uint64{1 << 20, 5} {
+					nth := uint64(1)
+					for run(budget, pt, nth) {
+						nth++
+					}
+					if nth <= least {
+						t.Fatalf("%s fired at only %d accesses", pt, nth-1)
+					}
+				}
+			}
+		}
 	}
 }
