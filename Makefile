@@ -71,6 +71,11 @@ serve-chaos:
 # programs against a golden file (TestCensusGolden), a census that rewrites
 # its shared-library code (TestCensusSharedLibSMC), and Exec's access
 # record and fault precision for every guest op (TestExecAccessRecord).
+# The straight-line guest executor matches CPU.Step one instruction at a
+# time at every budget, with each touched page protected or unmapped, and
+# when a store rewrites the next instruction (TestRunMatchesStep). A fetch
+# from a page the guest cannot execute faults precisely before its bytes
+# are decoded (TestFetchFaultBeforeDecode).
 # Trace formation is pinned on the translator's unit shapes: one trace
 # from a unit's entry through its last stub
 # (TestFormationCoversForwardRegion), and a trace is dropped only by a
@@ -81,8 +86,8 @@ serve-chaos:
 # trap at every access, for stretch entries of every kind and under two
 # cost models switched with traces live (TestTraceStretchParity).
 fault-chaos:
-	$(GO) test -race -run 'TestFaultCosimAllMechanisms|TestChaosGuestFaults|TestSelfModifyingInvalidates|TestMultiContextReset|TestTranslateCommitAfterAllocFault|TestAdaptiveCountersRewoundOnFailedCommit|TestStaticAlignViolationsIgnoreInjectedTraps|TestCensusGolden|TestCensusSharedLibSMC|TestTraceInvalidationsFollowCodeWrites' -v ./internal/core
-	$(GO) test -race -run 'TestExecAccessRecord' -v ./internal/guest
+	$(GO) test -race -run 'TestFaultCosimAllMechanisms|TestChaosGuestFaults|TestSelfModifyingInvalidates|TestMultiContextReset|TestTranslateCommitAfterAllocFault|TestAdaptiveCountersRewoundOnFailedCommit|TestStaticAlignViolationsIgnoreInjectedTraps|TestCensusGolden|TestCensusSharedLibSMC|TestTraceInvalidationsFollowCodeWrites|TestFetchFaultBeforeDecode' -v ./internal/core
+	$(GO) test -race -run 'TestExecAccessRecord|TestRunMatchesStep' -v ./internal/guest
 	$(GO) test -race -run 'TestServeGuestFaults' ./internal/serve
 	$(GO) test -race -run 'TestTrapTableReferenceModel' -v ./internal/mem
 	$(GO) test -race -run 'TestTrapMidRun|TestTraceParityRandomPrograms|TestTraceMegaStepFaults|TestTraceFaultPlanParity|TestFormationCoversForwardRegion|TestTraceStretchParity' -v ./internal/machine

@@ -26,7 +26,7 @@ func (e *Engine) alignDecoder() align.Decoder {
 		if err != nil {
 			return guest.Inst{}, 0, err
 		}
-		return de.inst, int(de.len), nil
+		return de.Inst, int(de.Len), nil
 	}
 }
 

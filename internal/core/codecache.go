@@ -216,10 +216,3 @@ func (b *block) word(pc uint64) *hostWord {
 func (b *block) String() string {
 	return fmt.Sprintf("block@%#x(%d insts, host %#x)", b.guestPC, len(b.insts), b.hostEntry)
 }
-
-// siteProfile is the per-site alignment profile accumulated by the
-// interpreter (phase 1) and, for Figure 15, by the census interpreter.
-type siteProfile struct {
-	mda     uint64 // misaligned executions
-	aligned uint64 // aligned executions
-}

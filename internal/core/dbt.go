@@ -140,8 +140,7 @@ func (e *Engine) configure(opt Options) {
 		e.cc.reconfigure(opt.CodeCacheBytes, opt.FaultPlan)
 	}
 	e.exits = nil
-	clear(e.dec.dense) // keep the arena; every entry back to undecoded, no run state
-	clear(e.dec.far)
+	e.dec.reset() // keep the arena; every entry back to undecoded, no run state
 	e.aotPreseedSkips = 0
 	e.invariantErr = nil
 	e.adaptives = nil

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"errors"
 	"testing"
 	"unsafe"
 
 	"mdabt/internal/guest"
+	"mdabt/internal/machine"
 	"mdabt/internal/mem"
 )
 
@@ -32,8 +34,8 @@ func TestDecodeCacheDenseAndFar(t *testing.T) {
 		if err != nil {
 			t.Fatalf("decoded(%#x): %v", pc, err)
 		}
-		if de.inst.Op != guest.MOVri || de.len == 0 {
-			t.Fatalf("decoded(%#x) = op %v len %d, want MOVri", pc, de.inst.Op, de.len)
+		if de.Inst.Op != guest.MOVri || de.Len == 0 {
+			t.Fatalf("decoded(%#x) = op %v len %d, want MOVri", pc, de.Inst.Op, de.Len)
 		}
 		if !fresh {
 			t.Fatalf("decoded(%#x) not fresh on first lookup", pc)
@@ -43,8 +45,8 @@ func TestDecodeCacheDenseAndFar(t *testing.T) {
 			t.Fatalf("decoded(%#x) returned a different or fresh slot on repeat", pc)
 		}
 	}
-	if uint32(len(c.dense)) > decDenseLimit {
-		t.Fatalf("dense window grew to %d entries, past the %d limit", len(c.dense), decDenseLimit)
+	if uint32(len(c.Dense)) > decDenseLimit {
+		t.Fatalf("dense window grew to %d entries, past the %d limit", len(c.Dense), decDenseLimit)
 	}
 	if c.far[farPC] == nil {
 		t.Fatalf("far PC %#x not in the map tier", farPC)
@@ -52,7 +54,7 @@ func TestDecodeCacheDenseAndFar(t *testing.T) {
 
 	// peek never allocates: an untouched PC inside the window but past the
 	// grown prefix, and an untouched far PC, both report nil.
-	if de := c.peek(densePC + uint32(len(c.dense))); de != nil {
+	if de := c.peek(densePC + uint32(len(c.Dense))); de != nil {
 		t.Fatal("peek past the grown dense prefix allocated a slot")
 	}
 	if de := c.peek(farPC + 0x1000); de != nil {
@@ -85,11 +87,13 @@ func TestDecodeCacheProfiles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := de.profile()
-		if p == nil || de.profile() != p {
-			t.Fatalf("profile() for %#x not stable", pc)
+		a := guest.Access{N: 1, Size: 4, EA: 2}
+		de.Count(&a)
+		p := de.Prof
+		if de.Count(&a); p == nil || de.Prof != p || p.MDA != 2 {
+			t.Fatalf("profile for %#x not created once and kept: %+v", pc, p)
 		}
-		p.mda = 5
+		p.MDA = 5
 		if got := c.profAt(pc); got != p {
 			t.Fatalf("profAt(%#x) = %p, want %p", pc, got, p)
 		}
@@ -97,9 +101,9 @@ func TestDecodeCacheProfiles(t *testing.T) {
 
 	seen := map[uint32]bool{}
 	c.each(func(pc uint32, de *decEntry) {
-		if p := de.prof; p != nil {
-			if p.mda != 5 {
-				t.Errorf("each(%#x): mda = %d, want 5", pc, p.mda)
+		if p := de.Prof; p != nil {
+			if p.MDA != 5 {
+				t.Errorf("each(%#x): mda = %d, want 5", pc, p.MDA)
 			}
 			seen[pc] = true
 		}
@@ -116,7 +120,7 @@ func TestDecodeCacheProfiles(t *testing.T) {
 	if got := c.profAt(densePC); got != nil {
 		t.Fatalf("profAt after clearProf = %p, want nil", got)
 	}
-	if de := c.peek(densePC); de == nil || de.len == 0 {
+	if de := c.peek(densePC); de == nil || de.Len == 0 {
 		t.Fatal("clearProf dropped the decoded instruction")
 	}
 	if got := c.stateAt(densePC); got != st || got.traps != 3 {
@@ -174,7 +178,7 @@ func TestPCStateSurvival(t *testing.T) {
 
 			tc.act(e, pc)
 
-			if de := e.dec.peek(pc); (de != nil && de.len != 0) != tc.decoded {
+			if de := e.dec.peek(pc); (de != nil && de.Len != 0) != tc.decoded {
 				t.Errorf("decoded = %v, want %v", !tc.decoded, tc.decoded)
 			}
 			if got := e.dec.blockAt(pc); got != nil {
@@ -221,7 +225,7 @@ func TestDecodeCacheFarSpanSMC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	retPC := guest.SharedLib + uint32(de.len)
+	retPC := guest.SharedLib + uint32(de.Len)
 	if _, _, err := c.decoded(retPC, m); err != nil {
 		t.Fatal(err)
 	}
@@ -244,15 +248,15 @@ func TestDecodeCacheFarSpanSMC(t *testing.T) {
 		{"store over the RET", uint64(retPC), 1, true},
 		{"store into the dense window", guest.CodeBase + 2, 2, true},
 	} {
-		if got := c.mayContain(tc.addr, tc.size); got != tc.flags {
-			t.Errorf("%s: mayContain(%#x, %d) = %v, want %v", tc.name, tc.addr, tc.size, got, tc.flags)
+		if got := c.MayContain(tc.addr, tc.size); got != tc.flags {
+			t.Errorf("%s: MayContain(%#x, %d) = %v, want %v", tc.name, tc.addr, tc.size, got, tc.flags)
 		}
 	}
 
 	if n := c.invalidateWrite(guest.SharedLib+1, 4); n != 1 {
 		t.Fatalf("invalidateWrite over the library's first instruction dropped %d decodes, want 1", n)
 	}
-	if de := c.peek(guest.SharedLib); de == nil || de.len != 0 {
+	if de := c.peek(guest.SharedLib); de == nil || de.Len != 0 {
 		t.Fatal("the overwritten library decode survived")
 	}
 }
@@ -296,5 +300,54 @@ func TestCensusSharedLibSMC(t *testing.T) {
 	if !c.Halted || c.FinalCPU.R[guest.EBX] != 1 || c.FinalCPU.R[guest.EAX] != 2 {
 		t.Fatalf("halted=%v ebx=%d eax=%d, want true 1 2 (the rewritten library code must run)",
 			c.Halted, c.FinalCPU.R[guest.EBX], c.FinalCPU.R[guest.EAX])
+	}
+}
+
+// TestFetchFaultBeforeDecode puts EIP on a page the guest cannot execute
+// whose bytes do not decode, once read-only and once unmapped. CPU.Step,
+// RunCensus and the engine must each report the precise *guest.Fault (PC
+// and address), not the decode error, and the engine must not watch the
+// page.
+func TestFetchFaultBeforeDecode(t *testing.T) {
+	const pc = guest.CodeBase + 2*mem.PageSize
+	for _, tc := range []struct {
+		name string
+		prot func(m *mem.Memory)
+	}{
+		{"read-only", func(m *mem.Memory) { m.Protect(pc, mem.PageSize, mem.ProtRead) }},
+		{"unmapped", func(m *mem.Memory) { m.Unmap(pc, mem.PageSize) }},
+	} {
+		load := func() *mem.Memory {
+			m := mem.New()
+			m.WriteBytes(pc, []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
+			tc.prot(m)
+			return m
+		}
+		want := func(path string, err error) {
+			t.Helper()
+			var gf *guest.Fault
+			if !errors.As(err, &gf) {
+				t.Fatalf("%s %s: err %v, want a guest fault", tc.name, path, err)
+			}
+			if gf.PC != pc || gf.Mem.Addr != pc || !gf.Mem.Exec {
+				t.Fatalf("%s %s: fault pc=%#x addr=%#x exec=%v, want %#x %#x true", tc.name, path, gf.PC, gf.Mem.Addr, gf.Mem.Exec, pc, pc)
+			}
+		}
+
+		var cpu guest.CPU
+		cpu.Reset(pc)
+		want("Step", cpu.Step(load(), &guest.Access{}))
+
+		_, err := RunCensus(load(), pc, 100)
+		want("RunCensus", err)
+
+		m := load()
+		e := NewEngine(m, machine.New(m, machine.DefaultParams()), DefaultOptions(ExceptionHandling))
+		_, err = e.decoded(pc)
+		want("Engine.decoded", err)
+		if m.Watched(pc) {
+			t.Fatalf("%s: the engine watches a page it cannot fetch from", tc.name)
+		}
+		want("Engine.Run", e.Run(pc, 1000))
 	}
 }

@@ -74,22 +74,21 @@ func (e *Engine) writeFaultPad() {
 	})
 }
 
-// decoded is the engine's front door to the decode cache: on a fresh
-// decode it arms store watches on the instruction's code pages (self-
-// modification detection) and, when protections are armed, checks execute
-// permission the way the interpreter's Step does.
+// decoded is the engine's front door to the decode cache: when protections
+// are armed it checks execute permission the way the interpreter's Step
+// does (the first byte before decoding, then the whole instruction), and
+// only then, on a fresh decode, arms store watches on the instruction's
+// code pages (self-modification detection), so no page the guest cannot
+// execute is watched.
 func (e *Engine) decoded(pc uint32) (*decEntry, error) {
 	de, fresh, err := e.dec.decoded(pc, e.Mem)
 	if err != nil {
 		return nil, err
 	}
 	if fresh {
-		e.watchCode(pc, int(de.len))
-	}
-	if e.Mem.Armed() {
-		if mf := e.Mem.CheckFetch(uint64(pc), int(de.len)); mf != nil {
-			return nil, &guest.Fault{PC: pc, Mem: *mf}
-		}
+		e.watchCode(pc, int(de.Len))
+	} else if err := fetchCheck(e.Mem, pc, int(de.Len)); err != nil {
+		return nil, err
 	}
 	return de, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"mdabt/internal/guest"
@@ -9,55 +10,51 @@ import (
 )
 
 // interpretBlock interprets one execution of the basic block starting at
-// pc: it steps the reference CPU until a block-ending instruction has
+// pc: it runs the guest executor until a block-ending instruction has
 // executed (or the block-length cap is hit), collecting the MDA profile and
 // charging interpreter cycles. It returns the guest PC after the block.
 //
-// Like RunCensus it follows straight-line code by index through the decode
-// cache's dense window and probes the cache only where EIP leaves it.
+// Like RunCensus it runs straight-line code through the decode cache's
+// dense window (guest.Code.Run) and probes the cache only where a run
+// stops short of the block's end: at an entry not decoded, outside the
+// window, after a REPMOVS4 re-execution outside it, or after a store into
+// a watched page.
 func (e *Engine) interpretBlock(pc uint32) (uint32, error) {
 	e.CPU.EIP = pc
-	var acc guest.Access
-	de, err := e.decoded(pc)
-	for n := 1; ; n++ {
+	for left := uint64(maxBlockInsts); ; {
+		pc := e.CPU.EIP
+		de, err := e.decoded(pc)
 		if err != nil {
 			return 0, fmt.Errorf("core: interpret at %#x: %w", pc, err)
 		}
-		if err := e.CPU.Exec(e.Mem, pc, &de.inst, int(de.len), &acc); err != nil {
+		r, err := e.dec.Run(&e.CPU, e.Mem, de, left)
+		e.stats.InterpretedInsts += r.Insts
+		e.stats.InterpretedMDAs += r.MDAs
+		e.Mach.AddCycles(interpCyclesPerInst * r.Insts)
+		if err != nil {
 			return 0, err
 		}
-		e.stats.InterpretedInsts++
-		e.Mach.AddCycles(interpCyclesPerInst)
-		// Self-modifying code: an interpreted store into a watched code page
-		// invalidates the stale translations and decode entries it covers.
-		// Translated stores reach here too — the write trap reroutes them to
-		// this interpreter, so this hook is the single SMC choke point.
-		if e.Mem.Armed() {
-			if acc.Store && e.Mem.WatchedRange(uint64(acc.EA), int(acc.Size)) {
-				e.smcWrite(uint64(acc.EA), int(acc.Size))
+		if r.Held {
+			// Self-modifying code: an interpreted store into a watched code
+			// page invalidates the stale translations and decode entries it
+			// covers. Translated stores reach here too — the write trap
+			// reroutes them to this interpreter, so this hook is the single
+			// SMC choke point.
+			a := &r.Acc
+			if a.Store && e.Mem.WatchedRange(uint64(a.EA), int(a.Size)) {
+				e.smcWrite(uint64(a.EA), int(a.Size))
 			}
-			if acc.N == 2 && e.Mem.WatchedRange(uint64(acc.EA2), int(acc.Size)) {
-				e.smcWrite(uint64(acc.EA2), int(acc.Size))
+			if a.N == 2 && e.Mem.WatchedRange(uint64(a.EA2), int(a.Size)) {
+				e.smcWrite(uint64(a.EA2), int(a.Size))
 			}
+			e.stats.InterpretedMDAs += r.Last.Count(a)
 		}
-		e.stats.InterpretedMDAs += de.count(&acc)
 		if e.CPU.Halted {
 			e.halted = true
 			return e.CPU.EIP, nil
 		}
-		if de.inst.Op.EndsBlock() || n == maxBlockInsts {
+		if left -= r.Insts; left == 0 || r.Last.Inst.Op.EndsBlock() {
 			return e.CPU.EIP, nil
-		}
-		next := pc + uint32(de.len)
-		pc = e.CPU.EIP
-		if de = e.dec.fallThrough(pc); pc == next && de != nil {
-			// decoded's fetch check (CheckFetch passes every fetch while
-			// no protection is set).
-			if mf := e.Mem.CheckFetch(uint64(pc), int(de.len)); mf != nil {
-				err = &guest.Fault{PC: pc, Mem: *mf}
-			}
-		} else {
-			de, err = e.decoded(pc)
 		}
 	}
 }
@@ -140,8 +137,8 @@ func RunCensus(m *mem.Memory, entry uint32, maxInsts uint64) (*Census, error) {
 	finish := func(err error) (*Census, error) {
 		var tp store.TrapProfile
 		dec.each(func(pc uint32, de *decEntry) {
-			if p := de.prof; p != nil {
-				tp.Add(pc, p.mda, p.aligned)
+			if p := de.Prof; p != nil {
+				tp.Add(pc, p.MDA, p.Aligned)
 			}
 		})
 		c.Sites = tp.Sites
@@ -149,46 +146,40 @@ func RunCensus(m *mem.Memory, entry uint32, maxInsts uint64) (*Census, error) {
 		c.FinalCPU = *cpu
 		return c, err
 	}
-	var acc guest.Access
 	for c.Insts < maxInsts && !cpu.Halted {
 		pc := cpu.EIP
 		de, _, err := dec.decoded(pc, m)
 		if err != nil {
-			return nil, fmt.Errorf("core: census at %#x: %w", pc, err)
-		}
-		// Run straight-line code from pc, stepping to each fall-through by
-		// index into the dense window. The cache is probed again only when
-		// EIP leaves the straight line (a control transfer or a REPMOVS4
-		// re-execution) or the fall-through is not decoded: a first visit,
-		// code outside the window, or a decode a store just dropped.
-		for {
-			if m.Armed() {
-				if f := m.CheckFetch(uint64(pc), int(de.len)); f != nil {
-					return finish(&guest.Fault{PC: pc, Mem: *f})
-				}
-			}
-			if err := cpu.Exec(m, pc, &de.inst, int(de.len), &acc); err != nil {
+			var gf *guest.Fault
+			if errors.As(err, &gf) {
 				return finish(err)
 			}
-			// Self-modifying code: drop decode entries a store overwrote so
-			// the next visit re-decodes the new bytes.
-			if acc.Store && dec.mayContain(uint64(acc.EA), int(acc.Size)) {
-				dec.invalidateWrite(uint64(acc.EA), int(acc.Size))
+			return nil, fmt.Errorf("core: census at %#x: %w", pc, err)
+		}
+		// Run straight-line code from pc. The executor steps to each
+		// fall-through by index into the dense window; the cache is probed
+		// again only when EIP leaves the straight line (a control transfer,
+		// or a REPMOVS4 re-execution outside the window) or the
+		// fall-through is not decoded: a first visit, code outside the
+		// window, or a decode a store just dropped.
+		r, err := dec.Run(cpu, m, de, maxInsts-c.Insts)
+		c.Insts += r.Insts
+		c.MemRefs += r.Refs
+		c.MDAs += r.MDAs
+		if err != nil {
+			return finish(err)
+		}
+		if r.Held {
+			// Self-modifying code: drop decode entries the store overwrote
+			// so the next visit re-decodes the new bytes.
+			a := &r.Acc
+			if a.Store {
+				dec.invalidateWrite(uint64(a.EA), int(a.Size))
 			}
-			if acc.N == 2 && dec.mayContain(uint64(acc.EA2), int(acc.Size)) {
-				dec.invalidateWrite(uint64(acc.EA2), int(acc.Size))
+			if a.N == 2 {
+				dec.invalidateWrite(uint64(a.EA2), int(a.Size))
 			}
-			c.Insts++
-			c.MemRefs += uint64(acc.N)
-			c.MDAs += de.count(&acc)
-			next := pc + uint32(de.len)
-			if cpu.EIP != next || cpu.Halted || c.Insts >= maxInsts {
-				break
-			}
-			if de = dec.fallThrough(next); de == nil {
-				break
-			}
-			pc = next
+			c.MDAs += r.Last.Count(a)
 		}
 	}
 	return finish(nil)

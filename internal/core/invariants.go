@@ -56,25 +56,25 @@ func (e *Engine) CheckInvariants() error {
 		if tableErr != nil {
 			return
 		}
-		if de.len > 0 {
-			for _, p := range [2]uint64{uint64(pc), uint64(pc) + uint64(de.len) - 1} {
+		if de.Len > 0 {
+			for _, p := range [2]uint64{uint64(pc), uint64(pc) + uint64(de.Len) - 1} {
 				if !e.Mem.Watched(p) {
 					tableErr = fmt.Errorf("core: invariant: decoded code page %#x is not write-watched", p&^(mem.PageSize-1))
 					return
 				}
 			}
 		}
-		if de.st == nil || de.st.blk == nil {
+		if de.St == nil || de.St.blk == nil {
 			return
 		}
-		switch b := de.st.blk; {
+		switch b := de.St.blk; {
 		case b.invalid:
 			tableErr = fmt.Errorf("core: invariant: block %#x is bound but marked invalid", pc)
 		case b.guestPC != pc:
 			tableErr = fmt.Errorf("core: invariant: block table key %#x != block.guestPC %#x", pc, b.guestPC)
 		case liveSpans[b] != 1:
 			tableErr = fmt.Errorf("core: invariant: bound block %#x has %d fault-attribution spans, want 1", pc, liveSpans[b])
-		case de.st.blacklisted:
+		case de.St.blacklisted:
 			tableErr = fmt.Errorf("core: invariant: blacklisted guest %#x has a live translation", pc)
 		}
 	})

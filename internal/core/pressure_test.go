@@ -99,8 +99,8 @@ func TestRetainedMDASurvivesFlush(t *testing.T) {
 		_, _, e := runDBT(t, img, data, opt)
 		retained := map[uint32]idxSet{}
 		e.dec.each(func(pc uint32, de *decEntry) {
-			if de.st != nil && de.st.retained != (idxSet{}) {
-				retained[pc] = de.st.retained
+			if de.St != nil && de.St.retained != (idxSet{}) {
+				retained[pc] = de.St.retained
 			}
 		})
 		checked := 0
@@ -225,7 +225,7 @@ func TestBlockBindingCoherence(t *testing.T) {
 	// Flush drops every binding; none may outlive the code cache.
 	e.flushAll()
 	e.dec.each(func(p uint32, de *decEntry) {
-		if de.st != nil && de.st.blk != nil {
+		if de.St != nil && de.St.blk != nil {
 			t.Fatalf("guest %#x still bound after flush", p)
 		}
 	})

@@ -34,11 +34,11 @@ func (e *Engine) SiteHistory() map[uint32]struct{ MDA, Aligned uint64 } {
 func (e *Engine) forEachSite(fn func(pc uint32, mda, aligned uint64)) {
 	e.dec.each(func(pc uint32, de *decEntry) {
 		var mda, aligned uint64
-		if p := de.prof; p != nil {
-			mda, aligned = p.mda, p.aligned
+		if p := de.Prof; p != nil {
+			mda, aligned = p.MDA, p.Aligned
 		}
-		if de.st != nil {
-			mda += de.st.traps
+		if de.St != nil {
+			mda += de.St.traps
 		}
 		if mda != 0 || aligned != 0 {
 			fn(pc, mda, aligned)

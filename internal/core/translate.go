@@ -58,9 +58,9 @@ func (e *Engine) decodeBlock(units []unitInst, pc uint32) ([]unitInst, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: decode block at %#x: %w", cur, err)
 		}
-		units = append(units, unitInst{inst: de.inst, pc: cur, len: int(de.len)})
-		cur += uint32(de.len)
-		if de.inst.Op.EndsBlock() {
+		units = append(units, unitInst{inst: de.Inst, pc: cur, len: int(de.Len)})
+		cur += uint32(de.Len)
+		if de.Inst.Op.EndsBlock() {
 			break
 		}
 	}
@@ -822,7 +822,7 @@ func (e *Engine) sitePolicies(b *block, st *pcState) (anyMixed bool, err error) 
 			StaticMarked: e.Opt.StaticSites[u.pc],
 		}
 		if s := e.dec.profAt(u.pc); s != nil {
-			ctx.ProfMDA, ctx.ProfAligned = s.mda, s.aligned
+			ctx.ProfMDA, ctx.ProfAligned = s.MDA, s.Aligned
 		}
 		ctx.Reverted = st.reverted.has(idx)
 		if e.Opt.StaticAlign {

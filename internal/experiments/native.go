@@ -40,11 +40,17 @@ func (s *Session) nativeCycles(name, variant string) (uint64, error) {
 	cpu := &guest.CPU{}
 	cpu.Reset(p.Entry())
 	caches := cache.NewES40() // contemporary geometry; only the data path is used
+	// Each instruction is decoded once, into a table per code image
+	// (indexed by PC; n == 0 until decoded). The models do not modify
+	// their code.
 	type decoded struct {
 		inst guest.Inst
-		n    int
+		n    uint8
 	}
-	dcache := make(map[uint32]decoded)
+	images := [2]struct {
+		base  uint32
+		insts []decoded
+	}{{guest.CodeBase, make([]decoded, len(p.Main))}, {guest.SharedLib, make([]decoded, len(p.Lib))}}
 	var cycles uint64
 	var acc guest.Access
 	for steps := uint64(0); !cpu.Halted; steps++ {
@@ -52,18 +58,25 @@ func (s *Session) nativeCycles(name, variant string) (uint64, error) {
 			return 0, fmt.Errorf("experiments: native %s did not halt", name)
 		}
 		pc := cpu.EIP
-		de, ok := dcache[pc]
-		if !ok {
+		var de *decoded
+		for i := range images {
+			if off := pc - images[i].base; off < uint32(len(images[i].insts)) {
+				de = &images[i].insts[off]
+			}
+		}
+		if de == nil {
+			return 0, fmt.Errorf("experiments: native %s: pc %#x outside the code images", name, pc)
+		}
+		if de.n == 0 {
 			var buf [guest.MaxInstLen]byte
 			m.ReadBytes(uint64(pc), buf[:])
 			inst, n, derr := guest.Decode(buf[:])
 			if derr != nil {
 				return 0, derr
 			}
-			de = decoded{inst, n}
-			dcache[pc] = de
+			*de = decoded{inst, uint8(n)}
 		}
-		if err := cpu.Exec(m, pc, &de.inst, de.n, &acc); err != nil {
+		if err := cpu.Exec(m, pc, &de.inst, int(de.n), &acc); err != nil {
 			return 0, err
 		}
 		cycles++

@@ -17,6 +17,15 @@
 // own basic block (the translator materializes the condition from that
 // comparison, sidestepping lazy-flags machinery that is orthogonal to MDA
 // handling).
+//
+// CPU holds the architectural state, and Code.Run (exec.go) is the one
+// copy of the ISA's semantics: a straight-line executor over a decode
+// table whose slots hold instructions lowered to a fused op × address-form
+// kind. It counts instructions, data references and MDAs per run and
+// tallies each site's alignment profile in its slot. Exec runs one
+// instruction through it and reports its data accesses; Step decodes at
+// EIP and calls Exec. On armed memory every fetch and data access is
+// checked first, so a fault leaves the CPU in its pre-instruction state.
 package guest
 
 import "fmt"
@@ -236,6 +245,7 @@ type Inst struct {
 	R2   Reg  // second GPR operand
 	FR1  FReg // first quadword operand
 	FR2  FReg // second quadword operand
+	kind kind // lowered form for the executor (exec.go); zero until lowered
 	Mem  MemRef
 	Imm  int32 // immediate
 	Cond Cond  // JCC condition
@@ -281,57 +291,58 @@ type opFacts struct {
 	load, store bool  // reads / writes data memory (REPMOVS4 does both: load first)
 	branch      bool  // transfers control (ends a basic block)
 	setsFlags   bool  // defines the EFLAGS condition codes the translator consumes
+	kind        kind  // lowered kind; a MemRef op's base form
 }
 
 // opTable has one row per Op value, so indexing it by an Op needs no
 // bounds check; rows past the last op are zero (no layout, no access).
 var opTable = [256]opFacts{
-	NOP:   {lay: layNone},
-	HALT:  {lay: layNone, branch: true},
-	MOVri: {lay: layRI},
-	MOVrr: {lay: layRR},
-	LEA:   {lay: layRM},
+	NOP:   {lay: layNone, kind: kNOP},
+	HALT:  {lay: layNone, branch: true, kind: kHALT},
+	MOVri: {lay: layRI, kind: kMOVri},
+	MOVrr: {lay: layRR, kind: kMOVrr},
+	LEA:   {lay: layRM, kind: kLEA},
 
-	LD4:  {lay: layRM, mem: memExplicit, size: 4, load: true},
-	LD2Z: {lay: layRM, mem: memExplicit, size: 2, load: true},
-	LD2S: {lay: layRM, mem: memExplicit, size: 2, load: true},
-	LD1Z: {lay: layRM, mem: memExplicit, size: 1, load: true},
-	LD1S: {lay: layRM, mem: memExplicit, size: 1, load: true},
-	ST4:  {lay: layMR, mem: memExplicit, size: 4, store: true},
-	ST2:  {lay: layMR, mem: memExplicit, size: 2, store: true},
-	ST1:  {lay: layMR, mem: memExplicit, size: 1, store: true},
-	FLD8: {lay: layFM, mem: memExplicit, size: 8, load: true},
-	FST8: {lay: layMF, mem: memExplicit, size: 8, store: true},
+	LD4:  {lay: layRM, mem: memExplicit, size: 4, load: true, kind: kLD4},
+	LD2Z: {lay: layRM, mem: memExplicit, size: 2, load: true, kind: kLD2Z},
+	LD2S: {lay: layRM, mem: memExplicit, size: 2, load: true, kind: kLD2S},
+	LD1Z: {lay: layRM, mem: memExplicit, size: 1, load: true, kind: kLD1Z},
+	LD1S: {lay: layRM, mem: memExplicit, size: 1, load: true, kind: kLD1S},
+	ST4:  {lay: layMR, mem: memExplicit, size: 4, store: true, kind: kST4},
+	ST2:  {lay: layMR, mem: memExplicit, size: 2, store: true, kind: kST2},
+	ST1:  {lay: layMR, mem: memExplicit, size: 1, store: true, kind: kST1},
+	FLD8: {lay: layFM, mem: memExplicit, size: 8, load: true, kind: kFLD8},
+	FST8: {lay: layMF, mem: memExplicit, size: 8, store: true, kind: kFST8},
 
-	ADDrr:  {lay: layRR, setsFlags: true},
-	SUBrr:  {lay: layRR, setsFlags: true},
-	ANDrr:  {lay: layRR, setsFlags: true},
-	ORrr:   {lay: layRR, setsFlags: true},
-	XORrr:  {lay: layRR, setsFlags: true},
-	IMULrr: {lay: layRR},
-	CMPrr:  {lay: layRR, setsFlags: true},
-	TESTrr: {lay: layRR, setsFlags: true},
-	ADDri:  {lay: layRI, setsFlags: true},
-	SUBri:  {lay: layRI, setsFlags: true},
-	ANDri:  {lay: layRI, setsFlags: true},
-	ORri:   {lay: layRI, setsFlags: true},
-	XORri:  {lay: layRI, setsFlags: true},
-	IMULri: {lay: layRI},
-	CMPri:  {lay: layRI, setsFlags: true},
-	SHLri:  {lay: layRI},
-	SHRri:  {lay: layRI},
-	SARri:  {lay: layRI},
-	FADDrr: {lay: layFF},
-	FMOVrr: {lay: layFF},
+	ADDrr:  {lay: layRR, setsFlags: true, kind: kADDrr},
+	SUBrr:  {lay: layRR, setsFlags: true, kind: kSUBrr},
+	ANDrr:  {lay: layRR, setsFlags: true, kind: kANDrr},
+	ORrr:   {lay: layRR, setsFlags: true, kind: kORrr},
+	XORrr:  {lay: layRR, setsFlags: true, kind: kXORrr},
+	IMULrr: {lay: layRR, kind: kIMULrr},
+	CMPrr:  {lay: layRR, setsFlags: true, kind: kCMPrr},
+	TESTrr: {lay: layRR, setsFlags: true, kind: kTESTrr},
+	ADDri:  {lay: layRI, setsFlags: true, kind: kADDri},
+	SUBri:  {lay: layRI, setsFlags: true, kind: kSUBri},
+	ANDri:  {lay: layRI, setsFlags: true, kind: kANDri},
+	ORri:   {lay: layRI, setsFlags: true, kind: kORri},
+	XORri:  {lay: layRI, setsFlags: true, kind: kXORri},
+	IMULri: {lay: layRI, kind: kIMULri},
+	CMPri:  {lay: layRI, setsFlags: true, kind: kCMPri},
+	SHLri:  {lay: layRI, kind: kSHLri},
+	SHRri:  {lay: layRI, kind: kSHRri},
+	SARri:  {lay: layRI, kind: kSARri},
+	FADDrr: {lay: layFF, kind: kFADDrr},
+	FMOVrr: {lay: layFF, kind: kFMOVrr},
 
-	JMP:  {lay: layRel, branch: true},
-	JCC:  {lay: layCondRel, branch: true},
-	CALL: {lay: layRel, mem: memPush, size: 4, store: true, branch: true},
-	RET:  {lay: layNone, mem: memPop, size: 4, load: true, branch: true},
-	PUSH: {lay: layR, mem: memPush, size: 4, store: true},
-	POP:  {lay: layR, mem: memPop, size: 4, load: true},
+	JMP:  {lay: layRel, branch: true, kind: kJMP},
+	JCC:  {lay: layCondRel, branch: true, kind: kJCC},
+	CALL: {lay: layRel, mem: memPush, size: 4, store: true, branch: true, kind: kCALL},
+	RET:  {lay: layNone, mem: memPop, size: 4, load: true, branch: true, kind: kRET},
+	PUSH: {lay: layR, mem: memPush, size: 4, store: true, kind: kPUSH},
+	POP:  {lay: layR, mem: memPop, size: 4, load: true, kind: kPOP},
 
-	REPMOVS4: {lay: layNone, mem: memCopy, size: 4, load: true, store: true},
+	REPMOVS4: {lay: layNone, mem: memCopy, size: 4, load: true, store: true, kind: kREPMOVS4},
 }
 
 // MemSize returns the memory access size in bytes of op, or 0 for

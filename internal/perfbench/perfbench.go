@@ -179,9 +179,10 @@ func guestKernel(iters int32) ([]byte, uint32, error) {
 func guestKernelInsts(iters uint64) uint64 { return 2 + 8*iters + 1 }
 
 // GuestExec measures the reference CPU's decode-once/execute-many path: the
-// guest kernel runs off a predecoded instruction cache, so the op cost is
-// CPU.Exec plus the decode-cache probe — the interpreter's inner step
-// without its profiling bookkeeping.
+// guest kernel is predecoded into a guest.Code table and runs through the
+// guest executor one straight line per call, so the op cost is the
+// census's inner loop with its per-site profiling but without decode-cache
+// probes.
 func GuestExec() Bench {
 	const iters = 256
 	return Bench{
@@ -197,25 +198,19 @@ func GuestExec() Bench {
 			m.WriteBytes(uint64(entry), img)
 			cpu := &guest.CPU{}
 			// Predecode the whole image once.
-			type dec struct {
-				inst guest.Inst
-				n    int
-			}
-			decoded := make([]dec, len(img))
+			code := guest.Code[struct{}]{Dense: make([]guest.Slot[struct{}], len(img))}
 			for off := 0; off < len(img); {
 				inst, n, derr := guest.Decode(img[off:])
 				if derr != nil {
 					return nil, derr
 				}
-				decoded[off] = dec{inst, n}
+				code.Dense[off].Fill(inst, n)
 				off += n
 			}
-			var acc guest.Access
 			op := func() {
 				cpu.Reset(entry)
 				for !cpu.Halted {
-					d := &decoded[cpu.EIP-entry]
-					if err := cpu.Exec(m, cpu.EIP, &d.inst, d.n, &acc); err != nil {
+					if _, err := code.Run(cpu, m, &code.Dense[cpu.EIP-entry], 1<<62); err != nil {
 						panic(err)
 					}
 				}
