@@ -106,9 +106,11 @@ store-chaos:
 # The README's profile flows through the dbtrun CLI on
 # cmd/dbtrun/testdata/sum.gasm: -profile-out then -mech speh -profile-in
 # reports no misalignment traps, and so does the second of two
-# -mech speh -store DIR runs.
+# -mech speh -store DIR runs. Then the benchmark store paths: the second
+# of two -store DIR -bench 470.lbm runs under static and under aot loads
+# every artifact from the store and prints the same results.
 profile-smoke:
-	$(GO) test -run '^TestProfileSmoke$$' -v ./cmd/dbtrun
+	$(GO) test -run '^(TestProfileSmoke|TestBenchStoreWarm)$$' -v ./cmd/dbtrun
 
 # One experiment run per registered mechanism (policy registry), and the
 # check that a bare Options{Mechanism: m} is DefaultOptions(m) for every

@@ -38,6 +38,7 @@ import (
 	"mdabt/internal/mem"
 	"mdabt/internal/policy"
 	"mdabt/internal/profiling"
+	"mdabt/internal/serve"
 	"mdabt/internal/store"
 	"mdabt/internal/workload"
 )
@@ -64,7 +65,6 @@ func main() {
 	ibtc := flag.Bool("ibtc", false, "enable the indirect-branch translation cache")
 	adaptive := flag.Bool("adaptive", false, "enable §IV-D adaptive sites (DPEH)")
 	superblocks := flag.Bool("superblocks", false, "enable phase-2 trace formation (DPEH/dynprof)")
-	flag.Bool("traces", true, "ignored: every run executes on the trace tier (see -dump for its annotations)")
 	staticalign := flag.Bool("staticalign", false, "layer the static alignment analysis over the mechanism")
 	aotFlag := flag.Bool("aot", false, "pre-translate the whole binary ahead of time from the recovered CFG (implies -staticalign)")
 	lint := flag.Bool("lint", false, "run the translation verifier over every emitted block after the run")
@@ -106,9 +106,6 @@ func main() {
 		AOT:                *aotFlag,
 		SelfCheck:          *selfcheck,
 	}
-	// The store block reads the implied settings (the aot mechanism sets
-	// AOT, AOT sets StaticAlign) before the engine exists.
-	opt.Normalize()
 	if *faultRate < 0 || *faultRate > 1 {
 		fail("-fault-rate must be in [0,1]")
 	}
@@ -203,55 +200,32 @@ func main() {
 			fail("profile %s: %v", *profileIn, err)
 		}
 		opt.StaticSites = tp.StaticSites()
+		if opt.StaticSites == nil {
+			opt.StaticSites = map[uint32]bool{} // the file's empty profile, not none: nothing replaces it
+		}
 	}
 
-	// Warm-start from the persistent store: adopt the stored AOT block
-	// schedule and trap profile keyed by (program identity, options
-	// fingerprint). Anything the store cannot supply cleanly — a miss, a
-	// quarantined corrupt artifact, a foreign fingerprint — leaves the run
-	// cold; for benchmarks, a training census fills the gap and is
-	// persisted so the next run (either front end) skips it.
-	fingerprint := opt.Fingerprint()
-	if st != nil && storeProg != "" && opt.AOT && opt.AOTBlocks == nil {
-		k := store.Key{Program: storeProg, Fingerprint: fingerprint, Kind: store.KindAOTImage}
-		var im aot.Image
-		if err := st.Load(k, &im); err == nil && im.Verify() == nil {
-			im.Apply(&opt)
-		} else {
-			built := aot.BuildFromMemory(m, entry)
-			built.Apply(&opt)
-			if serr := st.Save(k, built); serr != nil {
-				fmt.Fprintf(os.Stderr, "dbtrun: store save aot image: %v\n", serr)
-			}
-		}
+	// Warm-start by the front ends' shared rule (serve.WarmStart): the
+	// store first, then a built AOT image or, for a benchmark, a training
+	// census, saved back so the next run (either front end) skips it.
+	// Without a store the engine recovers the AOT schedule itself.
+	var build func() *aot.Image
+	if st != nil && storeProg != "" {
+		build = func() *aot.Image { return aot.BuildFromMemory(m, entry) }
 	}
-	if p, ok := policy.ByID(int(mech)); ok && p.UsesStaticProfile() && *profileIn == "" && opt.StaticSites == nil {
-		profKey := store.Key{Program: storeProg, Fingerprint: fingerprint, Kind: store.KindTrapProfile}
-		warmed := false
-		if st != nil && storeProg != "" {
-			var tp store.TrapProfile
-			if st.Load(profKey, &tp) == nil {
-				// A stored profile with zero MDA sites is still knowledge —
-				// "the census found nothing" — so it suppresses retraining.
-				opt.StaticSites = tp.StaticSites()
-				warmed = true
-			}
-		}
-		if !warmed && benchProg != nil {
-			// The static profile comes from the train input.
-			tm := mem.New()
-			benchProg.Load(tm, workload.Train)
-			trained, err := core.TrainProfile(tm, benchProg.Entry(), 300_000_000)
+	var train func() *store.TrapProfile
+	if benchProg != nil {
+		train = func() *store.TrapProfile {
+			tp, err := serve.TrainBench(benchProg)
 			if err != nil {
 				fail("train profile: %v", err)
 			}
-			opt.StaticSites = trained.StaticSites()
-			if st != nil && storeProg != "" {
-				if serr := st.MergeTrapProfile(profKey, trained); serr != nil {
-					fmt.Fprintf(os.Stderr, "dbtrun: store save trap profile: %v\n", serr)
-				}
-			}
+			return tp
 		}
+	}
+	fingerprint, serr := serve.WarmStart(st, storeProg, &opt, build, train)
+	if serr != nil {
+		fmt.Fprintf(os.Stderr, "dbtrun: store: %v\n", serr)
 	}
 
 	mach := machine.New(m, machine.DefaultParams())

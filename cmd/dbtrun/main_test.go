@@ -78,17 +78,26 @@ func TestUnknownInputFails(t *testing.T) {
 	}
 }
 
-// TestTracesFlagIgnored: -traces stays accepted for existing scripts but
-// changes nothing — every run executes on the trace tier, so the output
-// with -traces=false, trace-tier line included, equals the default's.
-func TestTracesFlagIgnored(t *testing.T) {
-	const prog = "testdata/sum.gasm"
-	_, def := dbtrun(t, "-mech", "dpeh", prog)
-	_, off := dbtrun(t, "-mech", "dpeh", "-traces=false", prog)
-	if off != def {
-		t.Fatalf("-traces=false output differs from the default:\n%s\nvs\n%s", off, def)
-	}
-	if !strings.Contains(def, "trace tier:") {
-		t.Fatalf("no trace-tier line:\n%s", def)
+// TestBenchStoreWarm runs the benchmark store paths: a cold -store run
+// trains the static profile or builds the AOT image and saves it, and a
+// second run on the same directory loads every artifact from the store
+// and prints the same results.
+func TestBenchStoreWarm(t *testing.T) {
+	storeRE := regexp.MustCompile(`(?m)^store:\s+hits=(\d+) misses=(\d+) .*\n`)
+	for _, mech := range []string{"static", "aot"} {
+		st := filepath.Join(t.TempDir(), "store")
+		args := []string{"-store", st, "-bench", "470.lbm", "-mech", mech}
+		_, cold := dbtrun(t, args...)
+		_, warm := dbtrun(t, args...)
+		m := storeRE.FindStringSubmatch(warm)
+		if m == nil {
+			t.Fatalf("%s: warm run printed no store line:\n%s", mech, warm)
+		}
+		if m[1] == "0" || m[2] != "0" {
+			t.Errorf("%s: warm run hits=%s misses=%s, want every load a hit", mech, m[1], m[2])
+		}
+		if c, w := storeRE.ReplaceAllString(cold, ""), storeRE.ReplaceAllString(warm, ""); c != w {
+			t.Errorf("%s: warm output differs from cold beyond the store line:\n%s\nvs\n%s", mech, c, w)
+		}
 	}
 }

@@ -24,10 +24,12 @@
 //	                trace-tier totals (traces_formed, chain_follows,
 //	                trace_invalidations) across all runs.
 //
-// Requests running the "aot" mechanism on a benchmark adopt a cached
-// ahead-of-time image (built once per benchmark): the engine pre-seeds its
-// code cache from the image at Reset/Run, so repeat requests for a known
-// binary perform zero dynamic block translations.
+// Benchmark requests warm-start as dbtrun's do (serve.WarmStart): an
+// "aot" run adopts the benchmark's ahead-of-time image, so even the
+// first request on a known binary performs zero dynamic block
+// translations, and a static-profile mechanism ("static", "speh") adopts
+// the profile of the benchmark's train-input census. Each comes from the
+// store when it has one, else is built or trained once per benchmark.
 //
 // With -store DIR the pool is backed by the crash-safe persistent
 // artifact store (internal/store): AOT images and aggregated trap
@@ -133,10 +135,8 @@ type app struct {
 	mech     core.Mechanism
 	deadline time.Duration
 
-	mu     sync.Mutex
-	progs  map[string]*workload.Program // benchmark model cache
-	images map[string]*aot.Image        // ahead-of-time image cache, per benchmark
-	saved  map[store.Key]bool           // artifacts already persisted this process
+	mu    sync.Mutex
+	progs map[string]*benchModel // benchmark model cache
 
 	// Cumulative serving counters (GET /statsz), updated atomically.
 	runs         atomic.Uint64 // successful /run executions
@@ -153,10 +153,44 @@ type app struct {
 func newApp(srv *serve.Server, st *store.Store, mech core.Mechanism, deadline time.Duration) *app {
 	return &app{
 		srv: srv, store: st, mech: mech, deadline: deadline,
-		progs:  make(map[string]*workload.Program),
-		images: make(map[string]*aot.Image),
-		saved:  make(map[store.Key]bool),
+		progs: make(map[string]*benchModel),
 	}
+}
+
+// benchModel is one generated benchmark plus the warm-start artifacts
+// made from it, each at most once per process: the ahead-of-time image
+// (CFG recovery over the ref-loaded program) and the train-input trap
+// profile.
+type benchModel struct {
+	prog *workload.Program
+
+	imageOnce sync.Once
+	image     *aot.Image
+	profOnce  sync.Once
+	profile   *store.TrapProfile // nil if training failed: the run stays cold
+}
+
+// build is the model's serve.WarmStart builder.
+func (b *benchModel) build() *aot.Image {
+	b.imageOnce.Do(func() {
+		m := mem.New()
+		b.prog.Load(m, workload.Ref)
+		b.image = aot.BuildFromMemory(m, b.prog.Entry())
+	})
+	return b.image
+}
+
+// train is the model's serve.WarmStart trainer.
+func (b *benchModel) train() *store.TrapProfile {
+	b.profOnce.Do(func() {
+		tp, err := serve.TrainBench(b.prog)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "dbtserve: train profile: %v\n", err)
+			return
+		}
+		b.profile = tp
+	})
+	return b.profile
 }
 
 // mux returns the HTTP routing table (shared by main and the tests).
@@ -276,7 +310,7 @@ func (a *app) handleRun(w http.ResponseWriter, r *http.Request) {
 		name = "asm"
 		req.Image = img
 	case body.Bench != "":
-		prog, err := a.program(body.Bench)
+		model, err := a.program(body.Bench)
 		if err != nil {
 			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error(), Class: "permanent"})
 			return
@@ -291,14 +325,12 @@ func (a *app) handleRun(w http.ResponseWriter, r *http.Request) {
 		name = body.Bench
 		req.Key = body.Bench
 		req.StoreKey = workload.BenchStoreKey(body.Bench, in)
-		req.Load = func(m *mem.Memory) uint32 { prog.Load(m, in); return prog.Entry() }
-		if opt.AOT {
-			// Adopt the benchmark's cached ahead-of-time image: the engine
-			// pre-seeds its code cache from the image's block schedule, so
-			// the run performs zero dynamic translations on full coverage.
-			// With a persistent store the image is saved there instead and
-			// the serving layer's warm path adopts it (surviving restarts).
-			a.ensureImage(&opt, req.StoreKey, body.Bench, prog)
+		req.Load = func(m *mem.Memory) uint32 { model.prog.Load(m, in); return model.prog.Entry() }
+		// The AOT image and the static profile come from the store, else
+		// from the model's cached builder and trainer (saved for the next
+		// process); the serving layer then finds nothing left to load.
+		if _, err := serve.WarmStart(a.store, req.StoreKey, &opt, model.build, model.train); err != nil {
+			fmt.Fprintf(os.Stderr, "dbtserve: store %s: %v\n", req.StoreKey, err)
 		}
 	default:
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "need asm, bench, or faultprog", Class: "permanent"})
@@ -369,23 +401,7 @@ type statsResponse struct {
 	// cross-restart warm-start win; corrupt/quarantined is the
 	// degraded-but-correct path (every corrupt artifact was isolated and
 	// its request served cold).
-	Store *storeStatsBody `json:"store,omitempty"`
-}
-
-// storeStatsBody mirrors store.Stats with wire-stable snake_case keys.
-type storeStatsBody struct {
-	Saves         uint64 `json:"saves"`
-	SaveErrors    uint64 `json:"save_errors"`
-	Loads         uint64 `json:"loads"`
-	Hits          uint64 `json:"hits"`
-	Misses        uint64 `json:"misses"`
-	Corrupt       uint64 `json:"corrupt"`
-	VersionSkew   uint64 `json:"version_skew"`
-	Foreign       uint64 `json:"foreign"`
-	Quarantined   uint64 `json:"quarantined"`
-	ReadErrors    uint64 `json:"read_errors"`
-	LockConflicts uint64 `json:"lock_conflicts"`
-	Merges        uint64 `json:"merges"`
+	Store *store.Stats `json:"store,omitempty"`
 }
 
 func (a *app) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -400,66 +416,9 @@ func (a *app) handleStats(w http.ResponseWriter, r *http.Request) {
 		TraceInvalidations: a.traceInvalidations.Load(),
 	}
 	if st, ok := a.srv.StoreStats(); ok {
-		resp.Store = &storeStatsBody{
-			Saves:         st.Saves,
-			SaveErrors:    st.SaveErrors,
-			Loads:         st.Loads,
-			Hits:          st.Hits,
-			Misses:        st.Misses,
-			Corrupt:       st.Corrupt,
-			VersionSkew:   st.VersionSkew,
-			Foreign:       st.Foreign,
-			Quarantined:   st.Quarantined,
-			ReadErrors:    st.ReadErrors,
-			LockConflicts: st.LockConflicts,
-			Merges:        st.Merges,
-		}
+		resp.Store = &st
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// ensureImage routes the benchmark's ahead-of-time image to the request:
-// without a persistent store it adopts the in-memory cached image
-// directly; with one it persists the image under (program key, options
-// fingerprint) and leaves adoption to the serving layer's warm-start
-// path, so the artifact outlives this process. A failed save only costs
-// warmth — the request runs cold and correct.
-func (a *app) ensureImage(opt *core.Options, storeKey, bench string, prog *workload.Program) {
-	im := a.image(bench, prog)
-	if a.store == nil {
-		im.Apply(opt)
-		return
-	}
-	k := store.Key{Program: storeKey, Fingerprint: opt.Fingerprint(), Kind: store.KindAOTImage}
-	a.mu.Lock()
-	done := a.saved[k]
-	a.mu.Unlock()
-	if done {
-		return
-	}
-	if err := a.store.Save(k, im); err != nil {
-		fmt.Fprintf(os.Stderr, "dbtserve: store save %s: %v\n", storeKey, err)
-		return
-	}
-	a.mu.Lock()
-	a.saved[k] = true
-	a.mu.Unlock()
-}
-
-// image returns the (cached) ahead-of-time image for a benchmark, built
-// once by loading the program into a scratch memory and running CFG
-// recovery over it — the offline half of the AOT tier.
-func (a *app) image(name string, prog *workload.Program) *aot.Image {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if im, ok := a.images[name]; ok {
-		return im
-	}
-	m := mem.New()
-	prog.Load(m, workload.Ref)
-	im := aot.BuildFromMemory(m, prog.Entry())
-	a.images[name] = im
-	return im
 }
 
 func (a *app) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -472,7 +431,7 @@ func (a *app) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 // program returns the (cached) benchmark model.
-func (a *app) program(name string) (*workload.Program, error) {
+func (a *app) program(name string) (*benchModel, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if p, ok := a.progs[name]; ok {
@@ -486,8 +445,9 @@ func (a *app) program(name string) (*workload.Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	a.progs[name] = p
-	return p, nil
+	b := &benchModel{prog: p}
+	a.progs[name] = b
+	return b, nil
 }
 
 func main() {

@@ -11,8 +11,12 @@ import (
 	"time"
 
 	"mdabt/internal/core"
+	"mdabt/internal/guest"
+	"mdabt/internal/machine"
+	"mdabt/internal/mem"
 	"mdabt/internal/serve"
 	"mdabt/internal/store"
+	"mdabt/internal/workload"
 )
 
 func testApp(t *testing.T) (*app, *httptest.Server) {
@@ -324,8 +328,10 @@ func TestStoreWarmRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sr.Body.Close()
+	var raw bytes.Buffer
+	raw.ReadFrom(sr.Body)
 	var stats statsResponse
-	if err := json.NewDecoder(sr.Body).Decode(&stats); err != nil {
+	if err := json.Unmarshal(raw.Bytes(), &stats); err != nil {
 		t.Fatal(err)
 	}
 	if stats.Store == nil {
@@ -333,6 +339,23 @@ func TestStoreWarmRestart(t *testing.T) {
 	}
 	if stats.Store.Hits == 0 {
 		t.Fatalf("warm process never hit the store: %+v", stats.Store)
+	}
+	// The store object's keys are wire names: pin every one.
+	var wire struct {
+		Store map[string]any `json:"store"`
+	}
+	if err := json.Unmarshal(raw.Bytes(), &wire); err != nil {
+		t.Fatal(err)
+	}
+	keys := []string{"saves", "save_errors", "loads", "hits", "misses", "corrupt",
+		"version_skew", "foreign", "quarantined", "read_errors", "lock_conflicts", "merges"}
+	for _, k := range keys {
+		if _, ok := wire.Store[k]; !ok {
+			t.Errorf("statsz store object lacks %q: %s", k, raw.Bytes())
+		}
+	}
+	if len(wire.Store) != len(keys) {
+		t.Errorf("statsz store object has %d keys, want %d: %s", len(wire.Store), len(keys), raw.Bytes())
 	}
 }
 
@@ -401,4 +424,77 @@ func TestRunTracesFieldIgnored(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || r.HostInsts == 0 || r.TracesFormed == 0 {
 		t.Fatalf("status %d, response %+v: want a traced run", resp.StatusCode, r)
 	}
+}
+
+// TestRunStaticTrainsProfile: without a store, a benchmark request under a
+// static-profile mechanism adopts the profile of the benchmark's
+// train-input census, so it reports exactly what an engine given that
+// profile reports on the ref input. The requests run concurrently, so
+// they race to build the benchmark's cached profile.
+func TestRunStaticTrainsProfile(t *testing.T) {
+	if testing.Short() {
+		t.Skip("benchmark training census is slow")
+	}
+	const bench = "470.lbm"
+	spec, ok := workload.SpecByName(bench)
+	if !ok {
+		t.Fatalf("no benchmark %s", bench)
+	}
+	prog, err := workload.Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tm := mem.New()
+	prog.Load(tm, workload.Train)
+	tp, err := core.TrainProfile(tm, prog.Entry(), 300_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	mechs := []core.Mechanism{core.StaticProfile, core.SPEH}
+	want := make(map[core.Mechanism]runResponse)
+	for _, mech := range mechs {
+		opt := core.DefaultOptions(mech)
+		opt.StaticSites = tp.StaticSites()
+		m := mem.New()
+		prog.Load(m, workload.Ref)
+		mach := machine.New(m, machine.DefaultParams())
+		eng := core.NewEngine(m, mach, opt)
+		if err := eng.Run(prog.Entry(), 200_000_000); err != nil {
+			t.Fatalf("%v: engine run: %v", mech, err)
+		}
+		c, cpu := mach.Counters(), eng.FinalCPU()
+		w := runResponse{Cycles: c.Cycles, HostInsts: c.Insts, MisalignTraps: c.MisalignTraps}
+		for r := range w.Regs {
+			w.Regs[r] = cpu.R[guest.Reg(r)]
+		}
+		want[mech] = w
+	}
+
+	_, ts := testApp(t)
+	var wg sync.WaitGroup
+	for _, mech := range append(mechs, mechs...) { // each mechanism twice
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			raw, _ := json.Marshal(runRequest{Bench: bench, Mech: mech.String()})
+			resp, err := http.Post(ts.URL+"/run", "application/json", bytes.NewReader(raw))
+			if err != nil {
+				t.Errorf("%v: %v", mech, err)
+				return
+			}
+			defer resp.Body.Close()
+			var r runResponse
+			if err := json.NewDecoder(resp.Body).Decode(&r); err != nil || resp.StatusCode != http.StatusOK {
+				t.Errorf("%v: status %d, decode error %v", mech, resp.StatusCode, err)
+				return
+			}
+			w := want[mech]
+			if r.Cycles != w.Cycles || r.HostInsts != w.HostInsts || r.MisalignTraps != w.MisalignTraps || r.Regs != w.Regs {
+				t.Errorf("%v: served cycles=%d insts=%d traps=%d regs=%x, trained engine cycles=%d insts=%d traps=%d regs=%x",
+					mech, r.Cycles, r.HostInsts, r.MisalignTraps, r.Regs, w.Cycles, w.HostInsts, w.MisalignTraps, w.Regs)
+			}
+		}()
+	}
+	wg.Wait()
 }

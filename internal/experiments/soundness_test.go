@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mdabt/internal/align"
+	"mdabt/internal/aot"
 	"mdabt/internal/core"
 	"mdabt/internal/mem"
 	"mdabt/internal/workload"
@@ -37,7 +38,7 @@ func TestStaticAlignSoundness(t *testing.T) {
 		}
 		m := mem.New()
 		p.Load(m, workload.Ref)
-		dec := memDecoder(m)
+		dec := aot.MemDecoder(m)
 		checked := 0
 		for _, cs := range c.Sites {
 			pc := cs.PC

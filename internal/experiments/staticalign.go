@@ -2,7 +2,7 @@ package experiments
 
 import (
 	"mdabt/internal/align"
-	"mdabt/internal/guest"
+	"mdabt/internal/aot"
 	"mdabt/internal/mem"
 	"mdabt/internal/workload"
 )
@@ -11,18 +11,6 @@ import (
 // analysis layered over each of the paper's mechanisms (staticalign) and
 // the per-benchmark verdict histogram (sitehist, the coverage companion to
 // Table I).
-
-// memDecoder wraps guest.Decode over a loaded memory image, for analyzing
-// a program outside an engine.
-func memDecoder(m *mem.Memory) align.Decoder {
-	return func(pc uint32) (guest.Inst, int, error) {
-		var buf [16]byte
-		for i := range buf {
-			buf[i] = m.Read8(uint64(pc) + uint64(i))
-		}
-		return guest.Decode(buf[:])
-	}
-}
 
 // Analyze runs the whole-program alignment analysis over a benchmark's
 // loaded image (Ref input), exactly as the engine does at Run entry.
@@ -33,7 +21,7 @@ func (s *Session) Analyze(name string) (*align.Analysis, error) {
 	}
 	m := mem.New()
 	p.Load(m, workload.Ref)
-	return align.Analyze(memDecoder(m), p.Entry()), nil
+	return align.Analyze(aot.MemDecoder(m), p.Entry()), nil
 }
 
 // StaticAlignStudy measures the +staticalign layer over every Figure 16
@@ -101,7 +89,7 @@ func SiteHistogram(s *Session) (*Result, error) {
 		}
 		m := mem.New()
 		p.Load(m, workload.Ref)
-		dec := memDecoder(m)
+		dec := aot.MemDecoder(m)
 		var dyn [3]float64
 		var total float64
 		for _, cs := range c.Sites {

@@ -155,7 +155,8 @@ type Mechanism interface {
 	// WantsInterpProfiling).
 	HeatThreshold() uint64
 	// UsesStaticProfile reports the mechanism consumes a train-run profile
-	// (Options.StaticSites); the CLIs run a training census for it.
+	// (Options.StaticSites); serve.WarmStart loads it from the store or
+	// has the front end run a training census for it.
 	UsesStaticProfile() bool
 	// OnBlockHot is called when a block is about to be translated — after
 	// crossing the heating threshold for two-phase mechanisms, on first

@@ -185,7 +185,7 @@ func (s *Server) attempt(ctx context.Context, w *Worker, req Request) (*Result, 
 	program := storeProgram(req)
 	var fingerprint string
 	if s.store != nil && program != "" {
-		fingerprint = s.warmStart(&opt, program)
+		fingerprint, _ = WarmStart(s.store, program, &opt, nil, nil) // no builder or trainer: nothing to save
 	}
 	b, _ := w.State.(*engineBundle)
 	if b == nil {

@@ -1,12 +1,15 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 
 	"mdabt/internal/aot"
 	"mdabt/internal/core"
+	"mdabt/internal/mem"
 	"mdabt/internal/policy"
 	"mdabt/internal/store"
+	"mdabt/internal/workload"
 )
 
 // This file is the serving layer's persistent-store integration
@@ -38,38 +41,74 @@ func storeProgram(req Request) string {
 	return ""
 }
 
-// warmStart mutates opt with every artifact the store can supply for
-// (program, opt): an AOT block schedule when the request wants the AOT
-// tier but carries no schedule, and a static trap profile when the
-// mechanism consumes one and the request brought none. Every load
-// validates before adoption; on any error the options are left cold.
-// opt is normalized first, so a bare Options{Mechanism: core.AOT} wants
-// the AOT tier like DefaultOptions(core.AOT). Returns the options
-// fingerprint (the store key component) for reuse.
-func (s *Server) warmStart(opt *core.Options, program string) string {
+// WarmStart is the one warm-start rule every front end follows
+// (DESIGN.md §15): fill opt with each artifact it lacks from the store
+// first, then from the caller's builder or trainer, and save what was
+// made so the next run of (program, options) hits. It normalizes opt
+// (a bare Options{Mechanism: core.AOT} wants the AOT tier like
+// DefaultOptions(core.AOT)) and returns the options fingerprint, the
+// store key component.
+//
+//   - An AOT run with no schedule adopts the stored image once it
+//     verifies; otherwise build's image, which is then saved.
+//   - A mechanism that UsesStaticProfile, with no StaticSites, adopts the
+//     stored trap profile; otherwise train's, which is then merged in.
+//     An adopted profile with no MDA site is still knowledge: it leaves
+//     an empty, non-nil site set, so nothing loads or trains it again.
+//
+// A nil st or an empty program (no stable identity) loads and saves
+// nothing, so what build and train make is adopted in memory only. A nil
+// build or train, or a trainer returning nil, leaves that artifact cold.
+// The error reports failed saves and merges; opt is usable regardless,
+// since a failed save only costs the next run its warmth.
+func WarmStart(st *store.Store, program string, opt *core.Options, build func() *aot.Image, train func() *store.TrapProfile) (string, error) {
 	opt.Normalize()
 	fp := opt.Fingerprint()
-	if opt.AOT && opt.AOTBlocks == nil {
-		var im aot.Image
-		err := s.store.Load(store.Key{Program: program, Fingerprint: fp, Kind: store.KindAOTImage}, &im)
-		if err == nil {
-			// The store's checksum covers bytes; the image's own checksum
-			// covers content — both must agree before adoption.
-			err = im.Verify()
-		}
-		if err == nil {
-			opt.AOTBlocks = im.Blocks
-		}
+	if program == "" {
+		st = nil
 	}
-	if opt.StaticSites == nil {
-		if p, ok := policy.ByID(int(opt.Mechanism)); ok && p.UsesStaticProfile() {
-			var tp store.TrapProfile
-			if s.store.Load(store.Key{Program: program, Fingerprint: fp, Kind: store.KindTrapProfile}, &tp) == nil {
-				opt.StaticSites = tp.StaticSites()
+	var errs []error
+	if opt.AOT && opt.AOTBlocks == nil {
+		k := store.Key{Program: program, Fingerprint: fp, Kind: store.KindAOTImage}
+		var im aot.Image
+		// The store's checksum covers bytes; the image's own checksum
+		// covers content — both must agree before adoption.
+		if st != nil && st.Load(k, &im) == nil && im.Verify() == nil {
+			im.Apply(opt)
+		} else if build != nil {
+			built := build()
+			built.Apply(opt)
+			if st != nil {
+				errs = append(errs, st.Save(k, built))
 			}
 		}
 	}
-	return fp
+	if p, ok := policy.ByID(int(opt.Mechanism)); opt.StaticSites == nil && ok && p.UsesStaticProfile() {
+		k := store.Key{Program: program, Fingerprint: fp, Kind: store.KindTrapProfile}
+		var tp *store.TrapProfile
+		if stored := (&store.TrapProfile{}); st != nil && st.Load(k, stored) == nil {
+			tp = stored
+		} else if train != nil {
+			if tp = train(); tp != nil && st != nil {
+				errs = append(errs, st.MergeTrapProfile(k, tp))
+			}
+		}
+		if tp != nil {
+			opt.StaticSites = tp.StaticSites()
+			if opt.StaticSites == nil {
+				opt.StaticSites = map[uint32]bool{}
+			}
+		}
+	}
+	return fp, errors.Join(errs...)
+}
+
+// TrainBench runs prog's train-input census, the FX!32-style training
+// run a benchmark's static profile comes from.
+func TrainBench(prog *workload.Program) (*store.TrapProfile, error) {
+	m := mem.New()
+	prog.Load(m, workload.Train)
+	return core.TrainProfile(m, prog.Entry(), 300_000_000)
 }
 
 // accumulate folds one completed request's site history into the worker

@@ -106,20 +106,20 @@ var (
 
 // Stats is a point-in-time snapshot of store activity, the store half of
 // the observability the serving layer exposes (`GET /statsz`, `dbtrun
-// -store` report line).
+// -store` report line). Its JSON keys are the wire names /statsz serves.
 type Stats struct {
-	Saves         uint64 // artifacts written successfully
-	SaveErrors    uint64 // writes abandoned on an I/O error
-	Loads         uint64 // read attempts
-	Hits          uint64 // reads that validated and were adopted
-	Misses        uint64 // clean misses (no artifact under the key)
-	Corrupt       uint64 // reads that failed validation (any cause)
-	VersionSkew   uint64 // ...of which: envelope format version mismatch
-	Foreign       uint64 // ...of which: key mismatch (stale fingerprint, collision)
-	Quarantined   uint64 // corrupt entries moved to quarantine/
-	ReadErrors    uint64 // reads abandoned on an I/O error (no quarantine)
-	LockConflicts uint64 // saves skipped because the writer lock was held
-	Merges        uint64 // read-modify-write profile merges performed
+	Saves         uint64 `json:"saves"`          // artifacts written successfully
+	SaveErrors    uint64 `json:"save_errors"`    // writes abandoned on an I/O error
+	Loads         uint64 `json:"loads"`          // read attempts
+	Hits          uint64 `json:"hits"`           // reads that validated and were adopted
+	Misses        uint64 `json:"misses"`         // clean misses (no artifact under the key)
+	Corrupt       uint64 `json:"corrupt"`        // reads that failed validation (any cause)
+	VersionSkew   uint64 `json:"version_skew"`   // ...of which: envelope format version mismatch
+	Foreign       uint64 `json:"foreign"`        // ...of which: key mismatch (stale fingerprint, collision)
+	Quarantined   uint64 `json:"quarantined"`    // corrupt entries moved to quarantine/
+	ReadErrors    uint64 `json:"read_errors"`    // reads abandoned on an I/O error (no quarantine)
+	LockConflicts uint64 `json:"lock_conflicts"` // saves skipped because the writer lock was held
+	Merges        uint64 `json:"merges"`         // read-modify-write profile merges performed
 }
 
 // Store is a crash-safe artifact store rooted at one directory. It is safe
