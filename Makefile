@@ -24,11 +24,13 @@ bench:
 # One iteration per benchmark across the repo — the CI smoke job. Every
 # run is on the trace tier, the machine's only executor.
 # The allocation guards follow: zero steady-state allocations in the
-# dispatch loop, a bounded allocation per recycled engine request, and a
-# bounded byte count per fresh ES40 cache hierarchy.
+# dispatch loop, a bounded allocation per recycled engine request, a
+# bounded byte count per fresh ES40 cache hierarchy, and one allocation
+# (the trace) per trace a warmed machine forms, re-forms after a patch or
+# forms again after Reset (TestTraceReformAllocs).
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
-	$(GO) test -run '^TestSteadyStateAllocs$$|^TestSuiteRuns$$|^TestRecycledRequestAllocs$$|^TestNewES40Bytes$$' ./internal/perfbench/ ./internal/core/ ./internal/cache/
+	$(GO) test -run '^TestSteadyStateAllocs$$|^TestSuiteRuns$$|^TestRecycledRequestAllocs$$|^TestNewES40Bytes$$|^TestTraceReformAllocs$$' ./internal/perfbench/ ./internal/core/ ./internal/cache/ ./internal/machine/
 
 # The repository benchmark's correctness gate: one short dbtbench run per
 # workload. Each run checks its results against every pinned digest

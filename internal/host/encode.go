@@ -19,7 +19,9 @@ type encoding struct {
 	fn     uint32 // operate function <11:5>, or jump type <15:14>
 }
 
-var encodings = map[Op]encoding{
+// encodings is the one opcode assignment list, indexed by Op: Encode reads
+// it directly, and init derives Decode's tables from it.
+var encodings = [numOps]encoding{
 	BRKBT: {0x00, 0},
 	LDA:   {0x08, 0}, LDAH: {0x09, 0},
 	LDBU: {0x0A, 0}, LDQU: {0x0B, 0}, LDWU: {0x0C, 0},
@@ -51,26 +53,50 @@ var encodings = map[Op]encoding{
 	BLBS: {0x3C, 0}, BNE: {0x3D, 0}, BGE: {0x3E, 0}, BGT: {0x3F, 0},
 }
 
-// decodeTable maps opcode (and function code for operate formats) back to Op.
+// The decode tables map an instruction's fields back to its Op, so Decode
+// makes array reads only: primaryOp by primary opcode (the PAL, memory and
+// branch formats), oprOp by operate opcode (0x10-0x13) and function, jmpOp
+// by jump type. An unassigned encoding holds noOp.
+const (
+	oprBase = 0x10 // the first operate-format primary opcode
+	jmpOpc  = 0x1A // the jump-format primary opcode
+	noOp    = numOps
+)
+
 var (
-	memDecode = map[uint32]Op{}
-	oprDecode = map[uint32]Op{} // key: opcode<<7 | fn
-	braDecode = map[uint32]Op{}
-	jmpDecode = map[uint32]Op{} // key: jump type
+	primaryOp [64]Op
+	oprOp     [4][128]Op
+	jmpOp     [4]Op
 )
 
 func init() {
-	for op, e := range encodings {
-		switch FormatOf(op) {
-		case FormatMem:
-			memDecode[e.opcode] = op
-		case FormatOpr:
-			oprDecode[e.opcode<<7|e.fn] = op
-		case FormatBra:
-			braDecode[e.opcode] = op
-		case FormatJmp:
-			jmpDecode[e.fn] = op
+	for i := range primaryOp {
+		primaryOp[i] = noOp
+	}
+	for i := range oprOp {
+		for j := range oprOp[i] {
+			oprOp[i][j] = noOp
 		}
+	}
+	for i := range jmpOp {
+		jmpOp[i] = noOp
+	}
+	for op := Op(0); op < numOps; op++ {
+		e := encodings[op]
+		if e.opcode == 0 && op != BRKBT {
+			panic(fmt.Sprintf("host: %v has no encoding", op))
+		}
+		slot := &primaryOp[e.opcode]
+		switch FormatOf(op) {
+		case FormatOpr:
+			slot = &oprOp[e.opcode-oprBase][e.fn]
+		case FormatJmp:
+			slot = &jmpOp[e.fn]
+		}
+		if *slot != noOp {
+			panic(fmt.Sprintf("host: %v and %v share an encoding", op, *slot))
+		}
+		*slot = op
 	}
 }
 
@@ -78,10 +104,10 @@ func init() {
 // out-of-range fields so callers (the translator, the assembler) can surface
 // emission bugs instead of silently corrupting code.
 func Encode(i Inst) (uint32, error) {
-	e, ok := encodings[i.Op]
-	if !ok {
+	if i.Op >= numOps {
 		return 0, fmt.Errorf("host: encode: unknown op %v", i.Op)
 	}
+	e := encodings[i.Op]
 	if i.Ra >= NumRegs || i.Rb >= NumRegs || i.Rc >= NumRegs {
 		return 0, fmt.Errorf("host: encode %v: register out of range", i.Op)
 	}
@@ -128,12 +154,10 @@ func MustEncode(i Inst) uint32 {
 func Decode(w uint32) (Inst, error) {
 	opcode := w >> 26
 	switch opcode {
-	case 0x00:
-		return Inst{Op: BRKBT, Payload: w & 0x03FFFFFF}, nil
-	case 0x10, 0x11, 0x12, 0x13:
+	case oprBase, oprBase + 1, oprBase + 2, oprBase + 3:
 		fn := w >> 5 & 0x7F
-		op, ok := oprDecode[opcode<<7|fn]
-		if !ok {
+		op := oprOp[opcode-oprBase][fn]
+		if op == noOp {
 			return Inst{}, fmt.Errorf("host: decode %#08x: unknown operate function %#x", w, fn)
 		}
 		i := Inst{Op: op, Ra: Reg(w >> 21 & 31), Rc: Reg(w & 31)}
@@ -144,25 +168,28 @@ func Decode(w uint32) (Inst, error) {
 			i.Rb = Reg(w >> 16 & 31)
 		}
 		return i, nil
-	case 0x1A:
-		op, ok := jmpDecode[w>>14&3]
-		if !ok {
+	case jmpOpc:
+		op := jmpOp[w>>14&3]
+		if op == noOp {
 			return Inst{}, fmt.Errorf("host: decode %#08x: unknown jump type", w)
 		}
 		return Inst{Op: op, Ra: Reg(w >> 21 & 31), Rb: Reg(w >> 16 & 31)}, nil
 	}
-	if op, ok := memDecode[opcode]; ok {
+	op := primaryOp[opcode]
+	switch {
+	case op == noOp:
+		return Inst{}, fmt.Errorf("host: decode %#08x: unknown opcode %#x", w, opcode)
+	case op == BRKBT:
+		return Inst{Op: BRKBT, Payload: w & 0x03FFFFFF}, nil
+	case FormatOf(op) == FormatMem:
 		return Inst{
 			Op: op, Ra: Reg(w >> 21 & 31), Rb: Reg(w >> 16 & 31),
 			Disp: int32(int16(w)),
 		}, nil
 	}
-	if op, ok := braDecode[opcode]; ok {
-		d := int32(w & 0x1FFFFF)
-		if d&(1<<20) != 0 {
-			d -= 1 << 21 // sign-extend 21-bit field
-		}
-		return Inst{Op: op, Ra: Reg(w >> 21 & 31), Disp: d}, nil
+	d := int32(w & 0x1FFFFF)
+	if d&(1<<20) != 0 {
+		d -= 1 << 21 // sign-extend 21-bit field
 	}
-	return Inst{}, fmt.Errorf("host: decode %#08x: unknown opcode %#x", w, opcode)
+	return Inst{Op: op, Ra: Reg(w >> 21 & 31), Disp: d}, nil
 }

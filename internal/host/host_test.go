@@ -546,3 +546,46 @@ func TestMemSizeConsistency(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeTableExhaustive decodes a word for every primary opcode ×
+// operate function × literal bit × jump type, with the other fields
+// random: Decode must return the op a linear search of encodings finds for
+// those fields, or an error when it finds none, and never panic.
+func TestDecodeTableExhaustive(t *testing.T) {
+	rnd := rand.New(rand.NewSource(29))
+	for opcode := uint32(0); opcode < 64; opcode++ {
+		for fn := uint32(0); fn < 128; fn++ {
+			for lit := uint32(0); lit < 2; lit++ {
+				for jt := uint32(0); jt < 4; jt++ {
+					w := opcode<<26 | jt<<14 | lit<<12 | fn<<5 | rnd.Uint32()&(0x1F<<21|0x1F<<16|1<<13|0x1F)
+					want, found := Op(0), false
+					for op := Op(0); op < numOps; op++ {
+						e := encodings[op]
+						if e.opcode != opcode {
+							continue
+						}
+						switch FormatOf(op) {
+						case FormatOpr:
+							found = e.fn == fn
+						case FormatJmp:
+							found = e.fn == jt
+						default:
+							found = true
+						}
+						if found {
+							want = op
+							break
+						}
+					}
+					got, err := Decode(w)
+					if found && (err != nil || got.Op != want) {
+						t.Fatalf("Decode(%#08x) = %v, %v: want %v", w, got.Op, err, want)
+					}
+					if !found && err == nil {
+						t.Fatalf("Decode(%#08x) = %v: want an error, no encoding has these fields", w, got.Op)
+					}
+				}
+			}
+		}
+	}
+}

@@ -583,8 +583,8 @@ func lowerPair(base uint64, words []uint32) (*Machine, *refMachine) {
 
 // traceSpan returns the span of the live trace with a step at pc.
 func traceSpan(m *Machine, pc uint64) (start, end uint64, ok bool) {
-	ent, ok := m.traces[pc]
-	if !ok {
+	ent := m.traces.get(pc)
+	if ent.tr == nil {
 		return 0, 0, false
 	}
 	return ent.tr.start, ent.tr.end, true

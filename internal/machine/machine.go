@@ -158,10 +158,12 @@ type Machine struct {
 	slotOpen  bool // an issue slot is open for an ALU-class instruction
 
 	// The trace tier (see trace.go), the machine's only executor. traces
-	// is the PC lookup table over every step of every live trace;
-	// traceLo/traceHi bound the covered address range so a code write
-	// outside it skips the overlap search.
-	traces    map[uint64]traceEntry
+	// is the PC lookup table, a per-word array in chunks (pctable.go),
+	// with an entry at the PC of every step of every live trace;
+	// traceList holds the live traces by id. traceLo/traceHi bound the
+	// covered address range so a code write outside it skips the overlap
+	// search.
+	traces    pcTable
 	traceList map[uint64]*trace
 	traceLo   uint64
 	traceHi   uint64
@@ -320,7 +322,7 @@ func New(m *mem.Memory, p Params) *Machine {
 	mc := &Machine{
 		Mem:       m,
 		Params:    p,
-		traces:    make(map[uint64]traceEntry),
+		traces:    newPCTable(),
 		traceList: make(map[uint64]*trace),
 	}
 	mc.clearTraceState()
@@ -462,7 +464,7 @@ func (m *Machine) EmulateAccess(inst host.Inst, ea uint64) {
 func (m *Machine) Run(maxInsts uint64) (StopReason, uint32, error) {
 	for used := uint64(0); used < maxInsts; {
 		var st *traceStep
-		if ent, ok := m.traces[m.pc]; ok {
+		if ent := m.traces.get(m.pc); ent.tr != nil {
 			st = &ent.tr.steps[ent.idx]
 		} else {
 			var err error

@@ -437,15 +437,15 @@ func TestPatchInvalidatesFarDecodedCache(t *testing.T) {
 	if r, payload := run(t, m); r != StopBrk || payload != 2 {
 		t.Fatalf("stop = %v/%d", r, payload)
 	}
-	if _, ok := m.traces[farCode]; !ok {
+	if !trLive(m, farCode) {
 		t.Fatalf("code at %#x runs in no trace", farCode)
 	}
 	// Patch the already-decoded far ADDQ into ADDQ r1, #5, r1.
 	m.Patch(farCode, host.MustEncode(host.Inst{Op: host.ADDQ, Ra: host.R1, Lit: 5, IsLit: true, Rc: host.R1}))
-	if _, ok := m.traces[farCode]; ok {
+	if trLive(m, farCode) {
 		t.Fatal("patched far trace still live")
 	}
-	if _, ok := m.traces[0x1000]; !ok {
+	if !trLive(m, 0x1000) {
 		t.Fatal("patching far code dropped the low trace")
 	}
 	m.SetPC(farCode)
@@ -482,8 +482,8 @@ func TestIMBFlushesFarDecoded(t *testing.T) {
 		m.Mem.Write32(farCode+0x2000+uint64(i)*4, w)
 	}
 	m.IMB()
-	if len(m.traceList) != 0 || len(m.traces) != 0 {
-		t.Fatalf("%d traces (%d steps) live after IMB, want 0", len(m.traceList), len(m.traces))
+	if len(m.traceList) != 0 || m.traces.live != 0 {
+		t.Fatalf("%d traces (%d steps) live after IMB, want 0", len(m.traceList), m.traces.live)
 	}
 	m.SetPC(farCode + 0x2000)
 	run(t, m)

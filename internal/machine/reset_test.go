@@ -96,7 +96,7 @@ func TestResetRecyclesLinesAndSteps(t *testing.T) {
 		if ts := m.TraceStats(); ts.ChainFollows == 0 || ts.TracedInsts == 0 {
 			t.Fatalf("program A trace stats %+v: want chained traced execution", ts)
 		}
-		tables := [2]unsafe.Pointer{reflect.ValueOf(m.traces).UnsafePointer(), reflect.ValueOf(m.traceList).UnsafePointer()}
+		tables := [3]unsafe.Pointer{reflect.ValueOf(m.traces.chunks).UnsafePointer(), reflect.ValueOf(m.traceList).UnsafePointer(), unsafe.Pointer(m.traces.chunks[base>>pcChunkShift])}
 
 		m.Reset()
 		m.Mem.Reset()
@@ -106,8 +106,8 @@ func TestResetRecyclesLinesAndSteps(t *testing.T) {
 				pooled[&steps[0]] = true
 			}
 		}
-		if len(m.traces) != 0 || len(m.traceList) != 0 || m.curLineID != noLineID {
-			t.Fatalf("Reset left %d steps, %d traces and line %#x", len(m.traces), len(m.traceList), m.curLineID)
+		if m.traces.live != 0 || len(m.traceList) != 0 || m.curLineID != noLineID {
+			t.Fatalf("Reset left %d steps, %d traces and line %#x", m.traces.live, len(m.traceList), m.curLineID)
 		}
 		// B's loop back-edge runs in a trace built on pooled steps, and
 		// its head in a trace Run forms.
@@ -129,7 +129,7 @@ func TestResetRecyclesLinesAndSteps(t *testing.T) {
 		if tr := m.traceList[1]; tr == nil || !pooled[&tr.steps[0]] {
 			t.Fatal("program B's built trace is not on pooled steps")
 		}
-		if got := [2]unsafe.Pointer{reflect.ValueOf(m.traces).UnsafePointer(), reflect.ValueOf(m.traceList).UnsafePointer()}; got != tables {
+		if got := [3]unsafe.Pointer{reflect.ValueOf(m.traces.chunks).UnsafePointer(), reflect.ValueOf(m.traceList).UnsafePointer(), unsafe.Pointer(m.traces.chunks[base>>pcChunkShift])}; got != tables {
 			t.Fatal("Reset replaced the trace tables")
 		}
 		if err := m.CheckTraceCoherence(); err != nil {

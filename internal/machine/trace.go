@@ -137,7 +137,7 @@ type traceStep struct {
 	// Memoized side-exit resolution: link points at the target step of a
 	// live trace (linkTr), nil when unresolved. linkVer caches the trace-
 	// table version of the last failed probe so steady-state exits into
-	// untraced code cost one comparison, not a map probe.
+	// untraced code cost one comparison, not a table probe.
 	link    *traceStep
 	linkTr  *trace
 	linkVer uint64
@@ -162,18 +162,37 @@ const (
 	creditLSB = 2
 )
 
-// charges returns st's own static charges, as a stretch of one step. An
-// operate-class instruction pairs with an open issue slot (a credit of one
-// cycle) and toggles it under dual issue; a memory op leaves the slot
-// open; a multiply, a taken-or-not branch, a jump and BRKBT close it; a
-// foldable BR pairs like an operate op under dual issue and closes the
-// slot otherwise. A mega-step's constituents apply the same rules in
-// order.
+// charges returns st's own static charges, as a stretch of one step: its
+// kind's entry of plainCharges, or, for a mega-step, kindCharges's.
 func (st *traceStep) charges() stretch {
-	c := stretch{insts: st.n, last: true}
+	if st.kind < stepMisLd {
+		return plainCharges[st.kind]
+	}
+	return kindCharges(st.kind, st.n)
+}
+
+// plainCharges holds kindCharges for every kind but the mega-steps', whose
+// charges depend on the number of instructions fused. A plain step
+// retires one instruction; the synthetic exit (slotEmpty) none.
+var plainCharges = func() (t [stepMisLd]stretch) {
+	for k := range t {
+		t[k] = kindCharges(slotKind(k), uint8(min(k, 1)))
+	}
+	return t
+}()
+
+// kindCharges returns the static charges of a step of kind k that retires
+// n instructions. An operate-class instruction pairs with an open issue
+// slot (a credit of one cycle) and toggles it under dual issue; a memory
+// op leaves the slot open; a multiply, a taken-or-not branch, a jump and
+// BRKBT close it; a foldable BR pairs like an operate op under dual issue
+// and closes the slot otherwise. A mega-step's constituents apply the same
+// rules in order.
+func kindCharges(k slotKind, n uint8) stretch {
+	c := stretch{insts: n, last: true}
 	for e := range uint8(2) { // the entry slot state
 		credit, dual, plain := uint8(0), e, e
-		switch k := st.kind; {
+		switch {
 		case k == slotEmpty:
 		case k == slotLd || k == slotLdl || k == slotLdu:
 			c.loads, dual, plain = 1, 1, 1
@@ -186,7 +205,7 @@ func (st *traceStep) charges() stretch {
 		case k == slotBr:
 			credit, dual, plain = e, e^1, 0
 		case k == stepMisLd: // ldq_u ×2, then n-2 operate ops from an open slot
-			c.loads, credit, dual, plain = 2, (st.n-1)>>1, (st.n-1)&1, 1
+			c.loads, credit, dual, plain = 2, (n-1)>>1, (n-1)&1, 1
 		case k == stepMisSt: // lda, ldq_u ×2, three operate pairs, stq_u ×2
 			c.loads, c.stores, credit, dual, plain = 2, 2, e+3, 1, 1
 		default: // every other transfer
@@ -238,9 +257,10 @@ type trace struct {
 	incoming []*traceStep
 }
 
-// traceEntry is the PC-lookup-table value: every step PC of every live
-// trace maps to its (trace, step) pair, so traces are enterable mid-body
-// (e.g. on the return branch of an out-of-line MDA stub).
+// traceEntry is the PC lookup table's entry (pcTable): every step PC of
+// every live trace maps to its (trace, step) pair, so traces are
+// enterable mid-body (e.g. on the return branch of an out-of-line MDA
+// stub). A nil tr marks a word with no step.
 type traceEntry struct {
 	tr  *trace
 	idx int32
@@ -455,7 +475,7 @@ func (m *Machine) formTrace(pc uint64) (*traceStep, error) {
 			break
 		}
 		end += host.InstBytes
-		if _, live := m.traces[end]; live {
+		if m.traces.get(end).tr != nil {
 			break
 		}
 	}
@@ -546,13 +566,13 @@ func (m *Machine) build(start uint64, low []slot) *trace {
 	m.traceSeq++
 	t := &trace{id: m.traceSeq, start: start, end: end, steps: steps}
 	for i := 0; i < w; i++ {
-		m.traces[steps[i].pc] = traceEntry{tr: t, idx: int32(i)}
+		m.traces.set(steps[i].pc, traceEntry{tr: t, idx: int32(i)})
 	}
 	for i := w - 1; i >= 0; i-- {
 		st := &steps[i]
 		st.next = &steps[i+1]
 		if st.kind.branches() && inTrace(st.imm) {
-			st.taken = &steps[m.traces[st.imm].idx]
+			st.taken = &steps[m.traces.get(st.imm).idx]
 		}
 		st.rest = st.sums()
 	}
@@ -585,7 +605,7 @@ func (m *Machine) unfuse(st *traceStep) *traceStep {
 				inst, err := host.Decode(m.Mem.Read32(pc))
 				if err != nil {
 					if k == 0 {
-						m.dropTrace(m.traces[st.pc].tr) // st is not read again
+						m.dropTrace(m.traces.get(st.pc).tr) // st is not read again
 					}
 					return m.scratchExit(k, pc)
 				}
@@ -919,7 +939,7 @@ func (m *Machine) execTrace(st *traceStep, used *uint64, maxInsts uint64) (StopR
 			c.extra += p.TakenBranchCycles
 			// Dynamic target: no memoized link, but a direct LUT probe
 			// still keeps indirect transfers inside the tier.
-			if ent, ok := m.traces[target]; ok {
+			if ent := m.traces.get(target); ent.tr != nil {
 				m.tstats.ChainFollows++
 				st = &ent.tr.steps[ent.idx]
 				continue
@@ -1195,7 +1215,7 @@ func (m *Machine) traceExit(pc uint64, c *tally, entryInsts, n0, curLineID uint6
 // followLink resolves st's static side-exit target to a step of a live
 // trace, memoizing the result. A failed probe is cached against the
 // current trace-table version so steady-state exits into untraced code
-// cost one comparison, not a map probe.
+// cost one comparison, not a table probe.
 func (m *Machine) followLink(st *traceStep) *traceStep {
 	if st.link != nil {
 		m.tstats.ChainFollows++
@@ -1205,7 +1225,7 @@ func (m *Machine) followLink(st *traceStep) *traceStep {
 		return nil
 	}
 	st.linkVer = m.traceVer
-	if ent, ok := m.traces[st.imm]; ok {
+	if ent := m.traces.get(st.imm); ent.tr != nil {
 		st.link = &ent.tr.steps[ent.idx]
 		st.linkTr = ent.tr
 		ent.tr.incoming = append(ent.tr.incoming, st)
@@ -1216,16 +1236,18 @@ func (m *Machine) followLink(st *traceStep) *traceStep {
 }
 
 // dropOverlapping drops every live trace with a step covering a word of
-// [addr, end). It probes the PC lookup table for the step
-// heads in the range and for the mega-steps that may reach into it from
-// before, so its cost follows the words written, not the live traces; the
-// range filter skips a write outside the span of every live trace.
+// [addr, end). It reads the PC lookup table's entry of every word in the
+// range, for the step heads there, and of the megaMaxLen-1 words before
+// it, for the mega-steps that may reach into it: array reads within one
+// or two chunks, so its cost follows the words written, not the live
+// traces. The range filter skips a write outside the span of every live
+// trace.
 func (m *Machine) dropOverlapping(addr, end uint64) {
 	if addr >= m.traceHi || end <= m.traceLo {
 		return
 	}
 	for pc := addr - min(addr, (megaMaxLen-1)*host.InstBytes); pc < end; pc += host.InstBytes {
-		if ent, ok := m.traces[pc]; ok && pc+uint64(ent.tr.steps[ent.idx].n)*host.InstBytes > addr {
+		if ent := m.traces.get(pc); ent.tr != nil && pc+uint64(ent.tr.steps[ent.idx].n)*host.InstBytes > addr {
 			m.dropTrace(ent.tr)
 		}
 	}
@@ -1235,12 +1257,7 @@ func (m *Machine) dropOverlapping(addr, end uint64) {
 // into it. Links *from* t die with it; back-references to t's steps held
 // by other traces' incoming lists become harmless no-ops.
 func (m *Machine) dropTrace(t *trace) {
-	for i := range t.steps {
-		st := &t.steps[i]
-		if st.kind != slotEmpty {
-			delete(m.traces, st.pc)
-		}
-	}
+	m.clearSteps(t)
 	for _, in := range t.incoming {
 		in.link, in.linkTr = nil, nil
 		in.linkVer = 0 // below any live version: forces a re-probe
@@ -1262,13 +1279,20 @@ func (m *Machine) dropAllTraces() {
 	m.traceVer++
 }
 
+// clearSteps clears the PC lookup table's entries for t's steps.
+func (m *Machine) clearSteps(t *trace) {
+	for i := range t.steps[:len(t.steps)-1] {
+		m.traces.del(t.steps[i].pc)
+	}
+}
+
 // releaseTraces empties the trace tables, keeping them, and pools every
 // live trace's steps.
 func (m *Machine) releaseTraces() {
 	for _, t := range m.traceList {
+		m.clearSteps(t)
 		m.steps.put(t.steps)
 	}
-	clear(m.traces)
 	clear(m.traceList)
 }
 
@@ -1332,18 +1356,27 @@ func (m *Machine) TraceInfos() []TraceInfo {
 // memoized chain link must land on a live, correctly-registered step of
 // its recorded target trace. The engine's CheckInvariants calls this.
 func (m *Machine) CheckTraceCoherence() error {
-	for pc, ent := range m.traces {
+	entries := 0
+	err := m.traces.each(func(pc uint64, ent traceEntry) error {
+		entries++
 		if m.traceList[ent.tr.id] != ent.tr {
 			return fmt.Errorf("machine: trace LUT %#x points at dropped trace %d", pc, ent.tr.id)
 		}
 		if int(ent.idx) >= len(ent.tr.steps)-1 || ent.tr.steps[ent.idx].pc != pc {
 			return fmt.Errorf("machine: trace LUT %#x maps to wrong step of trace %d", pc, ent.tr.id)
 		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	if entries != m.traces.live {
+		return fmt.Errorf("machine: trace LUT holds %d entries, counts %d", entries, m.traces.live)
 	}
 	for _, t := range m.traceList {
 		for i := 0; i < len(t.steps)-1; i++ {
 			st := &t.steps[i]
-			if ent, ok := m.traces[st.pc]; !ok || ent.tr != t || int(ent.idx) != i {
+			if ent := m.traces.get(st.pc); ent.tr != t || int(ent.idx) != i {
 				return fmt.Errorf("machine: trace %d step %#x missing from LUT", t.id, st.pc)
 			}
 			if st.next != &t.steps[i+1] {
@@ -1357,7 +1390,7 @@ func (m *Machine) CheckTraceCoherence() error {
 			}
 			var want *traceStep
 			if st.kind.branches() && st.imm >= t.start && st.imm < t.end {
-				if ent, ok := m.traces[st.imm]; ok && ent.tr == t {
+				if ent := m.traces.get(st.imm); ent.tr == t {
 					want = &t.steps[ent.idx]
 				}
 			}
@@ -1382,7 +1415,7 @@ func (m *Machine) CheckTraceCoherence() error {
 			if st.link.pc != st.imm {
 				return fmt.Errorf("machine: trace %d chain link %#x→%#x mistargeted", t.id, st.pc, st.imm)
 			}
-			if ent, ok := m.traces[st.imm]; !ok || ent.tr != lt || &lt.steps[ent.idx] != st.link {
+			if ent := m.traces.get(st.imm); ent.tr != lt || &lt.steps[ent.idx] != st.link {
 				return fmt.Errorf("machine: trace %d chain link %#x→%#x not registered in LUT", t.id, st.pc, st.imm)
 			}
 		}

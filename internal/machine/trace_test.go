@@ -60,7 +60,7 @@ func trBuild(m *Machine, start, end uint64) bool {
 	var low []slot
 	for pc := start; pc < end; pc += host.InstBytes {
 		inst, err := host.Decode(m.Mem.Read32(pc))
-		if _, live := m.traces[pc]; live || err != nil {
+		if trLive(m, pc) || err != nil {
 			return false
 		}
 		low = append(low, lower(pc, inst))
@@ -74,8 +74,7 @@ func trBuild(m *Machine, start, end uint64) bool {
 
 // trLive reports whether pc is a step head of a live trace.
 func trLive(m *Machine, pc uint64) bool {
-	_, ok := m.traces[pc]
-	return ok
+	return m.traces.get(pc).tr != nil
 }
 
 // trProgram assembles a program and returns its words.
@@ -661,7 +660,7 @@ func TestFormationCoversForwardRegion(t *testing.T) {
 		if _, err := m.formTrace(base); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		tr := m.traces[base].tr
+		tr := m.traces.get(base).tr
 		if end := uint64(base + n*host.InstBytes); len(m.traceList) != 1 || tr.start != base || tr.end != end {
 			t.Errorf("%s: %d traces, the first spanning [%#x,%#x): want one over [%#x,%#x)", c.name, len(m.traceList), tr.start, tr.end, uint64(base), end)
 		}
@@ -820,9 +819,10 @@ func TestTraceFaultPlanParity(t *testing.T) {
 // TestTraceCoherenceDetectsCorruption corrupts the trace tables, and
 // writes code under live traces behind the machine's back (raw memory
 // writes skip WriteCode's invalidation), and expects CheckTraceCoherence
-// to report each: a dropped LUT entry, a stale plain step, a stale
-// mega-step constituent, and a word rewritten so that its sequence fuses
-// differently or not at all.
+// to report each: a dropped LUT entry, an entry left for a dropped trace,
+// a miscounted table, a stale plain step, a stale mega-step constituent,
+// and a word rewritten so that its sequence fuses differently or not at
+// all.
 func TestTraceCoherenceDetectsCorruption(t *testing.T) {
 	const base = 0x1000
 	words := trProgram(t, base, func(a *host.Asm) {
@@ -847,9 +847,21 @@ func TestTraceCoherenceDetectsCorruption(t *testing.T) {
 		return m
 	}
 	m := build()
-	delete(m.traces, base+host.InstBytes)
+	m.traces.del(base + host.InstBytes)
 	if err := m.CheckTraceCoherence(); err == nil {
 		t.Fatal("coherence check missed a dropped LUT entry")
+	}
+	m = build()
+	ent := m.traces.get(base)
+	m.dropTrace(ent.tr)
+	m.traces.set(base, ent) // what a drop that missed a step would leave
+	if err := m.CheckTraceCoherence(); err == nil {
+		t.Fatal("coherence check missed a LUT entry of a dropped trace")
+	}
+	m = build()
+	m.traces.live++
+	if err := m.CheckTraceCoherence(); err == nil {
+		t.Fatal("coherence check missed a LUT live count off by one")
 	}
 
 	at := func(op host.Op, nth int) uint64 {
@@ -1220,11 +1232,12 @@ func TestTraceStallOnStaleMega(t *testing.T) {
 		t.Fatal("no mega-step to stall on")
 	}
 	var head uint64
-	for pc := range m.traces {
-		if m.traces[pc].tr.steps[m.traces[pc].idx].kind == stepMisLd {
+	m.traces.each(func(pc uint64, ent traceEntry) error {
+		if ent.tr.steps[ent.idx].kind == stepMisLd {
 			head = pc
 		}
-	}
+		return nil
+	})
 	m.Mem.Write32(head, 0x04<<26) // unassigned opcode
 	m.SetPC(base)
 	pre := (head - base) / host.InstBytes
