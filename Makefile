@@ -98,12 +98,13 @@ fault-chaos:
 # full internal/store suite (atomic-write protocol, SIGKILL-mid-write
 # recovery, every store.* injection point against concurrent writers),
 # the warm-from-store golden matrix (144 entries bit-identical to cold,
-# injected corruption quarantined with cold fallback), and the
-# serve/dbtserve warm-restart round trips.
+# injected corruption quarantined with cold fallback), the
+# serve/dbtserve warm-restart round trips, and the check that a request
+# the pool refuses never runs its AOT builder or profile trainer.
 store-chaos:
 	$(GO) test -race -v ./internal/store
 	$(GO) test -race -run 'TestStoreWarmGoldenMatrix' ./internal/core
-	$(GO) test -race -run 'TestWarmStart|TestStoreCorruptionDegradesToCold|TestProfilesMergeAcrossDrains|TestLoaderRequestWithoutStoreKeyBypassesStore|TestStoreWarmRestart' ./internal/serve ./cmd/dbtserve
+	$(GO) test -race -run 'TestWarmStart|TestStoreCorruptionDegradesToCold|TestProfilesMergeAcrossDrains|TestLoaderRequestWithoutStoreKeyBypassesStore|TestStoreWarmRestart|TestRefusedRequestNeverBuildsOrTrains' ./internal/serve ./cmd/dbtserve
 
 # The README's profile flows through the dbtrun CLI on
 # cmd/dbtrun/testdata/sum.gasm: -profile-out then -mech speh -profile-in
@@ -138,10 +139,12 @@ bench-json:
 # The golden equivalence matrix under the race detector: the 144 pinned
 # fingerprints, the engine-reuse replay, the trace-tier parity sweep
 # (every matrix config re-run on one recycled engine — fingerprints must
-# match the goldens bit for bit), and the DumpBlock golden, which pins
-# the emitted host code and its per-instruction records byte for byte.
+# match the goldens bit for bit), the DumpBlock golden, which pins
+# the emitted host code and its per-instruction records byte for byte,
+# and every row of the memory-kind table: its MDA sequence runs on the
+# machine at every alignment and fits the row's length budget.
 golden-matrix:
-	$(GO) test -race -run 'TestMechanismEquivalence|TestEngineReuseEquivalence|TestTraceTierFingerprintParity|TestDumpBlockGolden' -v ./internal/core
+	$(GO) test -race -run 'TestMechanismEquivalence|TestEngineReuseEquivalence|TestTraceTierFingerprintParity|TestDumpBlockGolden|TestMDASequencesOnMachine|TestMdaSeqLenMatchesEmission' -v ./internal/core
 
 fmt:
 	gofmt -l .

@@ -29,7 +29,8 @@
 // first request on a known binary performs zero dynamic block
 // translations, and a static-profile mechanism ("static", "speh") adopts
 // the profile of the benchmark's train-input census. Each comes from the
-// store when it has one, else is built or trained once per benchmark.
+// store when it has one, else is built or trained once per benchmark,
+// inside the pool and under the request's deadline.
 //
 // With -store DIR the pool is backed by the crash-safe persistent
 // artifact store (internal/store): AOT images and aggregated trap
@@ -131,7 +132,6 @@ type guestFaultBody struct {
 // app binds the HTTP handlers to one serving pool.
 type app struct {
 	srv      *serve.Server
-	store    *store.Store // persistent artifact store (nil = memory-only)
 	mech     core.Mechanism
 	deadline time.Duration
 
@@ -150,9 +150,9 @@ type app struct {
 	traceInvalidations atomic.Uint64 // traces dropped (SMC, flush, reset)
 }
 
-func newApp(srv *serve.Server, st *store.Store, mech core.Mechanism, deadline time.Duration) *app {
+func newApp(srv *serve.Server, mech core.Mechanism, deadline time.Duration) *app {
 	return &app{
-		srv: srv, store: st, mech: mech, deadline: deadline,
+		srv: srv, mech: mech, deadline: deadline,
 		progs: make(map[string]*benchModel),
 	}
 }
@@ -328,10 +328,8 @@ func (a *app) handleRun(w http.ResponseWriter, r *http.Request) {
 		req.Load = func(m *mem.Memory) uint32 { model.prog.Load(m, in); return model.prog.Entry() }
 		// The AOT image and the static profile come from the store, else
 		// from the model's cached builder and trainer (saved for the next
-		// process); the serving layer then finds nothing left to load.
-		if _, err := serve.WarmStart(a.store, req.StoreKey, &opt, model.build, model.train); err != nil {
-			fmt.Fprintf(os.Stderr, "dbtserve: store %s: %v\n", req.StoreKey, err)
-		}
+		// process), inside the pool and under the request's deadline.
+		req.Build, req.Train = model.build, model.train
 	default:
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "need asm, bench, or faultprog", Class: "permanent"})
 		return
@@ -494,7 +492,7 @@ func main() {
 		Budget: *budget,
 		Store:  st,
 	})
-	a := newApp(srv, st, mech, *deadline)
+	a := newApp(srv, mech, *deadline)
 
 	httpSrv := &http.Server{Addr: *addr, Handler: a.mux()}
 	done := make(chan struct{})

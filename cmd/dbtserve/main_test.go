@@ -25,7 +25,7 @@ func testApp(t *testing.T) (*app, *httptest.Server) {
 		Pool:   serve.Options{Workers: 2, Retries: -1},
 		Budget: 200_000_000,
 	})
-	a := newApp(srv, nil, core.ExceptionHandling, 10*time.Second)
+	a := newApp(srv, core.ExceptionHandling, 10*time.Second)
 	ts := httptest.NewServer(a.mux())
 	t.Cleanup(func() { ts.Close(); srv.Close() })
 	return a, ts
@@ -270,7 +270,7 @@ func storeApp(t *testing.T, st *store.Store) (*app, *httptest.Server) {
 		Budget: 200_000_000,
 		Store:  st,
 	})
-	a := newApp(srv, st, core.ExceptionHandling, 10*time.Second)
+	a := newApp(srv, core.ExceptionHandling, 10*time.Second)
 	ts := httptest.NewServer(a.mux())
 	t.Cleanup(func() { ts.Close(); srv.Close() })
 	return a, ts

@@ -8,6 +8,7 @@ import (
 	"mdabt/internal/faultinject"
 	"mdabt/internal/guest"
 	"mdabt/internal/host"
+	"mdabt/internal/policy"
 )
 
 // CodeCacheBase is the host virtual address of the translation cache. It
@@ -141,19 +142,6 @@ const (
 	noSite = -1
 )
 
-// memKind describes which MDA sequence a site needs.
-type memKind uint8
-
-const (
-	kindLD4 memKind = iota
-	kindLD2Z
-	kindLD2S
-	kindST4
-	kindST2
-	kindFLD8
-	kindFST8
-)
-
 // unitInst is the translator's record of one guest instruction of a
 // translation unit: the decoded instruction and where it came from, and
 // every per-instruction decision the emitter, fault delivery, the verifier
@@ -166,13 +154,13 @@ type unitInst struct {
 	// trap-discovered sites the engine retains across retranslation (§IV-C)
 	// and flushes, so the new code inlines their sequences.
 	knownMDA bool
-	// pol is the memory site's translation policy; polNone for an
-	// instruction that is not a memory site.
-	pol sitePolicy
+	// pol is the memory site's translation policy (meaningful only for an
+	// instruction guestKind maps to a memory kind).
+	pol policy.SitePolicy
 	// verdict is the site's whole-instruction static alignment verdict
 	// (meaningful only under Options.StaticAlign).
 	verdict align.Verdict
-	// counter is the adaptive site's streak counter address (polAdaptive).
+	// counter is the adaptive site's streak counter address (policy.Adaptive).
 	counter uint64
 	// edge says how a trace-internal terminator is emitted.
 	edge traceEdge

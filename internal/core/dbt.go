@@ -62,6 +62,12 @@ type Engine struct {
 	// block at their final length.
 	unitBuf []unitInst
 	wordBuf []hostWord
+	// asm is the one assembler every emission reuses: each unit translate
+	// emits and each exception-handler stub handleMisalign emits. An
+	// emission runs from Reset to writing Finish's words into the machine,
+	// and none of that executes guest code, so no trap (and no rearranging
+	// translate inside one) can start another emission in the middle.
+	asm host.Asm
 	// aotPreseedSkips counts schedule entries the preseed pass had to
 	// leave to dynamic discovery (adopted image not matching the loaded
 	// program); surfaced through Lint as a degraded-adoption finding.
@@ -646,28 +652,6 @@ func (e *Engine) maybeLink(ex *exit) {
 	e.stats.Links++
 }
 
-// stubKind maps a faulting host memory opcode to the MDA sequence the
-// exception handler must emit. Sign-extension fixups that follow the
-// faulting instruction in the original code still execute, so a 2-byte
-// sequence is always the zero-extending one.
-func stubKind(op host.Op) (memKind, bool) {
-	switch op {
-	case host.LDL:
-		return kindLD4, true
-	case host.LDWU:
-		return kindLD2Z, true
-	case host.LDQ:
-		return kindFLD8, true
-	case host.STW:
-		return kindST2, true
-	case host.STL:
-		return kindST4, true
-	case host.STQ:
-		return kindFST8, true
-	}
-	return 0, false
-}
-
 // handleMisalign is the BT's misalignment exception handler (paper §IV,
 // Fig. 5): registered with the machine, called after the architectural trap
 // cost is charged.
@@ -792,7 +776,7 @@ func (e *Engine) handleMisalign(m *machine.Machine, pc uint64, inst host.Inst, e
 		m.EmulateAccess(inst, ea)
 		return pc + host.InstBytes
 	}
-	stubLen := uint64(mdaSeqLen(k)+1) * host.InstBytes
+	stubLen := uint64(k.info().seqLen+1) * host.InstBytes
 	addr, err := e.cc.allocStub(stubLen + 3*host.InstBytes)
 	if err != nil {
 		// Stub zone full: fall back to fixing up every time (and let the
@@ -802,7 +786,8 @@ func (e *Engine) handleMisalign(m *machine.Machine, pc uint64, inst host.Inst, e
 		m.EmulateAccess(inst, ea)
 		return pc + host.InstBytes
 	}
-	a := host.NewAsm(addr)
+	a := &e.asm
+	a.Reset(addr)
 	emitMDA(a, k, inst.Ra, inst.Rb, inst.Disp)
 	a.BrTo(host.BR, host.Zero, pc+host.InstBytes)
 	words, aerr := a.Finish()

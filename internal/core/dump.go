@@ -60,7 +60,7 @@ func (e *Engine) DumpBlock(pc uint32) (string, error) {
 		unit, b.guestPC, len(b.insts), b.hostSize, b.hostEntry)
 	for _, u := range b.insts {
 		fmt.Fprintf(&sb, "  %#08x  %s", u.pc, guest.Disasm(u.pc, u.inst, u.len))
-		if u.pol != polNone {
+		if _, isMem := guestKind(u.inst.Op); isMem {
 			fmt.Fprintf(&sb, "  ; site: policy=%s", u.pol)
 			if e.Opt.StaticAlign {
 				fmt.Fprintf(&sb, " align=%s", u.verdict)

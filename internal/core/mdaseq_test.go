@@ -15,9 +15,8 @@ import (
 // EXT/INS/MSK property tests in package host.
 func TestMDASequencesOnMachine(t *testing.T) {
 	rnd := rand.New(rand.NewSource(21))
-	kinds := []memKind{kindLD4, kindLD2Z, kindLD2S, kindST4, kindST2, kindFLD8, kindFST8}
 	const dataBase = 0x2000
-	for _, k := range kinds {
+	for k := range memKind(len(memKinds)) {
 		for off := 0; off < 8; off++ {
 			for trial := 0; trial < 8; trial++ {
 				m := mem.New()
@@ -51,8 +50,8 @@ func TestMDASequencesOnMachine(t *testing.T) {
 				}
 
 				ea := uint64(dataBase + off + 4)
-				size := k.size()
-				if k.isStore() {
+				size := k.info().size
+				if k.info().store {
 					// The stored bytes must equal val's low bytes; every
 					// other byte must be untouched.
 					for i := 0; i < 32; i++ {
@@ -116,12 +115,14 @@ func TestMDASequenceSameRegister(t *testing.T) {
 	}
 }
 
+// TestMdaSeqLenMatchesEmission walks every row of the memory-kind table:
+// the MDA sequence emitted for the kind fits the row's budget.
 func TestMdaSeqLenMatchesEmission(t *testing.T) {
-	for _, k := range []memKind{kindLD4, kindLD2Z, kindLD2S, kindST4, kindST2, kindFLD8, kindFST8} {
+	for k := range memKind(len(memKinds)) {
 		a := host.NewAsm(0x1000)
 		emitMDA(a, k, host.R1, host.R2, 0)
-		if got := a.Len(); got > mdaSeqLen(k) {
-			t.Errorf("%v: emitted %d insts, budget %d", k, got, mdaSeqLen(k))
+		if got := a.Len(); got > k.info().seqLen {
+			t.Errorf("%v: emitted %d insts, budget %d", k, got, k.info().seqLen)
 		}
 	}
 }

@@ -35,11 +35,12 @@ func recycledRequest(tb testing.TB) func() {
 // allocate. The engine's own per-run tables (block maps, translation
 // records, profiles) are rebuilt each run; the trap table, the trace
 // tables and trace steps must not be. Allocating a trap table for the
-// whole protectable range costs 512 KiB alone. A request measured 4,000
-// bytes in 69 allocations (Go 1.24, linux/amd64); the budget leaves under
-// 25% headroom, so a translate-path regression of a few allocations per
-// unit fails it.
-const recycledRequestBudget = 4_950
+// whole protectable range costs 512 KiB alone. A request measured 2,930
+// bytes in 49 allocations (Go 1.24, linux/amd64), with every unit and
+// exception-handler stub emitted through the engine's one reused
+// assembler; the budget leaves under 25% headroom, so a translate-path
+// regression of a few allocations per unit fails it.
+const recycledRequestBudget = 3_650
 
 // TestRecycledRequestAllocs guards Engine.Reset's reuse of what the engine
 // owns: after one warm-up request, every further request on the same

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"mdabt/internal/guest"
+	"mdabt/internal/host"
 	"mdabt/internal/machine"
 	"mdabt/internal/mem"
 )
@@ -87,13 +88,13 @@ func TestMDASeqBadKindPanics(t *testing.T) {
 	defer func() {
 		r := recover()
 		if r == nil {
-			t.Fatal("plainMemOp(bad kind) did not panic")
+			t.Fatal("emitPlain(bad kind) did not panic")
 		}
 		if !strings.Contains(r.(string), "bad kind") {
 			t.Fatalf("panic %v, want bad-kind message", r)
 		}
 	}()
-	plainMemOp(memKind(255))
+	emitPlain(host.NewAsm(0x1000), memKind(255), host.R1, host.R2, 0)
 }
 
 // TestRunContextDeadline checks cooperative cancellation: a deadline

@@ -20,32 +20,6 @@ const maxBlockInsts = 64
 // dynamic translator would.
 const MaxBlockInsts = maxBlockInsts
 
-// sitePolicy is the translation-time decision for one memory site.
-type sitePolicy uint8
-
-const (
-	polNone     sitePolicy = iota // not a memory site
-	polPlain                      // single trap-prone memory instruction
-	polSeq                        // inline MDA code sequence
-	polMixed                      // per-site multi-version code (§IV-D, Fig. 8 left)
-	polAdaptive                   // streak-counting adaptive code (§IV-D, Fig. 8 right)
-)
-
-// String names the policy for dumps and verifier findings.
-func (p sitePolicy) String() string {
-	switch p {
-	case polPlain:
-		return "plain"
-	case polSeq:
-		return "seq"
-	case polMixed:
-		return "mixed"
-	case polAdaptive:
-		return "adaptive"
-	}
-	return "policy?"
-}
-
 // decodeBlock decodes the basic block starting at pc from guest memory,
 // through the engine's PC-indexed decode cache (translations and the
 // interpreter share decoded instructions), and appends one record per
@@ -71,33 +45,6 @@ func (e *Engine) decodeBlock(units []unitInst, pc uint32) ([]unitInst, error) {
 		units = units[:n-1]
 	}
 	return units, nil
-}
-
-// guestKind maps a guest memory op to the host memKind of its data access.
-func guestKind(op guest.Op) (memKind, bool) {
-	switch op {
-	case guest.LD4:
-		return kindLD4, true
-	case guest.LD2Z:
-		return kindLD2Z, true
-	case guest.LD2S:
-		return kindLD2S, true
-	case guest.ST4:
-		return kindST4, true
-	case guest.ST2:
-		return kindST2, true
-	case guest.FLD8:
-		return kindFLD8, true
-	case guest.FST8:
-		return kindFST8, true
-	case guest.POP, guest.RET:
-		return kindLD4, true
-	case guest.PUSH, guest.CALL:
-		return kindST4, true
-	case guest.REPMOVS4:
-		return kindLD4, true // both streams are dword accesses
-	}
-	return 0, false // byte accesses and non-memory ops never misalign
 }
 
 // flagKind tracks how the translator can materialize a pending condition.
@@ -145,7 +92,7 @@ type traceEdge struct {
 
 // sideExit is a deferred cold-path exit stub emitted after the trace body.
 type sideExit struct {
-	label  string
+	label  host.Label
 	target uint32
 }
 
@@ -162,21 +109,15 @@ type emitter struct {
 	base  uint64
 	words []hostWord
 	cur   int16
-	// mvActive/mvPolicy replace polMixed while emitting one copy of a
-	// block-granularity multi-version body (polPlain in the optimistic
-	// copy, polSeq in the pessimistic one).
+	// mvActive/mvPolicy replace policy.Mixed while emitting one copy of a
+	// block-granularity multi-version body (policy.Plain in the optimistic
+	// copy, policy.Seq in the pessimistic one).
 	mvActive bool
-	mvPolicy sitePolicy
+	mvPolicy policy.SitePolicy
 	// adaptives stages the unit's adaptive-site refs; translate commits
 	// them to Engine.adaptives once the unit's allocation succeeds.
 	adaptives []adaptiveRef
 	flags     flagState
-	nlabel    int
-}
-
-func (em *emitter) label(prefix string) string {
-	em.nlabel++
-	return fmt.Sprintf("%s_%d", prefix, em.nlabel)
 }
 
 // siteFor returns the index in block.sites of the memSite for inst index
@@ -262,7 +203,8 @@ func (em *emitter) memAccess(idx int, k memKind, data host.Reg, m guest.MemRef) 
 }
 
 func (em *emitter) memAccessSub(idx, sub int, k memKind, data host.Reg, m guest.MemRef) {
-	base, disp := em.addressing(m, k.size())
+	size := k.info().size
+	base, disp := em.addressing(m, size)
 	// Static alignment layer, per access stream: a proven-aligned stream
 	// emits the plain operation with no trap-site registration (the
 	// verifier accounts for it through its word's proven tag); a proven-
@@ -282,35 +224,34 @@ func (em *emitter) memAccessSub(idx, sub int, k memKind, data host.Reg, m guest.
 	}
 	site := em.siteFor(idx, sub)
 	pol := em.b.insts[idx].pol
-	if pol == polMixed && em.mvActive {
+	if pol == policy.Mixed && em.mvActive {
 		pol = em.mvPolicy
 	}
-	if pol == polAdaptive && sub != 0 {
+	if pol == policy.Adaptive && sub != 0 {
 		// String copies have two dynamic access streams but one streak
 		// counter slot; guard the second stream instead of adapting it.
-		pol = polMixed
+		pol = policy.Mixed
 	}
 	switch pol {
-	case polSeq:
+	case policy.Seq:
 		emitMDA(em.a, k, data, base, disp)
-	case polAdaptive:
+	case policy.Adaptive:
 		em.adaptiveAccess(idx, k, data, base, disp)
-	case polMixed:
+	case policy.Mixed:
 		// Multi-version code (§IV-D, Fig. 8): check the actual effective
 		// address and run either the plain instruction or the MDA sequence.
 		// The plain arm can never trap, so sometimes-aligned sites pay the
 		// short check instead of either traps or a constant sequence.
-		seq := em.label("mda")
-		join := em.label("join")
 		a := em.a
+		seq, join := a.NewLabel(), a.NewLabel()
 		a.Mem(host.LDA, tmpCond, disp, base)
-		a.OprLit(host.AND, tmpCond, uint8(k.size()-1), tmpCond)
+		a.OprLit(host.AND, tmpCond, uint8(size-1), tmpCond)
 		a.Br(host.BNE, tmpCond, seq)
 		em.markGuarded(emitPlain(a, k, data, base, disp))
 		a.Br(host.BR, host.Zero, join)
-		a.Label(seq)
+		a.Bind(seq)
 		emitMDA(a, k, data, base, disp)
-		a.Label(join)
+		a.Bind(join)
 	default:
 		em.word(emitPlain(em.a, k, data, base, disp)).site = site
 	}
@@ -324,11 +265,9 @@ func (em *emitter) memAccessSub(idx, sub int, k memKind, data host.Reg, m guest.
 func (em *emitter) adaptiveAccess(idx int, k memKind, data host.Reg, base host.Reg, disp int32) {
 	a := em.a
 	ctr := em.b.insts[idx].counter
-	mda := em.label("amda")
-	aligned := em.label("aok")
-	end := em.label("aend")
+	mda, aligned, end := a.NewLabel(), a.NewLabel(), a.NewLabel()
 	a.Mem(host.LDA, tmpEA, disp, base)
-	a.OprLit(host.AND, tmpEA, uint8(k.size()-1), tmpCond)
+	a.OprLit(host.AND, tmpEA, uint8(k.info().size-1), tmpCond)
 	a.Br(host.BNE, tmpCond, mda)
 	// Aligned: bump the streak counter. The counter lives in tmpC/tmpD
 	// (MDA scratch): data may be tmpImm (a CALL's pushed return address)
@@ -348,15 +287,15 @@ func (em *emitter) adaptiveAccess(idx int, k memKind, data host.Reg, base host.R
 	id := uint32(len(em.e.adaptives) + len(em.adaptives))
 	em.adaptives = append(em.adaptives, adaptiveRef{b: em.b, instIdx: idx, counter: ctr})
 	a.Brk(svcAdaptiveFlag | id)
-	a.Label(aligned)
+	a.Bind(aligned)
 	em.markGuarded(emitPlain(a, k, data, base, disp)) // guarded: cannot trap
 	a.Br(host.BR, host.Zero, end)
-	a.Label(mda)
+	a.Bind(mda)
 	a.MovImm(tmpC, int64(ctr))
 	em.markAligned(a.PC())
 	a.Mem(host.STL, host.Zero, 0, tmpC) // reset the streak
 	emitMDA(a, k, data, base, disp)
-	a.Label(end)
+	a.Bind(end)
 }
 
 // stackAccess emits a 4-byte stack slot access through ESP (PUSH/POP/
@@ -375,7 +314,7 @@ func (em *emitter) exitTo(target uint32) {
 
 // condBranch materializes the pending flags for cond and emits a host
 // branch to label when the condition holds.
-func (em *emitter) condBranch(cond guest.Cond, label string) error {
+func (em *emitter) condBranch(cond guest.Cond, label host.Label) error {
 	f := em.flags
 	switch f.kind {
 	case flagNone:
@@ -408,9 +347,9 @@ func (em *emitter) cmpWith(op host.Op, f flagState, dst host.Reg) {
 	em.a.Opr(op, hostGPR(f.a), rb, dst)
 }
 
-// cmpPlans maps a condition after CMP a, b to the host compare and the
-// branch on its result (S/NS are handled separately).
-var cmpPlans = map[guest.Cond]struct{ op, branch host.Op }{
+// cmpPlans maps a condition after CMP a, b to the host op computing it
+// and the branch on its result; S/NS test the sign of a-b.
+var cmpPlans = [...]struct{ op, branch host.Op }{
 	guest.E:  {host.CMPEQ, host.BNE},
 	guest.NE: {host.CMPEQ, host.BEQ},
 	guest.L:  {host.CMPLT, host.BNE},
@@ -421,34 +360,27 @@ var cmpPlans = map[guest.Cond]struct{ op, branch host.Op }{
 	guest.BE: {host.CMPULE, host.BNE},
 	guest.A:  {host.CMPULE, host.BEQ},
 	guest.AE: {host.CMPULT, host.BEQ},
+	guest.S:  {host.SUBL, host.BLT},
+	guest.NS: {host.SUBL, host.BGE},
 }
 
 // cmpBranch handles conditions after CMP a, b: compare host ops on the
 // sign-extended 64-bit register images preserve both signed and unsigned
 // 32-bit ordering.
-func (em *emitter) cmpBranch(cond guest.Cond, f flagState, label string) error {
-	if p, ok := cmpPlans[cond]; ok {
-		em.cmpWith(p.op, f, tmpCond)
-		em.a.Br(p.branch, tmpCond, label)
-		return nil
-	}
-	// S/NS test the sign of a-b.
-	em.cmpWith(host.SUBL, f, tmpCond)
-	switch cond {
-	case guest.S:
-		em.a.Br(host.BLT, tmpCond, label)
-	case guest.NS:
-		em.a.Br(host.BGE, tmpCond, label)
-	default:
+func (em *emitter) cmpBranch(cond guest.Cond, f flagState, label host.Label) error {
+	if int(cond) >= len(cmpPlans) {
 		return fmt.Errorf("core: unsupported condition %v after cmp", cond)
 	}
+	p := cmpPlans[cond]
+	em.cmpWith(p.op, f, tmpCond)
+	em.a.Br(p.branch, tmpCond, label)
 	return nil
 }
 
 // zeroBranch handles conditions against a result value (flags from TEST or
 // an ALU result): CF/OF are zero, so the condition reduces to a comparison
 // of the 32-bit result with zero. afterTest permits the relational forms.
-func (em *emitter) zeroBranch(cond guest.Cond, r host.Reg, label string, afterTest bool) error {
+func (em *emitter) zeroBranch(cond guest.Cond, r host.Reg, label host.Label, afterTest bool) error {
 	switch cond {
 	case guest.E:
 		em.a.Br(host.BEQ, r, label)
@@ -610,9 +542,8 @@ func (em *emitter) inst(idx int) error {
 		// ecx-- }. The load and store are independent, policy-controlled
 		// memory sites — exactly where libc-style memcpy misalignment lands.
 		ecx, esi, edi := hostGPR(guest.ECX), hostGPR(guest.ESI), hostGPR(guest.EDI)
-		top := em.label("rep")
-		done := em.label("repdone")
-		a.Label(top)
+		top, done := a.NewLabel(), a.NewLabel()
+		a.Bind(top)
 		a.Br(host.BEQ, ecx, done)
 		em.memAccessSub(idx, 0, kindLD4, tmpImm, guest.MemRef{Base: guest.ESI})
 		em.memAccessSub(idx, 1, kindST4, tmpImm, guest.MemRef{Base: guest.EDI})
@@ -620,7 +551,7 @@ func (em *emitter) inst(idx int) error {
 		a.Mem(host.LDA, edi, 4, edi)
 		a.OprLit(host.SUBL, ecx, 1, ecx)
 		a.Br(host.BR, host.Zero, top)
-		a.Label(done)
+		a.Bind(done)
 		em.flags.note(guest.ECX)
 		em.flags.note(guest.ESI)
 		em.flags.note(guest.EDI)
@@ -638,19 +569,19 @@ func (em *emitter) inst(idx int) error {
 			if edge.invert {
 				cond = cond.Inverse()
 			}
-			side := em.label("side")
+			side := a.NewLabel()
 			if err := em.condBranch(cond, side); err != nil {
 				return err
 			}
 			em.sideExits = append(em.sideExits, sideExit{label: side, target: edge.sideTarget})
 			break
 		}
-		taken := em.label("taken")
+		taken := a.NewLabel()
 		if err := em.condBranch(in.Cond, taken); err != nil {
 			return err
 		}
 		em.exitTo(nextPC) // fallthrough
-		a.Label(taken)
+		a.Bind(taken)
 		em.exitTo(nextPC + uint32(in.Rel))
 	case guest.CALL:
 		esp := hostGPR(guest.ESP)
@@ -666,7 +597,7 @@ func (em *emitter) inst(idx int) error {
 			// Inline indirect-branch translation cache probe: on a tag hit
 			// jump straight to the cached host entry, otherwise fall back
 			// to the monitor (which fills the entry).
-			miss := em.label("ibtcmiss")
+			miss := a.NewLabel()
 			a.OprLit(host.SRL, tmpIndirect, ibtcShift, tmpA)
 			a.OprLit(host.AND, tmpA, ibtcEntries-1, tmpA)
 			a.OprLit(host.SLL, tmpA, 4, tmpA)
@@ -680,7 +611,7 @@ func (em *emitter) inst(idx int) error {
 			em.markAligned(a.PC())
 			a.Mem(host.LDQ, tmpB, 8, tmpA) // cached host entry
 			a.Jmp(host.JMP, host.Zero, tmpB)
-			a.Label(miss)
+			a.Bind(miss)
 		}
 		a.Brk(svcIndirect)
 	case guest.PUSH:
@@ -733,7 +664,7 @@ func (em *emitter) body() error {
 	split := -1
 	if em.e.Opt.MultiVersion && em.e.Opt.MVBlockGranularity {
 		for idx := range b.insts {
-			if b.insts[idx].pol == polMixed {
+			if b.insts[idx].pol == policy.Mixed {
 				split = idx
 				break
 			}
@@ -757,24 +688,25 @@ func (em *emitter) body() error {
 		if !in.Op.IsExplicitMem() {
 			m = guest.MemRef{Base: guest.ESP}
 		}
-		base, disp := em.addressing(m, k.size())
-		v2 := em.label("mv2")
+		size := k.info().size
+		base, disp := em.addressing(m, size)
+		v2 := em.a.NewLabel()
 		em.a.Mem(host.LDA, tmpCond, disp, base)
-		em.a.OprLit(host.AND, tmpCond, uint8(k.size()-1), tmpCond)
+		em.a.OprLit(host.AND, tmpCond, uint8(size-1), tmpCond)
 		em.a.Br(host.BNE, tmpCond, v2)
 		savedFlags := em.flags
 		// Optimistic copy: mixed sites as plain operations. The guard only
 		// checked the first site, so the others may still trap — the
 		// exception handler covers them, preserving correctness.
-		em.mvActive, em.mvPolicy = true, polPlain
+		em.mvActive, em.mvPolicy = true, policy.Plain
 		if err := em.emitRange(split, len(b.insts)); err != nil {
 			return err
 		}
 		em.syntheticExit()
 		// Pessimistic copy: mixed sites as MDA sequences.
-		em.a.Label(v2)
+		em.a.Bind(v2)
 		em.flags = savedFlags
-		em.mvPolicy = polSeq
+		em.mvPolicy = policy.Seq
 		if err := em.emitRange(split, len(b.insts)); err != nil {
 			return err
 		}
@@ -783,24 +715,10 @@ func (em *emitter) body() error {
 	}
 	// Deferred trace side exits.
 	for _, se := range em.sideExits {
-		em.a.Label(se.label)
+		em.a.Bind(se.label)
 		em.exitTo(se.target)
 	}
 	return nil
-}
-
-// fromPolicy maps the mechanism seam's site decision onto the emitter's
-// internal policy enum.
-func fromPolicy(p policy.SitePolicy) sitePolicy {
-	switch p {
-	case policy.Seq:
-		return polSeq
-	case policy.Mixed:
-		return polMixed
-	case policy.Adaptive:
-		return polAdaptive
-	}
-	return polPlain
 }
 
 // sitePolicies decides the translation policy of every memory site in the
@@ -834,11 +752,11 @@ func (e *Engine) sitePolicies(b *block, st *pcState) (anyMixed bool, err error) 
 			u.verdict = e.alignDB.InstVerdict(u.pc, u.inst.Op)
 			ctx.AlignVerdict = u.verdict
 		}
-		u.pol = fromPolicy(e.mech.SitePolicy(ctx))
+		u.pol = e.mech.SitePolicy(ctx)
 		switch u.pol {
-		case polMixed:
+		case policy.Mixed:
 			anyMixed = true
-		case polAdaptive:
+		case policy.Adaptive:
 			if u.counter, err = e.allocCounter(); err != nil {
 				return false, err
 			}
@@ -891,7 +809,8 @@ func (e *Engine) translate(pc uint32, perInst uint64) (*block, error) {
 	// Emit once, at the address the block zone's bump allocator hands out
 	// next.
 	base := e.cc.blockNext
-	a := host.NewAsm(base)
+	a := &e.asm
+	a.Reset(base)
 	em := &emitter{e: e, a: a, b: b, base: base, words: e.wordBuf[:0], cur: noInst}
 	err = em.body()
 	em.through(a.Len() - 1)
@@ -921,11 +840,13 @@ func (e *Engine) translate(pc uint32, perInst uint64) (*block, error) {
 	e.stats.AdaptiveSites += uint64(len(em.adaptives))
 	if e.Opt.StaticAlign {
 		for _, u := range b.insts {
-			switch {
-			case u.pol == polNone:
-			case u.verdict == align.Aligned:
+			if _, isMem := guestKind(u.inst.Op); !isMem {
+				continue
+			}
+			switch u.verdict {
+			case align.Aligned:
 				e.stats.StaticAlignedSites++
-			case u.verdict == align.Misaligned:
+			case align.Misaligned:
 				e.stats.StaticMisalignedSites++
 			default:
 				e.stats.StaticUnknownSites++

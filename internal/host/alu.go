@@ -1,5 +1,7 @@
 package host
 
+import "fmt"
+
 // Pure operate-format semantics, shared by the machine simulator and the
 // tests. All functions take and return 64-bit register values.
 
@@ -63,6 +65,35 @@ func MskHigh(av, bv uint64, size int) uint64 {
 		return av
 	}
 	return av &^ (sizeMask(size) >> (64 - sh))
+}
+
+// MDAFamily is the byte-manipulation family of one access size: the
+// extract pair the misalignment-safe (MDA) load sequence merges its two
+// quadwords with (paper Fig. 2), and the insert and mask pairs of the
+// store sequence's read-merge-write.
+type MDAFamily struct {
+	Size                               int
+	ExtL, ExtH, InsL, InsH, MskL, MskH Op
+}
+
+// MDAFamilies lists the families of the 2-, 4- and 8-byte accesses, the
+// sizes that can misalign. The translator emits MDA sequences from them,
+// and the machine's trace tier recognizes those sequences by them.
+var MDAFamilies = [...]MDAFamily{
+	{2, EXTWL, EXTWH, INSWL, INSWH, MSKWL, MSKWH},
+	{4, EXTLL, EXTLH, INSLL, INSLH, MSKLL, MSKLH},
+	{8, EXTQL, EXTQH, INSQL, INSQH, MSKQL, MSKQH},
+}
+
+// MDAFamilyOf returns the family of an access size; it panics on a size
+// with none.
+func MDAFamilyOf(size int) *MDAFamily {
+	for i := range MDAFamilies {
+		if MDAFamilies[i].Size == size {
+			return &MDAFamilies[i]
+		}
+	}
+	panic(fmt.Sprintf("host: no MDA family for size %d", size))
 }
 
 // EvalOp evaluates an operate-format opcode on two source values. It panics

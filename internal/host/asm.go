@@ -6,29 +6,50 @@ import "fmt"
 // tests. It assembles a contiguous run of instruction words starting at a
 // base address, with label/fixup support for local branches.
 //
-// Errors (bad displacement, unknown label) are sticky and reported by
-// Finish, so emission code can be written straight-line.
+// Errors (bad displacement, unbound label) are sticky and reported by
+// Finish, so emission code can be written straight-line. One Asm can emit
+// any number of runs in turn: Reset starts the next one and keeps the
+// buffers, so a reused assembler emits without allocating.
 type Asm struct {
 	base   uint64
 	words  []uint32
-	labels map[string]int // label -> word index
+	labels []int // Label -> word index; unbound while negative
 	fixups []fixup
 	err    error
 }
 
+// Label names a branch target of one emission, from NewLabel until the
+// next Reset.
+type Label int32
+
+// unbound marks a label that has no word index yet.
+const unbound = -1
+
 type fixup struct {
-	index int    // word to patch
-	label string // target label
+	index int   // word to patch
+	label Label // target label
 }
 
 // NewAsm returns an emitter whose first instruction lands at base. The base
 // must be 4-byte aligned.
 func NewAsm(base uint64) *Asm {
-	a := &Asm{base: base, labels: make(map[string]int)}
+	a := &Asm{}
+	a.Reset(base)
+	return a
+}
+
+// Reset discards everything emitted so far, its labels and its error, and
+// starts a new run at base, keeping the buffers. The words Finish returned
+// are overwritten by the next emission.
+func (a *Asm) Reset(base uint64) {
+	a.base = base
+	a.words = a.words[:0]
+	a.labels = a.labels[:0]
+	a.fixups = a.fixups[:0]
+	a.err = nil
 	if base%InstBytes != 0 {
 		a.fail(fmt.Errorf("host: asm base %#x not instruction-aligned", base))
 	}
-	return a
 }
 
 func (a *Asm) fail(err error) {
@@ -52,13 +73,19 @@ func (a *Asm) Emit(i Inst) {
 	a.words = append(a.words, w)
 }
 
-// Label defines name at the current PC.
-func (a *Asm) Label(name string) {
-	if _, dup := a.labels[name]; dup {
-		a.fail(fmt.Errorf("host: asm: duplicate label %q", name))
+// NewLabel returns a fresh label, to be bound once with Bind.
+func (a *Asm) NewLabel() Label {
+	a.labels = append(a.labels, unbound)
+	return Label(len(a.labels) - 1)
+}
+
+// Bind binds l to the current PC.
+func (a *Asm) Bind(l Label) {
+	if a.labels[l] != unbound {
+		a.fail(fmt.Errorf("host: asm: label %d bound twice", l))
 		return
 	}
-	a.labels[name] = len(a.words)
+	a.labels[l] = len(a.words)
 }
 
 // Mem emits a memory-format instruction: op ra, disp(rb).
@@ -81,8 +108,8 @@ func (a *Asm) Mov(rs, rd Reg) { a.Opr(BIS, rs, rs, rd) }
 
 // Br emits a branch-format instruction targeting a local label, fixed up at
 // Finish time.
-func (a *Asm) Br(op Op, ra Reg, label string) {
-	a.fixups = append(a.fixups, fixup{index: len(a.words), label: label})
+func (a *Asm) Br(op Op, ra Reg, l Label) {
+	a.fixups = append(a.fixups, fixup{index: len(a.words), label: l})
 	a.Emit(Inst{Op: op, Ra: ra})
 }
 
@@ -150,19 +177,20 @@ func (a *Asm) MovImm(r Reg, v int64) {
 	}
 }
 
-// Finish resolves fixups and returns the assembled instruction words.
+// Finish resolves fixups and returns the assembled instruction words, which
+// stay valid until the next Reset.
 func (a *Asm) Finish() ([]uint32, error) {
 	for _, f := range a.fixups {
-		idx, ok := a.labels[f.label]
-		if !ok {
-			a.fail(fmt.Errorf("host: asm: undefined label %q", f.label))
+		idx := a.labels[f.label]
+		if idx == unbound {
+			a.fail(fmt.Errorf("host: asm: label %d never bound", f.label))
 			continue
 		}
 		pc := a.base + uint64(f.index)*InstBytes
 		target := a.base + uint64(idx)*InstBytes
 		d, ok := BrDispFor(pc, target)
 		if !ok {
-			a.fail(fmt.Errorf("host: asm: branch to %q out of range", f.label))
+			a.fail(fmt.Errorf("host: asm: branch to label %d out of range", f.label))
 			continue
 		}
 		a.words[f.index] = a.words[f.index]&^0x1FFFFF | uint32(d)&0x1FFFFF

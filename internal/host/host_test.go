@@ -2,6 +2,7 @@ package host
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -318,14 +319,21 @@ func TestDisasm(t *testing.T) {
 	}
 }
 
+// emitLabelLoop emits the labels fixture: a countdown loop whose backward
+// BNE and forward BR resolve through labels.
+func emitLabelLoop(a *Asm) {
+	top, out := a.NewLabel(), a.NewLabel()
+	a.Bind(top)
+	a.OprLit(SUBQ, R1, 1, R1)
+	a.Br(BNE, R1, top)
+	a.Br(BR, Zero, out)
+	a.Opr(ADDQ, R31, R31, R31) // skipped
+	a.Bind(out)
+}
+
 func TestAsmLabels(t *testing.T) {
 	a := NewAsm(0x10000)
-	a.Label("top")
-	a.OprLit(SUBQ, R1, 1, R1)
-	a.Br(BNE, R1, "top")
-	a.Br(BR, Zero, "out")
-	a.Opr(ADDQ, R31, R31, R31) // skipped
-	a.Label("out")
+	emitLabelLoop(a)
 	words, err := a.Finish()
 	if err != nil {
 		t.Fatal(err)
@@ -341,19 +349,35 @@ func TestAsmLabels(t *testing.T) {
 	if got := br.BranchTarget(0x10008); got != 0x10010 {
 		t.Errorf("br target = %#x, want 0x10010", got)
 	}
+
+	// A reused assembler emits what a fresh one does: Reset drops the
+	// earlier run's words, labels, fix-ups and error.
+	fresh := slices.Clone(words)
+	a.Reset(0x2000)
+	a.Br(BR, Zero, a.NewLabel()) // never bound: a sticky error
+	a.Reset(0x10000)
+	emitLabelLoop(a)
+	reused, err := a.Finish()
+	if err != nil {
+		t.Fatalf("reused assembler: %v", err)
+	}
+	if !slices.Equal(reused, fresh) {
+		t.Errorf("reused assembler emitted %#x, fresh %#x", reused, fresh)
+	}
 }
 
 func TestAsmErrors(t *testing.T) {
 	a := NewAsm(0x1000)
-	a.Br(BR, Zero, "nowhere")
+	a.Br(BR, Zero, a.NewLabel())
 	if _, err := a.Finish(); err == nil {
-		t.Error("undefined label: want error")
+		t.Error("label never bound: want error")
 	}
 	a = NewAsm(0x1000)
-	a.Label("x")
-	a.Label("x")
+	x := a.NewLabel()
+	a.Bind(x)
+	a.Bind(x)
 	if _, err := a.Finish(); err == nil {
-		t.Error("duplicate label: want error")
+		t.Error("label bound twice: want error")
 	}
 	a = NewAsm(0x1001)
 	if _, err := a.Finish(); err == nil {
@@ -363,6 +387,17 @@ func TestAsmErrors(t *testing.T) {
 	a.BrTo(BR, Zero, 1<<40)
 	if _, err := a.Finish(); err == nil {
 		t.Error("out-of-range BrTo: want error")
+	}
+	// A label branch one word past the 21-bit displacement's reach.
+	a = NewAsm(0x1000)
+	far := a.NewLabel()
+	a.Br(BR, Zero, far)
+	for i := 0; i < 1<<20; i++ {
+		a.Opr(BIS, Zero, Zero, Zero)
+	}
+	a.Bind(far)
+	if _, err := a.Finish(); err == nil {
+		t.Error("out-of-range label branch: want error")
 	}
 }
 

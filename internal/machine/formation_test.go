@@ -1,7 +1,6 @@
 package machine
 
 import (
-	"fmt"
 	"testing"
 
 	"mdabt/internal/host"
@@ -28,6 +27,10 @@ func newFormUnit(tb testing.TB) formUnit {
 	var u formUnit
 	var loads []uint64
 	a := host.NewAsm(formBase)
+	exits := make([]host.Label, groups)
+	for g := range exits {
+		exits[g] = a.NewLabel()
+	}
 	for g := 0; g < groups; g++ {
 		a.OprLit(host.ADDQ, host.R1, 1, host.R1)
 		a.Opr(host.XOR, host.R1, host.R8, host.R10)
@@ -38,12 +41,12 @@ func newFormUnit(tb testing.TB) formUnit {
 			trMegaLd(a, 4, int32(8*g+3), true)
 		}
 		a.OprLit(host.CMPLT, host.R1, uint8(g), host.R10)
-		a.Br(host.BNE, host.R10, fmt.Sprint("exit", g))
+		a.Br(host.BNE, host.R10, exits[g])
 		a.OprLit(host.SUBQ, host.R8, 3, host.R8)
 	}
 	a.Brk(HaltService)
 	for g := 0; g < groups; g++ {
-		a.Label(fmt.Sprint("exit", g))
+		a.Bind(exits[g])
 		a.Brk(uint32(g + 1))
 	}
 	words, err := a.Finish()

@@ -462,7 +462,8 @@ func lowerRandomProgram(t *testing.T, rng *rand.Rand, base uint64, megas bool) [
 	return trProgram(t, base, func(a *host.Asm) {
 		a.MovImm(host.R9, lowerDataBase)
 		a.MovImm(host.R10, 40) // loop counter
-		a.Label("top")
+		top := a.NewLabel()
+		a.Bind(top)
 		for i := 0; i < n; i++ {
 			switch rng.Intn(8) {
 			case 0, 1:
@@ -496,7 +497,7 @@ func lowerRandomProgram(t *testing.T, rng *rand.Rand, base uint64, megas bool) [
 			}
 		}
 		a.OprLit(host.SUBQ, host.R10, 1, host.R10)
-		a.Br(host.BNE, host.R10, "top")
+		a.Br(host.BNE, host.R10, top)
 		a.Brk(HaltService)
 	})
 }
@@ -651,7 +652,8 @@ func trapRunProgram(t *testing.T, base uint64, pos int, trap host.Inst, iters in
 			a.OprLit(host.BIS, host.R31, 0, host.R31)
 		}
 		hot = a.PC()
-		a.Label("top")
+		top := a.NewLabel()
+		a.Bind(top)
 		for i := 0; i < ilineInsts; i++ {
 			d := int32(8 * i)
 			switch {
@@ -668,7 +670,7 @@ func trapRunProgram(t *testing.T, base uint64, pos int, trap host.Inst, iters in
 			}
 		}
 		a.OprLit(host.SUBQ, host.R10, 1, host.R10)
-		a.Br(host.BNE, host.R10, "top")
+		a.Br(host.BNE, host.R10, top)
 		a.Brk(HaltService)
 	})
 	return words, hot

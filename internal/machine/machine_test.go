@@ -224,11 +224,12 @@ func TestCustomMisalignHandlerPatches(t *testing.T) {
 	})
 	load(t, m, 0x1000, func(a *host.Asm) {
 		a.MovImm(host.R2, 0x2000)
-		a.Label("loop")
+		loop := a.NewLabel()
+		a.Bind(loop)
 		a.Mem(host.LDL, host.R1, 3, host.R2)
 		a.OprLit(host.ADDQ, host.R3, 1, host.R3)
 		a.OprLit(host.CMPULT, host.R3, 10, host.R4)
-		a.Br(host.BNE, host.R4, "loop")
+		a.Br(host.BNE, host.R4, loop)
 		a.Brk(HaltService)
 	})
 	run(t, m)
@@ -250,7 +251,8 @@ func TestCustomMisalignHandlerPatches(t *testing.T) {
 func TestPatchInvalidatesDecodedCache(t *testing.T) {
 	m := newMachine(false)
 	load(t, m, 0x1000, func(a *host.Asm) {
-		a.Label("top")
+		top := a.NewLabel()
+		a.Bind(top)
 		a.OprLit(host.ADDQ, host.R1, 1, host.R1)
 		a.Brk(2) // runtime callback
 	})
@@ -272,12 +274,14 @@ func TestBranchesAndJumps(t *testing.T) {
 	m := newMachine(false)
 	load(t, m, 0x1000, func(a *host.Asm) {
 		a.MovImm(host.R1, 3)
-		a.Label("loop")
+		loop := a.NewLabel()
+		a.Bind(loop)
 		a.OprLit(host.SUBQ, host.R1, 1, host.R1)
-		a.Br(host.BNE, host.R1, "loop")
-		a.Br(host.BSR, host.R26, "sub") // call
+		a.Br(host.BNE, host.R1, loop)
+		sub := a.NewLabel()
+		a.Br(host.BSR, host.R26, sub) // call
 		a.Brk(HaltService)
-		a.Label("sub")
+		a.Bind(sub)
 		a.MovImm(host.R9, 0x5A)
 		a.Jmp(host.RET, host.Zero, host.R26)
 	})
@@ -293,8 +297,9 @@ func TestBranchesAndJumps(t *testing.T) {
 func TestRunLimit(t *testing.T) {
 	m := newMachine(false)
 	load(t, m, 0x1000, func(a *host.Asm) {
-		a.Label("spin")
-		a.Br(host.BR, host.Zero, "spin")
+		spin := a.NewLabel()
+		a.Bind(spin)
+		a.Br(host.BR, host.Zero, spin)
 	})
 	r, _, err := m.Run(100)
 	if err != nil || r != StopLimit {
@@ -328,9 +333,10 @@ func TestCacheChargesColdMisses(t *testing.T) {
 	warm := newMachine(true)
 	prog := func(a *host.Asm) {
 		a.MovImm(host.R1, 100)
-		a.Label("loop")
+		loop := a.NewLabel()
+		a.Bind(loop)
 		a.OprLit(host.SUBQ, host.R1, 1, host.R1)
-		a.Br(host.BNE, host.R1, "loop")
+		a.Br(host.BNE, host.R1, loop)
 		a.Brk(HaltService)
 	}
 	load(t, cold, 0x1000, prog)
@@ -400,9 +406,10 @@ func BenchmarkTightLoop(b *testing.B) {
 	m := newMachine(true)
 	a := host.NewAsm(0x1000)
 	a.MovImm(host.R1, 1<<30)
-	a.Label("loop")
+	loop := a.NewLabel()
+	a.Bind(loop)
 	a.OprLit(host.SUBQ, host.R1, 1, host.R1)
-	a.Br(host.BNE, host.R1, "loop")
+	a.Br(host.BNE, host.R1, loop)
 	a.Brk(HaltService)
 	words, err := a.Finish()
 	if err != nil {

@@ -14,13 +14,14 @@ import (
 func resetProgA(a *host.Asm) {
 	a.MovImm(host.R9, trDataBase)
 	a.MovImm(host.R1, 40)
-	a.Label("top")
+	top := a.NewLabel()
+	a.Bind(top)
 	trMegaLd(a, 4, 3, true)
 	a.OprLit(host.ADDQ, host.R7, 17, host.R8)
 	a.OprLit(host.XOR, host.R8, 99, host.R7)
 	trMegaSt(a, 8, 21)
 	a.OprLit(host.SUBQ, host.R1, 1, host.R1)
-	a.Br(host.BNE, host.R1, "top")
+	a.Br(host.BNE, host.R1, top)
 	a.Brk(HaltService)
 }
 
@@ -32,14 +33,15 @@ func resetProgB(a *host.Asm) {
 	a.MovImm(host.R1, 30)
 	a.MovImm(host.R2, 5)
 	a.MovImm(host.R6, 1)
-	a.Label("top")
+	top := a.NewLabel()
+	a.Bind(top)
 	a.Mem(host.LDQ, host.R3, 8, host.R9)
 	a.Opr(host.ADDQ, host.R3, host.R2, host.R4)
 	a.Opr(host.XOR, host.R4, host.R1, host.R5)
 	a.Mem(host.STQ, host.R5, 16, host.R9)
 	a.Mem(host.LDL, host.R7, 1, host.R9) // misaligned: default fixup
 	a.Opr(host.SUBQ, host.R1, host.R6, host.R1)
-	a.Br(host.BGT, host.R1, "top")
+	a.Br(host.BGT, host.R1, top)
 	a.Brk(HaltService)
 }
 

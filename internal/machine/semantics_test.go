@@ -74,10 +74,11 @@ func TestBranchSemanticsOnMachine(t *testing.T) {
 			m := New(mem.New(), p)
 			m.SetReg(host.R1, v)
 			a := host.NewAsm(0x1000)
-			a.Br(op, host.R1, "taken")
+			taken := a.NewLabel()
+			a.Br(op, host.R1, taken)
 			a.MovImm(host.R2, 1) // fallthrough marker
 			a.Brk(HaltService)
-			a.Label("taken")
+			a.Bind(taken)
 			a.MovImm(host.R2, 2)
 			a.Brk(HaltService)
 			words, err := a.Finish()
@@ -106,10 +107,11 @@ func TestBSRAndRETLinkage(t *testing.T) {
 	p.UseCaches = false
 	m := New(mem.New(), p)
 	a := host.NewAsm(0x1000)
-	a.Br(host.BSR, host.R26, "sub")
+	sub := a.NewLabel()
+	a.Br(host.BSR, host.R26, sub)
 	a.MovImm(host.R1, 0x11)
 	a.Brk(HaltService)
-	a.Label("sub")
+	a.Bind(sub)
 	a.Mov(host.R26, host.R9) // capture return address
 	a.Jmp(host.RET, host.Zero, host.R26)
 	words, err := a.Finish()

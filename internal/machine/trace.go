@@ -330,17 +330,6 @@ const noLineID = ^uint64(0)
 // TraceStats returns a copy of the trace-tier telemetry.
 func (m *Machine) TraceStats() TraceStats { return m.tstats }
 
-// mdaOps lists, per access size, the ext/ins/msk ops of the MDA sequences
-// fuseMega matches.
-var mdaOps = [...]struct {
-	size                               uint64
-	extl, exth, insh, insl, mskh, mskl host.Op
-}{
-	{2, host.EXTWL, host.EXTWH, host.INSWH, host.INSWL, host.MSKWH, host.MSKWL},
-	{4, host.EXTLL, host.EXTLH, host.INSLH, host.INSLL, host.MSKLH, host.MSKLL},
-	{8, host.EXTQL, host.EXTQH, host.INSQH, host.INSQL, host.MSKQH, host.MSKQL},
-}
-
 // megaMaxLen is the longest sequence fuseMega fuses (the store).
 const megaMaxLen = 11
 
@@ -371,9 +360,9 @@ func fuseMega(s []slot) (slot, megaAux, int) {
 // where the trailing addl sign-extends a longword.
 func fuseMegaLd(s []slot) (slot, megaAux, int) {
 	var sz uint64
-	for _, o := range mdaOps {
-		if s[3].op == o.extl && s[4].op == o.exth {
-			sz = o.size
+	for _, f := range host.MDAFamilies {
+		if s[3].op == f.ExtL && s[4].op == f.ExtH {
+			sz = uint64(f.Size)
 		}
 	}
 	base, d := s[0].b, s[0].imm
@@ -408,9 +397,9 @@ func fuseMegaLd(s []slot) (slot, megaAux, int) {
 //	bis hs, mh|ih; bis ls, ml|il; stq_u hs, d+sz-1(base); stq_u ls, d(base)
 func fuseMegaSt(s []slot) (slot, megaAux, int) {
 	var sz uint64
-	for _, o := range mdaOps {
-		if s[3].op == o.insh && s[4].op == o.insl && s[5].op == o.mskh && s[6].op == o.mskl {
-			sz = o.size
+	for _, f := range host.MDAFamilies {
+		if s[3].op == f.InsH && s[4].op == f.InsL && s[5].op == f.MskH && s[6].op == f.MskL {
+			sz = uint64(f.Size)
 		}
 	}
 	base, d := s[0].b, s[0].imm
@@ -511,8 +500,9 @@ func (m *Machine) returnsAfter(s slot, pc uint64) bool {
 		if err != nil {
 			return false
 		}
-		if r := lower(at, inst); r.kind.transfers() {
-			return r.kind == slotBr && r.imm == pc+host.InstBytes
+		// Every word but a memory or operate one may transfer control.
+		if f := host.FormatOf(inst.Op); f != host.FormatMem && f != host.FormatOpr {
+			return inst.Op == host.BR && inst.Ra == host.Zero && inst.BranchTarget(at) == pc+host.InstBytes
 		}
 	}
 	return false

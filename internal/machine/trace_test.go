@@ -244,8 +244,13 @@ func TestTraceParityRandomPrograms(t *testing.T) {
 			for _, r := range regW {
 				a.MovImm(r, int64(rng.Uint64()>>16))
 			}
+			// labels[i] is instruction i's; labels[n] ends the program.
+			labels := make([]host.Label, n+1)
+			for i := range labels {
+				labels[i] = a.NewLabel()
+			}
 			for i := 0; i < n; i++ {
-				a.Label(fmt.Sprintf("L%d", i))
+				a.Bind(labels[i])
 				switch rng.Intn(14) {
 				case 0, 1, 2, 3:
 					op := aluOps[rng.Intn(len(aluOps))]
@@ -279,18 +284,10 @@ func TestTraceParityRandomPrograms(t *testing.T) {
 					} else {
 						target = i + 1 + rng.Intn(n-i)
 					}
-					label := fmt.Sprintf("L%d", target)
-					if target >= n {
-						label = "Lend"
-					}
-					a.Br(condOps[rng.Intn(len(condOps))], regR[rng.Intn(len(regR))], label)
+					a.Br(condOps[rng.Intn(len(condOps))], regR[rng.Intn(len(regR))], labels[target])
 				case 11:
 					target := i + 1 + rng.Intn(n-i)
-					label := fmt.Sprintf("L%d", target)
-					if target >= n {
-						label = "Lend"
-					}
-					a.Br(host.BR, host.R31, label)
+					a.Br(host.BR, host.R31, labels[target])
 				case 12, 13:
 					// On protected seeds the sequences straddle the page
 					// boundary at dataBase+16.
@@ -307,7 +304,7 @@ func TestTraceParityRandomPrograms(t *testing.T) {
 					idioms++
 				}
 			}
-			a.Label("Lend")
+			a.Bind(labels[n])
 			a.Brk(HaltService)
 		})
 		caches := seed%2 == 0
@@ -335,14 +332,15 @@ func TestTraceParityKernels(t *testing.T) {
 		"loop": func(a *host.Asm) {
 			a.MovImm(host.R9, trDataBase)
 			a.MovImm(host.R1, 50)
-			a.Label("top")
+			top := a.NewLabel()
+			a.Bind(top)
 			a.Mem(host.LDQ, host.R2, 0, host.R9)
 			a.OprLit(host.ADDQ, host.R2, 3, host.R2)
 			a.Mem(host.LDL, host.R3, 1, host.R9) // misaligned: traps, default fixup
 			a.Opr(host.XOR, host.R2, host.R3, host.R4)
 			a.Mem(host.STQ, host.R4, 8, host.R9)
 			a.OprLit(host.SUBQ, host.R1, 1, host.R1)
-			a.Br(host.BNE, host.R1, "top")
+			a.Br(host.BNE, host.R1, top)
 			a.Brk(HaltService)
 		},
 		// Call/return through BSR + RET: dynamic jump chains back into the
@@ -350,10 +348,11 @@ func TestTraceParityKernels(t *testing.T) {
 		"call": func(a *host.Asm) {
 			a.MovImm(host.R9, trDataBase)
 			a.MovImm(host.R1, 7)
-			a.Br(host.BSR, host.R5, "fn")
+			fn := a.NewLabel()
+			a.Br(host.BSR, host.R5, fn)
 			a.Opr(host.ADDQ, host.R1, host.R1, host.R2)
 			a.Brk(HaltService)
-			a.Label("fn")
+			a.Bind(fn)
 			a.OprLit(host.ADDQ, host.R1, 5, host.R1)
 			a.Jmp(host.RET, host.R31, host.R5)
 		},
@@ -425,9 +424,10 @@ func TestTraceOperateParity(t *testing.T) {
 		for _, av := range []int64{0, 1, 2, -1, -2, int64(^uint64(0) >> 1), int64(1) << 62} {
 			words := trProgram(t, base, func(a *host.Asm) {
 				a.MovImm(host.R1, av)
-				a.Br(op, host.R1, "skip")
+				skip := a.NewLabel()
+				a.Br(op, host.R1, skip)
 				a.OprLit(host.ADDQ, host.R31, 1, host.R2)
-				a.Label("skip")
+				a.Bind(skip)
 				a.Brk(HaltService)
 			})
 			trCompare(t, base, words, []uint64{1 << 20}, false, 2)
@@ -441,11 +441,13 @@ func TestTraceChainFollowAndSever(t *testing.T) {
 	trSeedData(m.Mem)
 	words := trProgram(t, base, func(a *host.Asm) {
 		a.MovImm(host.R1, 10)
-		a.Label("a")
+		labA := a.NewLabel()
+		a.Bind(labA)
 		a.OprLit(host.SUBQ, host.R1, 1, host.R1)
-		a.Br(host.BR, host.R31, "b") // tail of trace A → chain into trace B
-		a.Label("b")
-		a.Br(host.BNE, host.R1, "a") // tail of trace B → chain back into A
+		labB := a.NewLabel()
+		a.Br(host.BR, host.R31, labB) // tail of trace A → chain into trace B
+		a.Bind(labB)
+		a.Br(host.BNE, host.R1, labA) // tail of trace B → chain back into A
 		a.Brk(HaltService)
 	})
 	m.WriteCode(base, words)
@@ -569,73 +571,82 @@ func TestFormationCoversForwardRegion(t *testing.T) {
 	}{
 		{"cond-exit", func(a *host.Asm) {
 			a.OprLit(host.CMPLT, host.R1, 9, host.R10)
-			a.Br(host.BNE, host.R10, "taken")
+			taken := a.NewLabel()
+			a.Br(host.BNE, host.R10, taken)
 			a.Brk(1) // fallthrough exit stub
-			a.Label("taken")
+			a.Bind(taken)
 			a.Brk(2) // taken exit stub
 		}, -1, 0},
 		{"two-version", func(a *host.Asm) {
 			a.Mem(host.LDA, host.R10, 3, host.R9)
 			a.OprLit(host.AND, host.R10, 3, host.R10)
-			a.Br(host.BNE, host.R10, "v2")
+			v2 := a.NewLabel()
+			a.Br(host.BNE, host.R10, v2)
 			a.Mem(host.LDL, host.R7, 3, host.R9) // optimistic copy
 			a.OprLit(host.ADDQ, host.R7, 1, host.R8)
 			a.Brk(1)
-			a.Label("v2")
+			a.Bind(v2)
 			trMegaLd(a, 4, 3, true) // pessimistic copy
 			a.OprLit(host.ADDQ, host.R7, 1, host.R8)
 			a.Brk(1)
 		}, -1, 0},
 		{"repmovs", func(a *host.Asm) {
 			a.OprLit(host.ADDQ, host.R8, 1, host.R8)
-			a.Label("top")
-			a.Br(host.BEQ, host.R1, "done")
+			top := a.NewLabel()
+			a.Bind(top)
+			done := a.NewLabel()
+			a.Br(host.BEQ, host.R1, done)
 			a.Mem(host.LDL, host.R2, 0, host.R3)
 			a.Mem(host.STL, host.R2, 0, host.R4)
 			a.Mem(host.LDA, host.R3, 4, host.R3)
 			a.Mem(host.LDA, host.R4, 4, host.R4)
 			a.OprLit(host.SUBL, host.R1, 1, host.R1)
-			a.Br(host.BR, host.R31, "top")
-			a.Label("done")
+			a.Br(host.BR, host.R31, top)
+			a.Bind(done)
 			a.Brk(1)
 		}, -1, 0},
 		{"eh-patched", func(a *host.Asm) {
-			a.Br(host.BNE, host.R5, "side") // a superblock's folded side exit
+			side := a.NewLabel()
+			a.Br(host.BNE, host.R5, side) // a superblock's folded side exit
 			a.OprLit(host.ADDQ, host.R1, 1, host.R1)
 			ehPatch(a)
 			a.OprLit(host.CMPLT, host.R1, 9, host.R10)
-			a.Br(host.BNE, host.R10, "taken")
+			taken := a.NewLabel()
+			a.Br(host.BNE, host.R10, taken)
 			a.Brk(1)
-			a.Label("taken")
+			a.Bind(taken)
 			a.Brk(2)
-			a.Label("side")
+			a.Bind(side)
 			a.Brk(3)
 		}, -1, 0},
 		{"eh-patched-plain", func(a *host.Asm) {
 			a.OprLit(host.ADDQ, host.R1, 1, host.R1)
 			ehPatch(a)
 			a.OprLit(host.CMPLT, host.R1, 9, host.R10)
-			a.Br(host.BNE, host.R10, "taken")
+			taken := a.NewLabel()
+			a.Br(host.BNE, host.R10, taken)
 			a.Brk(1)
-			a.Label("taken")
+			a.Bind(taken)
 			a.Brk(2)
 		}, 0, 0},
 		{"br-returns-elsewhere", func(a *host.Asm) {
 			a.OprLit(host.ADDQ, host.R1, 1, host.R1)
 			ehPatch(a)
 			a.OprLit(host.CMPLT, host.R1, 9, host.R10)
-			a.Br(host.BNE, host.R10, "taken")
+			taken := a.NewLabel()
+			a.Br(host.BNE, host.R10, taken)
 			a.Brk(1)
-			a.Label("taken")
+			a.Bind(taken)
 			a.Brk(2)
 		}, 1, 2},
 		{"br-no-return", func(a *host.Asm) {
 			a.OprLit(host.ADDQ, host.R1, 1, host.R1)
 			ehPatch(a)
 			a.OprLit(host.CMPLT, host.R1, 9, host.R10)
-			a.Br(host.BNE, host.R10, "taken")
+			taken := a.NewLabel()
+			a.Br(host.BNE, host.R10, taken)
 			a.Brk(1)
-			a.Label("taken")
+			a.Bind(taken)
 			a.Brk(2)
 		}, -1, 2},
 	} {
@@ -905,7 +916,8 @@ func BenchmarkTracedLoop(b *testing.B) {
 	const base = 0x1000
 	a := host.NewAsm(base)
 	a.MovImm(host.R9, trDataBase)
-	a.Label("top")
+	top := a.NewLabel()
+	a.Bind(top)
 	a.Mem(host.LDQ, host.R2, 0, host.R9)
 	a.OprLit(host.ADDQ, host.R2, 3, host.R2)
 	a.Mem(host.LDQ, host.R3, 8, host.R9)
@@ -913,7 +925,7 @@ func BenchmarkTracedLoop(b *testing.B) {
 	a.Mem(host.STQ, host.R4, 16, host.R9)
 	a.OprLit(host.ADDQ, host.R5, 1, host.R5)
 	a.OprLit(host.SUBQ, host.R1, 1, host.R1)
-	a.Br(host.BNE, host.R1, "top")
+	a.Br(host.BNE, host.R1, top)
 	a.Brk(HaltService)
 	words, err := a.Finish()
 	if err != nil {
@@ -1053,11 +1065,12 @@ func TestTraceMegaStepParity(t *testing.T) {
 			a.MovImm(host.R9, trDataBase)
 			a.MovImm(host.R1, 3)
 			trMegaNops(a, c.pad)
-			a.Label("top")
+			top := a.NewLabel()
+			a.Bind(top)
 			trMegaLd(a, c.sz, c.disp, c.sext)
 			a.OprLit(host.ADDQ, host.R7, 1, host.R8)
 			a.OprLit(host.SUBQ, host.R1, 1, host.R1)
-			a.Br(host.BNE, host.R1, "top")
+			a.Br(host.BNE, host.R1, top)
 			a.Brk(HaltService)
 		})
 		wantN := 6
@@ -1090,11 +1103,12 @@ func TestTraceMegaStepParity(t *testing.T) {
 			a.MovImm(host.R7, 0x1234_5678)
 			a.MovImm(host.R1, 3)
 			trMegaNops(a, c.pad)
-			a.Label("top")
+			top := a.NewLabel()
+			a.Bind(top)
 			trMegaSt(a, c.sz, c.disp)
 			a.OprLit(host.ADDQ, host.R7, 7, host.R7)
 			a.OprLit(host.SUBQ, host.R1, 1, host.R1)
-			a.Br(host.BNE, host.R1, "top")
+			a.Br(host.BNE, host.R1, top)
 			// Fold the stored bytes back into registers so trSnap's
 			// register comparison covers the memory effect too.
 			a.Mem(host.LDQ, host.R5, c.disp&^7, host.R9)
@@ -1128,10 +1142,11 @@ func TestTraceMegaStepFaults(t *testing.T) {
 	loadProg := trProgram(t, base, func(a *host.Asm) {
 		a.MovImm(host.R9, int64(straddle))
 		a.MovImm(host.R1, 4)
-		a.Label("top")
+		top := a.NewLabel()
+		a.Bind(top)
 		trMegaLd(a, 8, 0, false)
 		a.OprLit(host.SUBQ, host.R1, 1, host.R1)
-		a.Br(host.BNE, host.R1, "top")
+		a.Br(host.BNE, host.R1, top)
 		a.Brk(HaltService)
 	})
 	trAssertMega(t, base, loadProg, stepMisLd, 6)
@@ -1140,11 +1155,12 @@ func TestTraceMegaStepFaults(t *testing.T) {
 		a.MovImm(host.R9, int64(straddle))
 		a.MovImm(host.R7, 0x1234_5678)
 		a.MovImm(host.R1, 4)
-		a.Label("top")
+		top := a.NewLabel()
+		a.Bind(top)
 		trMegaSt(a, 8, 0)
 		a.OprLit(host.ADDQ, host.R7, 7, host.R7)
 		a.OprLit(host.SUBQ, host.R1, 1, host.R1)
-		a.Br(host.BNE, host.R1, "top")
+		a.Br(host.BNE, host.R1, top)
 		a.Mem(host.LDQ, host.R5, -8, host.R9) // aligned readback: low quad
 		a.Mem(host.LDQ, host.R6, 4, host.R9)  // aligned readback: high quad
 		a.Brk(HaltService)
@@ -1159,11 +1175,12 @@ func TestTraceMegaStepFaults(t *testing.T) {
 			a.MovImm(host.R9, int64(pageB))
 			a.MovImm(host.R7, 0x1234_5678)
 			a.MovImm(host.R1, 4)
-			a.Label("top")
+			top := a.NewLabel()
+			a.Bind(top)
 			a.Mem(prime, host.R8, 40, host.R9)
 			body(a)
 			a.OprLit(host.SUBQ, host.R1, 1, host.R1)
-			a.Br(host.BNE, host.R1, "top")
+			a.Br(host.BNE, host.R1, top)
 			a.Brk(HaltService)
 		})
 	}
@@ -1284,7 +1301,8 @@ func stretchProgram(t *testing.T, base uint64) []uint32 {
 			a.MovImm(host.R11, int64(mid))
 			a.Mem(host.LDQ, host.R1, 0, host.R9)
 			a.OprLit(host.ADDQ, host.R1, 3, host.R2)
-			a.Label("again")
+			again := a.NewLabel()
+			a.Bind(again)
 			a.Mem(host.STQ, host.R2, 8, host.R9)
 			a.Opr(host.MULQ, host.R2, host.R2, host.R3)
 			a.Mem(host.LDA, host.R4, 4, host.R9)
@@ -1300,16 +1318,19 @@ func stretchProgram(t *testing.T, base uint64) []uint32 {
 				if op == host.BLBC || op == host.BLBS {
 					r = host.R10
 				}
-				a.Br(op, r, fmt.Sprintf("c%d", i))
+				skip := a.NewLabel()
+				a.Br(op, r, skip)
 				a.OprLit(host.ADDQ, host.R8, uint8(i+1), host.R8)
-				a.Label(fmt.Sprintf("c%d", i))
+				a.Bind(skip)
 				a.Mem(host.LDBU, host.R12, int32(i), host.R9)
 			}
-			a.Br(host.BSR, host.R13, "fn")
+			fn := a.NewLabel()
+			a.Br(host.BSR, host.R13, fn)
 			a.Mem(host.LDBU, host.R12, 9, host.R9) // the BR is entered with the slot open
-			a.Br(host.BR, host.R31, "skip")
+			skip := a.NewLabel()
+			a.Br(host.BR, host.R31, skip)
 			a.OprLit(host.ADDQ, host.R8, 100, host.R8) // never runs
-			a.Label("skip")
+			a.Bind(skip)
 			a.OprLit(host.ADDQ, host.R8, 7, host.R8)
 			a.Opr(host.MULL, host.R8, host.R12, host.R12)
 			a.Jmp(host.JMP, host.R31, host.R11)
@@ -1331,9 +1352,9 @@ func stretchProgram(t *testing.T, base uint64) []uint32 {
 			a.Mem(host.STQU, host.R8, 21, host.R9)
 			a.Mem(host.STW, host.R3, 30, host.R9)
 			a.OprLit(host.SUBQ, host.R10, 1, host.R10)
-			a.Br(host.BNE, host.R10, "again")
+			a.Br(host.BNE, host.R10, again)
 			a.Brk(HaltService)
-			a.Label("fn")
+			a.Bind(fn)
 			a.OprLit(host.ADDQ, host.R8, 3, host.R8)
 			a.Jmp(host.RET, host.R31, host.R13)
 		})

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"mdabt/internal/aot"
 	"mdabt/internal/core"
 	"mdabt/internal/faultinject"
 	"mdabt/internal/guest"
@@ -43,6 +44,15 @@ type Request struct {
 	// from the Image/Data content hash; loader-hook requests without an
 	// explicit StoreKey bypass the store (no stable content identity).
 	StoreKey string
+
+	// Build and Train, when non-nil, are WarmStart's builder and trainer
+	// for this program: they make the AOT image and the static trap
+	// profile the store lacks. They run inside the pool, under Timeout,
+	// so a refused request never pays for them. Workers may call them at
+	// once and a retried request calls them again, so a front end
+	// memoizes them per program.
+	Build func() *aot.Image
+	Train func() *store.TrapProfile
 
 	// Options configures the translator for this request; nil selects the
 	// server default. The fault plan inside (if any) must be private to
@@ -179,13 +189,20 @@ func (s *Server) attempt(ctx context.Context, w *Worker, req Request) (*Result, 
 	if req.Options != nil {
 		opt = *req.Options
 	}
-	// Warm-start from the persistent store: adopt a stored AOT schedule
-	// and/or trap profile for this (program, options) pair. Misses and
-	// corrupt artifacts (quarantined inside the store) leave opt cold.
+	if req.Timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, req.Timeout)
+		defer cancel()
+	}
+	// Warm-start from the persistent store, then from the request's
+	// builder and trainer: adopt an AOT schedule and/or trap profile for
+	// this (program, options) pair. Misses and corrupt artifacts
+	// (quarantined inside the store) leave opt cold. A failed save only
+	// costs the next request its warmth; the store's ledger counts it.
 	program := storeProgram(req)
 	var fingerprint string
-	if s.store != nil && program != "" {
-		fingerprint, _ = WarmStart(s.store, program, &opt, nil, nil) // no builder or trainer: nothing to save
+	if s.store != nil && program != "" || req.Build != nil || req.Train != nil {
+		fingerprint, _ = WarmStart(s.store, program, &opt, req.Build, req.Train)
 	}
 	b, _ := w.State.(*engineBundle)
 	if b == nil {
@@ -227,11 +244,6 @@ func (s *Server) attempt(ctx context.Context, w *Worker, req Request) (*Result, 
 	budget := req.Budget
 	if budget == 0 {
 		budget = s.budget
-	}
-	if req.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, req.Timeout)
-		defer cancel()
 	}
 	if err := b.eng.RunContext(ctx, entry, budget); err != nil {
 		return nil, err

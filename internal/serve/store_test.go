@@ -2,6 +2,8 @@ package serve
 
 import (
 	"context"
+	"errors"
+	"sync/atomic"
 	"testing"
 
 	"mdabt/internal/aot"
@@ -247,5 +249,45 @@ func TestLoaderRequestWithoutStoreKeyBypassesStore(t *testing.T) {
 	}
 	if got := st.Stats(); got.Loads != 0 || got.Saves != 0 {
 		t.Fatalf("loader request touched the store: %+v", got)
+	}
+}
+
+// TestRefusedRequestNeverBuildsOrTrains: a request's builder and trainer
+// run inside the pool, so a request the pool refuses never pays for them.
+// With no store to satisfy the warm start, the same requests admitted
+// before the pool drains call each once.
+func TestRefusedRequestNeverBuildsOrTrains(t *testing.T) {
+	img, data := storeTestProgram(t)
+	m := mem.New()
+	m.WriteBytes(guest.CodeBase, img)
+	m.WriteBytes(uint64(guest.DataBase), data)
+	image := aot.BuildFromMemory(m, guest.CodeBase)
+	var builds, trains atomic.Int32
+	aotOpt, spehOpt := core.DefaultOptions(core.AOT), core.DefaultOptions(core.SPEH)
+	reqs := []Request{
+		{Key: "p", Image: img, Data: data, Options: &aotOpt,
+			Build: func() *aot.Image { builds.Add(1); return image }},
+		{Key: "p", Image: img, Data: data, Options: &spehOpt,
+			Train: func() *store.TrapProfile { trains.Add(1); return &store.TrapProfile{} }},
+	}
+	s := storeServer(t, nil)
+	defer s.Close()
+	for _, req := range reqs {
+		doReq(t, s, req)
+	}
+	if builds.Load() != 1 || trains.Load() != 1 {
+		t.Fatalf("admitted requests: %d builds, %d trains, want 1 each", builds.Load(), trains.Load())
+	}
+
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for _, req := range reqs {
+		if _, err := s.Do(context.Background(), req); !errors.Is(err, ErrDraining) {
+			t.Fatalf("Do on a draining pool: %v, want ErrDraining", err)
+		}
+	}
+	if builds.Load() != 1 || trains.Load() != 1 {
+		t.Fatalf("refused requests built %d and trained %d times", builds.Load()-1, trains.Load()-1)
 	}
 }
