@@ -25,9 +25,10 @@ bench:
 # run is on the trace tier, the machine's only executor.
 # The allocation guards follow: zero steady-state allocations in the
 # dispatch loop, a bounded allocation per recycled engine request, a
-# bounded byte count per fresh ES40 cache hierarchy, and one allocation
-# (the trace) per trace a warmed machine forms, re-forms after a patch or
-# forms again after Reset (TestTraceReformAllocs).
+# bounded byte count per fresh ES40 cache hierarchy, one allocation (the
+# trace) per trace a warmed machine forms again after Reset, and none for
+# an EH patch and its restore on a live trace, which rewrite its step in
+# place and form nothing (TestTraceReformAllocs).
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
 	$(GO) test -run '^TestSteadyStateAllocs$$|^TestSuiteRuns$$|^TestRecycledRequestAllocs$$|^TestNewES40Bytes$$|^TestTraceReformAllocs$$' ./internal/perfbench/ ./internal/core/ ./internal/cache/ ./internal/machine/
@@ -86,13 +87,19 @@ serve-chaos:
 # Stretch accounting (one budget check, I-line fetch and static charge per
 # straight-line stretch) matches the reference at every budget, with a
 # trap at every access, for stretch entries of every kind and under two
-# cost models switched with traces live (TestTraceStretchParity).
+# cost models switched with traces live (TestTraceStretchParity). Code
+# patches applied between Run slices — an EH patch and its restore, a
+# chain link to a unit outside the trace and to one of its own steps, a
+# retargeted link, an unlink, a rewrite on the line being fetched, and a
+# BR into a mega-step or an undecodable word, which must drop the trace —
+# keep the tier coherent and every slice equal to the reference, I-cache
+# accesses included (TestPatchInPlaceParity).
 fault-chaos:
 	$(GO) test -race -run 'TestFaultCosimAllMechanisms|TestChaosGuestFaults|TestSelfModifyingInvalidates|TestMultiContextReset|TestTranslateCommitAfterAllocFault|TestAdaptiveCountersRewoundOnFailedCommit|TestStaticAlignViolationsIgnoreInjectedTraps|TestCensusGolden|TestCensusSharedLibSMC|TestTraceInvalidationsFollowCodeWrites|TestFetchFaultBeforeDecode' -v ./internal/core
 	$(GO) test -race -run 'TestExecAccessRecord|TestRunMatchesStep' -v ./internal/guest
 	$(GO) test -race -run 'TestServeGuestFaults' ./internal/serve
 	$(GO) test -race -run 'TestTrapTableReferenceModel' -v ./internal/mem
-	$(GO) test -race -run 'TestTrapMidRun|TestTraceParityRandomPrograms|TestTraceMegaStepFaults|TestTraceFaultPlanParity|TestFormationCoversForwardRegion|TestTraceStretchParity' -v ./internal/machine
+	$(GO) test -race -run 'TestTrapMidRun|TestTraceParityRandomPrograms|TestTraceMegaStepFaults|TestTraceFaultPlanParity|TestFormationCoversForwardRegion|TestTraceStretchParity|TestPatchInPlaceParity' -v ./internal/machine
 
 # Persistent-store crash/corruption suite under the race detector: the
 # full internal/store suite (atomic-write protocol, SIGKILL-mid-write

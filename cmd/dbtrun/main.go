@@ -303,8 +303,8 @@ func main() {
 			ss.Hits, ss.Misses, ss.Saves, ss.Merges, ss.Corrupt, ss.Quarantined)
 	}
 	ts := eng.TraceStats()
-	fmt.Printf("trace tier:       %d formed, %d chain follows, %d invalidations, %d host insts traced\n",
-		ts.Formed, ts.ChainFollows, ts.Invalidations, ts.TracedInsts)
+	fmt.Printf("trace tier:       %d formed, %d chain follows, %d invalidations, %d relowered, %d host insts traced\n",
+		ts.Formed, ts.ChainFollows, ts.Invalidations, ts.Relowered, ts.TracedInsts)
 	if *lint {
 		findings := eng.Lint()
 		for _, f := range findings {

@@ -212,9 +212,10 @@ func (e *Engine) Stats() Stats {
 func (e *Engine) Blocks() int { return len(e.TranslatedPCs()) }
 
 // TraceStats returns the host-side trace-tier telemetry (traces formed,
-// chain follows, invalidations, traced host instructions). Deliberately
-// not part of Stats: which traces exist is simulation-invisible, and
-// their counters must never enter the simulated fingerprint.
+// chain follows, invalidations, steps relowered, traced host
+// instructions). Deliberately not part of Stats: which traces exist is
+// simulation-invisible, and their counters must never enter the simulated
+// fingerprint.
 func (e *Engine) TraceStats() machine.TraceStats { return e.Mach.TraceStats() }
 
 // CodeCacheUsed returns bytes allocated in the code cache.

@@ -559,8 +559,9 @@ func SuperblockAblation(s *Session) (*Result, error) {
 
 // TracesStudy reports the trace executor's activity (DESIGN.md §14) per
 // benchmark: how many dispatcher round trips the memoized chain links
-// absorb, and how many traces it formed (one per translated unit, plus
-// stubs and code resumed after an EH patch). Every host instruction
+// absorb, and how many traces it formed (about one per translated unit
+// and per MDA stub; an EH patch or a chain link rewrites its step in
+// place and forms nothing). Every host instruction
 // retires in a trace, since the executor is the machine's only dispatch
 // loop, so there is no coverage to report.
 func TracesStudy(s *Session) (*Result, error) {

@@ -85,53 +85,74 @@ func (u formUnit) form(tb testing.TB, m *Machine) {
 }
 
 // TestTraceReformAllocs runs a served request's formation cycle on a
-// warmed machine: Reset, load the unit, form its trace, EH-patch one load
-// and re-form. The cycle may allocate one object per trace formed, the
-// trace itself: the PC lookup table, the step pool and the live-trace
-// list allocate nothing once warm.
+// warmed machine: Reset, load the unit, form its trace and EH-patch one
+// load. The cycle may allocate one object per trace formed, the trace
+// itself: the PC lookup table, the step pool and the live-trace list
+// allocate nothing once warm. Then, on the live trace, the EH patch and
+// its restore rewrite the load's step in place: that cycle allocates
+// nothing and forms nothing, and the trace stays live and unsplit.
 func TestTraceReformAllocs(t *testing.T) {
 	u := newFormUnit(t)
 	m := newMachine(true)
+	orig := u.words[(u.patch-formBase)/host.InstBytes]
 	cycle := func() {
 		m.Reset()
 		m.WriteCode(formStubs, u.stubs)
 		m.WriteCode(formBase, u.words)
 		u.form(t, m)
 		m.Patch(u.patch, u.patchWord)
-		u.form(t, m)
 	}
 	cycle() // warm-up: allocates the table's chunks, the pooled steps and the pages
 	allocs := testing.AllocsPerRun(20, cycle)
 	ts := m.TraceStats()
-	if ts.Formed != 2 || ts.Invalidations != 1 {
-		t.Fatalf("trace stats %+v: want 2 formed and 1 invalidated per cycle", ts)
+	if ts.Formed != 1 || ts.Invalidations != 0 || ts.Relowered != 1 {
+		t.Fatalf("trace stats %+v: want 1 formed, 0 invalidated and 1 relowered per cycle", ts)
 	}
 	if allocs > float64(ts.Formed) {
 		t.Fatalf("a formation cycle allocated %v objects, budget %d (one trace per formation)", allocs, ts.Formed)
+	}
+
+	tr := m.traces.get(formBase).tr
+	patchCycle := func() {
+		m.Patch(u.patch, orig)
+		m.Patch(u.patch, u.patchWord)
+	}
+	if allocs := testing.AllocsPerRun(20, patchCycle); allocs != 0 {
+		t.Fatalf("an EH-patch cycle on a live trace allocated %v objects, want 0", allocs)
+	}
+	if got := m.TraceStats(); got.Formed != ts.Formed || got.Invalidations != 0 || got.Relowered != ts.Relowered+2*21 {
+		t.Fatalf("trace stats %+v after 21 patch cycles from %+v: want nothing formed or dropped, 2 relowered per cycle", got, ts)
+	}
+	ent := m.traces.get(u.patch)
+	if ent.tr != tr || len(m.traceList) != 1 || tr.start != formBase || tr.end != formBase+uint64(len(u.words))*host.InstBytes {
+		t.Fatal("the EH patch cycle split or dropped the unit's trace")
+	}
+	inst, err := host.Decode(u.patchWord)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := &tr.steps[ent.idx]; st.slot != lower(u.patch, inst) {
+		t.Fatalf("patched step holds %+v, want the BR's slot", st.slot)
 	}
 	if err := m.CheckTraceCoherence(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// BenchmarkTraceFormation forms the unit's trace, EH-patches one load
-// (dropping the trace) and re-forms it, then restores the load (dropping
-// it again): two formations of the whole unit per iteration, with no
-// Reset. It reports the cost per word formed.
+// BenchmarkTraceFormation forms the unit's trace, then rewrites the whole
+// unit with WriteCode, which drops the trace: one formation of the unit
+// per iteration, with no Reset. It reports the cost per word formed.
 func BenchmarkTraceFormation(b *testing.B) {
 	u := newFormUnit(b)
 	m := newMachine(true)
 	m.WriteCode(formStubs, u.stubs)
 	m.WriteCode(formBase, u.words)
-	orig := u.words[(u.patch-formBase)/host.InstBytes]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		u.form(b, m)
-		m.Patch(u.patch, u.patchWord)
-		u.form(b, m)
-		m.Patch(u.patch, orig)
+		m.WriteCode(formBase, u.words)
 	}
-	words := float64(b.N) * 2 * float64(len(u.words))
+	words := float64(b.N) * float64(len(u.words))
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/words, "ns/word")
 }

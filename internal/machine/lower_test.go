@@ -687,8 +687,8 @@ const (
 // of a trace traps mid-trace, and execution must stop at exactly the
 // trapping slot and resume after it. Two handler pairs service the traps:
 // one emulates (or performs) the access, the other also patches a later
-// slot of the same trace into a branch to the next slot, once, so that on
-// re-execution the re-formed trace ends at the patched slot.
+// slot of the same trace into a branch to the next slot, once, which
+// rewrites that slot's step in place: the trace stays live and unsplit.
 // Everything runs against the reference in Run calls of 5 and of the
 // whole budget, with and without a fault plan (spurious and duplicate
 // misalignment traps and spurious access faults on every access), whose
@@ -815,22 +815,32 @@ func trapMidRunCase(t *testing.T, name string, base uint64, pos int, trap host.I
 			t.Fatalf("%s: injection stream\n got %v\nwant %v", name, got, want)
 		}
 	}
-	if patching && !planned {
-		// The last iterations ran the patched line in two traces: the one
-		// holding the patched branch ends after it, and the next one starts
-		// there.
-		start, end, ok := traceSpan(m, target)
-		nstart, _, nok := traceSpan(m, target+host.InstBytes)
-		if !ok || start < hot || end != target+host.InstBytes || !nok || nstart != target+host.InstBytes {
-			t.Fatalf("%s: traces [%#x,%#x) (%v) and from %#x (%v), want a split after slot %d at %#x", name, start, end, ok, nstart, nok, later, target)
+	if patching {
+		// The patch rewrote the step of the trace over the hot line in
+		// place: one trace still holds the line, the patched slot and the
+		// slot after it, and the patched step holds the branch.
+		ent := m.traces.get(target)
+		start, end, ok := traceSpan(m, hot)
+		if !ok || ent.tr != m.traces.get(hot).tr || m.traces.get(target+host.InstBytes).tr != ent.tr || end < hot+ilineInsts*host.InstBytes {
+			t.Fatalf("%s: trace over the hot line spans [%#x,%#x) (live %v), want one trace through slot %d at %#x and past the line", name, start, end, ok, later+1, target+host.InstBytes)
+		}
+		if st := &ent.tr.steps[ent.idx]; st.slot != lower(target, host.Inst{Op: host.BR, Ra: host.R31}) {
+			t.Fatalf("%s: patched step holds %+v, want the branch", name, st.slot)
+		}
+		if ts := m.TraceStats(); ts.Relowered != 1 || ts.Invalidations != 0 {
+			t.Fatalf("%s: trace stats %+v, want 1 step relowered and no trace dropped", name, ts)
+		}
+		if err := m.CheckTraceCoherence(); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
 	}
 }
 
 // TestRelowerAfterCodeChange: Patch, WriteCode and IMB each replace a slot
-// that was already lowered, and the next execution runs the new word. The
-// traces over a changed line are re-formed to end at its new control
-// transfers, after Patch, WriteCode, IMB and Reset alike.
+// that was already lowered, and the next execution runs the new word.
+// Patch rewrites the step in place, so the trace over the line keeps its
+// span; the traces over a line changed by WriteCode, IMB or Reset are
+// re-formed to end at its new control transfers.
 func TestRelowerAfterCodeChange(t *testing.T) {
 	const base = 0x1000
 	word := func(i host.Inst) uint32 { return host.MustEncode(i) }
@@ -848,7 +858,11 @@ func TestRelowerAfterCodeChange(t *testing.T) {
 		t.Fatalf("addq: r1 = %d, want 1", m.Reg(host.R1))
 	}
 
+	tr := m.traces.get(base).tr
 	m.Patch(base, word(host.Inst{Op: host.SUBQ, Ra: host.R1, Rc: host.R1, IsLit: true, Lit: 5}))
+	if m.traces.get(base).tr != tr || m.TraceStats().Relowered != 1 {
+		t.Fatalf("Patch did not rewrite the live step in place (stats %+v)", m.TraceStats())
+	}
 	step(m)
 	if want := ^uint64(3); m.Reg(host.R1) != want { // 1 - 5
 		t.Fatalf("after Patch: r1 = %#x, want %#x", m.Reg(host.R1), want)
@@ -906,8 +920,21 @@ func TestRelowerAfterCodeChange(t *testing.T) {
 	}
 	m.WriteCode(lb, code)
 	check("fresh line")
+	ts := m.TraceStats()
 	m.Patch(lb+5*host.InstBytes, br)
-	check("after Patch", 5)
+	if got := m.TraceStats(); got.Relowered != ts.Relowered+1 || got.Invalidations != ts.Invalidations {
+		t.Fatalf("Patch: trace stats %+v from %+v, want one step relowered and no trace dropped", got, ts)
+	}
+	if ent := m.traces.get(lb + 5*host.InstBytes); ent.tr == nil || ent.tr.steps[ent.idx].slot != lower(lb+5*host.InstBytes, host.Inst{Op: host.BR, Ra: host.R31}) {
+		t.Fatal("Patch: the step at slot 5 does not hold the branch")
+	}
+	if err := m.CheckTraceCoherence(); err != nil {
+		t.Fatal(err)
+	}
+	check("after Patch")
+	if m.TraceStats().Formed != ts.Formed {
+		t.Fatal("Patch: running the patched line formed a trace")
+	}
 	m.WriteCode(lb+9*host.InstBytes, []uint32{br, br})
 	check("after WriteCode", 5, 9, 10)
 	m.Mem.Write32(lb+5*host.InstBytes, addq)

@@ -4,7 +4,8 @@
 // pre-decoded traces (trace.go) — with a cycle cost model, the ES40 cache
 // hierarchy, precise misaligned-access traps that dispatch to a registered
 // handler, and a code-patching interface with instruction-stream coherence
-// (traces over patched code are invalidated).
+// (a patched step is rewritten in place, traces over other written code
+// are dropped).
 //
 // The simulator is the substitution for real Alpha hardware (see DESIGN.md):
 // every MDA handling mechanism's cost reduces to instructions executed,
@@ -401,8 +402,8 @@ func (m *Machine) SetAccessFaultHandler(h AccessFaultHandler) { m.accessHandler 
 // plan (the default) disables injection.
 func (m *Machine) SetFaultPlan(p *faultinject.Plan) { m.faults = p }
 
-// WriteCode copies host code into memory at addr and invalidates any traces
-// it covers. addr must be instruction-aligned.
+// WriteCode copies host code into memory at addr and drops every trace
+// with a step over the words written. addr must be instruction-aligned.
 func (m *Machine) WriteCode(addr uint64, words []uint32) {
 	if addr%host.InstBytes != 0 {
 		panic(fmt.Sprintf("machine: WriteCode(%#x): misaligned", addr))
@@ -410,28 +411,39 @@ func (m *Machine) WriteCode(addr uint64, words []uint32) {
 	for i, w := range words {
 		m.Mem.Write32(addr+uint64(i)*host.InstBytes, w)
 	}
-	m.invalidate(addr, uint64(len(words))*host.InstBytes)
+	size := uint64(len(words)) * host.InstBytes
+	m.dropOverlapping(addr, addr+size)
+	m.refetch(addr, size)
 }
 
-// Patch overwrites the single instruction word at addr and invalidates the
-// traces covering it. This is the primitive the BT exception handler uses
-// to replace a faulting memory operation with a branch (paper Fig. 5).
+// Patch overwrites the single instruction word at addr. This is the
+// primitive the BT exception handler uses to replace a faulting memory
+// operation with a branch (paper Fig. 5), and chaining to link or unlink
+// an exit. A live trace's plain step at addr is rewritten in place
+// (relower); otherwise Patch drops the traces over addr as WriteCode does.
+// addr must be instruction-aligned.
 func (m *Machine) Patch(addr uint64, word uint32) {
-	m.WriteCode(addr, []uint32{word})
+	if addr%host.InstBytes != 0 {
+		panic(fmt.Sprintf("machine: Patch(%#x): misaligned", addr))
+	}
+	m.Mem.Write32(addr, word)
+	if !m.relower(addr, word) {
+		m.dropOverlapping(addr, addr+host.InstBytes)
+	}
+	m.refetch(addr, host.InstBytes)
 }
 
 // IMB discards all decoded instructions (Alpha's instruction memory
-// barrier). WriteCode/Patch already invalidate precisely; IMB exists for
-// bulk invalidation such as a code cache flush.
+// barrier). WriteCode/Patch already keep the traces coherent; IMB exists
+// for bulk invalidation such as a code cache flush.
 func (m *Machine) IMB() {
 	m.curLineID = noLineID
 	m.dropAllTraces()
 }
 
-// invalidate drops the traces over [addr, addr+size); a write to the line
-// being fetched makes the next fetch charge the I-cache again.
-func (m *Machine) invalidate(addr, size uint64) {
-	m.dropOverlapping(addr, addr+size)
+// refetch makes the next fetch charge the I-cache again when a code write
+// to [addr, addr+size) hit the line being fetched.
+func (m *Machine) refetch(addr, size uint64) {
 	if m.curLineID >= addr>>ilineShift && m.curLineID <= (addr+size-1)>>ilineShift {
 		m.curLineID = noLineID
 	}

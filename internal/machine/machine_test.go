@@ -429,8 +429,9 @@ func BenchmarkTightLoop(b *testing.B) {
 const farCode = 0x1000 + 64<<20 + 0x2000
 
 // TestPatchInvalidatesFarDecodedCache repeats the patch-coherence check for
-// code far from the rest: the trace over it must be dropped by a patch
-// just like one over low code, and the low code's trace must survive.
+// code far from the rest: a patch must replace the decoded step of the
+// trace over it just like one over low code, in place, and the low code's
+// trace must survive.
 func TestPatchInvalidatesFarDecodedCache(t *testing.T) {
 	m := newMachine(false)
 	load(t, m, 0x1000, func(a *host.Asm) {
@@ -448,9 +449,17 @@ func TestPatchInvalidatesFarDecodedCache(t *testing.T) {
 		t.Fatalf("code at %#x runs in no trace", farCode)
 	}
 	// Patch the already-decoded far ADDQ into ADDQ r1, #5, r1.
-	m.Patch(farCode, host.MustEncode(host.Inst{Op: host.ADDQ, Ra: host.R1, Lit: 5, IsLit: true, Rc: host.R1}))
-	if trLive(m, farCode) {
-		t.Fatal("patched far trace still live")
+	far := m.traces.get(farCode).tr
+	add5 := host.Inst{Op: host.ADDQ, Ra: host.R1, Lit: 5, IsLit: true, Rc: host.R1}
+	m.Patch(farCode, host.MustEncode(add5))
+	if ent := m.traces.get(farCode); ent.tr != far || len(far.steps) != 3 || ent.tr.steps[ent.idx].slot != lower(farCode, add5) {
+		t.Fatal("the patched far step was not rewritten in place")
+	}
+	if ts := m.TraceStats(); ts.Relowered != 1 || ts.Invalidations != 0 {
+		t.Fatalf("trace stats %+v: want 1 step relowered and no trace dropped", ts)
+	}
+	if err := m.CheckTraceCoherence(); err != nil {
+		t.Fatal(err)
 	}
 	if !trLive(m, 0x1000) {
 		t.Fatal("patching far code dropped the low trace")

@@ -71,10 +71,16 @@ package machine
 // Trace-tier telemetry therefore lives in the separate TraceStats struct,
 // never in Counters.
 //
-// Coherence: WriteCode/Patch invalidate overlapping traces (and sever
-// chain links into them); IMB and Reset drop every trace. A code write
-// behind the tier's back (a raw memory write) is not seen until then;
-// CheckTraceCoherence re-lowers every live step from memory to catch it.
+// Coherence: Patch rewrites a live trace's plain step in place (relower):
+// the word is lowered again, its taken pointer and chain-link memo are
+// redone, and the stretch totals before it summed again, so the EH patch
+// of a memory op and the link or unlink of an exit keep their trace.
+// WriteCode, and a Patch that cannot rewrite in place (a word inside a
+// mega-step, an undecodable word, a branch into the trace that is not a
+// step head), drop the overlapping traces and sever chain links into
+// them; IMB and Reset drop every trace. A code write behind the tier's
+// back (a raw memory write) is not seen until then; CheckTraceCoherence
+// re-lowers every live step from memory to catch it.
 
 import (
 	"encoding/binary"
@@ -96,7 +102,20 @@ type TraceStats struct {
 	Formed        uint64 // traces built
 	ChainFollows  uint64 // direct trace-to-trace transfers (no dispatch)
 	Invalidations uint64 // traces dropped by code writes or IMB
+	Relowered     uint64 // steps Patch rewrote in place, their traces kept
 	TracedInsts   uint64 // host instructions retired (every one runs in a trace)
+}
+
+// Sub returns the counts s gained since earlier, a snapshot of the same
+// machine's stats.
+func (s TraceStats) Sub(earlier TraceStats) TraceStats {
+	return TraceStats{
+		Formed:        s.Formed - earlier.Formed,
+		ChainFollows:  s.ChainFollows - earlier.ChainFollows,
+		Invalidations: s.Invalidations - earlier.Invalidations,
+		Relowered:     s.Relowered - earlier.Relowered,
+		TracedInsts:   s.TracedInsts - earlier.TracedInsts,
+	}
 }
 
 // Mega-step kinds extend the slot kinds. Each retires a whole
@@ -253,7 +272,8 @@ type trace struct {
 	steps      []traceStep
 	// incoming lists steps of other traces whose chain link targets this
 	// trace, so invalidation can sever them. A severed entry may belong to
-	// an already-dropped trace; nil-ing its link is then harmless.
+	// an already-dropped trace, or to a step rewritten in place since it
+	// linked; nil-ing its link is then harmless.
 	incoming []*traceStep
 }
 
@@ -271,20 +291,24 @@ type traceEntry struct {
 const maxTraceSteps = 4096
 
 // stepPool recycles the step slices of dropped traces, so a machine that
-// keeps rebuilding traces — after patches, over code resumed after a
-// trap, or on every request of a recycled engine — reuses their memory
-// instead of allocating. Slices are pooled by capacity class (a power of
-// two) and cleared when pooled, so get always returns zeroed steps.
+// keeps rebuilding traces — after code writes that drop them, over code
+// resumed after a trap, or on every request of a recycled engine — reuses
+// their memory instead of allocating. A patch that relower rewrites in
+// place takes nothing from the pool and gives nothing back. Slices are
+// pooled by capacity class (a power of two) and cleared when pooled, so
+// get always returns zeroed steps.
 //
 // A dropped trace's steps are never in use by the executor: traces are
-// dropped only between executor runs (by a code write from the dispatcher
-// or from a trap handler, which runs after the executor
-// synced its state and before it returns without touching a step again,
-// by IMB and by Reset). Stale entries for them may linger in the chain-link
-// back-lists of live traces; severing one only clears a link memo, which
-// is harmless on any step. The pool holds at most maxPooledSteps steps;
-// beyond that dropped steps are left to the garbage collector, which
-// bounds a long run that keeps dropping traces without Reset.
+// dropped, and steps rewritten in place, only between executor runs (by a
+// code write from the dispatcher or from a trap handler, which runs after
+// the executor synced its state and before it returns without touching a
+// step again, by IMB and by Reset). Stale entries may linger in the
+// chain-link back-lists of live traces, for dropped steps and for steps
+// rewritten in place since they linked; severing one only clears a link
+// memo, which is harmless on any step. The pool holds at most
+// maxPooledSteps steps; beyond that dropped steps are left to the garbage
+// collector, which bounds a long run that keeps dropping traces without
+// Reset.
 type stepPool struct {
 	free [maxStepClass + 1][][]traceStep // free[c] holds slices of capacity 1<<c
 	held int                             // steps held in free
@@ -1225,6 +1249,70 @@ func (m *Machine) followLink(st *traceStep) *traceStep {
 	return nil
 }
 
+// relower rewrites the live step at addr in place after Patch wrote word
+// there, and reports whether it did. It does so when addr heads a
+// plain step that no other step covers, the word decodes, and a branch
+// into the trace targets one of its step heads; otherwise the caller
+// drops the traces over addr. The step takes the word's slot and its
+// taken pointer, loses its chain-link memo, and its stretch totals and
+// those of the steps before it in its stretch are summed again: a
+// predecessor's totals change only if its successor's did, so the sweep
+// stops at the first step whose totals stand. The PC lookup table, the
+// step pool and the live-trace list are untouched, and no link into the
+// step changes, since its PC still heads it.
+func (m *Machine) relower(addr uint64, word uint32) bool {
+	ent := m.traces.get(addr)
+	t := ent.tr
+	if t == nil || t.steps[ent.idx].n != 1 || m.megaOver(addr) {
+		return false
+	}
+	inst, err := host.Decode(word)
+	if err != nil {
+		return false
+	}
+	s := lower(addr, inst)
+	var taken *traceStep
+	if s.kind.branches() && s.imm >= t.start && s.imm < t.end {
+		tgt := m.traces.get(s.imm)
+		if tgt.tr != t {
+			return false // not a step head: formation would split a mega-step there
+		}
+		taken = &t.steps[tgt.idx]
+	}
+	st := &t.steps[ent.idx]
+	st.slot, st.taken = s, taken
+	st.link, st.linkTr, st.linkVer = nil, nil, 0
+	for i := int(ent.idx); i >= 0; i-- {
+		p := &t.steps[i]
+		r := p.sums()
+		if r == p.rest {
+			break
+		}
+		p.rest = r
+	}
+	m.tstats.Relowered++
+	return true
+}
+
+// reaches returns the live trace whose step at pc covers a word at or
+// past addr, or nil.
+func (m *Machine) reaches(pc, addr uint64) *trace {
+	if ent := m.traces.get(pc); ent.tr != nil && pc+uint64(ent.tr.steps[ent.idx].n)*host.InstBytes > addr {
+		return ent.tr
+	}
+	return nil
+}
+
+// megaOver reports whether a mega-step that starts before addr covers it.
+func (m *Machine) megaOver(addr uint64) bool {
+	for pc := addr - min(addr, (megaMaxLen-1)*host.InstBytes); pc < addr; pc += host.InstBytes {
+		if m.reaches(pc, addr) != nil {
+			return true
+		}
+	}
+	return false
+}
+
 // dropOverlapping drops every live trace with a step covering a word of
 // [addr, end). It reads the PC lookup table's entry of every word in the
 // range, for the step heads there, and of the megaMaxLen-1 words before
@@ -1237,8 +1325,8 @@ func (m *Machine) dropOverlapping(addr, end uint64) {
 		return
 	}
 	for pc := addr - min(addr, (megaMaxLen-1)*host.InstBytes); pc < end; pc += host.InstBytes {
-		if ent := m.traces.get(pc); ent.tr != nil && pc+uint64(ent.tr.steps[ent.idx].n)*host.InstBytes > addr {
-			m.dropTrace(ent.tr)
+		if t := m.reaches(pc, addr); t != nil {
+			m.dropTrace(t)
 		}
 	}
 }

@@ -481,9 +481,42 @@ func TestTraceChainFollowAndSever(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Patching a word inside trace B drops it, severs A's memoized link
-	// into it, and leaves trace A executable and coherent.
+	// Patching trace B's head word rewrites its step in place: B stays
+	// live, A's memoized link into it still lands on that step, and the
+	// step's own memoized link back into A is cleared.
+	entA, entB := m.traces.get(base), m.traces.get(bPC)
+	var aLink *traceStep
+	for i := range entA.tr.steps {
+		if l := entA.tr.steps[i].link; l != nil {
+			aLink = l
+		}
+	}
+	stB := &entB.tr.steps[entB.idx]
+	if aLink != stB || stB.link == nil {
+		t.Fatalf("A links to %p, B's BNE links to %p: want A→B and B→A memoized", aLink, stB.link)
+	}
 	m.Patch(bPC, words[(bPC-base)/host.InstBytes])
+	if m.traces.get(bPC) != entB || m.traces.get(base) != entA || len(entB.tr.steps) != 3 {
+		t.Fatal("patching B's head word dropped or split a trace")
+	}
+	if stB.link != nil || stB.linkTr != nil || stB.linkVer != 0 {
+		t.Fatal("the patched step kept its chain-link memo")
+	}
+	if ts := m.TraceStats(); ts.Relowered != 1 || ts.Invalidations != 0 {
+		t.Fatalf("trace stats %+v: want 1 step relowered and no trace dropped", ts)
+	}
+	if err := m.CheckTraceCoherence(); err != nil {
+		t.Fatalf("coherence after in-place patch: %v", err)
+	}
+	m.SetReg(host.R1, 10)
+	m.SetPC(base)
+	if got := trRun(m, 1<<20); got.Stop != StopHalt {
+		t.Fatalf("stop after in-place patch = %v, want halt", got.Stop)
+	}
+
+	// Rewriting the word with WriteCode drops trace B, severs A's
+	// memoized link into it, and leaves trace A executable and coherent.
+	m.WriteCode(bPC, words[(bPC-base)/host.InstBytes:][:1])
 	if trLive(m, bPC) {
 		t.Fatal("patched trace still live")
 	}

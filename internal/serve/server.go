@@ -253,7 +253,6 @@ func (s *Server) attempt(ctx context.Context, w *Worker, req Request) (*Result, 
 	if s.store != nil && program != "" {
 		s.accumulate(program, fingerprint, b.eng)
 	}
-	ts1 := b.eng.TraceStats()
 	return &Result{
 		CPU:      b.eng.FinalCPU(),
 		Counters: b.mach.Counters(),
@@ -261,12 +260,7 @@ func (s *Server) attempt(ctx context.Context, w *Worker, req Request) (*Result, 
 		CodeUsed: b.eng.CodeCacheUsed(),
 		Attempts: w.Attempt,
 		Worker:   w.ID,
-		Traces: machine.TraceStats{
-			Formed:        ts1.Formed - ts0.Formed,
-			ChainFollows:  ts1.ChainFollows - ts0.ChainFollows,
-			Invalidations: ts1.Invalidations - ts0.Invalidations,
-			TracedInsts:   ts1.TracedInsts - ts0.TracedInsts,
-		},
+		Traces:   b.eng.TraceStats().Sub(ts0),
 	}, nil
 }
 
