@@ -54,7 +54,7 @@ serve-chaos:
 
 # Guest-fault suite under the race detector: the three fault workload
 # kinds (page-straddling MDA, self-modifying, multi-context) across every
-# registry mechanism, with and without fixed-seed fault injection; fault
+# mechanism in the mechanism table, with and without fixed-seed fault injection; fault
 # delivery must be precise and interpreter-identical (DESIGN.md §12). The
 # trap-bit table, and the watch queries it filters (Watched, WatchedRange),
 # are checked against a brute-force reference model, and traps taken
@@ -122,11 +122,13 @@ store-chaos:
 profile-smoke:
 	$(GO) test -run '^(TestProfileSmoke|TestBenchStoreWarm)$$' -v ./cmd/dbtrun
 
-# One experiment run per registered mechanism (policy registry), and the
+# One experiment run per row of the mechanism table (internal/policy), the
 # check that a bare Options{Mechanism: m} is DefaultOptions(m) for every
-# one of them — the CI mechanism-smoke job.
+# one of them, and the pinned site and trap decision of every mechanism ×
+# extension combination (TestPolicyDecisionTable) — the CI
+# mechanism-smoke job.
 mech-smoke:
-	$(GO) test -run '^TestOptionsLiteralMatchesDefault$$' -v ./internal/core
+	$(GO) test -run '^(TestOptionsLiteralMatchesDefault|TestPolicyDecisionTable)$$' -v ./internal/core
 	$(GO) test -run '^TestRegistryMechanismSmoke$$' -v ./internal/experiments
 
 # The checked-in benchmark ledger → BENCH_5.json: the result line of one

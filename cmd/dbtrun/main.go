@@ -8,10 +8,9 @@
 //
 // The positional argument is a guest assembly file (see internal/guestasm
 // for the syntax). Alternatively -bench runs one of the built-in SPEC
-// benchmark models. Mechanisms are selected by policy-registry name (or
-// alias): direct, static-profile, dynamic-profile, exception-handling,
-// dpeh, speh — newly registered mechanisms are selectable with no CLI
-// changes.
+// benchmark models. Mechanisms are selected by name (or alias) from the
+// mechanism table: direct, static-profile, dynamic-profile,
+// exception-handling, dpeh, speh, aot.
 //
 // With -store DIR runs warm-start from the crash-safe persistent
 // artifact store (internal/store) — stored AOT images and trap profiles
@@ -45,7 +44,7 @@ import (
 
 func main() {
 	mechName := flag.String("mechanism", "eh",
-		"MDA mechanism, by policy-registry name or alias ("+strings.Join(policy.Names(), ", ")+")")
+		"MDA mechanism, by name or alias ("+strings.Join(policy.Names(), ", ")+")")
 	flag.StringVar(mechName, "mech", *mechName, "shorthand for -mechanism")
 	threshold := flag.Uint64("threshold", 0, "heating threshold (0 = mechanism default)")
 	rearrange := flag.Bool("rearrange", false, "enable code rearrangement (EH)")
@@ -303,8 +302,8 @@ func main() {
 			ss.Hits, ss.Misses, ss.Saves, ss.Merges, ss.Corrupt, ss.Quarantined)
 	}
 	ts := eng.TraceStats()
-	fmt.Printf("trace tier:       %d formed, %d chain follows, %d invalidations, %d relowered, %d host insts traced\n",
-		ts.Formed, ts.ChainFollows, ts.Invalidations, ts.Relowered, ts.TracedInsts)
+	fmt.Printf("trace tier:       %d formed, %d chain follows, %d invalidations, %d relowered\n",
+		ts.Formed, ts.ChainFollows, ts.Invalidations, ts.Relowered)
 	if *lint {
 		findings := eng.Lint()
 		for _, f := range findings {

@@ -22,7 +22,7 @@
 //	GET  /statsz  — cumulative serving counters, including AOT cache hits
 //	                vs JIT fallbacks (cold-start observability) and
 //	                trace-tier totals (traces_formed, chain_follows,
-//	                trace_invalidations) across all runs.
+//	                trace_invalidations, traces_relowered) across all runs.
 //
 // Benchmark requests warm-start as dbtrun's do (serve.WarmStart): an
 // "aot" run adopts the benchmark's ahead-of-time image, so even the
@@ -110,6 +110,7 @@ type runResponse struct {
 	TracesFormed       uint64 `json:"traces_formed,omitempty"`
 	ChainFollows       uint64 `json:"chain_follows,omitempty"`
 	TraceInvalidations uint64 `json:"trace_invalidations,omitempty"`
+	TracesRelowered    uint64 `json:"traces_relowered,omitempty"`
 }
 
 type errorResponse struct {
@@ -148,6 +149,7 @@ type app struct {
 	tracesFormed       atomic.Uint64 // step-list traces built
 	chainFollows       atomic.Uint64 // direct trace-to-trace transfers
 	traceInvalidations atomic.Uint64 // traces dropped (SMC, flush, reset)
+	tracesRelowered    atomic.Uint64 // trace steps rewritten in place by a patch
 }
 
 func newApp(srv *serve.Server, mech core.Mechanism, deadline time.Duration) *app {
@@ -361,6 +363,7 @@ func (a *app) handleRun(w http.ResponseWriter, r *http.Request) {
 		TracesFormed:       res.Traces.Formed,
 		ChainFollows:       res.Traces.ChainFollows,
 		TraceInvalidations: res.Traces.Invalidations,
+		TracesRelowered:    res.Traces.Relowered,
 	}
 	for i := range resp.Regs {
 		resp.Regs[i] = res.CPU.R[guest.Reg(i)]
@@ -369,6 +372,7 @@ func (a *app) handleRun(w http.ResponseWriter, r *http.Request) {
 	a.tracesFormed.Add(res.Traces.Formed)
 	a.chainFollows.Add(res.Traces.ChainFollows)
 	a.traceInvalidations.Add(res.Traces.Invalidations)
+	a.tracesRelowered.Add(res.Traces.Relowered)
 	if opt.AOT {
 		a.aotRuns.Add(1)
 		a.aotHits.Add(res.Stats.AOTHits)
@@ -389,11 +393,13 @@ type statsResponse struct {
 	AOTHits      uint64 `json:"aot_hits"`
 	JITFallbacks uint64 `json:"jit_fallbacks"`
 	// Trace-tier totals across runs: how much dispatch tax
-	// the pool's engines avoided, and how often invalidation severed the
-	// chains (SMC, flushes, engine resets).
+	// the pool's engines avoided, how often invalidation severed the
+	// chains (SMC, flushes, engine resets), and how many trace steps a
+	// patch (an EH stub branch, a chain link) rewrote in place instead.
 	TracesFormed       uint64 `json:"traces_formed"`
 	ChainFollows       uint64 `json:"chain_follows"`
 	TraceInvalidations uint64 `json:"trace_invalidations"`
+	TracesRelowered    uint64 `json:"traces_relowered"`
 	// Store is the persistent artifact store's counter snapshot, present
 	// only when the server runs with -store. hits vs misses is the
 	// cross-restart warm-start win; corrupt/quarantined is the
@@ -412,6 +418,7 @@ func (a *app) handleStats(w http.ResponseWriter, r *http.Request) {
 		TracesFormed:       a.tracesFormed.Load(),
 		ChainFollows:       a.chainFollows.Load(),
 		TraceInvalidations: a.traceInvalidations.Load(),
+		TracesRelowered:    a.tracesRelowered.Load(),
 	}
 	if st, ok := a.srv.StoreStats(); ok {
 		resp.Store = &st
@@ -455,7 +462,7 @@ func main() {
 	retries := flag.Int("retries", 2, "retries on transient failures (-1 disables)")
 	budget := flag.Uint64("budget", 4_000_000_000, "default host-instruction budget per request")
 	deadline := flag.Duration("deadline", 30*time.Second, "default per-request deadline (0 = none)")
-	mechName := flag.String("mech", "eh", "default MDA mechanism, by policy-registry name")
+	mechName := flag.String("mech", "eh", "default MDA mechanism, by name or alias")
 	chaosRate := flag.Float64("chaos-rate", 0, "arm every serving fault point with this probability")
 	chaosSeed := flag.Int64("chaos-seed", 1, "serving fault-injection seed (with -chaos-rate)")
 	drainWait := flag.Duration("drain", 30*time.Second, "max time to drain in-flight requests at shutdown")

@@ -408,7 +408,9 @@ func TestRunAOTWarmup(t *testing.T) {
 
 // TestRunTracesFieldIgnored: the request body's old "traces" field is
 // ignored by JSON decoding, so a body that turns it off still runs, on the
-// trace tier like every other request, and reports trace counters.
+// trace tier like every other request, and reports trace counters. Under
+// EH the loop's MDA site is patched into a live trace, so the reply counts
+// a step rewritten in place, and /statsz sums the reply's counters.
 func TestRunTracesFieldIgnored(t *testing.T) {
 	_, ts := testApp(t)
 	raw, _ := json.Marshal(map[string]any{"asm": testAsm, "traces": false})
@@ -423,6 +425,22 @@ func TestRunTracesFieldIgnored(t *testing.T) {
 	}
 	if resp.StatusCode != http.StatusOK || r.HostInsts == 0 || r.TracesFormed == 0 {
 		t.Fatalf("status %d, response %+v: want a traced run", resp.StatusCode, r)
+	}
+	if r.TracesRelowered == 0 {
+		t.Errorf("response %+v: want the EH patch counted in traces_relowered", r)
+	}
+	sresp, err := http.Get(ts.URL + "/statsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sresp.Body.Close()
+	var s statsResponse
+	if err := json.NewDecoder(sresp.Body).Decode(&s); err != nil {
+		t.Fatal(err)
+	}
+	if s.TracesFormed != r.TracesFormed || s.ChainFollows != r.ChainFollows ||
+		s.TraceInvalidations != r.TraceInvalidations || s.TracesRelowered != r.TracesRelowered {
+		t.Errorf("statsz %+v: trace totals differ from the one run's %+v", s, r)
 	}
 }
 
@@ -446,7 +464,7 @@ func TestRunStaticTrainsProfile(t *testing.T) {
 	}
 	tm := mem.New()
 	prog.Load(tm, workload.Train)
-	tp, err := core.TrainProfile(tm, prog.Entry(), 300_000_000)
+	tp, err := core.TrainProfile(tm, prog.Entry(), core.CensusBudget)
 	if err != nil {
 		t.Fatal(err)
 	}

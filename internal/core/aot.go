@@ -57,7 +57,6 @@ func (e *Engine) preseedAOT(entry uint32) {
 		if st := e.dec.stateAt(pc); st != nil && (st.blk != nil || st.blacklisted) {
 			continue
 		}
-		e.mech.OnBlockHot(pc)
 		if _, err := e.ensureTranslated(pc); err != nil {
 			if errors.Is(err, ErrBlockTooLarge) || errors.Is(err, errInjectedTranslate) {
 				e.blacklistBlock(pc, err)

@@ -31,7 +31,7 @@ func BenchmarkCensus(b *testing.B) {
 			m := mem.New()
 			p.Load(m, workload.Train)
 			b.StartTimer()
-			c, err := RunCensus(m, p.Entry(), 300_000_000)
+			c, err := RunCensus(m, p.Entry(), CensusBudget)
 			if err != nil || !c.Halted {
 				b.Fatalf("census: halted=%v err=%v", c != nil && c.Halted, err)
 			}

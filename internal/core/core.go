@@ -34,11 +34,9 @@ import (
 	"mdabt/internal/policy"
 )
 
-// Mechanism selects the MDA handling mechanism (paper Table II). It is a
-// compatibility shim over the internal/policy registry: the value is the
-// registry ID, and the named constants below mirror the built-in
-// registration order. Out-of-tree mechanisms registered with
-// policy.Register are addressable as Mechanism(id) or via MechanismByName.
+// Mechanism selects the MDA handling mechanism (paper Table II): the value
+// is an index into the internal/policy mechanism table, and the named
+// constants below are its rows in order.
 type Mechanism int
 
 // Mechanisms under evaluation. SPEH (static profiling + exception
@@ -53,39 +51,28 @@ const (
 	AOT
 )
 
-// String returns the mechanism's registry name.
+// String returns the mechanism's canonical name.
 func (m Mechanism) String() string {
-	if s, ok := policy.NameOf(int(m)); ok {
-		return s
+	if row, ok := policy.Lookup(int(m)); ok {
+		return row.Name
 	}
 	return "mechanism?"
 }
 
-// MechanismByName resolves a registry name or alias ("eh", "dynprof", …)
-// to its mechanism ID.
+// MechanismByName resolves a canonical mechanism name or alias ("eh",
+// "dynprof", …) to its mechanism ID.
 func MechanismByName(name string) (Mechanism, bool) {
 	id, ok := policy.ID(name)
 	return Mechanism(id), ok
 }
 
-// Mechanisms returns every registered mechanism in registry order.
+// Mechanisms returns every mechanism in table (ID) order.
 func Mechanisms() []Mechanism {
-	names := policy.Names()
-	out := make([]Mechanism, len(names))
-	for i := range names {
+	out := make([]Mechanism, len(policy.Mechanisms))
+	for i := range out {
 		out[i] = Mechanism(i)
 	}
 	return out
-}
-
-// newMechanism builds a fresh strategy instance for the mechanism ID.
-func (m Mechanism) newMechanism() (policy.Mechanism, error) {
-	p, ok := policy.ByID(int(m))
-	if !ok {
-		return nil, fmt.Errorf("core: unknown mechanism id %d (have %s)",
-			int(m), strings.Join(policy.Names(), ", "))
-	}
-	return p, nil
 }
 
 // Options configures the translator: the mechanism, its tuning knobs
@@ -276,8 +263,8 @@ const DefaultSliceInsts = 1 << 20
 func (o *Options) Normalize() {
 	if o.HeatThreshold == 0 {
 		o.HeatThreshold = 50
-		if p, ok := policy.ByID(int(o.Mechanism)); ok {
-			o.HeatThreshold = p.HeatThreshold()
+		if row, ok := policy.Lookup(int(o.Mechanism)); ok {
+			o.HeatThreshold = row.Heat
 		}
 	}
 	if o.RetransThreshold == 0 {
@@ -295,7 +282,7 @@ func (o *Options) Normalize() {
 	if o.SliceInsts == 0 {
 		o.SliceInsts = DefaultSliceInsts
 	}
-	if name, ok := policy.NameOf(int(o.Mechanism)); ok && name == "aot" {
+	if o.Mechanism == AOT {
 		// The aot mechanism is the AOT tier: pre-translate everything from
 		// the recovered CFG.
 		o.AOT = true
@@ -305,42 +292,22 @@ func (o *Options) Normalize() {
 	}
 }
 
-// buildMechanism constructs the strategy object for the options: the base
-// mechanism from the registry, wrapped in the §IV extension decorators the
-// options enable. Decorators are capability-gated on the *base* strategy —
-// profile-driven shapes (multi-version, adaptive) need a two-phase
-// patching base, trap-driven reactions (retranslate, rearrange) a patching
-// base — so the same Options work over any registered mechanism with the
-// extensions it can actually honor. Validate rejects combinations the base
-// cannot honor before this is reached.
-//
-// Wrap order encodes the engine's historical priorities: WithRetranslate
-// sits inside WithRearrange (a block over the retranslation threshold is
-// retranslated, not rearranged), and WithStaticAlign is outermost (a
-// decisive analysis verdict outranks every profile- and trap-driven
-// shape).
-func (o *Options) buildMechanism() (policy.Mechanism, error) {
-	m, err := o.Mechanism.newMechanism()
-	if err != nil {
-		return nil, err
+// newPolicy builds the engine's decision procedure for validated options:
+// the mechanism's table row plus the §IV extensions the options enable.
+// Validate has already rejected extensions the row cannot honor and IDs
+// outside the table.
+func (o *Options) newPolicy() policy.Policy {
+	row, _ := policy.Lookup(int(o.Mechanism))
+	p := policy.Policy{Mechanism: row, Adaptive: o.Adaptive, Rearrange: o.Rearrange, StaticAlign: o.StaticAlign}
+	if o.MultiVersion {
+		p.MixedMin, p.MixedMax = mixedSiteMin, mixedSiteMax
 	}
-	profiled, patching := m.WantsInterpProfiling(), policy.Patches(m)
-	if o.MultiVersion && profiled && patching {
-		m = policy.WithMultiVersion(m, mixedSiteMin, mixedSiteMax)
+	if o.Retranslate {
+		// BlockTraps counts from one, so a threshold at or below one
+		// retranslates on the first trap.
+		p.RetransAt = max(o.RetransThreshold, 1)
 	}
-	if o.Adaptive && profiled && patching {
-		m = policy.WithAdaptive(m)
-	}
-	if o.Retranslate && patching {
-		m = policy.WithRetranslate(m, o.RetransThreshold)
-	}
-	if o.Rearrange && patching {
-		m = policy.WithRearrange(m)
-	}
-	if o.StaticAlign {
-		m = policy.WithStaticAlign(m)
-	}
-	return m, nil
+	return p
 }
 
 // Validate rejects contradictory option combinations that previously
@@ -351,12 +318,12 @@ func (o *Options) buildMechanism() (policy.Mechanism, error) {
 // early diagnostics.
 func (o Options) Validate() error {
 	o.Normalize()
-	base, err := o.Mechanism.newMechanism()
-	if err != nil {
-		return err
+	row, ok := policy.Lookup(int(o.Mechanism))
+	if !ok {
+		return fmt.Errorf("core: unknown mechanism id %d (have %s)",
+			int(o.Mechanism), strings.Join(policy.Names(), ", "))
 	}
-	profiled, patching := base.WantsInterpProfiling(), policy.Patches(base)
-	name := base.Name()
+	profiled, patching, name := row.Interp, row.Patches, row.Name
 	switch {
 	case o.Rearrange && !patching:
 		return fmt.Errorf("core: Rearrange needs an exception-patching mechanism, not %s", name)

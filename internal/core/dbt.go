@@ -39,15 +39,13 @@ type Engine struct {
 	Opt  Options
 	CPU  guest.CPU
 
-	// mech is the strategy object driving every mechanism decision (base
-	// mechanism + option decorators, built once from Opt); the engine only
-	// runs the hook protocol (see internal/policy). profiled caches
-	// mech.WantsInterpProfiling for the dispatch hot path.
-	mech     policy.Mechanism
-	profiled bool
-	// optErr latches an Options validation or mechanism lookup failure;
-	// Run reports it immediately (NewEngine keeps its error-free
-	// signature).
+	// pol decides every MDA site shape and trap reaction: the mechanism's
+	// table row plus the option extensions, built once from Opt (see
+	// internal/policy).
+	pol policy.Policy
+	// optErr latches an Options validation failure, an unknown mechanism
+	// included; Run reports it immediately (NewEngine keeps its
+	// error-free signature).
 	optErr error
 
 	cc    *codeCache
@@ -162,13 +160,9 @@ func (e *Engine) configure(opt Options) {
 	e.hostCurrent = false
 	e.halted = false
 	e.curTarget = 0
-	e.mech, e.profiled, e.optErr = nil, false, nil
-	if err := opt.Validate(); err != nil {
-		e.optErr = err
-	} else if e.mech, err = opt.buildMechanism(); err != nil {
-		e.optErr = err
-	} else {
-		e.profiled = e.mech.WantsInterpProfiling()
+	e.pol, e.optErr = policy.Policy{}, opt.Validate()
+	if e.optErr == nil {
+		e.pol = opt.newPolicy()
 	}
 	e.Mach.SetMisalignHandler(e.handleMisalign)
 	e.Mach.SetAccessFaultHandler(e.handleAccessFault)
@@ -519,7 +513,7 @@ func (e *Engine) RunContext(ctx context.Context, entry uint32, maxHostInsts uint
 			}
 			b := st.blk
 			if b == nil {
-				if e.profiled {
+				if e.pol.Interp {
 					if st.heat < e.Opt.HeatThreshold {
 						e.syncToCPU()
 						st.heat++
@@ -537,7 +531,6 @@ func (e *Engine) RunContext(ctx context.Context, entry uint32, maxHostInsts uint
 						continue
 					}
 				}
-				e.mech.OnBlockHot(target)
 				var err error
 				b, err = e.ensureTranslated(target)
 				if err != nil {
@@ -684,7 +677,7 @@ func (e *Engine) handleMisalign(m *machine.Machine, pc uint64, inst host.Inst, e
 	act := policy.Fixup
 	if known {
 		e.dec.state(site.guestPC).traps++
-		act = e.mech.OnMisalignTrap(policy.TrapCtx{
+		act = e.pol.Trap(policy.TrapCtx{
 			GuestPC:    site.guestPC,
 			BlockPC:    b.guestPC,
 			BlockTraps: b.trapCount + 1,
@@ -733,7 +726,6 @@ func (e *Engine) handleMisalign(m *machine.Machine, pc uint64, inst host.Inst, e
 		for _, u := range b.insts {
 			e.dec.clearProf(u.pc) // restart the per-site profiles too
 		}
-		e.mech.OnRetranslate(b.guestPC)
 		e.event(EvRetranslate, b.guestPC, 0, "")
 		e.stats.Retranslations++
 		e.selfCheck("retranslate")

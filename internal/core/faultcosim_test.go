@@ -11,7 +11,7 @@ import (
 	"mdabt/internal/workload"
 )
 
-// The guest-fault cosim: every registry mechanism must deliver precise,
+// The guest-fault cosim: every mechanism must deliver precise,
 // interpreter-identical faults for the page-straddling workloads, and must
 // track the self-modifying rewriter bit-for-bit (DESIGN.md §12). "Precise"
 // is checked three ways: the faulting PC and mem.Fault match the reference,
@@ -140,7 +140,7 @@ func checkFaultOutcome(t *testing.T, label string, p *workload.FaultProgram, ref
 }
 
 // TestFaultCosimAllMechanisms runs the guest-fault workload set under every
-// registry mechanism configuration and compares each against the
+// mechanism configuration and compares each against the
 // interpreter reference.
 func TestFaultCosimAllMechanisms(t *testing.T) {
 	progs, err := workload.FaultPrograms()

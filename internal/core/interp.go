@@ -122,6 +122,11 @@ func (c *Census) RatioClasses() (lt, eq, gt, always int) {
 	return lt, eq, gt, always
 }
 
+// CensusBudget is the instruction budget of a whole-benchmark census — the
+// train run a static profile comes from, the experiments' censuses and
+// their fault references. Every benchmark model halts well inside it.
+const CensusBudget = 300_000_000
+
 // RunCensus interprets the program at entry until HALT (or maxInsts) and
 // returns its alignment census. When the memory has page protections armed
 // and the program faults, the census collected so far is returned alongside

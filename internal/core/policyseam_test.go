@@ -7,10 +7,10 @@ import (
 	"mdabt/internal/guest"
 )
 
-// The mechanism seam: core.Mechanism is a compat shim over the policy
-// registry, Options.Validate rejects contradictory knob combinations, and
-// the registered SPEH hybrid behaves as static profiling with an exception
-// handler for the leftovers.
+// The mechanism seam: core.Mechanism indexes the policy mechanism table,
+// Options.Validate rejects contradictory knob combinations, and the SPEH
+// row behaves as static profiling with an exception handler for the
+// leftovers.
 
 func TestMechanismByName(t *testing.T) {
 	for name, want := range map[string]Mechanism{
@@ -47,6 +47,7 @@ func TestOptionsValidate(t *testing.T) {
 		{"multiversion/eh", func() Options { o := DefaultOptions(ExceptionHandling); o.MultiVersion = true; return o }(), "MultiVersion"},
 		{"mvblock-alone", func() Options { o := DefaultOptions(DPEH); o.MVBlockGranularity = true; return o }(), "MVBlockGranularity"},
 		{"unknown-mechanism", Options{Mechanism: Mechanism(99)}, "unknown mechanism"},
+		{"negative-mechanism", Options{Mechanism: Mechanism(-1)}, "unknown mechanism"},
 	}
 	for _, c := range bad {
 		err := c.opt.Validate()
@@ -86,7 +87,7 @@ func TestOptionsValidate(t *testing.T) {
 
 // TestOptionsLiteralMatchesDefault: Normalize owns every default and the
 // implied settings, so a bare Options{Mechanism: m} is the same
-// configuration as DefaultOptions(m) for every registered mechanism — the
+// configuration as DefaultOptions(m) for every mechanism — the
 // aot mechanism included, which implies AOT and, through it, StaticAlign.
 func TestOptionsLiteralMatchesDefault(t *testing.T) {
 	for _, m := range Mechanisms() {

@@ -40,14 +40,14 @@ func TestCachePressureAllMechanisms(t *testing.T) {
 
 	for _, mech := range Mechanisms() {
 		opt := DefaultOptions(mech)
-		p, ok := policy.ByID(int(mech))
+		row, ok := policy.Lookup(int(mech))
 		if !ok {
-			t.Fatalf("no strategy for %v", mech)
+			t.Fatalf("no table row for %v", mech)
 		}
-		if p.UsesStaticProfile() {
+		if row.Static {
 			opt.StaticSites = static
 		}
-		if p.WantsInterpProfiling() {
+		if row.Interp {
 			opt.HeatThreshold = 3
 		}
 		opt.CodeCacheBytes = 512

@@ -61,7 +61,7 @@ func TestImpossibleOpcodeIsError(t *testing.T) {
 // crashing the process.
 func TestRecoveredPanicIsInternal(t *testing.T) {
 	e := newTestEngine(t, mdaLoopImg(t, 50), DefaultOptions(ExceptionHandling))
-	e.mech = nil // any mechanism callback now nil-panics
+	e.cc = nil // the first translation now nil-panics
 	err := e.Run(guest.CodeBase, 1<<24)
 	if err == nil {
 		t.Fatal("poisoned engine ran to completion")

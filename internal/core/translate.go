@@ -724,10 +724,10 @@ func (em *emitter) body() error {
 // sitePolicies decides the translation policy of every memory site in the
 // unit by assembling a SiteCtx snapshot per site (trap history, train
 // profile, interpretation profile, adaptive reversion, static-analysis
-// verdict) and asking the mechanism strategy. It records each decision,
+// verdict) and asking the engine's policy. It records each decision,
 // verdict and adaptive streak counter in the site's unitInst and reports
-// whether any site is mixed; everything mechanism-specific lives behind
-// the policy seam. st is the per-PC state at the unit's start.
+// whether any site is mixed; everything mechanism-specific lives in the
+// policy. st is the per-PC state at the unit's start.
 func (e *Engine) sitePolicies(b *block, st *pcState) (anyMixed bool, err error) {
 	for idx := range b.insts {
 		u := &b.insts[idx]
@@ -744,7 +744,7 @@ func (e *Engine) sitePolicies(b *block, st *pcState) (anyMixed bool, err error) 
 		}
 		ctx.Reverted = st.reverted.has(idx)
 		if e.Opt.StaticAlign {
-			// Whole-instruction verdicts feed the StaticAlign decorator;
+			// Whole-instruction verdicts feed the policy's StaticAlign step;
 			// the engine records them for dumps/verifier, and translate
 			// counts them into the stats when the unit commits. Unknown
 			// (and mixed-stream) sites keep the base mechanism's decision;
@@ -752,7 +752,7 @@ func (e *Engine) sitePolicies(b *block, st *pcState) (anyMixed bool, err error) 
 			u.verdict = e.alignDB.InstVerdict(u.pc, u.inst.Op)
 			ctx.AlignVerdict = u.verdict
 		}
-		u.pol = e.mech.SitePolicy(ctx)
+		u.pol = e.pol.Site(ctx)
 		switch u.pol {
 		case policy.Mixed:
 			anyMixed = true
@@ -778,7 +778,7 @@ func (e *Engine) translate(pc uint32, perInst uint64) (*block, error) {
 		return nil, err
 	}
 	nblocks := 1
-	if e.Opt.Superblocks && (e.profiled || e.Opt.AOT) {
+	if e.Opt.Superblocks && (e.pol.Interp || e.Opt.AOT) {
 		if units, nblocks, err = e.formTrace(units); err != nil {
 			return nil, err
 		}
@@ -915,7 +915,7 @@ func (e *Engine) formTrace(units []unitInst) ([]unitInst, int, error) {
 		var next uint32
 		ok := true
 		switch {
-		case e.profiled:
+		case e.pol.Interp:
 			next, ok = e.dominantSuccessor(heads[nblocks-1])
 		case term.Op == guest.JMP:
 			next = termNext + uint32(term.Rel)

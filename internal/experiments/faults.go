@@ -49,7 +49,7 @@ func FaultStudy(s *Session) (*Result, error) {
 		// mechanism must reproduce.
 		m := mem.New()
 		p.Load(m)
-		c, cerr := core.RunCensus(m, p.Entry(), 300_000_000)
+		c, cerr := core.RunCensus(m, p.Entry(), core.CensusBudget)
 		var refGF *guest.Fault
 		if p.ExpectFault {
 			gf, ok := core.AsGuestFault(cerr)

@@ -131,14 +131,8 @@ func (s *Session) Census(name string, in workload.Input) (*core.Census, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := mem.New()
-	p.Load(m, in)
-	c, err = core.RunCensus(m, p.Entry(), 300_000_000)
-	if err != nil {
+	if c, err = serve.BenchCensus(p, in); err != nil {
 		return nil, fmt.Errorf("experiments: census %s: %w", name, err)
-	}
-	if !c.Halted {
-		return nil, fmt.Errorf("experiments: census %s did not halt", name)
 	}
 	s.mu.Lock()
 	s.cens[key] = c
@@ -177,9 +171,9 @@ func (s *Session) execute(name string, opt core.Options) (RunResult, error) {
 	if err != nil {
 		return RunResult{}, err
 	}
-	if pm, ok := policy.ByID(int(opt.Mechanism)); ok && pm.UsesStaticProfile() {
-		// The train-input profile, from the cached train census (the same
-		// Census.Profile core.TrainProfile returns).
+	if row, ok := policy.Lookup(int(opt.Mechanism)); ok && row.Static {
+		// The train-input profile from the cached train census: the
+		// census serve.TrainBench runs, so the same profile.
 		c, err := s.Census(name, workload.Train)
 		if err != nil {
 			return RunResult{}, err

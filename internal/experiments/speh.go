@@ -5,9 +5,10 @@ import "mdabt/internal/core"
 // SPEHStudy measures the SPEH hybrid (static profiling for sites the train
 // run caught, exception handling with patching for the leftovers) against
 // both parents: runtime normalized to exception handling, plus the residual
-// misalignment traps each mechanism still pays on the ref input. The PR 4
-// seam experiment: SPEH exists only as a registered policy strategy, so its
-// row here proves a composite mechanism needs no core changes.
+// misalignment traps each mechanism still pays on the ref input. SPEH is
+// one row of the mechanism table (marked or trap-known sites get the
+// sequence; traps patch), so its row here shows a composite mechanism
+// needs no core changes.
 func SPEHStudy(s *Session) (*Result, error) {
 	names := selectedNames()
 	order := []string{"StaticProfiling", "SPEH", "ExceptionHandling"}

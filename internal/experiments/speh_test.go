@@ -28,12 +28,11 @@ func TestSPEHStudyShape(t *testing.T) {
 	}
 }
 
-// TestRegistryMechanismSmoke is the CI gate behind the policy seam: every
-// mechanism name in the registry — including ones registered after this test
-// was written — must drive a benchmark end to end through the experiment
-// session with no core changes. A new strategy that trips Validate, panics
-// in a hook, or emits unlintable code fails here before any experiment
-// depends on it. Each session run is traced, and its counters must equal a
+// TestRegistryMechanismSmoke is the CI gate behind the mechanism table:
+// every row — including ones added after this test was written — must
+// drive a benchmark end to end through the experiment session. A new row
+// that trips Validate, panics in the engine, or emits unlintable code
+// fails here before any experiment depends on it. Each session run is traced, and its counters must equal a
 // fresh engine run of the same options outside the session's cache.
 func TestRegistryMechanismSmoke(t *testing.T) {
 	if testing.Short() {

@@ -1,33 +1,27 @@
-// Package policy defines the MDA-handling mechanism seam of the translator:
-// a Mechanism is a strategy object encapsulating every decision the paper's
-// five mechanisms (Table II) actually differ on, so the engine in
-// internal/core drives one hook protocol instead of switching on a
-// mechanism enum in four files.
+// Package policy holds the paper's Table II as data. Each MDA-handling
+// mechanism is one Mechanism row: which site evidence gets the inline MDA
+// sequence, whether the exception handler patches trapping sites, whether
+// blocks are interpreted first and for how long, and whether a train-run
+// profile is consumed. internal/core builds one Policy value per engine
+// from a row plus the §IV extensions its Options enable, and asks it two
+// questions:
 //
-// The hook protocol, in engine order:
+//   - Site, at translation time: how to translate one memory site — the
+//     plain trap-prone instruction, the inline MDA sequence, or one of the
+//     multi-version shapes — given a SiteCtx snapshot of everything the
+//     engine knows about the site.
+//   - Trap, when a translated site misaligns: leave it to the OS-style
+//     software fixup, patch in an MDA stub, retranslate the whole block,
+//     or rearrange it in place.
 //
-//  1. WantsInterpProfiling / HeatThreshold — whether blocks are interpreted
-//     (with MDA instrumentation) before translation, and for how long
-//     (two-phase mechanisms: DynamicProfile, DPEH).
-//  2. OnBlockHot — notification that a block crossed the heating threshold
-//     (or, for single-phase mechanisms, is about to be translated).
-//  3. SitePolicy — the translate-time decision per memory site: plain
-//     trap-prone instruction, inline MDA sequence, or one of the
-//     multi-version shapes. Called once per site per (re)translation with a
-//     SiteCtx snapshot of everything the engine knows about the site.
-//  4. OnMisalignTrap — the trap-time decision when a translated site
-//     misaligns: leave it to the OS-style software fixup, patch in an MDA
-//     stub, retranslate the whole block, or rearrange it in place.
-//  5. OnRetranslate — notification that a block's translation was
-//     discarded for re-profiling (§IV-C).
-//
-// Mechanisms are registered by name (Register/ByID/ID) and composed with
-// decorators (WithMultiVersion, WithAdaptive, WithRetranslate,
-// WithRearrange, WithStaticAlign) that layer the paper's §IV extensions
-// over any base strategy. See DESIGN.md §10.
+// See DESIGN.md §10.
 package policy
 
-import "mdabt/internal/align"
+import (
+	"sort"
+
+	"mdabt/internal/align"
+)
 
 // SitePolicy is the translate-time decision for one memory site.
 type SitePolicy uint8
@@ -135,59 +129,199 @@ type TrapCtx struct {
 	BlockTraps int
 }
 
-// Mechanism is one MDA handling strategy. Implementations must be cheap to
-// construct and free of shared mutable state: the engine builds a private
-// instance per NewEngine via the registry.
-type Mechanism interface {
-	// Name returns the registry name the mechanism was registered under.
-	Name() string
-	// SitePolicy decides how to translate one memory site.
-	SitePolicy(SiteCtx) SitePolicy
-	// OnMisalignTrap decides how to react when a translated site traps.
-	// Returning Fixup means the mechanism has no exception handler: the
-	// access is emulated and the site pays the trap on every occurrence.
-	OnMisalignTrap(TrapCtx) Action
-	// WantsInterpProfiling reports a two-phase mechanism: blocks are
-	// interpreted with MDA instrumentation before translation.
-	WantsInterpProfiling() bool
-	// HeatThreshold is the mechanism's default heating threshold
-	// (Options.HeatThreshold overrides it; meaningful only when
-	// WantsInterpProfiling).
-	HeatThreshold() uint64
-	// UsesStaticProfile reports the mechanism consumes a train-run profile
+// Evidence is a set of site facts; a mechanism's SeqOn set names the facts
+// that select the MDA sequence for a site.
+type Evidence uint8
+
+const (
+	// Always selects every site.
+	Always Evidence = 1 << iota
+	// Marked selects sites in the train-run profile (SiteCtx.StaticMarked).
+	Marked
+	// Known selects trap-discovered sites (SiteCtx.KnownMDA).
+	Known
+	// Profiled selects sites that misaligned while interpreted
+	// (SiteCtx.ProfMDA > 0).
+	Profiled
+)
+
+// Mechanism is one row of the mechanism table.
+type Mechanism struct {
+	// Name is the canonical name; Aliases are accepted alternative
+	// spellings for CLI flags.
+	Name    string
+	Aliases []string
+	// Summary is a one-line description for CLI help and docs.
+	Summary string
+	// SeqOn is the site evidence that selects the MDA sequence; every
+	// other site is translated plain.
+	SeqOn Evidence
+	// Patches reports an exception handler that patches a trapping site;
+	// without one every trap takes the software fixup, every time.
+	Patches bool
+	// Interp reports a two-phase mechanism: blocks are interpreted with
+	// MDA instrumentation before translation.
+	Interp bool
+	// Heat is the default heating threshold (Options.HeatThreshold
+	// overrides it; meaningful only with Interp).
+	Heat uint64
+	// Static reports the mechanism consumes a train-run profile
 	// (Options.StaticSites); serve.WarmStart loads it from the store or
 	// has the front end run a training census for it.
-	UsesStaticProfile() bool
-	// OnBlockHot is called when a block is about to be translated — after
-	// crossing the heating threshold for two-phase mechanisms, on first
-	// execution otherwise.
-	OnBlockHot(guestPC uint32)
-	// OnRetranslate is called when a block's translation is discarded for
-	// re-profiling (the Retranslate action).
-	OnRetranslate(guestPC uint32)
+	Static bool
 }
 
-// Base provides the neutral defaults of the optional hooks; embed it and
-// override what the strategy actually cares about.
-type Base struct{}
+// Mechanisms is the table, indexed by core.Mechanism ID: the paper's five
+// mechanisms in Table II order, then the SPEH hybrid and the AOT tier.
+var Mechanisms = [...]Mechanism{
+	// QEMU-style: no translated access can ever trap. The paper's
+	// Figure 16 baseline for how expensive that simplicity is (~2.2x).
+	{Name: "direct", Summary: "every non-byte access becomes the MDA sequence (QEMU-style, §III-A)",
+		SeqOn: Always, Heat: 50},
+	// FX!32-style: sites the train input never misaligned trap to the OS
+	// fixup on every ref-input occurrence (252.eon +91%, 450.soplex +155%).
+	{Name: "static-profile", Aliases: []string{"static"}, Summary: "train-input-profiled sites get the sequence (FX!32-style, §III-B)",
+		SeqOn: Marked, Heat: 50, Static: true},
+	// IA-32 EL-style: sites whose misalignment starts after the profiling
+	// window trap to the OS fixup forever — the late-onset failure mode
+	// (Table III) DPEH exists to fix.
+	{Name: "dynamic-profile", Aliases: []string{"dynprof"}, Summary: "interpret-first profiling picks sequence sites (IA-32 EL-style, §III-C)",
+		SeqOn: Known | Profiled, Interp: true, Heat: 50},
+	// The paper's proposal (Fig. 5): translate plain and patch a faulting
+	// operation into a branch to a fresh MDA stub on its first trap.
+	{Name: "exception-handling", Aliases: []string{"eh"}, Summary: "translate plain; trap-and-patch sites on first misalignment (§IV)",
+		SeqOn: Known, Patches: true, Heat: 50},
+	// A short, low-threshold profiling window catches the common always-MDA
+	// sites and the handler patches the rest, late-onset sites included.
+	// The paper's overall winner (Fig. 16, geomean ~0.97 of EH alone).
+	{Name: "dpeh", Summary: "low-threshold dynamic profiling plus exception handling (§IV-B)",
+		SeqOn: Known | Profiled, Patches: true, Interp: true, Heat: 10},
+	// The composite the paper implies but never measures: the handler
+	// catches the ref-input surprises that cripple static profiling, and
+	// startup is as cheap as plain EH.
+	{Name: "speh", Summary: "static profiling plus exception handling: train-marked sites eager, late sites trap-and-patch",
+		SeqOn: Marked | Known, Patches: true, Heat: 50, Static: true},
+	// The AOT tier (DESIGN.md §13) forces the StaticAlign layer on, so
+	// verdicts pick site shapes; an undecidable site costs one
+	// trap-and-patch, as under EH, not an eager sequence.
+	{Name: "aot", Summary: "whole-binary ahead-of-time pre-translation from the recovered CFG; align verdicts pick site shapes, traps patch the leftovers",
+		Patches: true, Heat: 50},
+}
 
-// WantsInterpProfiling reports false: single-phase by default.
-func (Base) WantsInterpProfiling() bool { return false }
+// Lookup returns the row for a mechanism ID; ok is false for any ID
+// outside the table, negative ones included.
+func Lookup(id int) (Mechanism, bool) {
+	if id < 0 || id >= len(Mechanisms) {
+		return Mechanism{}, false
+	}
+	return Mechanisms[id], true
+}
 
-// HeatThreshold returns the paper's overall default threshold (§VI).
-func (Base) HeatThreshold() uint64 { return 50 }
+// ID resolves a canonical name or alias to the mechanism ID.
+func ID(name string) (int, bool) {
+	for id, m := range Mechanisms {
+		if m.Name == name {
+			return id, true
+		}
+		for _, a := range m.Aliases {
+			if a == name {
+				return id, true
+			}
+		}
+	}
+	return 0, false
+}
 
-// UsesStaticProfile reports false: no train-run profile by default.
-func (Base) UsesStaticProfile() bool { return false }
+// Names returns the canonical mechanism names in ID order.
+func Names() []string {
+	out := make([]string, len(Mechanisms))
+	for i, m := range Mechanisms {
+		out[i] = m.Name
+	}
+	return out
+}
 
-// OnBlockHot does nothing by default.
-func (Base) OnBlockHot(uint32) {}
+// AllNames returns every accepted spelling (canonical names and aliases),
+// sorted, for CLI error messages.
+func AllNames() []string {
+	var out []string
+	for _, m := range Mechanisms {
+		out = append(append(out, m.Name), m.Aliases...)
+	}
+	sort.Strings(out)
+	return out
+}
 
-// OnRetranslate does nothing by default.
-func (Base) OnRetranslate(uint32) {}
+// Policy is one engine's MDA decision procedure: a table row plus the §IV
+// extensions the options enable. The zero extension fields are all off.
+type Policy struct {
+	Mechanism
+	// MixedMin and MixedMax bound the profiled misalignment ratio of a
+	// multi-version (Mixed) site (§IV-D, Fig. 8 left); the zero band is
+	// off, since a site with profiled MDAs has a ratio above zero.
+	MixedMin, MixedMax float64
+	// Adaptive instruments sequence sites with an aligned-streak monitor
+	// that can revert them to plain (§IV-D, Fig. 8 right).
+	Adaptive bool
+	// RetransAt retranslates a block once this many traps have hit its
+	// translation (§IV-C, Fig. 7); 0 is off.
+	RetransAt int
+	// Rearrange retranslates a trapping block in place with the sequence
+	// inline instead of patching a branch to a stub (§IV-A, Fig. 6).
+	Rearrange bool
+	// StaticAlign lets decisive alignment-analysis verdicts override the
+	// site decision.
+	StaticAlign bool
+}
 
-// Patches reports whether the mechanism's exception handler converts
-// trapping sites (versus leaving every trap to the software fixup). It
-// probes OnMisalignTrap with a zero TrapCtx, which every threshold-gated
-// decorator passes through to its base action.
-func Patches(m Mechanism) bool { return m.OnMisalignTrap(TrapCtx{}) != Fixup }
+// Site decides how to translate one memory site. A decisive static-align
+// verdict outranks everything; then the row's evidence picks plain or
+// sequence, multi-version turns a partly-aligned sequence site Mixed, and
+// the adaptive monitor reverts demoted sites to plain and instruments the
+// remaining sequence sites.
+func (p *Policy) Site(c SiteCtx) SitePolicy {
+	if p.StaticAlign {
+		switch c.AlignVerdict {
+		case align.Aligned:
+			return Plain
+		case align.Misaligned:
+			return Seq
+		}
+	}
+	sp := Plain
+	if p.SeqOn&Always != 0 ||
+		p.SeqOn&Marked != 0 && c.StaticMarked ||
+		p.SeqOn&Known != 0 && c.KnownMDA ||
+		p.SeqOn&Profiled != 0 && c.ProfMDA > 0 {
+		sp = Seq
+	}
+	if sp == Seq && c.ProfMDA > 0 && c.ProfAligned > 0 {
+		if r := c.MixedRatio(); r >= p.MixedMin && r <= p.MixedMax {
+			sp = Mixed
+		}
+	}
+	if p.Adaptive {
+		if c.Reverted {
+			return Plain
+		}
+		if sp == Seq {
+			return Adaptive
+		}
+	}
+	return sp
+}
+
+// Trap decides how to react when a translated site misaligns. Fixup means
+// the mechanism has no exception handler; retranslation outranks
+// rearrangement, so a block over the threshold is retranslated.
+func (p *Policy) Trap(c TrapCtx) Action {
+	switch {
+	case !p.Patches:
+		return Fixup
+	case p.RetransAt > 0 && c.BlockTraps >= p.RetransAt:
+		return Retranslate
+	case p.Rearrange:
+		return Rearrange
+	}
+	return Patch
+}

@@ -1,44 +1,41 @@
 package policy
 
 import (
+	"slices"
 	"testing"
 
 	"mdabt/internal/align"
 )
 
-// mustByName resolves a registered mechanism for fixtures.
-func mustByName(t *testing.T, name string) Mechanism {
+// mustByName returns the policy of a table mechanism with no extensions.
+func mustByName(t *testing.T, name string) Policy {
 	t.Helper()
 	id, ok := ID(name)
 	if !ok {
-		t.Fatalf("mechanism %q not registered", name)
+		t.Fatalf("mechanism %q not in the table", name)
 	}
-	m, ok := ByID(id)
+	row, ok := Lookup(id)
 	if !ok {
-		t.Fatalf("no constructor for id %d", id)
+		t.Fatalf("no row for id %d", id)
 	}
-	return m
+	return Policy{Mechanism: row}
 }
 
 func TestRegistryBuiltins(t *testing.T) {
-	// The five paper mechanisms must occupy IDs 0..4 in core.Mechanism
-	// constant order, SPEH ID 5 — the compat shim depends on it.
-	want := []string{"direct", "static-profile", "dynamic-profile", "exception-handling", "dpeh", "speh"}
+	// The table rows are core.Mechanism's constants in order: the five
+	// paper mechanisms, then SPEH and AOT.
+	want := []string{"direct", "static-profile", "dynamic-profile", "exception-handling", "dpeh", "speh", "aot"}
 	got := Names()
-	if len(got) < len(want) {
-		t.Fatalf("only %d registered mechanisms: %v", len(got), got)
+	if !slices.Equal(got, want) {
+		t.Fatalf("Names() = %v, want %v", got, want)
 	}
 	for i, n := range want {
-		if got[i] != n {
-			t.Errorf("id %d = %q, want %q", i, got[i], n)
-		}
 		id, ok := ID(n)
 		if !ok || id != i {
 			t.Errorf("ID(%q) = %d,%v, want %d,true", n, id, ok, i)
 		}
-		m, ok := ByID(i)
-		if !ok || m.Name() != n {
-			t.Errorf("ByID(%d).Name() = %q, want %q", i, m.Name(), n)
+		if m, ok := Lookup(i); !ok || m.Name != n {
+			t.Errorf("Lookup(%d).Name = %q, want %q", i, m.Name, n)
 		}
 	}
 	for alias, canon := range map[string]string{"static": "static-profile", "dynprof": "dynamic-profile", "eh": "exception-handling"} {
@@ -51,18 +48,16 @@ func TestRegistryBuiltins(t *testing.T) {
 	if _, ok := ID("mechanism?"); ok {
 		t.Error("bogus name resolved")
 	}
-	if _, ok := ByID(len(Names())); ok {
-		t.Error("out-of-range id resolved")
-	}
-}
-
-func TestRegisterRejectsDuplicates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate registration did not panic")
+	for _, id := range []int{-1, len(Mechanisms)} {
+		if _, ok := Lookup(id); ok {
+			t.Errorf("out-of-range id %d resolved", id)
 		}
-	}()
-	Register(Entry{Name: "direct", New: func() Mechanism { return direct{} }})
+	}
+	// Every spelling is unique, so ID's first match is the only match.
+	all := AllNames()
+	if !slices.IsSorted(all) || len(slices.Compact(slices.Clone(all))) != len(all) {
+		t.Errorf("AllNames() = %v, want sorted and duplicate-free", all)
+	}
 }
 
 // The fixture sites: everything SitePolicy decisions can hinge on.
@@ -112,8 +107,8 @@ func TestStrategySitePolicies(t *testing.T) {
 		{"speh", profiledMDA, Plain}, // single-phase: no interp profile exists
 	}
 	for _, c := range cases {
-		if got := mustByName(t, c.mech).SitePolicy(c.site); got != c.want {
-			t.Errorf("%s.SitePolicy(%+v) = %v, want %v", c.mech, c.site, got, c.want)
+		if p := mustByName(t, c.mech); p.Site(c.site) != c.want {
+			t.Errorf("%s.Site(%+v) = %v, want %v", c.mech, c.site, p.Site(c.site), c.want)
 		}
 	}
 }
@@ -127,12 +122,14 @@ func TestStrategyTrapActions(t *testing.T) {
 		"exception-handling": Patch,
 		"dpeh":               Patch,
 		"speh":               Patch,
+		"aot":                Patch,
 	} {
-		if got := mustByName(t, mech).OnMisalignTrap(trap); got != want {
-			t.Errorf("%s.OnMisalignTrap = %v, want %v", mech, got, want)
+		p := mustByName(t, mech)
+		if got := p.Trap(trap); got != want {
+			t.Errorf("%s.Trap = %v, want %v", mech, got, want)
 		}
-		if patches := Patches(mustByName(t, mech)); patches != (want != Fixup) {
-			t.Errorf("Patches(%s) = %v", mech, patches)
+		if p.Patches != (want != Fixup) {
+			t.Errorf("%s.Patches = %v", mech, p.Patches)
 		}
 	}
 }
@@ -150,23 +147,28 @@ func TestStrategyCapabilities(t *testing.T) {
 		{"exception-handling", false, 50, false},
 		{"dpeh", true, 10, false},
 		{"speh", false, 50, true},
+		{"aot", false, 50, false},
 	}
 	for _, c := range cases {
 		m := mustByName(t, c.mech)
-		if m.WantsInterpProfiling() != c.profiled {
-			t.Errorf("%s.WantsInterpProfiling = %v", c.mech, m.WantsInterpProfiling())
+		if m.Interp != c.profiled {
+			t.Errorf("%s.Interp = %v", c.mech, m.Interp)
 		}
-		if m.HeatThreshold() != c.heat {
-			t.Errorf("%s.HeatThreshold = %d, want %d", c.mech, m.HeatThreshold(), c.heat)
+		if m.Heat != c.heat {
+			t.Errorf("%s.Heat = %d, want %d", c.mech, m.Heat, c.heat)
 		}
-		if m.UsesStaticProfile() != c.usesStaticProf {
-			t.Errorf("%s.UsesStaticProfile = %v", c.mech, m.UsesStaticProfile())
+		if m.Static != c.usesStaticProf {
+			t.Errorf("%s.Static = %v", c.mech, m.Static)
 		}
 	}
 }
 
+// The extension tests below check one Policy field each over a table row;
+// TestPolicyDecisionTable in internal/core pins every combination.
+
 func TestMultiVersionDecorator(t *testing.T) {
-	m := WithMultiVersion(mustByName(t, "dpeh"), 0.05, 0.95)
+	m := mustByName(t, "dpeh")
+	m.MixedMin, m.MixedMax = 0.05, 0.95
 	cases := []struct {
 		site SiteCtx
 		want SitePolicy
@@ -179,78 +181,87 @@ func TestMultiVersionDecorator(t *testing.T) {
 		{freshSite, Plain},
 	}
 	for _, c := range cases {
-		if got := m.SitePolicy(c.site); got != c.want {
-			t.Errorf("mv.SitePolicy(%+v) = %v, want %v", c.site, got, c.want)
+		if got := m.Site(c.site); got != c.want {
+			t.Errorf("mv.Site(%+v) = %v, want %v", c.site, got, c.want)
 		}
 	}
-	// The decorator must not alter trap behaviour or capabilities.
-	if m.OnMisalignTrap(TrapCtx{}) != Patch || !m.WantsInterpProfiling() {
-		t.Error("multi-version decorator leaked into unrelated hooks")
+	// The band must not alter trap behaviour, and the zero band is off.
+	if m.Trap(TrapCtx{BlockTraps: 1}) != Patch {
+		t.Error("multi-version band leaked into the trap decision")
+	}
+	if off := mustByName(t, "dpeh"); off.Site(mixedProfile) != Seq {
+		t.Errorf("zero band: mixed site = %v, want Seq", off.Site(mixedProfile))
 	}
 }
 
 func TestAdaptiveDecorator(t *testing.T) {
-	m := WithAdaptive(WithMultiVersion(mustByName(t, "dpeh"), 0.05, 0.95))
-	if got := m.SitePolicy(profiledMDA); got != Adaptive {
+	m := mustByName(t, "dpeh")
+	m.MixedMin, m.MixedMax, m.Adaptive = 0.05, 0.95, true
+	if got := m.Site(profiledMDA); got != Adaptive {
 		t.Errorf("sequence site = %v, want Adaptive", got)
 	}
-	if got := m.SitePolicy(mixedProfile); got != Mixed {
+	if got := m.Site(mixedProfile); got != Mixed {
 		t.Errorf("mixed site = %v, want Mixed (adaptive leaves it)", got)
 	}
 	rev := mixedProfile
 	rev.Reverted = true
-	if got := m.SitePolicy(rev); got != Plain {
+	if got := m.Site(rev); got != Plain {
 		t.Errorf("reverted site = %v, want Plain (reversion outranks Mixed)", got)
 	}
-	if got := m.SitePolicy(freshSite); got != Plain {
+	if got := m.Site(freshSite); got != Plain {
 		t.Errorf("fresh site = %v, want Plain", got)
 	}
 }
 
 func TestRetranslateDecorator(t *testing.T) {
-	m := WithRetranslate(mustByName(t, "dpeh"), 4)
-	if got := m.OnMisalignTrap(TrapCtx{BlockTraps: 3}); got != Patch {
+	m := mustByName(t, "dpeh")
+	m.RetransAt = 4
+	if got := m.Trap(TrapCtx{BlockTraps: 3}); got != Patch {
 		t.Errorf("below threshold = %v, want Patch", got)
 	}
-	if got := m.OnMisalignTrap(TrapCtx{BlockTraps: 4}); got != Retranslate {
+	if got := m.Trap(TrapCtx{BlockTraps: 4}); got != Retranslate {
 		t.Errorf("at threshold = %v, want Retranslate", got)
 	}
-	// Over a Fixup base the decorator is inert (and the Patches probe
-	// still reports non-patching).
-	f := WithRetranslate(mustByName(t, "dynamic-profile"), 1)
-	if got := f.OnMisalignTrap(TrapCtx{BlockTraps: 9}); got != Fixup {
-		t.Errorf("fixup base = %v, want Fixup", got)
-	}
-	if Patches(f) {
-		t.Error("Patches(true) over a fixup base")
+	// Over a non-patching row the threshold is inert.
+	f := mustByName(t, "dynamic-profile")
+	f.RetransAt = 1
+	if got := f.Trap(TrapCtx{BlockTraps: 9}); got != Fixup {
+		t.Errorf("fixup row = %v, want Fixup", got)
 	}
 }
 
 func TestRearrangeDecorator(t *testing.T) {
-	m := WithRearrange(mustByName(t, "exception-handling"))
-	if got := m.OnMisalignTrap(TrapCtx{BlockTraps: 1}); got != Rearrange {
+	m := mustByName(t, "exception-handling")
+	m.Rearrange = true
+	if got := m.Trap(TrapCtx{BlockTraps: 1}); got != Rearrange {
 		t.Errorf("= %v, want Rearrange", got)
 	}
-	// Retranslation beats rearrangement: WithRearrange(WithRetranslate(…)).
-	rr := WithRearrange(WithRetranslate(mustByName(t, "dpeh"), 2))
-	if got := rr.OnMisalignTrap(TrapCtx{BlockTraps: 1}); got != Rearrange {
+	// Retranslation beats rearrangement.
+	rr := mustByName(t, "dpeh")
+	rr.Rearrange, rr.RetransAt = true, 2
+	if got := rr.Trap(TrapCtx{BlockTraps: 1}); got != Rearrange {
 		t.Errorf("below retrans threshold = %v, want Rearrange", got)
 	}
-	if got := rr.OnMisalignTrap(TrapCtx{BlockTraps: 2}); got != Retranslate {
+	if got := rr.Trap(TrapCtx{BlockTraps: 2}); got != Retranslate {
 		t.Errorf("at retrans threshold = %v, want Retranslate", got)
 	}
 }
 
 func TestStaticAlignDecorator(t *testing.T) {
-	m := WithStaticAlign(mustByName(t, "direct"))
-	if got := m.SitePolicy(SiteCtx{AlignVerdict: align.Aligned}); got != Plain {
+	m := mustByName(t, "direct")
+	m.StaticAlign = true
+	if got := m.Site(SiteCtx{AlignVerdict: align.Aligned}); got != Plain {
 		t.Errorf("proven-aligned = %v, want Plain override", got)
 	}
-	if got := m.SitePolicy(SiteCtx{AlignVerdict: align.Misaligned}); got != Seq {
+	if got := m.Site(SiteCtx{AlignVerdict: align.Misaligned}); got != Seq {
 		t.Errorf("proven-misaligned = %v, want Seq", got)
 	}
-	if got := m.SitePolicy(SiteCtx{AlignVerdict: align.Unknown}); got != Seq {
-		t.Errorf("unknown verdict = %v, want the base decision (Seq under direct)", got)
+	if got := m.Site(SiteCtx{AlignVerdict: align.Unknown}); got != Seq {
+		t.Errorf("unknown verdict = %v, want the row's decision (Seq under direct)", got)
+	}
+	// Verdicts count only with the layer on.
+	if off := mustByName(t, "direct"); off.Site(SiteCtx{AlignVerdict: align.Aligned}) != Seq {
+		t.Error("layer off: a proven-aligned verdict overrode the row")
 	}
 }
 

@@ -51,7 +51,8 @@ func storeProgram(req Request) string {
 //
 //   - An AOT run with no schedule adopts the stored image once it
 //     verifies; otherwise build's image, which is then saved.
-//   - A mechanism that UsesStaticProfile, with no StaticSites, adopts the
+//   - A mechanism that consumes a train profile (its policy.Mechanism row
+//     is Static), with no StaticSites, adopts the
 //     stored trap profile; otherwise train's, which is then merged in.
 //     An adopted profile with no MDA site is still knowledge: it leaves
 //     an empty, non-nil site set, so nothing loads or trains it again.
@@ -83,7 +84,7 @@ func WarmStart(st *store.Store, program string, opt *core.Options, build func() 
 			}
 		}
 	}
-	if p, ok := policy.ByID(int(opt.Mechanism)); opt.StaticSites == nil && ok && p.UsesStaticProfile() {
+	if row, ok := policy.Lookup(int(opt.Mechanism)); opt.StaticSites == nil && ok && row.Static {
 		k := store.Key{Program: program, Fingerprint: fp, Kind: store.KindTrapProfile}
 		var tp *store.TrapProfile
 		if stored := (&store.TrapProfile{}); st != nil && st.Load(k, stored) == nil {
@@ -103,12 +104,30 @@ func WarmStart(st *store.Store, program string, opt *core.Options, build func() 
 	return fp, errors.Join(errs...)
 }
 
+// BenchCensus interprets prog on input in to HALT within
+// core.CensusBudget: the one benchmark census the front ends train with
+// and the experiments measure.
+func BenchCensus(prog *workload.Program, in workload.Input) (*core.Census, error) {
+	m := mem.New()
+	prog.Load(m, in)
+	c, err := core.RunCensus(m, prog.Entry(), core.CensusBudget)
+	if err == nil && !c.Halted {
+		err = fmt.Errorf("serve: census did not halt within %d instructions", core.CensusBudget)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
 // TrainBench runs prog's train-input census, the FX!32-style training
 // run a benchmark's static profile comes from.
 func TrainBench(prog *workload.Program) (*store.TrapProfile, error) {
-	m := mem.New()
-	prog.Load(m, workload.Train)
-	return core.TrainProfile(m, prog.Entry(), 300_000_000)
+	c, err := BenchCensus(prog, workload.Train)
+	if err != nil {
+		return nil, err
+	}
+	return c.Profile(), nil
 }
 
 // accumulate folds one completed request's site history into the worker

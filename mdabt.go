@@ -19,10 +19,10 @@
 //   - internal/core — the translator: two-phase interpretation and
 //     translation, code cache, block linking, and the glue that drives the
 //     configured MDA mechanism.
-//   - internal/policy — the pluggable MDA mechanism layer: a registry of
-//     strategy objects (Direct, StaticProfile, DynamicProfile,
-//     ExceptionHandling, DPEH, SPEH) plus the rearrangement/retranslation/
-//     multi-version/adaptive/static-align decorators.
+//   - internal/policy — the mechanism table (Table II as data: Direct,
+//     StaticProfile, DynamicProfile, ExceptionHandling, DPEH, SPEH, AOT)
+//     and the Policy value that adds rearrangement, retranslation,
+//     multi-version, adaptive and static-align decisions to a row.
 //   - internal/workload — 54 SPEC CPU2000/2006 benchmark models dialed to
 //     the paper's Table I/III/IV and Figure 15 measurements.
 //   - internal/experiments — one runner per paper table/figure.
@@ -58,8 +58,8 @@ import (
 type Mechanism = core.Mechanism
 
 // The five mechanisms of the paper's evaluation, plus the SPEH hybrid
-// (static profiling + exception handling) registered through the policy
-// layer.
+// (static profiling + exception handling), a row of the same mechanism
+// table.
 const (
 	Direct            = core.Direct
 	StaticProfile     = core.StaticProfile
@@ -69,12 +69,11 @@ const (
 	SPEH              = core.SPEH
 )
 
-// MechanismByName resolves a policy-registry mechanism name or alias
-// ("direct", "eh", "dpeh", "speh", ...), including mechanisms registered
-// outside this module.
+// MechanismByName resolves a mechanism name or alias ("direct", "eh",
+// "dpeh", "speh", ...) from the mechanism table.
 func MechanismByName(name string) (Mechanism, bool) { return core.MechanismByName(name) }
 
-// Mechanisms lists every registered mechanism in registry (ID) order.
+// Mechanisms lists every mechanism in table (ID) order.
 func Mechanisms() []Mechanism { return core.Mechanisms() }
 
 // Options configures the translator (see core.Options).
