@@ -2,8 +2,9 @@
 
 GO ?= go
 BENCH_COUNT ?= 10
+FUZZTIME ?= 30s
 
-.PHONY: all build test race bench bench-smoke bench-correct bench-json golden-matrix fmt vet lint mech-smoke serve-chaos fault-chaos store-chaos profile-smoke
+.PHONY: all build test race bench bench-smoke bench-correct bench-json golden-matrix fmt vet lint mech-smoke serve-chaos fault-chaos fuzz-smoke store-chaos profile-smoke
 
 all: build test
 
@@ -93,13 +94,29 @@ serve-chaos:
 # retargeted link, an unlink, a rewrite on the line being fetched, and a
 # BR into a mega-step or an undecodable word, which must drop the trace —
 # keep the tier coherent and every slice equal to the reference, I-cache
-# accesses included (TestPatchInPlaceParity).
+# accesses included (TestPatchInPlaceParity). Pair dispatch (two adjacent
+# plain steps in one executor case) matches the reference on programs
+# dense in every pair, at every budget (so budgets end between a pair's
+# instructions), with a pair's memory op misaligned or on a read-only or
+# unmapped page in either position, under fault plans, and across
+# patches that pair or unpair the step before the patched one
+# (TestTracePairParity).
 fault-chaos:
 	$(GO) test -race -run 'TestFaultCosimAllMechanisms|TestChaosGuestFaults|TestSelfModifyingInvalidates|TestMultiContextReset|TestTranslateCommitAfterAllocFault|TestAdaptiveCountersRewoundOnFailedCommit|TestStaticAlignViolationsIgnoreInjectedTraps|TestCensusGolden|TestCensusSharedLibSMC|TestTraceInvalidationsFollowCodeWrites|TestFetchFaultBeforeDecode' -v ./internal/core
 	$(GO) test -race -run 'TestExecAccessRecord|TestRunMatchesStep' -v ./internal/guest
 	$(GO) test -race -run 'TestServeGuestFaults' ./internal/serve
 	$(GO) test -race -run 'TestTrapTableReferenceModel' -v ./internal/mem
-	$(GO) test -race -run 'TestTrapMidRun|TestTraceParityRandomPrograms|TestTraceMegaStepFaults|TestTraceFaultPlanParity|TestFormationCoversForwardRegion|TestTraceStretchParity|TestPatchInPlaceParity' -v ./internal/machine
+	$(GO) test -race -run 'TestTrapMidRun|TestTraceParityRandomPrograms|TestTraceMegaStepFaults|TestTraceFaultPlanParity|TestFormationCoversForwardRegion|TestTraceStretchParity|TestPatchInPlaceParity|TestTracePairParity' -v ./internal/machine
+
+# Coverage-guided differential fuzzing of the trace executor for FUZZTIME:
+# fuzz bytes choose a program (pairs, mega-steps, faulting accesses), the
+# Run-call budget, the cost model, the tiling into traces and a fault
+# plan, and every Run call must match the single-stepping reference
+# (FuzzTraceParity). Its committed seeds, under
+# internal/machine/testdata/fuzz, also run in every go test; a finding is
+# written there as a new seed.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzTraceParity$$' -fuzztime $(FUZZTIME) ./internal/machine
 
 # Persistent-store crash/corruption suite under the race detector: the
 # full internal/store suite (atomic-write protocol, SIGKILL-mid-write

@@ -198,8 +198,8 @@ func dstReg(r host.Reg) uint8 {
 }
 
 // slot is one instruction lowered for the executor when a trace is built:
-// the dispatch kind, register-file indexes (destinations of R31 remapped
-// to sinkReg), and the immediate already resolved, so execution does no
+// the kind, register-file indexes (destinations of R31 remapped to
+// sinkReg), and the immediate already resolved, so execution does no
 // format dispatch, operand decoding or R31 test per instruction. Trace
 // steps embed it (trace.go).
 type slot struct {
@@ -214,9 +214,13 @@ type slot struct {
 	b    uint8   // Rb: source; R31 in literal operate forms
 	c    uint8   // Rc: operate destination
 	size uint8   // memory access size in bytes
+	// disp is the kind the executor dispatches on: kind, or in a trace the
+	// pair kind that also runs the next step (pairOf, trace.go). Everything
+	// but the executor's switch reads kind.
+	disp slotKind
 }
 
-// slotKind is a lowered slot's dispatch kind; the zero value is a trace's
+// slotKind is a lowered slot's kind; the zero value is a trace's
 // synthetic exit.
 type slotKind uint8
 
@@ -304,6 +308,7 @@ func lower(pc uint64, inst host.Inst) slot {
 	case host.FormatJmp:
 		s.a = dstReg(inst.Ra)
 	}
+	s.disp = s.kind
 	return s
 }
 

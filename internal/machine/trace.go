@@ -29,6 +29,24 @@ package machine
 // into one mega-step each, so the 6-11 instructions that replace a
 // misalignment trap retire in one dispatch.
 //
+// Pair dispatch: the executor switches on a step's dispatch kind (disp),
+// not its kind. That is a pair kind when the step and its successor are
+// plain steps (one instruction each) of one stretch whose kinds form one
+// of the pairs in pairKinds, the hottest adjacent kinds of translated
+// code; otherwise it is the step's own kind (pairOf). A pair case runs the
+// first instruction, moves st to the second step and runs it from that
+// step's own fields, so the second step stays an ordinary step: a branch
+// target, a PC-table entry and a chain-link target, with its own dispatch
+// kind for whoever enters there. Traps and budgets stay exact for the
+// same reason. A memory op that traps, in either position, reaches the
+// trap exit with st on its own step, and the stretch accounting below
+// takes back exactly what did not retire; a memory op first in a pair
+// whose access the page memo does not serve runs as a plain step, so its
+// partner runs by its own dispatch. A pair never spans stretches, so a
+// budget check never falls between its two instructions, and a budget
+// that ends inside the stretch retires it from a copy whose steps all
+// dispatch on their own kinds (unfuse).
+//
 // Every cycle, counter, cache access, trap and fault-injection draw an
 // instruction-at-a-time machine would make is made here, in the same
 // order; the single-stepping reference in lower_test.go is the judge.
@@ -124,6 +142,54 @@ const (
 	stepMisLd slotKind = slotJmp + 1 + iota // ldq_u lo; ldq_u hi; lda ea; extXl; extXh; bis [; addl]
 	stepMisSt                               // lda ea; ldq_u hi; ldq_u lo; insXh; insXl; mskXh; mskXl; bis; bis; stq_u hi; stq_u lo
 )
+
+// Pair kinds extend the dispatch kinds, never a step's kind: each runs
+// two adjacent plain steps of one stretch (pairOf) in one dispatch.
+const (
+	pairAddqAddl slotKind = stepMisSt + 1 + iota // addq; addl
+	pairLdAddq                                   // ld (LDWU, LDQ); addq
+	pairAddlLd                                   // addl; ld
+	pairAddlXor                                  // addl; xor
+	pairStAddq                                   // st (STW, STL, STQ); addq
+	pairAddlSt                                   // addl; st
+	pairLdlAddl                                  // ldl; addl
+	pairXorLdl                                   // xor; ldl
+	pairCmpltBne                                 // cmplt; bne
+)
+
+// pairKinds maps the kinds of a step and its successor to the pair kind
+// that runs both, or slotEmpty. Its pairs are the adjacent plain kinds
+// that took the most dispatches on the Figure 16 suite, 71% of them
+// together (DESIGN.md §14).
+var pairKinds = func() (t [stepMisLd][stepMisLd]slotKind) {
+	for _, p := range [...][3]slotKind{
+		{slotAddq, slotAddl, pairAddqAddl},
+		{slotLd, slotAddq, pairLdAddq},
+		{slotAddl, slotLd, pairAddlLd},
+		{slotAddl, slotXor, pairAddlXor},
+		{slotSt, slotAddq, pairStAddq},
+		{slotAddl, slotSt, pairAddlSt},
+		{slotLdl, slotAddl, pairLdlAddl},
+		{slotXor, slotLdl, pairXorLdl},
+		{slotCmplt, slotBne, pairCmpltBne},
+	} {
+		t[p[0]][p[1]] = p[2]
+	}
+	return t
+}()
+
+// pairOf returns st's dispatch kind, given its stretch totals: the pair
+// kind of st's and its successor's kinds when both are plain steps of one
+// stretch, st's own kind otherwise. A mega-step and the synthetic exit
+// (n != 1) never pair.
+func pairOf(st *traceStep) slotKind {
+	if st.n == 1 && !st.rest.last && st.next.n == 1 {
+		if k := pairKinds[st.kind][st.next.kind]; k != slotEmpty {
+			return k
+		}
+	}
+	return st.kind
+}
 
 // megaAux holds the register-file indexes of a mega-step's constituents
 // that its slot has no room for. The slot keeps the base register (b), the
@@ -235,26 +301,29 @@ func kindCharges(k slotKind, n uint8) stretch {
 	return c
 }
 
-// then returns the charges of c followed by d: each of c's exit slot
-// states enters d.
-func (c stretch) then(d stretch) stretch {
-	r := stretch{insts: c.insts + d.insts, loads: c.loads + d.loads, stores: c.stores + d.stores, muls: c.muls + d.muls}
+// then appends d's charges to c in place: each of c's exit slot states
+// enters d, and the run no longer ends with c.
+func (c *stretch) then(d *stretch) {
+	c.insts += d.insts
+	c.loads += d.loads
+	c.stores += d.stores
+	c.muls += d.muls
 	for e, s := range c.slots {
 		dual, plain := d.slots[s&exitDual], d.slots[s>>1&1]
-		r.slots[e] = (s>>creditLSB+dual>>creditLSB)<<creditLSB | plain&exitPlain | dual&exitDual
+		c.slots[e] = (s>>creditLSB+dual>>creditLSB)<<creditLSB | plain&exitPlain | dual&exitDual
 	}
-	return r
+	c.last = false
 }
 
-// sums returns st's stretch totals, given its successor's: a stretch ends
-// at a control transfer, at the synthetic exit, and before a step that
-// starts on another I-line than st does.
-func (st *traceStep) sums() stretch {
-	c := st.charges()
+// sum writes st's stretch totals to r, given its successor's: a stretch
+// ends at a control transfer, at the synthetic exit, and before a step
+// that starts on another I-line than st does.
+func (st *traceStep) sum(r *stretch) {
+	*r = st.charges()
 	if st.kind.transfers() || st.kind == slotEmpty || st.next.lineID != st.lineID {
-		return c
+		return
 	}
-	return c.then(st.next.rest)
+	r.then(&st.next.rest)
 }
 
 // branches reports whether a slot of kind k is a PC-relative branch,
@@ -409,7 +478,7 @@ func fuseMegaLd(s []slot) (slot, megaAux, int) {
 	if sext {
 		n = 7
 	}
-	return slot{kind: stepMisLd, b: base, c: v, size: uint8(sz), imm: d},
+	return slot{kind: stepMisLd, disp: stepMisLd, b: base, c: v, size: uint8(sz), imm: d},
 		megaAux{ld: [2]uint8{lo, hi}, ea: ea, ext: [2]uint8{xl, xh}, sext: sext}, n
 }
 
@@ -457,7 +526,7 @@ func fuseMegaSt(s []slot) (slot, megaAux, int) {
 		ml == mh || hs == ml || ls == hs {
 		return slot{}, megaAux{}, 0
 	}
-	return slot{kind: stepMisSt, a: data, b: base, size: uint8(sz), imm: d},
+	return slot{kind: stepMisSt, disp: stepMisSt, a: data, b: base, size: uint8(sz), imm: d},
 		megaAux{ld: [2]uint8{hi, lo}, ea: ea, ext: [2]uint8{ih, il}, msk: [2]uint8{mh, ml}, st: [2]uint8{hs, ls}},
 		megaMaxLen
 }
@@ -588,7 +657,8 @@ func (m *Machine) build(start uint64, low []slot) *trace {
 		if st.kind.branches() && inTrace(st.imm) {
 			st.taken = &steps[m.traces.get(st.imm).idx]
 		}
-		st.rest = st.sums()
+		st.sum(&st.rest)
+		st.disp = pairOf(st)
 	}
 	m.traceList[t.id] = t
 	m.traceLo = min(m.traceLo, start)
@@ -636,8 +706,9 @@ func (m *Machine) unfuse(st *traceStep) *traceStep {
 
 // scratchExit threads the first k steps of the scratch trace, ends it
 // with an exit to pc, and returns its first step. Each step is a stretch
-// of its own, and its link cache holds the current trace-table version,
-// so its exits never memoize a link to it.
+// of its own, so it dispatches on its own kind, never a pair's, and its
+// link cache holds the current trace-table version, so its exits never
+// memoize a link to it.
 func (m *Machine) scratchExit(k int, pc uint64) *traceStep {
 	s := &m.scratch
 	lineID := (pc - host.InstBytes) >> ilineShift
@@ -646,7 +717,7 @@ func (m *Machine) scratchExit(k int, pc uint64) *traceStep {
 	}
 	s[k] = traceStep{slot: slot{imm: pc}, pc: pc, lineID: lineID}
 	for i := range s[:k+1] {
-		s[i].rest, s[i].linkVer = s[i].charges(), m.traceVer
+		s[i].rest, s[i].disp, s[i].linkVer = s[i].charges(), s[i].kind, m.traceVer
 		if i < k {
 			s[i].next = &s[i+1]
 		}
@@ -840,8 +911,8 @@ func (m *Machine) execTrace(st *traceStep, used *uint64, maxInsts uint64) (StopR
 	step:
 		// Memory kinds jump to the shared load or store path, other
 		// straight-line kinds to advance, branches to the taken/follow
-		// tail.
-		switch st.kind {
+		// tail. A pair case leaves st on its second step.
+		switch st.disp {
 		case slotEmpty:
 			// The synthetic exit: chain into the successor trace or hand
 			// the fallthrough PC back to the driver.
@@ -960,6 +1031,107 @@ func (m *Machine) execTrace(st *traceStep, used *uint64, maxInsts uint64) (StopR
 			}
 			m.traceExit(target, &c, entryInsts, n0, curLineID, false, used)
 			return 0, 0, false
+
+		case pairAddqAddl:
+			regs[st.c] = regs[st.a] + regs[st.b] + st.imm
+			st = st.next
+			regs[st.c] = uint64(int64(int32(regs[st.a] + regs[st.b] + st.imm)))
+			goto advance
+		case pairAddlXor:
+			regs[st.c] = uint64(int64(int32(regs[st.a] + regs[st.b] + st.imm)))
+			st = st.next
+			regs[st.c] = regs[st.a] ^ (regs[st.b] + st.imm)
+			goto advance
+		case pairCmpltBne:
+			v = 0
+			if int64(regs[st.a]) < int64(regs[st.b]+st.imm) {
+				v = 1
+			}
+			regs[st.c] = v
+			st = st.next
+			taken = regs[st.a] != 0
+			goto cond
+
+		// A memory op second in a pair takes the shared path from its own
+		// step, so a trap finds st there.
+		case pairAddlLd:
+			regs[st.c] = uint64(int64(int32(regs[st.a] + regs[st.b] + st.imm)))
+			st = st.next
+			ea = regs[st.b] + st.imm
+			if ea&uint64(st.size-1) != 0 {
+				fault = trapMisalign
+				goto memTrap
+			}
+			acc = ea
+			goto load
+		case pairXorLdl:
+			regs[st.c] = regs[st.a] ^ (regs[st.b] + st.imm)
+			st = st.next
+			ea = regs[st.b] + st.imm
+			if ea&uint64(st.size-1) != 0 {
+				fault = trapMisalign
+				goto memTrap
+			}
+			acc = ea
+			goto load
+		case pairAddlSt:
+			regs[st.c] = uint64(int64(int32(regs[st.a] + regs[st.b] + st.imm)))
+			st = st.next
+			ea = regs[st.b] + st.imm
+			if ea&uint64(st.size-1) != 0 {
+				fault = trapMisalign
+				goto memTrap
+			}
+			acc = ea
+			goto store
+
+		// A memory op first in a pair runs both instructions only when the
+		// page memo serves its access; otherwise it takes the shared path
+		// as a plain step and its partner runs by its own dispatch. The
+		// second instruction cannot trap, so the L1D probe of the first's
+		// access may follow it.
+		case pairLdAddq:
+			ea = regs[st.b] + st.imm
+			if ea&uint64(st.size-1) != 0 {
+				fault = trapMisalign
+				goto memTrap
+			}
+			acc = ea
+			if acc>>mem.PageShift != pm.idx || pm.ldTrap {
+				goto load
+			}
+			regs[st.a] = pageRead(pm.pg, acc, st.size)
+			st = st.next
+			regs[st.c] = regs[st.a] + regs[st.b] + st.imm
+			goto data
+		case pairLdlAddl:
+			ea = regs[st.b] + st.imm
+			if ea&3 != 0 {
+				fault = trapMisalign
+				goto memTrap
+			}
+			acc = ea
+			if acc>>mem.PageShift != pm.idx || pm.ldTrap {
+				goto load
+			}
+			regs[st.a] = uint64(int64(int32(binary.LittleEndian.Uint32(pm.pg[acc&(mem.PageSize-1):]))))
+			st = st.next
+			regs[st.c] = uint64(int64(int32(regs[st.a] + regs[st.b] + st.imm)))
+			goto data
+		case pairStAddq:
+			ea = regs[st.b] + st.imm
+			if ea&uint64(st.size-1) != 0 {
+				fault = trapMisalign
+				goto memTrap
+			}
+			acc = ea
+			if acc>>mem.PageShift != pm.idx || pm.stTrap {
+				goto store
+			}
+			pageWrite(pm.pg, acc, regs[st.a], st.size)
+			st = st.next
+			regs[st.c] = regs[st.a] + regs[st.b] + st.imm
+			goto data
 
 		case stepMisLd:
 			// Constituents run in program order with their own fetch and
@@ -1085,7 +1257,7 @@ func (m *Machine) execTrace(st *traceStep, used *uint64, maxInsts uint64) (StopR
 			goto advance
 
 		default:
-			panic(fmt.Sprintf("machine: corrupt trace step kind %d at %#x", st.kind, st.pc))
+			panic(fmt.Sprintf("machine: corrupt trace step dispatch kind %d at %#x", st.disp, st.pc))
 		}
 
 	load:
@@ -1257,9 +1429,11 @@ func (m *Machine) followLink(st *traceStep) *traceStep {
 // taken pointer, loses its chain-link memo, and its stretch totals and
 // those of the steps before it in its stretch are summed again: a
 // predecessor's totals change only if its successor's did, so the sweep
-// stops at the first step whose totals stand. The PC lookup table, the
-// step pool and the live-trace list are untouched, and no link into the
-// step changes, since its PC still heads it.
+// stops at the first step whose totals stand. The step and its
+// predecessor, the only steps whose pairing reads its kind, choose their
+// dispatch kinds again. The PC lookup table, the step pool and the
+// live-trace list are untouched, and no link into the step changes,
+// since its PC still heads it.
 func (m *Machine) relower(addr uint64, word uint32) bool {
 	ent := m.traces.get(addr)
 	t := ent.tr
@@ -1284,11 +1458,15 @@ func (m *Machine) relower(addr uint64, word uint32) bool {
 	st.link, st.linkTr, st.linkVer = nil, nil, 0
 	for i := int(ent.idx); i >= 0; i-- {
 		p := &t.steps[i]
-		r := p.sums()
-		if r == p.rest {
+		old := p.rest
+		if p.sum(&p.rest); p.rest == old {
 			break
 		}
-		p.rest = r
+	}
+	st.disp = pairOf(st)
+	if ent.idx > 0 {
+		p := &t.steps[ent.idx-1]
+		p.disp = pairOf(p)
 	}
 	m.tstats.Relowered++
 	return true
@@ -1428,7 +1606,8 @@ func (m *Machine) TraceInfos() []TraceInfo {
 // its own side tables. Every live step must still be what formation
 // would make of the code in memory now: a plain step's slot equals
 // lower's result for its word, and a mega-step equals what fusing its
-// freshly lowered words gives. The PC lookup table and the live-trace
+// freshly lowered words gives, each with the dispatch kind pairOf gives.
+// The PC lookup table and the live-trace
 // list must agree exactly, every step's threaded successor and taken
 // pointers must land where its PC and branch target say, and every
 // memoized chain link must land on a live, correctly-registered step of
@@ -1477,8 +1656,10 @@ func (m *Machine) CheckTraceCoherence() error {
 			}
 		}
 		for i := len(t.steps) - 1; i >= 0; i-- {
-			if st := &t.steps[i]; st.rest != st.sums() {
-				return fmt.Errorf("machine: trace %d step %#x stretch totals %+v, want %+v", t.id, st.pc, st.rest, st.sums())
+			st := &t.steps[i]
+			var want stretch
+			if st.sum(&want); st.rest != want {
+				return fmt.Errorf("machine: trace %d step %#x stretch totals %+v, want %+v", t.id, st.pc, st.rest, want)
 			}
 		}
 		for i := range t.steps {
@@ -1502,7 +1683,9 @@ func (m *Machine) CheckTraceCoherence() error {
 }
 
 // checkStepCode re-lowers the words st covers from memory and compares
-// the result with st: stale code under a live trace is an error.
+// the result, with the dispatch kind pairOf gives st, with st: stale code
+// under a live trace, or a step that dispatches on the wrong kind, is an
+// error.
 func (m *Machine) checkStepCode(st *traceStep) error {
 	var win [megaMaxLen]slot
 	if int(st.n) > len(win) {
@@ -1523,7 +1706,7 @@ func (m *Machine) checkStepCode(st *traceStep) error {
 			return fmt.Errorf("mega-step %#x no longer fuses its %d instructions (%d)", st.pc, st.n, c)
 		}
 	}
-	if st.slot != want || st.mega != wantMega {
+	if want.disp = pairOf(st); st.slot != want || st.mega != wantMega {
 		return fmt.Errorf("step %#x is stale: holds %+v %+v, code in memory lowers to %+v %+v", st.pc, st.slot, st.mega, want, wantMega)
 	}
 	return nil
