@@ -2,7 +2,6 @@
 
 GO ?= go
 BENCH_COUNT ?= 10
-FUZZTIME ?= 30s
 
 .PHONY: all build test race bench bench-smoke bench-correct bench-json golden-matrix fmt vet lint mech-smoke serve-chaos fault-chaos fuzz-smoke store-chaos profile-smoke
 
@@ -108,7 +107,7 @@ fault-chaos:
 	$(GO) test -race -run 'TestTrapTableReferenceModel' -v ./internal/mem
 	$(GO) test -race -run 'TestTrapMidRun|TestTraceParityRandomPrograms|TestTraceMegaStepFaults|TestTraceFaultPlanParity|TestFormationCoversForwardRegion|TestTraceStretchParity|TestPatchInPlaceParity|TestTracePairParity' -v ./internal/machine
 
-# Coverage-guided differential fuzzing of the trace executor for FUZZTIME:
+# Coverage-guided differential fuzzing of the trace executor for 30 s:
 # fuzz bytes choose a program (pairs, mega-steps, faulting accesses), the
 # Run-call budget, the cost model, the tiling into traces and a fault
 # plan, and every Run call must match the single-stepping reference
@@ -116,7 +115,7 @@ fault-chaos:
 # internal/machine/testdata/fuzz, also run in every go test; a finding is
 # written there as a new seed.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzTraceParity$$' -fuzztime $(FUZZTIME) ./internal/machine
+	$(GO) test -run '^$$' -fuzz '^FuzzTraceParity$$' -fuzztime 30s ./internal/machine
 
 # Persistent-store crash/corruption suite under the race detector: the
 # full internal/store suite (atomic-write protocol, SIGKILL-mid-write

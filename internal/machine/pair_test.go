@@ -3,7 +3,6 @@ package machine
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"mdabt/internal/faultinject"
@@ -13,30 +12,12 @@ import (
 
 // Pair dispatch (pairOf) runs two adjacent plain steps in one executor
 // case. These tests pin it to the single-stepping reference on programs
-// dense in every pair of pairKinds: at every budget, so that Run calls
+// dense in every pair of pairList: at every budget, so that Run calls
 // stop between a pair's two instructions and retire the rest of the
 // stretch from unfuse's copy; with the memory op of a pair, in either
 // position, misaligned or on a read-only or unmapped page; under fault
 // plans; and across patches that rewrite either instruction of a pair in
 // place, which must pair or unpair the step before it.
-
-// pairInfo is one entry of pairKinds: the kinds of a step and its
-// successor, and the pair kind that runs both.
-type pairInfo struct{ first, second, pair slotKind }
-
-// pairTable lists pairKinds's entries, in pair-kind order.
-func pairTable() []pairInfo {
-	var ps []pairInfo
-	for f := range pairKinds {
-		for s, k := range pairKinds[f] {
-			if k != slotEmpty {
-				ps = append(ps, pairInfo{slotKind(f), slotKind(s), k})
-			}
-		}
-	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i].pair < ps[j].pair })
-	return ps
-}
 
 // kindOps returns the opcodes that lower to a plain step of kind k (a
 // BR lowers to slotBr only with Ra = R31, which pairProgram never pairs).
@@ -65,7 +46,7 @@ func pairArm(mm *mem.Memory) {
 }
 
 // pairProgram builds a loop whose body is chosen by pick (rand.Intn, or
-// fuzz bytes): pairs of adjacent instructions of every pairKinds entry,
+// fuzz bytes): pairs of adjacent instructions of every pairList entry,
 // with the second often reading what the first wrote, half of the pairs
 // of kind bias when bias is a pair kind; the MDA load and store
 // sequences the executor fuses into mega-steps; a walk of the data base;
@@ -74,7 +55,6 @@ func pairArm(mm *mem.Memory) {
 // misaligned one time in four. The loop runs two to four times, then the
 // program halts.
 func pairProgram(t *testing.T, pick func(int) int, base uint64, bias slotKind) []uint32 {
-	pairs := pairTable()
 	vals := []host.Reg{host.R1, host.R2, host.R3, host.R4, host.R5, host.R6, host.R7, host.R8}
 	dsts := append(vals, host.R31)
 	reg := func(rs []host.Reg) host.Reg { return rs[pick(len(rs))] }
@@ -134,9 +114,9 @@ func pairProgram(t *testing.T, pick func(int) int, base uint64, bias slotKind) [
 		for i := 0; i < n; i++ {
 			switch c := pick(16); {
 			case c < 10:
-				p := pairs[pick(len(pairs))]
+				p := pairList[pick(len(pairList))]
 				if bias != slotEmpty && pick(2) == 0 {
-					p = pairs[bias-pairs[0].pair]
+					p = pairList[bias-pairAddqAddl]
 				}
 				firstOps, secondOps := kindOps(p.first), kindOps(p.second)
 				w := emit(firstOps[pick(len(firstOps))], host.R31)
@@ -239,7 +219,7 @@ func pairRun(t *testing.T, name string, words []uint32, p Params, budget uint64,
 	}
 }
 
-// TestTracePairParity runs, for every entry of pairKinds, two programs
+// TestTracePairParity runs, for every entry of pairList, two programs
 // biased toward that pair against the reference: at every budget from 1
 // to 48, well past the longest stretch, and one that runs to the halt,
 // on the traces Run forms and on traces built over alternating five-word
@@ -255,7 +235,7 @@ func TestTracePairParity(t *testing.T) {
 	for b := uint64(1); b <= 48; b++ {
 		budgets = append(budgets, b)
 	}
-	for _, p := range pairTable() {
+	for _, p := range pairList {
 		first, second := kindOps(p.first)[0], kindOps(p.second)[0]
 		t.Run(fmt.Sprintf("%v-%v", first, second), func(t *testing.T) {
 			for seed := int64(0); seed < 2; seed++ {
@@ -320,8 +300,7 @@ func pairPatchParity(t *testing.T, seed int64, planned bool) {
 		r.ref.faults = plan()
 	}
 	var kinds []slotKind // every kind some pair holds
-	pairs := pairTable()
-	for _, p := range pairs {
+	for _, p := range pairList {
 		kinds = append(kinds, p.first, p.second)
 	}
 	orig := map[uint64]uint32{}
@@ -373,7 +352,7 @@ func pairPatchParity(t *testing.T, seed int64, planned bool) {
 			k := kinds[rng.Intn(len(kinds))]
 			if second && rng.Intn(2) == 0 {
 				var with []slotKind
-				for _, p := range pairs {
+				for _, p := range pairList {
 					if p.first == prev.kind {
 						with = append(with, p.second)
 					}
@@ -514,7 +493,7 @@ func (b *fuzzPicker) pick(n int) int {
 }
 
 // FuzzTraceParity is the machine layer's differential fuzz target: fuzz
-// bytes choose a pairProgram (pairs of every pairKinds entry, one pair
+// bytes choose a pairProgram (pairs of every pairList entry, one pair
 // favoured or none, mega-steps, faulting and misaligned accesses), the
 // Run-call budget, the cost model (DefaultParams, or one without dual
 // issue and with other load, multiply and taken-branch cycles, each with
@@ -543,9 +522,9 @@ func FuzzTraceParity(f *testing.F) {
 					Rate(faultinject.DuplicateTrap, 0.3).Rate(faultinject.SpuriousAccessFault, 0.05)
 			}
 		}
-		bias, pairs := slotEmpty, pairTable()
-		if k := src.pick(len(pairs) + 1); k > 0 {
-			bias = pairs[k-1].pair
+		bias := slotEmpty
+		if k := src.pick(len(pairList) + 1); k > 0 {
+			bias = pairList[k-1].pair
 		}
 		words := pairProgram(t, src.pick, 0x1000, bias)
 		pairRun(t, fmt.Sprintf("budget %d model %d chunk %d planned %v bias %d", budget, model, chunk, plan != nil, bias), words, p, budget, chunk, plan)

@@ -157,23 +157,27 @@ const (
 	pairCmpltBne                                 // cmplt; bne
 )
 
-// pairKinds maps the kinds of a step and its successor to the pair kind
-// that runs both, or slotEmpty. Its pairs are the adjacent plain kinds
+// pairList holds, in pair-kind order, each pair kind with the kinds of
+// the step and successor it runs. Its pairs are the adjacent plain kinds
 // that took the most dispatches on the Figure 16 suite, 71% of them
 // together (DESIGN.md §14).
+var pairList = [...]struct{ first, second, pair slotKind }{
+	{slotAddq, slotAddl, pairAddqAddl},
+	{slotLd, slotAddq, pairLdAddq},
+	{slotAddl, slotLd, pairAddlLd},
+	{slotAddl, slotXor, pairAddlXor},
+	{slotSt, slotAddq, pairStAddq},
+	{slotAddl, slotSt, pairAddlSt},
+	{slotLdl, slotAddl, pairLdlAddl},
+	{slotXor, slotLdl, pairXorLdl},
+	{slotCmplt, slotBne, pairCmpltBne},
+}
+
+// pairKinds maps the kinds of a step and its successor to the pair kind
+// that runs both (pairList), or slotEmpty.
 var pairKinds = func() (t [stepMisLd][stepMisLd]slotKind) {
-	for _, p := range [...][3]slotKind{
-		{slotAddq, slotAddl, pairAddqAddl},
-		{slotLd, slotAddq, pairLdAddq},
-		{slotAddl, slotLd, pairAddlLd},
-		{slotAddl, slotXor, pairAddlXor},
-		{slotSt, slotAddq, pairStAddq},
-		{slotAddl, slotSt, pairAddlSt},
-		{slotLdl, slotAddl, pairLdlAddl},
-		{slotXor, slotLdl, pairXorLdl},
-		{slotCmplt, slotBne, pairCmpltBne},
-	} {
-		t[p[0]][p[1]] = p[2]
+	for _, p := range pairList {
+		t[p.first][p.second] = p.pair
 	}
 	return t
 }()
@@ -1106,7 +1110,7 @@ func (m *Machine) execTrace(st *traceStep, used *uint64, maxInsts uint64) (StopR
 			goto data
 		case pairLdlAddl:
 			ea = regs[st.b] + st.imm
-			if ea&3 != 0 {
+			if ea&uint64(st.size-1) != 0 {
 				fault = trapMisalign
 				goto memTrap
 			}
@@ -1114,7 +1118,7 @@ func (m *Machine) execTrace(st *traceStep, used *uint64, maxInsts uint64) (StopR
 			if acc>>mem.PageShift != pm.idx || pm.ldTrap {
 				goto load
 			}
-			regs[st.a] = uint64(int64(int32(binary.LittleEndian.Uint32(pm.pg[acc&(mem.PageSize-1):]))))
+			regs[st.a] = uint64(int64(int32(pageRead(pm.pg, acc, st.size))))
 			st = st.next
 			regs[st.c] = uint64(int64(int32(regs[st.a] + regs[st.b] + st.imm)))
 			goto data
